@@ -7,13 +7,13 @@ three evidence-selection strategies, reporting wall-clock seconds, search
 nodes and nodes/second for the word-native :class:`repro.core.adc_enum.ADCEnum`.
 At every epsilon (selection "max", plus all selections at the reference
 epsilon 0.01) it also runs the frozen pre-refactor enumerator
-(:class:`repro.core.legacy_enum.LegacyADCEnum`), asserts the two emit
+(``LegacyADCEnum`` in ``tests/legacy_enum.py``), asserts the two emit
 bit-identical DiscoveredADC lists, and reports the speedup.  The headline
 number is the speedup at epsilon = 0.01, which must stay above
 ``EXPECTED_SPEEDUP``.
 
 Results are also written as a JSON artifact (``--json PATH``) so CI can
-archive the perf trajectory next to ``BENCH_evidence_parallel.json``.
+archive the perf trajectory next to ``BENCH_incremental.json``.
 
 Run standalone::
 
@@ -27,13 +27,17 @@ import argparse
 import json
 import sys
 import time
+from pathlib import Path
+
+# The pre-refactor enumerator is a test oracle, kept under tests/.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from repro.core.adc_enum import ADCEnum
 from repro.core.approximation import F1
 from repro.core.evidence_builder import build_evidence_set
-from repro.core.legacy_enum import LegacyADCEnum
 from repro.core.predicate_space import build_predicate_space
 from repro.data.datasets import generate_dataset
+from tests.legacy_enum import LegacyADCEnum
 
 #: Rows of the benchmark relation (Figure-6-style tax workload).
 BENCH_ROWS = 400

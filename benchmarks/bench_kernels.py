@@ -1,8 +1,8 @@
-"""Native kernel layer — compiled backend vs the numpy reference.
+"""Native kernel layer — the compiled C backend vs the numpy reference.
 
-Not a paper figure: this benchmark tracks the compiled kernel layer
-(:mod:`repro.native`) against the pure-numpy reference backend it is
-dispatched over.  Three measurement families:
+Not a paper figure: this benchmark tracks the compiled C kernels
+(:mod:`repro.native.cext`) against the pure-numpy reference backend they
+are dispatched over.  Three measurement families:
 
 * **micro-kernels** — ``popcount``, the fused per-evidence intersection
   counts and the one-call tile pass on synthetic planes shaped like the
@@ -16,7 +16,7 @@ dispatched over.  Three measurement families:
 
 The acceptance bars of the native layer are enforced with
 ``--require-speedup``: enumeration nodes/second >= 3x and evidence build
->= 2x over the numpy backend.  Without a compiled backend on the host the
+>= 2x over the numpy backend.  Without a C compiler on the host the
 script reports numpy-only numbers (and fails only under the gate).
 
 Run standalone::
@@ -58,18 +58,16 @@ REPEATS = 3
 
 
 def _compiled_backend():
-    """The preferred compiled backend of this host, or ``None``.
+    """The C backend of this host, or ``None`` when it does not build.
 
     Resolved explicitly (not through the environment) so the benchmark can
     compare both backends regardless of what ``REPRO_NATIVE`` selects for
     the process default.
     """
-    for name in ("cext", "numba"):
-        try:
-            return dispatch.resolve_backend(name)
-        except RuntimeError:
-            continue
-    return None
+    try:
+        return dispatch.resolve_backend("cext")
+    except RuntimeError:
+        return None
 
 
 def _best_seconds(fn, repeats: int = REPEATS, inner: int = 1) -> float:

@@ -40,7 +40,6 @@ from repro.core import (
     TileKernel,
     TileScheduler,
     build_evidence_set,
-    build_evidence_set_parallel,
     build_evidence_set_tiled,
     build_predicate_space,
     choose_tile_rows,
@@ -75,7 +74,6 @@ __all__ = [
     "EvidenceSet",
     "build_evidence_set",
     "build_evidence_set_tiled",
-    "build_evidence_set_parallel",
     "TileScheduler",
     "TileKernel",
     "PartialEvidenceSet",

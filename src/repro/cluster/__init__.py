@@ -35,7 +35,6 @@ tiled build, and cluster-backed mining returns the exact DC list of
 """
 
 from repro.cluster.build import (
-    TASKS_PER_WORKER,
     build_evidence_set_cluster,
     fold_tiles_cluster,
     merge_partials_tree,
@@ -63,7 +62,6 @@ from repro.cluster.transport import (
 # every spawned worker.  Import ``serve`` from the module directly.
 
 __all__ = [
-    "TASKS_PER_WORKER",
     "build_evidence_set_cluster",
     "fold_tiles_cluster",
     "merge_partials_tree",

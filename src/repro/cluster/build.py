@@ -1,11 +1,12 @@
 """Cluster-backed evidence construction (``method="cluster"``).
 
-The distributed twin of :func:`~repro.engine.parallel.build_evidence_set_parallel`:
-the same :class:`~repro.engine.kernel.TileKernel`, the same
-pair-count-balanced shard schedule, but fanned over a
-:class:`~repro.cluster.coordinator.ClusterCoordinator` instead of a process
-pool, and reduced with a balanced binary *merge tree* rather than a left
-fold.  Because :meth:`PartialEvidenceSet.merge` is associative/commutative
+The parallel twin of
+:func:`~repro.core.evidence_builder.build_evidence_set_tiled`: the same
+:class:`~repro.engine.kernel.TileKernel` and tile schedule, split into
+pair-count-balanced shards, fanned over a
+:class:`~repro.cluster.coordinator.ClusterCoordinator`, and reduced with a
+balanced binary *merge tree* rather than a left fold.  Because
+:meth:`PartialEvidenceSet.merge` is associative/commutative
 and finalization orders evidences canonically, any transport, worker count,
 failure schedule, or merge-tree shape finalizes bit-identically to the
 serial tiled builder — the invariant the chaos tests and
@@ -20,23 +21,14 @@ from repro.cluster.contexts import TileFoldContext, shard_tasks
 from repro.cluster.local import resolve_coordinator
 from repro.core.evidence import EvidenceSet, n_words_for
 from repro.engine.kernel import TileKernel
-from repro.engine.parallel import parallel_tile_rows
+from repro.engine.parallel import SHARDS_PER_WORKER, parallel_tile_rows
 from repro.engine.partial import PartialEvidenceSet
-from repro.engine.scheduler import (
-    DEFAULT_MEMORY_BUDGET_BYTES,
-    TileScheduler,
-    choose_tile_rows,
-)
+from repro.engine.scheduler import DEFAULT_MEMORY_BUDGET_BYTES, TileScheduler
 
 if TYPE_CHECKING:
     from repro.core.predicate_space import PredicateSpace
     from repro.data.relation import Relation
     from repro.engine.scheduler import Tile
-
-#: Shard tasks issued per worker; >1 smooths stragglers and re-balances
-#: naturally after a worker death (same rationale as the process pool's
-#: :data:`~repro.engine.parallel.SHARDS_PER_WORKER`).
-TASKS_PER_WORKER = 2
 
 
 def merge_partials_tree(partials: list[PartialEvidenceSet]) -> PartialEvidenceSet:
@@ -67,13 +59,12 @@ def fold_tiles_cluster(
     kernel: TileKernel,
     tiles: tuple["Tile", ...],
     cluster: object,
-    tasks_per_worker: int = TASKS_PER_WORKER,
 ) -> PartialEvidenceSet:
     """Fold kernel results over ``tiles`` on a cluster; one merged partial.
 
     The distributed counterpart of
-    :func:`~repro.engine.parallel.fold_tiles_pooled`: tiles are balanced
-    into ``tasks_per_worker × n_workers`` shard ranges, the kernel ships
+    :func:`~repro.engine.parallel.fold_tiles`: tiles are balanced into
+    ``SHARDS_PER_WORKER × n_workers`` shard ranges, the kernel ships
     once per worker inside the :class:`TileFoldContext`, and the returned
     partials are reduced with :func:`merge_partials_tree`.
     """
@@ -84,7 +75,7 @@ def fold_tiles_cluster(
             kernel.n_rows, kernel.n_words, kernel.include_participation
         )
     n_workers = max(coordinator.n_alive, 1)
-    tasks, weights = shard_tasks(tiles, max(1, tasks_per_worker * n_workers))
+    tasks, weights = shard_tasks(tiles, SHARDS_PER_WORKER * n_workers)
     context = TileFoldContext(kernel, tiles)
     partials = coordinator.submit(context, tasks, weights)
     return merge_partials_tree(partials)
@@ -115,8 +106,8 @@ def build_evidence_set_cluster(
         structure (needed by the f2/f3 approximation functions).
     tile_rows:
         Tile edge length; ``None`` (default) selects it adaptively from
-        the memory budget, word width and worker count, exactly as the
-        process-pool builder does.
+        the memory budget, word width and worker count
+        (:func:`~repro.engine.parallel.parallel_tile_rows`).
     memory_budget_bytes:
         Transient-memory budget shared by the workers' concurrent kernels.
     """
@@ -125,12 +116,10 @@ def build_evidence_set_cluster(
     if n < 2:
         return EvidenceSet(space, [], [], n, [] if include_participation else None)
     n_words = n_words_for(len(space))
-    n_workers = max(coordinator.n_alive, 1)
     if tile_rows is None:
-        if n_workers > 1:
-            tile_rows = parallel_tile_rows(n, n_words, n_workers, memory_budget_bytes)
-        else:
-            tile_rows = choose_tile_rows(n, n_words, memory_budget_bytes)
+        tile_rows = parallel_tile_rows(
+            n, n_words, coordinator.n_alive, memory_budget_bytes
+        )
     scheduler = TileScheduler(n, tile_rows=tile_rows, n_words=n_words)
     kernel = TileKernel.from_relation(relation, space, include_participation)
     return fold_tiles_cluster(kernel, scheduler.tiles(), coordinator).finalize(space)

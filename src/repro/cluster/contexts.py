@@ -1,15 +1,14 @@
 """Work contexts: the payloads cluster workers execute tasks against.
 
-A *context* is the expensive, shipped-once half of a submission (the
-counterpart of the process pool's initializer args); a *task* is the tiny
-per-unit payload.  Workers call ``context.run(task)`` — any picklable
-object with that method works, so new distributed workloads plug into the
-coordinator without touching the transport or scheduling code.
+A *context* is the expensive, shipped-once half of a submission; a *task*
+is the tiny per-unit payload.  Workers call ``context.run(task)`` — any
+picklable object with that method works, so new distributed workloads plug
+into the coordinator without touching the transport or scheduling code.
 
 :class:`TileFoldContext` is the evidence workload: the same
-``(TileKernel, tiles)`` pair the process pool ships, with ``(start, stop)``
-shard ranges as tasks, exactly as
-:func:`~repro.engine.parallel.fold_tiles_pooled` runs them locally.
+``(TileKernel, tiles)`` pair the serial builder folds, with
+``(start, stop)`` shard ranges as tasks, each folded by
+:func:`~repro.engine.parallel.fold_tiles`.
 """
 
 from __future__ import annotations
@@ -61,9 +60,8 @@ def shard_tasks(
 ) -> tuple[list[tuple[int, int]], list[int]]:
     """Balanced ``(start, stop)`` shard tasks plus their pair-count weights.
 
-    The same :func:`~repro.engine.scheduler.shard_tiles` balancing the
-    process pool uses; the weights drive the coordinator's
-    largest-first assignment.
+    Balanced by :func:`~repro.engine.scheduler.shard_tiles`; the weights
+    drive the coordinator's largest-first assignment.
     """
     shards = shard_tiles(tiles, k)
     return (

@@ -445,7 +445,6 @@ class ClusterCoordinator:
         context: object,
         tasks: list[object],
         weights: list[int] | None = None,
-        journal: object | None = None,
     ) -> list[object]:
         """Run ``context.run(task)`` for every task; results in task order.
 
@@ -456,26 +455,17 @@ class ClusterCoordinator:
         fails with a worker-side exception (an ``error`` frame — those are
         not retried: the task would fail identically everywhere).
 
-        ``journal`` (a
-        :class:`~repro.durability.journal.SubmissionJournal`) persists the
-        submission's progress: each landed result is recorded before it
-        can be observed, so a coordinator killed mid-fold resumes — same
-        tasks, same journal — running only the indices that never landed.
-
         Thread-safe: concurrent calls from different threads run one at a
         time (whole submissions, in lock-acquisition order).
         """
         if not tasks:
-            if journal is not None:
-                journal.begin(0)
-                journal.finish()
             return []
         if weights is not None and len(weights) != len(tasks):
             raise ValueError("weights must align with tasks")
         submit_start = time.perf_counter()
         try:
             with self._submit_lock:
-                return self._submit_locked(context, tasks, weights, journal)
+                return self._submit_locked(context, tasks, weights)
         finally:
             elapsed = time.perf_counter() - submit_start
             obs_metrics.CLUSTER_SUBMIT_SECONDS.observe(elapsed)
@@ -500,19 +490,7 @@ class ClusterCoordinator:
         context: object,
         tasks: list[object],
         weights: list[int] | None,
-        journal: object | None = None,
     ) -> list[object]:
-        completed: dict[int, object] = {}
-        if journal is not None:
-            completed = {
-                int(index): payload
-                for index, payload in journal.begin(len(tasks)).items()
-            }
-            if len(completed) >= len(tasks):
-                # A previous run landed everything before dying; nothing to
-                # schedule (works even with zero workers registered).
-                journal.finish()
-                return [completed[index] for index in range(len(tasks))]
         if self.n_alive == 0:
             raise ClusterError("no alive workers registered")
         submission = next(self._submission_counter)
@@ -549,12 +527,12 @@ class ClusterCoordinator:
                     worker.last_seen = time.monotonic()
 
         order = sorted(
-            (index for index in range(len(tasks)) if index not in completed),
+            range(len(tasks)),
             key=(lambda i: -weights[i]) if weights is not None else (lambda i: i),
         )
         pending: deque[int] = deque(order)
         queued = set(order)          # indices currently waiting in `pending`
-        done: dict[int, object] = dict(completed)
+        done: dict[int, object] = {}
         deadlines: dict[int, float] = {}  # straggler deadline per live index
 
         try:
@@ -577,7 +555,7 @@ class ClusterCoordinator:
                 else:
                     self._handle(
                         submission, worker_id, message, pending, queued, done,
-                        deadlines, journal, trace,
+                        deadlines, trace,
                     )
                     while True:  # drain the backlog without blocking
                         try:
@@ -586,13 +564,13 @@ class ClusterCoordinator:
                             break
                         self._handle(
                             submission, worker_id, message, pending, queued,
-                            done, deadlines, journal, trace,
+                            done, deadlines, trace,
                         )
                 self._check_stragglers(pending, queued, done, deadlines)
                 self._heartbeat()
             if trace is not None:
                 self._collect_trailing_spans(
-                    submission, trace, pending, queued, done, deadlines, journal
+                    submission, trace, pending, queued, done, deadlines
                 )
         finally:
             # An undelivered deferred context is dead weight once this
@@ -607,12 +585,10 @@ class ClusterCoordinator:
                 for task_key in sorted(trace.children):
                     span.add_child(trace.children[task_key])
 
-        if journal is not None:
-            journal.finish()
         return [done[index] for index in range(len(tasks))]
 
     def _collect_trailing_spans(
-        self, submission, trace, pending, queued, done, deadlines, journal
+        self, submission, trace, pending, queued, done, deadlines
     ) -> None:
         """Wait briefly for task_span frames still in flight.
 
@@ -647,7 +623,7 @@ class ClusterCoordinator:
                 continue
             self._handle(
                 submission, worker_id, message, pending, queued, done,
-                deadlines, journal, trace,
+                deadlines, trace,
             )
 
     def _assign(
@@ -688,7 +664,7 @@ class ClusterCoordinator:
 
     def _handle(
         self, submission, worker_id, message, pending, queued, done, deadlines,
-        journal=None, trace=None,
+        trace=None,
     ) -> None:
         worker = self._workers[worker_id]
         worker.last_seen = time.monotonic()
@@ -711,11 +687,6 @@ class ClusterCoordinator:
                 self._deliver_pending_context(worker)
             their_submission, index = task_key
             if their_submission == submission and index not in done:
-                if journal is not None:
-                    # Durable before observable: a crash after this line
-                    # resumes with the result; a crash before it re-runs
-                    # the task — either way, exactly one result survives.
-                    journal.record_result(index, payload)
                 done[index] = payload
                 deadlines.pop(index, None)
                 if trace is not None:

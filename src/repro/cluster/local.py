@@ -134,9 +134,9 @@ class LocalCluster:
         """Workers currently alive in the coordinator's registry."""
         return self.coordinator.n_alive
 
-    def submit(self, context, tasks, weights=None, journal=None):
+    def submit(self, context, tasks, weights=None):
         """Forward to the coordinator (so a cluster *is* a submit target)."""
-        return self.coordinator.submit(context, tasks, weights, journal)
+        return self.coordinator.submit(context, tasks, weights)
 
     def close(self) -> None:
         """Shut down the coordinator and reap every spawned worker."""

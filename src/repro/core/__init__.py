@@ -48,7 +48,6 @@ from repro.engine import (
     PartialEvidenceSet,
     TileKernel,
     TileScheduler,
-    build_evidence_set_parallel,
     choose_tile_rows,
 )
 from repro.core.approximation import (
@@ -120,7 +119,6 @@ __all__ = [
     "PartialEvidenceSet",
     "TileKernel",
     "TileScheduler",
-    "build_evidence_set_parallel",
     "choose_tile_rows",
     "ApproximationFunction",
     "F1",

@@ -36,7 +36,7 @@ predicates.  Chosen evidences are read directly from the packed
 consulted.  This is the Python-level reproduction of DCFinder's bit-level
 engineering, without which the enumeration would be orders of magnitude
 slower (``benchmarks/bench_enum_core.py`` tracks the node rate against the
-pre-refactor core kept in :mod:`repro.core.legacy_enum`, and
+pre-refactor core kept as a test oracle under ``tests/``, and
 ``benchmarks/bench_kernels.py`` the compiled-vs-numpy backend ratio).
 """
 
@@ -414,7 +414,7 @@ class ADCEnum:
 
         The traversal order, branch bookkeeping and statistics increments
         reproduce the former recursive implementation exactly (the
-        cross-checks against :class:`repro.core.legacy_enum.LegacyADCEnum`
+        cross-checks against the test suite's pre-refactor ``LegacyADCEnum``
         compare counter-for-counter); only the mechanism changed — frames
         are pooled per depth, the array state lives in the workspace arena,
         and each node is a handful of fused kernel calls.  Depth is bounded

@@ -1,6 +1,6 @@
 """Evidence-set construction over packed 64-bit predicate words.
 
-Four builders are provided, all producing the packed
+Three builders are provided, all producing the packed
 ``(n_evidences, n_words)`` uint64 representation natively (no Python-int
 round-trip anywhere):
 
@@ -12,9 +12,9 @@ round-trip anywhere):
   ``O(n_words * tile_rows^2)`` instead of the dense builder's
   ``O(n_words * n^2)``; the tile edge is chosen adaptively from a memory
   budget when not given (:func:`repro.engine.scheduler.choose_tile_rows`).
-* :func:`repro.engine.parallel.build_evidence_set_parallel`
-  (``method="parallel"``) — the same kernel and schedule fanned out over a
-  process pool; bit-identical to the tiled builder by construction.
+  Its parallel twin, :func:`repro.cluster.build.build_evidence_set_cluster`
+  (``method="cluster"``), folds the same kernel and schedule over a
+  worker cluster and is bit-identical by construction.
 * :func:`build_evidence_set_dense` — the original dense builder
   materialising full ``n x n`` category matrices and word planes.  Retained
   behind a flag as a correctness oracle and for benchmarking.
@@ -41,14 +41,17 @@ from repro.core.evidence import (
 )
 from repro.core.predicate_space import PredicateSpace
 from repro.data.relation import Relation
-from repro.engine.kernel import prepare_groups
-from repro.engine.parallel import build_evidence_set_parallel
+from repro.engine.kernel import TileKernel, prepare_groups
+from repro.engine.parallel import fold_tiles
 from repro.engine.partial import split_participation
-from repro.engine.scheduler import DEFAULT_MEMORY_BUDGET_BYTES
+from repro.engine.scheduler import (
+    DEFAULT_MEMORY_BUDGET_BYTES,
+    TileScheduler,
+    choose_tile_rows,
+)
 
-#: All evidence construction methods accepted by :func:`build_evidence_set`
-#: (``"vectorized"`` is a legacy alias of ``"tiled"``).
-EVIDENCE_METHODS = ("tiled", "vectorized", "parallel", "cluster", "dense", "pairwise")
+#: All evidence construction methods accepted by :func:`build_evidence_set`.
+EVIDENCE_METHODS = ("tiled", "cluster", "dense", "pairwise")
 
 
 def build_evidence_set(
@@ -57,7 +60,6 @@ def build_evidence_set(
     include_participation: bool = True,
     method: str = "tiled",
     tile_rows: int | None = None,
-    n_workers: int | None = None,
     memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES,
     cluster: object | None = None,
 ) -> EvidenceSet:
@@ -74,17 +76,13 @@ def build_evidence_set(
         Whether to also build the per-evidence tuple-participation structure
         (needed by the f2/f3 approximation functions; costs one extra pass).
     method:
-        ``"tiled"`` (default), ``"parallel"`` (process-pool tile engine),
-        ``"cluster"`` (the distributed fabric of :mod:`repro.cluster`;
-        requires ``cluster=``), ``"dense"`` (the full-plane oracle) or
-        ``"pairwise"`` (the naive AFASTDC-style oracle).  ``"vectorized"``
-        is accepted as a legacy alias of ``"tiled"``.
+        ``"tiled"`` (default, serial), ``"cluster"`` (the same tiles
+        folded over the workers of :mod:`repro.cluster`; requires
+        ``cluster=``), ``"dense"`` (the full-plane oracle) or
+        ``"pairwise"`` (the naive AFASTDC-style oracle).
     tile_rows:
-        Tile edge length of the tiled/parallel/cluster builders; ``None``
+        Tile edge length of the tiled/cluster builders; ``None``
         (default) selects it adaptively from the memory budget.
-    n_workers:
-        Worker processes of the parallel builder (``None`` uses all CPUs);
-        ignored by the other methods.
     memory_budget_bytes:
         Transient-memory budget driving the adaptive tile size.
     cluster:
@@ -92,21 +90,12 @@ def build_evidence_set(
         :class:`~repro.cluster.local.LocalCluster` carrying the workers of
         the ``"cluster"`` method; ignored by the other methods.
     """
-    if method in ("tiled", "vectorized"):
+    if method == "tiled":
         return build_evidence_set_tiled(
             relation,
             space,
             include_participation=include_participation,
             tile_rows=tile_rows,
-            memory_budget_bytes=memory_budget_bytes,
-        )
-    if method == "parallel":
-        return build_evidence_set_parallel(
-            relation,
-            space,
-            include_participation=include_participation,
-            tile_rows=tile_rows,
-            n_workers=n_workers,
             memory_budget_bytes=memory_budget_bytes,
         )
     if method == "cluster":
@@ -160,14 +149,15 @@ def build_evidence_set_tiled(
     array is ever allocated.  When ``tile_rows`` is ``None`` the edge is
     chosen adaptively so one kernel fits ``memory_budget_bytes``.
     """
-    return build_evidence_set_parallel(
-        relation,
-        space,
-        include_participation=include_participation,
-        tile_rows=tile_rows,
-        n_workers=1,
-        memory_budget_bytes=memory_budget_bytes,
-    )
+    n = relation.n_rows
+    if n < 2:
+        return EvidenceSet(space, [], [], n, [] if include_participation else None)
+    n_words = n_words_for(len(space))
+    if tile_rows is None:
+        tile_rows = choose_tile_rows(n, n_words, memory_budget_bytes)
+    scheduler = TileScheduler(n, tile_rows=tile_rows, n_words=n_words)
+    kernel = TileKernel.from_relation(relation, space, include_participation)
+    return fold_tiles(kernel, scheduler.tiles()).finalize(space)
 
 
 def build_evidence_set_dense(

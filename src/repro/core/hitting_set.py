@@ -19,7 +19,8 @@ Subset selection uses the minimal-intersection rule recommended in [32],
 with ties broken towards the lowest subset index (the historical
 implementation iterated a Python set, which left the tie order unspecified;
 pinning it makes runs reproducible and lets the cross-check tests assert
-exact output order against :class:`repro.core.legacy_enum.LegacyMMCS`).
+exact output order against the pre-refactor ``LegacyMMCS`` kept under
+``tests/``).
 """
 
 from __future__ import annotations

@@ -140,20 +140,14 @@ class ADCMiner:
     selection:
         Evidence selection strategy of the enumerator (Figure 10 ablation).
     evidence_method:
-        ``"tiled"`` (blocked word-plane builder, default), ``"parallel"``
-        (the process-pool tile engine of :mod:`repro.engine`, bit-identical
-        to ``"tiled"``), ``"cluster"`` (the distributed fabric of
-        :mod:`repro.cluster`, also bit-identical; requires ``cluster=``),
-        ``"dense"`` (full-plane oracle), or ``"pairwise"`` (AFASTDC-style
-        reference builder).  ``"vectorized"`` is a legacy alias of
-        ``"tiled"``.
+        ``"tiled"`` (blocked word-plane builder, default), ``"cluster"``
+        (the same tiles folded over :mod:`repro.cluster` workers,
+        bit-identical to ``"tiled"``; requires ``cluster=``), ``"dense"``
+        (full-plane oracle), or ``"pairwise"`` (AFASTDC-style reference
+        builder).
     tile_rows:
-        Tile edge length of the tiled/parallel evidence builders; ``None``
+        Tile edge length of the tiled/cluster evidence builders; ``None``
         (default) picks it adaptively from a memory budget.
-    n_workers:
-        Worker processes of the ``"parallel"`` evidence builder (``None``
-        uses all CPUs); ignored by the other methods.  Validated eagerly:
-        a non-positive count raises here, not at mine time.
     cluster:
         A :class:`~repro.cluster.coordinator.ClusterCoordinator` or
         :class:`~repro.cluster.local.LocalCluster`.  When given, evidence
@@ -180,7 +174,6 @@ class ADCMiner:
         selection: SelectionStrategy = "max",
         evidence_method: str = "tiled",
         tile_rows: int | None = None,
-        n_workers: int | None = None,
         cluster: object | None = None,
         cluster_enumeration: bool = False,
         max_dc_size: int | None = None,
@@ -188,7 +181,7 @@ class ADCMiner:
     ) -> None:
         if isinstance(function, str):
             function = get_approximation_function(function)
-        if cluster is not None and evidence_method in ("tiled", "vectorized"):
+        if cluster is not None and evidence_method == "tiled":
             evidence_method = "cluster"
         if evidence_method not in EVIDENCE_METHODS:
             raise ValueError(
@@ -199,8 +192,6 @@ class ADCMiner:
             raise ValueError("evidence_method='cluster' needs a cluster= coordinator")
         if cluster_enumeration and cluster is None:
             raise ValueError("cluster_enumeration=True needs a cluster= coordinator")
-        if n_workers is not None and n_workers < 1:
-            raise ValueError("n_workers must be positive")
         self.function = function
         self.epsilon = float(epsilon)
         self.sample_fraction = float(sample_fraction)
@@ -210,7 +201,6 @@ class ADCMiner:
         self.selection: SelectionStrategy = selection
         self.evidence_method = evidence_method
         self.tile_rows = int(tile_rows) if tile_rows is not None else None
-        self.n_workers = int(n_workers) if n_workers is not None else None
         self.cluster = cluster
         self.cluster_enumeration = bool(cluster_enumeration)
         self.max_dc_size = max_dc_size
@@ -236,7 +226,6 @@ class ADCMiner:
             include_participation=needs_participation,
             method=self.evidence_method,
             tile_rows=self.tile_rows,
-            n_workers=self.n_workers,
             cluster=self.cluster,
         )
         timings.evidence = time.perf_counter() - started

@@ -20,7 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from scipy import stats
+from scipy.special import ndtri
 
 from repro.core.approximation import F1Adjusted
 from repro.data.relation import Relation
@@ -103,7 +103,7 @@ def normal_confidence_interval(
 
 def z_value(confidence: float) -> float:
     """The ``z_{1-2alpha}`` quantile of the standard normal distribution."""
-    return float(stats.norm.ppf(0.5 + confidence / 2.0))
+    return float(ndtri(0.5 + confidence / 2.0))
 
 
 # ----------------------------------------------------------------------

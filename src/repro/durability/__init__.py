@@ -8,9 +8,8 @@ survive a SIGKILL:
 * :mod:`repro.durability.snapshot` — versioned, checksummed compaction
   files written atomically (tmp + fsync + rename).
 * :mod:`repro.durability.journal` — :class:`StoreJournal` (per-tenant WAL
-  + snapshots + bit-identical recovery), :class:`DedupWindow`
-  (exactly-once append retries), and :class:`SubmissionJournal`
-  (coordinator submit resume).
+  + snapshots + bit-identical recovery) and :class:`DedupWindow`
+  (exactly-once append retries).
 * :mod:`repro.durability.faults` — the deterministic fault-injection
   harness the chaos tests drive: seeded crash points, torn writes, fsync
   failures, and a frame-aware flaky TCP proxy for lost-ack scenarios.
@@ -24,7 +23,6 @@ from repro.durability.journal import (
     RecoveryError,
     RecoveryStats,
     StoreJournal,
-    SubmissionJournal,
 )
 from repro.durability.snapshot import SnapshotError, load_snapshot, write_snapshot
 from repro.durability.wal import WALError, WriteAheadLog
@@ -40,7 +38,6 @@ __all__ = [
     "SimulatedCrash",
     "SnapshotError",
     "StoreJournal",
-    "SubmissionJournal",
     "WALError",
     "WriteAheadLog",
     "load_snapshot",

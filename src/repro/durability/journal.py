@@ -1,26 +1,17 @@
-"""Durable journals: per-tenant store journals and coordinator submissions.
+"""Durable per-tenant store journals.
 
 This module composes the :mod:`~repro.durability.wal` and
-:mod:`~repro.durability.snapshot` primitives into the two recovery units
-the system needs:
-
-* :class:`StoreJournal` — one directory per tenant store holding a WAL of
-  JSON records (``store_created`` / ``rows_appended`` / ``dcs_declared`` /
-  ``epsilon``) plus versioned snapshots.  The serving layer writes the
-  append record inside :meth:`EvidenceStore.append`'s ``pre_commit`` hook
-  — journal first, memory second — so acknowledged state is always on
-  disk.  :meth:`StoreJournal.recover` = newest valid snapshot + WAL-tail
-  replay, and is **bit-identical** to a fresh build on the surviving rows:
-  same finalized :class:`~repro.core.evidence.EvidenceSet` bytes, same DC
-  list, same counter values (property-tested over random crash points in
-  ``tests/test_durability.py``).
-* :class:`SubmissionJournal` — a single WAL of pickled records a
-  :class:`~repro.cluster.coordinator.ClusterCoordinator` uses to persist
-  an in-flight ``submit``: which task indices have results and what they
-  were.  A restarted coordinator re-submits with the same journal and
-  resumes from the completed set instead of redoing the fold.  (Pickle is
-  acceptable here — the journal lives on the coordinator's own disk, the
-  same trust domain as the cluster transport.)
+:mod:`~repro.durability.snapshot` primitives into the system's recovery
+unit, :class:`StoreJournal`: one directory per tenant store holding a WAL
+of JSON records (``store_created`` / ``rows_appended`` / ``dcs_declared`` /
+``epsilon``) plus versioned snapshots.  The serving layer writes the append
+record inside :meth:`EvidenceStore.append`'s ``pre_commit`` hook — journal
+first, memory second — so acknowledged state is always on disk.
+:meth:`StoreJournal.recover` = newest valid snapshot + WAL-tail replay, and
+is **bit-identical** to a fresh build on the surviving rows: same finalized
+:class:`~repro.core.evidence.EvidenceSet` bytes, same DC list, same counter
+values (property-tested over random crash points in
+``tests/test_durability.py``).
 
 Every record carries a monotone sequence number; a snapshot stores the
 watermark of the last record it reflects, so replay after a crash *between*
@@ -31,7 +22,6 @@ prefix — the rename is the only ordering that matters.
 from __future__ import annotations
 
 import json
-import pickle
 import threading
 import time
 from collections import OrderedDict
@@ -390,7 +380,6 @@ class StoreJournal:
         fsync: str = "commit",
         snapshot_every_bytes: int = DEFAULT_SNAPSHOT_BYTES,
         faults: "FaultSchedule | None" = None,
-        store_workers: int = 1,
         cluster: object | None = None,
     ) -> RecoveredStore:
         """Rebuild the store this directory journals.
@@ -463,7 +452,7 @@ class StoreJournal:
                 store = EvidenceStore.from_state(
                     relation, space, partial,
                     generation=int(meta["generation"]),
-                    n_workers=store_workers, cluster=cluster,
+                    cluster=cluster,
                 )
                 last_seq = int(meta["last_seq"])
                 snapshot_version = version
@@ -496,7 +485,7 @@ class StoreJournal:
                     } or None
                     store = EvidenceStore(
                         Relation.from_records(name, record["rows"], column_types),
-                        n_workers=store_workers, cluster=cluster,
+                        cluster=cluster,
                     )
                 elif kind == "rows_appended":
                     if store is None:
@@ -565,75 +554,3 @@ class StoreJournal:
             constraint_source=constraint_source,
             dedup_entries=dedup_entries, stats=stats,
         )
-
-
-class SubmissionJournal:
-    """Durable progress of one coordinator ``submit`` call.
-
-    Records (pickled tuples): ``("begin", n_tasks, fingerprint)`` once,
-    ``("result", index, payload)`` per landed task, ``("finished",)`` at
-    the end.  :meth:`begin` on a journal that already holds records
-    *resumes*: it verifies the submission shape matches and hands back the
-    completed ``{index: payload}`` map so the coordinator only runs what
-    is missing.  Defaults to ``fsync="always"`` — each landed result is
-    durable the moment it is recorded.
-    """
-
-    def __init__(
-        self,
-        path: str | Path,
-        *,
-        fsync: str = "always",
-        faults: "FaultSchedule | None" = None,
-    ) -> None:
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.wal = WriteAheadLog(self.path, fsync=fsync, faults=faults)
-        self._begin: tuple[int, object] | None = None
-        self.finished = False
-        self.completed: dict[int, object] = {}
-        for payload in self.wal.replay():
-            record = pickle.loads(payload)
-            kind = record[0]
-            if kind == "begin":
-                self._begin = (int(record[1]), record[2])
-            elif kind == "result":
-                self.completed[int(record[1])] = record[2]
-            elif kind == "finished":
-                self.finished = True
-            else:  # pragma: no cover - future format drift
-                raise DurabilityError(f"{path}: unknown record kind {kind!r}")
-
-    def begin(self, n_tasks: int, fingerprint: object = None) -> dict[int, object]:
-        """Start or resume a submission; returns already-completed results."""
-        if self._begin is None:
-            self._begin = (int(n_tasks), fingerprint)
-            self.wal.append(pickle.dumps(("begin", int(n_tasks), fingerprint)))
-            self.wal.sync()
-            return {}
-        if self._begin != (int(n_tasks), fingerprint):
-            raise DurabilityError(
-                f"{self.path} journals a different submission "
-                f"({self._begin} != {(int(n_tasks), fingerprint)}); "
-                "use a fresh journal path per submission"
-            )
-        return dict(self.completed)
-
-    def record_result(self, index: int, payload: object) -> None:
-        """Persist one landed task result."""
-        self.wal.append(pickle.dumps(("result", int(index), payload)))
-        self.completed[int(index)] = payload
-
-    def finish(self) -> None:
-        """Mark the submission complete (idempotent)."""
-        if not self.finished:
-            self.wal.append(pickle.dumps(("finished",)))
-            self.wal.sync()
-            self.finished = True
-
-    @property
-    def closed(self) -> bool:
-        return self.wal.closed
-
-    def close(self) -> None:
-        self.wal.close()

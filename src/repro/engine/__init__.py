@@ -14,14 +14,14 @@ shardable tile work units:
   and predicate space.
 * :mod:`repro.engine.partial` — :class:`PartialEvidenceSet`, an
   accumulator of per-tile results whose :meth:`~PartialEvidenceSet.merge`
-  is associative and commutative, so partials can be combined in any order
-  (process pool now, cross-machine shards later).
-* :mod:`repro.engine.parallel` — :func:`build_evidence_set_parallel`, the
-  :class:`concurrent.futures.ProcessPoolExecutor` driver exposed as
-  ``method="parallel"`` of :func:`repro.core.evidence_builder.build_evidence_set`.
+  is associative and commutative, so partials can be combined in any order.
+* :mod:`repro.engine.parallel` — :func:`fold_tiles`, the serial fold of a
+  kernel over a tile sequence, and :func:`parallel_tile_rows`, the tile
+  edge for several concurrent kernels.
 
-The serial tiled builder runs the exact same kernel over the exact same
-schedule, so ``parallel`` and ``tiled`` results are bit-identical.
+Parallelism comes from :mod:`repro.cluster`, whose workers run the same
+:func:`fold_tiles` over shards of the same schedule, so cluster and
+``tiled`` results are bit-identical.
 """
 
 from repro.engine.scheduler import (
@@ -38,11 +38,7 @@ from repro.engine.partial import (
     participation_from_key_chunks,
     split_participation,
 )
-from repro.engine.parallel import (
-    build_evidence_set_parallel,
-    fold_tiles,
-    fold_tiles_pooled,
-)
+from repro.engine.parallel import fold_tiles, parallel_tile_rows
 
 __all__ = [
     "DEFAULT_MEMORY_BUDGET_BYTES",
@@ -57,7 +53,6 @@ __all__ = [
     "PartialEvidenceSet",
     "participation_from_key_chunks",
     "split_participation",
-    "build_evidence_set_parallel",
     "fold_tiles",
-    "fold_tiles_pooled",
+    "parallel_tile_rows",
 ]

@@ -1,7 +1,7 @@
 """The picklable per-tile evidence kernel.
 
 :class:`TileKernel` is the compute core of both the serial tiled builder
-and the process-pool engine: given one :class:`~repro.engine.scheduler.Tile`
+and the cluster builder: given one :class:`~repro.engine.scheduler.Tile`
 it produces that block's deduplicated evidence words, multiplicities and
 tuple-participation histogram (a :class:`TilePartial`).
 
@@ -10,8 +10,9 @@ The kernel is deliberately a *numpy-only* payload: building it
 comparison data — per-row order categories, float value vectors, string
 factorization codes — and the per-category word masks up front, so worker
 processes receive a few flat arrays instead of the :class:`Relation` and
-:class:`PredicateSpace` objects.  It is pickled once per worker (pool
-initializer), after which tasks are plain ``(start, stop)`` shard ranges.
+:class:`PredicateSpace` objects.  It is pickled once per worker (inside
+the cluster's work context), after which tasks are plain ``(start, stop)``
+shard ranges.
 """
 
 from __future__ import annotations

@@ -1,60 +1,36 @@
-"""Process-pool evidence construction.
+"""The tile fold shared by every evidence builder.
 
-:func:`build_evidence_set_parallel` fans the tile schedule out over a
-:class:`concurrent.futures.ProcessPoolExecutor`: the picklable
-:class:`~repro.engine.kernel.TileKernel` and tile list are shipped once per
-worker through the pool initializer, tasks are plain ``(start, stop)``
-shard ranges, and every worker returns one
-:class:`~repro.engine.partial.PartialEvidenceSet` that the parent merges
-and finalizes.  Because the merge is associative/commutative and
-finalization orders evidences canonically, the result is bit-identical to
-the serial tiled builder's.
+:func:`fold_tiles` runs a :class:`~repro.engine.kernel.TileKernel` over a
+tile sequence and folds the per-tile results into one
+:class:`~repro.engine.partial.PartialEvidenceSet`.  The serial tiled
+builder and the incremental delta builder call it in-process; cluster
+workers (:class:`~repro.cluster.contexts.TileFoldContext`) call it on their
+shard of the schedule.  Because the merge is associative/commutative and
+finalization orders evidences canonically, every split of the schedule
+finalizes bit-identically to the serial fold.
 
-Exposed as ``method="parallel"`` of
-:func:`repro.core.evidence_builder.build_evidence_set` and via the
-``n_workers`` knob of :class:`repro.core.miner.ADCMiner`.
+:func:`parallel_tile_rows` sizes the tiles when several kernels run at
+once (the cluster's workers).
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
-import os
-import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from typing import TYPE_CHECKING
 
-from repro.core.evidence import EvidenceSet, n_words_for
 from repro.engine.kernel import TileKernel
 from repro.engine.partial import PartialEvidenceSet
-from repro.engine.scheduler import (
-    DEFAULT_MEMORY_BUDGET_BYTES,
-    TileScheduler,
-    choose_tile_rows,
-    shard_tiles,
-)
+from repro.engine.scheduler import choose_tile_rows
 from repro.obs import metrics as obs_metrics
 
 if TYPE_CHECKING:
-    from repro.core.predicate_space import PredicateSpace
-    from repro.data.relation import Relation
     from repro.engine.scheduler import Tile
 
-#: Shards handed to the pool per worker; >1 smooths load imbalance from
-#: tiles whose evidence distributions dedup at different speeds.
+#: Shards issued per concurrent kernel; >1 smooths load imbalance from
+#: tiles whose evidence distributions dedup at different speeds, and
+#: re-balances naturally after a cluster worker dies.
 SHARDS_PER_WORKER = 2
-
-# Worker-process state, installed once by the pool initializer so that the
-# per-shard tasks only carry two integers.
-_worker_kernel: TileKernel | None = None
-_worker_tiles: tuple["Tile", ...] = ()
-
-
-def _init_worker(kernel: TileKernel, tiles: tuple["Tile", ...]) -> None:
-    global _worker_kernel, _worker_tiles
-    _worker_kernel = kernel
-    _worker_tiles = tiles
 
 
 def fold_tiles(kernel: TileKernel, tiles: tuple["Tile", ...]) -> PartialEvidenceSet:
@@ -62,9 +38,8 @@ def fold_tiles(kernel: TileKernel, tiles: tuple["Tile", ...]) -> PartialEvidence
     partial = PartialEvidenceSet(
         kernel.n_rows, kernel.n_words, kernel.include_participation
     )
-    # Tile-throughput metrics: in pool/cluster workers these land in the
-    # worker process's own registry; the serving layer's default
-    # (store_workers=1, serial in-process folds) reports here directly.
+    # Tile-throughput metrics: in cluster workers these land in the worker
+    # process's own registry; serial in-process folds report here directly.
     for tile in tiles:
         tile_start = time.perf_counter()
         tile_partial = kernel.run(tile)
@@ -76,134 +51,22 @@ def fold_tiles(kernel: TileKernel, tiles: tuple["Tile", ...]) -> PartialEvidence
     return partial
 
 
-def _run_shard(shard_range: tuple[int, int]) -> PartialEvidenceSet:
-    """Run the worker's kernel over one ``tiles[start:stop]`` shard."""
-    kernel = _worker_kernel
-    if kernel is None:
-        raise RuntimeError("worker process was not initialized with a kernel")
-    start, stop = shard_range
-    return fold_tiles(kernel, _worker_tiles[start:stop])
-
-
-def fold_tiles_pooled(
-    kernel: TileKernel,
-    tiles: tuple["Tile", ...],
-    n_workers: int,
-) -> PartialEvidenceSet:
-    """Fold kernel results over ``tiles``, pooling only when it pays.
-
-    The tile list is balanced into pair-count shards
-    (:func:`~repro.engine.scheduler.shard_tiles`) and fanned over a process
-    pool.  When ``n_workers <= 1``, or the schedule yields fewer shards than
-    workers (too little work to amortize fork/pickle spin-up), the call
-    falls through to the in-process serial fold — so single-worker callers
-    such as ``ADCMiner(n_workers=1)`` never pay executor overhead.
-
-    Both the full-grid builder and the incremental delta builder drive this
-    entry point, so their serial and pooled results are bit-identical by the
-    same merge-algebra argument.
-    """
-    if n_workers < 1:
-        raise ValueError("n_workers must be positive")
-    tiles = tuple(tiles)
-    if n_workers <= 1:
-        return fold_tiles(kernel, tiles)
-    shards = shard_tiles(tiles, SHARDS_PER_WORKER * n_workers)
-    if len(shards) < n_workers:
-        return fold_tiles(kernel, tiles)
-
-    with ProcessPoolExecutor(
-        max_workers=min(n_workers, len(shards)),
-        mp_context=_pool_context(),
-        initializer=_init_worker,
-        initargs=(kernel, tiles),
-    ) as pool:
-        partials = list(
-            pool.map(_run_shard, [(shard.start, shard.stop) for shard in shards])
-        )
-
-    merged = partials[0]
-    for partial in partials[1:]:
-        merged.merge(partial)
-    return merged
-
-
-def _pool_context() -> multiprocessing.context.BaseContext:
-    """Prefer fork on Linux (cheap initargs, inherited sys.path).
-
-    macOS is left on its platform default (spawn): CPython switched it away
-    from fork because forking a process with Objective-C frameworks loaded
-    can abort or deadlock the children.
-    """
-    if sys.platform.startswith("linux"):
-        return multiprocessing.get_context("fork")
-    return multiprocessing.get_context()
-
-
 def parallel_tile_rows(
     n_rows: int, n_words: int, n_workers: int, memory_budget_bytes: int
 ) -> int:
-    """Adaptive tile edge for a pool of ``n_workers`` kernels.
+    """Adaptive tile edge for ``n_workers`` concurrent kernels.
 
-    The memory budget is split across the workers (each runs its own
-    kernel concurrently), and the edge is additionally capped so the grid
-    has at least ``SHARDS_PER_WORKER * n_workers`` tiles — otherwise a
-    large budget would yield one giant tile and no parallelism.
+    One kernel gets the serial edge of
+    :func:`~repro.engine.scheduler.choose_tile_rows`.  For more, the memory
+    budget is split across the workers (each runs its own kernel
+    concurrently), and the edge is additionally capped so the grid has at
+    least ``SHARDS_PER_WORKER * n_workers`` tiles — otherwise a large
+    budget would yield one giant tile and no parallelism.
     """
+    if n_workers <= 1:
+        return choose_tile_rows(n_rows, n_words, memory_budget_bytes)
     per_worker_budget = max(1, memory_budget_bytes // n_workers)
     tile_rows = choose_tile_rows(n_rows, n_words, per_worker_budget)
-    min_tiles = max(1, SHARDS_PER_WORKER * n_workers)
-    grid = math.ceil(math.sqrt(min_tiles))
+    grid = math.ceil(math.sqrt(SHARDS_PER_WORKER * n_workers))
     target_edge = math.ceil(n_rows / grid)
     return max(1, min(tile_rows, target_edge))
-
-
-def build_evidence_set_parallel(
-    relation: "Relation",
-    space: "PredicateSpace",
-    include_participation: bool = True,
-    tile_rows: int | None = None,
-    n_workers: int | None = None,
-    memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES,
-) -> EvidenceSet:
-    """Build ``Evi(D)`` with a process pool over tile shards.
-
-    Parameters
-    ----------
-    relation:
-        The database ``D`` (or a sample of it).
-    space:
-        Predicate space produced by
-        :func:`repro.core.predicate_space.build_predicate_space`.
-    include_participation:
-        Whether to also build the per-evidence tuple-participation
-        structure (needed by the f2/f3 approximation functions).
-    tile_rows:
-        Tile edge length; ``None`` (default) selects it adaptively from
-        the memory budget, the word width and the worker count.
-    n_workers:
-        Worker processes; ``None`` uses ``os.cpu_count()``.  ``1`` runs
-        the schedule in-process without a pool (no fork/pickle overhead);
-        the same fall-through applies whenever the schedule balances into
-        fewer shards than workers (see :func:`fold_tiles_pooled`).
-    memory_budget_bytes:
-        Total transient-memory budget shared by the concurrent kernels
-        (only consulted when ``tile_rows`` is ``None``).
-    """
-    if n_workers is None:
-        n_workers = os.cpu_count() or 1
-    if n_workers < 1:
-        raise ValueError("n_workers must be positive")
-    n = relation.n_rows
-    if n < 2:
-        return EvidenceSet(space, [], [], n, [] if include_participation else None)
-    n_words = n_words_for(len(space))
-    if tile_rows is None:
-        if n_workers > 1:
-            tile_rows = parallel_tile_rows(n, n_words, n_workers, memory_budget_bytes)
-        else:
-            tile_rows = choose_tile_rows(n, n_words, memory_budget_bytes)
-
-    scheduler = TileScheduler(n, tile_rows=tile_rows, n_words=n_words)
-    kernel = TileKernel.from_relation(relation, space, include_participation)
-    return fold_tiles_pooled(kernel, scheduler.tiles(), n_workers).finalize(space)

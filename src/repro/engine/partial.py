@@ -9,9 +9,8 @@ finalization).  Two partials built from disjoint tile sets can be
 evidence-id relabeling, and :meth:`finalize` erases the relabeling by
 sorting evidences into the canonical lexicographic word order, so *any*
 merge tree over the same tiles yields a bit-identical
-:class:`~repro.core.evidence.EvidenceSet`.  This is what lets the process
-pool (and, later, cross-machine shards) combine results in completion
-order.
+:class:`~repro.core.evidence.EvidenceSet`.  This is what lets cluster
+workers combine results in completion order.
 """
 
 from __future__ import annotations

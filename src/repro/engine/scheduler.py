@@ -3,8 +3,8 @@
 The ordered-pair matrix of an ``n``-row relation is cut into
 ``tile_rows x tile_rows`` blocks.  Every block is an independent work unit
 (a :class:`Tile`), and contiguous runs of tiles are grouped into
-:class:`Shard` ranges balanced by pair count — the unit a process pool (or,
-later, a remote machine) receives.  :func:`choose_tile_rows` picks the tile
+:class:`Shard` ranges balanced by pair count — the unit a cluster worker
+receives.  :func:`choose_tile_rows` picks the tile
 edge adaptively from a memory budget and the evidence word width, replacing
 the fixed 256-row default of the original tiled builder.
 

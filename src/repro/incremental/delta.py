@@ -14,8 +14,8 @@ contribution of those blocks — ``O(n·m + m²)`` pairs instead of the full
 :class:`~repro.engine.scheduler.Tile` work units (the rectangular-range
 support of :class:`~repro.engine.scheduler.TileScheduler`), runs them
 through the same picklable :class:`~repro.engine.kernel.TileKernel` as the
-batch builders — serially or over the process pool
-(:func:`~repro.engine.parallel.fold_tiles_pooled`) — and returns a
+batch builders — serially (:func:`~repro.engine.parallel.fold_tiles`) or
+over an attached cluster — and returns a
 :class:`~repro.engine.partial.PartialEvidenceSet` ready to
 :meth:`~repro.engine.partial.PartialEvidenceSet.merge` into the stored one.
 
@@ -33,12 +33,8 @@ from typing import TYPE_CHECKING
 
 from repro.core.evidence import n_words_for
 from repro.engine.kernel import TileKernel
-from repro.engine.parallel import fold_tiles_pooled, parallel_tile_rows
-from repro.engine.scheduler import (
-    DEFAULT_MEMORY_BUDGET_BYTES,
-    TileScheduler,
-    choose_tile_rows,
-)
+from repro.engine.parallel import fold_tiles, parallel_tile_rows
+from repro.engine.scheduler import DEFAULT_MEMORY_BUDGET_BYTES, TileScheduler
 
 if TYPE_CHECKING:
     from repro.core.predicate_space import PredicateSpace
@@ -93,7 +89,7 @@ class DeltaEvidenceBuilder:
     """Compute evidence partials for a relation and its appended batches.
 
     The builder owns the construction knobs (predicate space, participation
-    tracking, tile sizing, worker count) so that the initial full build and
+    tracking, tile sizing, cluster) so that the initial full build and
     every subsequent delta run through identical kernels and schedules —
     the precondition for the store's bit-identity invariant.
 
@@ -108,15 +104,11 @@ class DeltaEvidenceBuilder:
     tile_rows:
         Tile edge; ``None`` picks it adaptively per build via
         :func:`~repro.engine.scheduler.choose_tile_rows`.
-    n_workers:
-        Process-pool width for tile evaluation; ``1`` (default) folds
-        serially in-process (see
-        :func:`~repro.engine.parallel.fold_tiles_pooled`).
     cluster:
         Optional :class:`~repro.cluster.coordinator.ClusterCoordinator` or
         :class:`~repro.cluster.local.LocalCluster`: the initial full build
         *and every delta* fold their tiles over the cluster's workers
-        instead of a process pool (``n_workers`` is then ignored).
+        instead of serially in-process.
     memory_budget_bytes:
         Transient-memory budget driving the adaptive tile edge.
     """
@@ -126,52 +118,42 @@ class DeltaEvidenceBuilder:
         space: "PredicateSpace",
         include_participation: bool = True,
         tile_rows: int | None = None,
-        n_workers: int = 1,
         cluster: object | None = None,
         memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES,
     ) -> None:
-        if n_workers < 1:
-            raise ValueError("n_workers must be positive")
         self.space = space
         self.n_words = n_words_for(len(space))
         self.include_participation = bool(include_participation)
         self.tile_rows = int(tile_rows) if tile_rows is not None else None
-        self.n_workers = int(n_workers)
         self.cluster = cluster
         self.memory_budget_bytes = int(memory_budget_bytes)
 
     def tile_edge(self, n_rows: int) -> int:
         """Tile edge for a build over ``n_rows`` rows (fixed or adaptive).
 
-        With a pool, the memory budget is split across the concurrent
-        kernels the same way the batch parallel builder splits it
-        (:func:`~repro.engine.parallel.parallel_tile_rows`), so ``n_workers``
-        kernels together stay within ``memory_budget_bytes``.
+        With a cluster, the memory budget is split across the workers'
+        concurrent kernels the same way the cluster builder splits it
+        (:func:`~repro.engine.parallel.parallel_tile_rows`), so together
+        they stay within ``memory_budget_bytes``.
         """
         if self.tile_rows is not None:
             return self.tile_rows
-        concurrency = self._concurrency()
-        if concurrency > 1:
-            return parallel_tile_rows(
-                max(n_rows, 1), self.n_words, concurrency, self.memory_budget_bytes
-            )
-        return choose_tile_rows(max(n_rows, 1), self.n_words, self.memory_budget_bytes)
-
-    def _concurrency(self) -> int:
-        """Concurrent kernels the fold will run (pool width or cluster size)."""
+        concurrency = 1
         if self.cluster is not None:
             from repro.cluster.local import resolve_coordinator
 
-            return max(resolve_coordinator(self.cluster).n_alive, 1)
-        return self.n_workers
+            concurrency = resolve_coordinator(self.cluster).n_alive
+        return parallel_tile_rows(
+            max(n_rows, 1), self.n_words, concurrency, self.memory_budget_bytes
+        )
 
     def _fold(self, kernel: TileKernel, tiles: tuple["Tile", ...]) -> "PartialEvidenceSet":
-        """Fold tiles over the cluster when one is attached, else the pool."""
+        """Fold tiles over the cluster when one is attached, else serially."""
         if self.cluster is not None:
             from repro.cluster.build import fold_tiles_cluster
 
             return fold_tiles_cluster(kernel, tiles, self.cluster)
-        return fold_tiles_pooled(kernel, tiles, self.n_workers)
+        return fold_tiles(kernel, tiles)
 
     def kernel(self, relation: "Relation", include_participation: bool | None = None) -> TileKernel:
         """A tile kernel over the relation's *current* rows.

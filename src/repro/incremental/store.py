@@ -68,14 +68,11 @@ class EvidenceStore:
         (required by f2/f3 remining and per-tuple violation scores).
     tile_rows:
         Tile edge of the evidence kernels; ``None`` adapts per build.
-    n_workers:
-        Process-pool width for the initial build and every delta
-        (``1`` = serial in-process fold, no executor overhead).
     cluster:
         Optional :class:`~repro.cluster.coordinator.ClusterCoordinator` or
         :class:`~repro.cluster.local.LocalCluster`: the seed build and
         every appended batch's delta tiles fold over the cluster's workers
-        (``n_workers`` is then ignored).  The bit-identity invariant is
+        instead of serially in-process.  The bit-identity invariant is
         unchanged — cluster folds merge the same tile partials.
     memory_budget_bytes:
         Transient-memory budget driving the adaptive tile edge.
@@ -88,7 +85,6 @@ class EvidenceStore:
         space_config: PredicateSpaceConfig | None = None,
         include_participation: bool = True,
         tile_rows: int | None = None,
-        n_workers: int = 1,
         cluster: object | None = None,
         memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES,
     ) -> None:
@@ -100,7 +96,6 @@ class EvidenceStore:
             self.space,
             include_participation=include_participation,
             tile_rows=tile_rows,
-            n_workers=n_workers,
             cluster=cluster,
             memory_budget_bytes=memory_budget_bytes,
         )
@@ -200,8 +195,8 @@ class EvidenceStore:
 
         The append is atomic: the grown relation and its delta partial are
         staged on the side and only swapped in once both succeed, so a
-        failure anywhere (a dirty value the column type rejects, a broken
-        worker pool) leaves the store exactly as it was — safe to fix the
+        failure anywhere (a dirty value the column type rejects, a dead
+        cluster) leaves the store exactly as it was — safe to fix the
         batch and retry.
 
         ``pre_commit(n_new)`` is the write-ahead hook: it runs after the
@@ -250,7 +245,6 @@ class EvidenceStore:
         partial: "PartialEvidenceSet",
         generation: int = 0,
         tile_rows: int | None = None,
-        n_workers: int = 1,
         cluster: object | None = None,
         memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES,
     ) -> "EvidenceStore":
@@ -276,7 +270,6 @@ class EvidenceStore:
             space,
             include_participation=partial.include_participation,
             tile_rows=tile_rows,
-            n_workers=n_workers,
             cluster=cluster,
             memory_budget_bytes=memory_budget_bytes,
         )

@@ -7,9 +7,18 @@ feature-detected dispatch (:mod:`repro.native.dispatch`).  The pure-numpy
 reference (:mod:`repro.native.numpy_backend`) defines the semantics; a
 compiled backend is only used after reproducing it bit for bit on a probe.
 
-Backend selection is controlled by ``REPRO_NATIVE``: ``0`` forces numpy,
-``1`` requires a compiled backend, ``cext``/``numba`` pick one explicitly,
-unset auto-detects (C extension, then numba, then numpy).
+There is one compiled backend, the C extension (:mod:`repro.native.cext`,
+built from ``csrc/kernels.c``); the numpy reference is both its oracle and
+its fallback.  ``REPRO_NATIVE`` selects between them:
+
+====================  =====================================================
+``REPRO_NATIVE``      backend
+====================  =====================================================
+unset / ``auto``      C extension if it builds and passes the probe, else
+                      numpy
+``0`` / ``numpy``     numpy
+``1``                 C extension, or :class:`RuntimeError`
+====================  =====================================================
 """
 
 from repro.native.dispatch import (

@@ -5,20 +5,16 @@ Resolution happens once, lazily, at first use, honouring ``REPRO_NATIVE``:
 ====================  =====================================================
 ``REPRO_NATIVE``      behaviour
 ====================  =====================================================
-unset (auto)          C extension if it compiles *and* passes the probe,
-                      else numba if importable, else pure numpy — never
-                      raises.
+unset / ``auto``      C extension if it compiles *and* passes the probe,
+                      else pure numpy — never raises.
 ``0`` / ``numpy``     pure numpy, unconditionally.
-``1``                 require *some* compiled backend (C extension or
-                      numba); :class:`RuntimeError` if neither works.
-``cext``              require the C extension specifically.
-``numba``             require numba specifically (clean error when the
-                      package is not installed).
+``1``                 require the C extension; :class:`RuntimeError` if it
+                      does not build or fails the probe.
 ====================  =====================================================
 
-A compiled backend is only trusted after a **probe**: every flat kernel and
+The C extension is only trusted after a **probe**: every flat kernel and
 the search-workspace operations are run on small deterministic inputs and
-compared bit for bit against the numpy reference.  A backend that throws or
+compared bit for bit against the numpy reference.  A build that throws or
 mismatches is rejected — under auto resolution that silently falls back to
 numpy; under an explicit request it raises, because a silently-different
 compiled kernel is precisely the failure mode the probe exists to catch.
@@ -221,60 +217,39 @@ def _build_cext_backend() -> Backend:
     )
 
 
-def _build_numba_backend() -> Backend:
-    from repro.native import numba_backend
-
-    kernels = numba_backend.NumbaKernels()
-    _probe_flat_kernels(kernels)
-    return Backend(name=numba_backend.NAME, kernels=kernels)
-
-
-_BUILDERS: dict[str, Callable[[], Backend]] = {
-    "cext": _build_cext_backend,
-    "numba": _build_numba_backend,
-}
-
-
 def resolve_backend(name: str) -> Backend:
-    """Build and probe one backend by name; raises when unavailable."""
+    """Build and probe one backend by name (``"numpy"`` or ``"cext"``);
+    raises when unavailable."""
     if name in ("numpy", "0"):
         return NUMPY_BACKEND
-    if name in _BUILDERS:
-        try:
-            return _BUILDERS[name]()
-        except Exception as error:
-            raise RuntimeError(
-                f"REPRO_NATIVE requested the {name!r} backend, but it is "
-                f"unavailable: {error}"
-            ) from error
-    raise RuntimeError(f"unknown REPRO_NATIVE backend {name!r}")
+    if name != "cext":
+        raise RuntimeError(f"unknown kernel backend {name!r}")
+    try:
+        return _build_cext_backend()
+    except Exception as error:
+        raise RuntimeError(
+            f"the compiled C backend is unavailable: {error}"
+        ) from error
 
 
 def _resolve() -> Backend:
     mode = os.environ.get(_ENV_VAR, "").strip().lower()
     if mode in ("0", "numpy"):
         return NUMPY_BACKEND
-    if mode in ("cext", "numba"):
-        return resolve_backend(mode)
     if mode == "1":
-        errors = []
-        for name in ("cext", "numba"):
-            try:
-                return _BUILDERS[name]()
-            except Exception as error:
-                errors.append(f"{name}: {error}")
-        raise RuntimeError(
-            "REPRO_NATIVE=1 requires a compiled backend, but none is "
-            "available — " + "; ".join(errors)
-        )
+        try:
+            return _build_cext_backend()
+        except Exception as error:
+            raise RuntimeError(
+                f"{_ENV_VAR}=1 requires the compiled C backend, but it is "
+                f"unavailable: {error}"
+            ) from error
     if mode not in ("", "auto"):
         raise RuntimeError(f"unknown {_ENV_VAR} value {mode!r}")
-    for name in ("cext", "numba"):
-        try:
-            return _BUILDERS[name]()
-        except Exception:
-            continue
-    return NUMPY_BACKEND
+    try:
+        return _build_cext_backend()
+    except Exception:
+        return NUMPY_BACKEND
 
 
 _active: Backend | None = None

@@ -1,9 +1,9 @@
 """Pure-numpy reference implementation of the native kernel contract.
 
-This backend is the semantic ground truth of :mod:`repro.native`: every
-compiled backend (C extension, numba) must be bit-identical to the functions
-here, and the dispatch layer enforces that with a probe run before trusting
-a compiled library.  It is also the operative backend under
+This backend is the semantic ground truth of :mod:`repro.native`: the
+compiled C backend must be bit-identical to the functions here, and the
+dispatch layer enforces that with a probe run before trusting the compiled
+library.  It is also the operative backend under
 ``REPRO_NATIVE=0`` and on hosts with no C compiler, so it is written with
 the same per-node numpy discipline the pre-native enumeration core used —
 fused word loops over transposed planes, no Python-int bitmask churn.

@@ -46,10 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker threads for blocking store work (default %(default)s)",
     )
     parser.add_argument(
-        "--store-workers", type=int, default=1,
-        help="process-pool width of each store's tile folds (default %(default)s)",
-    )
-    parser.add_argument(
         "--max-frame-mb", type=int, default=64,
         help="per-frame size bound in MiB (default %(default)s)",
     )
@@ -125,7 +121,6 @@ async def _amain(args: argparse.Namespace, loop_name: str) -> int:
         flush_window=args.flush_window,
         max_pending_rows=args.max_pending_rows,
         executor_threads=args.executor_threads,
-        store_workers=args.store_workers,
         max_frame_bytes=args.max_frame_mb * 1024 * 1024,
         data_dir=args.data_dir,
         fsync=args.fsync,

@@ -190,10 +190,6 @@ class ViolationServer:
     executor_threads:
         Worker threads for blocking store work; at least 2 so one tenant's
         fold cannot starve another's snapshot query.
-    store_workers:
-        ``n_workers`` handed to each tenant's
-        :class:`~repro.incremental.store.EvidenceStore` (process-pool
-        width of its folds).
     cluster:
         Optional :class:`~repro.cluster.coordinator.ClusterCoordinator` or
         :class:`~repro.cluster.local.LocalCluster`; tenant folds then run
@@ -240,7 +236,6 @@ class ViolationServer:
         flush_window: float = 0.0,
         max_pending_rows: int = 100_000,
         executor_threads: int = 4,
-        store_workers: int = 1,
         cluster: object | None = None,
         max_frame_bytes: int = protocol.MAX_FRAME_BYTES,
         max_pipeline: int = DEFAULT_MAX_PIPELINE,
@@ -257,7 +252,6 @@ class ViolationServer:
         self.port = int(port)
         self.flush_window = float(flush_window)
         self.max_pending_rows = int(max_pending_rows)
-        self.store_workers = int(store_workers)
         self.cluster = cluster
         self.max_frame_bytes = int(max_frame_bytes)
         self.max_pipeline = int(max_pipeline)
@@ -354,7 +348,6 @@ class ViolationServer:
                     child,
                     fsync=self.fsync,
                     snapshot_every_bytes=self.snapshot_every_bytes,
-                    store_workers=self.store_workers,
                     cluster=self.cluster,
                 )
             except RecoveryError as error:
@@ -828,9 +821,7 @@ class ViolationServer:
 
         def build() -> StoreState:
             relation = Relation.from_records(name, rows, types or None)
-            store = EvidenceStore(
-                relation, n_workers=self.store_workers, cluster=self.cluster
-            )
+            store = EvidenceStore(relation, cluster=self.cluster)
             journal = None
             if self.data_dir is not None:
                 # Journal the creation only after the store accepted the

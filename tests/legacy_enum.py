@@ -27,6 +27,7 @@ the choice rule.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 from typing import Iterator, Sequence
@@ -42,6 +43,18 @@ from repro.core.predicate_space import iter_bits
 
 _WORD_BITS = 64
 _WORD_MASK = 0xFFFFFFFFFFFFFFFF
+
+
+@contextlib.contextmanager
+def _recursion_limit_at_least(limit: int) -> Iterator[None]:
+    """Raise the interpreter recursion limit for the recursive search, and
+    restore the caller's limit when the search finishes or is abandoned."""
+    previous = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(previous, limit))
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(previous)
 
 
 def _legacy_mask_to_words(mask: int, n_words: int) -> np.ndarray:
@@ -89,7 +102,6 @@ class LegacyADCEnum:
 
     def iter_adcs(self) -> Iterator[DiscoveredADC]:
         self.statistics = EnumerationStatistics()
-        sys.setrecursionlimit(max(sys.getrecursionlimit(), 50_000))
 
         space = self.evidence.space
         uncov = np.arange(self._n_evidences, dtype=np.int64)
@@ -99,16 +111,17 @@ class LegacyADCEnum:
         crit: dict[int, set[int]] = {}
         seen_outputs: set[int] = set()
 
-        yield from self._search(
-            s_mask=0,
-            s_elements=[],
-            crit=crit,
-            uncov=uncov,
-            uncovered_pairs=uncovered_pairs,
-            cand=cand,
-            can_hit=can_hit,
-            seen_outputs=seen_outputs,
-        )
+        with _recursion_limit_at_least(50_000):
+            yield from self._search(
+                s_mask=0,
+                s_elements=[],
+                crit=crit,
+                uncov=uncov,
+                uncovered_pairs=uncovered_pairs,
+                cand=cand,
+                can_hit=can_hit,
+                seen_outputs=seen_outputs,
+            )
 
     def _violation_score(self, uncov_indices: Sequence[int], uncovered_pairs: int) -> float:
         total = self.evidence.total_pairs
@@ -301,11 +314,11 @@ class LegacyMMCS:
         self.statistics = MMCSStatistics()
         if any(subset == 0 for subset in self.subsets):
             return
-        sys.setrecursionlimit(max(sys.getrecursionlimit(), 10_000))
         uncov = set(range(len(self.subsets)))
         cand = (1 << self.n_elements) - 1
         crit: dict[int, set[int]] = {}
-        yield from self._search(0, crit, uncov, cand)
+        with _recursion_limit_at_least(10_000):
+            yield from self._search(0, crit, uncov, cand)
 
     def _search(
         self,

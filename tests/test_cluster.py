@@ -524,12 +524,43 @@ class TestClusterBuilders:
             build_evidence_set(relation, space, method="cluster")
 
     def test_unknown_method_error_lists_valid_methods(self):
+        assert EVIDENCE_METHODS == ("tiled", "cluster", "dense", "pairwise")
         relation, space, _, _, _ = make_workload(n_rows=4)
-        with pytest.raises(ValueError) as excinfo:
-            build_evidence_set(relation, space, method="bogus")
-        for method in EVIDENCE_METHODS:
-            assert method in str(excinfo.value)
-        assert "cluster" in EVIDENCE_METHODS
+        for bogus in ("bogus", "parallel", "vectorized"):
+            with pytest.raises(ValueError) as excinfo:
+                build_evidence_set(relation, space, method=bogus)
+            assert "valid methods are tiled, cluster, dense, pairwise" in str(
+                excinfo.value
+            )
+
+    def test_adaptive_tile_edge_matches_tiled(self):
+        """The budget split across two workers picks a different tile edge
+        than the serial builder; the evidence is the same."""
+        relation, space, _, _, _ = make_workload(n_rows=20)
+        with LocalCluster(2, transport="local") as cluster:
+            built = build_evidence_set_cluster(relation, space, cluster)
+        assert_evidence_identical(built, build_evidence_set(relation, space))
+
+    def test_without_participation(self):
+        relation, space, _, _, _ = make_workload(n_rows=10)
+        with LocalCluster(2, transport="local") as cluster:
+            built = build_evidence_set_cluster(
+                relation, space, cluster, include_participation=False, tile_rows=4
+            )
+        tiled = build_evidence_set(
+            relation, space, include_participation=False, tile_rows=4
+        )
+        assert not built.has_participation
+        assert np.array_equal(built.words, tiled.words)
+        assert np.array_equal(built.counts, tiled.counts)
+
+    def test_tiny_relations(self):
+        with LocalCluster(2, transport="local") as cluster:
+            for n_rows, pairs in ((1, 0), (2, 2)):
+                relation = make_random_relation(n_rows=n_rows, seed=0)
+                space = build_predicate_space(relation)
+                built = build_evidence_set_cluster(relation, space, cluster)
+                assert built.recorded_pairs == pairs
 
     def test_store_appends_fold_over_the_cluster(self):
         relation = running_example()
@@ -543,13 +574,6 @@ class TestClusterBuilders:
 
 
 class TestMinerValidation:
-    def test_n_workers_validated_at_construction(self):
-        with pytest.raises(ValueError, match="n_workers"):
-            ADCMiner(n_workers=0)
-        with pytest.raises(ValueError, match="n_workers"):
-            ADCMiner(n_workers=-2)
-        assert ADCMiner(n_workers=1).n_workers == 1  # valid counts untouched
-
     def test_cluster_kwarg_switches_method(self):
         with LocalCluster(1, transport="local") as cluster:
             miner = ADCMiner(cluster=cluster)

@@ -9,7 +9,7 @@ mutation and the depth ceiling; this module pins that down by
   frames for ``n`` beyond the default interpreter recursion limit,
 * forbidding ``sys.setrecursionlimit`` while the enumeration runs, and
 * asserting the word-native modules contain no call to it at all (only
-  :mod:`repro.core.legacy_enum`, the frozen reference implementation,
+  :mod:`tests.legacy_enum`, the frozen reference implementation,
   still carries one).
 """
 
@@ -22,10 +22,10 @@ from repro.core import adc_enum, hitting_set
 from repro.core.adc_enum import ADCEnum
 from repro.core.approximation import F1
 from repro.core.evidence import EvidenceSet
-from repro.core.legacy_enum import LegacyADCEnum
 from repro.core.operators import Operator
 from repro.core.predicate_space import PredicateSpace
 from repro.core.predicates import Predicate, PredicateForm
+from tests.legacy_enum import LegacyADCEnum
 
 
 def _chain_evidence(n: int) -> EvidenceSet:

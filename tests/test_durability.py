@@ -18,7 +18,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import LocalCluster
 from repro.data.relation import Relation, running_example
 from repro.data.types import ColumnType
 from repro.durability import (
@@ -29,7 +28,6 @@ from repro.durability import (
     SimulatedCrash,
     SnapshotError,
     StoreJournal,
-    SubmissionJournal,
     WriteAheadLog,
     load_snapshot,
     write_snapshot,
@@ -558,95 +556,3 @@ class TestRecoveryEdgeCases:
         snap.write_bytes(bytes(raw))
         with pytest.raises(RecoveryError):
             StoreJournal.recover(tmp_path / "people")
-
-
-# ----------------------------------------------------------------------
-# SubmissionJournal + coordinator resume
-# ----------------------------------------------------------------------
-class SquareContext:
-    """Module level so it pickles by reference through the transports."""
-
-    def run(self, task):
-        return task * task
-
-
-class CrashAfter(SubmissionJournal):
-    """A journal whose owner "dies" after k results have been recorded."""
-
-    def __init__(self, path, crash_after: int) -> None:
-        super().__init__(path)
-        self.crash_after = crash_after
-
-    def record_result(self, index, payload):
-        super().record_result(index, payload)
-        if len(self.completed) >= self.crash_after:
-            raise SimulatedCrash("coordinator killed mid-fold")
-
-
-class TestSubmissionJournal:
-    def test_begin_record_finish_round_trip(self, tmp_path):
-        path = tmp_path / "submission.wal"
-        journal = SubmissionJournal(path)
-        assert journal.begin(3, fingerprint="fold-1") == {}
-        journal.record_result(0, "a")
-        journal.record_result(2, "c")
-        journal.close()
-        resumed = SubmissionJournal(path)
-        assert resumed.begin(3, fingerprint="fold-1") == {0: "a", 2: "c"}
-        assert not resumed.finished
-        resumed.record_result(1, "b")
-        resumed.finish()
-        resumed.close()
-
-    def test_begin_rejects_mismatched_submission(self, tmp_path):
-        path = tmp_path / "submission.wal"
-        journal = SubmissionJournal(path)
-        journal.begin(3, fingerprint="fold-1")
-        journal.close()
-        resumed = SubmissionJournal(path)
-        with pytest.raises(DurabilityError):
-            resumed.begin(5, fingerprint="fold-2")
-        resumed.close()
-
-    def test_coordinator_resumes_in_flight_fold(self, tmp_path):
-        path = tmp_path / "submission.wal"
-        tasks = list(range(8))
-        expected = [task * task for task in tasks]
-        with LocalCluster(2, transport="local") as cluster:
-            crashing = CrashAfter(path, crash_after=3)
-            with pytest.raises(SimulatedCrash):
-                cluster.submit(SquareContext(), tasks, journal=crashing)
-            crashing.close()
-
-            resumed = SubmissionJournal(path)
-            already = len(resumed.completed)
-            assert already >= 3  # the crash fired after the 3rd result
-            results = cluster.submit(SquareContext(), tasks, journal=resumed)
-            assert results == expected
-            assert resumed.finished
-            resumed.close()
-
-        # Exactly one result record per task across both runs: the resumed
-        # submission re-ran only the tasks whose results never landed.
-        final = SubmissionJournal(path)
-        kinds = [record for record in final.wal.replay()]
-        assert len(final.completed) == len(tasks)
-        assert len(kinds) == 1 + len(tasks) + 1  # begin + results + finished
-        # And resuming a finished journal schedules nothing at all.
-        assert final.begin(len(tasks)) == {index: expected[index]
-                                           for index in range(len(tasks))}
-        final.close()
-
-    def test_finished_journal_resumes_without_workers(self, tmp_path):
-        from repro.cluster.coordinator import ClusterCoordinator
-
-        path = tmp_path / "submission.wal"
-        journal = SubmissionJournal(path)
-        journal.begin(2)
-        journal.record_result(0, "x")
-        journal.record_result(1, "y")
-        journal.close()
-        coordinator = ClusterCoordinator()  # zero workers registered
-        resumed = SubmissionJournal(path)
-        assert coordinator.submit(object(), ["a", "b"], journal=resumed) == ["x", "y"]
-        resumed.close()

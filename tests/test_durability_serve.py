@@ -156,8 +156,10 @@ class TestIdempotentRetry:
             # the proxy and must be answered from the dedup window.
             proxy = FlakyProxy((host, port), drop_responses={0})
             try:
+                # The dropped ack is noticed by the read timeout; a short
+                # one keeps the retry path from idling on the default.
                 client = ServeClient(
-                    *proxy.address, retries=3, retry_backoff=0.05
+                    *proxy.address, timeout=2.0, retries=3, retry_backoff=0.05
                 )
                 with client:
                     result = client.append("people", rows[8:11])

@@ -1,8 +1,11 @@
-"""Unit tests of the parallel evidence engine (scheduler, kernel, pool).
+"""Unit tests of the evidence engine (scheduler, kernel, partials).
 
 Covers the adaptive tile-size budget math, the tile schedule and its shard
-partitioning, picklability of the tile kernel, and the process-pool builder
-being bit-identical to the serial tiled builder and the dense oracle.
+partitioning, picklability of the tile kernel, the folded tiles being
+bit-identical to the serial tiled builder, and the parallel fold — the same
+tiles over a worker cluster, the one parallel runtime — being bit-identical
+to the serial fold and the dense oracle.  The cluster fabric itself is
+tested in ``tests/test_cluster.py``.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import numpy as np
 import pytest
 
 from tests.conftest import make_random_relation
+from repro.cluster import LocalCluster, build_evidence_set_cluster
 from repro.core.evidence_builder import (
     build_evidence_set,
     build_evidence_set_dense,
@@ -25,9 +29,11 @@ from repro.engine import (
     Tile,
     TileKernel,
     TileScheduler,
-    build_evidence_set_parallel,
     choose_tile_rows,
+    parallel_tile_rows,
 )
+from repro.engine.parallel import SHARDS_PER_WORKER
+from repro.incremental import EvidenceStore
 from repro.engine.scheduler import MAX_TILE_ROWS, MIN_TILE_ROWS, _KERNEL_PLANES
 
 
@@ -177,97 +183,115 @@ class TestTileKernel:
         assert kernel.run(Tile(2, 3, 2, 3)) is None
 
 
+class TestParallelTileRows:
+    @pytest.mark.parametrize("n_rows", [2, 500, 10**6])
+    def test_one_worker_gets_the_serial_edge(self, n_rows):
+        for budget in (2**16, 2**22, 2**30):
+            assert parallel_tile_rows(n_rows, 3, 1, budget) == choose_tile_rows(
+                n_rows, 3, budget
+            )
+
+    @pytest.mark.parametrize("n_workers", [2, 4])
+    def test_budget_split_and_enough_shards_per_worker(self, n_workers):
+        n_rows, n_words = 10_000, 2
+        for budget in (2**20, 2**40):
+            edge = parallel_tile_rows(n_rows, n_words, n_workers, budget)
+            # The workers' concurrent kernels stay within the shared budget...
+            assert edge <= choose_tile_rows(n_rows, n_words, budget // n_workers)
+            # ...and a large budget still leaves every worker several shards.
+            scheduler = TileScheduler(n_rows, tile_rows=edge, n_words=n_words)
+            assert len(scheduler) >= SHARDS_PER_WORKER * n_workers
+
+
+def _forbid_parallel_runtimes(monkeypatch):
+    import multiprocessing.process
+
+    import repro.cluster.build as cluster_build
+
+    def forbidden(*args, **kwargs):  # pragma: no cover - failure path
+        raise AssertionError("a serial path must not reach a parallel runtime")
+
+    monkeypatch.setattr(cluster_build, "fold_tiles_cluster", forbidden)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", forbidden)
+
+
 class TestParallelBuilder:
+    """The parallel evidence path is ``cluster=``: the serial schedule's
+    tiles, sharded over the workers, finalize bit-identically to the serial
+    fold and the dense oracle for every worker count."""
+
     @pytest.mark.parametrize("n_workers", [1, 2, 4])
     def test_parallel_matches_tiled_and_dense(self, n_workers):
         relation = make_random_relation(
             n_rows=23, n_string_columns=2, n_numeric_columns=2, seed=17
         )
         space = build_predicate_space(relation)
-        parallel = build_evidence_set_parallel(
-            relation, space, tile_rows=5, n_workers=n_workers
-        )
+        with LocalCluster(n_workers, transport="local") as cluster:
+            parallel = build_evidence_set_cluster(relation, space, cluster, tile_rows=5)
         assert_evidence_identical(
             parallel, build_evidence_set_tiled(relation, space, tile_rows=5)
         )
         assert_evidence_identical(parallel, build_evidence_set_dense(relation, space))
 
-    def test_adaptive_tile_rows_default(self):
-        relation = make_random_relation(n_rows=20, seed=3)
-        space = build_predicate_space(relation)
-        parallel = build_evidence_set_parallel(relation, space, n_workers=2)
-        assert_evidence_identical(parallel, build_evidence_set_tiled(relation, space))
-
-    def test_without_participation(self):
-        relation = make_random_relation(n_rows=10, seed=8)
-        space = build_predicate_space(relation)
-        parallel = build_evidence_set_parallel(
-            relation, space, include_participation=False, n_workers=2, tile_rows=4
-        )
-        assert not parallel.has_participation
-        tiled = build_evidence_set_tiled(
-            relation, space, include_participation=False, tile_rows=4
-        )
-        assert np.array_equal(parallel.words, tiled.words)
-        assert np.array_equal(parallel.counts, tiled.counts)
-
-    def test_tiny_relation_edge_cases(self):
-        single = make_random_relation(n_rows=1, seed=0)
-        empty_evidence = build_evidence_set_parallel(single, build_predicate_space(single))
-        assert len(empty_evidence) == 0
-        pair = make_random_relation(n_rows=2, seed=0)
-        evidence = build_evidence_set_parallel(pair, build_predicate_space(pair), n_workers=2)
-        assert evidence.recorded_pairs == 2
-
-    def test_invalid_n_workers(self):
-        relation = make_random_relation(n_rows=4, seed=0)
-        space = build_predicate_space(relation)
-        with pytest.raises(ValueError):
-            build_evidence_set_parallel(relation, space, n_workers=0)
-
-    def test_single_worker_never_spawns_a_pool(self, monkeypatch):
-        """ADCMiner(n_workers=1) must not pay executor spin-up (satellite)."""
-        import repro.engine.parallel as parallel_module
-
-        def forbidden(*args, **kwargs):  # pragma: no cover - failure path
-            raise AssertionError("ProcessPoolExecutor must not be created")
-
-        monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", forbidden)
-        relation = make_random_relation(n_rows=12, seed=5)
-        space = build_predicate_space(relation)
-        serial = build_evidence_set_parallel(relation, space, tile_rows=3, n_workers=1)
-        assert_evidence_identical(
-            serial, build_evidence_set_tiled(relation, space, tile_rows=3)
-        )
-
-    def test_fewer_shards_than_workers_falls_through_to_serial(self, monkeypatch):
-        import repro.engine.parallel as parallel_module
-
-        def forbidden(*args, **kwargs):  # pragma: no cover - failure path
-            raise AssertionError("ProcessPoolExecutor must not be created")
-
-        monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", forbidden)
-        # One tile -> one shard, far fewer than the requested workers.
+    def test_fewer_tiles_than_workers(self):
+        # One tile -> one shard, far fewer than the cluster's workers.
         relation = make_random_relation(n_rows=6, seed=2)
         space = build_predicate_space(relation)
-        serial = build_evidence_set_parallel(relation, space, tile_rows=8, n_workers=8)
+        with LocalCluster(4, transport="local") as cluster:
+            parallel = build_evidence_set_cluster(relation, space, cluster, tile_rows=8)
         assert_evidence_identical(
-            serial, build_evidence_set_tiled(relation, space, tile_rows=8)
+            parallel, build_evidence_set_tiled(relation, space, tile_rows=8)
         )
+
+    def test_shards_per_worker(self, monkeypatch):
+        """The fold issues ``SHARDS_PER_WORKER`` tasks per live worker."""
+        relation = make_random_relation(n_rows=40, seed=9)
+        space = build_predicate_space(relation)
+        submitted = []
+        with LocalCluster(2, transport="local") as cluster:
+            coordinator = cluster.coordinator
+            submit = coordinator.submit
+
+            def recording_submit(context, tasks, *args, **kwargs):
+                submitted.append(len(tasks))
+                return submit(context, tasks, *args, **kwargs)
+
+            monkeypatch.setattr(coordinator, "submit", recording_submit)
+            parallel = build_evidence_set_cluster(relation, space, cluster, tile_rows=4)
+        assert submitted == [SHARDS_PER_WORKER * 2]
+        assert_evidence_identical(
+            parallel, build_evidence_set_tiled(relation, space, tile_rows=4)
+        )
+
+    def test_serial_paths_never_start_a_parallel_runtime(self, monkeypatch):
+        """Without ``cluster=``, the builder, the miner and store appends fold
+        in-process: no cluster fold, no child process."""
+        _forbid_parallel_runtimes(monkeypatch)
+        relation = make_random_relation(n_rows=12, seed=5)
+        space = build_predicate_space(relation)
+        assert_evidence_identical(
+            build_evidence_set(relation, space, tile_rows=3),
+            build_evidence_set_dense(relation, space),
+        )
+        assert ADCMiner(function="f1", epsilon=0.05).mine(relation).adcs
+        store = EvidenceStore(relation.take(range(8)), space=space, tile_rows=3)
+        store.append(relation.take(range(8, 12)))
+        assert_evidence_identical(store.evidence(), build_evidence_set_dense(relation, space))
 
     def test_dispatcher_and_miner_integration(self):
         relation = make_random_relation(n_rows=14, seed=21)
         space = build_predicate_space(relation)
-        via_dispatcher = build_evidence_set(
-            relation, space, method="parallel", n_workers=2, tile_rows=6
-        )
+        tiled_run = ADCMiner(function="f1", epsilon=0.05).mine(relation)
+        with LocalCluster(2, transport="local") as cluster:
+            via_dispatcher = build_evidence_set(
+                relation, space, method="cluster", cluster=cluster, tile_rows=6
+            )
+            cluster_run = ADCMiner(function="f1", epsilon=0.05, cluster=cluster).mine(
+                relation
+            )
         assert_evidence_identical(
             via_dispatcher, build_evidence_set(relation, space, method="tiled", tile_rows=6)
         )
-        tiled_run = ADCMiner(function="f1", epsilon=0.05).mine(relation)
-        parallel_run = ADCMiner(
-            function="f1", epsilon=0.05, evidence_method="parallel", n_workers=2
-        ).mine(relation)
-        assert {str(adc.constraint) for adc in parallel_run.adcs} == {
+        assert {str(adc.constraint) for adc in cluster_run.adcs} == {
             str(adc.constraint) for adc in tiled_run.adcs
         }

@@ -6,8 +6,8 @@ same :class:`EvidenceSet` no matter how the tiles are grouped or in what
 order the partials are merged (associativity + commutativity up to the
 id relabeling that finalization erases).  Hypothesis drives randomized
 relations, tile groupings and merge orders through that claim, and
-cross-checks the full parallel builder against the tiled builder and the
-dense oracle.
+cross-checks the serial tiled builder and the cluster builder (several
+shards merged from two workers) against the dense oracle.
 """
 
 from __future__ import annotations
@@ -17,17 +17,13 @@ from hypothesis import given, settings, strategies as st
 
 from tests.conftest import make_random_relation
 from tests.test_engine import assert_evidence_identical
+from repro.cluster import LocalCluster, build_evidence_set_cluster
 from repro.core.evidence_builder import (
     build_evidence_set_dense,
     build_evidence_set_tiled,
 )
 from repro.core.predicate_space import build_predicate_space
-from repro.engine import (
-    PartialEvidenceSet,
-    TileKernel,
-    TileScheduler,
-    build_evidence_set_parallel,
-)
+from repro.engine import PartialEvidenceSet, TileKernel, TileScheduler
 
 
 def _tile_partials(relation, space, tile_rows):
@@ -175,31 +171,29 @@ class TestParallelEqualsOracles:
     )
     def test_serial_engine_path_matches_oracles(self, relation, tile_rows):
         space = build_predicate_space(relation)
-        engine = build_evidence_set_parallel(
-            relation, space, tile_rows=tile_rows, n_workers=1
-        )
-        assert_evidence_identical(
-            engine, build_evidence_set_tiled(relation, space, tile_rows=tile_rows)
-        )
+        engine = build_evidence_set_tiled(relation, space, tile_rows=tile_rows)
         assert_evidence_identical(engine, build_evidence_set_dense(relation, space))
 
     @settings(max_examples=5, deadline=None)
     @given(relation=relation_strategy)
-    def test_process_pool_matches_oracles(self, relation):
+    def test_cluster_matches_oracles(self, relation):
         space = build_predicate_space(relation)
-        pooled = build_evidence_set_parallel(relation, space, tile_rows=3, n_workers=2)
+        with LocalCluster(2, transport="local") as cluster:
+            clustered = build_evidence_set_cluster(relation, space, cluster, tile_rows=3)
         assert_evidence_identical(
-            pooled, build_evidence_set_tiled(relation, space, tile_rows=3)
+            clustered, build_evidence_set_tiled(relation, space, tile_rows=3)
         )
-        assert_evidence_identical(pooled, build_evidence_set_dense(relation, space))
+        assert_evidence_identical(clustered, build_evidence_set_dense(relation, space))
 
     @settings(max_examples=15, deadline=None)
     @given(relation=relation_strategy, mask_bits=st.integers(min_value=0, max_value=2**16))
-    def test_f2_f3_scores_agree_after_parallel_build(self, relation, mask_bits):
+    def test_f2_f3_scores_agree_after_cluster_build(self, relation, mask_bits):
+        """Participation survives the cluster's multi-shard merge."""
         from repro.core.approximation import F2, F3Greedy
 
         space = build_predicate_space(relation)
-        engine = build_evidence_set_parallel(relation, space, tile_rows=4, n_workers=1)
+        with LocalCluster(2, transport="local") as cluster:
+            engine = build_evidence_set_cluster(relation, space, cluster, tile_rows=4)
         oracle = build_evidence_set_dense(relation, space)
         indices = list(range(len(engine)))
         for function in (F2(), F3Greedy()):

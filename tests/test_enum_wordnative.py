@@ -1,7 +1,7 @@
 """Word-native enumeration core vs the frozen pre-refactor reference.
 
 The word-native ``ADCEnum`` and ``MMCS`` must be *bit-identical* to the
-pre-refactor implementations kept in :mod:`repro.core.legacy_enum`: same
+pre-refactor implementations kept in :mod:`tests.legacy_enum`: same
 masks, same order, same scores, same search-tree statistics.  These
 cross-checks are what licenses every representation change inside the
 recursion (packed criticality planes, incremental overlap counts,
@@ -20,7 +20,7 @@ from repro.core.adc_enum import ADCEnum
 from repro.core.approximation import F1, F1Adjusted, F2, F3Greedy
 from repro.core.evidence_builder import build_evidence_set
 from repro.core.hitting_set import MMCS
-from repro.core.legacy_enum import LegacyADCEnum, LegacyMMCS
+from tests.legacy_enum import LegacyADCEnum, LegacyMMCS
 from repro.core.predicate_space import build_predicate_space
 
 

@@ -99,7 +99,7 @@ class TestTiledMatchesOracles:
         relation = make_random_relation(n_rows=6, seed=2)
         space = build_predicate_space(relation)
         reference = _mask_count_map(build_evidence_set_pairwise(relation, space))
-        for method in ("tiled", "vectorized", "dense", "pairwise"):
+        for method in ("tiled", "dense", "pairwise"):
             evidence = build_evidence_set(relation, space, method=method)
             assert _mask_count_map(evidence) == reference
         with pytest.raises(ValueError):

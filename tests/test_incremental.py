@@ -178,15 +178,18 @@ class TestEvidenceStore:
         expected = _rebuild(example_relation, space, include_participation=False)
         assert_evidence_identical(store.evidence(), expected)
 
-    def test_parallel_delta_matches_serial(self, example_relation):
+    def test_cluster_delta_matches_serial(self, example_relation):
+        from repro.cluster import LocalCluster
+
         space = build_predicate_space(example_relation)
         initial, batches = _split_rows(example_relation, (9,))
-        serial = EvidenceStore(initial, space=space, tile_rows=2, n_workers=1)
-        pooled = EvidenceStore(initial, space=space, tile_rows=2, n_workers=2)
-        for batch in batches:
-            serial.append(batch)
-            pooled.append(batch)
-        assert_evidence_identical(serial.evidence(), pooled.evidence())
+        serial = EvidenceStore(initial, space=space, tile_rows=2)
+        with LocalCluster(2, transport="local") as cluster:
+            clustered = EvidenceStore(initial, space=space, tile_rows=2, cluster=cluster)
+            for batch in batches:
+                serial.append(batch)
+                clustered.append(batch)
+        assert_evidence_identical(serial.evidence(), clustered.evidence())
 
     def test_empty_append_is_a_noop(self, example_relation):
         store = EvidenceStore(example_relation)
@@ -344,25 +347,55 @@ class TestDeltaBuilder:
             merged.finalize(space), _rebuild(example_relation, space)
         )
 
-    def test_invalid_worker_count(self, example_space):
-        with pytest.raises(ValueError):
-            DeltaEvidenceBuilder(example_space, n_workers=0)
+    def test_fold_is_the_attached_cluster_else_serial(self, example_relation, monkeypatch):
+        import repro.cluster.build as cluster_build
+        import repro.incremental.delta as delta_module
+        from repro.cluster import LocalCluster
 
-    def test_pooled_tile_edge_splits_the_memory_budget(self, example_space):
+        space = build_predicate_space(example_relation)
+        expected = _rebuild(example_relation, space)
+        calls = []
+
+        def counting(name, fold):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fold(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            delta_module, "fold_tiles", counting("serial", delta_module.fold_tiles)
+        )
+        monkeypatch.setattr(
+            cluster_build,
+            "fold_tiles_cluster",
+            counting("cluster", cluster_build.fold_tiles_cluster),
+        )
+        serial = DeltaEvidenceBuilder(space, tile_rows=4)
+        assert_evidence_identical(
+            serial.full_partial(example_relation).finalize(space), expected
+        )
+        assert calls == ["serial"]
+        with LocalCluster(2, transport="local") as cluster:
+            clustered = DeltaEvidenceBuilder(space, tile_rows=4, cluster=cluster)
+            partial = clustered.full_partial(example_relation)
+        assert_evidence_identical(partial.finalize(space), expected)
+        assert calls == ["serial", "cluster"]
+
+    def test_cluster_tile_edge_splits_the_memory_budget(self, example_space):
+        from repro.cluster import LocalCluster
         from repro.engine.parallel import parallel_tile_rows
         from repro.engine.scheduler import choose_tile_rows
 
         budget = 2**22
         serial = DeltaEvidenceBuilder(example_space, memory_budget_bytes=budget)
-        pooled = DeltaEvidenceBuilder(
-            example_space, n_workers=4, memory_budget_bytes=budget
-        )
         n_words = serial.n_words
         assert serial.tile_edge(10_000) == choose_tile_rows(10_000, n_words, budget)
-        assert pooled.tile_edge(10_000) == parallel_tile_rows(
-            10_000, n_words, 4, budget
-        )
-        # n_workers concurrent kernels stay within the shared budget.
-        assert pooled.tile_edge(10_000) <= choose_tile_rows(
-            10_000, n_words, budget // 4
-        )
+        with LocalCluster(2, transport="local") as cluster:
+            clustered = DeltaEvidenceBuilder(
+                example_space, cluster=cluster, memory_budget_bytes=budget
+            )
+            edge = clustered.tile_edge(10_000)
+        assert edge == parallel_tile_rows(10_000, n_words, 2, budget)
+        # The two workers' concurrent kernels stay within the shared budget.
+        assert edge <= choose_tile_rows(10_000, n_words, budget // 2)

@@ -61,7 +61,7 @@ class TestPipeline:
         assert result.function_name == "f1'"
 
     def test_pairwise_evidence_method(self):
-        fast = ADCMiner(function="f1", epsilon=0.05, evidence_method="vectorized").mine(running_example())
+        fast = ADCMiner(function="f1", epsilon=0.05, evidence_method="tiled").mine(running_example())
         slow = ADCMiner(function="f1", epsilon=0.05, evidence_method="pairwise").mine(running_example())
         assert {c.predicates for c in fast.constraints} == {c.predicates for c in slow.constraints}
 

@@ -2,9 +2,9 @@
 
 Two families of guarantees:
 
-* ``REPRO_NATIVE`` resolution — ``0`` forces numpy, ``1`` requires a
-  compiled backend (clean :class:`RuntimeError` when none builds),
-  ``numba`` errors cleanly when the package is absent, auto never raises.
+* ``REPRO_NATIVE`` resolution — ``0`` forces numpy, ``1`` requires the
+  compiled C backend (clean :class:`RuntimeError` when it does not build),
+  auto never raises.
 * Bit identity — every ported kernel produces byte-for-byte the numpy
   reference's output under whichever compiled backend resolved, on
   hypothesis-generated inputs (the dispatch probe checks one deterministic
@@ -49,36 +49,33 @@ class TestResolution:
     def test_auto_never_raises(self, monkeypatch):
         monkeypatch.delenv("REPRO_NATIVE", raising=False)
         backend = dispatch._resolve()
-        assert backend.name in ("cext", "numba", "numpy")
+        assert backend.name in ("cext", "numpy")
 
     def test_env_1_requires_compiled(self, monkeypatch):
-        """``REPRO_NATIVE=1`` raises (with each builder's reason) when no
-        compiled backend is available; never silently falls back."""
+        """``REPRO_NATIVE=1`` raises (with the builder's reason) when the
+        compiled backend is unavailable; never silently falls back."""
         monkeypatch.setenv("REPRO_NATIVE", "1")
-        failing = {
-            "cext": _raise_unavailable,
-            "numba": _raise_unavailable,
-        }
-        monkeypatch.setattr(dispatch, "_BUILDERS", failing)
-        with pytest.raises(RuntimeError, match="REPRO_NATIVE=1"):
+        monkeypatch.setattr(dispatch, "_build_cext_backend", _raise_unavailable)
+        with pytest.raises(RuntimeError, match="REPRO_NATIVE=1.*unavailable for testing"):
             dispatch._resolve()
 
-    def test_env_numba_error_mentions_backend(self, monkeypatch):
-        """Requesting numba explicitly surfaces the import failure as a
-        RuntimeError naming the backend (not a bare ImportError)."""
-        try:
-            import numba  # noqa: F401
-
-            pytest.skip("numba installed; absence path not testable")
-        except ImportError:
-            pass
-        monkeypatch.setenv("REPRO_NATIVE", "numba")
-        with pytest.raises(RuntimeError, match="numba"):
-            dispatch._resolve()
+    def test_auto_falls_back_to_numpy(self, monkeypatch):
+        monkeypatch.delenv("REPRO_NATIVE", raising=False)
+        monkeypatch.setattr(dispatch, "_build_cext_backend", _raise_unavailable)
+        assert dispatch._resolve() is NUMPY_BACKEND
 
     def test_unknown_value_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_NATIVE", "turbo")
         with pytest.raises(RuntimeError, match="turbo"):
+            dispatch._resolve()
+
+    @pytest.mark.parametrize("value", ["numba", "cext"])
+    def test_backend_names_are_not_env_values(self, monkeypatch, value):
+        """``REPRO_NATIVE`` takes unset/``auto``, ``0``/``numpy`` and ``1``;
+        a backend name (``numba`` is gone, ``cext`` is spelled ``1``) is an
+        error rather than a silent fall-back to numpy."""
+        monkeypatch.setenv("REPRO_NATIVE", value)
+        with pytest.raises(RuntimeError, match=f"unknown REPRO_NATIVE value '{value}'"):
             dispatch._resolve()
 
     def test_resolve_backend_unknown_name(self):

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -70,6 +75,36 @@ class TestBounds:
 
     def test_z_value_monotone(self):
         assert z_value(0.99) > z_value(0.9) > z_value(0.5) > 0
+
+    def test_z_value_is_the_normal_quantile_bit_for_bit(self):
+        """``ndtri`` gives exactly ``scipy.stats.norm.ppf``'s quantiles, so
+        thresholds (and the ADCs mined under them) do not move by an ulp."""
+        from scipy import stats
+
+        confidences = np.concatenate(
+            [np.linspace(0.0, 0.999, 2_000), [0.5, 0.9, 0.95, 0.99, 1.0 - 1e-9]]
+        )
+        for confidence in confidences:
+            expected = float(stats.norm.ppf(0.5 + confidence / 2.0))
+            assert z_value(float(confidence)) == expected
+
+    def test_importing_sampling_skips_scipy_stats(self):
+        """``scipy.stats`` costs about a second of start-up, paid by every
+        server and cluster worker; the sampling module needs only
+        ``scipy.special``."""
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        code = (
+            "import sys, repro.core.sampling, repro.core.miner; "
+            "print('scipy.stats' in sys.modules)"
+        )
+        output = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            check=True, timeout=60,
+        ).stdout
+        assert output.strip() == "False"
 
 
 class TestSampleThreshold:
