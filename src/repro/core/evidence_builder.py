@@ -43,7 +43,7 @@ from repro.core.predicate_space import PredicateSpace
 from repro.data.relation import Relation
 from repro.engine.kernel import TileKernel, prepare_groups
 from repro.engine.parallel import fold_tiles
-from repro.engine.partial import split_participation
+from repro.engine.partial import participation_keys, split_participation
 from repro.engine.scheduler import (
     DEFAULT_MEMORY_BUDGET_BYTES,
     TileScheduler,
@@ -236,11 +236,9 @@ def _build_participation(
     n_evidences: int,
 ):
     """Aggregate the ``vios`` structure from the per-pair evidence ids."""
-    n_rows = int(max(row_index.max(), col_index.max())) + 1 if len(row_index) else 0
-    evidence_ids = inverse.astype(np.int64)
     keys = np.concatenate([
-        evidence_ids * n_rows + row_index.astype(np.int64),
-        evidence_ids * n_rows + col_index.astype(np.int64),
+        participation_keys(inverse, row_index),
+        participation_keys(inverse, col_index),
     ])
     unique_keys, key_counts = np.unique(keys, return_counts=True)
-    return split_participation(unique_keys, key_counts, n_rows, n_evidences)
+    return split_participation(unique_keys, key_counts, n_evidences)

@@ -29,6 +29,7 @@ from repro.core.operators import (
     OrderCategory,
 )
 from repro.core.predicates import PredicateForm
+from repro.engine.partial import check_row_count, participation_keys
 from repro.native import dispatch as native_dispatch
 
 if TYPE_CHECKING:
@@ -46,9 +47,11 @@ class TilePartial:
     ``words[k]`` occurred ``counts[k]`` times among the tile's ordered
     pairs.  ``part_keys``/``part_counts`` encode the tuple-participation
     histogram with *tile-local* evidence ids:
-    ``part_keys = local_id * n_rows + tuple_id``, pre-aggregated within the
-    tile.  :class:`~repro.engine.partial.PartialEvidenceSet` remaps the
-    local ids to its own global ids on absorption.
+    ``part_keys = local_id << 32 | tuple_id``, pre-aggregated within the
+    tile.  The stride does not depend on the relation's size, so keys stay
+    valid as the relation grows.
+    :class:`~repro.engine.partial.PartialEvidenceSet` remaps the local ids
+    to its own global ids on absorption.
     """
 
     words: np.ndarray
@@ -206,7 +209,7 @@ class TileKernel:
         include_participation: bool = True,
     ) -> None:
         self.groups = groups
-        self.n_rows = int(n_rows)
+        self.n_rows = check_row_count(n_rows)
         self.n_predicates = int(n_predicates)
         self.n_words = n_words_for(n_predicates)
         self.include_participation = bool(include_participation)
@@ -300,8 +303,9 @@ class TileKernel:
         unique_words, inverse, counts = unique_word_rows(flat)
         part_keys = part_counts = None
         if self.include_participation:
-            n = self.n_rows
-            pair_ids = inverse
-            keys = np.concatenate([pair_ids * n + left_ids, pair_ids * n + right_ids])
+            keys = np.concatenate([
+                participation_keys(inverse, left_ids),
+                participation_keys(inverse, right_ids),
+            ])
             part_keys, part_counts = np.unique(keys, return_counts=True)
         return TilePartial(unique_words, counts, part_keys, part_counts)

@@ -3,14 +3,15 @@
 A :class:`PartialEvidenceSet` accumulates the output of tile kernels over
 any subset of tiles: a word-keyed dedup dictionary of distinct evidences,
 per-chunk multiplicity histograms, and per-chunk tuple-participation
-histograms (keyed ``evidence_id * n_rows + tuple_id``, CSR-style at
-finalization).  Two partials built from disjoint tile sets can be
-:meth:`merge`-d — the operation is associative and commutative up to
-evidence-id relabeling, and :meth:`finalize` erases the relabeling by
-sorting evidences into the canonical lexicographic word order, so *any*
-merge tree over the same tiles yields a bit-identical
-:class:`~repro.core.evidence.EvidenceSet`.  This is what lets cluster
-workers combine results in completion order.
+histograms (keyed ``evidence_id << 32 | tuple_id``, CSR-style at
+finalization).  The key stride is fixed rather than tied to the relation's
+size, so a partial of a growing relation never re-keys what it absorbed.
+Two partials built from disjoint tile sets can be :meth:`merge`-d — the
+operation is associative and commutative up to evidence-id relabeling, and
+:meth:`finalize` erases the relabeling by sorting evidences into the
+canonical lexicographic word order, so *any* merge tree over the same tiles
+yields a bit-identical :class:`~repro.core.evidence.EvidenceSet`.  This is
+what lets cluster workers combine results in completion order.
 """
 
 from __future__ import annotations
@@ -25,6 +26,28 @@ if TYPE_CHECKING:
     from repro.core.predicate_space import PredicateSpace
     from repro.engine.kernel import TilePartial
 
+#: Participation keys pack ``evidence_id << TUPLE_ID_BITS | tuple_id``.
+TUPLE_ID_BITS = 32
+_TUPLE_ID_MASK = (1 << TUPLE_ID_BITS) - 1
+#: Relations this large do not fit the tuple-id field of a key.
+MAX_ROWS = 1 << TUPLE_ID_BITS
+
+
+def check_row_count(n_rows: int) -> int:
+    """``n_rows`` as an int, or ``ValueError`` if keys cannot address it."""
+    n_rows = int(n_rows)
+    if n_rows >= MAX_ROWS:
+        raise ValueError(
+            f"relations of {n_rows} rows exceed the {MAX_ROWS}-row limit of "
+            f"participation keys"
+        )
+    return n_rows
+
+
+def participation_keys(evidence_ids: np.ndarray, tuple_ids: np.ndarray) -> np.ndarray:
+    """Pack evidence and tuple ids into ``evidence_id << 32 | tuple_id`` keys."""
+    return (evidence_ids.astype(np.int64, copy=False) << TUPLE_ID_BITS) | tuple_ids
+
 
 class PartialEvidenceSet:
     """Evidence accumulated over a subset of tiles, mergeable with others.
@@ -32,9 +55,8 @@ class PartialEvidenceSet:
     Parameters
     ----------
     n_rows:
-        Number of tuples of the underlying relation (fixes the
-        participation key arithmetic; merging partials with different
-        ``n_rows`` is an error).
+        Number of tuples of the underlying relation (merging partials with
+        different ``n_rows`` is an error; :meth:`rebase_rows` grows it).
     n_words:
         Evidence word width.
     include_participation:
@@ -42,7 +64,7 @@ class PartialEvidenceSet:
     """
 
     def __init__(self, n_rows: int, n_words: int, include_participation: bool = True) -> None:
-        self.n_rows = int(n_rows)
+        self.n_rows = check_row_count(n_rows)
         self.n_words = int(n_words)
         self.include_participation = bool(include_participation)
         self._ids: dict[bytes, int] = {}
@@ -60,6 +82,22 @@ class PartialEvidenceSet:
         """Ordered pairs absorbed so far (sum of chunk multiplicities)."""
         return int(sum(int(chunk.sum()) for chunk in self._count_chunks))
 
+    def _chunk_lists(self) -> tuple[list[np.ndarray], ...]:
+        return (
+            self._id_chunks, self._count_chunks,
+            self._part_key_chunks, self._part_count_chunks,
+        )
+
+    @property
+    def chunk_count(self) -> int:
+        """Arrays held across the id, count and participation chunk lists."""
+        return sum(len(chunks) for chunks in self._chunk_lists())
+
+    @property
+    def chunk_bytes(self) -> int:
+        """Bytes held by the chunk arrays (the distinct word rows excluded)."""
+        return sum(chunk.nbytes for chunks in self._chunk_lists() for chunk in chunks)
+
     def _intern_rows(self, words: np.ndarray) -> np.ndarray:
         """Map distinct word rows to global ids, registering new ones."""
         mapping = np.empty(len(words), dtype=np.int64)
@@ -76,12 +114,10 @@ class PartialEvidenceSet:
             mapping[local] = global_id
         return mapping
 
-    def _remap_part_keys(self, keys: np.ndarray, mapping: np.ndarray) -> np.ndarray:
-        """Rewrite ``local_id * n + tuple`` keys under an id mapping."""
-        n = max(self.n_rows, 1)
-        local_ids = keys // n
-        tuple_ids = keys - local_ids * n
-        return mapping[local_ids] * n + tuple_ids
+    @staticmethod
+    def _remap_part_keys(keys: np.ndarray, mapping: np.ndarray) -> np.ndarray:
+        """Rewrite the evidence ids of ``local_id << 32 | tuple`` keys."""
+        return participation_keys(mapping[keys >> TUPLE_ID_BITS], keys & _TUPLE_ID_MASK)
 
     def add_tile(self, tile_partial: "TilePartial") -> "PartialEvidenceSet":
         """Absorb one tile kernel result; returns ``self`` for chaining."""
@@ -133,32 +169,45 @@ class PartialEvidenceSet:
         return self
 
     def rebase_rows(self, new_n_rows: int) -> "PartialEvidenceSet":
-        """Re-key the partial onto a grown relation of ``new_n_rows`` tuples.
+        """Adopt a grown relation of ``new_n_rows`` tuples; O(1).
 
-        Participation keys encode ``evidence_id * n_rows + tuple_id``, so a
-        partial accumulated against an ``n``-row relation cannot merge with
-        tiles of the appended ``n + m``-row relation until its keys are
-        rewritten under the new stride.  Tuple ids themselves are stable
-        (appends never renumber existing rows), so only the stride changes.
-        Chunk arrays are replaced, never mutated, keeping :meth:`copy`-shared
-        chunks intact.  Returns ``self`` for chaining.
+        Appends never renumber existing tuples and participation keys have a
+        fixed stride, so nothing absorbed so far changes: only ``n_rows``
+        moves, which lets the partial merge tiles of the grown relation.
+        Returns ``self`` for chaining.
         """
         if new_n_rows < self.n_rows:
             raise ValueError(
                 f"cannot rebase partial of {self.n_rows} rows down to {new_n_rows}"
             )
-        if new_n_rows == self.n_rows:
-            return self
-        if self.include_participation and self._part_key_chunks:
-            old_n = max(self.n_rows, 1)
-            new_n = int(new_n_rows)
-            rekeyed: list[np.ndarray] = []
-            for keys in self._part_key_chunks:
-                evidence_ids = keys // old_n
-                tuple_ids = keys - evidence_ids * old_n
-                rekeyed.append(evidence_ids * new_n + tuple_ids)
-            self._part_key_chunks = rekeyed
-        self.n_rows = int(new_n_rows)
+        self.n_rows = check_row_count(new_n_rows)
+        return self
+
+    def _totals(self) -> np.ndarray:
+        """Summed multiplicity of every distinct word, by intern id."""
+        totals = np.zeros(len(self._ids), dtype=np.int64)
+        for ids, chunk_counts in zip(self._id_chunks, self._count_chunks):
+            np.add.at(totals, ids, chunk_counts)
+        return totals
+
+    def compact(self) -> "PartialEvidenceSet":
+        """Fold every chunk list into one histogram chunk; returns ``self``.
+
+        The id/count chunks become one ``word_histogram`` chunk and the
+        participation chunks one :func:`aggregate_key_histogram` chunk, so
+        the partial holds one entry per distinct evidence and per distinct
+        ``(evidence, tuple)`` pair.  Everything is computed before any list
+        is replaced and no array is mutated, so a failure leaves the old
+        (equivalent) chunks in place and :meth:`copy`-shared chunks intact.
+        """
+        id_chunks = [np.arange(len(self._ids), dtype=np.int64)] if self._ids else []
+        count_chunks = [self._totals()] if self._ids else []
+        key_chunks, part_count_chunks = self._part_key_chunks, self._part_count_chunks
+        if key_chunks:
+            keys, counts = aggregate_key_histogram(key_chunks, part_count_chunks)
+            key_chunks, part_count_chunks = [keys], [counts]
+        self._id_chunks, self._count_chunks = id_chunks, count_chunks
+        self._part_key_chunks, self._part_count_chunks = key_chunks, part_count_chunks
         return self
 
     def word_histogram(self) -> tuple[np.ndarray, np.ndarray]:
@@ -182,10 +231,7 @@ class PartialEvidenceSet:
             if self._rows
             else np.zeros((0, self.n_words), dtype=np.uint64)
         )
-        totals = np.zeros(len(self._ids), dtype=np.int64)
-        for ids, chunk_counts in zip(self._id_chunks, self._count_chunks):
-            np.add.at(totals, ids, chunk_counts)
-        return words, totals
+        return words, self._totals()
 
     def state_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The partial compacted to four arrays, for durable snapshots.
@@ -194,17 +240,22 @@ class PartialEvidenceSet:
         word rows in intern order with their summed multiplicities, plus the
         fully aggregated ``evidence_id * n_rows + tuple_id`` participation
         histogram (sorted by key; empty arrays when participation is off).
-        Evidence ids inside ``part_keys`` index into ``words`` rows.  The
-        chunk structure — which tiles were absorbed in which order, through
-        which merge tree — is deliberately erased: :meth:`finalize` already
-        guarantees it cannot influence the result, so a partial restored via
-        :meth:`from_state_arrays` finalizes bit-identically.
+        That is the snapshot file's key layout, so the in-memory ``<< 32``
+        keys are converted on the way out (and back by
+        :meth:`from_state_arrays`).  Evidence ids inside ``part_keys`` index
+        into ``words`` rows.  The chunk structure — which tiles were absorbed
+        in which order, through which merge tree — is deliberately erased:
+        :meth:`finalize` already guarantees it cannot influence the result,
+        so a partial restored via :meth:`from_state_arrays` finalizes
+        bit-identically.
         """
         words, totals = self.word_histogram()
         if self.include_participation and self._part_key_chunks:
-            part_keys, part_counts = aggregate_key_histogram(
+            keys, part_counts = aggregate_key_histogram(
                 self._part_key_chunks, self._part_count_chunks
             )
+            stride = max(self.n_rows, 1)
+            part_keys = (keys >> TUPLE_ID_BITS) * stride + (keys & _TUPLE_ID_MASK)
         else:
             part_keys = np.zeros(0, dtype=np.int64)
             part_counts = np.zeros(0, dtype=np.int64)
@@ -223,7 +274,9 @@ class PartialEvidenceSet:
     ) -> "PartialEvidenceSet":
         """Rebuild a partial from :meth:`state_arrays` output.
 
-        The restored partial merges, rebases, and finalizes exactly like the
+        ``part_keys`` come in the snapshot's ``evidence_id * n_rows +
+        tuple_id`` layout and are converted to ``<< 32`` keys.  The restored
+        partial merges, rebases, and finalizes exactly like the
         original — intern order is preserved by construction, and finalize
         erases it anyway.
         """
@@ -237,7 +290,9 @@ class PartialEvidenceSet:
             partial._id_chunks = [np.arange(len(words), dtype=np.int64)]
             partial._count_chunks = [np.asarray(totals, dtype=np.int64)]
         if include_participation and len(part_keys):
-            partial._part_key_chunks = [np.asarray(part_keys, dtype=np.int64)]
+            part_keys = np.asarray(part_keys, dtype=np.int64)
+            evidence_ids, tuple_ids = np.divmod(part_keys, max(partial.n_rows, 1))
+            partial._part_key_chunks = [participation_keys(evidence_ids, tuple_ids)]
             partial._part_count_chunks = [np.asarray(part_counts, dtype=np.int64)]
         return partial
 
@@ -280,7 +335,7 @@ class PartialEvidenceSet:
                 self._remap_part_keys(keys, rank) for keys in self._part_key_chunks
             ]
             participation = participation_from_key_chunks(
-                key_chunks, self._part_count_chunks, self.n_rows, n_evidences
+                key_chunks, self._part_count_chunks, n_evidences
             )
         return EvidenceSet(
             space, counts=counts, n_rows=self.n_rows,
@@ -291,10 +346,9 @@ class PartialEvidenceSet:
 def participation_from_key_chunks(
     key_chunks: list[np.ndarray],
     count_chunks: list[np.ndarray],
-    n_rows: int,
     n_evidences: int,
 ) -> list[TupleParticipation]:
-    """Merge per-chunk ``evidence * n + tuple`` histograms into ``vios``.
+    """Merge per-chunk ``evidence << 32 | tuple`` histograms into ``vios``.
 
     Each chunk contributes pre-aggregated ``(key, count)`` pairs; keys may
     repeat across chunks, so they are re-aggregated with a sort + segmented
@@ -306,7 +360,7 @@ def participation_from_key_chunks(
             for _ in range(n_evidences)
         ]
     unique_keys, summed = aggregate_key_histogram(key_chunks, count_chunks)
-    return split_participation(unique_keys, summed, n_rows, n_evidences)
+    return split_participation(unique_keys, summed, n_evidences)
 
 
 def aggregate_key_histogram(
@@ -328,13 +382,16 @@ def aggregate_key_histogram(
 def split_participation(
     unique_keys: np.ndarray,
     key_counts: np.ndarray,
-    n_rows: int,
     n_evidences: int,
 ) -> list[TupleParticipation]:
-    """Split sorted ``evidence * n + tuple`` keys into per-evidence rows."""
+    """Split sorted ``evidence << 32 | tuple`` keys into per-evidence rows.
+
+    The key order is ``(evidence, tuple)`` order, so each evidence's slice
+    lists its tuples ascending.
+    """
     participation: list[TupleParticipation] = []
-    owners = unique_keys // max(n_rows, 1)
-    tuples = unique_keys % max(n_rows, 1)
+    owners = unique_keys >> TUPLE_ID_BITS
+    tuples = unique_keys & _TUPLE_ID_MASK
     boundaries = np.searchsorted(owners, np.arange(n_evidences + 1))
     for evidence in range(n_evidences):
         start, stop = boundaries[evidence], boundaries[evidence + 1]

@@ -181,7 +181,10 @@ class DeltaEvidenceBuilder:
         count *before* the append.  The result's ``n_rows`` is the new
         total, so the caller must
         :meth:`~repro.engine.partial.PartialEvidenceSet.rebase_rows` the
-        stored partial before merging.
+        stored partial before merging.  That only moves its row count:
+        participation keys have a fixed ``<< 32`` stride, so nothing the
+        stored partial holds is re-keyed and the merge costs the delta's
+        size, not the history's.
         """
         tiles = delta_tiles(n_existing, relation.n_rows, self.tile_edge(relation.n_rows))
         return self._fold(self.kernel(relation), tiles)

@@ -99,11 +99,18 @@ class EvidenceStore:
             cluster=cluster,
             memory_budget_bytes=memory_budget_bytes,
         )
-        self._partial = self._builder.full_partial(self._relation)
+        self._adopt_partial(self._builder.full_partial(self._relation))
         self._evidence: EvidenceSet | None = None
         self._generation = 0
         self._append_listeners: list[AppendListener] = []
         self.last_enumeration_statistics: "EnumerationStatistics | None" = None
+
+    def _adopt_partial(self, partial: "PartialEvidenceSet") -> None:
+        """Take ``partial`` as the stored state, its chunks as the baseline."""
+        self._partial = partial
+        self._compacted_bytes = partial.chunk_bytes
+        #: Chunk compactions run since the store was built or recovered.
+        self.compactions = 0
 
     # ------------------------------------------------------------------
     # State
@@ -190,8 +197,17 @@ class EvidenceStore:
 
         Only the new-vs-old rectangles and the new-vs-new square of the pair
         matrix are evaluated (``O(n·m + m²)`` pairs for ``m`` appended to
-        ``n``); the stored partial is re-keyed onto the grown relation and
-        the delta merged in.  The finalized-evidence cache is invalidated.
+        ``n``), and the delta is merged into the stored partial without
+        touching anything it already holds: participation keys have a fixed
+        stride, so growth never re-keys them.  The finalized-evidence cache
+        is invalidated.
+
+        Merged deltas pile up as chunks.  Once their bytes pass twice the
+        bytes left by the last compaction (the seed build's, at first), the
+        partial is compacted into one histogram per chunk kind, so resident
+        size stays within 2x the compacted state however long the history.
+        A compaction only runs after the chunks grew by the compacted size,
+        so its cost amortizes to a constant factor per appended byte.
 
         The append is atomic: the grown relation and its delta partial are
         staged on the side and only swapped in once both succeed, so a
@@ -224,7 +240,8 @@ class EvidenceStore:
             # The journal hook adds its own "journal_fsync" span segment.
             pre_commit(n_new)
         commit_start = time.perf_counter()
-        # Commit point: nothing below computes, so nothing below fails.
+        # Commit point: the swap below does not fail, and compaction after
+        # it only replaces chunk lists once their folded form is complete.
         self._relation = staged
         self._partial.rebase_rows(staged.n_rows)
         self._partial.merge(delta)
@@ -233,9 +250,22 @@ class EvidenceStore:
         for listener in self._append_listeners:
             listener(delta, n_before, staged.n_rows)
         obs_metrics.STORE_APPENDED_ROWS.inc_labels(self._relation.name, amount=n_new)
+        if self._partial.chunk_bytes > 2 * self._compacted_bytes:
+            self._compact()
         if span is not None:
             span.add_segment("commit", time.perf_counter() - commit_start)
         return n_new
+
+    def _compact(self) -> None:
+        """Fold the partial's chunks; the append has committed either way."""
+        try:
+            self._partial.compact()
+        except MemoryError:
+            # The partial keeps its old, equivalent chunks; the next append
+            # retries once memory is back.
+            return
+        self._compacted_bytes = self._partial.chunk_bytes
+        self.compactions += 1
 
     @classmethod
     def from_state(
@@ -273,7 +303,7 @@ class EvidenceStore:
             cluster=cluster,
             memory_budget_bytes=memory_budget_bytes,
         )
-        store._partial = partial
+        store._adopt_partial(partial)
         store._evidence = None
         store._generation = int(generation)
         store._append_listeners = []

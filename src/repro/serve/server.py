@@ -1098,6 +1098,9 @@ class ViolationServer:
                 "n_rows": state.store.n_rows,
                 "generation": state.store.generation,
                 "distinct_evidences": len(state.store.partial),
+                "partial_chunks": state.store.partial.chunk_count,
+                "partial_bytes": state.store.partial.chunk_bytes,
+                "compactions": state.store.compactions,
                 "snapshot_cached": state.store._evidence is not None,
                 "constraints": (
                     len(state.service.constraints) if state.service else 0

@@ -33,6 +33,7 @@ from repro.durability import (
     write_snapshot,
 )
 from repro.durability.journal import plain_rows, relation_types
+from repro.durability.snapshot import snapshot_path
 from repro.durability.wal import MAGIC
 from repro.engine.partial import PartialEvidenceSet
 from repro.incremental.store import EvidenceStore
@@ -342,6 +343,58 @@ class TestStoreJournalRecovery:
         try:
             assert recovered.stats.source == "snapshot"
             assert_bit_identical(recovered.store, live)
+        finally:
+            recovered.journal.close()
+
+    def test_snapshot_in_the_size_strided_key_layout_recovers(self, tmp_path):
+        """Snapshots key participation as ``evidence_id * n_rows + tuple_id``.
+
+        The in-memory keys use a fixed ``<< 32`` stride; the file format
+        does not.  A snapshot whose arrays are built by hand in the file's
+        layout must recover bit-identically, participation included, and
+        the journal must keep writing that layout.
+        """
+        rows, types = example_rows()
+        batches = self.make_batches(rows)
+        journal, live, _ = run_journaled_workload(
+            tmp_path / "people", rows[:8], batches, types
+        )
+        version = journal.snapshot(live, None)
+        journal.close()
+        path = snapshot_path(tmp_path / "people", version)
+        meta, written = load_snapshot(path)
+
+        evidence = live.evidence()
+        n = live.n_rows
+        keys, counts = [], []
+        for index in range(len(evidence)):
+            participation = evidence.participation(index)
+            keys.append(index * n + participation.tuple_ids)
+            counts.append(participation.pair_counts)
+        by_hand = {
+            "words": evidence.words,
+            "totals": evidence.counts,
+            "part_keys": np.concatenate(keys).astype(np.int64),
+            "part_counts": np.concatenate(counts).astype(np.int64),
+        }
+
+        def triples(arrays):
+            ids, tuples = np.divmod(arrays["part_keys"], n)
+            return sorted(
+                (arrays["words"][e].tobytes(), int(t), int(c))
+                for e, t, c in zip(ids, tuples, arrays["part_counts"])
+            )
+
+        assert triples(written) == triples(by_hand)
+        del meta["arrays"]
+        write_snapshot(path, meta, by_hand)
+        recovered = StoreJournal.recover(tmp_path / "people")
+        try:
+            assert recovered.stats.source == "snapshot"
+            assert_bit_identical(recovered.store, live)
+            assert_bit_identical(
+                recovered.store, build_oracle("people", types, rows[:8], batches)
+            )
         finally:
             recovered.journal.close()
 

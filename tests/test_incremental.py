@@ -100,7 +100,7 @@ class TestRectangularScheduler:
 
 
 class TestPartialRebase:
-    def test_rebase_rewrites_participation_keys(self):
+    def test_rebase_keeps_participation(self):
         relation = make_random_relation(n_rows=6, seed=3)
         space = build_predicate_space(relation)
         kernel = TileKernel.from_relation(relation, space, include_participation=True)
@@ -115,7 +115,7 @@ class TestPartialRebase:
         assert rebased.n_rows == 10
         grown = rebased.finalize(space)
         # Same evidences and counts; participation decodes to the same
-        # (tuple, count) rows because tuple ids survive the re-keying.
+        # (tuple, count) rows because keys do not depend on the row count.
         assert np.array_equal(grown.words, reference.words)
         assert np.array_equal(grown.counts, reference.counts)
         for index in range(len(reference)):
@@ -142,6 +142,118 @@ class TestPartialRebase:
         partial.rebase_rows(12)
         for chunk, original in zip(duplicate._part_key_chunks, before):
             assert np.array_equal(chunk, original)
+
+    def test_rebase_keeps_every_chunk_array(self):
+        relation = make_random_relation(n_rows=6, seed=4)
+        space = build_predicate_space(relation)
+        partial = DeltaEvidenceBuilder(space, tile_rows=2).full_partial(relation)
+        before = [list(chunks) for chunks in partial._chunk_lists()]
+        partial.rebase_rows(1000)
+        after = partial._chunk_lists()
+        assert [len(chunks) for chunks in after] == [len(chunks) for chunks in before]
+        for old_chunks, new_chunks in zip(before, after):
+            assert all(a is b for a, b in zip(old_chunks, new_chunks))
+
+    def test_row_counts_past_the_key_field_raise(self):
+        limit = 1 << 32
+        with pytest.raises(ValueError, match="row limit"):
+            PartialEvidenceSet(limit, 1, True)
+        partial = PartialEvidenceSet(limit - 1, 1, True)
+        with pytest.raises(ValueError, match="row limit"):
+            partial.rebase_rows(limit)
+        assert partial.n_rows == limit - 1
+        with pytest.raises(ValueError, match="row limit"):
+            TileKernel([], limit, 1)
+
+
+class TestCompaction:
+    @pytest.mark.parametrize("include_participation", [True, False])
+    def test_compact_finalizes_identically_and_spares_copies(
+        self, example_relation, example_space, include_participation
+    ):
+        builder = DeltaEvidenceBuilder(
+            example_space, include_participation=include_participation, tile_rows=3
+        )
+        partial = builder.full_partial(example_relation)
+        expected = partial.finalize(example_space)
+        duplicate = partial.copy()
+        shared = [list(chunks) for chunks in duplicate._chunk_lists()]
+        partial.compact()
+        # One histogram chunk per list (participation lists stay empty when off).
+        assert [len(chunks) for chunks in partial._chunk_lists()] == (
+            [1, 1, 1, 1] if include_participation else [1, 1, 0, 0]
+        )
+        assert_evidence_identical(partial.finalize(example_space), expected)
+        for old_chunks, kept in zip(shared, duplicate._chunk_lists()):
+            assert all(a is b for a, b in zip(old_chunks, kept))
+        assert_evidence_identical(duplicate.finalize(example_space), expected)
+        assert partial.recorded_pairs == duplicate.recorded_pairs
+        assert partial.chunk_bytes < duplicate.chunk_bytes
+
+    def test_compact_empty_partial_is_a_noop(self):
+        partial = PartialEvidenceSet(1, 1, True).compact()
+        assert partial.chunk_count == 0 and partial.chunk_bytes == 0
+
+    def test_failed_compaction_keeps_the_chunks(self, example_relation, monkeypatch):
+        import repro.engine.partial as partial_module
+
+        space = build_predicate_space(example_relation)
+        initial, batches = _split_rows(example_relation, (10,))
+        store = EvidenceStore(initial, space=space, tile_rows=4)
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(partial_module, "aggregate_key_histogram", out_of_memory)
+        # Five rows onto a ten-row seed outweigh the seed: compaction is due.
+        assert store.append(batches[0]) == 5
+        monkeypatch.undo()
+        assert store.compactions == 0
+        assert store.generation == 1
+        chunks = store.partial.chunk_count
+        assert chunks > 4
+        assert_evidence_identical(store.evidence(), _rebuild(example_relation, space))
+        # The next append past the threshold compacts for real.
+        store.append([example_relation.row(0)])
+        assert store.compactions == 1
+        assert store.partial.chunk_count == 4
+
+    def test_long_trickle_stays_within_twice_compacted(self):
+        """Resource bound: chunk bytes stay within 2x the compacted state.
+
+        Every one of 310 single-row appends onto a 310-row seed must leave
+        the chunks within twice the compacted histogram and must leave the
+        chunk arrays it found untouched (same objects) unless it compacted.
+        """
+        from repro.data.datasets import generate_dataset
+
+        full = generate_dataset("tax", n_rows=620, seed=5).relation
+        # One seed tile: the seed's chunks are then already its compacted
+        # histogram, which is the baseline of the 2x rule.
+        store = EvidenceStore(full.take(range(310)), tile_rows=512)
+        partial = store.partial
+        assert len(partial._id_chunks) == 1
+        for index in range(310, 620):
+            held = [list(chunks) for chunks in partial._chunk_lists()]
+            compactions = store.compactions
+            store.append([full.row(index)])
+            if store.compactions == compactions:
+                for old_chunks, new_chunks in zip(held, partial._chunk_lists()):
+                    assert all(a is b for a, b in zip(old_chunks, new_chunks))
+            words, totals, part_keys, part_counts = partial.state_arrays()
+            # The compacted partial holds one id and one count per distinct
+            # evidence plus the (evidence, tuple) histogram.
+            compacted_bytes = 2 * totals.nbytes + part_keys.nbytes + part_counts.nbytes
+            part_bytes = sum(
+                chunk.nbytes
+                for chunk in partial._part_key_chunks + partial._part_count_chunks
+            )
+            assert part_bytes <= 2 * (part_keys.nbytes + part_counts.nbytes)
+            assert partial.chunk_bytes <= 2 * compacted_bytes
+        assert store.compactions >= 2
+        assert_evidence_identical(
+            store.evidence(), build_evidence_set_tiled(full, store.space)
+        )
 
 
 def _rebuild(relation, space, include_participation=True):

@@ -95,6 +95,25 @@ class TestDerivedRelations:
         copy.column("age").values[0] = 99
         assert people.value(0, "age") == 30
 
+    def test_copy_reuses_the_typed_arrays_without_coercion(self, people, monkeypatch):
+        import repro.data.relation as relation_module
+
+        people.string_codes("name", "name")
+
+        def no_coercion(*args, **kwargs):  # pragma: no cover - failure path
+            raise AssertionError("copy must not re-coerce stored values")
+
+        monkeypatch.setattr(relation_module, "coerce_values", no_coercion)
+        copy = people.copy()
+        assert copy.name == people.name and copy.n_rows == people.n_rows
+        for original, duplicate in zip(people.columns, copy.columns):
+            assert duplicate.type is original.type
+            assert duplicate.values.dtype == original.values.dtype
+            assert duplicate.values is not original.values
+            assert duplicate.values.tolist() == original.values.tolist()
+        # The factorization cache is shared, not recomputed.
+        assert copy.string_codes("name", "name")[0] is people.string_codes("name", "name")[0]
+
     def test_with_values_replaces_column(self, people):
         new_ages = people.column("age").values.copy()
         new_ages[0] = 99

@@ -413,6 +413,16 @@ class TestServerEndToEnd:
         assert stats["tenant_a"]["n_rows"] == 11
         assert stats["tenant_b"]["n_rows"] == relation.n_rows
         assert stats["tenant_b"]["generation"] == 0
+        # State gauges: chunk count and bytes of the stored partial, and
+        # how often the store has compacted it.
+        for entry in stats.values():
+            assert entry["partial_chunks"] > 0 and entry["partial_bytes"] > 0
+        assert stats["tenant_b"]["compactions"] == 0
+        before = stats["tenant_a"]["compactions"]
+        for index in range(11, relation.n_rows):
+            client.append("tenant_a", plain_rows(relation, [index]))
+        after = client.stats()["stores"]["tenant_a"]
+        assert after["compactions"] > before
         client.drop_store("tenant_a")
         client.drop_store("tenant_b")
 
