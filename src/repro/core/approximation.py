@@ -104,10 +104,6 @@ class ApproximationFunction(abc.ABC):
         """Whether the candidate passes the ADC test ``1 - f <= epsilon``."""
         return self.violation_score(evidence, uncovered_indices) <= epsilon
 
-    def violation_score_of_dc(self, evidence: EvidenceSet, hitting_mask: int) -> float:
-        """Violation score of the DC whose complement-predicate set is ``hitting_mask``."""
-        return self.violation_score(evidence, evidence.uncovered_indices(hitting_mask))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}()"
 

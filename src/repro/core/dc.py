@@ -43,11 +43,6 @@ class DenialConstraint:
         return f"forall t, t': not ({body})"
 
     @property
-    def is_empty(self) -> bool:
-        """Whether the DC has no predicates (violated by every pair)."""
-        return not self.predicates
-
-    @property
     def spans_two_tuples(self) -> bool:
         """Whether any predicate references the second tuple ``t'``."""
         return any(p.form.spans_two_tuples for p in self.predicates)

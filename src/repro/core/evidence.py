@@ -33,7 +33,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.core.bitset import n_words_for_bits
-from repro.core.predicate_space import PredicateSpace, iter_bits
+from repro.core.predicate_space import PredicateSpace
 from repro.core.predicates import Predicate
 from repro.native import dispatch as native_dispatch
 
@@ -483,8 +483,3 @@ def evidence_from_pair_masks(
             per_pair = np.asarray([per_tuple[t] for t in ids.tolist()], dtype=np.int64)
             participation.append(TupleParticipation(ids, per_pair))
     return EvidenceSet(space, masks, [counts[m] for m in masks], n_rows, participation)
-
-
-def mask_to_predicate_indices(mask: int) -> list[int]:
-    """Positions of the set bits of an evidence or hitting-set mask."""
-    return list(iter_bits(mask))

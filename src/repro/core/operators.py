@@ -67,11 +67,6 @@ class Operator(enum.Enum):
         """Whether the operator requires an ordered (numeric) domain."""
         return self in (Operator.LT, Operator.LE, Operator.GT, Operator.GE)
 
-    @property
-    def is_equality_kind(self) -> bool:
-        """Whether the operator is ``==`` or ``!=``."""
-        return self in (Operator.EQ, Operator.NE)
-
     def evaluate(self, left: object, right: object) -> bool:
         """Evaluate ``left <op> right`` on two Python values."""
         return _EVALUATORS[self](left, right)

@@ -149,10 +149,6 @@ class PredicateSpace:
             result |= 1 << self.complement_index(index)
         return result
 
-    def group_of(self, index: int) -> PredicateGroup:
-        """The predicate group (same column pair + form) containing ``index``."""
-        return self._groups[self._predicates[index].group_key]
-
     def group_mask(self, index: int) -> int:
         """Bitmask of all predicates sharing the group of ``index`` (cached)."""
         return self._group_masks[index]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -123,10 +123,6 @@ class Relation:
             return self._columns[name]
         except KeyError:
             raise KeyError(f"relation {self.name!r} has no column {name!r}") from None
-
-    def has_column(self, name: str) -> bool:
-        """Whether the schema contains ``name``."""
-        return name in self._columns
 
     def column_type(self, name: str) -> ColumnType:
         """Type of the column called ``name``."""
@@ -412,17 +408,6 @@ class Relation:
         for col in self.columns:
             lines.append(f"  {col.name:<16} {col.type.value:<8} distinct={col.distinct_count()}")
         return "\n".join(lines)
-
-
-@dataclass
-class RelationStatistics:
-    """Summary statistics of a relation (used for Table 4)."""
-
-    name: str
-    n_rows: int
-    n_columns: int
-    n_golden_dcs: int = 0
-    extra: dict[str, object] = field(default_factory=dict)
 
 
 def running_example() -> Relation:

@@ -6,7 +6,8 @@ The incremental subsystem answers violation queries as a *library*
 a *server* that holds production traffic:
 
 * :mod:`repro.serve.protocol` — length-prefixed JSON frames, error codes,
-  and the sync/async framing helpers both sides share.
+  the op table (:data:`~repro.serve.protocol.OPS`), and the framing
+  helpers both sides share.
 * :mod:`repro.serve.counters` — :class:`ViolationCounters`: push-based
   per-DC violating-pair counts maintained from each appended batch's delta
   partial, so the read path never finalizes evidence (reads are O(#DCs)

@@ -38,14 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="append-coalescing window per store (default %(default)s)",
     )
     parser.add_argument(
-        "--max-pending-rows", type=int, default=100_000,
-        help="append backpressure bound per store (default %(default)s)",
-    )
-    parser.add_argument(
-        "--executor-threads", type=int, default=4,
-        help="worker threads for blocking store work (default %(default)s)",
-    )
-    parser.add_argument(
         "--max-frame-mb", type=int, default=64,
         help="per-frame size bound in MiB (default %(default)s)",
     )
@@ -71,18 +63,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-tenant row quota (default: unlimited)",
     )
     parser.add_argument(
-        "--dedup-window", type=int, default=1024,
-        help="idempotency window per store, in keyed appends "
-             "(default %(default)s)",
-    )
-    parser.add_argument(
         "--metrics-port", type=int, default=None, metavar="PORT",
         help="serve Prometheus text exposition on this port "
              "(0 lets the OS pick; default: no metrics endpoint)",
-    )
-    parser.add_argument(
-        "--slow-op-ms", type=float, default=1000.0, metavar="MS",
-        help="log and count requests slower than this (default %(default)s)",
     )
     parser.add_argument(
         "--log-level", choices=("debug", "info", "warning", "error"),
@@ -119,17 +102,13 @@ async def _amain(args: argparse.Namespace, loop_name: str) -> int:
     server = ViolationServer(
         host, port,
         flush_window=args.flush_window,
-        max_pending_rows=args.max_pending_rows,
-        executor_threads=args.executor_threads,
         max_frame_bytes=args.max_frame_mb * 1024 * 1024,
         data_dir=args.data_dir,
         fsync=args.fsync,
         snapshot_every_bytes=args.snapshot_bytes,
         max_stores=args.max_stores,
         max_rows_per_store=args.max_rows_per_store,
-        dedup_window=args.dedup_window,
         metrics_port=args.metrics_port,
-        slow_op_seconds=args.slow_op_ms / 1000.0,
     )
     log.info("event_loop_selected", loop=loop_name)
     host, port = await server.start()

@@ -54,7 +54,8 @@ class ServeClient:
     retries:
         How many times an idempotent request is retried after a
         connection failure (``0`` = fail fast, the historical behavior).
-        Non-idempotent raw :meth:`request` calls never retry.
+        Ops that :data:`~repro.serve.protocol.OPS` does not mark
+        idempotent never retry.
     retry_backoff:
         Base sleep between retries (seconds); doubles per attempt.
     max_frame_bytes:
@@ -148,21 +149,23 @@ class ServeClient:
             )
         return response
 
-    def request(
-        self, op: str, _idempotent: bool = False, **fields: object
-    ) -> dict[str, object]:
+    def request(self, op: str, **fields: object) -> dict[str, object]:
         """Send one request and wait for its response.
 
         Returns the success frame (minus the envelope); raises
         :class:`ServeError` on an error frame, :class:`ServeTimeout` on a
         read timeout, and :class:`ConnectionError` when the link dies.
-        With ``retries`` set and ``_idempotent=True`` (every typed read
-        op, plus keyed appends), connection failures trigger reconnect +
-        resend with exponential backoff instead of surfacing immediately.
+        With ``retries`` set, an op the protocol table marks idempotent
+        (and any request carrying a ``request_key``) is reconnected and
+        resent with exponential backoff instead of failing immediately.
         """
         if self._closed:
             raise ConnectionError("client is closed")
-        attempts = 1 + (self.retries if _idempotent else 0)
+        spec = protocol.OPS.get(op)
+        idempotent = spec is not None and (
+            spec.idempotent or fields.get("request_key") is not None
+        )
+        attempts = 1 + (self.retries if idempotent else 0)
         failure: Exception | None = None
         for attempt in range(attempts):
             if attempt:
@@ -210,7 +213,7 @@ class ServeClient:
     # ------------------------------------------------------------------
     def ping(self) -> dict[str, object]:
         """Server liveness, protocol version, and registered store names."""
-        return self.request("ping", _idempotent=True)
+        return self.request("ping")
 
     def create_store(
         self,
@@ -255,7 +258,7 @@ class ServeClient:
         }
         if trace:
             fields["trace"] = trace if isinstance(trace, str) else new_trace_id()
-        return self.request("append", _idempotent=True, **fields)
+        return self.request("append", **fields)
 
     def remine(
         self,
@@ -301,45 +304,35 @@ class ServeClient:
         self, store: str, dc: int, mode: str = "counters"
     ) -> dict[str, object]:
         """One DC's violating-pair count/rate (push counters by default)."""
-        return self.request(
-            "violations", _idempotent=True, store=store, dc=dc, mode=mode
-        )
+        return self.request("violations", store=store, dc=dc, mode=mode)
 
     def report(self, store: str) -> dict[str, object]:
         """All served DCs' counts/rates off one consistent counter snapshot."""
-        return self.request("report", _idempotent=True, store=store)
+        return self.request("report", store=store)
 
     def check_batch(self, store: str, rows: Iterable[Row]) -> dict[str, object]:
         """Per-row epsilon admission verdicts for an incoming batch."""
-        return self.request(
-            "check_batch", _idempotent=True, store=store, rows=list(rows)
-        )
+        return self.request("check_batch", store=store, rows=list(rows))
 
     def violating_pairs(
         self, store: str, dc: int, limit: int = 10_000
     ) -> dict[str, object]:
         """The actual violating ``(t, t')`` pairs of one DC (tile replay)."""
-        return self.request(
-            "violating_pairs", _idempotent=True, store=store, dc=dc, limit=limit
-        )
+        return self.request("violating_pairs", store=store, dc=dc, limit=limit)
 
     def tuple_scores(
         self, store: str, dc: int, ranking: bool = False
     ) -> dict[str, object]:
         """Per-tuple violation scores (and optionally the repair ranking)."""
-        return self.request(
-            "tuple_scores", _idempotent=True, store=store, dc=dc, ranking=ranking
-        )
+        return self.request("tuple_scores", store=store, dc=dc, ranking=ranking)
 
     def set_epsilon(self, store: str, epsilon: float) -> dict[str, object]:
         """Change the store's served epsilon (journaled when durable)."""
-        return self.request(
-            "set_epsilon", _idempotent=True, store=store, epsilon=epsilon
-        )
+        return self.request("set_epsilon", store=store, epsilon=epsilon)
 
     def stats(self) -> dict[str, object]:
         """Server-wide and per-store operational statistics."""
-        return self.request("stats", _idempotent=True)
+        return self.request("stats")
 
     def metrics(self, format: str = "json") -> dict[str, object]:
         """The server process's metrics registry.
@@ -348,4 +341,4 @@ class ServeClient:
         ``"metrics"``; ``format="text"`` returns the Prometheus text
         exposition under ``"text"``.
         """
-        return self.request("metrics", _idempotent=True, format=format)
+        return self.request("metrics", format=format)

@@ -16,6 +16,12 @@ server rather than an RPC shim:
   finalize evidence.  Read latency is independent of how much has been
   appended since the last finalize.
 
+Every op is declared once, in :data:`repro.serve.protocol.OPS`: its
+fields, whether it needs a store or installed constraints, where it runs,
+and whether it answers during a drain.  The dispatcher resolves all of
+that from the table and calls the op's ``_op_<name>`` handler with the
+parsed values.
+
 The heavyweight ops (``violating_pairs``, ``tuple_scores``, ``remine``)
 run on the store's *cached finalized snapshot* — ``EvidenceStore`` already
 caches ``evidence()`` and invalidates it on append — inside a worker
@@ -30,6 +36,7 @@ connections close.
 from __future__ import annotations
 
 import asyncio
+import functools
 import itertools
 import re
 import shutil
@@ -43,9 +50,7 @@ from repro.core.dc import DenialConstraint
 from repro.core.operators import Operator
 from repro.core.predicates import Predicate, PredicateForm
 from repro.data.relation import Relation
-from repro.data.types import ColumnType
 from repro.durability.journal import (
-    DEFAULT_DEDUP_WINDOW,
     DEFAULT_SNAPSHOT_BYTES,
     DedupWindow,
     RecoveryError,
@@ -65,11 +70,20 @@ from repro.obs.registry import get_registry as obs_get_registry
 from repro.obs.spans import Span
 from repro.serve import protocol
 from repro.serve.counters import ViolationCounters
+from repro.serve.protocol import RequestError
 from repro.serve.scheduler import AppendScheduler
 
 #: Per-connection pipelining bound: frames parked awaiting dispatch before
 #: the reader stops pulling from the socket.
-DEFAULT_MAX_PIPELINE = 64
+MAX_PIPELINE = 64
+
+#: Worker threads for blocking store work; at least 2 so one tenant's fold
+#: cannot starve another's snapshot query.
+EXECUTOR_THREADS = 4
+
+#: Requests slower than this are counted in ``repro_serve_slow_ops_total``
+#: and logged (with the span's segment breakdown when traced).
+SLOW_OP_SECONDS = 1.0
 
 #: Durable store names double as directory names, so they must be safe to
 #: join onto ``data_dir`` (no separators, no leading dot).
@@ -97,14 +111,6 @@ def constraint_specs(
             for predicate in dc.predicates
         ])
     return specs
-
-
-class _RequestError(Exception):
-    """Internal: a dispatch failure with a protocol error code."""
-
-    def __init__(self, code: str, message: str) -> None:
-        super().__init__(message)
-        self.code = code
 
 
 class StoreState:
@@ -151,7 +157,7 @@ def parse_predicate(spec: Mapping[str, object]) -> Predicate:
         right = str(spec["right"])
         operator = Operator(str(spec["op"]))
     except (KeyError, ValueError) as error:
-        raise _RequestError(
+        raise RequestError(
             protocol.BAD_REQUEST, f"bad predicate {spec!r}: {error}"
         ) from error
     form_text = spec.get("form")
@@ -165,13 +171,13 @@ def parse_predicate(spec: Mapping[str, object]) -> Predicate:
         try:
             form = PredicateForm(str(form_text))
         except ValueError as error:
-            raise _RequestError(
+            raise RequestError(
                 protocol.BAD_REQUEST, f"unknown predicate form {form_text!r}"
             ) from error
     try:
         return Predicate(left, operator, right, form)
     except ValueError as error:
-        raise _RequestError(protocol.BAD_REQUEST, str(error)) from error
+        raise RequestError(protocol.BAD_REQUEST, str(error)) from error
 
 
 class ViolationServer:
@@ -185,11 +191,6 @@ class ViolationServer:
     flush_window:
         Append-coalescing window per store (seconds; see
         :class:`~repro.serve.scheduler.AppendScheduler`).
-    max_pending_rows:
-        Backpressure bound on parked append rows per store.
-    executor_threads:
-        Worker threads for blocking store work; at least 2 so one tenant's
-        fold cannot starve another's snapshot query.
     cluster:
         Optional :class:`~repro.cluster.coordinator.ClusterCoordinator` or
         :class:`~repro.cluster.local.LocalCluster`; tenant folds then run
@@ -197,8 +198,6 @@ class ViolationServer:
         thread-safe, so tenants share it across executor threads).
     max_frame_bytes:
         Refusal bound for a single request/response frame.
-    max_pipeline:
-        Per-connection bounded-queue depth.
     data_dir:
         Optional durability root.  When set, every tenant store journals
         to ``data_dir/<name>/`` — appends are written ahead of every
@@ -215,18 +214,11 @@ class ViolationServer:
     max_rows_per_store:
         Optional per-tenant row quota, enforced by each store's
         append scheduler.
-    dedup_window:
-        Capacity of each store's idempotency window (keyed append
-        retries; active regardless of ``data_dir``).
     metrics_port:
         When set, a stdlib HTTP listener on ``(host, metrics_port)``
         serves the process metrics registry in Prometheus text
         exposition (``GET /metrics``); ``0`` lets the OS pick (read
         :attr:`metrics_address` after :meth:`start`).
-    slow_op_seconds:
-        Requests slower than this are counted in
-        ``repro_serve_slow_ops_total`` and logged (with the span's
-        segment breakdown when the request was traced).
     """
 
     def __init__(
@@ -234,27 +226,20 @@ class ViolationServer:
         host: str = "127.0.0.1",
         port: int = 0,
         flush_window: float = 0.0,
-        max_pending_rows: int = 100_000,
-        executor_threads: int = 4,
         cluster: object | None = None,
         max_frame_bytes: int = protocol.MAX_FRAME_BYTES,
-        max_pipeline: int = DEFAULT_MAX_PIPELINE,
         data_dir: str | Path | None = None,
         fsync: str = "commit",
         snapshot_every_bytes: int = DEFAULT_SNAPSHOT_BYTES,
         max_stores: int | None = None,
         max_rows_per_store: int | None = None,
-        dedup_window: int = DEFAULT_DEDUP_WINDOW,
         metrics_port: int | None = None,
-        slow_op_seconds: float = 1.0,
     ) -> None:
         self.host = host
         self.port = int(port)
         self.flush_window = float(flush_window)
-        self.max_pending_rows = int(max_pending_rows)
         self.cluster = cluster
         self.max_frame_bytes = int(max_frame_bytes)
-        self.max_pipeline = int(max_pipeline)
         self.data_dir = None if data_dir is None else Path(data_dir)
         self.fsync = str(fsync)
         self.snapshot_every_bytes = int(snapshot_every_bytes)
@@ -262,14 +247,12 @@ class ViolationServer:
         self.max_rows_per_store = (
             None if max_rows_per_store is None else int(max_rows_per_store)
         )
-        self.dedup_window = int(dedup_window)
         self.metrics_port = None if metrics_port is None else int(metrics_port)
-        self.slow_op_seconds = float(slow_op_seconds)
         self._metrics_httpd: MetricsHTTPServer | None = None
         self._log = get_logger()
         self.recovery_failures: dict[str, str] = {}
         self._executor = ThreadPoolExecutor(
-            max_workers=max(2, int(executor_threads)),
+            max_workers=EXECUTOR_THREADS,
             thread_name_prefix="repro-serve",
         )
         self._stores: dict[str, StoreState | None] = {}  # None = being created
@@ -279,22 +262,6 @@ class ViolationServer:
         self._stopped = asyncio.Event()
         self._started_at = time.monotonic()
         self.requests_served = 0
-        self._handlers = {
-            "ping": self._op_ping,
-            "create_store": self._op_create_store,
-            "drop_store": self._op_drop_store,
-            "append": self._op_append,
-            "remine": self._op_remine,
-            "declare": self._op_declare,
-            "violations": self._op_violations,
-            "report": self._op_report,
-            "check_batch": self._op_check_batch,
-            "violating_pairs": self._op_violating_pairs,
-            "tuple_scores": self._op_tuple_scores,
-            "set_epsilon": self._op_set_epsilon,
-            "stats": self._op_stats,
-            "metrics": self._op_metrics,
-        }
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -357,19 +324,9 @@ class ViolationServer:
                     "recovery_failed", store=child.name, error=str(error)
                 )
                 continue
-            dedup = DedupWindow(self.dedup_window)
-            dedup.load(recovered.dedup_entries)
-            lock = asyncio.Lock()
-            scheduler = AppendScheduler(
-                recovered.store, lock, self._executor,
-                flush_window=self.flush_window,
-                max_pending_rows=self.max_pending_rows,
-                max_rows=self.max_rows_per_store,
-                journal=recovered.journal, dedup=dedup,
-            )
-            state = StoreState(
-                recovered.name, recovered.store, scheduler, lock,
-                journal=recovered.journal, dedup=dedup,
+            state = self._new_state(
+                recovered.name, recovered.store, recovered.journal,
+                recovered.dedup_entries,
             )
             state.recovery = recovered.stats.jsonable()
             if recovered.constraint_specs:
@@ -378,8 +335,9 @@ class ViolationServer:
                         DenialConstraint(parse_predicate(p) for p in spec)
                         for spec in recovered.constraint_specs
                     ]
+                    epsilon = recovered.epsilon
                     self._install_constraints(
-                        state, constraints, recovered.epsilon or 0.01,
+                        state, constraints, 0.01 if epsilon is None else epsilon,
                         source=recovered.constraint_source or "declared",
                         journal=False,  # replaying, not a new declaration
                     )
@@ -400,6 +358,25 @@ class ViolationServer:
                 "store_recovered", store=recovered.name,
                 n_rows=recovered.store.n_rows, **(state.recovery or {}),
             )
+
+    def _new_state(
+        self,
+        name: str,
+        store: EvidenceStore,
+        journal: StoreJournal | None,
+        dedup_entries: Sequence[Sequence[object]] = (),
+    ) -> StoreState:
+        """Wrap a built or recovered store in its lock, scheduler and dedup."""
+        dedup = DedupWindow()
+        dedup.load(dedup_entries)
+        lock = asyncio.Lock()
+        scheduler = AppendScheduler(
+            store, lock, self._executor,
+            flush_window=self.flush_window,
+            max_rows=self.max_rows_per_store,
+            journal=journal, dedup=dedup,
+        )
+        return StoreState(name, store, scheduler, lock, journal=journal, dedup=dedup)
 
     @property
     def address(self) -> tuple[str, int]:
@@ -494,7 +471,7 @@ class ViolationServer:
         obs_metrics.SERVE_CONNECTIONS_TOTAL.inc()
         obs_metrics.SERVE_CONNECTIONS.inc()
         self._log.debug("connection_open", peer=peer)
-        queue: asyncio.Queue = asyncio.Queue(maxsize=self.max_pipeline)
+        queue: asyncio.Queue = asyncio.Queue(maxsize=MAX_PIPELINE)
         worker = asyncio.create_task(self._connection_worker(queue, writer))
         try:
             while True:
@@ -551,9 +528,9 @@ class ViolationServer:
 
         Every dispatch lands in ``repro_serve_requests_total{op,store,code}``
         and the per-op latency histogram.  A request carrying a ``trace``
-        field gets a :class:`~repro.obs.spans.Span` (under ``"_span"``, an
-        internal key handlers pick up); its segment breakdown rides back on
-        the ok response under ``"trace"``, with the unattributed serve-path
+        field gets a :class:`~repro.obs.spans.Span`, handed to the ops that
+        declare ``trace``; its segment breakdown rides back on the ok
+        response under ``"trace"``, with the unattributed serve-path
         remainder reported as the ``ack`` segment.
         """
         request_id = message.get("id")
@@ -567,64 +544,43 @@ class ViolationServer:
         # drop_store removes the entry before metrics are recorded below,
         # so remember that the name was real.
         store_known = isinstance(store_field, str) and store_field in self._stores
-        # "_span" is a reserved internal key: drop whatever the client sent
-        # so handlers can only ever see a genuine Span installed here.
-        message.pop("_span", None)
         span: Span | None = None
         trace = message.get("trace")
         if trace:
             trace_id = trace if isinstance(trace, str) else obs_spans.new_trace_id()
             span = Span(trace_id, op=op_label, store=store_label or None)
-            message["_span"] = span
         code = "ok"
-        handler = self._handlers.get(op) if isinstance(op, str) else None
-        if handler is None:
-            code = protocol.UNKNOWN_OP
-            response = protocol.error_response(
-                request_id, protocol.UNKNOWN_OP,
-                f"unknown op {op!r}; supported: {sorted(self._handlers)}",
+        spec = protocol.OPS.get(op) if isinstance(op, str) else None
+        try:
+            if spec is None:
+                raise RequestError(
+                    protocol.UNKNOWN_OP,
+                    f"unknown op {op!r}; supported: {sorted(protocol.OPS)}",
+                )
+            if self._stopping and not spec.drain_safe:
+                raise RequestError(protocol.SHUTTING_DOWN, "server is draining")
+            fields = await self._run_op(spec, message, span)
+            response = protocol.ok_response(request_id, **fields)
+        except RequestError as error:
+            code, detail = error.code, str(error)
+        except protocol.QuotaExceeded as error:
+            code, detail = protocol.QUOTA_EXCEEDED, str(error)
+        except (KeyError, ValueError, TypeError, IndexError) as error:
+            code, detail = protocol.BAD_REQUEST, f"{type(error).__name__}: {error}"
+        except Exception as error:  # noqa: BLE001 - must answer, not die
+            code, detail = protocol.INTERNAL, f"{type(error).__name__}: {error}"
+            self._log.error(
+                "request_failed", op=op_label, store=store_label,
+                code=code, error=detail,
             )
-        elif self._stopping and op not in ("ping", "stats", "metrics"):
-            code = protocol.SHUTTING_DOWN
-            response = protocol.error_response(
-                request_id, protocol.SHUTTING_DOWN, "server is draining"
-            )
-        else:
-            try:
-                fields = await handler(message)
-                response = protocol.ok_response(request_id, **fields)
-            except _RequestError as error:
-                code = error.code
-                response = protocol.error_response(
-                    request_id, error.code, str(error)
-                )
-            except protocol.QuotaExceeded as error:
-                code = protocol.QUOTA_EXCEEDED
-                response = protocol.error_response(
-                    request_id, protocol.QUOTA_EXCEEDED, str(error)
-                )
-            except (KeyError, ValueError, TypeError, IndexError) as error:
-                code = protocol.BAD_REQUEST
-                response = protocol.error_response(
-                    request_id, protocol.BAD_REQUEST,
-                    f"{type(error).__name__}: {error}",
-                )
-            except Exception as error:  # noqa: BLE001 - must answer, not die
-                code = protocol.INTERNAL
-                response = protocol.error_response(
-                    request_id, protocol.INTERNAL,
-                    f"{type(error).__name__}: {error}",
-                )
-                self._log.error(
-                    "request_failed", op=op_label, store=store_label,
-                    code=code, error=f"{type(error).__name__}: {error}",
-                )
+        if code != "ok":
+            response = protocol.error_response(request_id, code, detail)
         duration = time.perf_counter() - started
         # Metric labels must stay low-cardinality: only ops/stores the
         # server actually knows get their own series, everything a client
         # invented collapses into a sentinel (create_store makes the name
         # real by now, hence the second membership check).
-        metric_op = op if handler is not None else "_unknown"
+        metric_op = op if spec is not None else "_unknown"
         if store_field is None:
             metric_store = ""
         elif store_known or (
@@ -643,7 +599,7 @@ class ViolationServer:
             trace_payload["seconds"] = round(duration, 9)
             if code == "ok":
                 response["trace"] = trace_payload
-        if duration >= self.slow_op_seconds:
+        if duration >= SLOW_OP_SECONDS:
             obs_metrics.SERVE_SLOW_OPS.inc_labels(metric_op)
             self._log.warning(
                 "slow_op", op=op_label, store=store_label, code=code,
@@ -652,59 +608,53 @@ class ViolationServer:
             )
         return response
 
-    # ------------------------------------------------------------------
-    # Request helpers
-    # ------------------------------------------------------------------
-    def _state(self, message: Mapping[str, object]) -> StoreState:
-        name = message.get("store")
-        if not isinstance(name, str) or not name:
-            raise _RequestError(protocol.BAD_REQUEST, "missing 'store' field")
-        state = self._stores.get(name)
-        if state is None:
-            raise _RequestError(protocol.UNKNOWN_STORE, f"no store named {name!r}")
-        return state
+    async def _run_op(
+        self, spec: protocol.Op, message: Mapping[str, object], span: Span | None
+    ) -> dict:
+        """Resolve one op's store and fields per its table entry, then run it.
 
-    @staticmethod
-    def _service(state: StoreState) -> ViolationService:
-        if state.service is None:
-            raise _RequestError(
-                protocol.NO_CONSTRAINTS,
-                f"store {state.name!r} has no constraints installed; "
-                "run 'remine' or 'declare' first",
-            )
-        return state.service
-
-    @staticmethod
-    def _span_field(message: Mapping[str, object]) -> Span | None:
-        """The request's Span, or None — never a client-smuggled value.
-
-        ``_dispatch`` already strips inbound ``"_span"`` keys; this guard
-        keeps a stray dict from reaching span-consuming code even if a new
-        entry point forgets to.
+        ``_op_<name>`` receives the parsed fields by name, plus ``state``
+        (store-bound ops), ``service`` (constraint-bound ops) and ``span``
+        (unlocked ops declaring ``trace``; locked ones run inside it).
+        Locked handlers are plain functions run on the executor under the
+        store lock; the rest are coroutines on the event loop.
         """
-        span = message.get("_span")
-        return span if isinstance(span, Span) else None
-
-    @staticmethod
-    def _rows_field(message: Mapping[str, object]) -> list[dict]:
-        rows = message.get("rows")
-        if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
-            raise _RequestError(
-                protocol.BAD_REQUEST, "'rows' must be a list of {column: value} objects"
-            )
-        return rows
-
-    @staticmethod
-    def _dc_index(message: Mapping[str, object], service: ViolationService) -> int:
-        dc = message.get("dc")
-        if not isinstance(dc, int) or isinstance(dc, bool):
-            raise _RequestError(protocol.BAD_REQUEST, "'dc' must be an integer index")
-        if not 0 <= dc < len(service.constraints):
-            raise _RequestError(
+        args: dict[str, object] = {}
+        state: StoreState | None = None
+        if spec.store:
+            name = protocol.parse_store_name(message.get("store"))
+            state = args["state"] = self._stores.get(name)
+            if state is None:  # unknown, or still being created
+                raise RequestError(protocol.UNKNOWN_STORE, f"no store named {name!r}")
+        if spec.constraints:
+            if state.service is None:
+                raise RequestError(
+                    protocol.NO_CONSTRAINTS,
+                    f"store {state.name!r} has no constraints installed; "
+                    "run 'remine' or 'declare' first",
+                )
+            args["service"] = state.service
+        for field in spec.fields:
+            if field.parse is not None:
+                args[field.name] = field.read(message)
+        if "dc" in args and not 0 <= args["dc"] < len(state.service.constraints):
+            raise RequestError(
                 protocol.BAD_REQUEST,
-                f"dc index {dc} out of range for {len(service.constraints)} constraints",
+                f"dc index {args['dc']} out of range for "
+                f"{len(state.service.constraints)} constraints",
             )
-        return dc
+        handler = getattr(self, f"_op_{spec.name}")
+        if protocol.TRACE not in spec.fields:
+            span = None
+        if spec.locked:
+            fields = await self._run_locked(
+                state, functools.partial(handler, **args), span
+            )
+        else:
+            if protocol.TRACE in spec.fields:
+                args["span"] = span
+            fields = await handler(**args)
+        return fields if state is None else {"store": state.name, **fields}
 
     async def _run_locked(self, state: StoreState, fn, span: Span | None = None):
         """Run blocking store work on the executor under the store's lock.
@@ -752,15 +702,14 @@ class ViolationServer:
         state.service = service
         state.counters = counters_box[0]
         return {
-            "store": state.name,
             "constraints": [str(dc) for dc in service.constraints],
             "epsilon": service.epsilon,
         }
 
     # ------------------------------------------------------------------
-    # Ops
+    # Ops: one handler per protocol.OPS entry, called by _run_op
     # ------------------------------------------------------------------
-    async def _op_ping(self, message: Mapping[str, object]) -> dict:
+    async def _op_ping(self) -> dict:
         return {
             "server": "repro-serve",
             "protocol": protocol.PROTOCOL_VERSION,
@@ -768,41 +717,30 @@ class ViolationServer:
             "stopping": self._stopping,
         }
 
-    async def _op_create_store(self, message: Mapping[str, object]) -> dict:
-        name = message.get("store")
-        if not isinstance(name, str) or not name:
-            raise _RequestError(protocol.BAD_REQUEST, "missing 'store' field")
-        rows = self._rows_field(message)
+    async def _op_create_store(
+        self, store: str, rows: list[dict], types: dict
+    ) -> dict:
+        name = store
         if not rows:
-            raise _RequestError(
+            raise RequestError(
                 protocol.BAD_REQUEST, "'rows' must seed at least one row"
             )
-        types_field = message.get("types") or {}
-        if not isinstance(types_field, dict):
-            raise _RequestError(protocol.BAD_REQUEST, "'types' must be an object")
-        try:
-            types = {
-                column: ColumnType(str(type_name))
-                for column, type_name in types_field.items()
-            }
-        except ValueError as error:
-            raise _RequestError(protocol.BAD_REQUEST, str(error)) from error
         if self.data_dir is not None and not _STORE_NAME.match(name):
-            raise _RequestError(
+            raise RequestError(
                 protocol.BAD_REQUEST,
                 f"store name {name!r} is not durable-safe: names double as "
                 "directory names (letters, digits, '_', '.', '-'; no "
                 "leading '.')",
             )
         if name in self._stores:
-            raise _RequestError(
+            raise RequestError(
                 protocol.STORE_EXISTS, f"store {name!r} already exists"
             )
         if (
             self.max_stores is not None
             and len(self._stores) >= self.max_stores
         ):
-            raise _RequestError(
+            raise RequestError(
                 protocol.QUOTA_EXCEEDED,
                 f"server caps live stores at {self.max_stores}",
             )
@@ -810,7 +748,7 @@ class ViolationServer:
             self.max_rows_per_store is not None
             and len(rows) > self.max_rows_per_store
         ):
-            raise _RequestError(
+            raise RequestError(
                 protocol.QUOTA_EXCEEDED,
                 f"seed of {len(rows)} rows exceeds the "
                 f"{self.max_rows_per_store}-row per-store quota",
@@ -821,7 +759,7 @@ class ViolationServer:
 
         def build() -> StoreState:
             relation = Relation.from_records(name, rows, types or None)
-            store = EvidenceStore(relation, cluster=self.cluster)
+            evidence_store = EvidenceStore(relation, cluster=self.cluster)
             journal = None
             if self.data_dir is not None:
                 # Journal the creation only after the store accepted the
@@ -832,17 +770,7 @@ class ViolationServer:
                     fsync=self.fsync,
                     snapshot_every_bytes=self.snapshot_every_bytes,
                 )
-            dedup = DedupWindow(self.dedup_window)
-            lock = asyncio.Lock()
-            scheduler = AppendScheduler(
-                store, lock, self._executor,
-                flush_window=self.flush_window,
-                max_pending_rows=self.max_pending_rows,
-                max_rows=self.max_rows_per_store,
-                journal=journal, dedup=dedup,
-            )
-            return StoreState(name, store, scheduler, lock,
-                              journal=journal, dedup=dedup)
+            return self._new_state(name, evidence_store, journal)
 
         try:
             state = await asyncio.get_running_loop().run_in_executor(
@@ -860,8 +788,7 @@ class ViolationServer:
             "durable": state.journal is not None,
         }
 
-    async def _op_drop_store(self, message: Mapping[str, object]) -> dict:
-        state = self._state(message)
+    async def _op_drop_store(self, state: StoreState) -> dict:
         await state.scheduler.drain()
         del self._stores[state.name]
 
@@ -871,150 +798,96 @@ class ViolationServer:
                 shutil.rmtree(self.data_dir / state.name, ignore_errors=True)
 
         await asyncio.get_running_loop().run_in_executor(self._executor, teardown)
-        return {"store": state.name, "dropped": True}
+        return {"dropped": True}
 
-    async def _op_append(self, message: Mapping[str, object]) -> dict:
-        state = self._state(message)
-        rows = self._rows_field(message)
-        request_key = message.get("request_key")
-        if request_key is not None and not isinstance(request_key, str):
-            raise _RequestError(
-                protocol.BAD_REQUEST, "'request_key' must be a string"
-            )
-        result = await state.scheduler.append(
-            rows, request_key=request_key, span=self._span_field(message)
-        )
-        return {"store": state.name, **result}
+    async def _op_append(
+        self, state: StoreState, rows: list[dict], request_key: str | None,
+        span: Span | None,
+    ) -> dict:
+        return await state.scheduler.append(rows, request_key=request_key, span=span)
 
-    async def _op_set_epsilon(self, message: Mapping[str, object]) -> dict:
+    def _op_set_epsilon(
+        self, state: StoreState, service: ViolationService, epsilon: float
+    ) -> dict:
         """Change the served epsilon without re-installing constraints."""
-        state = self._state(message)
-        service = self._service(state)
-        try:
-            epsilon = float(message["epsilon"])
-        except (KeyError, TypeError, ValueError) as error:
-            raise _RequestError(
-                protocol.BAD_REQUEST, f"bad 'epsilon': {error}"
-            ) from error
+        if state.journal is not None:
+            state.journal.log_epsilon(epsilon)  # write-ahead of the swap
+        service.epsilon = epsilon
+        return {"epsilon": epsilon}
 
-        def apply() -> dict[str, object]:
-            if state.journal is not None:
-                state.journal.log_epsilon(epsilon)  # write-ahead of the swap
-            service.epsilon = epsilon
-            return {"store": state.name, "epsilon": epsilon}
+    def _op_remine(
+        self, state: StoreState, epsilon: float, function: str,
+        max_dc_size: int | None, limit: int | None,
+    ) -> dict:
+        adcs = state.store.remine(epsilon, function, max_dc_size=max_dc_size)
+        if limit is not None:
+            adcs = adcs[:limit]
+        fields = {**self._install_constraints(state, adcs, epsilon, source="mined"),
+                  "mined": len(adcs)}
+        stats = state.store.last_enumeration_statistics
+        if stats is not None:
+            fields["enumeration"] = {
+                "recursive_calls": stats.recursive_calls,
+                "hit_branches": stats.hit_branches,
+                "skip_branches": stats.skip_branches,
+                "pruned_by_willcover": stats.pruned_by_willcover,
+                "pruned_by_criticality": stats.pruned_by_criticality,
+                "minimality_checks": stats.minimality_checks,
+                "outputs": stats.outputs,
+                "elapsed_seconds": stats.elapsed_seconds,
+                "nodes_per_second": stats.nodes_per_second,
+                "extra": dict(stats.extra),
+            }
+        return fields
 
-        return await self._run_locked(state, apply)
-
-    async def _op_remine(self, message: Mapping[str, object]) -> dict:
-        state = self._state(message)
-        epsilon = float(message.get("epsilon", 0.01))
-        function = str(message.get("function", "f1"))
-        max_dc_size = message.get("max_dc_size")
-        limit = message.get("limit")
-
-        def mine() -> dict[str, object]:
-            adcs = state.store.remine(
-                epsilon, function,
-                max_dc_size=None if max_dc_size is None else int(max_dc_size),
-            )
-            if limit is not None:
-                adcs = adcs[: int(limit)]
-            fields = {**self._install_constraints(state, adcs, epsilon,
-                                                  source="mined"),
-                      "mined": len(adcs)}
-            stats = state.store.last_enumeration_statistics
-            if stats is not None:
-                fields["enumeration"] = {
-                    "recursive_calls": stats.recursive_calls,
-                    "hit_branches": stats.hit_branches,
-                    "skip_branches": stats.skip_branches,
-                    "pruned_by_willcover": stats.pruned_by_willcover,
-                    "pruned_by_criticality": stats.pruned_by_criticality,
-                    "minimality_checks": stats.minimality_checks,
-                    "outputs": stats.outputs,
-                    "elapsed_seconds": stats.elapsed_seconds,
-                    "nodes_per_second": stats.nodes_per_second,
-                    "extra": dict(stats.extra),
-                }
-            return fields
-
-        return await self._run_locked(state, mine, span=self._span_field(message))
-
-    async def _op_declare(self, message: Mapping[str, object]) -> dict:
+    def _op_declare(
+        self, state: StoreState, constraints: list[list], epsilon: float
+    ) -> dict:
         """Install hand-written DCs (each a list of predicate specs)."""
-        state = self._state(message)
-        epsilon = float(message.get("epsilon", 0.01))
-        specs = message.get("constraints")
-        if not isinstance(specs, list) or not specs:
-            raise _RequestError(
-                protocol.BAD_REQUEST,
-                "'constraints' must be a non-empty list of predicate-spec lists",
-            )
-        constraints: list[DenialConstraint] = []
-        for spec in specs:
-            if not isinstance(spec, list) or not spec:
-                raise _RequestError(
-                    protocol.BAD_REQUEST,
-                    "each constraint must be a non-empty list of predicate specs",
-                )
-            constraints.append(DenialConstraint(parse_predicate(p) for p in spec))
+        parsed = [
+            DenialConstraint(parse_predicate(p) for p in spec) for spec in constraints
+        ]
         space = state.store.space
-        for constraint in constraints:
+        for constraint in parsed:
             for predicate in constraint.predicates:
                 if predicate not in space:
-                    raise _RequestError(
+                    raise RequestError(
                         protocol.BAD_REQUEST,
                         f"predicate {predicate} is outside the store's "
                         f"predicate space",
                     )
+        return self._install_constraints(state, parsed, epsilon)
 
-        def install() -> dict[str, object]:
-            return self._install_constraints(state, constraints, epsilon)
-
-        return await self._run_locked(state, install)
-
-    def _counter_report(self, state: StoreState, index: int) -> dict[str, object]:
-        snapshot = state.counters.snapshot()
-        return {
-            "dc": index,
-            "constraint": str(state.service.constraints[index]),
-            "count": snapshot.counts[index],
-            "total_pairs": snapshot.total_pairs,
-            "rate": snapshot.rate(index),
-            "n_rows": snapshot.n_rows,
-        }
-
-    async def _op_violations(self, message: Mapping[str, object]) -> dict:
-        state = self._state(message)
-        service = self._service(state)
-        index = self._dc_index(message, service)
-        mode = message.get("mode", "counters")
-        if mode == "counters":
-            return {"store": state.name, **self._counter_report(state, index)}
+    async def _op_violations(
+        self, state: StoreState, service: ViolationService, dc: int, mode: str
+    ) -> dict:
         if mode == "finalize":
             # Benchmark baseline, deliberately kept: answer off a fresh
             # finalize of the store's evidence instead of the counters.
             def read() -> dict[str, object]:
-                report = service.violations(index)
+                report = service.violations(dc)
                 return {
-                    "dc": index,
+                    "dc": dc,
                     "constraint": str(report.constraint),
                     "count": report.count,
                     "total_pairs": report.total_pairs,
                     "rate": report.rate,
                     "n_rows": state.store.n_rows,
                 }
-            return {"store": state.name, **await self._run_locked(state, read)}
-        raise _RequestError(
-            protocol.BAD_REQUEST, f"unknown mode {mode!r} (counters|finalize)"
-        )
-
-    async def _op_report(self, message: Mapping[str, object]) -> dict:
-        state = self._state(message)
-        service = self._service(state)
+            return await self._run_locked(state, read)
         snapshot = state.counters.snapshot()
         return {
-            "store": state.name,
+            "dc": dc,
+            "constraint": str(service.constraints[dc]),
+            "count": snapshot.counts[dc],
+            "total_pairs": snapshot.total_pairs,
+            "rate": snapshot.rate(dc),
+            "n_rows": snapshot.n_rows,
+        }
+
+    async def _op_report(self, state: StoreState, service: ViolationService) -> dict:
+        snapshot = state.counters.snapshot()
+        return {
             "n_rows": snapshot.n_rows,
             "total_pairs": snapshot.total_pairs,
             "report": [
@@ -1029,13 +902,12 @@ class ViolationServer:
             ],
         }
 
-    async def _op_check_batch(self, message: Mapping[str, object]) -> dict:
-        state = self._state(message)
-        service = self._service(state)
-        rows = self._rows_field(message)
-
-        def check() -> list[dict[str, object]]:
-            return [
+    def _op_check_batch(
+        self, state: StoreState, service: ViolationService, rows: list[dict]
+    ) -> dict:
+        return {
+            "epsilon": service.epsilon,
+            "rows": [
                 {
                     "row": admission.row_index,
                     "rates": list(admission.rates),
@@ -1043,51 +915,28 @@ class ViolationServer:
                     "admissible": admission.admissible,
                 }
                 for admission in service.check_batch(rows)
-            ]
-
-        return {
-            "store": state.name,
-            "epsilon": service.epsilon,
-            "rows": await self._run_locked(state, check),
+            ],
         }
 
-    async def _op_violating_pairs(self, message: Mapping[str, object]) -> dict:
-        state = self._state(message)
-        service = self._service(state)
-        index = self._dc_index(message, service)
-        limit = int(message.get("limit", 10_000))
-        if limit < 1:
-            raise _RequestError(protocol.BAD_REQUEST, "'limit' must be positive")
+    def _op_violating_pairs(
+        self, state: StoreState, service: ViolationService, dc: int, limit: int
+    ) -> dict:
+        pairs = list(itertools.islice(service.violating_pairs(dc), limit + 1))
+        return {
+            "dc": dc,
+            "pairs": [[left, right] for left, right in pairs[:limit]],
+            "truncated": len(pairs) > limit,
+        }
 
-        def replay() -> dict[str, object]:
-            pairs = list(itertools.islice(service.violating_pairs(index), limit + 1))
-            truncated = len(pairs) > limit
-            return {
-                "dc": index,
-                "pairs": [[left, right] for left, right in pairs[:limit]],
-                "truncated": truncated,
-            }
+    def _op_tuple_scores(
+        self, state: StoreState, service: ViolationService, dc: int, ranking: bool
+    ) -> dict:
+        fields: dict[str, object] = {"dc": dc, "scores": service.tuple_scores(dc)}
+        if ranking:
+            fields["ranking"] = service.repair_ranking(dc)
+        return fields
 
-        return {"store": state.name, **await self._run_locked(state, replay)}
-
-    async def _op_tuple_scores(self, message: Mapping[str, object]) -> dict:
-        state = self._state(message)
-        service = self._service(state)
-        index = self._dc_index(message, service)
-        want_ranking = bool(message.get("ranking", False))
-
-        def score() -> dict[str, object]:
-            fields: dict[str, object] = {
-                "dc": index,
-                "scores": service.tuple_scores(index),
-            }
-            if want_ranking:
-                fields["ranking"] = service.repair_ranking(index)
-            return fields
-
-        return {"store": state.name, **await self._run_locked(state, score)}
-
-    async def _op_stats(self, message: Mapping[str, object]) -> dict:
+    async def _op_stats(self) -> dict:
         stores: dict[str, object] = {}
         for name, state in self._stores.items():
             if state is None:
@@ -1152,7 +1001,7 @@ class ViolationServer:
             }
         return fields
 
-    async def _op_metrics(self, message: Mapping[str, object]) -> dict:
+    async def _op_metrics(self, format: str) -> dict:
         """Dump the process metrics registry over the wire protocol.
 
         ``format: "json"`` (default) returns the structured snapshot;
@@ -1160,12 +1009,6 @@ class ViolationServer:
         endpoint serves, for clients without a scraper.
         """
         registry = obs_get_registry()
-        format_field = message.get("format", "json")
-        if format_field not in ("json", "text"):
-            raise _RequestError(
-                protocol.BAD_REQUEST,
-                f"unknown format {format_field!r} (json|text)",
-            )
         # Cluster-backed servers answer with the federated view: worker
         # registries pulled over the fabric (never blocking a running
         # fold — see ClusterCoordinator.pull_metrics), each snapshot
@@ -1177,7 +1020,7 @@ class ViolationServer:
             workers = await loop.run_in_executor(
                 self._executor, lambda: coordinator.pull_metrics(timeout=0.5)
             )
-        if format_field == "text":
+        if format == "text":
             text = (
                 render_federated(registry, workers)
                 if workers

@@ -115,6 +115,27 @@ class TestRestartRecovery:
                 assert check["epsilon"] == 0.42
                 assert report["report"]  # constraints are installed
 
+    @pytest.mark.parametrize("how", ["declare", "set_epsilon"])
+    def test_zero_epsilon_survives_restart(self, tmp_path, how):
+        rows, types = example_rows()
+        with ServerThread(data_dir=tmp_path) as (host, port):
+            with ServeClient(host, port) as client:
+                client.create_store("people", rows, types)
+                if how == "declare":
+                    client.declare("people", SPECS, epsilon=0.0)
+                else:
+                    client.declare("people", SPECS, epsilon=0.05)
+                    client.set_epsilon("people", 0.0)
+                assert client.check_batch("people", rows[:1])["epsilon"] == 0.0
+        with ServerThread(data_dir=tmp_path) as (host, port):
+            with ServeClient(host, port) as client:
+                assert client.check_batch("people", rows[:1])["epsilon"] == 0.0
+                report = client.report("people")["report"]
+                # At epsilon 0 every violated DC exceeds it.
+                assert any(entry["count"] > 0 for entry in report)
+                for entry in report:
+                    assert entry["exceeds_epsilon"] == (entry["count"] > 0)
+
     def test_snapshot_compaction_under_small_threshold(self, tmp_path):
         rows, types = example_rows()
         with ServerThread(data_dir=tmp_path, snapshot_every_bytes=64) as (host, port):

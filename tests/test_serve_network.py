@@ -11,6 +11,7 @@ the same data.  The push-based read path additionally asserts the
 from __future__ import annotations
 
 import asyncio
+import itertools
 import os
 import re
 import signal
@@ -18,7 +19,9 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -561,3 +564,211 @@ class TestMainEntryPoint:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=10)
+
+
+# ----------------------------------------------------------------------
+# The op table, pinned to observed behaviour over the wire
+# ----------------------------------------------------------------------
+OPS = protocol.OPS
+
+#: A valid value for every field any op declares (a new field needs one).
+SAMPLE_FIELDS = {
+    "dc": 0, "epsilon": 0.1, "limit": 5, "max_dc_size": 2,
+    "request_key": "table-key", "types": {}, "function": "f1",
+    "mode": "counters", "ranking": False, "format": "json", "trace": True,
+    "constraints": [[
+        {"left": "State", "op": "==", "right": "State"},
+        {"left": "Zip", "op": "!=", "right": "Zip"},
+    ]],
+}
+
+
+def sample_request(name, store, relation):
+    """Valid fields for op ``name`` against ``store``."""
+    values = {**SAMPLE_FIELDS, "store": store,
+              "rows": plain_rows(relation, range(8, 10))}
+    return {field.name: values[field.name] for field in OPS[name].fields}
+
+
+def wait_until(condition, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.001)
+
+
+def error_code(client, name, **fields):
+    with pytest.raises(ServeError) as excinfo:
+        client.request(name, **fields)
+    return excinfo.value.code
+
+
+class TestOpTable:
+    @pytest.mark.parametrize(
+        "name", [n for n, op in OPS.items() if any(f.name == "store" for f in op.fields)],
+    )
+    def test_store_field_is_required(self, client, mined, name):
+        request = sample_request(name, "unused", mined[0])
+        del request["store"]
+        assert error_code(client, name, **request) == protocol.BAD_REQUEST
+
+    @pytest.mark.parametrize("name", [n for n, op in OPS.items() if op.store])
+    def test_unknown_store_is_refused(self, client, mined, name):
+        request = sample_request(name, "table_no_such_store", mined[0])
+        assert error_code(client, name, **request) == protocol.UNKNOWN_STORE
+
+    @pytest.mark.parametrize("name", [n for n, op in OPS.items() if op.store])
+    def test_constraint_flag_matches_behaviour(self, client, mined, name):
+        relation = mined[0]
+        store = f"table_{name}"
+        client.create_store(store, plain_rows(relation, range(8)))
+        try:
+            request = sample_request(name, store, relation)
+            if OPS[name].constraints:
+                code = error_code(client, name, **request)
+                assert code == protocol.NO_CONSTRAINTS
+            else:
+                assert client.request(name, **request)["ok"] is True
+        finally:
+            if name != "drop_store":
+                client.drop_store(store)
+
+    def test_drain_answers_only_drain_safe_ops(self, mined):
+        relation = mined[0]
+        # A parked append holds the drain open for the flush window while
+        # connections stay up, so requests can arrive mid-drain.
+        thread = ServerThread(flush_window=3.0)
+        appender = ServeClient(*thread.address)
+        late = ServeClient(*thread.address)
+        try:
+            appender.create_store("draining", plain_rows(relation, range(8)))
+            late.ping()
+            state = thread.server._stores["draining"]
+            parked = threading.Thread(
+                target=appender.append,
+                args=("draining", plain_rows(relation, [8])),
+            )
+            parked.start()
+            wait_until(lambda: state.scheduler.pending_requests == 1)
+            stopper = threading.Thread(target=thread.stop)
+            stopper.start()
+            wait_until(lambda: thread.server._stopping)
+            answered = {}
+            for name in OPS:
+                try:
+                    late.request(name, **sample_request(name, "draining", relation))
+                    answered[name] = "ok"
+                except ServeError as error:
+                    answered[name] = error.code
+            assert answered == {
+                name: "ok" if op.drain_safe else protocol.SHUTTING_DOWN
+                for name, op in OPS.items()
+            }
+            parked.join(timeout=30)
+            stopper.join(timeout=30)
+            assert not parked.is_alive() and not stopper.is_alive()
+            assert state.store.n_rows == 9  # the parked append committed
+        finally:
+            appender.close()
+            late.close()
+            thread.stop()
+
+
+class TestFieldValidation:
+    """Wire epsilon, limit and max_dc_size are refused, not half-applied."""
+
+    @pytest.fixture(scope="class")
+    def declared(self, client, mined):
+        client.create_store("fields", plain_rows(mined[0], range(10)))
+        client.declare("fields", SAMPLE_FIELDS["constraints"], epsilon=0.2)
+        yield "fields"
+        client.drop_store("fields")
+
+    @staticmethod
+    def served(client, store):
+        report = client.report(store)["report"]
+        epsilon = client.check_batch(store, [])["epsilon"]
+        return [entry["constraint"] for entry in report], epsilon
+
+    def assert_refused(self, client, store, name, **fields):
+        before = self.served(client, store)
+        assert error_code(client, name, store=store, **fields) == protocol.BAD_REQUEST
+        assert self.served(client, store) == before
+
+    @pytest.mark.parametrize("name", ["set_epsilon", "declare", "remine"])
+    @pytest.mark.parametrize(
+        "epsilon", [-1, -0.01, 1.5, float("nan"), float("inf"), True, "0.1"]
+    )
+    def test_epsilon(self, client, declared, name, epsilon):
+        fields = {"epsilon": epsilon}
+        if name == "declare":
+            fields["constraints"] = SAMPLE_FIELDS["constraints"]
+        self.assert_refused(client, declared, name, **fields)
+
+    @pytest.mark.parametrize("name", ["remine", "violating_pairs"])
+    @pytest.mark.parametrize("limit", [0, -1, True, 1.5, "3"])
+    def test_limit(self, client, declared, name, limit):
+        fields = {"limit": limit}
+        if name == "violating_pairs":
+            fields["dc"] = 0
+        self.assert_refused(client, declared, name, **fields)
+
+    @pytest.mark.parametrize("max_dc_size", [0, -1, True, 2.5, "2"])
+    def test_max_dc_size(self, client, declared, max_dc_size):
+        self.assert_refused(
+            client, declared, "remine", epsilon=0.1, max_dc_size=max_dc_size
+        )
+
+    def test_bounds_are_accepted(self, client, declared):
+        assert client.set_epsilon(declared, 0)["epsilon"] == 0.0
+        assert client.set_epsilon(declared, 1)["epsilon"] == 1.0
+        assert len(client.violating_pairs(declared, 0, limit=1)["pairs"]) <= 1
+
+
+class TestClientRetries:
+    @pytest.mark.parametrize("name", sorted(OPS))
+    def test_only_idempotent_ops_are_resent(self, name):
+        # A port nothing listens on: every attempt fails to connect.
+        with socket.create_server(("127.0.0.1", 0)) as probe:
+            port = probe.getsockname()[1]
+        client = ServeClient("127.0.0.1", port, retries=2, retry_backoff=0.001)
+        with pytest.raises(ConnectionError):
+            client.request(name, store="s")
+        assert client.reconnects == (2 if OPS[name].idempotent else 0)
+
+    def test_keyed_append_is_resent(self):
+        with socket.create_server(("127.0.0.1", 0)) as probe:
+            port = probe.getsockname()[1]
+        client = ServeClient("127.0.0.1", port, retries=2, retry_backoff=0.001)
+        with pytest.raises(ConnectionError):
+            client.request("append", store="s", rows=[], request_key="k")
+        assert client.reconnects == 2
+
+
+def readme_protocol_table():
+    """``{op: [field, ...]}`` from README's ``| Op | Fields | Answers |`` rows.
+
+    A field is the first backticked word of each comma-separated item,
+    keeping its ``?`` (optional) marker.
+    """
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    lines = readme.read_text().splitlines()
+    start = lines.index("| Op | Fields | Answers |") + 2
+    table = {}
+    for line in itertools.takewhile(lambda l: l.startswith("|"), lines[start:]):
+        op_cell, fields_cell, _ = (cell.strip() for cell in line.strip("|").split(" | "))
+        fields = [
+            re.match(r"`([^`]+)`", item.strip()).group(1)
+            for item in fields_cell.split(", ")
+            if item.strip() != "—"
+        ]
+        table[op_cell.strip("`")] = fields
+    return table
+
+
+def test_readme_protocol_table_matches_ops():
+    declared = {
+        name: [field.name + ("" if field.required else "?") for field in op.fields]
+        for name, op in OPS.items()
+    }
+    assert readme_protocol_table() == declared
