@@ -1,7 +1,7 @@
 """Distributed fabric — cluster evidence build vs the serial tiled builder.
 
 Not a paper figure: this benchmark tracks the cluster layer of
-``repro.cluster``.  Four sections:
+``repro.cluster``.  Three sections:
 
 1. **Speedup** — the benchmark relation's evidence set built serially
    (tiled) and over local *socket* workers at 1, 2 and 4 workers (real
@@ -10,13 +10,9 @@ Not a paper figure: this benchmark tracks the cluster layer of
    least 4 CPUs and is enforced with ``--require-speedup`` (CI runners are
    too noisy/narrow for a hard wall-clock gate; the JSON artifact tracks
    the trajectory).
-2. **Bytes pickled** — the same build with pipe-returned partials vs
-   shared-memory handles (``--shm``); shm must move measurably fewer
-   result bytes through the links.  This is asserted unconditionally — it
-   is a property of the protocol, not of the machine.
-3. **Correctness sweep** — {1, 2, 4} workers × {local, socket} transports,
+2. **Correctness sweep** — {1, 2, 4} workers × {local, socket} transports,
    each bit-identical to ``method="tiled"``.
-4. **Failure injection** — for each transport, a 2-worker build with one
+3. **Failure injection** — for each transport, a 2-worker build with one
    worker severed mid-shard; the shard must be re-issued and the result
    stay bit-identical.
 
@@ -82,9 +78,9 @@ def measure_serial(relation, space) -> tuple[float, int]:
     return best, len(evidence)
 
 
-def measure_cluster(relation, space, n_workers: int, use_shm: bool = False):
+def measure_cluster(relation, space, n_workers: int):
     """One cluster build: wall seconds, evidence count, result bytes."""
-    with LocalCluster(n_workers, transport="socket", use_shm=use_shm) as cluster:
+    with LocalCluster(n_workers, transport="socket") as cluster:
         started = time.perf_counter()
         evidence = build_evidence_set_cluster(
             relation, space, cluster, include_participation=False
@@ -110,17 +106,6 @@ def run_speedup(relation, space, worker_counts) -> list[dict[str, object]]:
             "speedup_vs_tiled": baseline / seconds,
         })
     return rows
-
-
-def run_bytes_comparison(relation, space, n_workers: int = 2) -> dict[str, object]:
-    _, _, pipe_bytes = measure_cluster(relation, space, n_workers, use_shm=False)
-    _, _, shm_bytes = measure_cluster(relation, space, n_workers, use_shm=True)
-    return {
-        "n_workers": n_workers,
-        "pipe_result_bytes": pipe_bytes,
-        "shm_result_bytes": shm_bytes,
-        "reduction": pipe_bytes / max(shm_bytes, 1),
-    }
 
 
 def run_correctness(verify_relation, verify_space, worker_counts) -> list[dict[str, object]]:
@@ -215,19 +200,6 @@ def main() -> int:
     if len(sizes) != 1:
         failures.append(f"builders disagree on evidence count: {sizes}")
 
-    bytes_row = run_bytes_comparison(relation, space)
-    print(
-        f"\nresult bytes through the links (2 workers): "
-        f"pipe={bytes_row['pipe_result_bytes']:,} "
-        f"shm={bytes_row['shm_result_bytes']:,} "
-        f"({bytes_row['reduction']:.1f}x fewer with shared memory)"
-    )
-    if bytes_row["shm_result_bytes"] >= bytes_row["pipe_result_bytes"]:
-        failures.append(
-            "shared-memory planes did not reduce bytes pickled "
-            f"(pipe={bytes_row['pipe_result_bytes']}, shm={bytes_row['shm_result_bytes']})"
-        )
-
     correctness_rows = run_correctness(verify_relation, verify_space, worker_counts)
     print(f"\ncorrectness sweep on {VERIFY_ROWS} rows:")
     for row in correctness_rows:
@@ -269,7 +241,6 @@ def main() -> int:
             "smoke": args.smoke,
             "expected_speedup_at_4_workers": EXPECTED_SPEEDUP,
             "speedup": speedup_rows,
-            "bytes": bytes_row,
             "correctness": correctness_rows,
         }
         with open(args.json, "w") as handle:

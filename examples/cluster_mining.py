@@ -7,7 +7,7 @@ The smallest end-to-end cluster deployment, all on this machine:
    subprocesses that dial in over TCP (on a real cluster you would start
    that command on each machine instead);
 2. mine with :class:`~repro.core.miner.ADCMiner`, evidence tiles built
-   over the workers and the enumeration's root subtrees farmed out too;
+   over the workers and the enumeration run as one search here;
 3. compare against a plain single-process ``method="tiled"`` run — the
    cluster invariant is *bit-identity*, not approximation, so the DC
    lists must match exactly.
@@ -38,8 +38,7 @@ def main() -> None:
     print("spawning a coordinator + 2 socket workers on localhost ...")
     with LocalCluster(n_workers=2, transport="socket") as cluster:
         clustered = ADCMiner(
-            "f1", EPSILON, max_dc_size=MAX_DC_SIZE,
-            cluster=cluster, cluster_enumeration=True,
+            "f1", EPSILON, max_dc_size=MAX_DC_SIZE, cluster=cluster
         ).mine(relation)
         print(f"  {len(clustered)} minimal ADCs in {clustered.timings.total:.2f}s "
               f"(evidence {clustered.timings.evidence:.2f}s over "

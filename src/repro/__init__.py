@@ -55,7 +55,6 @@ from repro.cluster import (
     ClusterCoordinator,
     LocalCluster,
     build_evidence_set_cluster,
-    parallel_enumerate,
 )
 
 __version__ = "1.0.0"
@@ -94,5 +93,4 @@ __all__ = [
     "ClusterCoordinator",
     "LocalCluster",
     "build_evidence_set_cluster",
-    "parallel_enumerate",
 ]

@@ -16,10 +16,9 @@ Failure handling, the part that distinguishes this from a thread pool:
   its in-flight task is requeued for the survivors.
 * **Stragglers.**  A task outstanding longer than ``task_timeout`` is
   *re-issued* to an idle worker while the original keeps running; the first
-  result wins and late duplicates are discarded (shared-memory duplicates
-  are still attached and unlinked, so nothing leaks).
-* **Heartbeats.**  Idle workers are pinged every ``heartbeat_interval``
-  seconds; one that stays silent past ``heartbeat_timeout`` is declared
+  result wins and late duplicates are discarded.
+* **Heartbeats.**  Idle workers are pinged every :data:`HEARTBEAT_INTERVAL`
+  seconds; one that stays silent past :data:`HEARTBEAT_TIMEOUT` is declared
   dead.  Busy workers are exempt — a kernel crunching a big shard cannot
   answer — and are covered by EOF detection and the straggler timeout.
   Workers still installing a broadcast context are equally deaf to pings,
@@ -42,7 +41,6 @@ from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-from repro.cluster.shm import ShmPartial, resolve_result
 from repro.cluster.transport import (
     SocketTransport,
     Transport,
@@ -53,6 +51,11 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
 from repro.obs.logging import get_logger
 from repro.obs.registry import get_registry
+
+#: Seconds between pings to idle workers during a submission.
+HEARTBEAT_INTERVAL = 1.0
+#: Silence threshold after which a pinged idle worker is declared dead.
+HEARTBEAT_TIMEOUT = 10.0
 
 
 class ClusterError(RuntimeError):
@@ -103,10 +106,6 @@ class ClusterCoordinator:
         Seconds before an outstanding task is re-issued to an idle worker
         (``None`` disables straggler re-issue; worker *death* always
         requeues).
-    heartbeat_interval:
-        Seconds between pings to idle workers during a submission.
-    heartbeat_timeout:
-        Silence threshold after which a pinged idle worker is declared dead.
     context_timeout:
         Silence threshold for a worker that has not yet acked a broadcast
         context.  Such workers cannot answer pings (a single-threaded loop
@@ -122,8 +121,6 @@ class ClusterCoordinator:
     def __init__(
         self,
         task_timeout: float | None = None,
-        heartbeat_interval: float = 1.0,
-        heartbeat_timeout: float = 10.0,
         context_timeout: float | None = 60.0,
     ) -> None:
         if task_timeout is not None and task_timeout <= 0:
@@ -131,8 +128,6 @@ class ClusterCoordinator:
         if context_timeout is not None and context_timeout <= 0:
             raise ValueError("context_timeout must be positive (or None)")
         self.task_timeout = task_timeout
-        self.heartbeat_interval = float(heartbeat_interval)
-        self.heartbeat_timeout = float(heartbeat_timeout)
         self.context_timeout = context_timeout
         self.reissued_tasks = 0
         self.failed_workers = 0
@@ -344,8 +339,7 @@ class ClusterCoordinator:
                 self._mark_dead(worker)
                 waiting.discard(worker_id)
             elif kind == "result":
-                # A stale straggler result: resolve so shm never leaks.
-                resolve_result(message[2])
+                # A stale straggler result: it only frees the worker.
                 if worker.task == message[1]:
                     worker.task = None
             elif kind == "error":
@@ -394,8 +388,8 @@ class ClusterCoordinator:
 
         Workers that fail to answer within ``timeout`` are declared dead.
         Busy workers (a task still in flight from an earlier submission's
-        re-issue) are skipped; stale results arriving meanwhile are
-        resolved so shared-memory segments never leak.
+        re-issue) are skipped; a stale result arriving meanwhile frees its
+        worker.
         """
         nonce = time.monotonic()
         waiting: set[int] = set()
@@ -420,7 +414,6 @@ class ClusterCoordinator:
                 self._mark_dead(worker)
                 waiting.discard(worker_id)
             elif message[0] == "result":
-                resolve_result(message[2])
                 if worker.task == message[1]:
                     worker.task = None
             elif message[0] == "metrics":
@@ -675,13 +668,7 @@ class ClusterCoordinator:
             pass
         elif kind == "result":
             _, task_key, payload = message
-            via_shm = isinstance(payload, ShmPartial)
-            # Resolve (and for shm: attach + unlink) before any dedup — a
-            # discarded duplicate must still release its segment.
-            payload = resolve_result(payload)
-            obs_metrics.CLUSTER_RESULTS.inc_labels(
-                self._worker_label(worker_id), "shm" if via_shm else "pipe"
-            )
+            obs_metrics.CLUSTER_RESULTS.inc_labels(self._worker_label(worker_id))
             if worker.task == task_key:
                 worker.task = None
                 self._deliver_pending_context(worker)
@@ -829,11 +816,11 @@ class ClusterCoordinator:
                 continue
             if (
                 worker.last_ping > worker.last_seen
-                and now - worker.last_ping > self.heartbeat_timeout
+                and now - worker.last_ping > HEARTBEAT_TIMEOUT
             ):
                 # We pinged after the last sign of life and heard nothing.
                 self._mark_dead(worker)
-            elif now - worker.last_ping > self.heartbeat_interval:
+            elif now - worker.last_ping > HEARTBEAT_INTERVAL:
                 worker.last_ping = now
                 self._send(worker, ("ping", now))
 
@@ -842,18 +829,6 @@ class ClusterCoordinator:
     # ------------------------------------------------------------------
     def shutdown(self) -> None:
         """Ask every worker to exit and close all links."""
-        # Release any late straggler results parked in the inbox first —
-        # an unresolved shm handle would leak its segment past our exit.
-        while True:
-            try:
-                _, message = self._inbox.get_nowait()
-            except queue.Empty:
-                break
-            if message[0] == "result":
-                try:
-                    resolve_result(message[2])
-                except Exception:
-                    pass
         for worker in self._workers.values():
             if worker.alive:
                 self._send(worker, ("shutdown",))

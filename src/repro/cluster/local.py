@@ -12,9 +12,6 @@ examples/benchmarks: it stands up a :class:`ClusterCoordinator` and spawns
   :class:`~repro.cluster.transport.LocalTransport` queue pairs: no fork, no
   ports, but every message still round-trips through pickle, so the test
   suite exercises the full serialization surface cheaply.
-
-``use_shm=True`` makes workers return shared-memory handles instead of
-pickling partials through the link (:mod:`repro.cluster.shm`).
 """
 
 from __future__ import annotations
@@ -51,9 +48,6 @@ class LocalCluster:
     transport:
         ``"socket"`` (worker subprocesses over localhost TCP, the default)
         or ``"local"`` (in-process worker threads over queue pairs).
-    use_shm:
-        Return partial evidence sets via shared memory instead of pickling
-        them through the link.
     task_timeout:
         Straggler re-issue timeout forwarded to the coordinator.
     context_timeout:
@@ -68,7 +62,6 @@ class LocalCluster:
         self,
         n_workers: int,
         transport: str = "socket",
-        use_shm: bool = False,
         task_timeout: float | None = None,
         context_timeout: float | None = 60.0,
         connect_timeout: float = 30.0,
@@ -78,7 +71,6 @@ class LocalCluster:
         if transport not in ("socket", "local"):
             raise ValueError(f"unknown transport {transport!r} (socket or local)")
         self.transport = transport
-        self.use_shm = bool(use_shm)
         self.coordinator = ClusterCoordinator(
             task_timeout=task_timeout, context_timeout=context_timeout
         )
@@ -98,10 +90,7 @@ class LocalCluster:
                 # would collide in federated metric labels; suffix the slot.
                 thread = threading.Thread(
                     target=serve, args=(worker_end,),
-                    kwargs={
-                        "use_shm": self.use_shm,
-                        "worker_id": f"{default_worker_id()}:w{index}",
-                    },
+                    kwargs={"worker_id": f"{default_worker_id()}:w{index}"},
                     daemon=True,
                 )
                 self._threads.append(thread)
@@ -113,8 +102,6 @@ class LocalCluster:
                     sys.executable, "-m", "repro.cluster.worker",
                     "--connect", f"{host}:{port}",
                 ]
-                if self.use_shm:
-                    command.append("--shm")
                 environment = _worker_environment()
                 for _ in range(n_workers):
                     self.processes.append(

@@ -3,9 +3,8 @@
 Every link between the coordinator and a worker speaks the same trivial
 wire protocol: a frame is an 8-byte big-endian payload length followed by a
 pickled Python object.  :class:`Transport` owns the pickle step and the
-per-connection byte/frame counters (what the cluster benchmark reads to
-compare pipe-returned partials against shared-memory handles); subclasses
-only move raw payload bytes.
+per-connection byte/frame counters (what the cluster benchmark and the
+metrics read as link bytes); subclasses only move raw payload bytes.
 
 Two transports are provided:
 

@@ -1,20 +1,16 @@
 """The cluster worker: a receive-execute-reply loop over one transport.
 
 A worker is deliberately dumb and generic.  It receives a *context* object
-once (the expensive payload — a prepared tile kernel and its schedule, or a
-pickled evidence set for enumeration units), then answers ``task`` messages
-by calling ``context.run(payload)`` and streaming each result straight
-back.  Between tasks it answers heartbeat pings; a task failure is reported
-as an ``error`` frame rather than killing the loop, so one poisoned shard
-does not take the worker down with it.
+once (the expensive payload — a prepared tile kernel and its schedule),
+then answers ``task`` messages by calling ``context.run(payload)`` and
+streaming each pickled result straight back.  Between tasks it answers
+heartbeat pings; a task failure is reported as an ``error`` frame rather
+than killing the loop, so one poisoned shard does not take the worker down
+with it.
 
 Remote deployment is one command per machine::
 
-    python -m repro.cluster.worker --connect host:port [--shm] [--worker-id ID]
-
-``--shm`` parks :class:`~repro.engine.partial.PartialEvidenceSet` results
-in shared memory and returns only the handle (:mod:`repro.cluster.shm`) —
-valid when the worker shares a machine with its coordinator.
+    python -m repro.cluster.worker --connect host:port [--worker-id ID]
 
 Wire protocol (all frames are tuples, first element the kind):
 
@@ -42,8 +38,8 @@ switch, and none of it on the untraced hot path beyond counter bumps):
   follows in a tiny ``task_span`` frame on the same ordered stream, which
   the coordinator stitches into the requesting span's tree.
 * ``repro_worker_*`` metric families count tasks (by context kind and
-  outcome), task seconds, context installs, link bytes, and shm exports
-  in *this process's* registry; the coordinator collects them via
+  outcome), task seconds, context installs and link bytes in *this
+  process's* registry; the coordinator collects them via
   ``metrics_pull`` and federates them under a ``worker="<id>"`` label.
 * Failures become bounded, structured error frames (capped traceback,
   task key, worker id) mirrored as a :class:`~repro.obs.logging.JsonLogger`
@@ -58,7 +54,6 @@ import socket as socket_module
 import time
 import traceback
 
-from repro.cluster.shm import discard_result, export_result
 from repro.cluster.transport import (
     Transport,
     TransportClosed,
@@ -118,9 +113,7 @@ def _task_meta(context: object, payload: object) -> dict:
     return dict(meta) if isinstance(meta, dict) else {}
 
 
-def serve(
-    transport: Transport, use_shm: bool = False, worker_id: str | None = None
-) -> int:
+def serve(transport: Transport, worker_id: str | None = None) -> int:
     """Run the worker loop until shutdown or peer death; tasks completed."""
     if worker_id is None:
         worker_id = default_worker_id()
@@ -169,24 +162,19 @@ def serve(
                         raise RuntimeError("no context installed before the first task")
                     result = context.run(payload)
                     computed = time.perf_counter()
-                    exported = export_result(result, use_shm)
-                    exported_at = time.perf_counter()
                 except TransportClosed:
                     raise
                 except Exception as error:
                     report_error(task_id, error)
                     continue
-                via_shm = exported is not result
                 try:
-                    transport.send(("result", task_id, exported))
+                    transport.send(("result", task_id, result))
                 except TransportClosed:
-                    discard_result(exported)  # nobody will ever attach it
                     raise
                 except Exception as error:
                     # An unpicklable result never reached the wire (send
                     # pickles before writing), so the stream is clean:
                     # report the failure instead of crashing the loop.
-                    discard_result(exported)
                     report_error(task_id, error)
                     continue
                 finished = time.perf_counter()
@@ -195,8 +183,6 @@ def serve(
                 result_bytes = transport.last_send_bytes
                 obs_metrics.WORKER_TASKS.inc_labels(context_kind, "ok")
                 obs_metrics.WORKER_TASK_SECONDS.observe(wall)
-                if via_shm:
-                    obs_metrics.WORKER_SHM_EXPORTS.inc()
                 if trace_ctx is not None:
                     # Disjoint segments covering the whole wall window; the
                     # serialize/send pair comes from the transport's timing
@@ -208,8 +194,7 @@ def serve(
                     span.add_segment("deserialize", deserialize_seconds)
                     span.add_segment("compute", computed - started)
                     span.add_segment(
-                        "serialize",
-                        (exported_at - computed) + transport.last_serialize_seconds,
+                        "serialize", transport.last_serialize_seconds
                     )
                     span.add_segment("send", transport.last_send_seconds)
                     child = span.jsonable()
@@ -219,7 +204,6 @@ def serve(
                         task=list(task_id),
                         wall_seconds=wall,
                         result_bytes=result_bytes,
-                        shm=via_shm,
                     )
                     transport.send(("task_span", task_id, child))
             elif kind == "ping":
@@ -268,11 +252,6 @@ def main(argv: list[str] | None = None) -> int:
         help="coordinator address to connect to",
     )
     parser.add_argument(
-        "--shm", action="store_true",
-        help="return partial evidence sets as shared-memory handles "
-             "(coordinator must be on this machine)",
-    )
-    parser.add_argument(
         "--send-timeout", type=float, default=60.0, metavar="SECONDS",
         help="give up on a send making no progress for this long — a "
              "frozen coordinator would otherwise hang the worker forever "
@@ -290,7 +269,7 @@ def main(argv: list[str] | None = None) -> int:
     worker_id = args.worker_id or default_worker_id()
     log = get_logger()
     log.info("worker_connected", worker=worker_id, coordinator=f"{host}:{port}")
-    completed = serve(transport, use_shm=args.shm, worker_id=worker_id)
+    completed = serve(transport, worker_id=worker_id)
     log.info("worker_exiting", worker=worker_id, tasks_completed=completed)
     return 0
 

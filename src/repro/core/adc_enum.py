@@ -53,19 +53,13 @@ from repro.core.approximation import ApproximationFunction, F1
 from repro.core.bitset import (
     full_bits,
     pack_bool_rows,
-    popcount,
     unpack_bits,
-    word_bits_list,
 )
 from repro.core.dc import DenialConstraint
 from repro.core.evidence import EvidenceSet, masks_to_words
 from repro.core.predicate_space import iter_bits
 from repro.native import dispatch as native_dispatch
-from repro.native.numpy_backend import (
-    DESCENDED,
-    PRUNED,
-    selection_code,
-)
+from repro.native.numpy_backend import DESCENDED, selection_code
 
 SelectionStrategy = Literal["max", "min", "random"]
 
@@ -76,14 +70,14 @@ class _Frame:
     Frames carry only scalars; the array state of the node lives in the
     workspace slot of the same depth.  ``phase`` sequences the node through
     enter/base-case (0), hit-loop setup (1) and the hit loop itself (2);
-    ``returning`` marks that the frame is being resumed after a descended
-    child, so the loop replays the post-child bookkeeping (criticality pop,
-    hitting-set pop) before advancing.
+    ``returning`` marks that the frame is being resumed after its hit
+    child returned, so the loop runs the post-child bookkeeping
+    (criticality pop, hitting-set pop) before advancing.
     """
 
     __slots__ = (
         "n", "uncovered_pairs", "dead_pairs", "phase", "n_to_try",
-        "k", "position", "elements", "returning", "root_branch",
+        "k", "position", "elements", "returning",
     )
 
 
@@ -141,16 +135,6 @@ class ADCEnum:
         Optional cap on the number of predicates per DC; ``None`` means
         unbounded.  The cap applies to the hitting branch only, so all
         minimal ADCs within the bound are still enumerated.
-    root_branch:
-        Restrict the search to ONE top-level subtree: ``"skip"`` explores
-        only the root's skip branch, an integer predicate index only that
-        element's hit branch.  Below the root the subtree is searched in
-        full, with the sibling bookkeeping (candidate re-additions,
-        criticality round-trips) replayed exactly, so the union of all
-        root branches — deduplicated in root order — reproduces the
-        unrestricted output bit for bit.  This is the hook
-        :func:`repro.cluster.enum.parallel_enumerate` farms out over
-        cluster workers; ``None`` (default) searches the whole tree.
     """
 
     def __init__(
@@ -160,18 +144,14 @@ class ADCEnum:
         epsilon: float = 0.01,
         selection: SelectionStrategy = "max",
         max_dc_size: int | None = None,
-        root_branch: int | str | None = None,
         progress: "Callable[[EnumerationStatistics], None] | None" = None,
         progress_interval: int = 8192,
     ) -> None:
-        if epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
+        # Written so that NaN fails too: every comparison with NaN is false.
+        if not epsilon >= 0:
+            raise ValueError(f"epsilon must be non-negative, got {epsilon!r}")
         if selection not in ("max", "min", "random"):
             raise ValueError(f"unknown selection strategy {selection!r}")
-        if root_branch is not None and root_branch != "skip":
-            root_branch = int(root_branch)
-        self.root_branch = root_branch
-        self._pending_root_branch: int | str | None = None
         self.evidence = evidence
         self.function = function if function is not None else F1()
         self.epsilon = float(epsilon)
@@ -286,46 +266,6 @@ class ADCEnum:
         self.statistics.elapsed_seconds = time.perf_counter() - started
         yield from self._results
 
-    def root_plan(self) -> tuple[str, list[int]]:
-        """Shape of the root search node, for distributed enumeration.
-
-        Returns ``("leaf", [])`` when the root terminates without branching
-        (the empty set already passes the threshold, or no uncovered
-        evidence intersects the candidate plane), else
-        ``("branch", elements)`` where ``elements`` is the root hit loop's
-        predicate list in visit order.  Together with the ``"skip"`` branch
-        those elements partition the search tree into the self-contained
-        units :func:`repro.cluster.enum.parallel_enumerate` farms out via
-        the ``root_branch`` restriction.  Read-only: no search state is
-        touched.
-        """
-        if self._n_evidences == 0:
-            return ("leaf", [])
-        uncovered_pairs = int(self._counts.sum())
-        cand_words = self._full_cand_words
-        cand_counts = self._intersection_counts(self._ev_planes, cand_words)
-        total = self.evidence.total_pairs
-        if total == 0 or self.function.pair_determined:
-            passes = total == 0 or (
-                self.function.violation_score_from_pair_fraction(
-                    uncovered_pairs / total, total
-                )
-                <= self.epsilon
-            )
-        else:
-            passes = self._passes_lazy(
-                np.arange(self._n_evidences, dtype=np.int64), uncovered_pairs
-            )
-        if passes:
-            return ("leaf", [])
-        selectable = (cand_counts > 0).nonzero()[0]
-        if selectable.size == 0:
-            return ("leaf", [])
-        # call_index=1: recursive_calls is 1 when the real search's root runs.
-        chosen = self._choose_evidence(selectable, cand_counts, 1)
-        to_try = cand_words & self._ev_planes[:, chosen]
-        return ("branch", word_bits_list(to_try))
-
     # ------------------------------------------------------------------
     # Scoring helpers
     # ------------------------------------------------------------------
@@ -423,8 +363,8 @@ class ADCEnum:
 
         Frame phases: 0 = enter (base case + expansion + skip branch),
         1 = hit-loop setup (WillCover prune resolved, skip subtree done),
-        2 = hit loop (one ``try_hit`` per candidate element, descending
-        into child frames and resuming through ``returning``).
+        2 = hit loop (one ``try_hit`` per candidate element, entering a
+        child frame per hit and resuming through ``returning``).
         """
         statistics = self.statistics
         total = self._total_pairs
@@ -449,9 +389,6 @@ class ADCEnum:
         root.dead_pairs = 0
         root.phase = 0
         root.returning = False
-        # Root-branch restriction (distributed enumeration): carried by the
-        # root frame only; every deeper frame searches its subtree in full.
-        root.root_branch = self.root_branch
         depth = 0
         max_depth = 0
 
@@ -460,27 +397,18 @@ class ADCEnum:
             phase = frame.phase
 
             if phase == 2:
-                # Hit loop (Figure 4 lines 13-22).  Resuming after a
-                # descended child replays the post-child bookkeeping first.
+                # Hit loop (Figure 4 lines 13-22).  Resuming after a hit
+                # child returned runs the post-child bookkeeping first.
                 if frame.returning:
                     frame.returning = False
                     workspace.crit_pop()
                     s_elements.pop()
-                    if frame.elements[frame.position] == frame.root_branch:
-                        depth -= 1
-                        continue
                     frame.position += 1
-                descended = False
+                entered = False
                 while frame.position < frame.k:
-                    root_branch = frame.root_branch
                     element = frame.elements[frame.position]
-                    # Under a root-branch restriction, siblings before the
-                    # target element are *replayed* (criticality round-trip
-                    # and candidate re-addition, which shape the target's
-                    # subtree) but their subtrees are not descended into.
-                    descend = root_branch is None or element == root_branch
                     status, _, child_n, child_pairs = workspace.try_hit(
-                        depth, frame.n, frame.position, descend
+                        depth, frame.n, frame.position
                     )
                     if status == DESCENDED:
                         statistics.hit_branches += 1
@@ -492,20 +420,14 @@ class ADCEnum:
                         child.dead_pairs = frame.dead_pairs
                         child.phase = 0
                         child.returning = False
-                        child.root_branch = None
                         depth += 1
                         if depth > max_depth:
                             max_depth = depth
-                        descended = True
+                        entered = True
                         break
-                    if status == PRUNED:
-                        statistics.pruned_by_criticality += 1
-                        if element == root_branch:
-                            # The restricted element was pruned: the whole
-                            # restricted subtree is this empty visit.
-                            break
+                    statistics.pruned_by_criticality += 1
                     frame.position += 1
-                if not descended:
+                if not entered:
                     depth -= 1
                 continue
 
@@ -565,50 +487,44 @@ class ADCEnum:
 
                 # Skip branch (lines 7-12): do NOT hit the chosen evidence,
                 # guarded by the WillCover monotonicity prune.
-                root_branch = frame.root_branch
-                if root_branch is None or root_branch == "skip":
-                    will_cover_pairs = frame.dead_pairs + lost_pairs
-                    if pair_determined:
-                        will_cover_passes = (
-                            pair_score(will_cover_pairs / total, total) <= epsilon
-                        )
-                    else:
-                        lost_positions = (
-                            workspace.red_view(depth, n) == 0
-                        ).nonzero()[0]
-                        will_cover_passes = self._passes_lazy(
-                            uncov.take(lost_positions), will_cover_pairs
-                        )
-                    if will_cover_passes:
-                        statistics.skip_branches += 1
-                        # Dead-evidence compaction (pair-determined only):
-                        # an evidence with no candidate overlap can never be
-                        # covered or selected anywhere in this subtree, so
-                        # only its pair total still matters; dropping it
-                        # shrinks every descendant's vectors and its pairs
-                        # move into the dead_pairs scalar.
-                        child_n = workspace.skip_child(depth, n, pair_determined)
-                        child = self._frame_at(frames, depth + 1)
-                        child.n = child_n
-                        child.uncovered_pairs = uncovered_pairs
-                        child.dead_pairs = (
-                            will_cover_pairs if pair_determined else frame.dead_pairs
-                        )
-                        child.phase = 0
-                        child.returning = False
-                        child.root_branch = None
-                        depth += 1
-                        if depth > max_depth:
-                            max_depth = depth
-                        continue
-                    statistics.pruned_by_willcover += 1
+                will_cover_pairs = frame.dead_pairs + lost_pairs
+                if pair_determined:
+                    will_cover_passes = (
+                        pair_score(will_cover_pairs / total, total) <= epsilon
+                    )
+                else:
+                    lost_positions = (
+                        workspace.red_view(depth, n) == 0
+                    ).nonzero()[0]
+                    will_cover_passes = self._passes_lazy(
+                        uncov.take(lost_positions), will_cover_pairs
+                    )
+                if will_cover_passes:
+                    statistics.skip_branches += 1
+                    # Dead-evidence compaction (pair-determined only): an
+                    # evidence with no candidate overlap can never be
+                    # covered or selected anywhere in this subtree, so only
+                    # its pair total still matters; dropping it shrinks the
+                    # vectors of the whole subtree and its pairs move into
+                    # the dead_pairs scalar.
+                    child_n = workspace.skip_child(depth, n, pair_determined)
+                    child = self._frame_at(frames, depth + 1)
+                    child.n = child_n
+                    child.uncovered_pairs = uncovered_pairs
+                    child.dead_pairs = (
+                        will_cover_pairs if pair_determined else frame.dead_pairs
+                    )
+                    child.phase = 0
+                    child.returning = False
+                    depth += 1
+                    if depth > max_depth:
+                        max_depth = depth
+                    continue
+                statistics.pruned_by_willcover += 1
                 continue
 
             # phase == 1: the skip subtree (if any) has returned; set up the
             # hit loop over the chosen evidence's candidate predicates.
-            if frame.root_branch == "skip":
-                depth -= 1
-                continue
             if max_dc_size is not None and len(s_elements) >= max_dc_size:
                 depth -= 1
                 continue
@@ -629,48 +545,6 @@ class ADCEnum:
     # ------------------------------------------------------------------
     # Bookkeeping helpers
     # ------------------------------------------------------------------
-    def _choose_evidence(
-        self,
-        selectable_positions: np.ndarray,
-        cand_counts: np.ndarray,
-        call_index: int,
-    ) -> int:
-        """The evidence-selection rule (Figure 4 line 4 / Figure 10).
-
-        Single source of truth for the choice *and its tie-breaks*, shared
-        by the :meth:`_search` hot loop and :meth:`root_plan` — if the two
-        ever diverged, the distributed units would silently partition the
-        tree on the wrong chosen evidence.
-        """
-        if self.selection == "random":
-            return int(selectable_positions[call_index % selectable_positions.size])
-        intersections = cand_counts.take(selectable_positions)
-        if self.selection == "max":
-            return int(selectable_positions[int(intersections.argmax())])
-        return int(selectable_positions[int(intersections.argmin())])
-
-    @staticmethod
-    def _intersection_counts(ev_planes: np.ndarray, mask_words: np.ndarray) -> np.ndarray:
-        """Per-evidence ``|evidence ∩ mask|`` over transposed word planes.
-
-        Unrolls the word axis into contiguous 1-D popcounts, which numpy
-        executes far faster than a broadcast-and-reduce over the row-major
-        layout (predicate spaces rarely span more than a handful of words).
-        """
-        n_words = ev_planes.shape[0]
-        if n_words == 1:
-            return popcount(ev_planes[0] & mask_words[0]).astype(np.int64)
-        if n_words == 2:
-            return np.add(
-                popcount(ev_planes[0] & mask_words[0]),
-                popcount(ev_planes[1] & mask_words[1]),
-                dtype=np.int64,
-            )
-        counts = popcount(ev_planes[0] & mask_words[0]).astype(np.int64)
-        for word in range(1, n_words):
-            counts += popcount(ev_planes[word] & mask_words[word])
-        return counts
-
     def _emit(
         self,
         s_elements: list[int],

@@ -141,8 +141,8 @@ class MMCS:
         interpreter recursion limit (hitting-set chains routinely exceed the
         default limit on long thin inputs).  The visit order, statistics and
         criticality bookkeeping are exactly those of the recursive original:
-        a frame's hit loop applies the criticality planes before descending
-        and undoes them when the subtree returns.
+        a frame's hit loop applies the criticality planes before entering a
+        child and undoes them when the subtree returns.
         """
         statistics = self.statistics
         frames: list[_MMCSFrame] = [_MMCSFrame(uncov_bits, cand_words)]
@@ -166,7 +166,7 @@ class MMCS:
                 frame.to_try = word_bits_list(chosen_words & frame.cand_words)
                 frame.cand_loop = frame.cand_words & ~chosen_words
             elif frame.returning:
-                # A descended child just finished: the loop's epilogue.
+                # A child subtree just finished: the loop's epilogue.
                 frame.returning = False
                 elements.pop()
                 set_bit(frame.cand_loop, frame.to_try[frame.position])

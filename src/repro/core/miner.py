@@ -152,11 +152,8 @@ class ADCMiner:
         A :class:`~repro.cluster.coordinator.ClusterCoordinator` or
         :class:`~repro.cluster.local.LocalCluster`.  When given, evidence
         tiles are built over the cluster (``evidence_method`` switches to
-        ``"cluster"`` unless explicitly set to an oracle method).
-    cluster_enumeration:
-        Also farm the enumeration's root subtrees over the cluster
-        (:func:`repro.cluster.enum.parallel_enumerate`; returns the exact
-        serial DC list).  Requires ``cluster``.
+        ``"cluster"`` unless explicitly set to an oracle method).  The
+        enumeration always runs as one serial search in this process.
     max_dc_size:
         Optional cap on predicates per DC.
     seed:
@@ -175,7 +172,6 @@ class ADCMiner:
         evidence_method: str = "tiled",
         tile_rows: int | None = None,
         cluster: object | None = None,
-        cluster_enumeration: bool = False,
         max_dc_size: int | None = None,
         seed: int | None = None,
     ) -> None:
@@ -190,8 +186,6 @@ class ADCMiner:
             )
         if evidence_method == "cluster" and cluster is None:
             raise ValueError("evidence_method='cluster' needs a cluster= coordinator")
-        if cluster_enumeration and cluster is None:
-            raise ValueError("cluster_enumeration=True needs a cluster= coordinator")
         self.function = function
         self.epsilon = float(epsilon)
         self.sample_fraction = float(sample_fraction)
@@ -202,7 +196,6 @@ class ADCMiner:
         self.evidence_method = evidence_method
         self.tile_rows = int(tile_rows) if tile_rows is not None else None
         self.cluster = cluster
-        self.cluster_enumeration = bool(cluster_enumeration)
         self.max_dc_size = max_dc_size
         self.seed = seed
 
@@ -235,25 +228,13 @@ class ADCMiner:
             function = adjusted_function(plan.sample_pairs, self.alpha)
 
         started = time.perf_counter()
-        if self.cluster_enumeration:
-            from repro.cluster.enum import parallel_enumerate
-
-            adcs, enum_statistics = parallel_enumerate(
-                evidence,
-                function,
-                self.epsilon,
-                self.cluster,
-                selection=self.selection,
-                max_dc_size=self.max_dc_size,
-            )
-        else:
-            adcs, enum_statistics = run_enumeration(
-                evidence,
-                function,
-                self.epsilon,
-                selection=self.selection,
-                max_dc_size=self.max_dc_size,
-            )
+        adcs, enum_statistics = run_enumeration(
+            evidence,
+            function,
+            self.epsilon,
+            selection=self.selection,
+            max_dc_size=self.max_dc_size,
+        )
         timings.enumeration = time.perf_counter() - started
 
         return MiningResult(

@@ -547,7 +547,7 @@ class StoreJournal:
             skipped_snapshots=skipped,
         )
         obs_metrics.RECOVERY_SECONDS.observe(time.perf_counter() - recovery_start)
-        obs_metrics.RECOVERY_REPLAYED.inc(replayed)
+        obs_metrics.RECOVERY_RECORDS.inc(replayed)
         return RecoveredStore(
             journal=journal, store=store, name=name,
             constraint_specs=constraint_specs, epsilon=epsilon,

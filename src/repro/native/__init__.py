@@ -32,7 +32,6 @@ from repro.native.dispatch import (
 from repro.native.numpy_backend import (
     DESCENDED,
     PRUNED,
-    REPLAYED,
     SELECT_MAX,
     SELECT_MIN,
     SELECT_RANDOM,
@@ -50,7 +49,6 @@ __all__ = [
     "use_backend",
     "DESCENDED",
     "PRUNED",
-    "REPLAYED",
     "SELECT_MAX",
     "SELECT_MIN",
     "SELECT_RANDOM",

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.native import numpy_backend
-from repro.native.numpy_backend import DESCENDED, PRUNED, REPLAYED, NumpySearchWorkspace
+from repro.native.numpy_backend import DESCENDED, NumpySearchWorkspace
 
 NAME = "cext"
 
@@ -47,7 +47,7 @@ int32_t adc_search_try_hit(intptr_t, int64_t, int32_t, int64_t, intptr_t,
                            intptr_t, intptr_t, int32_t, intptr_t, intptr_t,
                            intptr_t, intptr_t, int32_t, int64_t, intptr_t,
                            int64_t, int64_t, intptr_t, intptr_t, int64_t,
-                           int32_t, intptr_t, int64_t, intptr_t, intptr_t,
+                           intptr_t, int64_t, intptr_t, intptr_t,
                            intptr_t, intptr_t, intptr_t, intptr_t);
 """
 
@@ -103,7 +103,7 @@ def _load_ctypes(library_path: Path):
                                          intp, intp, intp, intp]),
         "adc_search_try_hit": (i32, [intp, i64, i32, i64, intp, intp, intp,
                                      i32, intp, intp, intp, intp, i32, i64,
-                                     intp, i64, i64, intp, intp, i64, i32,
+                                     intp, i64, i64, intp, intp, i64,
                                      intp, i64, intp, intp, intp, intp, intp,
                                      intp]),
     }
@@ -296,7 +296,7 @@ class CextSearchWorkspace(NumpySearchWorkspace):
         )
 
     def try_hit(
-        self, depth: int, n: int, position: int, descend: bool
+        self, depth: int, n: int, position: int
     ) -> tuple[int, int, int, int]:
         slot = self._slots[depth]
         a = self._addresses(slot)
@@ -304,18 +304,14 @@ class CextSearchWorkspace(NumpySearchWorkspace):
         removed_p = self._removed_p[crit_depth]
         if not removed_p:
             removed_p = self._cext_removed(crit_depth)
-        if descend:
-            child = self._slot(depth + 1, n)
-            c = self._addresses(child)
-        else:
-            child = slot  # unused: the C kernel never touches the child
-            c = a
+        child = self._slot(depth + 1, n)
+        c = self._addresses(child)
         status = self._try_hit_c(
             a[0], slot.capacity, self.n_words, n, a[3], a[4], a[7],
             self.n_words, a[9], a[10], a[11], a[12], self.n_ev_words,
             position, self._crit_rows_p, self.n_ev_words, crit_depth,
             removed_p, self._group_inv_p, self.n_words,
-            1 if descend else 0, c[0], child.capacity, c[1], c[3], c[4],
+            c[0], child.capacity, c[1], c[3], c[4],
             c[5], c[8], self._out_p,
         )
         if status == DESCENDED:

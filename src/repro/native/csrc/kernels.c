@@ -409,13 +409,12 @@ int64_t adc_search_hit_prepare(intptr_t to_try_p, int32_t n_cand_words,
  *   2. not viable -> restore immediately, return 0 (pruned);
  *   3. viable -> add the element back to cand_loop (it becomes a candidate
  *      again for later siblings);
- *   4. descend == 0 -> restore and return 1 (root-branch replay);
- *   5. descend != 0 -> build the child state in the next arena slot:
+ *   4. build the child state in the next arena slot:
  *      evidences not covered by the element survive, the child candidate
  *      plane loses the element's whole predicate group, and the child's
  *      candidate-overlap counts are recomputed against that plane.  The
  *      criticality planes stay APPLIED (depth becomes crit_depth + 1); the
- *      caller undoes them when the child subtree returns.  Returns 2.
+ *      caller undoes them when the child subtree returns.  Returns 1.
  *
  * out_scalars = {element, E_child, child_pair_sum}.
  */
@@ -426,7 +425,7 @@ int32_t adc_search_try_hit(
     intptr_t crit_block_p, intptr_t child_bits_p, int32_t n_ev_words,
     int64_t position, intptr_t crit_rows_p, int64_t crit_stride,
     int64_t crit_depth, intptr_t removed_p, intptr_t group_inv_p,
-    int64_t group_stride, int32_t descend, intptr_t child_ev_p,
+    int64_t group_stride, intptr_t child_ev_p,
     int64_t child_stride, intptr_t child_cin_p, intptr_t child_pairs_p,
     intptr_t child_uncov_p, intptr_t child_cand_p, intptr_t child_bits_out_p,
     intptr_t out_scalars_p)
@@ -457,11 +456,6 @@ int32_t adc_search_try_hit(
         return 0;
     }
     cand_loop[element >> 6] |= (uint64_t)1 << (element & 63);
-    if (!descend) {
-        adc_crit_undo(crit_rows_p, crit_stride, n_ev_words, crit_depth,
-                      removed_p);
-        return 1;
-    }
 
     uint64_t *child_ev = (uint64_t *)child_ev_p;
     uint32_t *child_cin = (uint32_t *)child_cin_p;
@@ -506,5 +500,5 @@ int32_t adc_search_try_hit(
            (size_t)n_ev_words * sizeof(uint64_t));
     out[1] = m;
     out[2] = pair_sum;
-    return 2;
+    return 1;
 }

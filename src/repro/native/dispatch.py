@@ -172,9 +172,8 @@ def _probe_workspace(factory: Callable[..., NumpySearchWorkspace]) -> None:
         ) or candidate.elements_list(0, k) != reference.elements_list(0, k):
             raise AssertionError("workspace hit_prepare mismatch")
         for position in range(k):
-            descend = position % 2 == 0
-            got = candidate.try_hit(0, n_evidences, position, descend)
-            want = reference.try_hit(0, n_evidences, position, descend)
+            got = candidate.try_hit(0, n_evidences, position)
+            want = reference.try_hit(0, n_evidences, position)
             if got != want:
                 raise AssertionError("workspace try_hit mismatch")
             status, _, m, _ = want

@@ -30,8 +30,7 @@ NAME = "numpy"
 
 #: ``try_hit`` outcomes (shared by every backend).
 PRUNED = 0
-REPLAYED = 1
-DESCENDED = 2
+DESCENDED = 1
 
 #: Selection-rule codes of ``expand`` (shared by every backend).
 SELECT_MAX = 0
@@ -218,7 +217,7 @@ class NumpySearchWorkspace:
     criticality plane; the driver threads only scalars (depth, evidence
     count, pair totals) through its stack frames.  Slot ``d + 1`` is always
     written by an operation on slot ``d`` (``skip_child`` / ``try_hit``), so
-    aliasing between a node and its descendants is impossible by
+    aliasing between a node and any node below it is impossible by
     construction.
 
     Contracts (identical across backends; statuses/codes are the module
@@ -231,11 +230,11 @@ class NumpySearchWorkspace:
       ``d + 1`` (candidate plane = parent's ``cand_loop``).
     * ``hit_prepare(d, E, k)``: extracts the ``k`` hit-loop elements with
       their coverage/criticality/child-uncovered rows.
-    * ``try_hit(d, E, position, descend)`` → ``(status, element, E_child,
-      child_pairs)``: one hit-loop step — criticality push, candidate
-      re-add, and (when descending) the full child build in slot ``d + 1``.
-      ``DESCENDED`` leaves the criticality planes applied; the driver calls
-      ``crit_pop`` when the subtree returns.
+    * ``try_hit(d, E, position)`` → ``(status, element, E_child,
+      child_pairs)``: one hit-loop step — criticality push, then for a
+      viable element the candidate re-add and the full child build in slot
+      ``d + 1``.  ``DESCENDED`` leaves the criticality planes applied; the
+      driver calls ``crit_pop`` when the subtree returns.
     """
 
     def __init__(
@@ -401,7 +400,7 @@ class NumpySearchWorkspace:
         return position
 
     def try_hit(
-        self, depth: int, n: int, position: int, descend: bool
+        self, depth: int, n: int, position: int
     ) -> tuple[int, int, int, int]:
         slot = self._slots[depth]
         element = int(slot.elements[position])
@@ -409,7 +408,7 @@ class NumpySearchWorkspace:
         crit_depth = self._crit_depth
         # Criticality push.  The removed token lands in the per-depth stack
         # slot: deeper applies use deeper slots, so the token survives the
-        # whole descended subtree untouched until crit_pop consumes it.
+        # whole child subtree untouched until crit_pop consumes it.
         removed = self._removed_buffer(crit_depth)
         members = self._crit_rows[:crit_depth]
         np.bitwise_and(members, covers, out=removed)
@@ -420,9 +419,6 @@ class NumpySearchWorkspace:
             members |= removed
             return PRUNED, element, 0, 0
         slot.cand_loop[element >> 6] |= np.uint64(1) << np.uint64(element & 63)
-        if not descend:
-            members |= removed
-            return REPLAYED, element, 0, 0
         self._crit_depth = crit_depth + 1
 
         bit = np.uint64(1) << np.uint64(element & 63)

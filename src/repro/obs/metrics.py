@@ -117,7 +117,7 @@ RECOVERY_SECONDS = _r.histogram(
     "repro_durability_recovery_seconds",
     "Per-store recovery (snapshot load + WAL replay) latency.",
 )
-RECOVERY_REPLAYED = _r.counter(
+RECOVERY_RECORDS = _r.counter(
     "repro_durability_recovery_replayed_records_total",
     "WAL records replayed during recoveries.",
 )
@@ -145,8 +145,8 @@ CLUSTER_REISSUED = _r.counter(
 )
 CLUSTER_RESULTS = _r.counter(
     "repro_cluster_results_total",
-    "Task results accepted, by worker id and payload transport (shm vs pipe).",
-    ("worker", "transport"),
+    "Task results accepted, by worker id.",
+    ("worker",),
 )
 CLUSTER_SUBMIT_SECONDS = _r.histogram(
     "repro_cluster_submit_seconds",
@@ -188,10 +188,6 @@ WORKER_BYTES_SENT = _r.counter(
 WORKER_BYTES_RECEIVED = _r.counter(
     "repro_worker_bytes_received_total",
     "Payload bytes this worker read from its coordinator link.",
-)
-WORKER_SHM_EXPORTS = _r.counter(
-    "repro_worker_shm_exports_total",
-    "Results this worker parked in shared-memory segments.",
 )
 
 # --------------------------------------------------------------------------

@@ -10,7 +10,6 @@ the chaos test SIGKILLs one of them mid-shard.
 
 from __future__ import annotations
 
-import pickle
 import signal
 import threading
 import time
@@ -32,8 +31,6 @@ from repro.cluster import (
     build_evidence_set_cluster,
     merge_partials_tree,
     parse_address,
-    partial_from_shm,
-    partial_to_shm,
     resolve_coordinator,
     shard_tasks,
 )
@@ -46,6 +43,14 @@ from repro.data.relation import running_example
 from repro.engine.kernel import TileKernel
 from repro.engine.scheduler import TileScheduler
 from repro.incremental import EvidenceStore
+
+
+def signature(adcs):
+    """Order-sensitive identity of a DC list."""
+    return [
+        (adc.hitting_set_mask, adc.violation_score, str(adc.constraint))
+        for adc in adcs
+    ]
 
 
 def make_workload(n_rows: int = 12, tile_rows: int = 3, seed: int = 3):
@@ -142,41 +147,6 @@ class TestTransports:
         assert parse_address("10.0.0.7:9000") == ("10.0.0.7", 9000)
         with pytest.raises(ValueError):
             parse_address("no-port")
-
-
-class TestShmPlanes:
-    def test_partial_roundtrips_through_shared_memory(self):
-        _, space, kernel, tiles, reference = make_workload()
-        context = TileFoldContext(kernel, tiles)
-        partial = context.run((0, len(tiles)))
-        handle = partial_to_shm(partial)
-        assert len(pickle.dumps(handle)) < 2000  # the point: a tiny frame
-        restored = partial_from_shm(handle)
-        assert_evidence_identical(restored.finalize(space), reference)
-
-    def test_empty_partial_roundtrips(self):
-        _, _, kernel, _, _ = make_workload()
-        partial = TileFoldContext(kernel, ()).run((0, 0))
-        restored = partial_from_shm(partial_to_shm(partial))
-        assert len(restored) == 0
-        assert restored.recorded_pairs == 0
-
-    def test_shm_workers_return_identical_evidence(self):
-        relation, space, _, _, reference = make_workload()
-        with LocalCluster(2, transport="local", use_shm=True) as cluster:
-            built = build_evidence_set_cluster(
-                relation, space, cluster, tile_rows=3
-            )
-        assert_evidence_identical(built, reference)
-
-    def test_shm_result_frames_are_smaller(self):
-        relation, space, _, _, _ = make_workload(n_rows=14)
-        sizes = {}
-        for use_shm in (False, True):
-            with LocalCluster(2, transport="local", use_shm=use_shm) as cluster:
-                build_evidence_set_cluster(relation, space, cluster, tile_rows=3)
-                sizes[use_shm] = cluster.coordinator.bytes_received
-        assert sizes[True] < sizes[False]
 
 
 class TestCoordinator:
@@ -572,6 +542,15 @@ class TestClusterBuilders:
             rebuilt = build_evidence_set(relation, store.space)
         assert_evidence_identical(streamed, rebuilt)
 
+    @pytest.mark.parametrize("function", ["f1", "f2"])
+    def test_cluster_mining_matches_tiled_mining(self, function):
+        relation = running_example()
+        baseline = ADCMiner(function, 0.05).mine(relation)
+        with LocalCluster(2, transport="local") as cluster:
+            clustered = ADCMiner(function, 0.05, cluster=cluster).mine(relation)
+        assert signature(clustered.adcs) == signature(baseline.adcs)
+        assert clustered.evidence.n_rows == baseline.evidence.n_rows
+
 
 class TestMinerValidation:
     def test_cluster_kwarg_switches_method(self):
@@ -580,8 +559,6 @@ class TestMinerValidation:
             assert miner.evidence_method == "cluster"
         with pytest.raises(ValueError, match="cluster"):
             ADCMiner(evidence_method="cluster")
-        with pytest.raises(ValueError, match="cluster"):
-            ADCMiner(cluster_enumeration=True)
 
     def test_local_cluster_validates_arguments(self):
         with pytest.raises(ValueError, match="positive"):

@@ -69,6 +69,19 @@ class TestPipeline:
         with pytest.raises(ValueError):
             ADCMiner(evidence_method="bogus")
 
+    def test_nan_epsilon_rejected(self):
+        # NaN fails every comparison: unless rejected, the search would
+        # treat no set as passing and silently return nothing.
+        with pytest.raises(ValueError, match="epsilon"):
+            ADCMiner("f1", float("nan")).mine(running_example())
+
+    def test_epsilon_above_one_accepted(self):
+        # Every set passes a threshold above 1, so the empty root ends the
+        # search and no nontrivial DC is minimal.
+        result = ADCMiner("f1", 1.5).mine(running_example())
+        assert result.adcs == []
+        assert result.enumeration_statistics.recursive_calls == 1
+
     def test_mine_adcs_wrapper(self):
         result = mine_adcs(running_example(), "f1", 0.05)
         assert len(result) > 0
