@@ -14,6 +14,11 @@ Expectation: for batches up to ``n/10`` the delta append is at least
 ``--require-speedup``; CI runs the benchmark informationally and archives
 the JSON artifact).
 
+A second table trickles single-row appends (with participation) onto
+stores of ``TRICKLE_ROWS`` seed rows and reports the delta tiles each
+append folds and the append p50.  The ratio of the p50s across seed sizes
+tracks how far append cost still grows with ``n``.
+
 Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_incremental.py \
@@ -32,7 +37,7 @@ import numpy as np
 from repro.core.evidence_builder import build_evidence_set_tiled
 from repro.core.predicate_space import build_predicate_space
 from repro.data.datasets import generate_dataset
-from repro.incremental import EvidenceStore
+from repro.incremental import EvidenceStore, delta_tiles
 
 #: Rows of the seed relation the store is built on.
 BENCH_ROWS = 2000
@@ -42,6 +47,12 @@ BATCH_SIZES = (1, 10, 100, 1000)
 
 #: Minimum append-vs-rebuild speedup required for batches up to ROWS / 10.
 EXPECTED_SPEEDUP = 5.0
+
+#: Seed sizes of the single-row trickle.
+TRICKLE_ROWS = (2000, 8000)
+
+#: Single-row appends timed per trickle.
+TRICKLE_APPENDS = 100
 
 
 def _assert_identical(left, right) -> None:
@@ -100,6 +111,30 @@ def run_incremental_comparison(
     return rows
 
 
+def run_single_row_trickle(
+    n_rows: int, appends: int = TRICKLE_APPENDS
+) -> dict[str, object]:
+    """Tiles per single-row append and the append latency percentiles."""
+    pool = generate_dataset("tax", n_rows=n_rows + appends, seed=7).relation
+    store = EvidenceStore(pool.take(range(n_rows)))
+    edge = store.builder.tile_edge(n_rows + 1)
+    tiles = [tile for tile in delta_tiles(n_rows, n_rows + 1, edge) if tile.n_pairs]
+    seconds = []
+    for index in range(n_rows, n_rows + appends):
+        row = [pool.row(index)]
+        started = time.perf_counter()
+        store.append(row)
+        seconds.append(time.perf_counter() - started)
+    p50, p90 = np.percentile(seconds, [50, 90]) * 1e3
+    return {
+        "n_rows": n_rows,
+        "appends": appends,
+        "tiles_per_append": len(tiles),
+        "append_p50_ms": float(p50),
+        "append_p90_ms": float(p90),
+    }
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--rows", type=int, default=BENCH_ROWS)
@@ -127,6 +162,15 @@ def main() -> int:
             f"{row['speedup']:>7.1f}x {row['delta_pairs']:>12} {row['evidences']:>10}"
         )
 
+    trickle = [run_single_row_trickle(n) for n in TRICKLE_ROWS]
+    print(f"\nSingle-row appends ({TRICKLE_APPENDS} per seed, with participation):")
+    print(f"{'seed rows':>10} {'tiles':>6} {'p50 ms':>8} {'p90 ms':>8}")
+    for row in trickle:
+        print(
+            f"{row['n_rows']:>10} {row['tiles_per_append']:>6} "
+            f"{row['append_p50_ms']:>8.2f} {row['append_p90_ms']:>8.2f}"
+        )
+
     gated = [row for row in rows if row["batch_rows"] * 10 <= args.rows]
     worst = min((float(row["speedup"]) for row in gated), default=float("inf"))
     if gated and worst < EXPECTED_SPEEDUP:
@@ -145,6 +189,7 @@ def main() -> int:
             "n_rows": args.rows,
             "expected_speedup_small_batches": EXPECTED_SPEEDUP,
             "rows": rows,
+            "single_row_trickle": trickle,
         }
         with open(args.json, "w") as handle:
             json.dump(payload, handle, indent=2)

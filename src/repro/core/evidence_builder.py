@@ -39,9 +39,15 @@ from repro.core.evidence import (
     n_words_for,
     unique_word_rows,
 )
+from repro.core.operators import OrderCategory
 from repro.core.predicate_space import PredicateSpace
 from repro.data.relation import Relation
-from repro.engine.kernel import TileKernel, prepare_groups
+from repro.engine.kernel import (
+    NUMERIC_PAIR,
+    SINGLE_TUPLE,
+    TileKernel,
+    prepare_groups,
+)
 from repro.engine.parallel import fold_tiles
 from repro.engine.partial import participation_keys, split_participation
 from repro.engine.scheduler import (
@@ -177,11 +183,9 @@ def build_evidence_set_dense(
         return EvidenceSet(space, [], [], n, [] if include_participation else None)
 
     n_words = n_words_for(len(space))
-    groups = prepare_groups(relation, space)
     plane = np.zeros((n, n, n_words), dtype=np.uint64)
-    for group in groups:
-        categories = group.tile_categories(0, n, 0, n)
-        plane |= group.lookup[categories]
+    for kind, left, right, masks in zip(*prepare_groups(relation, space)):
+        plane |= masks[_dense_categories(kind, left, right)]
 
     off_diagonal = ~np.eye(n, dtype=bool)
     flat_words = plane[off_diagonal]
@@ -194,6 +198,26 @@ def build_evidence_set_dense(
     return EvidenceSet(
         space, counts=counts, n_rows=n, participation=participation, words=unique_words
     )
+
+
+def _dense_categories(kind: int, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The ``(n, n)`` order-category matrix of one prepared group.
+
+    Evaluated here on its own rather than through the engine's tile pass,
+    so the dense oracle checks that pass instead of sharing it.
+    """
+    n = len(left)
+    if kind == SINGLE_TUPLE:
+        return np.broadcast_to(left.astype(np.int8)[:, None], (n, n))
+    if kind == NUMERIC_PAIR:
+        diff = left[:, None] - right[None, :]
+        return np.select(
+            [diff < 0, diff == 0],
+            [OrderCategory.LESS, OrderCategory.EQUAL],
+            OrderCategory.GREATER,
+        ).astype(np.int8)
+    equal = left[:, None] == right[None, :]
+    return np.where(equal, OrderCategory.EQUAL, OrderCategory.LESS).astype(np.int8)
 
 
 def build_evidence_set_pairwise(

@@ -83,13 +83,15 @@ class Relation:
                 array = np.asarray(coerced, dtype=object)
             self._columns[column_name] = Column(column_name, column_type, array)
         self._n_rows = lengths.pop() if lengths else 0
-        # Per-column string factorization cache (see string_codes): maps a
-        # column name to its (value -> code lookup, per-row codes) pair, and
-        # an ordered column pair to its jointly comparable code arrays.
+        # String factorization caches (see string_codes): a column name maps
+        # to its (value -> code lookup, per-row codes) pair, and an ordered
+        # column pair to its joint lookup and jointly comparable code arrays.
         # Codes follow first-appearance order, so appending rows never
         # changes an existing row's code (see append_rows).
         self._factorization_cache: dict[str, tuple[dict[str, int], np.ndarray]] = {}
-        self._pair_codes_cache: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
+        self._pair_codes_cache: dict[
+            tuple[str, str], tuple[dict[str, int], np.ndarray, np.ndarray]
+        ] = {}
 
     # ------------------------------------------------------------------
     # Schema and size
@@ -189,7 +191,10 @@ class Relation:
         single column this is its cached factorization; for a pair of
         distinct columns the two per-column factorizations are aligned on a
         merged vocabulary (work proportional to the number of distinct
-        values, not the number of rows).
+        values, not the number of rows).  Like the per-column codes, the
+        joint codes are stable under :meth:`append_rows`: a value first
+        seen in one column keeps its code when it later shows up in the
+        other, so per-row data derived from earlier codes stays valid.
         """
         left_lookup, left_codes = self._column_factorization(left)
         if left == right:
@@ -197,21 +202,17 @@ class Relation:
         cached = self._pair_codes_cache.get((left, right))
         if cached is None:
             right_lookup, right_codes = self._column_factorization(right)
-            joint: dict[str, int] = {}
-            for value in left_lookup:
-                joint[value] = len(joint)
+            joint: dict[str, int] = dict(left_lookup)
             for value in right_lookup:
                 if value not in joint:
                     joint[value] = len(joint)
-            left_map = np.empty(len(left_lookup), dtype=np.int64)
-            for value, code in left_lookup.items():
-                left_map[code] = joint[value]
             right_map = np.empty(len(right_lookup), dtype=np.int64)
             for value, code in right_lookup.items():
                 right_map[code] = joint[value]
-            cached = (left_map[left_codes], right_map[right_codes])
+            # Left codes are already first-appearance codes of ``joint``.
+            cached = (joint, left_codes, right_map[right_codes])
             self._pair_codes_cache[(left, right)] = cached
-        return cached
+        return cached[1], cached[2]
 
     # ------------------------------------------------------------------
     # Appending (incremental-store support)
@@ -223,13 +224,11 @@ class Relation:
         ``{column: value}`` records.  Values are coerced to the existing
         column types (types are fixed by the schema, never re-inferred).
 
-        Cached string-factorization codes are *extended, not recomputed*:
-        existing rows keep their codes (first-appearance coding) and only the
-        new rows are factorized, so an incremental evidence build after an
-        append of ``m`` rows pays ``O(m)`` factorization work instead of
-        ``O(n + m)``.  Jointly-aligned pair codes are invalidated (they are
-        rebuilt from the per-column factorizations on demand, at cost
-        proportional to the number of distinct values).
+        Cached string-factorization codes, per column and jointly aligned
+        per column pair, are *extended, not recomputed*: existing rows keep
+        their codes (first-appearance coding) and only the new rows are
+        factorized, so an incremental evidence build after an append of
+        ``m`` rows pays ``O(m)`` factorization work instead of ``O(n + m)``.
         """
         if isinstance(rows, Relation):
             if rows.column_names != self.column_names:
@@ -269,25 +268,27 @@ class Relation:
                 name, column.type, np.concatenate([column.values, extensions[name]])
             )
 
-        # Extend the per-column factorizations for the new rows only.  The
-        # lookup dict is replaced (not mutated) so copies sharing the old
-        # cache entry keep seeing a consistent snapshot.
+        # Extend the cached codes for the new rows only.  Lookup dicts are
+        # replaced (not mutated) so copies sharing the old cache entry keep
+        # seeing a consistent snapshot.
         for name, (lookup, codes) in list(self._factorization_cache.items()):
-            extended_lookup = dict(lookup)
-            new_codes = np.empty(n_new, dtype=np.int64)
-            new_values = self._columns[name].values[self._n_rows:]
-            for position, value in enumerate(new_values.tolist()):
-                text = str(value)
-                code = extended_lookup.get(text)
-                if code is None:
-                    code = len(extended_lookup)
-                    extended_lookup[text] = code
-                new_codes[position] = code
-            self._factorization_cache[name] = (
-                extended_lookup,
-                np.concatenate([codes, new_codes]),
+            lookup, new_codes = _extend_codes(
+                lookup, self._columns[name].values[self._n_rows:].tolist()
             )
-        self._pair_codes_cache.clear()
+            self._factorization_cache[name] = (lookup, np.concatenate([codes, new_codes]))
+        for (left, right), (joint, left_codes, right_codes) in list(
+            self._pair_codes_cache.items()
+        ):
+            joint, new_codes = _extend_codes(
+                joint,
+                self._columns[left].values[self._n_rows:].tolist()
+                + self._columns[right].values[self._n_rows:].tolist(),
+            )
+            self._pair_codes_cache[(left, right)] = (
+                joint,
+                np.concatenate([left_codes, new_codes[:n_new]]),
+                np.concatenate([right_codes, new_codes[n_new:]]),
+            )
 
         self._n_rows += n_new
         return n_new
@@ -408,6 +409,25 @@ class Relation:
         for col in self.columns:
             lines.append(f"  {col.name:<16} {col.type.value:<8} distinct={col.distinct_count()}")
         return "\n".join(lines)
+
+
+def _extend_codes(
+    lookup: dict[str, int], values: list[object]
+) -> tuple[dict[str, int], np.ndarray]:
+    """A copy of ``lookup`` extended by ``values``, and their codes.
+
+    Unseen values get the next free code in order of appearance, so every
+    code ``lookup`` already held keeps its meaning.
+    """
+    extended = dict(lookup)
+    codes = np.empty(len(values), dtype=np.int64)
+    for position, value in enumerate(values):
+        text = str(value)
+        code = extended.get(text)
+        if code is None:
+            code = extended[text] = len(extended)
+        codes[position] = code
+    return extended, codes
 
 
 def running_example() -> Relation:

@@ -5,14 +5,16 @@ and the cluster builder: given one :class:`~repro.engine.scheduler.Tile`
 it produces that block's deduplicated evidence words, multiplicities and
 tuple-participation histogram (a :class:`TilePartial`).
 
-The kernel is deliberately a *numpy-only* payload: building it
-(:meth:`TileKernel.from_relation`) resolves every predicate group's
-comparison data — per-row order categories, float value vectors, string
-factorization codes — and the per-category word masks up front, so worker
-processes receive a few flat arrays instead of the :class:`Relation` and
-:class:`PredicateSpace` objects.  It is pickled once per worker (inside
-the cluster's work context), after which tasks are plain ``(start, stop)``
-shard ranges.
+The kernel is deliberately a *numpy-only* payload: building it resolves
+every predicate group's comparison data — per-row order categories, float
+value vectors, string factorization codes — and the per-category word masks
+up front, so worker processes receive a few flat arrays instead of the
+:class:`Relation` and :class:`PredicateSpace` objects.  Preparation splits
+in two: the space-only :class:`GroupPlan` (rules and lookups) and the
+per-row planes it fills, which a growing relation extends row by row
+(:class:`~repro.incremental.delta.RowPlanes`).  It is pickled once per
+worker (inside the cluster's work context), after which tasks are plain
+``(start, stop)`` shard ranges.
 """
 
 from __future__ import annotations
@@ -60,105 +62,93 @@ class TilePartial:
     part_counts: np.ndarray | None
 
 
-class PreparedGroup:
-    """One predicate group with its comparison data resolved up front.
+#: Category rules of the fused tile pass (``kinds`` codes of ``tile_plane``
+#: in :mod:`repro.native`): the category of a single-tuple group is stored
+#: per row; numeric pairs compare values by sign; string pairs compare
+#: factorization codes for equality.
+SINGLE_TUPLE, NUMERIC_PAIR, STRING_PAIR = 0, 1, 2
 
-    ``tile_categories(i0, i1, j0, j1)`` returns the
-    :class:`OrderCategory` matrix of the ordered pairs
-    ``(t_i, t_j), i in [i0, i1), j in [j0, j1)`` — the per-tile slice of
-    the dense builder's category matrix, computed without materialising it.
-    Subclasses hold only numpy arrays, so every prepared group pickles
-    cheaply into worker processes.
+
+@dataclass(frozen=True)
+class GroupPlan:
+    """The space-only half of kernel preparation.
+
+    One entry per predicate group that sets any bit: its category rule
+    (``kinds``), the column pair it compares, whether both columns are
+    numeric, and its ``(3, n_words)`` category→word lookup (stacked into
+    ``lookup``).  None of it depends on the rows, so a growing relation
+    plans once and only :meth:`fill`-s the per-row planes of new rows.
     """
 
-    def __init__(self, lookup: np.ndarray) -> None:
-        self.lookup = lookup
+    kinds: np.ndarray
+    columns: tuple[tuple[str, str], ...]
+    numeric: tuple[bool, ...]
+    lookup: np.ndarray
 
-    def tile_categories(self, i0: int, i1: int, j0: int, j1: int) -> np.ndarray:
-        raise NotImplementedError
-
-
-class SingleTupleGroup(PreparedGroup):
-    """``t[A] op t[B]``: the category depends only on the left row."""
-
-    def __init__(self, lookup: np.ndarray, per_row: np.ndarray) -> None:
-        super().__init__(lookup)
-        self.per_row = per_row
-
-    def tile_categories(self, i0: int, i1: int, j0: int, j1: int) -> np.ndarray:
-        return np.broadcast_to(self.per_row[i0:i1, None], (i1 - i0, j1 - j0))
-
-
-class NumericPairGroup(PreparedGroup):
-    """Numeric ``t[A] op t'[B]``: sign of the value difference."""
-
-    def __init__(self, lookup: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:
-        super().__init__(lookup)
-        self.left = left
-        self.right = right
-
-    def tile_categories(self, i0: int, i1: int, j0: int, j1: int) -> np.ndarray:
-        sign = np.sign(self.left[i0:i1, None] - self.right[None, j0:j1])
-        return (sign + 1).astype(np.int8)
-
-
-class StringPairGroup(PreparedGroup):
-    """String ``t[A] op t'[B]``: equality of factorization codes."""
-
-    def __init__(self, lookup: np.ndarray, left_codes: np.ndarray, right_codes: np.ndarray) -> None:
-        super().__init__(lookup)
-        self.left_codes = left_codes
-        self.right_codes = right_codes
-
-    def tile_categories(self, i0: int, i1: int, j0: int, j1: int) -> np.ndarray:
-        equal = self.left_codes[i0:i1, None] == self.right_codes[None, j0:j1]
-        categories = np.full(equal.shape, OrderCategory.LESS, dtype=np.int8)
-        categories[equal] = OrderCategory.EQUAL
-        return categories
-
-
-def prepare_groups(relation: "Relation", space: "PredicateSpace") -> list[PreparedGroup]:
-    """Resolve every predicate group's comparison data and word lookup."""
-    prepared: list[PreparedGroup] = []
-    for group in space.groups:
-        left_column, right_column, form = group.key
-        lookup = category_masks(space, group.indices, group.numeric)
-        if not lookup.any():
-            continue
-        left = relation.column(left_column)
-        right = relation.column(right_column)
-        numeric = left.type.is_numeric and right.type.is_numeric
-
-        if form is PredicateForm.SINGLE_TUPLE:
-            per_row = row_categories(relation, left_column, right_column, numeric)
-            prepared.append(SingleTupleGroup(lookup, per_row))
-        elif numeric:
-            prepared.append(
-                NumericPairGroup(
-                    lookup,
-                    left.values.astype(np.float64, copy=False),
-                    right.values.astype(np.float64, copy=False),
-                )
+    @classmethod
+    def of(cls, relation: "Relation", space: "PredicateSpace") -> "GroupPlan":
+        """Plan every group of ``space`` over ``relation``'s schema."""
+        kinds: list[int] = []
+        columns: list[tuple[str, str]] = []
+        numerics: list[bool] = []
+        lookups: list[np.ndarray] = []
+        for group in space.groups:
+            left_column, right_column, form = group.key
+            lookup = category_masks(space, group.indices, group.numeric)
+            if not lookup.any():
+                continue
+            numeric = (
+                relation.column(left_column).type.is_numeric
+                and relation.column(right_column).type.is_numeric
             )
-        else:
-            left_codes, right_codes = relation.string_codes(left_column, right_column)
-            prepared.append(StringPairGroup(lookup, left_codes, right_codes))
-    return prepared
+            if form is PredicateForm.SINGLE_TUPLE:
+                kinds.append(SINGLE_TUPLE)
+            else:
+                kinds.append(NUMERIC_PAIR if numeric else STRING_PAIR)
+            columns.append((left_column, right_column))
+            numerics.append(numeric)
+            lookups.append(lookup)
+        n_words = n_words_for(len(space))
+        return cls(
+            np.asarray(kinds, dtype=np.int32),
+            tuple(columns),
+            tuple(numerics),
+            np.asarray(lookups, dtype=np.uint64).reshape(len(kinds), 3, n_words),
+        )
 
+    def fill(self, relation: "Relation", a: np.ndarray, b: np.ndarray, start: int) -> None:
+        """Write rows ``[start, n)`` of ``relation`` into the per-row planes.
 
-def row_categories(
-    relation: "Relation", left_column: str, right_column: str, numeric: bool
-) -> np.ndarray:
-    """Per-row order category for single-tuple predicates ``t[A] op t[B]``."""
-    left = relation.column(left_column).values
-    right = relation.column(right_column).values
-    if numeric:
-        sign = np.sign(left.astype(np.float64) - right.astype(np.float64))
-        return (sign + 1).astype(np.int8)
-    left_codes, right_codes = relation.string_codes(left_column, right_column)
-    categories = np.full(len(left_codes), OrderCategory.LESS, dtype=np.int8)
-    categories[left_codes == right_codes] = OrderCategory.EQUAL
-    return categories
+        ``a``/``b`` are ``(G, >= n)`` float64 planes: a single-tuple group
+        stores its per-row category in ``a``; a pair group stores the left
+        and right comparison values (numbers, or string factorization codes,
+        which float64 holds exactly) in ``a`` and ``b``.  Columns before
+        ``start`` are left as they are, which is what makes the planes
+        append-only: the relation's string codes are stable under appends,
+        so rows planned earlier never need rewriting.
+        """
+        stop = relation.n_rows
+        for g, (kind, (left, right), numeric) in enumerate(
+            zip(self.kinds, self.columns, self.numeric)
+        ):
+            if numeric:
+                left_values = relation.column(left).values[start:].astype(np.float64)
+                right_values = relation.column(right).values[start:].astype(np.float64)
+            else:
+                left_codes, right_codes = relation.string_codes(left, right)
+                left_values, right_values = left_codes[start:], right_codes[start:]
+            if kind != SINGLE_TUPLE:
+                a[g, start:stop] = left_values
+                b[g, start:stop] = right_values
+            elif numeric:
+                # A missing value (NaN) falls in LESS, never an invalid index.
+                a[g, start:stop] = np.nan_to_num(
+                    np.sign(left_values - right_values) + 1, nan=OrderCategory.LESS
+                )
+            else:
+                a[g, start:stop] = np.where(
+                    left_values == right_values, OrderCategory.EQUAL, OrderCategory.LESS
+                )
 
 
 def category_masks(space: "PredicateSpace", indices: tuple[int, ...], numeric: bool) -> np.ndarray:
@@ -180,13 +170,33 @@ def category_masks(space: "PredicateSpace", indices: tuple[int, ...], numeric: b
     return masks
 
 
+def prepare_groups(
+    relation: "Relation", space: "PredicateSpace"
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Resolve every predicate group over all rows of ``relation``.
+
+    Returns ``(kinds, a, b, lookup)``: the :class:`GroupPlan`'s rules and
+    lookups with freshly filled ``(G, n)`` per-row planes — the arrays the
+    fused ``tile_plane`` pass reads.
+    """
+    plan = GroupPlan.of(relation, space)
+    n_groups = len(plan.kinds)
+    a = np.zeros((n_groups, relation.n_rows), dtype=np.float64)
+    b = np.zeros((n_groups, relation.n_rows), dtype=np.float64)
+    plan.fill(relation, a, b, 0)
+    return plan.kinds, a, b, plan.lookup
+
+
 class TileKernel:
     """Evaluate the evidence words of one tile of the ordered-pair matrix.
 
     Parameters
     ----------
-    groups:
-        Prepared predicate groups (see :func:`prepare_groups`).
+    packed:
+        ``(kinds, a, b, lookup)`` as returned by :func:`prepare_groups`:
+        per-group category rules, the two ``(G, n_rows)`` float64 per-row
+        planes (row-strided views of larger buffers are fine) and the
+        ``(G, 3, n_words)`` category→words lookup.
     n_rows:
         Number of tuples of the relation.
     n_predicates:
@@ -196,57 +206,18 @@ class TileKernel:
         histogram needed by the f2/f3 approximation functions.
     """
 
-    #: Group-class → kernel category-rule code of the fused native tile
-    #: pass (see ``tile_plane`` in :mod:`repro.native`).  Unknown
-    #: :class:`PreparedGroup` subclasses force the per-group numpy loop.
-    _NATIVE_KINDS = {SingleTupleGroup: 0, NumericPairGroup: 1, StringPairGroup: 2}
-
     def __init__(
         self,
-        groups: list[PreparedGroup],
+        packed: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
         n_rows: int,
         n_predicates: int,
         include_participation: bool = True,
     ) -> None:
-        self.groups = groups
         self.n_rows = check_row_count(n_rows)
         self.n_predicates = int(n_predicates)
         self.n_words = n_words_for(n_predicates)
         self.include_participation = bool(include_participation)
-        self._packed = self._pack_groups()
-
-    def _pack_groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
-        """Flatten the groups for the one-call tile kernel.
-
-        Returns ``(kinds, a, b, lookup)`` — per-group category-rule codes,
-        the two ``(G, n_rows)`` float64 comparison planes and the contiguous
-        ``(G, 3, n_words)`` category→words lookup — or ``None`` when any
-        group is not one of the three standard classes (the per-group
-        fallback then evaluates custom ``tile_categories`` overrides).
-        """
-        kinds = []
-        for group in self.groups:
-            kind = self._NATIVE_KINDS.get(type(group))
-            if kind is None:
-                return None
-            kinds.append(kind)
-        n_groups = len(self.groups)
-        a = np.zeros((n_groups, self.n_rows), dtype=np.float64)
-        b = np.zeros((n_groups, self.n_rows), dtype=np.float64)
-        lookup = np.zeros((n_groups, 3, self.n_words), dtype=np.uint64)
-        for g, (group, kind) in enumerate(zip(self.groups, kinds)):
-            lookup[g] = group.lookup
-            if kind == 0:
-                a[g] = group.per_row
-            elif kind == 1:
-                a[g] = group.left
-                b[g] = group.right
-            else:
-                # Factorization codes are small ints; float64 holds them
-                # exactly, so equality of codes == equality of doubles.
-                a[g] = group.left_codes
-                b[g] = group.right_codes
-        return np.asarray(kinds, dtype=np.int32), a, b, lookup
+        self._packed = packed
 
     @classmethod
     def from_relation(
@@ -274,17 +245,10 @@ class TileKernel:
         evidence, something the deduplicated evidence set no longer knows.
         """
         i0, i1, j0, j1 = tile.i0, tile.i1, tile.j0, tile.j1
-        if self._packed is not None:
-            kinds, a, b, lookup = self._packed
-            flat = native_dispatch.get_backend().kernels.tile_plane(
-                kinds, a, b, lookup, i0, i1, j0, j1, self.n_words
-            )
-        else:
-            plane = np.zeros((i1 - i0, j1 - j0, self.n_words), dtype=np.uint64)
-            for group in self.groups:
-                categories = group.tile_categories(i0, i1, j0, j1)
-                plane |= group.lookup[categories]
-            flat = plane.reshape(-1, self.n_words)
+        kinds, a, b, lookup = self._packed
+        flat = native_dispatch.get_backend().kernels.tile_plane(
+            kinds, a, b, lookup, i0, i1, j0, j1, self.n_words
+        )
         left_ids = np.repeat(np.arange(i0, i1, dtype=np.int64), j1 - j0)
         right_ids = np.tile(np.arange(j0, j1, dtype=np.int64), i1 - i0)
         keep = left_ids != right_ids

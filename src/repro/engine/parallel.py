@@ -41,6 +41,8 @@ def fold_tiles(kernel: TileKernel, tiles: tuple["Tile", ...]) -> PartialEvidence
     # Tile-throughput metrics: in cluster workers these land in the worker
     # process's own registry; serial in-process folds report here directly.
     for tile in tiles:
+        if not tile.n_pairs:
+            continue  # a lone diagonal cell: nothing to evaluate
         tile_start = time.perf_counter()
         tile_partial = kernel.run(tile)
         obs_metrics.EVIDENCE_TILE_SECONDS.observe(time.perf_counter() - tile_start)

@@ -67,12 +67,16 @@ class PartialEvidenceSet:
         self.n_rows = check_row_count(n_rows)
         self.n_words = int(n_words)
         self.include_participation = bool(include_participation)
+        # Distinct word rows by their bytes; ids are 0..k-1 in insertion
+        # order and index the rows of ``_words``, a growable buffer whose
+        # first ``len(self._ids)`` rows are the distinct words.
         self._ids: dict[bytes, int] = {}
-        self._rows: list[np.ndarray] = []
+        self._words = np.zeros((0, self.n_words), dtype=np.uint64)
         self._id_chunks: list[np.ndarray] = []
         self._count_chunks: list[np.ndarray] = []
         self._part_key_chunks: list[np.ndarray] = []
         self._part_count_chunks: list[np.ndarray] = []
+        self._chunk_bytes = 0
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -95,23 +99,52 @@ class PartialEvidenceSet:
 
     @property
     def chunk_bytes(self) -> int:
-        """Bytes held by the chunk arrays (the distinct word rows excluded)."""
-        return sum(chunk.nbytes for chunks in self._chunk_lists() for chunk in chunks)
+        """Bytes held by the chunk arrays (the distinct word rows excluded).
 
-    def _intern_rows(self, words: np.ndarray) -> np.ndarray:
-        """Map distinct word rows to global ids, registering new ones."""
-        mapping = np.empty(len(words), dtype=np.int64)
+        A running total kept by every method that adds or replaces chunks,
+        so reading it is O(1) however many chunks the partial holds.
+        """
+        return self._chunk_bytes
+
+    def _add_chunks(self, chunks: list[np.ndarray], *arrays: np.ndarray) -> None:
+        chunks.extend(arrays)
+        self._chunk_bytes += sum(array.nbytes for array in arrays)
+
+    def _recount_chunk_bytes(self) -> None:
+        self._chunk_bytes = sum(
+            chunk.nbytes for chunks in self._chunk_lists() for chunk in chunks
+        )
+
+    def _distinct_words(self) -> np.ndarray:
+        """The distinct word rows in intern order (a view; do not mutate)."""
+        return self._words[: len(self._ids)]
+
+    def _row_keys(self, words: np.ndarray) -> list[bytes]:
+        """Each row of ``words`` as its bytes, in one vectorised step."""
+        rows = np.ascontiguousarray(words, dtype=np.uint64).reshape(-1, self.n_words)
+        return rows.view(np.dtype((np.void, 8 * self.n_words))).ravel().tolist()
+
+    def _intern(self, keys: list[bytes], words: np.ndarray) -> np.ndarray:
+        """Map distinct word rows (with their byte ``keys``) to global ids.
+
+        Rows not seen before get the next ids in order and are copied into
+        the word buffer in one slice assignment.  ``keys`` must be distinct,
+        which kernel tiles and partials guarantee.
+        """
         ids = self._ids
-        for local, row in enumerate(words):
-            key = row.tobytes()
-            global_id = ids.get(key)
-            if global_id is None:
-                global_id = len(ids)
-                ids[key] = global_id
-                # copy: appending the view would pin the source array,
-                # defeating the O(tile^2) memory bound.
-                self._rows.append(row.copy())
-            mapping[local] = global_id
+        base = len(ids)
+        unseen = [key for key in keys if key not in ids]
+        ids.update(zip(unseen, range(base, base + len(unseen))))
+        mapping = np.fromiter(map(ids.__getitem__, keys), dtype=np.int64, count=len(keys))
+        fresh = words[mapping >= base]
+        if len(fresh):
+            stop = base + len(fresh)
+            if stop > len(self._words):
+                # Doubling keeps the row copies amortized O(1) per word.
+                grown = np.empty((max(stop, 2 * base), self.n_words), dtype=np.uint64)
+                grown[:base] = self._words[:base]
+                self._words = grown
+            self._words[base:stop] = fresh
         return mapping
 
     @staticmethod
@@ -121,17 +154,20 @@ class PartialEvidenceSet:
 
     def add_tile(self, tile_partial: "TilePartial") -> "PartialEvidenceSet":
         """Absorb one tile kernel result; returns ``self`` for chaining."""
-        mapping = self._intern_rows(tile_partial.words)
-        self._id_chunks.append(mapping)
-        self._count_chunks.append(np.asarray(tile_partial.counts, dtype=np.int64))
+        words = tile_partial.words
+        mapping = self._intern(self._row_keys(words), words)
+        self._add_chunks(self._id_chunks, mapping)
+        self._add_chunks(self._count_chunks, np.asarray(tile_partial.counts, dtype=np.int64))
         if self.include_participation:
             if tile_partial.part_keys is None:
                 raise ValueError("tile partial lacks the participation histogram")
-            self._part_key_chunks.append(
-                self._remap_part_keys(tile_partial.part_keys, mapping)
+            self._add_chunks(
+                self._part_key_chunks,
+                self._remap_part_keys(tile_partial.part_keys, mapping),
             )
-            self._part_count_chunks.append(
-                np.asarray(tile_partial.part_counts, dtype=np.int64)
+            self._add_chunks(
+                self._part_count_chunks,
+                np.asarray(tile_partial.part_counts, dtype=np.int64),
             )
         return self
 
@@ -148,24 +184,17 @@ class PartialEvidenceSet:
             raise ValueError("cannot merge partials of different relations")
         if other.include_participation != self.include_participation:
             raise ValueError("cannot merge partials with mismatched participation")
-        # other._ids already holds each row's byte key, and other._rows owns
-        # copies that are never mutated, so the union can reuse both instead
-        # of re-serializing and re-copying every row.
-        remap = np.empty(len(other._rows), dtype=np.int64)
-        for key, other_id in other._ids.items():
-            global_id = self._ids.get(key)
-            if global_id is None:
-                global_id = len(self._ids)
-                self._ids[key] = global_id
-                self._rows.append(other._rows[other_id])
-            remap[other_id] = global_id
-        for chunk in other._id_chunks:
-            self._id_chunks.append(remap[chunk])
-        self._count_chunks.extend(other._count_chunks)
+        # other._ids already holds each row's byte key in id order, so the
+        # union reuses the keys instead of re-serializing every row.
+        remap = self._intern(list(other._ids), other._distinct_words())
+        self._add_chunks(self._id_chunks, *(remap[chunk] for chunk in other._id_chunks))
+        self._add_chunks(self._count_chunks, *other._count_chunks)
         if self.include_participation:
-            for keys in other._part_key_chunks:
-                self._part_key_chunks.append(self._remap_part_keys(keys, remap))
-            self._part_count_chunks.extend(other._part_count_chunks)
+            self._add_chunks(
+                self._part_key_chunks,
+                *(self._remap_part_keys(keys, remap) for keys in other._part_key_chunks),
+            )
+            self._add_chunks(self._part_count_chunks, *other._part_count_chunks)
         return self
 
     def rebase_rows(self, new_n_rows: int) -> "PartialEvidenceSet":
@@ -208,6 +237,7 @@ class PartialEvidenceSet:
             key_chunks, part_count_chunks = [keys], [counts]
         self._id_chunks, self._count_chunks = id_chunks, count_chunks
         self._part_key_chunks, self._part_count_chunks = key_chunks, part_count_chunks
+        self._recount_chunk_bytes()
         return self
 
     def word_histogram(self) -> tuple[np.ndarray, np.ndarray]:
@@ -215,8 +245,9 @@ class PartialEvidenceSet:
 
         Returns ``(words, totals)``: the ``(n_distinct, n_words)`` uint64
         rows in *intern* order (not the canonical lexicographic order —
-        callers aggregating over rows must not depend on row positions) and
-        the per-row total pair multiplicity across all absorbed chunks.
+        callers aggregating over rows must not depend on row positions; a
+        read-only view of the word buffer, not a copy) and the per-row total
+        pair multiplicity across all absorbed chunks.
 
         This is the maintenance hook of the push-based violation counters
         (:class:`repro.serve.counters.ViolationCounters`): summing pair
@@ -226,12 +257,7 @@ class PartialEvidenceSet:
         without paying the lexsort or the participation merge — duplicate
         grouping cannot change a sum.
         """
-        words = (
-            np.vstack(self._rows)
-            if self._rows
-            else np.zeros((0, self.n_words), dtype=np.uint64)
-        )
-        return words, self._totals()
+        return self._distinct_words(), self._totals()
 
     def state_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The partial compacted to four arrays, for durable snapshots.
@@ -281,12 +307,13 @@ class PartialEvidenceSet:
         erases it anyway.
         """
         partial = cls(n_rows, n_words, include_participation)
-        words = np.ascontiguousarray(words, dtype=np.uint64).reshape(-1, int(n_words))
+        words = np.array(words, dtype=np.uint64, order="C").reshape(-1, int(n_words))
         if len(words):
-            partial._rows = [row for row in words]
-            partial._ids = {row.tobytes(): i for i, row in enumerate(words)}
+            keys = partial._row_keys(words)
+            partial._ids = dict(zip(keys, range(len(keys))))
             if len(partial._ids) != len(words):
                 raise ValueError("snapshot word rows are not distinct")
+            partial._words = words
             partial._id_chunks = [np.arange(len(words), dtype=np.int64)]
             partial._count_chunks = [np.asarray(totals, dtype=np.int64)]
         if include_participation and len(part_keys):
@@ -294,17 +321,23 @@ class PartialEvidenceSet:
             evidence_ids, tuple_ids = np.divmod(part_keys, max(partial.n_rows, 1))
             partial._part_key_chunks = [participation_keys(evidence_ids, tuple_ids)]
             partial._part_count_chunks = [np.asarray(part_counts, dtype=np.int64)]
+        partial._recount_chunk_bytes()
         return partial
 
     def copy(self) -> "PartialEvidenceSet":
-        """Independent copy (chunk arrays are shared, never mutated)."""
+        """Independent copy.
+
+        Chunk arrays are shared (they are never mutated); the word buffer
+        is copied because both partials go on appending rows to it.
+        """
         duplicate = PartialEvidenceSet(self.n_rows, self.n_words, self.include_participation)
         duplicate._ids = dict(self._ids)
-        duplicate._rows = list(self._rows)
+        duplicate._words = self._distinct_words().copy()
         duplicate._id_chunks = list(self._id_chunks)
         duplicate._count_chunks = list(self._count_chunks)
         duplicate._part_key_chunks = list(self._part_key_chunks)
         duplicate._part_count_chunks = list(self._part_count_chunks)
+        duplicate._chunk_bytes = self._chunk_bytes
         return duplicate
 
     def finalize(self, space: "PredicateSpace") -> EvidenceSet:
@@ -315,11 +348,7 @@ class PartialEvidenceSet:
         over the same tiles finalizes to a bit-identical result.
         """
         n_evidences = len(self._ids)
-        words = (
-            np.vstack(self._rows)
-            if self._rows
-            else np.zeros((0, self.n_words), dtype=np.uint64)
-        )
+        words = self._distinct_words()
         order = lexsort_word_rows(words)
         rank = np.empty(n_evidences, dtype=np.int64)
         rank[order] = np.arange(n_evidences, dtype=np.int64)

@@ -8,11 +8,8 @@ receives.  :func:`choose_tile_rows` picks the tile
 edge adaptively from a memory budget and the evidence word width, replacing
 the fixed 256-row default of the original tiled builder.
 
-A scheduler is not restricted to the full ``n x n`` matrix: the ``rows`` /
-``cols`` ranges restrict it to any rectangular ``row-range x row-range``
-block, which is what the incremental delta builder
-(:mod:`repro.incremental.delta`) uses to enumerate only the new-vs-old
-rectangles and the new-vs-new square of an appended batch.
+The incremental delta builder (:mod:`repro.incremental.delta`) cuts its
+appended-pair blocks itself, into tiles of the same ``edge²`` pair budget.
 """
 
 from __future__ import annotations
@@ -107,25 +104,8 @@ class Shard:
         return len(self.tiles)
 
 
-def _validated_range(bounds: tuple[int, int] | None, n_rows: int, axis: str) -> tuple[int, int]:
-    """Clamp-check one ``[lo, hi)`` row range of a scheduler block."""
-    if bounds is None:
-        return (0, n_rows)
-    lo, hi = int(bounds[0]), int(bounds[1])
-    if not 0 <= lo <= hi <= n_rows:
-        raise ValueError(
-            f"{axis} range ({lo}, {hi}) outside the relation's [0, {n_rows})"
-        )
-    return (lo, hi)
-
-
 class TileScheduler:
-    """Partition a block of the ordered-pair matrix of ``n_rows`` tuples.
-
-    By default the block is the full ``n x n`` matrix; ``rows`` / ``cols``
-    restrict it to any rectangular ``[lo, hi) x [lo, hi)`` sub-block, the
-    unit the incremental delta builder schedules (new-vs-old rectangles,
-    new-vs-new square).
+    """Partition the ordered-pair matrix of ``n_rows`` tuples into tiles.
 
     Parameters
     ----------
@@ -138,10 +118,6 @@ class TileScheduler:
         Evidence word width (used only by the adaptive selection).
     memory_budget_bytes:
         Kernel memory budget (used only by the adaptive selection).
-    rows:
-        Optional ``[lo, hi)`` range of left-tuple ids; default ``(0, n_rows)``.
-    cols:
-        Optional ``[lo, hi)`` range of right-tuple ids; default ``(0, n_rows)``.
     """
 
     def __init__(
@@ -150,8 +126,6 @@ class TileScheduler:
         tile_rows: int | None = None,
         n_words: int = 1,
         memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES,
-        rows: tuple[int, int] | None = None,
-        cols: tuple[int, int] | None = None,
     ) -> None:
         if n_rows < 0:
             raise ValueError("n_rows must be non-negative")
@@ -161,33 +135,21 @@ class TileScheduler:
             raise ValueError("tile_rows must be positive")
         self.n_rows = int(n_rows)
         self.tile_rows = int(tile_rows)
-        self.rows = _validated_range(rows, self.n_rows, "rows")
-        self.cols = _validated_range(cols, self.n_rows, "cols")
         self._tiles: tuple[Tile, ...] | None = None
 
     @property
-    def grid_shape(self) -> tuple[int, int]:
-        """Tiles along the (row, column) axes of the scheduled block."""
-        t = self.tile_rows
-        return (
-            -(-(self.rows[1] - self.rows[0]) // t),
-            -(-(self.cols[1] - self.cols[0]) // t),
-        )
-
-    @property
     def grid(self) -> int:
-        """Tiles per side of a square grid (row axis for rectangles)."""
-        return self.grid_shape[0]
+        """Tiles per side of the grid."""
+        return -(-self.n_rows // self.tile_rows)
 
     def tiles(self) -> tuple[Tile, ...]:
         """All tiles in row-major order (cached)."""
         if self._tiles is None:
-            t = self.tile_rows
-            (r0, r1), (c0, c1) = self.rows, self.cols
+            n, t = self.n_rows, self.tile_rows
             self._tiles = tuple(
-                Tile(i0, min(i0 + t, r1), j0, min(j0 + t, c1))
-                for i0 in range(r0, r1, t)
-                for j0 in range(c0, c1, t)
+                Tile(i0, min(i0 + t, n), j0, min(j0 + t, n))
+                for i0 in range(0, n, t)
+                for j0 in range(0, n, t)
             )
         return self._tiles
 
@@ -199,10 +161,8 @@ class TileScheduler:
 
     @property
     def total_pairs(self) -> int:
-        """Ordered distinct pairs in the block (diagonal cells excluded)."""
-        (r0, r1), (c0, c1) = self.rows, self.cols
-        diagonal = max(0, min(r1, c1) - max(r0, c0))
-        return (r1 - r0) * (c1 - c0) - diagonal
+        """Ordered distinct pairs (diagonal cells excluded)."""
+        return self.n_rows * (self.n_rows - 1)
 
     def shards(self, k: int) -> list[Shard]:
         """Split the tile list into at most ``k`` contiguous balanced shards.
@@ -220,8 +180,8 @@ def shard_tiles(tiles: tuple[Tile, ...], k: int) -> list[Shard]:
     closes once it reaches its share of the remaining pairs, subject to
     every remaining shard still receiving at least one tile.  Returns
     ``min(k, len(tiles))`` shards that exactly partition ``tiles``.  Works
-    over any tile list — a scheduler's full grid or the concatenated block
-    grids of the incremental delta builder.
+    over any tile list — a scheduler's full grid or the delta tiles of the
+    incremental builder.
     """
     if k < 1:
         raise ValueError("shard count must be positive")

@@ -6,9 +6,9 @@ follow once data keeps arriving:
 
 * :mod:`repro.incremental.delta` — delta evidence construction: appending
   ``m`` rows to ``n`` costs the ``O(n·m + m²)`` cross/new tile blocks, not
-  a full ``O((n+m)²)`` rebuild.  Built on the engine's rectangular tile
-  schedules and the associative
-  :class:`~repro.engine.partial.PartialEvidenceSet` merge.
+  a full ``O((n+m)²)`` rebuild, cut into tiles bounded by pairs and run
+  over append-only kernel planes.  Built on the engine's tile kernel and
+  the associative :class:`~repro.engine.partial.PartialEvidenceSet` merge.
 * :mod:`repro.incremental.store` — :class:`EvidenceStore`, the long-lived
   holder of the relation snapshot and unfinalized partial, with ``append``
   / cached ``evidence()`` / ``remine(epsilon)``.  Invariant: append +

@@ -10,14 +10,18 @@ new ordered pairs to the pair matrix:
 Every pair among the first ``n`` rows is untouched, so the evidence
 contribution of those blocks — ``O(n·m + m²)`` pairs instead of the full
 ``O((n+m)²)`` — is all an incremental rebuild has to compute.
-:class:`DeltaEvidenceBuilder` schedules the three blocks as ordinary
-:class:`~repro.engine.scheduler.Tile` work units (the rectangular-range
-support of :class:`~repro.engine.scheduler.TileScheduler`), runs them
-through the same picklable :class:`~repro.engine.kernel.TileKernel` as the
-batch builders — serially (:func:`~repro.engine.parallel.fold_tiles`) or
-over an attached cluster — and returns a
-:class:`~repro.engine.partial.PartialEvidenceSet` ready to
+:func:`delta_tiles` cuts the blocks into tiles bounded by *pairs*, not by
+edge: a tile holds at most ``edge²`` pairs, the budget of one square tile
+of a full build, so a thin ``m x n`` strip stays one tile while
+``m·n <= edge²`` and a one-row append costs two tiles at any ``n``.
+:class:`DeltaEvidenceBuilder` runs them through the same picklable
+:class:`~repro.engine.kernel.TileKernel` as the batch builders — serially
+(:func:`~repro.engine.parallel.fold_tiles`) or over an attached cluster —
+and returns a :class:`~repro.engine.partial.PartialEvidenceSet` ready to
 :meth:`~repro.engine.partial.PartialEvidenceSet.merge` into the stored one.
+A store keeps its relation's :class:`RowPlanes` — the predicate groups
+planned once and the kernel's per-row planes, append-only — so preparing
+a delta kernel costs the new rows only.
 
 Because the delta tiles partition exactly the pairs a full rebuild would
 add, and :meth:`~repro.engine.partial.PartialEvidenceSet.finalize` is
@@ -31,16 +35,17 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.core.evidence import n_words_for
-from repro.engine.kernel import TileKernel
+from repro.engine.kernel import GroupPlan, TileKernel
 from repro.engine.parallel import fold_tiles, parallel_tile_rows
-from repro.engine.scheduler import DEFAULT_MEMORY_BUDGET_BYTES, TileScheduler
+from repro.engine.scheduler import DEFAULT_MEMORY_BUDGET_BYTES, Tile, TileScheduler
 
 if TYPE_CHECKING:
     from repro.core.predicate_space import PredicateSpace
     from repro.data.relation import Relation
     from repro.engine.partial import PartialEvidenceSet
-    from repro.engine.scheduler import Tile
 
 
 def delta_tiles(
@@ -52,11 +57,12 @@ def delta_tiles(
     """Tile work units covering exactly the pairs an append introduced.
 
     Enumerates the new-vs-old and old-vs-new rectangles and the new-vs-new
-    square of a relation grown from ``n_existing`` to ``n_total`` rows, as
-    three rectangular :class:`~repro.engine.scheduler.TileScheduler` grids.
+    square of a relation grown from ``n_existing`` to ``n_total`` rows.
+    Each tile spans at most ``tile_rows²`` cells (see :func:`_block_tiles`).
     The returned tiles partition the added ordered pairs: no pair between
     two existing rows appears, and every pair touching a new row appears
-    exactly once.
+    exactly once.  A one-row append yields two strips plus the pair-less
+    diagonal cell of its new-vs-new square, which folds skip.
 
     ``include_new_vs_new=False`` drops the new-vs-new square, leaving only
     the cross rectangles — what per-row batch admission
@@ -67,22 +73,98 @@ def delta_tiles(
         raise ValueError(
             f"invalid append bounds: {n_existing} existing of {n_total} total rows"
         )
-    if n_existing == n_total:
-        return ()
+    if tile_rows < 1:
+        raise ValueError("tile_rows must be positive")
     blocks = [
-        # new-vs-old, old-vs-new, new-vs-new (row-range x row-range grids).
+        # new-vs-old, old-vs-new, new-vs-new (row range x column range).
         ((n_existing, n_total), (0, n_existing)),
         ((0, n_existing), (n_existing, n_total)),
     ]
     if include_new_vs_new:
         blocks.append(((n_existing, n_total), (n_existing, n_total)))
-    tiles: list["Tile"] = []
-    for rows, cols in blocks:
-        if rows[0] == rows[1] or cols[0] == cols[1]:
-            continue
-        scheduler = TileScheduler(n_total, tile_rows=tile_rows, rows=rows, cols=cols)
-        tiles.extend(scheduler.tiles())
-    return tuple(tiles)
+    return tuple(tile for rows, cols in blocks for tile in _block_tiles(rows, cols, tile_rows))
+
+
+def _block_tiles(
+    rows: tuple[int, int], cols: tuple[int, int], edge: int
+) -> list["Tile"]:
+    """Cut one ``rows x cols`` block into tiles of at most ``edge²`` cells.
+
+    A side no longer than ``edge`` stays whole and the other side is cut
+    into runs of ``edge² // side``, so an ``m x n`` strip costs
+    ``ceil(m·n / edge²)``-ish tiles instead of ``ceil(n / edge)``; a block
+    longer than ``edge`` on both sides falls back to the square grid of a
+    full build.
+    """
+    (r0, r1), (c0, c1) = rows, cols
+    height, width = r1 - r0, c1 - c0
+    if height == 0 or width == 0:
+        return []
+    budget = edge * edge
+    if height <= edge:
+        row_step, col_step = height, budget // height
+    elif width <= edge:
+        row_step, col_step = budget // width, width
+    else:
+        row_step = col_step = edge
+    return [
+        Tile(i0, min(i0 + row_step, r1), j0, min(j0 + col_step, c1))
+        for i0 in range(r0, r1, row_step)
+        for j0 in range(c0, c1, col_step)
+    ]
+
+
+class RowPlanes:
+    """Append-only per-row kernel planes of one growing relation.
+
+    Holds the relation's :class:`~repro.engine.kernel.GroupPlan` (planned
+    once) and ``(G, capacity)`` float64 planes that grow by doubling.  The
+    owner — the store, the one party that knows which rows are committed —
+    keeps one instance per relation and vouches for its committed prefix
+    on every :meth:`packed` call; the builder itself keeps no per-relation
+    state.
+    """
+
+    def __init__(self, relation: "Relation", space: "PredicateSpace") -> None:
+        self.plan = GroupPlan.of(relation, space)
+        self._a = self._b = np.zeros((len(self.plan.kinds), 0), dtype=np.float64)
+        # Columns [0, _filled) hold the rows of the last relation packed.
+        self._filled = 0
+
+    def packed(
+        self, relation: "Relation", n_existing: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(kinds, a, b, lookup)`` over ``relation``'s current rows.
+
+        The first ``n_existing`` rows of ``relation`` must be rows an
+        earlier call filled (the owner's committed rows): their planes are
+        reused and only the rows after them are filled — ``O(m)`` for an
+        ``m``-row append instead of ``O(n)``.  ``n_existing=0`` fills every
+        row into fresh buffers.  Rows past ``n_existing`` (a staged append,
+        a ``check_batch`` probe) may be overwritten by the next call; rows
+        below it never are, so the planes of a kernel handed out earlier
+        stay valid.
+        """
+        n_rows = relation.n_rows
+        start = min(n_existing, self._filled)
+        if start == 0 or n_rows > self._a.shape[1]:
+            # Doubling keeps the copy of filled rows amortized O(1) per row.
+            a = np.zeros((len(self.plan.kinds), max(n_rows, 2 * start)), dtype=np.float64)
+            b = np.zeros_like(a)
+            a[:, :start] = self._a[:, :start]
+            b[:, :start] = self._b[:, :start]
+            self._a, self._b = a, b
+        self.plan.fill(relation, self._a, self._b, start)
+        self._filled = n_rows
+        return self.plan.kinds, self._a[:, :n_rows], self._b[:, :n_rows], self.plan.lookup
+
+    def copy(self) -> "RowPlanes":
+        """Planes of their own for a cloned owner (the plan is shared)."""
+        duplicate = object.__new__(RowPlanes)
+        duplicate.plan = self.plan
+        duplicate._a, duplicate._b = self._a.copy(), self._b.copy()
+        duplicate._filled = self._filled
+        return duplicate
 
 
 class DeltaEvidenceBuilder:
@@ -111,6 +193,10 @@ class DeltaEvidenceBuilder:
         instead of serially in-process.
     memory_budget_bytes:
         Transient-memory budget driving the adaptive tile edge.
+
+    The builder keeps no per-relation state: a kernel prepares every row
+    unless the caller passes the :class:`RowPlanes` of its relation (see
+    :meth:`kernel`).
     """
 
     def __init__(
@@ -155,24 +241,36 @@ class DeltaEvidenceBuilder:
             return fold_tiles_cluster(kernel, tiles, self.cluster)
         return fold_tiles(kernel, tiles)
 
-    def kernel(self, relation: "Relation", include_participation: bool | None = None) -> TileKernel:
+    def kernel(
+        self,
+        relation: "Relation",
+        include_participation: bool | None = None,
+        planes: RowPlanes | None = None,
+        n_existing: int = 0,
+    ) -> TileKernel:
         """A tile kernel over the relation's *current* rows.
 
-        Kernels snapshot per-row comparison data, so a fresh one is needed
-        after every append; preparing it is ``O(n)`` vectorised work and the
-        relation's incrementally-extended string codes keep even that cheap.
+        Without ``planes`` every row is prepared, ``O(n)`` work.  With the
+        relation's :class:`RowPlanes`, the first ``n_existing`` rows reuse
+        their planes and only the rows after them are prepared (see
+        :meth:`RowPlanes.packed`).
         """
         if include_participation is None:
             include_participation = self.include_participation
-        return TileKernel.from_relation(relation, self.space, include_participation)
+        if planes is None:
+            return TileKernel.from_relation(relation, self.space, include_participation)
+        packed = planes.packed(relation, n_existing)
+        return TileKernel(packed, relation.n_rows, len(self.space), include_participation)
 
-    def full_partial(self, relation: "Relation") -> "PartialEvidenceSet":
+    def full_partial(
+        self, relation: "Relation", planes: RowPlanes | None = None
+    ) -> "PartialEvidenceSet":
         """Evidence partial of the full pair matrix (the store's seed)."""
         scheduler = TileScheduler(relation.n_rows, tile_rows=self.tile_edge(relation.n_rows))
-        return self._fold(self.kernel(relation), scheduler.tiles())
+        return self._fold(self.kernel(relation, planes=planes), scheduler.tiles())
 
     def delta_partial(
-        self, relation: "Relation", n_existing: int
+        self, relation: "Relation", n_existing: int, planes: RowPlanes | None = None
     ) -> "PartialEvidenceSet":
         """Evidence partial of the pairs added by growing to ``relation``.
 
@@ -184,7 +282,8 @@ class DeltaEvidenceBuilder:
         stored partial before merging.  That only moves its row count:
         participation keys have a fixed ``<< 32`` stride, so nothing the
         stored partial holds is re-keyed and the merge costs the delta's
-        size, not the history's.
+        size, not the history's.  ``planes`` as in :meth:`kernel`.
         """
         tiles = delta_tiles(n_existing, relation.n_rows, self.tile_edge(relation.n_rows))
-        return self._fold(self.kernel(relation), tiles)
+        kernel = self.kernel(relation, planes=planes, n_existing=n_existing)
+        return self._fold(kernel, tiles)

@@ -32,7 +32,7 @@ from repro.core.predicate_space import (
 )
 from repro.engine.kernel import TileKernel
 from repro.engine.scheduler import DEFAULT_MEMORY_BUDGET_BYTES, TileScheduler
-from repro.incremental.delta import DeltaEvidenceBuilder
+from repro.incremental.delta import DeltaEvidenceBuilder, RowPlanes
 from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
 from repro.obs.registry import get_registry as obs_get_registry
@@ -99,7 +99,10 @@ class EvidenceStore:
             cluster=cluster,
             memory_budget_bytes=memory_budget_bytes,
         )
-        self._adopt_partial(self._builder.full_partial(self._relation))
+        # The kernel planes of this store's relation; rows below n_rows are
+        # the committed ones, which every kernel call vouches for.
+        self._planes = RowPlanes(self._relation, self.space)
+        self._adopt_partial(self._builder.full_partial(self._relation, self._planes))
         self._evidence: EvidenceSet | None = None
         self._generation = 0
         self._append_listeners: list[AppendListener] = []
@@ -229,7 +232,7 @@ class EvidenceStore:
         if n_new == 0:
             return 0
         fold_start = time.perf_counter()
-        delta = self._builder.delta_partial(staged, n_before)
+        delta = self._builder.delta_partial(staged, n_before, self._planes)
         fold_seconds = time.perf_counter() - fold_start
         obs_metrics.STORE_FOLD_SECONDS.observe_labels(
             self._relation.name, value=fold_seconds
@@ -303,6 +306,7 @@ class EvidenceStore:
             cluster=cluster,
             memory_budget_bytes=memory_budget_bytes,
         )
+        store._planes = RowPlanes(store._relation, space)
         store._adopt_partial(partial)
         store._evidence = None
         store._generation = int(generation)
@@ -314,17 +318,20 @@ class EvidenceStore:
         """An independent store with the same state (cheap, copy-on-append).
 
         The partial's chunk arrays are shared (they are never mutated in
-        place), so cloning costs only the dict/list copies — what the
+        place), so cloning costs the dict/list copies plus one copy of the
+        distinct words and of the kernel's per-row planes — what the
         incremental benchmark uses to replay different batch sizes against
         one seed build.
         """
         duplicate = object.__new__(EvidenceStore)
         # Share everything by default (space, builder, caches, and whatever
-        # attributes future versions add), then replace the two pieces of
-        # state that appends mutate.
+        # attributes future versions add), then replace the state that
+        # appends mutate: the relation, the partial, and the kernel planes,
+        # which grow in place.
         duplicate.__dict__.update(self.__dict__)
         duplicate._relation = self._relation.copy()
         duplicate._partial = self._partial.copy()
+        duplicate._planes = self._planes.copy()
         # Listeners watch *this* store's commits; the clone starts clean so
         # its appends cannot feed counters maintained for the original.
         duplicate._append_listeners = []
@@ -402,9 +409,19 @@ class EvidenceStore:
     # ------------------------------------------------------------------
     # Replay support (violation serving)
     # ------------------------------------------------------------------
-    def replay_kernel(self) -> TileKernel:
-        """A participation-free kernel over the current rows, for tile replay."""
-        return self._builder.kernel(self._relation, include_participation=False)
+    def replay_kernel(self, probe: "Relation | None" = None) -> TileKernel:
+        """A participation-free kernel over the current rows, for tile replay.
+
+        With ``probe`` (a relation from :meth:`probe_relation`) the kernel
+        covers the probe's rows instead; only the rows past the store's are
+        prepared.
+        """
+        return self._builder.kernel(
+            probe if probe is not None else self._relation,
+            include_participation=False,
+            planes=self._planes,
+            n_existing=self.n_rows,
+        )
 
     def replay_scheduler(self) -> TileScheduler:
         """The full-grid schedule matching :meth:`replay_kernel`."""

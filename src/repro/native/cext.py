@@ -184,9 +184,13 @@ class CKernels:
         j1: int,
         n_words: int,
     ) -> np.ndarray:
+        # The per-row planes may be views of wider buffers; the kernel walks
+        # both with one row stride over contiguous rows.
+        if a.strides != b.strides or (a.size and a.strides[1] != a.itemsize):
+            a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
         out = np.zeros(((i1 - i0) * (j1 - j0), n_words), dtype=np.uint64)
         self._fn["adc_tile_plane"](
-            _addr(kinds), len(kinds), _addr(a), _addr(b), a.shape[1],
+            _addr(kinds), len(kinds), _addr(a), _addr(b), a.strides[0] // a.itemsize,
             _addr(lookup), n_words, i0, i1, j0, j1, _addr(out),
         )
         return out

@@ -119,8 +119,10 @@ class NumpyKernels:
                     a[g, i0:i1].astype(np.int64)[:, None], (height, width)
                 )
             elif kind == 1:
-                sign = np.sign(a[g, i0:i1, None] - b[g, None, j0:j1])
-                categories = (sign + 1).astype(np.int64)
+                # LESS, EQUAL, else GREATER — so a NaN difference is GREATER,
+                # as in the compiled kernel.
+                diff = a[g, i0:i1, None] - b[g, None, j0:j1]
+                categories = 2 - 2 * (diff < 0).astype(np.int64) - (diff == 0)
             else:
                 equal = a[g, i0:i1, None] == b[g, None, j0:j1]
                 categories = equal.astype(np.int64)

@@ -1,7 +1,8 @@
 """Coalescing append scheduler.
 
-Delta evidence construction has a fixed per-commit overhead (kernel
-preparation is ``O(n)``, and every commit pays a partial rebase/merge), so
+Every commit has a fixed overhead: its delta fold walks all ``n`` stored
+rows through the two cross strips however few rows it adds, and it pays a
+partial merge, a counter update and, when durable, a journal fsync.  So
 ten concurrent one-row appends cost far more as ten folds than as one
 ten-row fold.  :class:`AppendScheduler` exploits that: concurrent
 ``append`` requests against one store are parked in a pending list, and a
@@ -21,6 +22,9 @@ Semantics:
   (backpressure propagates to the connection's read loop, which stops
   reading frames — the network peer slows down instead of the server
   ballooning).
+* ``max_rows`` counts committed, parked and in-flight rows, and is checked
+  again after a backpressure wait, so concurrent appends cannot overshoot
+  the quota while a flush is committing.
 
 The scheduler never blocks the event loop: the fold runs in the server's
 executor while the store's async lock is held, which is also what keeps
@@ -111,6 +115,8 @@ class AppendScheduler:
         self._store_label = store.relation.name
         self._pending: list[_Entry] = []
         self._pending_rows = 0
+        # Store rows once the flush in flight commits (None when idle).
+        self._inflight_target: int | None = None
         self._space: asyncio.Condition = asyncio.Condition()
         self._flusher: asyncio.Task | None = None
         self._inflight: dict[str, asyncio.Future] = {}
@@ -163,18 +169,12 @@ class AppendScheduler:
                 # shield it — a retry's disconnect must not cancel it).
                 result = await asyncio.shield(pending)
                 return {**result, "deduplicated": True}
-        if (
-            self.max_rows is not None
-            and self._store.n_rows + self._pending_rows + len(rows) > self.max_rows
-        ):
-            raise QuotaExceeded(
-                f"append of {len(rows)} rows would exceed the store's "
-                f"{self.max_rows}-row quota "
-                f"({self._store.n_rows} committed, {self._pending_rows} pending)"
-            )
+        self._check_quota(len(rows))
         async with self._space:
             while self._pending_rows >= self.max_pending_rows:
                 await self._space.wait()
+                # Others may have parked or committed rows while we waited.
+                self._check_quota(len(rows))
             future: asyncio.Future = asyncio.get_running_loop().create_future()
             self._pending.append(
                 (rows, future, request_key, span, time.perf_counter())
@@ -188,6 +188,27 @@ class AppendScheduler:
             if self._flusher is None or self._flusher.done():
                 self._flusher = asyncio.create_task(self._flush_loop())
         return await future
+
+    def _check_quota(self, n_new: int) -> None:
+        """Refuse ``n_new`` rows that would grow the store past ``max_rows``.
+
+        Counts the committed rows, the parked rows, and the rows of the
+        flush in flight: those left the pending list when the flush took
+        them, but the store does not hold them until the commit returns.
+        """
+        if self.max_rows is None:
+            return
+        committed = self._store.n_rows
+        if self._inflight_target is not None:
+            # The in-flight commit only ever grows the store up to its
+            # target, so the target bounds it whether or not it landed yet.
+            committed = max(committed, self._inflight_target)
+        if committed + self._pending_rows + n_new > self.max_rows:
+            raise QuotaExceeded(
+                f"append of {n_new} rows would exceed the store's "
+                f"{self.max_rows}-row quota ({committed} committed or "
+                f"committing, {self._pending_rows} pending)"
+            )
 
     async def drain(self) -> None:
         """Wait until every parked request has committed (shutdown path)."""
@@ -213,16 +234,21 @@ class AppendScheduler:
             await asyncio.sleep(self.flush_window)
             async with self._space:
                 batch, self._pending = self._pending, []
+                if batch:
+                    self._inflight_target = self._store.n_rows + self._pending_rows
                 self._pending_rows = 0
                 obs_metrics.SERVE_PENDING_ROWS.set_labels(
                     self._store_label, value=0
                 )
                 self._space.notify_all()
             if batch:
-                async with self._lock:
-                    outcomes = await loop.run_in_executor(
-                        self._executor, self._commit, batch
-                    )
+                try:
+                    async with self._lock:
+                        outcomes = await loop.run_in_executor(
+                            self._executor, self._commit, batch
+                        )
+                finally:
+                    self._inflight_target = None
                 for future, outcome in outcomes:
                     if future.done():
                         continue  # waiter gave up (connection died)

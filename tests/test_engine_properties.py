@@ -202,3 +202,42 @@ class TestParallelEqualsOracles:
         projected_engine = engine.restrict_to_predicates(mask_bits)
         projected_oracle = oracle.restrict_to_predicates(mask_bits)
         assert_evidence_identical(projected_engine, projected_oracle)
+
+
+def _recounted_chunk_bytes(partial) -> int:
+    return sum(chunk.nbytes for chunks in partial._chunk_lists() for chunk in chunks)
+
+
+class TestChunkBytes:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        relation=relation_strategy,
+        tile_rows=st.integers(min_value=1, max_value=4),
+        ops=st.lists(
+            st.sampled_from(["add_tile", "merge", "compact", "copy", "from_state"]),
+            max_size=12,
+        ),
+    )
+    def test_running_total_matches_the_chunks(self, relation, tile_rows, ops):
+        """``chunk_bytes`` is a running total; it must equal a recount."""
+        space = build_predicate_space(relation)
+        kernel, tiles = _tile_partials(relation, space, tile_rows)
+        partial = PartialEvidenceSet(kernel.n_rows, kernel.n_words, True)
+        for step, op in enumerate(ops):
+            if op == "add_tile":
+                partial.add_tile(tiles[step % len(tiles)])
+            elif op == "merge":
+                partial.merge(_fold(kernel, tiles[: step % len(tiles) + 1]))
+            elif op == "compact":
+                partial.compact()
+            elif op == "copy":
+                duplicate = partial.copy()
+                assert duplicate.chunk_bytes == _recounted_chunk_bytes(duplicate)
+                partial.add_tile(tiles[0])  # the copy's total must not move
+                assert duplicate.chunk_bytes == _recounted_chunk_bytes(duplicate)
+                partial = duplicate
+            else:
+                partial = PartialEvidenceSet.from_state_arrays(
+                    partial.n_rows, partial.n_words, True, *partial.state_arrays()
+                )
+            assert partial.chunk_bytes == _recounted_chunk_bytes(partial)

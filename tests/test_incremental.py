@@ -19,6 +19,8 @@ from tests.conftest import make_random_relation
 from tests.test_engine import assert_evidence_identical
 from repro.core.evidence_builder import build_evidence_set_tiled
 from repro.core.predicate_space import build_predicate_space
+from repro.core.predicates import PredicateForm
+from repro.data.relation import Relation
 from repro.engine import PartialEvidenceSet, TileKernel, TileScheduler
 from repro.incremental import DeltaEvidenceBuilder, EvidenceStore, delta_tiles
 
@@ -41,6 +43,8 @@ class TestDeltaTiles:
             delta_tiles(6, 5, 2)
         with pytest.raises(ValueError):
             delta_tiles(-1, 5, 2)
+        with pytest.raises(ValueError, match="tile_rows"):
+            delta_tiles(3, 5, 0)
 
     @pytest.mark.parametrize("n_existing,n_total", [(0, 4), (3, 7), (5, 6)])
     def test_cross_only_tiles_skip_the_new_square(self, n_existing, n_total):
@@ -55,9 +59,14 @@ class TestDeltaTiles:
 
     @pytest.mark.parametrize("n_existing,n_total,tile_rows", [
         (0, 4, 2), (1, 5, 2), (4, 5, 3), (5, 9, 2), (7, 8, 16), (3, 11, 1),
+        (20, 21, 4), (30, 33, 4), (3, 40, 4), (25, 31, 3),
     ])
     def test_tiles_cover_exactly_the_added_pairs(self, n_existing, n_total, tile_rows):
         tiles = delta_tiles(n_existing, n_total, tile_rows)
+        # Tiles are bounded by pairs (cells), not by edge.
+        assert all(
+            (tile.i1 - tile.i0) * (tile.j1 - tile.j0) <= tile_rows**2 for tile in tiles
+        )
         covered = np.zeros((n_total, n_total), dtype=np.int64)
         for tile in tiles:
             covered[tile.i0:tile.i1, tile.j0:tile.j1] += 1
@@ -72,31 +81,165 @@ class TestDeltaTiles:
         assert total == expected
 
 
-class TestRectangularScheduler:
-    def test_block_tiles_stay_inside_the_block(self):
-        scheduler = TileScheduler(10, tile_rows=3, rows=(6, 10), cols=(0, 6))
-        for tile in scheduler:
-            assert 6 <= tile.i0 < tile.i1 <= 10
-            assert 0 <= tile.j0 < tile.j1 <= 6
-        assert scheduler.total_pairs == 4 * 6  # no diagonal overlap
-        assert scheduler.grid_shape == (2, 2)
+class TestDeltaTileCount:
+    @pytest.mark.parametrize("n_rows", [200, 2000, 8000])
+    def test_single_row_append_and_check_issue_two_tiles_at_any_n(
+        self, n_rows, monkeypatch
+    ):
+        """Latency as a resource bound: a count, not a timing."""
+        from repro.core.dc import DenialConstraint
+        from repro.core.evidence import n_words_for
+        from repro.incremental import ViolationService
 
-    def test_off_diagonal_block_counts_no_diagonal(self):
-        scheduler = TileScheduler(10, tile_rows=4, rows=(2, 8), cols=(5, 10))
-        # Diagonal overlap of [2, 8) x [5, 10) is rows 5, 6, 7.
-        assert scheduler.total_pairs == 6 * 5 - 3
+        relation = make_random_relation(n_rows=n_rows + 1, domain_size=50, seed=n_rows)
+        seed_rows = relation.take(range(n_rows))
+        space = build_predicate_space(seed_rows)
+        # Adopting an empty partial skips the seed build: only delta tiles
+        # run, and their count is all this test reads.
+        store = EvidenceStore.from_state(
+            seed_rows, space, PartialEvidenceSet(n_rows, n_words_for(len(space)))
+        )
+        service = ViolationService(
+            store, [DenialConstraint([space[0]])], base_counts_provider=lambda: [0]
+        )
+        issued = []
+        tile_words = TileKernel.tile_words
 
-    def test_default_ranges_reproduce_the_full_grid(self):
-        full = TileScheduler(9, tile_rows=4)
-        ranged = TileScheduler(9, tile_rows=4, rows=(0, 9), cols=(0, 9))
-        assert full.tiles() == ranged.tiles()
-        assert full.total_pairs == 9 * 8
+        def counting_tile_words(kernel, tile):
+            issued.append(tile)
+            return tile_words(kernel, tile)
 
-    def test_out_of_range_block_raises(self):
+        monkeypatch.setattr(TileKernel, "tile_words", counting_tile_words)
+        row = relation.row(n_rows)
+        service.check_batch([row])
+        checked = issued[:]
+        issued.clear()
+        store.append([row])
+        appended = issued[:]
+
+        edge = store.builder.tile_edge(n_rows + 1)
+        for tiles in (checked, appended):
+            assert len(tiles) == 2
+            assert all(tile.n_pairs <= edge * edge for tile in tiles)
+            # One strip per orientation: together they are the 2n added pairs.
+            assert {(tile.i0, tile.i1, tile.j0, tile.j1) for tile in tiles} == {
+                (n_rows, n_rows + 1, 0, n_rows),
+                (0, n_rows, n_rows, n_rows + 1),
+            }
+
+
+def _shared_vocabulary_relation():
+    """Two string columns over one vocabulary, plus a numeric column.
+
+    ``"c"`` and ``"d"`` first appear in column ``R`` only; later rows carry
+    them in ``L`` in the other order, which reorders a vocabulary built left
+    column first.
+    """
+    left = ["a", "b", "a", "b", "d", "c", "a", "c", "b", "e", "d", "e"]
+    right = ["b", "c", "d", "a", "a", "b", "c", "d", "e", "a", "e", "c"]
+    numbers = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8]
+    return Relation("shared", {"L": left, "R": right, "N": numbers})
+
+
+class TestKernelPlanes:
+    def test_joint_string_codes_are_stable_under_appends(self):
+        relation = _shared_vocabulary_relation()
+        grown = relation.take(range(4))
+        before = [codes.copy() for codes in grown.string_codes("L", "R")]
+        grown.append_rows(relation.take(range(4, 12)))
+        after = grown.string_codes("L", "R")
+        for old, new in zip(before, after):
+            assert np.array_equal(new[:4], old)
+        # Codes still mean equal values across the two columns.
+        values = [grown.column(name).values for name in ("L", "R")]
+        for i in range(12):
+            for j in range(12):
+                assert (after[0][i] == after[1][j]) == (values[0][i] == values[1][j])
+
+    @pytest.mark.parametrize("boundaries", [(4, 5, 6, 7, 8, 9, 10, 11), (4, 8), (2,)])
+    def test_cross_column_string_groups_match_full_rebuild(self, boundaries):
+        relation = _shared_vocabulary_relation()
+        space = build_predicate_space(relation)
+        assert any(
+            group.key[:2] == ("L", "R") and not group.numeric for group in space.groups
+        ), "the space must compare the two string columns"
+        initial, batches = _split_rows(relation, boundaries)
+        store = EvidenceStore(initial, space=space, tile_rows=3)
+        for batch in batches:
+            store.append(batch)
+            assert_evidence_identical(
+                store.evidence(), _rebuild(relation.take(range(store.n_rows)), space)
+            )
+
+    def test_failed_appends_and_clones_leave_the_planes_alone(self):
+        relation = _shared_vocabulary_relation()
+        space = build_predicate_space(relation)
+        store = EvidenceStore(relation.take(range(6)), space=space, tile_rows=3)
+
+        def planes():
+            _, a, b, _ = store.replay_kernel()._packed
+            return a.copy(), b.copy()
+
+        before = planes()
+        bad_row = dict(relation.row(6), N="not-a-number")
         with pytest.raises(ValueError):
-            TileScheduler(5, tile_rows=2, rows=(3, 7))
-        with pytest.raises(ValueError):
-            TileScheduler(5, tile_rows=2, cols=(-1, 4))
+            store.append([bad_row])
+
+        def journal_failure(n_new):
+            raise OSError("journal write failed")
+
+        with pytest.raises(OSError):
+            store.append(relation.take(range(9, 12)), pre_commit=journal_failure)
+        clone = store.clone()
+        clone.append(relation.take(range(9, 12)))
+        for old, new in zip(before, planes()):
+            assert np.array_equal(old, new)
+
+        store.append(relation.take(range(6, 12)))
+        assert_evidence_identical(store.evidence(), _rebuild(relation, space))
+        # The clone's next delta reads the planes of its own rows 6-8.
+        clone.append(relation.take(range(6, 9)))
+        clone_rows = relation.take([*range(6), 9, 10, 11, 6, 7, 8])
+        assert_evidence_identical(clone.evidence(), _rebuild(clone_rows, space))
+
+
+    @pytest.mark.parametrize("backend", ["numpy", "cext"])
+    def test_missing_numbers_match_full_rebuild(self, backend):
+        """A ``None`` in a numeric column (stored as NaN) gets a valid
+        category in single-tuple and pair groups, in both kernel backends
+        and in the dense oracle."""
+        from repro.core.evidence_builder import build_evidence_set_dense
+        from repro.native import dispatch
+
+        try:
+            resolved = dispatch.resolve_backend(backend)
+        except RuntimeError as error:  # pragma: no cover - host without a compiler
+            pytest.skip(str(error))
+        seed_rows = Relation(
+            "gaps",
+            {
+                "A": [3.0, 1.0, 4.0, 1.0, 5.0, 9.0],
+                "B": [1.0, 4.0, 3.0, 9.0, 5.0, 2.0],
+                "S": list("abacab"),
+            },
+        )
+        batches = [
+            [{"A": None, "B": 1.0, "S": "d"}],
+            [{"A": 6.0, "B": None, "S": "a"}],
+            [{"A": 2.0, "B": None, "S": "d"}, {"A": None, "B": 3.0, "S": "b"}],
+        ]
+        space = build_predicate_space(seed_rows)
+        assert ("A", "B", PredicateForm.SINGLE_TUPLE) in {g.key for g in space.groups}
+        grown = seed_rows.copy()
+        with dispatch.use_backend(resolved):
+            store = EvidenceStore(seed_rows, space=space, tile_rows=3)
+            for batch in batches:
+                store.append(batch)
+                grown.append_rows(batch)
+                assert np.isnan(grown.column("A").values).any()
+                expected = _rebuild(grown, space)
+                assert_evidence_identical(store.evidence(), expected)
+                assert_evidence_identical(build_evidence_set_dense(grown, space), expected)
 
 
 class TestPartialRebase:
@@ -328,7 +471,7 @@ class TestEvidenceStore:
         store = EvidenceStore(initial, space=space)
         before = store.evidence()
 
-        def broken(relation, n_existing):  # pragma: no cover - failure path
+        def broken(relation, n_existing, planes=None):  # pragma: no cover - failure path
             raise RuntimeError("worker pool died")
 
         monkeypatch.setattr(store.builder, "delta_partial", broken)
@@ -458,6 +601,21 @@ class TestDeltaBuilder:
         assert_evidence_identical(
             merged.finalize(space), _rebuild(example_relation, space)
         )
+
+    def test_a_builder_reused_across_relations_stays_exact(self):
+        """The builder keeps no per-relation state, so a delta over a
+        relation other than the one it last built is still exact."""
+        first = make_random_relation(n_rows=12, seed=1)
+        second = make_random_relation(n_rows=12, seed=2)
+        space = build_predicate_space(first)
+        builder = DeltaEvidenceBuilder(space, tile_rows=4)
+        builder.full_partial(first)
+        delta = builder.delta_partial(second, 8)
+        seed_partial = DeltaEvidenceBuilder(space, tile_rows=4).full_partial(
+            second.take(range(8))
+        )
+        merged = seed_partial.rebase_rows(second.n_rows).merge(delta)
+        assert_evidence_identical(merged.finalize(space), _rebuild(second, space))
 
     def test_fold_is_the_attached_cluster_else_serial(self, example_relation, monkeypatch):
         import repro.cluster.build as cluster_build

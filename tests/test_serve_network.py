@@ -38,6 +38,7 @@ from repro.serve import (
 )
 from repro.serve import protocol
 from repro.serve.counters import partial_violation_counts
+from repro.serve.protocol import QuotaExceeded
 
 
 def plain_rows(relation, indices):
@@ -254,6 +255,77 @@ class TestAppendScheduler:
         }
         assert store.generation == 0
 
+    @staticmethod
+    def _gate_commits(store):
+        """Block the store's appends until released; returns the two events."""
+        entered, release = threading.Event(), threading.Event()
+        append = store.append
+
+        def gated_append(*args, **kwargs):
+            entered.set()
+            release.wait(10)
+            return append(*args, **kwargs)
+
+        store.append = gated_append
+        return entered, release
+
+    def test_quota_counts_the_rows_of_a_flush_in_flight(self, mined):
+        relation, space, _ = mined
+
+        async def drive():
+            with ThreadPoolExecutor(2) as executor:
+                store, scheduler = self._make(relation, space, executor, max_rows=10)
+                entered, release = self._gate_commits(store)
+                try:
+                    first = asyncio.ensure_future(
+                        scheduler.append(plain_rows(relation, [8, 9]))
+                    )
+                    await asyncio.get_running_loop().run_in_executor(
+                        None, entered.wait, 10
+                    )
+                    # The flush holding rows 8-9 has left the pending list
+                    # but not reached the store: it still counts.
+                    with pytest.raises(QuotaExceeded):
+                        await scheduler.append(plain_rows(relation, [10, 11]))
+                finally:
+                    release.set()
+                await first
+                await scheduler.drain()
+                return store
+
+        assert asyncio.run(drive()).n_rows == 10
+
+    def test_quota_is_checked_again_after_a_backpressure_wait(self, mined):
+        relation, space, _ = mined
+
+        async def drive():
+            with ThreadPoolExecutor(2) as executor:
+                store, scheduler = self._make(
+                    relation, space, executor, max_rows=10, max_pending_rows=1
+                )
+                entered, release = self._gate_commits(store)
+                try:
+                    # Row 8 parks and fills the pending bound; rows 9 and 10
+                    # each pass the first check (8 + 1 pending + 1 <= 10) and
+                    # wait.  The flush takes row 8, row 9 parks, and row 10
+                    # would make 11.
+                    tasks = [
+                        asyncio.ensure_future(scheduler.append(plain_rows(relation, [i])))
+                        for i in (8, 9, 10)
+                    ]
+                    await asyncio.get_running_loop().run_in_executor(
+                        None, entered.wait, 10
+                    )
+                    with pytest.raises(QuotaExceeded):
+                        await asyncio.wait_for(tasks[2], 10)
+                finally:
+                    release.set()
+                await asyncio.gather(*tasks[:2])
+                await scheduler.drain()
+                return store
+
+        assert asyncio.run(drive()).n_rows == 10
+
     def test_results_match_store_state_and_listeners_fire_once(self, mined):
         relation, space, adcs = mined
 
@@ -404,6 +476,18 @@ class TestServerEndToEnd:
         served = client.violations("declared", 0)
         assert served["count"] == constraint.violation_count(relation)
         client.drop_store("declared")
+
+    def test_stats_partial_bytes_match_the_chunks(self, server, client, mined):
+        relation, _, _ = mined
+        client.create_store("bytes", plain_rows(relation, range(8)))
+        for index in range(8, 12):
+            client.append("bytes", plain_rows(relation, [index]))
+        reported = client.stats()["stores"]["bytes"]["partial_bytes"]
+        partial = server._server._stores["bytes"].store.partial
+        assert reported == sum(
+            chunk.nbytes for chunks in partial._chunk_lists() for chunk in chunks
+        )
+        client.drop_store("bytes")
 
     def test_multi_tenant_stores_are_independent(self, client, mined):
         relation, space, adcs = mined
