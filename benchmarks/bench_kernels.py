@@ -4,9 +4,11 @@ Not a paper figure: this benchmark tracks the compiled C kernels
 (:mod:`repro.native.cext`) against the pure-numpy reference backend they
 are dispatched over.  Three measurement families:
 
-* **micro-kernels** — ``popcount``, the fused per-evidence intersection
-  counts and the one-call tile pass on synthetic planes shaped like the
-  real workloads;
+* **micro-kernels** — ``popcount`` and the fused per-evidence
+  intersection counts on synthetic planes; the tile pass on the tax
+  relation's planes (a square tile of edge 256 and both one-row strip
+  shapes) and ``unique_rows`` on that tile's evidence words, with
+  nanoseconds per pair;
 * **end-to-end evidence build** — the tiled builder on the tax relation
   under each backend (the tile pass dominates), outputs asserted
   bit-identical;
@@ -56,6 +58,9 @@ EXPECTED_BUILD_SPEEDUP = 2.0
 #: Timing repetitions (best-of).
 REPEATS = 3
 
+#: Edge of the square tile the per-tile kernels are timed on.
+TILE_EDGE = 256
+
 
 def _compiled_backend():
     """The C backend of this host, or ``None`` when it does not build.
@@ -82,7 +87,15 @@ def _best_seconds(fn, repeats: int = REPEATS, inner: int = 1) -> float:
 
 
 def _micro_rows(compiled, packed) -> list[dict[str, object]]:
-    """One row per micro-kernel: compiled vs numpy on synthetic planes."""
+    """One row per micro-kernel: compiled vs numpy.
+
+    ``popcount`` and ``intersection_counts`` run on synthetic planes; the
+    tile pass runs on the tax relation's own planes — a square tile of
+    edge :data:`TILE_EDGE` and the two strip shapes a one-row append or
+    ``check_batch`` row is cut into (1 x n and n x 1) — and ``unique_rows``
+    deduplicates the square tile's real evidence words.  The per-tile
+    kernels also report nanoseconds per pair.
+    """
     rng = np.random.default_rng(7)
     numpy_kernels = NumpyKernels()
 
@@ -92,26 +105,40 @@ def _micro_rows(compiled, packed) -> list[dict[str, object]]:
     kinds, a, b, lookup = packed
     n_words = lookup.shape[2]
     n_rows = a.shape[1]
-    tile = min(128, n_rows)
+    edge = min(TILE_EDGE, n_rows)
+    row = n_rows // 2
 
+    def tile(i0, i1, j0, j1):
+        return lambda k: k.tile_plane(kinds, a, b, lookup, i0, i1, j0, j1, n_words)
+
+    tile_words = numpy_kernels.tile_plane(kinds, a, b, lookup, 0, edge, 0, edge, n_words)
     cases = [
-        ("popcount", lambda k: k.popcount(words)),
-        ("intersection_counts", lambda k: k.intersection_counts(planes, mask)),
-        (
-            "tile_plane",
-            lambda k: k.tile_plane(kinds, a, b, lookup, 0, tile, 0, tile, n_words),
-        ),
+        ("popcount", lambda k: k.popcount(words), None),
+        ("intersection_counts", lambda k: k.intersection_counts(planes, mask), None),
+        (f"tile_plane {edge}x{edge}", tile(0, edge, 0, edge), edge * edge),
+        (f"tile_plane 1x{n_rows}", tile(row, row + 1, 0, n_rows), n_rows),
+        (f"tile_plane {n_rows}x1", tile(0, n_rows, row, row + 1), n_rows),
+        (f"unique_rows {edge}x{edge}", lambda k: k.unique_rows(tile_words), edge * edge),
     ]
     rows = []
-    for name, call in cases:
+    for name, call, pairs in cases:
         reference = call(numpy_kernels)
         numpy_seconds = _best_seconds(lambda: call(numpy_kernels), inner=5)
         row: dict[str, object] = {"kernel": name, "numpy_seconds": numpy_seconds}
+        if pairs:
+            row["pairs"] = pairs
+            row["numpy_ns_per_pair"] = numpy_seconds * 1e9 / pairs
         if compiled is not None:
-            assert np.array_equal(np.asarray(call(compiled.kernels)), np.asarray(reference)), name
+            native = call(compiled.kernels)
+            if isinstance(reference, tuple):
+                assert all(np.array_equal(x, y) for x, y in zip(native, reference)), name
+            else:
+                assert np.array_equal(np.asarray(native), np.asarray(reference)), name
             native_seconds = _best_seconds(lambda: call(compiled.kernels), inner=5)
             row["native_seconds"] = native_seconds
             row["speedup"] = numpy_seconds / native_seconds if native_seconds else 0.0
+            if pairs:
+                row["native_ns_per_pair"] = native_seconds * 1e9 / pairs
         rows.append(row)
     return rows
 
@@ -216,7 +243,8 @@ def main() -> int:
 
     print(f"Native kernel layer on tax x {args.rows} rows "
           f"(compiled backend: {compiled_name or 'none'}, best of {REPEATS}):")
-    header = f"{'kernel':>22} {'numpy s':>10} {'native s':>10} {'speedup':>8}"
+    header = (f"{'kernel':>22} {'numpy s':>10} {'native s':>10} {'speedup':>8} "
+              f"{'ns/pair':>8}")
     print(header)
     print("-" * len(header))
     for row in results["micro"]:
@@ -224,8 +252,10 @@ def main() -> int:
         native_text = f"{native:.6f}" if native is not None else "-"
         speedup = row.get("speedup")
         speedup_text = f"{speedup:.2f}x" if speedup is not None else "-"
+        per_pair = row.get("native_ns_per_pair", row.get("numpy_ns_per_pair"))
+        per_pair_text = f"{per_pair:.1f}" if per_pair is not None else "-"
         print(f"{row['kernel']:>22} {row['numpy_seconds']:>10.6f} "
-              f"{native_text:>10} {speedup_text:>8}")
+              f"{native_text:>10} {speedup_text:>8} {per_pair_text:>8}")
     build = results["evidence_build"]
     enum = results["enumeration"]
     for label, row in (("evidence build", build), ("enumeration", enum)):

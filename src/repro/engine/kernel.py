@@ -234,6 +234,13 @@ class TileKernel:
             include_participation,
         )
 
+    def _plane(self, tile: "Tile") -> np.ndarray:
+        """The tile's per-pair evidence words, diagonal pairs included."""
+        kinds, a, b, lookup = self._packed
+        return native_dispatch.get_backend().kernels.tile_plane(
+            kinds, a, b, lookup, tile.i0, tile.i1, tile.j0, tile.j1, self.n_words
+        )
+
     def tile_words(self, tile: "Tile") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-pair evidence words of one tile, with the pair's tuple ids.
 
@@ -245,10 +252,7 @@ class TileKernel:
         evidence, something the deduplicated evidence set no longer knows.
         """
         i0, i1, j0, j1 = tile.i0, tile.i1, tile.j0, tile.j1
-        kinds, a, b, lookup = self._packed
-        flat = native_dispatch.get_backend().kernels.tile_plane(
-            kinds, a, b, lookup, i0, i1, j0, j1, self.n_words
-        )
+        flat = self._plane(tile)
         left_ids = np.repeat(np.arange(i0, i1, dtype=np.int64), j1 - j0)
         right_ids = np.tile(np.arange(j0, j1, dtype=np.int64), i1 - i0)
         keep = left_ids != right_ids
@@ -259,8 +263,16 @@ class TileKernel:
         return flat, left_ids, right_ids
 
     def run(self, tile: "Tile") -> TilePartial | None:
-        """Compute one tile's :class:`TilePartial` (``None`` if empty)."""
-        flat, left_ids, right_ids = self.tile_words(tile)
+        """Compute one tile's :class:`TilePartial` (``None`` if empty).
+
+        The pair ids are built only when they are needed: for the
+        participation histogram, or to drop the pairs of a tile that
+        crosses the diagonal.
+        """
+        if self.include_participation or (tile.i0 < tile.j1 and tile.j0 < tile.i1):
+            flat, left_ids, right_ids = self.tile_words(tile)
+        else:
+            flat, left_ids, right_ids = self._plane(tile), None, None
         if not len(flat):
             return None
 

@@ -31,10 +31,9 @@ void adc_popcount(intptr_t, int64_t, intptr_t);
 void adc_intersection_counts(intptr_t, int64_t, int32_t, int64_t, intptr_t, intptr_t);
 int32_t adc_crit_apply(intptr_t, int64_t, int32_t, int64_t, intptr_t, intptr_t, intptr_t);
 void adc_crit_undo(intptr_t, int64_t, int32_t, int64_t, intptr_t);
-void adc_tile_plane(intptr_t, int64_t, intptr_t, intptr_t, int64_t, intptr_t,
-                    int32_t, int64_t, int64_t, int64_t, int64_t, intptr_t);
-int64_t adc_unique_rows(intptr_t, int64_t, int64_t, intptr_t, int64_t,
-                        intptr_t, intptr_t, intptr_t);
+int32_t adc_tile_plane(intptr_t, int64_t, intptr_t, intptr_t, int64_t, intptr_t,
+                       int32_t, int64_t, int64_t, int64_t, int64_t, intptr_t);
+int64_t adc_unique_rows(intptr_t, int64_t, int64_t, intptr_t, intptr_t, intptr_t);
 void adc_search_expand(intptr_t, int64_t, int32_t, int64_t, intptr_t, intptr_t,
                        intptr_t, int32_t, int32_t, int64_t, intptr_t, intptr_t,
                        intptr_t, intptr_t);
@@ -92,9 +91,9 @@ def _load_ctypes(library_path: Path):
         "adc_intersection_counts": (None, [intp, i64, i32, i64, intp, intp]),
         "adc_crit_apply": (i32, [intp, i64, i32, i64, intp, intp, intp]),
         "adc_crit_undo": (None, [intp, i64, i32, i64, intp]),
-        "adc_tile_plane": (None, [intp, i64, intp, intp, i64, intp, i32,
-                                  i64, i64, i64, i64, intp]),
-        "adc_unique_rows": (i64, [intp, i64, i64, intp, i64, intp, intp, intp]),
+        "adc_tile_plane": (i32, [intp, i64, intp, intp, i64, intp, i32,
+                                 i64, i64, i64, i64, intp]),
+        "adc_unique_rows": (i64, [intp, i64, i64, intp, intp, intp]),
         "adc_search_expand": (None, [intp, i64, i32, i64, intp, intp, intp,
                                      i32, i32, i64, intp, intp, intp, intp]),
         "adc_search_skip_child": (i64, [intp, i64, i32, i64, intp, intp, intp,
@@ -122,6 +121,11 @@ def load_functions(library_path: Path) -> dict:
         return _load_cffi(library_path)
     except ImportError:
         return _load_ctypes(library_path)
+
+
+#: Most rows ``adc_unique_rows`` takes: its hash table stores uint32 row
+#: indices.  Larger planes take the numpy reference path.
+_MAX_DEDUP_ROWS = 2**32 - 2
 
 
 def _addr(array: np.ndarray) -> int:
@@ -188,11 +192,13 @@ class CKernels:
         # both with one row stride over contiguous rows.
         if a.strides != b.strides or (a.size and a.strides[1] != a.itemsize):
             a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
-        out = np.zeros(((i1 - i0) * (j1 - j0), n_words), dtype=np.uint64)
-        self._fn["adc_tile_plane"](
+        # The kernel writes every word, so the plane starts uninitialized.
+        out = np.empty(((i1 - i0) * (j1 - j0), n_words), dtype=np.uint64)
+        if self._fn["adc_tile_plane"](
             _addr(kinds), len(kinds), _addr(a), _addr(b), a.strides[0] // a.itemsize,
             _addr(lookup), n_words, i0, i1, j0, j1, _addr(out),
-        )
+        ):
+            raise MemoryError("tile_plane could not allocate its scratch buffers")
         return out
 
     def unique_rows(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -200,19 +206,18 @@ class CKernels:
         n, n_words = flat.shape
         if n == 0:
             return flat, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        table_size = 1
-        while table_size < 2 * n:
-            table_size <<= 1
-        table = np.full(table_size, -1, dtype=np.int64)
+        if n > _MAX_DEDUP_ROWS:
+            return numpy_backend.NumpyKernels.unique_rows(flat)
         uniq = np.empty((n, n_words), dtype=np.uint64)
         inverse = np.empty(n, dtype=np.int64)
-        counts = np.zeros(n, dtype=np.int64)
+        counts = np.empty(n, dtype=np.int64)
         n_unique = int(
             self._fn["adc_unique_rows"](
-                _addr(flat), n, n_words, _addr(table), table_size,
-                _addr(uniq), _addr(inverse), _addr(counts),
+                _addr(flat), n, n_words, _addr(uniq), _addr(inverse), _addr(counts),
             )
         )
+        if n_unique < 0:
+            raise MemoryError("unique_rows could not grow its hash table")
         uniq = uniq[:n_unique]
         counts = counts[:n_unique]
         # The hash pass yields first-seen order; re-sort the (small) unique

@@ -19,6 +19,7 @@
  */
 
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 #define POPCOUNT(x) ((uint64_t)__builtin_popcountll(x))
@@ -103,120 +104,325 @@ void adc_crit_undo(intptr_t rows_p, int64_t stride, int32_t n_words,
 /* Tile kernel                                                         */
 /* ------------------------------------------------------------------ */
 
+/* Pairs per accumulator block of the tile pass: a block of every word
+ * plus a block of each group's comparison values stay in L1. */
+#define TILE_BLOCK 256
+/* Words in each of the tile pass's two stack scratch buffers (16 KiB each):
+ * the pass allocates nothing on the heap for spaces of up to
+ * 64 * TILE_SCRATCH predicates. */
+#define TILE_SCRATCH 2048
+
+/* Category selection without branches.  Each group contributes one of
+ * three lookup words l0 (LESS), l1 (EQUAL), l2 (GREATER) per pair; with
+ * all-ones/all-zero masks le and lt,
+ *
+ *     l2 ^ (le & (l2 ^ l1)) ^ (lt & (l1 ^ l0))
+ *
+ * is l2 when neither mask is set, l1 when only le is, and l0 when both
+ * are (lt implies le).  x21 = l2 ^ l1 and x10 = l1 ^ l0 are per-group
+ * constants, so the select is two ANDs and two XORs per word. */
+#define MASK(cond) ((uint64_t)0 - (uint64_t)(cond))
+#define SELECT3(le, lt, l2, x21, x10) ((l2) ^ ((le) & (x21)) ^ ((lt) & (x10)))
+
+/* OR one pair group's category words into the block accumulators acc0
+ * (word w) and, when acc1 is not NULL, acc1 (word w + 1) — two words per
+ * pass, so each pair's comparison is made once for both.  l points at the
+ * group's (3, nw) lookup; vary runs along the block and fixed is the
+ * line's value.
+ *   kind 1 (numeric): d = a - b, where a is vary[k] down a column and
+ *     fixed along a row, exactly as in the reference; a NaN difference
+ *     sets neither mask and stays GREATER.
+ *   kind 2 (string): EQUAL on equal codes, else LESS: l0 ^ (eq & x10). */
+static void tile_pair_group(uint64_t *restrict acc0, uint64_t *restrict acc1,
+                            int64_t len, int32_t kind, int a_varies,
+                            const double *restrict vary, double fixed,
+                            const uint64_t *l, int64_t nw, int64_t w)
+{
+    const uint64_t a0 = l[w], a1 = l[nw + w], a2 = l[2 * nw + w];
+    const uint64_t a21 = a2 ^ a1, a10 = a1 ^ a0;
+    if (!acc1) {
+        if (kind != 1) {
+            for (int64_t k = 0; k < len; k++)
+                acc0[k] |= a0 ^ (MASK(vary[k] == fixed) & a10);
+            return;
+        }
+        for (int64_t k = 0; k < len; k++) {
+            double d = a_varies ? vary[k] - fixed : fixed - vary[k];
+            acc0[k] |= SELECT3(MASK(d <= 0.0), MASK(d < 0.0), a2, a21, a10);
+        }
+        return;
+    }
+    const uint64_t b0 = l[w + 1], b1 = l[nw + w + 1], b2 = l[2 * nw + w + 1];
+    const uint64_t b21 = b2 ^ b1, b10 = b1 ^ b0;
+    if (kind != 1) {
+        for (int64_t k = 0; k < len; k++) {
+            uint64_t eq = MASK(vary[k] == fixed);
+            acc0[k] |= a0 ^ (eq & a10);
+            acc1[k] |= b0 ^ (eq & b10);
+        }
+        return;
+    }
+    for (int64_t k = 0; k < len; k++) {
+        double d = a_varies ? vary[k] - fixed : fixed - vary[k];
+        uint64_t le = MASK(d <= 0.0), lt = MASK(d < 0.0);
+        acc0[k] |= SELECT3(le, lt, a2, a21, a10);
+        acc1[k] |= SELECT3(le, lt, b2, b21, b10);
+    }
+}
+
+/* Word w of a single-tuple group's category c, a per-row value in [0, 3):
+ * the numeric select with le = (c < 2) and lt = (c < 1), which picks
+ * category (int)c as the reference's integer cast does. */
+static inline uint64_t tile_single(double c, const uint64_t *l, int64_t nw,
+                                   int64_t w)
+{
+    uint64_t l0 = l[w], l1 = l[nw + w], l2 = l[2 * nw + w];
+    return SELECT3(MASK(c < 2.0), MASK(c < 1.0), l2, l2 ^ l1, l1 ^ l0);
+}
+
 /* One fused pass over a (i1-i0) x (j1-j0) tile of the ordered-pair matrix.
  *
  * Group g's order category for pair (i, j) is derived from two per-row
  * float64 vectors a and b (rows of the (G, n_rows) planes at stride
  * `row_stride`):
- *   kind 0 (single-tuple): category = (int)a[i]          (b unused)
- *   kind 1 (numeric pair):  sign(a[i] - b[j]) + 1        (LESS/EQUAL/GREATER)
+ *   kind 0 (single-tuple): category = (int)a[i], a[i] in [0, 3)  (b unused)
+ *   kind 1 (numeric pair):  LESS if a[i] - b[j] < 0, EQUAL if == 0, else
+ *                           GREATER — so a NaN difference is GREATER
  *   kind 2 (string pair):   a[i] == b[j] ? EQUAL : LESS
  * The pair's evidence words are the OR of lookup[g, category, :] over all
  * groups; `out` is the (n_pairs, n_words) plane, n_pairs = tile area,
- * pair index p = (i - i0) * (j1 - j0) + (j - j0).
+ * pair index p = (i - i0) * (j1 - j0) + (j - j0).  Every word of `out` is
+ * written, so it need not be initialized.  Returns 0, or -1 when a space
+ * too wide for the stack scratch cannot get its heap scratch.
+ *
+ * The OR is order-free, so the pass is organised for the vector unit
+ * rather than pair by pair:
+ *   - the pass runs along the tile's longer side: "lines" are rows when
+ *     the tile is at least as wide as tall, else columns, so an n x 1
+ *     strip is one long line, like a 1 x n strip, not n lines of one pair;
+ *   - lines are cut into blocks of up to TILE_BLOCK pairs, accumulated in
+ *     one contiguous buffer per word, and only then interleaved into the
+ *     pair-major output;
+ *   - the single-tuple groups depend on i only: they are folded into one
+ *     base word per row (per block of rows when lines are columns), which
+ *     seeds the accumulators;
+ *   - each pair group then ORs its branch-free select over a contiguous
+ *     run of its comparison values into the buffers, two words at a time.
  */
-void adc_tile_plane(intptr_t kinds_p, int64_t n_groups, intptr_t a_p,
-                    intptr_t b_p, int64_t row_stride, intptr_t lookup_p,
-                    int32_t n_words, int64_t i0, int64_t i1, int64_t j0,
-                    int64_t j1, intptr_t out_p)
+int32_t adc_tile_plane(intptr_t kinds_p, int64_t n_groups, intptr_t a_p,
+                       intptr_t b_p, int64_t row_stride, intptr_t lookup_p,
+                       int32_t n_words, int64_t i0, int64_t i1, int64_t j0,
+                       int64_t j1, intptr_t out_p)
 {
     const int32_t *kinds = (const int32_t *)kinds_p;
     const double *a = (const double *)a_p;
     const double *b = (const double *)b_p;
     const uint64_t *lookup = (const uint64_t *)lookup_p;
     uint64_t *out = (uint64_t *)out_p;
-    int64_t width = j1 - j0;
-    for (int64_t i = i0; i < i1; i++) {
-        uint64_t *out_row = out + (i - i0) * width * (int64_t)n_words;
-        for (int64_t g = 0; g < n_groups; g++) {
-            const double *ga = a + g * row_stride;
-            const double *gb = b + g * row_stride;
-            const uint64_t *glookup = lookup + g * 3 * (int64_t)n_words;
-            int32_t kind = kinds[g];
-            if (kind == 0) {
-                /* Single-tuple: one category for the whole row of pairs. */
-                const uint64_t *cat_words =
-                    glookup + (int64_t)ga[i] * n_words;
-                uint64_t *o = out_row;
-                for (int64_t j = j0; j < j1; j++, o += n_words)
-                    for (int32_t w = 0; w < n_words; w++)
-                        o[w] |= cat_words[w];
-            } else if (kind == 1) {
-                double left = ga[i];
-                uint64_t *o = out_row;
-                for (int64_t j = j0; j < j1; j++, o += n_words) {
-                    double d = left - gb[j];
-                    int64_t cat = (d < 0.0) ? 0 : ((d == 0.0) ? 1 : 2);
-                    const uint64_t *cat_words = glookup + cat * n_words;
-                    for (int32_t w = 0; w < n_words; w++)
-                        o[w] |= cat_words[w];
-                }
-            } else {
-                double left = ga[i];
-                uint64_t *o = out_row;
-                for (int64_t j = j0; j < j1; j++, o += n_words) {
-                    int64_t cat = (left == gb[j]) ? 1 : 0;
-                    const uint64_t *cat_words = glookup + cat * n_words;
-                    for (int32_t w = 0; w < n_words; w++)
-                        o[w] |= cat_words[w];
+    const int64_t height = i1 - i0, width = j1 - j0;
+    const int64_t nw = n_words;
+    if (height <= 0 || width <= 0 || nw <= 0)
+        return 0;
+
+    uint64_t stack[2 * TILE_SCRATCH];
+    uint64_t *scratch = stack;
+    int64_t block = TILE_SCRATCH / nw < TILE_BLOCK ? TILE_SCRATCH / nw : TILE_BLOCK;
+    if (block == 0) {
+        block = 1;
+        scratch = (uint64_t *)malloc(2 * (size_t)nw * sizeof(uint64_t));
+        if (!scratch)
+            return -1;
+    }
+    uint64_t *acc = scratch;             /* acc[w * block + k] */
+    uint64_t *base = scratch + nw * block; /* same layout, rows of a block */
+
+    const int tall = height > width;
+    const int64_t n_lines = tall ? width : height;
+    const int64_t line_len = tall ? height : width;
+    /* Pair-index distance between neighbours along a line. */
+    const int64_t step = tall ? width : 1;
+    for (int64_t k0 = 0; k0 < line_len; k0 += block) {
+        const int64_t len = line_len - k0 < block ? line_len - k0 : block;
+        if (tall) {
+            /* The block's rows are the same for every column: fold their
+             * single-tuple words once. */
+            memset(base, 0, (size_t)(nw * block) * sizeof(uint64_t));
+            for (int64_t g = 0; g < n_groups; g++) {
+                if (kinds[g] != 0)
+                    continue;
+                const double *ga = a + g * row_stride + i0 + k0;
+                const uint64_t *l = lookup + g * 3 * nw;
+                for (int64_t w = 0; w < nw; w++) {
+                    uint64_t *bw = base + w * block;
+                    const uint64_t l0 = l[w], l1 = l[nw + w], l2 = l[2 * nw + w];
+                    const uint64_t x21 = l2 ^ l1, x10 = l1 ^ l0;
+                    for (int64_t k = 0; k < len; k++)
+                        bw[k] |= SELECT3(MASK(ga[k] < 2.0), MASK(ga[k] < 1.0), l2, x21, x10);
                 }
             }
         }
+        for (int64_t line = 0; line < n_lines; line++) {
+            for (int64_t w = 0; w < nw; w++) {
+                uint64_t *aw = acc + w * block;
+                if (tall) {
+                    memcpy(aw, base + w * block, (size_t)len * sizeof(uint64_t));
+                    continue;
+                }
+                uint64_t row_base = 0;
+                for (int64_t g = 0; g < n_groups; g++)
+                    if (kinds[g] == 0)
+                        row_base |= tile_single(a[g * row_stride + i0 + line],
+                                                lookup + g * 3 * nw, nw, w);
+                for (int64_t k = 0; k < len; k++)
+                    aw[k] = row_base;
+            }
+            for (int64_t g = 0; g < n_groups; g++) {
+                const int32_t kind = kinds[g];
+                if (kind == 0)
+                    continue;
+                const double *ga = a + g * row_stride;
+                const double *gb = b + g * row_stride;
+                const double *vary = tall ? ga + i0 + k0 : gb + j0 + k0;
+                const double fixed = tall ? gb[j0 + line] : ga[i0 + line];
+                const uint64_t *l = lookup + g * 3 * nw;
+                for (int64_t w = 0; w < nw; w += 2)
+                    tile_pair_group(acc + w * block,
+                                    w + 1 < nw ? acc + (w + 1) * block : NULL,
+                                    len, kind, tall, vary, fixed, l, nw, w);
+            }
+            uint64_t *o = out + (tall ? k0 * width + line : line * width + k0) * nw;
+            if (nw == 1) {
+                for (int64_t k = 0; k < len; k++)
+                    o[k * step] = acc[k];
+            } else if (nw == 2) {
+                const uint64_t *a0 = acc, *a1 = acc + block;
+                for (int64_t k = 0; k < len; k++) {
+                    o[2 * k * step] = a0[k];
+                    o[2 * k * step + 1] = a1[k];
+                }
+            } else {
+                for (int64_t k = 0; k < len; k++)
+                    for (int64_t w = 0; w < nw; w++)
+                        o[k * step * nw + w] = acc[w * block + k];
+            }
+        }
+    }
+    if (scratch != stack)
+        free(scratch);
+    return 0;
+}
+
+/* murmur3's 64-bit finalizer: every input bit flips each output bit with
+ * probability about 1/2.  The multiply-based row hash only carries bits
+ * upward, so without this a slot (its low bits) would ignore every bit of
+ * a word above log2(table size) — evidences differing only in higher
+ * predicate bits would share one probe chain. */
+static inline uint64_t fmix64(uint64_t h)
+{
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdULL;
+    h ^= h >> 33;
+    h *= 0xc4ceb9fe1a85ec53ULL;
+    h ^= h >> 33;
+    return h;
+}
+
+static inline uint64_t row_hash(const uint64_t *row, int64_t w)
+{
+    /* FNV-1a over the row's words, then the full-avalanche finalizer. */
+    uint64_t h = 1469598103934665603ULL;
+    for (int64_t k = 0; k < w; k++) {
+        h ^= row[k];
+        h *= 1099511628211ULL;
+    }
+    return fmix64(h);
+}
+
+/* Slots of the dedup's open-addressing table on the stack (32 KiB).  The
+ * table keeps its load at most 1/4 — short probe chains — and moves to the
+ * heap, doubling, only when a plane has more than DEDUP_STACK_SLOTS / 4
+ * distinct rows.  Slots hold unique index + 1 (0 = empty) as uint32, so a
+ * plane may have at most UINT32_MAX - 1 rows (the wrapper checks). */
+#define DEDUP_STACK_SLOTS 8192
+
+/* Re-insert the first n_unique rows of uniq into an empty table of
+ * mask + 1 slots. */
+static void dedup_rehash(uint32_t *table, uint64_t mask, const uint64_t *uniq,
+                         int64_t n_unique, int64_t w)
+{
+    memset(table, 0, (size_t)(mask + 1) * sizeof(uint32_t));
+    for (int64_t v = 0; v < n_unique; v++) {
+        uint64_t s = row_hash(uniq + v * w, w) & mask;
+        while (table[s])
+            s = (s + 1) & mask;
+        table[s] = (uint32_t)(v + 1);
     }
 }
 
 /* Hash-deduplicate the rows of a contiguous (n, w) uint64 plane.
  *
- * `table` is an open-addressing slot->unique-index map of power-of-two
- * size, pre-filled with -1 by the caller.  First-seen unique rows are
- * appended to `uniq`; `inverse[r]` is row r's unique index and `counts[u]`
- * its multiplicity.  Returns the number of unique rows.  Uniques come out
- * in first-seen order — the Python wrapper re-sorts the (small) unique set
- * into the canonical lexicographic order and remaps inverse/counts, so the
- * hash order never leaks out. */
+ * First-seen unique rows are appended to `uniq` (capacity n rows);
+ * `inverse[r]` is row r's unique index and `counts[u]` its multiplicity
+ * (every returned count is written here, so `counts` need not be
+ * initialized).  Returns the number of unique rows, or -1 when the table
+ * cannot grow onto the heap.  Uniques come out in first-seen order — the
+ * Python wrapper re-sorts the (small) unique set into the canonical
+ * lexicographic order and remaps inverse/counts, so the hash order never
+ * leaks out. */
 int64_t adc_unique_rows(intptr_t words_p, int64_t n, int64_t w,
-                        intptr_t table_p, int64_t table_size,
                         intptr_t uniq_p, intptr_t inverse_p, intptr_t counts_p)
 {
     const uint64_t *words = (const uint64_t *)words_p;
-    int64_t *table = (int64_t *)table_p;
     uint64_t *uniq = (uint64_t *)uniq_p;
     int64_t *inverse = (int64_t *)inverse_p;
     int64_t *counts = (int64_t *)counts_p;
-    const uint64_t mask = (uint64_t)table_size - 1;
+    uint32_t stack[DEDUP_STACK_SLOTS];
+    uint32_t *table = stack;
+    uint64_t mask = DEDUP_STACK_SLOTS - 1;
     int64_t n_unique = 0;
+    memset(stack, 0, sizeof(stack));
 
     for (int64_t r = 0; r < n; r++) {
         const uint64_t *row = words + r * w;
-        /* FNV-1a over the row's words. */
-        uint64_t h = 1469598103934665603ULL;
-        for (int64_t k = 0; k < w; k++) {
-            h ^= row[k];
-            h *= 1099511628211ULL;
-        }
-        uint64_t slot = h & mask;
+        uint64_t slot = row_hash(row, w) & mask;
+        int64_t u;
         for (;;) {
-            int64_t u = table[slot];
-            if (u < 0) {
-                table[slot] = n_unique;
-                memcpy(uniq + n_unique * w, row, (size_t)w * sizeof(uint64_t));
-                counts[n_unique] = 1;
-                inverse[r] = n_unique;
-                n_unique++;
+            u = (int64_t)table[slot] - 1;
+            if (u < 0)
                 break;
-            }
             const uint64_t *candidate = uniq + u * w;
             int64_t k = 0;
             while (k < w && candidate[k] == row[k])
                 k++;
-            if (k == w) {
-                counts[u]++;
-                inverse[r] = u;
+            if (k == w)
                 break;
-            }
             slot = (slot + 1) & mask;
         }
+        if (u >= 0) {
+            counts[u]++;
+            inverse[r] = u;
+            continue;
+        }
+        u = n_unique++;
+        for (int64_t k = 0; k < w; k++)
+            uniq[u * w + k] = row[k];
+        counts[u] = 1;
+        inverse[r] = u;
+        table[slot] = (uint32_t)(u + 1);
+        if (4 * (uint64_t)n_unique > mask + 1) {
+            uint64_t slots = 2 * (mask + 1);
+            uint32_t *grown = (uint32_t *)malloc(slots * sizeof(uint32_t));
+            if (table != stack)
+                free(table);
+            if (!grown)
+                return -1;
+            table = grown;
+            mask = slots - 1;
+            dedup_rehash(table, mask, uniq, n_unique, w);
+        }
     }
+    if (table != stack)
+        free(table);
     return n_unique;
 }
 

@@ -101,11 +101,16 @@ def _probe_flat_kernels(kernels) -> None:
     b[1] = rng.integers(-2, 3, size=n_rows)
     a[2] = rng.integers(0, 3, size=n_rows)
     b[2] = rng.integers(0, 3, size=n_rows)
+    # A NaN difference is GREATER, whichever side the NaN is on.
+    a[1, 2] = b[1, 4] = np.nan
     lookup = rng.integers(0, 2**64, size=(3, 3, n_words), dtype=np.uint64)
-    theirs = kernels.tile_plane(kinds, a, b, lookup, 1, 5, 0, 6, n_words)
-    ours = NumpyKernels.tile_plane(kinds, a, b, lookup, 1, 5, 0, 6, n_words)
-    if not np.array_equal(theirs, ours):
-        raise AssertionError("tile_plane mismatch")
+    # A wide tile, and a tall n x 1 strip (the kernel runs along the
+    # longer side, so each orientation has its own loop).
+    for i0, i1, j0, j1 in ((1, 5, 0, 6), (0, 6, 4, 5)):
+        theirs = kernels.tile_plane(kinds, a, b, lookup, i0, i1, j0, j1, n_words)
+        ours = NumpyKernels.tile_plane(kinds, a, b, lookup, i0, i1, j0, j1, n_words)
+        if not np.array_equal(theirs, ours):
+            raise AssertionError("tile_plane mismatch")
 
     # Small value range so the probe input is guaranteed to hold duplicates.
     rows = rng.integers(0, 3, size=(41, 2)).astype(np.uint64)

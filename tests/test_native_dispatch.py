@@ -94,6 +94,30 @@ class TestResolution:
         with pytest.raises(AssertionError, match="popcount"):
             dispatch._probe_flat_kernels(LyingKernels())
 
+    def test_probe_rejects_nan_as_less(self):
+        """A tile pass that puts a NaN difference in LESS, not GREATER."""
+
+        class NanKernels(NumpyKernels):
+            @staticmethod
+            def tile_plane(kinds, a, b, lookup, i0, i1, j0, j1, n_words):
+                a = np.where(np.isnan(a), -np.inf, a)
+                return NumpyKernels.tile_plane(kinds, a, b, lookup, i0, i1, j0, j1, n_words)
+
+        with pytest.raises(AssertionError, match="tile_plane"):
+            dispatch._probe_flat_kernels(NanKernels())
+
+    def test_probe_rejects_broken_tall_strips(self):
+        """A tile pass that gets only the n x 1 orientation wrong."""
+
+        class TallKernels(NumpyKernels):
+            @staticmethod
+            def tile_plane(kinds, a, b, lookup, i0, i1, j0, j1, n_words):
+                plane = NumpyKernels.tile_plane(kinds, a, b, lookup, i0, i1, j0, j1, n_words)
+                return plane[::-1].copy() if i1 - i0 > j1 - j0 else plane
+
+        with pytest.raises(AssertionError, match="tile_plane"):
+            dispatch._probe_flat_kernels(TallKernels())
+
     def test_use_backend_restores_previous(self):
         before = get_backend()
         with dispatch.use_backend("numpy") as backend:
@@ -171,8 +195,11 @@ class TestCompiledBitIdentity:
     @settings(max_examples=50, deadline=None)
     @given(data=st.data())
     def test_tile_plane(self, data):
+        """Tiles, 1-tall and 1-wide strips of up to 600 rows (crossing the
+        kernel's 256-pair blocks), NaN in numeric planes (a NaN difference
+        is GREATER) and groups whose lookup sets no bit."""
         n_groups = data.draw(st.integers(min_value=0, max_value=4))
-        n_rows = data.draw(st.integers(min_value=1, max_value=12))
+        n_rows = data.draw(st.integers(min_value=1, max_value=600))
         n_words = data.draw(st.integers(min_value=1, max_value=3))
         seed = data.draw(st.integers(min_value=0, max_value=2**31))
         rng = np.random.default_rng(seed)
@@ -182,14 +209,23 @@ class TestCompiledBitIdentity:
         for g in range(n_groups):
             if kinds[g] == 0:
                 a[g] = rng.integers(0, 3, size=n_rows)
-            else:
-                a[g] = rng.integers(-3, 4, size=n_rows)
-                b[g] = rng.integers(-3, 4, size=n_rows)
+                continue
+            a[g] = rng.integers(-3, 4, size=n_rows)
+            b[g] = rng.integers(-3, 4, size=n_rows)
+            if kinds[g] == 1:
+                a[g, rng.random(n_rows) < 0.1] = np.nan
+                b[g, rng.random(n_rows) < 0.1] = np.nan
         lookup = rng.integers(0, 2**64, size=(n_groups, 3, n_words), dtype=np.uint64)
+        lookup[rng.random(n_groups) < 0.25] = 0
         i0 = data.draw(st.integers(min_value=0, max_value=n_rows - 1))
         i1 = data.draw(st.integers(min_value=i0 + 1, max_value=n_rows))
         j0 = data.draw(st.integers(min_value=0, max_value=n_rows - 1))
         j1 = data.draw(st.integers(min_value=j0 + 1, max_value=n_rows))
+        shape = data.draw(st.sampled_from(["tile", "row", "column"]))
+        if shape == "row":
+            i1 = i0 + 1
+        elif shape == "column":
+            j1 = j0 + 1
         kernels = _compiled_backend_or_none().kernels
         theirs = kernels.tile_plane(kinds, a, b, lookup, i0, i1, j0, j1, n_words)
         ours = NumpyKernels.tile_plane(kinds, a, b, lookup, i0, i1, j0, j1, n_words)
@@ -202,9 +238,35 @@ class TestCompiledBitIdentity:
         n_words = data.draw(st.integers(min_value=1, max_value=4))
         # Small value range forces hash collisions and duplicates.
         domain = data.draw(st.integers(min_value=1, max_value=6))
+        # Rows that differ only above bit 31: a hash whose slot ignores the
+        # high bits of a word sends every one of them into one probe chain.
+        shift = data.draw(st.sampled_from([0, 32, 40, 58]))
         seed = data.draw(st.integers(min_value=0, max_value=2**31))
         rng = np.random.default_rng(seed)
         rows = rng.integers(0, domain, size=(n, n_words)).astype(np.uint64)
+        rows <<= np.uint64(shift)
+        kernels = _compiled_backend_or_none().kernels
+        for theirs, ours in zip(kernels.unique_rows(rows), NumpyKernels.unique_rows(rows)):
+            assert np.array_equal(theirs, ours)
+
+    def test_unique_rows_past_the_stack_table(self):
+        """More distinct rows than the kernel's stack table holds: the
+        table moves to the heap and keeps growing."""
+        rng = np.random.default_rng(3)
+        distinct = rng.integers(0, 2**64, size=(5000, 2), dtype=np.uint64)
+        rows = distinct[rng.integers(0, len(distinct), size=20_000)]
+        kernels = _compiled_backend_or_none().kernels
+        for theirs, ours in zip(kernels.unique_rows(rows), NumpyKernels.unique_rows(rows)):
+            assert np.array_equal(theirs, ours)
+            assert theirs.dtype == ours.dtype
+
+    def test_unique_rows_past_the_kernel_row_limit(self, monkeypatch):
+        """A plane longer than the kernel's uint32 table slots can index
+        takes the numpy reference path."""
+        from repro.native import cext
+
+        monkeypatch.setattr(cext, "_MAX_DEDUP_ROWS", 10)
+        rows = np.random.default_rng(4).integers(0, 3, size=(50, 2)).astype(np.uint64)
         kernels = _compiled_backend_or_none().kernels
         for theirs, ours in zip(kernels.unique_rows(rows), NumpyKernels.unique_rows(rows)):
             assert np.array_equal(theirs, ours)
