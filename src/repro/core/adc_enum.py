@@ -26,18 +26,33 @@ per-node state — the transposed evidence plane, candidate planes, overlap
 counters, criticality bookkeeping — lives in a per-depth arena
 (:class:`repro.native.NumpySearchWorkspace` and its compiled twin) owned by
 the dispatched kernel backend (:mod:`repro.native.dispatch`), so a search
-node is a handful of fused kernel calls writing into preallocated buffers
-instead of dozens of small numpy dispatches allocating fresh arrays.  The
-driver (:meth:`ADCEnum._run_search`) walks an explicit frame stack, which
-removes the old ``sys.setrecursionlimit`` mutation and the recursion-depth
-ceiling on deep skip chains: depth is bounded only by the number of
-predicates.  Chosen evidences are read directly from the packed
+node is a handful of fused kernel calls writing into preallocated buffers.
+The frame stack removes the old ``sys.setrecursionlimit`` mutation and the
+recursion-depth ceiling on deep skip chains: depth is bounded only by the
+number of predicates.  Chosen evidences are read directly from the packed
 ``evidence.words`` plane; the lazy Python-int ``masks`` view is never
-consulted.  This is the Python-level reproduction of DCFinder's bit-level
-engineering, without which the enumeration would be orders of magnitude
-slower (``benchmarks/bench_enum_core.py`` tracks the node rate against the
+consulted.
+
+**Which driver runs.**  Two drivers walk the same frame stack:
+
+* the **C driver** (:meth:`ADCEnum._run_native`) runs the whole search in
+  one native call (resumed only to hand over outputs and to call the
+  progress hook).  It runs when the compiled backend is active and the
+  function is pair-determined with an integer pass bound
+  (:meth:`~repro.core.approximation.ApproximationFunction.pair_bound`): f1
+  always, and f1' below ``epsilon = 0.5``;
+* the **Python driver** (:meth:`ADCEnum._run_search`) runs everything else
+  — f2, f3, f1' from ``epsilon = 0.5`` on, and every search under the numpy
+  backend — and is the oracle the C driver is tested and probed against.
+
+The C driver decides every pass test by comparing the maintained pair count
+with that integer bound, so none of its decisions depends on how a compiler
+evaluates a floating-point score.  The Python driver keeps scoring the pair
+fraction in floats, so the tests that hold the two drivers to the same
+output also check the bound against the score it stands for.
+``benchmarks/bench_enum_core.py`` tracks the node rate against the
 pre-refactor core kept as a test oracle under ``tests/``, and
-``benchmarks/bench_kernels.py`` the compiled-vs-numpy backend ratio).
+``benchmarks/bench_kernels.py`` the compiled-vs-numpy backend ratio.
 """
 
 from __future__ import annotations
@@ -219,6 +234,14 @@ class ADCEnum:
         # *partial* pair shortcut — keep the full vectors and the explicit
         # index array.
         self._pair_determined = self._total_pairs == 0 or self.function.pair_determined
+        # The pair-determined pass test as an integer bound for the C
+        # driver: x uncovered pairs pass exactly when x <= K (None: the
+        # score must be computed, so the Python driver runs).
+        self._pair_bound = (
+            self.function.pair_bound(self._total_pairs, self.epsilon)
+            if self._total_pairs
+            else 0
+        )
         # The search arena is built lazily on the first run and reused by
         # later runs of the same instance (slot buffers stay warm); it is
         # rebuilt if the dispatched backend changes between runs (tests).
@@ -262,7 +285,14 @@ class ADCEnum:
         self._seen_outputs: set[int] = set()
         self._results: list[DiscoveredADC] = []
         workspace = self._get_workspace()
-        self._run_search(workspace)
+        if (
+            workspace.native_driver
+            and self.function.pair_determined
+            and self._pair_bound is not None
+        ):
+            self._run_native(workspace)
+        else:
+            self._run_search(workspace)
         self.statistics.elapsed_seconds = time.perf_counter() - started
         yield from self._results
 
@@ -365,6 +395,11 @@ class ADCEnum:
         1 = hit-loop setup (WillCover prune resolved, skip subtree done),
         2 = hit loop (one ``try_hit`` per candidate element, entering a
         child frame per hit and resuming through ``returning``).
+
+        This driver runs f2, f3, f1' from ``epsilon = 0.5`` on, and every
+        search under the numpy backend; the compiled backend runs the other
+        pair-determined searches in :meth:`_run_native`, which walks this
+        same stack in C and is tested against this driver.
         """
         statistics = self.statistics
         total = self._total_pairs
@@ -460,9 +495,7 @@ class ADCEnum:
                     passes = self._passes_lazy(uncov, uncovered_pairs)
                 if passes:
                     if self._is_minimal(s_elements, uncov, uncovered_pairs):
-                        self._emit(
-                            s_elements, uncov, workspace.uncov_bits_view(depth)
-                        )
+                        self._emit(s_elements, uncovered_pairs, uncov)
                     depth -= 1
                     continue
 
@@ -536,6 +569,41 @@ class ADCEnum:
 
         statistics.extra["max_stack_depth"] = float(max_depth)
 
+    def _run_native(self, workspace) -> None:
+        """The C driver: :meth:`_run_search`'s frame stack in one native call.
+
+        Runs for pair-determined functions with an integer pass bound on
+        the compiled backend.  The compiled search walks the same stack with
+        the same kernels and counters; it hands back its outputs (hitting
+        set and uncovered pair count) in batches and pauses for the
+        progress hook, so the emission, the deduplication and the hook run
+        here exactly as in the Python driver.
+        """
+        statistics = self.statistics
+        progress = self.progress
+        search_started = getattr(self, "_search_started", None)
+        for outputs, counters, max_depth, paused in workspace.pair_search(
+            self._pair_bound,
+            selection_code(self.selection),
+            self.max_dc_size,
+            min(self.progress_interval, 2**62) if progress is not None else 0,
+        ):
+            for elements, uncovered_pairs in outputs:
+                self._emit(elements, uncovered_pairs, None)
+            (
+                statistics.recursive_calls,
+                statistics.hit_branches,
+                statistics.skip_branches,
+                statistics.pruned_by_willcover,
+                statistics.pruned_by_criticality,
+                statistics.minimality_checks,
+            ) = counters
+            statistics.extra["max_stack_depth"] = float(max_depth)
+            if paused:
+                if search_started is not None:
+                    statistics.elapsed_seconds = time.perf_counter() - search_started
+                progress(statistics)
+
     @staticmethod
     def _frame_at(frames: list[_Frame], depth: int) -> _Frame:
         if len(frames) <= depth:
@@ -547,16 +615,16 @@ class ADCEnum:
     # ------------------------------------------------------------------
     def _emit(
         self,
-        s_elements: list[int],
+        s_elements: Sequence[int],
+        uncovered_pairs: int,
         uncov: np.ndarray | None,
-        uncov_bits: np.ndarray,
     ) -> None:
         """Build the DC from the hitting set and record it if nontrivial.
 
-        In pair-determined mode the recursion does not thread the uncovered
-        index array (see :meth:`iter_adcs`); it is rebuilt here — emission is
-        rare — from the packed uncovered bitset, which still carries every
-        uncovered evidence including the compacted dead ones.
+        In pair-determined mode (``uncov`` is None) the score comes from the
+        maintained uncovered pair count, which counts every uncovered
+        evidence including the compacted dead ones; otherwise the function
+        scores the uncovered index array.
         """
         s_mask = 0
         for element in s_elements:
@@ -575,9 +643,15 @@ class ADCEnum:
         if constraint.is_trivial():
             return
         self._seen_outputs.add(s_mask)
-        if uncov is None:
-            uncov = unpack_bits(uncov_bits, self._n_evidences).nonzero()[0]
-        score = self.function.violation_score(self.evidence, uncov)
+        if uncov is not None:
+            score = self.function.violation_score(self.evidence, uncov)
+        elif self._total_pairs:
+            total = self._total_pairs
+            score = self.function.violation_score_from_pair_fraction(
+                uncovered_pairs / total, total
+            )
+        else:
+            score = 0.0
         self.statistics.outputs += 1
         self._results.append(DiscoveredADC(constraint, s_mask, score))
 

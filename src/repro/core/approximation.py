@@ -91,6 +91,35 @@ class ApproximationFunction(abc.ABC):
         del pair_fraction, total_pairs
         return None
 
+    def pair_bound(self, total_pairs: int, epsilon: float) -> int | None:
+        """The pass test as an integer bound on the violating pairs, if any.
+
+        Returns ``K`` such that ``total_pairs == 0 or
+        violation_score_from_pair_fraction(x / total_pairs, total_pairs) <=
+        epsilon`` holds exactly when ``x <= K``, for every integer ``x`` in
+        ``[0, total_pairs]``; ``None`` when the function is not
+        pair-determined.  ``K`` is found by bisection on the function's own
+        score, which is exact when the passing ``x`` form a prefix of
+        ``[0, total_pairs]``.  A subclass whose score is not monotone in
+        ``x`` must override this (and may return ``None``).  The compiled
+        search driver compares integer pair counts with ``K`` instead of
+        scores, so none of its decisions depends on how the compiler
+        evaluates a floating-point score.
+        """
+        if not self.pair_determined:
+            return None
+        if total_pairs == 0:
+            return 0
+        low, high = -1, total_pairs + 1  # passes(low), not passes(high)
+        while high - low > 1:
+            middle = (low + high) // 2
+            score = self.violation_score_from_pair_fraction(middle / total_pairs, total_pairs)
+            if score <= epsilon:
+                low = middle
+            else:
+                high = middle
+        return low
+
     def score(self, evidence: EvidenceSet, uncovered_indices: Collection[int]) -> float:
         """Return ``f(D, S_phi)`` (the satisfaction score)."""
         return 1.0 - self.violation_score(evidence, uncovered_indices)
@@ -232,6 +261,20 @@ class F1Adjusted(ApproximationFunction):
         if total_pairs == 0:
             return 0.0
         return self._score_from_fraction(pair_fraction, total_pairs)
+
+    def pair_bound(self, total_pairs: int, epsilon: float) -> int | None:
+        """The integer pass bound, for ``epsilon < 0.5`` only.
+
+        Below ``p = 0.5`` both ``p`` and the margin rise with ``p``, and one
+        more pair raises the score by about ``1 / total_pairs``, far above
+        the rounding error; from ``p = 0.5`` on the score is at least
+        ``p > epsilon``.  So the passing counts form a prefix.  For larger
+        ``epsilon`` the margin falls again as ``p`` nears 1, the passing
+        counts need not be a prefix, and the enumerator keeps scoring.
+        """
+        if not epsilon < 0.5:
+            return None
+        return super().pair_bound(total_pairs, epsilon)
 
     def _score_from_fraction(self, p_hat: float, total_pairs: int) -> float:
         margin = self.confidence_z * np.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / total_pairs)

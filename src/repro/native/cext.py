@@ -8,16 +8,26 @@ FFI buffer objects: :class:`CextSearchWorkspace` caches each buffer's
 ``.ctypes.data`` once at allocation and every per-node call passes cached
 integers and scalars only.
 
-The workspace subclasses the numpy reference
-(:class:`repro.native.numpy_backend.NumpySearchWorkspace`) for slot
-management, views and the cold root setup, overriding just the four
-per-node operations with single C calls.
+The search workspace has two compiled paths:
+
+* :meth:`CextSearchWorkspace.pair_search` runs the whole ADCEnum frame stack
+  in C (``adc_enum_run``) for pair-determined functions with an integer
+  pass bound.  The C search state (frames, per-depth slots, criticality
+  planes) lives in the workspace between calls and is freed with it.
+* For the Python driver (f2, f3, f1' from ``epsilon = 0.5`` on), the
+  workspace subclasses the numpy reference
+  (:class:`repro.native.numpy_backend.NumpySearchWorkspace`) for slot
+  management, views and the cold root setup, overriding just the four
+  per-node operations with single C calls — the same kernels the C driver
+  composes.
 """
 
 from __future__ import annotations
 
 import ctypes
+import weakref
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -48,6 +58,11 @@ int32_t adc_search_try_hit(intptr_t, int64_t, int32_t, int64_t, intptr_t,
                            int64_t, int64_t, intptr_t, intptr_t, int64_t,
                            intptr_t, int64_t, intptr_t, intptr_t,
                            intptr_t, intptr_t, intptr_t, intptr_t);
+intptr_t adc_enum_new(intptr_t, intptr_t, intptr_t, intptr_t, intptr_t, int64_t,
+                      int32_t, int32_t, int64_t);
+int32_t adc_enum_run(intptr_t, int32_t, int64_t, int32_t, int64_t, int64_t,
+                     intptr_t, int64_t, int64_t, intptr_t);
+void adc_enum_free(intptr_t);
 """
 
 _FUNCTIONS = (
@@ -61,6 +76,9 @@ _FUNCTIONS = (
     "adc_search_skip_child",
     "adc_search_hit_prepare",
     "adc_search_try_hit",
+    "adc_enum_new",
+    "adc_enum_run",
+    "adc_enum_free",
 )
 
 
@@ -105,6 +123,10 @@ def _load_ctypes(library_path: Path):
                                      intp, i64, i64, intp, intp, i64,
                                      intp, i64, intp, intp, intp, intp, intp,
                                      intp]),
+        "adc_enum_new": (intp, [intp, intp, intp, intp, intp, i64, i32, i32, i64]),
+        "adc_enum_run": (i32, [intp, i32, i64, i32, i64, i64, intp, i64, i64,
+                               intp]),
+        "adc_enum_free": (None, [intp]),
     }
     functions = {}
     for name, (restype, argtypes) in signatures.items():
@@ -126,6 +148,12 @@ def load_functions(library_path: Path) -> dict:
 #: Most rows ``adc_unique_rows`` takes: its hash table stores uint32 row
 #: indices.  Larger planes take the numpy reference path.
 _MAX_DEDUP_ROWS = 2**32 - 2
+
+#: Outputs the compiled search buffers before it returns them to Python.
+_OUTPUT_ROWS = 64
+
+#: ``adc_enum_run`` statuses.
+_ENUM_DONE, _ENUM_PAUSED = 0, 1
 
 
 def _addr(array: np.ndarray) -> int:
@@ -233,15 +261,25 @@ class CKernels:
 # Search workspace
 # ---------------------------------------------------------------------------
 class CextSearchWorkspace(NumpySearchWorkspace):
-    """Arena workspace whose four per-node operations are single C calls.
+    """Arena workspace with a compiled search driver and per-node kernels.
+
+    :meth:`pair_search` runs the whole search in C for pair-determined
+    functions.  The Python driver (every other function) calls the four
+    per-node operations, each a single C call here.
 
     Address tuple layout per slot (cached on the slot, invalidated by the
     grow methods): ``(ev, cin, red, pairs, uncov, cand_in, to_try,
     cand_loop, uncov_bits, elements, covers, crit, child_bits)``.
     """
 
+    native_driver = True
+
     def __init__(self, functions: dict, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
+        self._enum_new = functions["adc_enum_new"]
+        self._enum_run = functions["adc_enum_run"]
+        self._enum_free = functions["adc_enum_free"]
+        self._search = 0
         self._expand_c = functions["adc_search_expand"]
         self._skip_c = functions["adc_search_skip_child"]
         self._prepare_c = functions["adc_search_hit_prepare"]
@@ -342,3 +380,55 @@ class CextSearchWorkspace(NumpySearchWorkspace):
         address = _addr(buffer)
         self._removed_p[crit_depth] = address
         return address
+
+    def pair_search(
+        self,
+        bound: int,
+        selection: int,
+        max_dc_size: int | None,
+        progress_interval: int,
+    ) -> Iterator[tuple[list[tuple[list[int], int]], list[int], int, bool]]:
+        """Run the search in C with the pass test "uncovered pairs <= bound".
+
+        The compiled driver returns to Python when the search ends, when
+        ``progress_interval`` nodes have passed (0: never) and when
+        :data:`_OUTPUT_ROWS` outputs are buffered.  Each return yields
+        ``(outputs, counters, max_depth, paused)``: the new outputs as
+        ``(hitting-set elements, uncovered pairs)``, the six
+        :class:`~repro.core.adc_enum.EnumerationStatistics` search counters
+        from ``recursive_calls`` to ``minimality_checks``, the deepest stack
+        so far, and whether a progress report is due.  Frames and slots
+        persist in the workspace between calls and between searches.
+        """
+        if not self._search:
+            self._search = self._enum_new(
+                _addr(self._ev_root), _addr(self._counts_root), _addr(self._contains),
+                _addr(self._group_inv), _addr(self._full_cand), self.n_evidences,
+                self.n_words, self.n_ev_words, self.n_predicates,
+            )
+            if not self._search:
+                raise MemoryError("the compiled search could not allocate its state")
+            # The C state borrows the root arrays this workspace owns, so it
+            # is freed with the workspace, never before.
+            weakref.finalize(self, self._enum_free, self._search)
+        # A hitting set never outgrows the predicate count, so the cap is
+        # clamped to it (an equivalent test that fits an int64).
+        limit = self.n_predicates if max_dc_size is None else max_dc_size
+        limit = min(max(limit, 0), self.n_predicates)
+        rows = _OUTPUT_ROWS
+        out = np.empty((rows, 2 + limit), dtype=np.int64)
+        counters = np.empty(8, dtype=np.int64)
+        restart = 1
+        while True:
+            status = self._enum_run(
+                self._search, restart, bound, selection, limit, progress_interval,
+                _addr(out), rows, 2 + limit, _addr(counters),
+            )
+            restart = 0
+            if status < 0:
+                raise MemoryError("the compiled search could not allocate a slot")
+            values = counters.tolist()
+            outputs = [(row[2 : 2 + row[1]], row[0]) for row in out[: values[7]].tolist()]
+            yield outputs, values[:6], values[6], status == _ENUM_PAUSED
+            if status == _ENUM_DONE:
+                return

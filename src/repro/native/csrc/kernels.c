@@ -15,7 +15,9 @@
  *
  * The search_* family implements the per-node work of the ADCEnum explicit
  * stack (see repro.core.adc_enum): each call fuses what used to be a dozen
- * small numpy dispatches into one pass over the node's arrays.
+ * small numpy dispatches into one pass over the node's arrays.  The enum_*
+ * entry points at the end run the whole stack over those kernels; their
+ * reference is the Python driver over the numpy arena.
  */
 
 #include <stdint.h>
@@ -707,4 +709,414 @@ int32_t adc_search_try_hit(
     out[1] = m;
     out[2] = pair_sum;
     return 1;
+}
+
+/* ------------------------------------------------------------------ */
+/* ADCEnum driver for pair-determined functions                        */
+/* ------------------------------------------------------------------ */
+
+/* The whole explicit-stack search of ADCEnum._run_search (Figures 4 and
+ * 5), run in C for functions whose pass test is "uncovered pairs <= K"
+ * (f1, and f1' below epsilon 0.5; see ApproximationFunction.pair_bound).
+ * The driver composes the per-node kernels above exactly as the Python
+ * driver calls them, so the traversal order, the counters and the outputs
+ * are the Python driver's.  Differences are confined to mechanism:
+ *
+ *   - the pass tests (base case, WillCover, IsMinimal) compare integer pair
+ *     counts with K, so no floating-point score is evaluated here;
+ *   - IsMinimal is a weighted popcount of each criticality row against the
+ *     evidence multiplicities;
+ *   - the search is resumable: adc_enum_run returns when the search ends,
+ *     when a progress report is due, or when the output buffer is full,
+ *     and the next call continues where it stopped.  Frames, slots and
+ *     criticality planes live in an EnumSearch owned by the caller's
+ *     workspace (adc_enum_new / adc_enum_free).
+ *
+ * Slot buffers have capacity n_evidences and are allocated per depth on
+ * first use; nothing is allocated per node. */
+
+enum { ENUM_DONE = 0, ENUM_PAUSED = 1, ENUM_FULL = 2, ENUM_NOMEM = -1 };
+
+/* Frame phases: ENTER counts the node (and may pause for a progress
+ * report), BODY runs the base case, the expansion and the skip branch,
+ * HIT_SETUP prepares the hit loop once the skip subtree has returned,
+ * HIT_LOOP tries one element per step, resuming after each hit child. */
+enum { PHASE_ENTER = 0, PHASE_BODY, PHASE_HIT_SETUP, PHASE_HIT_LOOP };
+
+/* Counter slots reported to the caller, in EnumerationStatistics order. */
+enum {
+    C_CALLS = 0, C_HITS, C_SKIPS, C_WILLCOVER, C_CRITICALITY, C_MINIMALITY,
+    C_MAX_DEPTH, C_OUTPUTS, C_COUNT
+};
+
+typedef struct {
+    int64_t n, uncovered, dead, n_to_try, k, position;
+    int32_t phase, returning;
+} EnumFrame;
+
+typedef struct {
+    uint64_t *ev;                        /* (n_words, n_ev), stride n_ev */
+    uint64_t *cand_in, *to_try, *cand_loop; /* n_words each */
+    uint64_t *uncov_bits;                /* n_ev_words */
+    uint64_t *covers, *crit, *child_bits; /* (max_k, n_ev_words) each */
+    int64_t *pairs;                      /* n_ev */
+    uint32_t *cin, *red;                 /* n_ev each */
+    int32_t *elements;                   /* max_k */
+} EnumSlot;
+
+typedef struct {
+    /* The evidence planes, borrowed from the caller's workspace. */
+    const uint64_t *ev_root;      /* (n_words, n_ev) */
+    const int64_t *counts;        /* n_ev */
+    const uint64_t *contains;     /* (n_predicates, n_ev_words) */
+    const uint64_t *group_inv;    /* (n_predicates, n_words) */
+    const uint64_t *full_cand;    /* n_words */
+    int64_t n_ev, n_predicates;
+    int32_t n_words, n_ev_words;
+    /* Most predicates of one evidence: bounds every hit loop's length. */
+    int64_t max_k;
+    /* Parameters of the current search. */
+    int64_t bound, max_dc_size, interval, next_progress;
+    int32_t selection;
+    /* Arena: n_predicates + 2 frames and slots (a depth consumes at least
+     * one candidate), criticality rows and their per-depth undo tokens. */
+    EnumFrame *frames;
+    EnumSlot **slots;
+    uint64_t *crit_rows;          /* (n_predicates + 1, n_ev_words) */
+    uint64_t **removed;           /* removed[d]: (max(d, 1), n_ev_words) */
+    int32_t *members;             /* the hitting set S, in insertion order */
+    int64_t depth, n_members;     /* n_members is also the criticality depth */
+    int64_t counters[C_COUNT];
+} EnumSearch;
+
+static EnumSlot *enum_slot(EnumSearch *s, int64_t depth)
+{
+    EnumSlot *slot = s->slots[depth];
+    if (slot)
+        return slot;
+    const size_t cap = s->n_ev > 0 ? (size_t)s->n_ev : 1;
+    const size_t k = s->max_k > 0 ? (size_t)s->max_k : 1;
+    const size_t nw = (size_t)s->n_words, new = (size_t)s->n_ev_words;
+    const size_t words = nw * cap + 3 * nw + new + 3 * k * new + cap;
+    const size_t bytes = sizeof(EnumSlot) + words * sizeof(uint64_t)
+                         + (2 * cap + k) * sizeof(uint32_t);
+    char *memory = (char *)malloc(bytes);
+    if (!memory)
+        return NULL;
+    slot = (EnumSlot *)memory;
+    uint64_t *w = (uint64_t *)(memory + sizeof(EnumSlot));
+    slot->ev = w;              w += nw * cap;
+    slot->cand_in = w;         w += nw;
+    slot->to_try = w;          w += nw;
+    slot->cand_loop = w;       w += nw;
+    slot->uncov_bits = w;      w += new;
+    slot->covers = w;          w += k * new;
+    slot->crit = w;            w += k * new;
+    slot->child_bits = w;      w += k * new;
+    slot->pairs = (int64_t *)w; w += cap;
+    slot->cin = (uint32_t *)w;
+    slot->red = slot->cin + cap;
+    slot->elements = (int32_t *)(slot->red + cap);
+    s->slots[depth] = slot;
+    return slot;
+}
+
+static uint64_t *enum_removed(EnumSearch *s, int64_t crit_depth)
+{
+    uint64_t *buffer = s->removed[crit_depth];
+    if (!buffer) {
+        size_t rows = crit_depth > 0 ? (size_t)crit_depth : 1;
+        buffer = (uint64_t *)malloc(rows * (size_t)s->n_ev_words * sizeof(uint64_t));
+        s->removed[crit_depth] = buffer;
+    }
+    return buffer;
+}
+
+void adc_enum_free(intptr_t search_p)
+{
+    EnumSearch *s = (EnumSearch *)search_p;
+    if (!s)
+        return;
+    for (int64_t d = 0; d < s->n_predicates + 2; d++) {
+        if (s->slots)
+            free(s->slots[d]);
+        if (s->removed)
+            free(s->removed[d]);
+    }
+    free(s->slots);
+    free(s->removed);
+    free(s->frames);
+    free(s->crit_rows);
+    free(s->members);
+    free(s);
+}
+
+/* A search over the given evidence planes (the layouts of the Python
+ * workspace's root arrays); 0 when memory runs out. */
+intptr_t adc_enum_new(intptr_t ev_p, intptr_t counts_p, intptr_t contains_p,
+                      intptr_t group_inv_p, intptr_t full_cand_p, int64_t n_ev,
+                      int32_t n_words, int32_t n_ev_words, int64_t n_predicates)
+{
+    EnumSearch *s = (EnumSearch *)calloc(1, sizeof(EnumSearch));
+    if (!s)
+        return 0;
+    s->ev_root = (const uint64_t *)ev_p;
+    s->counts = (const int64_t *)counts_p;
+    s->contains = (const uint64_t *)contains_p;
+    s->group_inv = (const uint64_t *)group_inv_p;
+    s->full_cand = (const uint64_t *)full_cand_p;
+    s->n_ev = n_ev;
+    s->n_words = n_words;
+    s->n_ev_words = n_ev_words;
+    s->n_predicates = n_predicates;
+    for (int64_t e = 0; e < n_ev; e++) {
+        int64_t k = 0;
+        for (int32_t w = 0; w < n_words; w++)
+            k += (int64_t)POPCOUNT(s->ev_root[(int64_t)w * n_ev + e]);
+        if (k > s->max_k)
+            s->max_k = k;
+    }
+    const size_t levels = (size_t)n_predicates + 2;
+    s->frames = (EnumFrame *)calloc(levels, sizeof(EnumFrame));
+    s->slots = (EnumSlot **)calloc(levels, sizeof(EnumSlot *));
+    s->removed = (uint64_t **)calloc(levels, sizeof(uint64_t *));
+    s->crit_rows = (uint64_t *)calloc(levels * (size_t)(n_ev_words > 0 ? n_ev_words : 1),
+                                      sizeof(uint64_t));
+    s->members = (int32_t *)calloc(levels, sizeof(int32_t));
+    if (!s->frames || !s->slots || !s->removed || !s->crit_rows || !s->members) {
+        adc_enum_free((intptr_t)s);
+        return 0;
+    }
+    return (intptr_t)s;
+}
+
+/* Load the root node into slot 0 and reset the stack and the counters. */
+static int32_t enum_restart(EnumSearch *s)
+{
+    EnumSlot *root = enum_slot(s, 0);
+    if (!root)
+        return ENUM_NOMEM;
+    const int64_t n = s->n_ev;
+    for (int32_t w = 0; w < s->n_words; w++)
+        memcpy(root->ev + (int64_t)w * n, s->ev_root + (int64_t)w * n,
+               (size_t)n * sizeof(uint64_t));
+    memcpy(root->pairs, s->counts, (size_t)n * sizeof(int64_t));
+    adc_intersection_counts((intptr_t)root->ev, n, s->n_words, n,
+                            (intptr_t)s->full_cand, (intptr_t)root->cin);
+    memcpy(root->cand_in, s->full_cand, (size_t)s->n_words * sizeof(uint64_t));
+    int64_t total = 0;
+    for (int64_t e = 0; e < n; e++)
+        total += s->counts[e];
+    for (int32_t v = 0; v < s->n_ev_words; v++) {
+        int64_t bits = n - (int64_t)v * 64;
+        root->uncov_bits[v] = bits >= 64 ? ~(uint64_t)0
+                              : bits > 0 ? ((uint64_t)1 << bits) - 1 : 0;
+    }
+    EnumFrame *frame = &s->frames[0];
+    memset(frame, 0, sizeof(EnumFrame));
+    frame->n = n;
+    frame->uncovered = total;
+    frame->phase = PHASE_ENTER;
+    s->depth = 0;
+    s->n_members = 0;
+    memset(s->counters, 0, sizeof(s->counters));
+    s->next_progress = s->interval > 0 ? s->interval : INT64_MAX;
+    return ENUM_DONE;
+}
+
+/* IsMinimal (Figure 5): S is minimal unless dropping some member passes,
+ * and dropping member d un-covers exactly the evidences of its
+ * criticality row, so it passes when uncovered + (pairs of that row) <= K. */
+static int enum_is_minimal(EnumSearch *s, int64_t uncovered)
+{
+    s->counters[C_MINIMALITY]++;
+    const int64_t slack = s->bound - uncovered;
+    for (int64_t d = 0; d < s->n_members; d++) {
+        const uint64_t *row = s->crit_rows + d * (int64_t)s->n_ev_words;
+        int64_t extra = 0;
+        for (int32_t v = 0; v < s->n_ev_words && extra <= slack; v++) {
+            uint64_t word = row[v];
+            while (word) {
+                extra += s->counts[(int64_t)v * 64 + __builtin_ctzll(word)];
+                word &= word - 1;
+            }
+        }
+        if (extra <= slack)
+            return 0;
+    }
+    return 1;
+}
+
+static void enum_enter(EnumSearch *s, int64_t n, int64_t uncovered, int64_t dead)
+{
+    EnumFrame *child = &s->frames[++s->depth];
+    child->n = n;
+    child->uncovered = uncovered;
+    child->dead = dead;
+    child->phase = PHASE_ENTER;
+    child->returning = 0;
+    if (s->depth > s->counters[C_MAX_DEPTH])
+        s->counters[C_MAX_DEPTH] = s->depth;
+}
+
+/* Run (restart != 0) or resume the search.  Each output is one row of
+ * `out` (out_rows x out_width int64): uncovered pairs, |S|, then the
+ * members of S; out_width must be at least 2 + min(max_dc_size,
+ * n_predicates).  counters (C_COUNT int64) receives the search counters
+ * and the number of output rows written by this call.  Returns ENUM_DONE,
+ * ENUM_PAUSED (progress_interval nodes passed since the last report; 0
+ * disables), ENUM_FULL (out has out_rows rows) or ENUM_NOMEM. */
+int32_t adc_enum_run(intptr_t search_p, int32_t restart, int64_t bound,
+                     int32_t selection, int64_t max_dc_size,
+                     int64_t progress_interval, intptr_t out_p,
+                     int64_t out_rows, int64_t out_width, intptr_t counters_p)
+{
+    EnumSearch *s = (EnumSearch *)search_p;
+    int64_t *out = (int64_t *)out_p;
+    int64_t *c = s->counters;
+    const int64_t nw = s->n_words, new = s->n_ev_words, cap = s->n_ev;
+    int64_t scalars[4];
+    int64_t n_out = 0;
+    int32_t status = ENUM_DONE;
+
+    if (restart) {
+        s->bound = bound;
+        s->selection = selection;
+        s->max_dc_size = max_dc_size;
+        s->interval = progress_interval;
+        status = enum_restart(s);
+        if (status != ENUM_DONE)
+            goto done;
+    }
+    while (s->depth >= 0) {
+        const int64_t depth = s->depth;
+        EnumFrame *f = &s->frames[depth];
+        EnumSlot *slot = s->slots[depth];
+        EnumSlot *child;
+
+        if (f->phase == PHASE_HIT_LOOP) {
+            if (f->returning) {
+                f->returning = 0;
+                s->n_members--;
+                adc_crit_undo((intptr_t)s->crit_rows, new, (int32_t)new,
+                              s->n_members,
+                              (intptr_t)s->removed[s->n_members]);
+                f->position++;
+            }
+            child = enum_slot(s, depth + 1);
+            uint64_t *removed = enum_removed(s, s->n_members);
+            if (!child || !removed) {
+                status = ENUM_NOMEM;
+                goto done;
+            }
+            int entered = 0;
+            while (f->position < f->k) {
+                if (adc_search_try_hit(
+                        (intptr_t)slot->ev, cap, (int32_t)nw, f->n,
+                        (intptr_t)slot->pairs, 0, (intptr_t)slot->cand_loop,
+                        (int32_t)nw, (intptr_t)slot->elements,
+                        (intptr_t)slot->covers, (intptr_t)slot->crit,
+                        (intptr_t)slot->child_bits, (int32_t)new, f->position,
+                        (intptr_t)s->crit_rows, new, s->n_members,
+                        (intptr_t)removed, (intptr_t)s->group_inv, nw,
+                        (intptr_t)child->ev, cap, (intptr_t)child->cin,
+                        (intptr_t)child->pairs, 0, (intptr_t)child->cand_in,
+                        (intptr_t)child->uncov_bits, (intptr_t)scalars)) {
+                    c[C_HITS]++;
+                    s->members[s->n_members++] = (int32_t)scalars[0];
+                    f->returning = 1;
+                    enum_enter(s, scalars[1], f->dead + scalars[2], f->dead);
+                    entered = 1;
+                    break;
+                }
+                c[C_CRITICALITY]++;
+                f->position++;
+            }
+            if (!entered)
+                s->depth--;
+            continue;
+        }
+
+        if (f->phase == PHASE_ENTER) {
+            c[C_CALLS]++;
+            f->phase = PHASE_BODY;
+            if (c[C_CALLS] >= s->next_progress) {
+                s->next_progress = c[C_CALLS] + s->interval;
+                status = ENUM_PAUSED;
+                goto done;
+            }
+        }
+
+        if (f->phase == PHASE_BODY) {
+            /* Base case: report S when it passes and is minimal; no
+             * strict superset of a passing S is a minimal ADC. */
+            if (f->uncovered <= s->bound) {
+                if (enum_is_minimal(s, f->uncovered)) {
+                    int64_t *row = out + n_out * out_width;
+                    row[0] = f->uncovered;
+                    row[1] = s->n_members;
+                    for (int64_t i = 0; i < s->n_members; i++)
+                        row[2 + i] = s->members[i];
+                    n_out++;
+                }
+                s->depth--;
+                if (n_out == out_rows) {
+                    status = ENUM_FULL;
+                    goto done;
+                }
+                continue;
+            }
+            adc_search_expand((intptr_t)slot->ev, cap, (int32_t)nw, f->n,
+                              (intptr_t)slot->cin, (intptr_t)slot->pairs,
+                              (intptr_t)slot->cand_in, (int32_t)nw,
+                              s->selection, c[C_CALLS], (intptr_t)slot->to_try,
+                              (intptr_t)slot->cand_loop, (intptr_t)slot->red,
+                              (intptr_t)scalars);
+            if (scalars[1] == 0) {
+                s->depth--;
+                continue;
+            }
+            f->n_to_try = scalars[3];
+            f->phase = PHASE_HIT_SETUP;
+            /* Skip branch, guarded by WillCover: the evidences the skip
+             * dooms join the dead pairs, and the child drops them. */
+            const int64_t will_cover = f->dead + scalars[2];
+            if (will_cover > s->bound) {
+                c[C_WILLCOVER]++;
+                continue;
+            }
+            c[C_SKIPS]++;
+            child = enum_slot(s, depth + 1);
+            if (!child) {
+                status = ENUM_NOMEM;
+                goto done;
+            }
+            int64_t m = adc_search_skip_child(
+                (intptr_t)slot->ev, cap, (int32_t)nw, f->n, (intptr_t)slot->red,
+                (intptr_t)slot->pairs, 0, 1, (intptr_t)child->ev, cap,
+                (intptr_t)child->cin, (intptr_t)child->pairs, 0);
+            memcpy(child->cand_in, slot->cand_loop, (size_t)nw * sizeof(uint64_t));
+            memcpy(child->uncov_bits, slot->uncov_bits, (size_t)new * sizeof(uint64_t));
+            enum_enter(s, m, f->uncovered, will_cover);
+            continue;
+        }
+
+        /* PHASE_HIT_SETUP: the skip subtree (if any) has returned. */
+        if (s->n_members >= s->max_dc_size) {
+            s->depth--;
+            continue;
+        }
+        f->k = adc_search_hit_prepare(
+            (intptr_t)slot->to_try, (int32_t)nw, (intptr_t)s->contains, new,
+            (intptr_t)slot->uncov_bits, (int32_t)new, (intptr_t)slot->elements,
+            (intptr_t)slot->covers, (intptr_t)slot->crit,
+            (intptr_t)slot->child_bits);
+        f->position = 0;
+        f->returning = 0;
+        f->phase = PHASE_HIT_LOOP;
+    }
+done:
+    memcpy((int64_t *)counters_p, c, sizeof(s->counters));
+    ((int64_t *)counters_p)[C_OUTPUTS] = n_out;
+    return status;
 }

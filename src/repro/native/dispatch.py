@@ -14,17 +14,19 @@ unset / ``auto``      C extension if it compiles *and* passes the probe,
 
 The C extension is only trusted after a **probe**: every flat kernel and
 the search-workspace operations are run on small deterministic inputs and
-compared bit for bit against the numpy reference.  A build that throws or
-mismatches is rejected — under auto resolution that silently falls back to
-numpy; under an explicit request it raises, because a silently-different
-compiled kernel is precisely the failure mode the probe exists to catch.
+compared bit for bit against the numpy reference, and the compiled search
+driver runs whole searches that must match the Python driver's.  A build
+that throws or mismatches is rejected — under auto resolution that
+silently falls back to numpy; under an explicit request it raises, because
+a silently-different compiled kernel is precisely the failure mode the
+probe exists to catch.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator
 
 import numpy as np
@@ -41,15 +43,13 @@ class Backend:
 
     ``kernels`` carries the flat kernels (popcount, intersection counts,
     criticality apply/undo, tile pass); ``workspace_factory`` builds the
-    explicit-stack search arena (``None`` means the shared numpy arena).
-    ``native_search`` tells benchmarks whether the search arena itself is
-    compiled, as opposed to only the flat kernels.
+    explicit-stack search arena (``None`` means the shared numpy arena);
+    an arena whose ``native_driver`` is set also runs whole searches.
     """
 
     name: str
     kernels: object
     workspace_factory: Callable[..., NumpySearchWorkspace] | None = None
-    native_search: bool = False
 
     def make_search_workspace(self, *args, **kwargs) -> NumpySearchWorkspace:
         if self.workspace_factory is None:
@@ -197,6 +197,76 @@ def _probe_workspace(factory: Callable[..., NumpySearchWorkspace]) -> None:
             raise AssertionError("workspace criticality mismatch")
 
 
+def _probe_driver(candidate: Backend) -> None:
+    """Run whole searches on a candidate backend against the Python driver.
+
+    The probe evidence set lives on five columns, each with an equality
+    predicate and its complement.  Every search runs through the public
+    :class:`~repro.core.adc_enum.ADCEnum` twice: under ``candidate``, whose
+    arena runs the pair-determined searches in its compiled driver, and
+    under the numpy backend, whose Python driver scores the pair fraction
+    in floats.  f1 runs at epsilon 1 (the root passes), 0 (only a full
+    cover passes, so nearly the whole tree is walked) and 1/3, under every
+    selection rule, with and without a DC size cap, and once with a
+    progress report every other node; f1' runs below epsilon 0.5.  The
+    ADCs in order with their scores, the progress reports and every
+    counter must agree.
+    """
+    from repro.core.adc_enum import ADCEnum
+    from repro.core.approximation import F1, F1Adjusted
+    from repro.core.evidence import EvidenceSet
+    from repro.core.operators import Operator
+    from repro.core.predicate_space import PredicateSpace
+    from repro.core.predicates import Predicate, PredicateForm
+
+    n_columns, n_rows = 5, 7
+    space = PredicateSpace([
+        Predicate(f"c{c}", operator, f"c{c}", PredicateForm.TWO_TUPLE_SAME_COLUMN)
+        for c in range(n_columns)
+        for operator in (Operator.EQ, Operator.NE)
+    ])
+    # Each evidence holds one predicate of every column; the counts add up
+    # to the relation's ordered pairs.
+    rng = np.random.default_rng(11)
+    patterns = rng.choice(1 << n_columns, size=12, replace=False)
+    masks = [
+        sum(1 << (2 * c + ((int(pattern) >> c) & 1)) for c in range(n_columns))
+        for pattern in patterns
+    ]
+    total = n_rows * (n_rows - 1)
+    counts = 1 + rng.multinomial(total - len(masks), [1 / len(masks)] * len(masks))
+    evidence = EvidenceSet(space, masks=masks, counts=counts, n_rows=n_rows)
+
+    def search(backend, function, epsilon, selection, max_dc_size, interval):
+        reports = []
+        with use_backend(backend):
+            enumerator = ADCEnum(
+                evidence, function, epsilon, selection=selection,
+                max_dc_size=max_dc_size,
+                progress=(lambda statistics: reports.append(replace(
+                    statistics, elapsed_seconds=0.0, extra=dict(statistics.extra)
+                ))) if interval else None,
+                progress_interval=interval or 1,
+            )
+            adcs = [(a.hitting_set_mask, a.violation_score) for a in enumerator.enumerate()]
+        return adcs, reports, replace(enumerator.statistics, elapsed_seconds=0.0)
+
+    for case in (
+        (F1(), 1.0, "max", None, 0),
+        (F1(), 0.0, "max", None, 0),
+        (F1(), 0.0, "min", 2, 0),
+        (F1(), 1 / 3, "max", None, 2),
+        (F1(), 1 / 3, "min", 2, 0),
+        (F1(), 1 / 3, "random", None, 0),
+        (F1Adjusted(1.645), 0.2, "max", 3, 0),
+    ):
+        if search(candidate, *case) != search(NUMPY_BACKEND, *case):
+            raise AssertionError(
+                f"search driver mismatch for {case[0].name} at epsilon "
+                f"{case[1]:.3g}, selection {case[2]}"
+            )
+
+
 # ---------------------------------------------------------------------------
 # Backend construction
 # ---------------------------------------------------------------------------
@@ -215,10 +285,9 @@ def _build_cext_backend() -> Backend:
         return cext.CextSearchWorkspace(functions, *args, **kwargs)
 
     _probe_workspace(factory)
-    return Backend(
-        name=cext.NAME, kernels=kernels, workspace_factory=factory,
-        native_search=True,
-    )
+    backend = Backend(name=cext.NAME, kernels=kernels, workspace_factory=factory)
+    _probe_driver(backend)
+    return backend
 
 
 def resolve_backend(name: str) -> Backend:

@@ -239,6 +239,10 @@ class NumpySearchWorkspace:
       driver calls ``crit_pop`` when the subtree returns.
     """
 
+    #: Whether the workspace runs the whole pair-determined search itself
+    #: (``pair_search``); the numpy arena only serves the Python driver.
+    native_driver = False
+
     def __init__(
         self,
         ev_planes: np.ndarray,

@@ -118,6 +118,32 @@ class TestResolution:
         with pytest.raises(AssertionError, match="tile_plane"):
             dispatch._probe_flat_kernels(TallKernels())
 
+    @pytest.mark.skipif(
+        _compiled_backend_or_none() is None,
+        reason="no compiled native backend available on this host",
+    )
+    def test_probe_rejects_a_wrong_search_driver(self):
+        """A compiled search driver whose pass bound is off by one pair."""
+        from repro.native import cext
+        from repro.native.build import build_library
+
+        functions = cext.load_functions(build_library())
+        kernels = cext.CKernels(functions)
+
+        class OffByOne(cext.CextSearchWorkspace):
+            def pair_search(self, bound, *args):
+                return super().pair_search(bound - 1 if bound > 0 else bound, *args)
+
+        def backend(arena):
+            return dispatch.Backend(
+                name=cext.NAME, kernels=kernels,
+                workspace_factory=lambda *a, **k: arena(functions, *a, **k),
+            )
+
+        dispatch._probe_driver(backend(cext.CextSearchWorkspace))
+        with pytest.raises(AssertionError, match="search driver"):
+            dispatch._probe_driver(backend(OffByOne))
+
     def test_use_backend_restores_previous(self):
         before = get_backend()
         with dispatch.use_backend("numpy") as backend:
@@ -271,24 +297,31 @@ class TestCompiledBitIdentity:
         for theirs, ours in zip(kernels.unique_rows(rows), NumpyKernels.unique_rows(rows)):
             assert np.array_equal(theirs, ours)
 
+    @pytest.mark.parametrize(
+        "function, epsilon",
+        [("f1", 0.15), ("f2", 0.15), ("f1'", 0.6)],
+    )
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
-    def test_search_workspace_lockstep(self, seed):
+    def test_search_workspace_lockstep(self, function, epsilon, seed):
         """The compiled search arena mirrors the numpy arena through a full
-        randomized enumeration (driven by the real ADCEnum driver)."""
+        randomized enumeration.  f1 runs the compiled backend's C driver;
+        f2 and f1' at epsilon 0.6 (no integer pass bound) run the Python
+        driver over the compiled arena's per-node operations."""
         from tests.conftest import make_random_relation
         from repro.core.adc_enum import ADCEnum
-        from repro.core.approximation import F1
+        from repro.core.approximation import F1, F1Adjusted, F2
         from repro.core.evidence_builder import build_evidence_set
         from repro.core.predicate_space import build_predicate_space
 
         relation = make_random_relation(n_rows=6, seed=seed)
         space = build_predicate_space(relation)
         evidence = build_evidence_set(relation, space, include_participation=True)
+        function = {"f1": F1(), "f2": F2(), "f1'": F1Adjusted(1.645)}[function]
 
         def run(backend):
             with dispatch.use_backend(backend):
-                enum = ADCEnum(evidence, F1(), 0.15, max_dc_size=3)
+                enum = ADCEnum(evidence, function, epsilon, max_dc_size=3)
                 return [
                     (adc.hitting_set_mask, adc.violation_score)
                     for adc in enum.enumerate()
