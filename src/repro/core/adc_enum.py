@@ -619,7 +619,11 @@ class ADCEnum:
         uncovered_pairs: int,
         uncov: np.ndarray | None,
     ) -> None:
-        """Build the DC from the hitting set and record it if nontrivial.
+        """Build the DC from the hitting set and record it.
+
+        The DC is nontrivial by construction: the hitting set never holds
+        two predicates of one group, so no group's operators contradict
+        each other.
 
         In pair-determined mode (``uncov`` is None) the score comes from the
         maintained uncovered pair count, which counts every uncovered
@@ -640,8 +644,6 @@ class ADCEnum:
                 space.complement_index(index)  # raises the canonical KeyError
             dc_predicates.append(space[complement])
         constraint = DenialConstraint(dc_predicates)
-        if constraint.is_trivial():
-            return
         self._seen_outputs.add(s_mask)
         if uncov is not None:
             score = self.function.violation_score(self.evidence, uncov)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import abc
 import itertools
 import random
-from typing import Collection, Iterable, Sequence
+from typing import Collection
 
 import numpy as np
 
@@ -378,33 +378,4 @@ def check_indifference_to_redundancy(
         redundant_score = _score_of_predicate_set(function, evidence, redundant_mask)
         if abs(base_score - redundant_score) > 1e-12:
             return False
-    return True
-
-
-def pair_violation_fraction(evidence: EvidenceSet, uncovered_indices: Iterable[int]) -> float:
-    """The cheap pair-based violation fraction (``1 - f1``).
-
-    Used as the Proposition 5.3 pre-filter: if this exceeds ``2 * epsilon``
-    then neither f2 nor f3 can pass the threshold ``epsilon``.
-    """
-    total = evidence.total_pairs
-    if total == 0:
-        return 0.0
-    return evidence.pair_count_of(uncovered_indices) / total
-
-
-def verify_proposition_5_3(
-    evidence: EvidenceSet,
-    dc_masks: Sequence[int],
-    epsilon: float,
-) -> bool:
-    """Check Proposition 5.3 on concrete DCs: ``1-f_i <= eps`` implies ``1-f1 <= 2 eps``."""
-    f1, f2, f3 = F1(), F2(), F3Greedy()
-    for dc_mask in dc_masks:
-        hitting = evidence.space.complement_mask(dc_mask)
-        uncovered = evidence.uncovered_indices(hitting)
-        pair_score = f1.violation_score(evidence, uncovered)
-        for function in (f2, f3):
-            if function.violation_score(evidence, uncovered) <= epsilon and pair_score > 2 * epsilon + 1e-12:
-                return False
     return True

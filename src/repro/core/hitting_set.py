@@ -212,24 +212,3 @@ class MMCS:
 def minimal_hitting_sets(subsets: Iterable[int], n_elements: int) -> list[int]:
     """Convenience wrapper returning all minimal hitting sets as bitmasks."""
     return MMCS(list(subsets), n_elements).enumerate()
-
-
-def brute_force_minimal_hitting_sets(subsets: Sequence[int], n_elements: int) -> list[int]:
-    """Exponential reference implementation used to validate MMCS in tests."""
-    subsets = list(subsets)
-    if any(subset == 0 for subset in subsets):
-        return []
-    hitting: list[int] = []
-    for candidate in range(1 << n_elements):
-        if all(candidate & subset for subset in subsets):
-            hitting.append(candidate)
-    minimal = []
-    for candidate in hitting:
-        if not any(other != candidate and other & candidate == other for other in hitting):
-            minimal.append(candidate)
-    return minimal
-
-
-def is_hitting_set(candidate: int, subsets: Iterable[int]) -> bool:
-    """Whether ``candidate`` intersects every subset."""
-    return all(candidate & subset for subset in subsets)

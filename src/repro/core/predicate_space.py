@@ -15,14 +15,13 @@ used as a bit position by the evidence set and the enumeration algorithms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.core.operators import NUMERIC_OPERATORS, STRING_OPERATORS, Operator
+from repro.core.operators import NUMERIC_OPERATORS, STRING_OPERATORS
 from repro.core.predicates import Predicate, PredicateForm
-from repro.data.pli import shared_value_fraction
 from repro.data.relation import Relation
 
 #: Minimum fraction of shared values for cross-attribute predicates
@@ -263,3 +262,20 @@ def _comparable(
     if left_type.is_numeric != right_type.is_numeric:
         return False
     return shared_value_fraction(relation, left, right) >= config.shared_value_threshold
+
+
+def shared_value_fraction(relation: Relation, left: str, right: str) -> float:
+    """Fraction of shared distinct values between two columns.
+
+    This is the quantity behind the paper's 30% rule (Section 4.2, item 1):
+    predicates comparing two *different* attributes are only generated when
+    the attributes share at least 30% of their values.  Following FASTDC, the
+    fraction is computed w.r.t. the smaller active domain so that a column
+    whose values are a subset of another's qualifies.
+    """
+    left_values = relation.column(left).value_set()
+    right_values = relation.column(right).value_set()
+    if not left_values or not right_values:
+        return 0.0
+    common = len(left_values & right_values)
+    return common / min(len(left_values), len(right_values))

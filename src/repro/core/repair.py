@@ -14,7 +14,7 @@ machinery needed to reason about f3 outside the miner:
 * an exact minimum vertex cover (small inputs only, for tests);
 * the classic 2-approximation via maximal matching;
 * the greedy ``O(log n)``-approximation the paper's Figure 2 is inspired by;
-* exact and approximate values of ``1 - f3``.
+* the exact value of ``1 - f3``.
 """
 
 from __future__ import annotations
@@ -43,11 +43,10 @@ class ConflictGraph:
     ) -> "ConflictGraph":
         """Build a conflict graph from externally computed violating pairs.
 
-        This is how the incremental serving layer
-        (:class:`~repro.incremental.serve.ViolationService`) hands its
-        tile-replayed violation pairs to the repair machinery without going
-        through the quadratic per-pair re-evaluation of
-        :func:`build_conflict_graph`.
+        For example the tile-replayed pairs of
+        :meth:`~repro.incremental.serve.ViolationService.violating_pairs`,
+        which reach the repair machinery without the quadratic per-pair
+        re-evaluation of :func:`build_conflict_graph`.
         """
         return cls(int(n_tuples), frozenset((int(u), int(v)) for u, v in pairs))
 
@@ -161,13 +160,6 @@ def exact_f3_violation(relation: Relation, constraint: DenialConstraint, max_tup
     """Exact ``1 - f3``: minimum fraction of tuples to delete to satisfy the DC."""
     graph = build_conflict_graph(relation, constraint)
     cover = minimum_vertex_cover_exact(graph, max_tuples=max_tuples)
-    return len(cover) / relation.n_rows if relation.n_rows else 0.0
-
-
-def approximate_f3_violation(relation: Relation, constraint: DenialConstraint) -> float:
-    """2-approximate ``1 - f3`` via maximal matching."""
-    graph = build_conflict_graph(relation, constraint)
-    cover = vertex_cover_2_approximation(graph)
     return len(cover) / relation.n_rows if relation.n_rows else 0.0
 
 

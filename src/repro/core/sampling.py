@@ -17,7 +17,6 @@ the pair-based function f1:
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
 from scipy.special import ndtri
@@ -168,50 +167,3 @@ def required_sample_rows(epsilon_margin: float, alpha: float = 0.05, p_hat: floa
     target_pairs = (z / epsilon_margin) ** 2 * p_hat * (1.0 - p_hat)
     rows = int(math.ceil((1.0 + math.sqrt(1.0 + 4.0 * target_pairs)) / 2.0))
     return max(rows, 2)
-
-
-# ----------------------------------------------------------------------
-# Random-polluter simulation (the model behind the binomial analysis)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class RandomPolluterGraph:
-    """A random conflict graph where each directed edge appears w.p. ``p``."""
-
-    n_vertices: int
-    edge_probability: float
-    edges: frozenset[tuple[int, int]]
-
-    @property
-    def violation_fraction(self) -> float:
-        """Fraction of ordered vertex pairs that are edges."""
-        total = self.n_vertices * (self.n_vertices - 1)
-        return len(self.edges) / total if total else 0.0
-
-
-def simulate_random_polluter(
-    n_vertices: int, edge_probability: float, seed: int | None = None
-) -> RandomPolluterGraph:
-    """Draw a conflict graph from the random-polluter model of Section 7.1."""
-    if not 0 <= edge_probability <= 1:
-        raise ValueError("edge_probability must lie in [0, 1]")
-    rng = random.Random(seed)
-    edges = {
-        (i, j)
-        for i in range(n_vertices)
-        for j in range(n_vertices)
-        if i != j and rng.random() < edge_probability
-    }
-    return RandomPolluterGraph(n_vertices, edge_probability, frozenset(edges))
-
-
-def sample_edge_fraction(
-    graph: RandomPolluterGraph, sample_vertices: list[int]
-) -> float:
-    """The estimator ``p_hat`` computed on an induced vertex sample."""
-    chosen = set(sample_vertices)
-    if len(chosen) < 2:
-        return 0.0
-    sampled_edges = sum(
-        1 for (u, v) in graph.edges if u in chosen and v in chosen
-    )
-    return sampled_edges / (len(chosen) * (len(chosen) - 1))

@@ -2,12 +2,11 @@
 
 This subpackage provides the typed in-memory relational layer the mining
 algorithms operate on, plus the synthetic dataset generators, golden denial
-constraints, noise models, and position list indexes (PLIs).
+constraints, and noise models.
 """
 
 from repro.data.types import ColumnType, infer_column_type
 from repro.data.relation import Column, Relation, running_example
-from repro.data.pli import PositionListIndex, build_pli
 from repro.data.noise import NoiseReport, add_concentrated_noise, add_spread_noise
 from repro.data.datasets import (
     DATASET_NAMES,
@@ -29,8 +28,6 @@ __all__ = [
     "Column",
     "Relation",
     "running_example",
-    "PositionListIndex",
-    "build_pli",
     "NoiseReport",
     "add_spread_noise",
     "add_concentrated_noise",

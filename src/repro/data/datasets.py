@@ -477,12 +477,3 @@ def generate_dataset(name: str, n_rows: int | None = None, seed: int = 0) -> Dat
             f"unknown dataset {name!r}; expected one of {sorted(_GENERATORS)}"
         ) from None
     return generator(n_rows=n_rows, seed=seed)
-
-
-def generate_all_datasets(scale: float = 1.0, seed: int = 0) -> dict[str, Dataset]:
-    """Generate every dataset, optionally scaling the default row counts."""
-    datasets = {}
-    for name in DATASET_NAMES:
-        rows = max(20, int(DEFAULT_ROWS[name] * scale))
-        datasets[name] = generate_dataset(name, n_rows=rows, seed=seed)
-    return datasets

@@ -3,17 +3,14 @@
 A :class:`Relation` is the database abstraction the whole library operates
 on: a named, ordered collection of typed columns backed by numpy arrays.
 It supports the operations the mining pipeline needs — row access, column
-access, uniform row sampling, projection, and CSV round-trips — and nothing
-more.  The running example of the paper (Table 1) is provided by
+access, row selection and uniform sampling, appends — and nothing more.  The running example of the paper (Table 1) is provided by
 :func:`running_example`.
 """
 
 from __future__ import annotations
 
-import csv
 import random
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -296,12 +293,6 @@ class Relation:
     # ------------------------------------------------------------------
     # Derived relations
     # ------------------------------------------------------------------
-    def project(self, column_names: Sequence[str]) -> "Relation":
-        """Return a relation containing only the given columns."""
-        data = {name: self.column(name).values for name in column_names}
-        types = {name: self.column(name).type for name in column_names}
-        return Relation(self.name, data, types)
-
     def take(self, indices: Sequence[int]) -> "Relation":
         """Return a relation containing the rows at ``indices`` (in order)."""
         index_array = np.asarray(list(indices), dtype=np.int64)
@@ -357,7 +348,7 @@ class Relation:
         return Relation(self.name, data, types)
 
     # ------------------------------------------------------------------
-    # Construction helpers and IO
+    # Construction helpers
     # ------------------------------------------------------------------
     @classmethod
     def from_records(
@@ -373,29 +364,6 @@ class Relation:
         column_names = list(records[0])
         data = {name_: [record[name_] for record in records] for name_ in column_names}
         return cls(name, data, types)
-
-    @classmethod
-    def from_csv(
-        cls,
-        path: str | Path,
-        name: str | None = None,
-        types: Mapping[str, ColumnType] | None = None,
-    ) -> "Relation":
-        """Load a relation from a CSV file with a header row."""
-        path = Path(path)
-        with path.open(newline="") as handle:
-            reader = csv.DictReader(handle)
-            records = list(reader)
-        return cls.from_records(name or path.stem, records, types)
-
-    def to_csv(self, path: str | Path) -> None:
-        """Write the relation to a CSV file with a header row."""
-        path = Path(path)
-        with path.open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(self.column_names)
-            for row in self.rows():
-                writer.writerow([row[name] for name in self.column_names])
 
     # ------------------------------------------------------------------
     # Display

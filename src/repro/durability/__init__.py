@@ -1,4 +1,4 @@
-"""Crash-safe durability: write-ahead logs, snapshots, fault injection.
+"""Crash-safe durability: write-ahead logs, snapshots, store journals.
 
 The layer that lets everything above :class:`~repro.incremental.store.EvidenceStore`
 survive a SIGKILL:
@@ -10,12 +10,16 @@ survive a SIGKILL:
 * :mod:`repro.durability.journal` — :class:`StoreJournal` (per-tenant WAL
   + snapshots + bit-identical recovery) and :class:`DedupWindow`
   (exactly-once append retries).
-* :mod:`repro.durability.faults` — the deterministic fault-injection
-  harness the chaos tests drive: seeded crash points, torn writes, fsync
-  failures, and a frame-aware flaky TCP proxy for lost-ack scenarios.
+
+The code calls :func:`fault_point` wherever a crash would leave a distinct
+state on disk; crash tests swap the module attribute for a schedule that
+crashes, tears the write or fails the fsync there.
 """
 
-from repro.durability.faults import FaultSchedule, FlakyProxy, SimulatedCrash
+from __future__ import annotations
+
+from typing import BinaryIO
+
 from repro.durability.journal import (
     DedupWindow,
     DurabilityError,
@@ -27,19 +31,33 @@ from repro.durability.journal import (
 from repro.durability.snapshot import SnapshotError, load_snapshot, write_snapshot
 from repro.durability.wal import WALError, WriteAheadLog
 
+
+def fault_point(label: str, file: BinaryIO | None = None, data: bytes = b"") -> None:
+    """A named point where a crash would leave a distinct on-disk state.
+
+    Does nothing.  The durability code calls it as
+    ``repro.durability.fault_point`` (so a test can replace it) at six
+    points: ``wal_write`` (before a record's bytes are written; ``file`` is
+    the log and ``data`` the framed record), ``wal_record`` (after a whole
+    record), ``wal_sync`` (before a log flush and fsync), ``snapshot_write``
+    (before each section of a snapshot's tmp file; ``file`` is the tmp file
+    and ``data`` the section), ``snapshot_rename`` (before the tmp file
+    replaces the snapshot) and ``snapshot_reset`` (after the rename, before
+    the log is truncated).
+    """
+
+
 __all__ = [
     "DedupWindow",
     "DurabilityError",
-    "FaultSchedule",
-    "FlakyProxy",
     "RecoveredStore",
     "RecoveryError",
     "RecoveryStats",
-    "SimulatedCrash",
     "SnapshotError",
     "StoreJournal",
     "WALError",
     "WriteAheadLog",
+    "fault_point",
     "load_snapshot",
     "write_snapshot",
 ]

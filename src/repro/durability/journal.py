@@ -31,6 +31,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
+import repro.durability
 from repro.data.relation import Relation
 from repro.data.types import ColumnType
 from repro.durability.snapshot import (
@@ -45,7 +46,6 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
 
 if TYPE_CHECKING:
-    from repro.durability.faults import FaultSchedule
     from repro.incremental.store import EvidenceStore
 
 WAL_NAME = "wal.log"
@@ -179,7 +179,6 @@ class StoreJournal:
         wal: WriteAheadLog,
         *,
         snapshot_every_bytes: int = DEFAULT_SNAPSHOT_BYTES,
-        faults: "FaultSchedule | None" = None,
         next_seq: int = 0,
         snapshot_version: int = 0,
         name: str = "",
@@ -189,7 +188,6 @@ class StoreJournal:
         self.directory = Path(directory)
         self.wal = wal
         self.snapshot_every_bytes = int(snapshot_every_bytes)
-        self.faults = faults
         self._next_seq = int(next_seq)
         self.snapshot_version = int(snapshot_version)
         self.name = name
@@ -214,7 +212,6 @@ class StoreJournal:
         *,
         fsync: str = "commit",
         snapshot_every_bytes: int = DEFAULT_SNAPSHOT_BYTES,
-        faults: "FaultSchedule | None" = None,
     ) -> "StoreJournal":
         """Start a journal for a new store; the creation record is fsynced
         before returning, so an acknowledged ``create_store`` survives."""
@@ -225,10 +222,10 @@ class StoreJournal:
             raise DurabilityError(
                 f"{directory} already holds a journal; recover it or remove it"
             )
-        wal = WriteAheadLog(wal_path, fsync=fsync, faults=faults)
+        wal = WriteAheadLog(wal_path, fsync=fsync)
         journal = cls(
             directory, wal,
-            snapshot_every_bytes=snapshot_every_bytes, faults=faults,
+            snapshot_every_bytes=snapshot_every_bytes,
             name=name, types=dict(types or {}), n_seed_rows=len(rows),
         )
         journal._log({
@@ -346,14 +343,10 @@ class StoreJournal:
             "words": words, "totals": totals,
             "part_keys": part_keys, "part_counts": part_counts,
         }
-        write_snapshot(snapshot_path(self.directory, version), meta, arrays,
-                       faults=self.faults)
+        write_snapshot(snapshot_path(self.directory, version), meta, arrays)
         self.snapshot_version = version
         self.snapshots_written += 1
-        if self.faults is not None and self.faults.at("snapshot_reset").crash:
-            from repro.durability.faults import SimulatedCrash
-
-            raise SimulatedCrash(f"crash before resetting {self.wal.path.name}")
+        repro.durability.fault_point("snapshot_reset")
         self.wal.reset()
         for old in snapshot_versions(self.directory):
             if old < version:
@@ -379,7 +372,6 @@ class StoreJournal:
         *,
         fsync: str = "commit",
         snapshot_every_bytes: int = DEFAULT_SNAPSHOT_BYTES,
-        faults: "FaultSchedule | None" = None,
         cluster: object | None = None,
     ) -> RecoveredStore:
         """Rebuild the store this directory journals.
@@ -401,7 +393,7 @@ class StoreJournal:
         wal_path = directory / WAL_NAME
         if not wal_path.exists():
             raise RecoveryError(f"{directory} has no write-ahead log")
-        wal = WriteAheadLog(wal_path, fsync=fsync, faults=faults)
+        wal = WriteAheadLog(wal_path, fsync=fsync)
 
         try:
             records = []
@@ -526,7 +518,7 @@ class StoreJournal:
 
         journal = cls(
             directory, wal,
-            snapshot_every_bytes=snapshot_every_bytes, faults=faults,
+            snapshot_every_bytes=snapshot_every_bytes,
             next_seq=max_seq + 1,
             snapshot_version=snapshot_version or 0,
             name=name, types=types, n_seed_rows=n_seed_rows,

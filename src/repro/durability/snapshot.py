@@ -32,14 +32,11 @@ import os
 import struct
 import zlib
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+import repro.durability
 from repro.durability.wal import _fsync_directory
-
-if TYPE_CHECKING:
-    from repro.durability.faults import FaultSchedule
 
 SNAPSHOT_MAGIC = b"RPSNAP\x00\x01"
 _SECTION = struct.Struct(">II")  # section length, crc32
@@ -71,14 +68,13 @@ def write_snapshot(
     path: str | os.PathLike,
     meta: dict,
     arrays: dict[str, np.ndarray],
-    faults: "FaultSchedule | None" = None,
 ) -> None:
     """Atomically write ``meta`` + ``arrays`` as a snapshot file.
 
     ``meta`` gains an ``"arrays"`` key recording the section order.  Fault
-    points: ``snapshot_write`` (per section, may crash mid-file — only the
-    tmp file is hurt) and ``snapshot_rename`` (crash before the rename —
-    the old snapshot generation stays live).
+    points: ``snapshot_write`` (per section; a crash there hurts only the
+    tmp file) and ``snapshot_rename`` (a crash before the rename leaves the
+    old snapshot generation live).
     """
     path = Path(path)
     names = sorted(arrays)
@@ -95,19 +91,12 @@ def write_snapshot(
     with open(tmp, "wb") as out:
         out.write(SNAPSHOT_MAGIC)
         for section in sections:
-            if faults is not None and faults.at("snapshot_write", size=len(section)).crash:
-                out.flush()
-                from repro.durability.faults import SimulatedCrash
-
-                raise SimulatedCrash(f"crash while writing {tmp.name}")
+            repro.durability.fault_point("snapshot_write", out, section)
             out.write(_SECTION.pack(len(section), zlib.crc32(section)))
             out.write(section)
         out.flush()
         os.fsync(out.fileno())
-    if faults is not None and faults.at("snapshot_rename").crash:
-        from repro.durability.faults import SimulatedCrash
-
-        raise SimulatedCrash(f"crash before renaming {tmp.name}")
+    repro.durability.fault_point("snapshot_rename")
     os.replace(tmp, path)
     _fsync_directory(path.parent)
 

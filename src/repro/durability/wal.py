@@ -33,12 +33,10 @@ import struct
 import time
 import zlib
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
+import repro.durability
 from repro.obs import metrics as obs_metrics
-
-if TYPE_CHECKING:
-    from repro.durability.faults import FaultSchedule
 
 MAGIC = b"RPROWAL\x01"
 _RECORD = struct.Struct(">II")  # payload length, crc32
@@ -58,23 +56,13 @@ class WriteAheadLog:
         Log file; created (with its magic header fsynced) when missing.
     fsync:
         ``"always"`` / ``"commit"`` / ``"never"``, see module docstring.
-    faults:
-        Optional :class:`~repro.durability.faults.FaultSchedule`; fault
-        points are ``wal_write`` (record bytes, may tear), ``wal_record``
-        (after a complete record), and ``wal_sync``.
     """
 
-    def __init__(
-        self,
-        path: str | os.PathLike,
-        fsync: str = "commit",
-        faults: "FaultSchedule | None" = None,
-    ) -> None:
+    def __init__(self, path: str | os.PathLike, fsync: str = "commit") -> None:
         if fsync not in FSYNC_POLICIES:
             raise ValueError(f"unknown fsync policy {fsync!r} (one of {FSYNC_POLICIES})")
         self.path = Path(path)
         self.fsync_policy = fsync
-        self.faults = faults
         self.truncated_bytes = 0
         self.n_records = 0
         created = not self.path.exists()
@@ -141,20 +129,7 @@ class WriteAheadLog:
         if self._file.closed:
             raise WALError(f"{self.path} is closed")
         record = _RECORD.pack(len(payload), zlib.crc32(payload)) + payload
-        if self.faults is not None:
-            action = self.faults.at("wal_write", size=len(record))
-            if action.keep_bytes is not None:
-                # Torn write: a prefix reaches the disk, then the process dies.
-                self._file.write(record[: action.keep_bytes])
-                self._file.flush()
-                os.fsync(self._file.fileno())
-                from repro.durability.faults import SimulatedCrash
-
-                raise SimulatedCrash(f"torn write at record {self.n_records}")
-            if action.crash:
-                from repro.durability.faults import SimulatedCrash
-
-                raise SimulatedCrash(f"crash before record {self.n_records}")
+        repro.durability.fault_point("wal_write", self._file, record)
         self._file.write(record)
         self._end += len(record)
         index = self.n_records
@@ -163,27 +138,12 @@ class WriteAheadLog:
         obs_metrics.WAL_BYTES.inc(len(record))
         if self.fsync_policy == "always":
             self.sync()
-        if self.faults is not None and self.faults.at("wal_record").crash:
-            # Crash at a record boundary: the record is fully written
-            # (flushed so recovery sees what a real page-cache survivor
-            # would), but nothing after it happened.
-            self._file.flush()
-            from repro.durability.faults import SimulatedCrash
-
-            raise SimulatedCrash(f"crash after record {index}")
+        repro.durability.fault_point("wal_record", self._file)
         return index
 
     def sync(self) -> None:
         """Flush and (policy permitting) fsync the log — the commit point."""
-        if self.faults is not None:
-            action = self.faults.at("wal_sync")
-            if action.crash:
-                self._file.flush()
-                from repro.durability.faults import SimulatedCrash
-
-                raise SimulatedCrash("crash during sync")
-            if action.fail_sync:
-                raise OSError("injected fsync failure")
+        repro.durability.fault_point("wal_sync", self._file)
         sync_start = time.perf_counter()
         self._file.flush()
         if self.fsync_policy != "never":

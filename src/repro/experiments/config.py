@@ -1,8 +1,8 @@
 """Shared configuration of the experiment harness.
 
 The paper runs on datasets of 32K–1M tuples on a 12-core Xeon with Java
-implementations; this reproduction runs pure Python on a laptop, so every
-experiment is scaled down.  Two standard configurations are provided:
+implementations; this reproduction runs Python with compiled C kernels on a
+2-core host, so every experiment is scaled down.  Two standard configurations are provided:
 
 * ``SMALL_CONFIG`` — the benchmark configuration (hundreds of tuples per
   dataset, DC size capped at 3 predicates, which covers every golden DC);
@@ -50,7 +50,7 @@ class ExperimentConfig:
         experiments and 0.01/0.1 for the sampling-quality experiments).
     max_dc_size:
         Cap on predicates per DC.  The paper enumerates unboundedly (Java,
-        hours of compute); capping at 3 keeps pure-Python runs tractable
+        hours of compute); capping at 3 keeps these scaled-down runs tractable
         while covering every golden DC, and is applied identically to
         ADCEnum and the SearchMC baseline.
     seed:

@@ -16,8 +16,7 @@ denial constraints it answers, against the store's *current* state,
   judged independently against the store via the delta cross blocks;
 * ``tuple_scores(dc)`` / ``repair_ranking(dc)`` — the per-tuple violation
   vector ``v(t)`` of the paper's Figure 2 from the stored participation
-  histograms, wired into :mod:`repro.core.repair`'s ranking and
-  conflict-graph machinery.
+  histograms, wired into :mod:`repro.core.repair`'s ranking.
 
 In the violation-detection framing of FastDC/Hydra (see PAPERS.md), this is
 the "serve" half of a discover-then-monitor deployment: mine once with
@@ -35,7 +34,7 @@ import numpy as np
 from repro.core.adc_enum import DiscoveredADC
 from repro.core.dc import DenialConstraint
 from repro.core.evidence import mask_to_words, n_words_for
-from repro.core.repair import ConflictGraph, rank_tuples_by_violations
+from repro.core.repair import rank_tuples_by_violations
 from repro.incremental.delta import delta_tiles
 
 if TYPE_CHECKING:
@@ -207,11 +206,6 @@ class ViolationService:
             violating = ~np.bitwise_and(words, hitting).any(axis=1)
             for left, right in zip(left_ids[violating], right_ids[violating]):
                 yield int(left), int(right)
-
-    def conflict_graph(self, dc: DenialConstraint | DiscoveredADC | int) -> ConflictGraph:
-        """The DC's conflict graph over the current relation, via replay."""
-        index, _ = self._resolve(dc)
-        return ConflictGraph.from_pairs(self._store.n_rows, self.violating_pairs(index))
 
     # ------------------------------------------------------------------
     # Per-tuple scores and repair

@@ -1,8 +1,8 @@
-"""Deterministic fault injection for the durability layer.
+"""Deterministic fault injection for the durability tests.
 
 Crash-safety claims are only as good as the crashes they were tested
 against, so every failure mode the WAL/snapshot machinery defends against
-is injectable on a *deterministic schedule*: the chaos tests enumerate (or
+is injectable on a *deterministic schedule*: the crash tests enumerate (or
 seed-generate) exact fault points — "the 3rd WAL record write tears after
 17 bytes", "the 2nd fsync fails", "crash between snapshot rename and log
 reset" — run the workload until the fault fires, then recover and assert
@@ -16,8 +16,11 @@ Pieces:
 * :class:`FaultSchedule` — maps labeled fault points (``"wal_write"``,
   ``"wal_sync"``, ``"snapshot_rename"`` …) and per-label occurrence
   numbers to actions: crash, fail an fsync, or tear a write after k bytes.
-  Durability code calls :meth:`FaultSchedule.at` at each point; production
-  runs pass ``faults=None`` and pay one ``is None`` check.
+  It stands in for :func:`repro.durability.fault_point`, which receives the
+  file and the bytes about to be written, so the schedule performs the
+  torn write itself.
+* :func:`injected` — installs a schedule as the durability hook and puts
+  the no-op back afterwards, also inside ``@given`` tests.
 * :class:`FlakyProxy` — a frame-aware TCP proxy between a client and the
   serve port that drops or delays scheduled *responses*: the server
   applies the append, the ack is lost, and the client's idempotent retry
@@ -26,12 +29,17 @@ Pieces:
 
 from __future__ import annotations
 
+import contextlib
+import os
 import random
 import socket
 import struct
 import threading
 import time
 from dataclasses import dataclass, field
+from typing import BinaryIO, Iterator
+
+import repro.durability
 
 
 class SimulatedCrash(BaseException):
@@ -56,9 +64,6 @@ class FaultAction:
         return not self.crash and not self.fail_sync and self.keep_bytes is None
 
 
-_BENIGN = FaultAction()
-
-
 @dataclass
 class FaultSchedule:
     """A deterministic schedule of fault-point actions.
@@ -80,33 +85,48 @@ class FaultSchedule:
     crash_points: frozenset[tuple[str, int]] = frozenset()
     sync_failures: frozenset[tuple[str, int]] = frozenset()
     torn_writes: dict[tuple[str, int], float] = field(default_factory=dict)
-    _counts: dict[str, int] = field(default_factory=dict)
+    #: Occurrences seen so far, per label.
+    counts: dict[str, int] = field(default_factory=dict)
     #: Fault points actually fired, in order — lets tests assert the
     #: scheduled fault was reached at all.
     fired: list[tuple[str, int, FaultAction]] = field(default_factory=list)
 
-    def at(self, label: str, size: int | None = None) -> FaultAction:
-        """The action for this occurrence of fault point ``label``."""
-        occurrence = self._counts.get(label, 0)
-        self._counts[label] = occurrence + 1
+    def __call__(
+        self, label: str, file: BinaryIO | None = None, data: bytes = b""
+    ) -> None:
+        """Act out this occurrence of fault point ``label`` as the
+        durability hook.
+
+        A torn write puts a prefix of ``data`` on disk, then dies; a crash
+        flushes ``file`` (so recovery sees what a real page-cache survivor
+        would), then dies; a failed fsync raises ``OSError``.
+        """
+        occurrence = self.counts.get(label, 0)
+        self.counts[label] = occurrence + 1
         point = (label, occurrence)
         keep = self.torn_writes.get(point)
         keep_bytes: int | None = None
         if keep is not None:
-            if isinstance(keep, float):
-                keep_bytes = int(keep * size) if size is not None else 0
-            else:
-                keep_bytes = int(keep)
-            if size is not None:
-                keep_bytes = max(0, min(keep_bytes, max(size - 1, 0)))
+            keep_bytes = int(keep * len(data)) if isinstance(keep, float) else int(keep)
+            keep_bytes = max(0, min(keep_bytes, len(data) - 1))
         action = FaultAction(
             crash=point in self.crash_points,
             fail_sync=point in self.sync_failures,
             keep_bytes=keep_bytes,
         )
-        if not action.benign:
-            self.fired.append((label, occurrence, action))
-        return action if not action.benign else _BENIGN
+        if action.benign:
+            return
+        self.fired.append((label, occurrence, action))
+        if keep_bytes is not None:
+            file.write(data[:keep_bytes])
+            file.flush()
+            os.fsync(file.fileno())
+            raise SimulatedCrash(f"torn write at {label} #{occurrence}")
+        if action.crash:
+            if file is not None:
+                file.flush()
+            raise SimulatedCrash(f"crash at {label} #{occurrence}")
+        raise OSError(f"injected fsync failure at {label} #{occurrence}")
 
     @classmethod
     def crash_at(cls, label: str, occurrence: int = 0) -> "FaultSchedule":
@@ -135,6 +155,18 @@ class FaultSchedule:
         if label == "wal_sync" and rng.random() < 0.5:
             return cls(sync_failures=frozenset({(label, occurrence)}))
         return cls(crash_points=frozenset({(label, occurrence)}))
+
+
+@contextlib.contextmanager
+def injected(schedule: FaultSchedule) -> Iterator[FaultSchedule]:
+    """Install ``schedule`` as :func:`repro.durability.fault_point` for the
+    block; the previous hook is restored even when the block raises."""
+    previous = repro.durability.fault_point
+    repro.durability.fault_point = schedule
+    try:
+        yield schedule
+    finally:
+        repro.durability.fault_point = previous
 
 
 _HEADER = struct.Struct(">Q")  # serve-protocol frame header (length only)

@@ -13,14 +13,13 @@ from repro.core.approximation import (
     check_indifference_to_redundancy,
     check_monotonicity,
     get_approximation_function,
-    pair_violation_fraction,
-    verify_proposition_5_3,
 )
 from repro.core.dc import DenialConstraint
 from repro.core.evidence_builder import build_evidence_set
 from repro.core.operators import Operator
 from repro.core.predicate_space import build_predicate_space
 from repro.core.predicates import same_column_predicate
+from tests.reference import pair_violation_fraction, verify_proposition_5_3
 
 
 def _uncovered_for(evidence, constraint):

@@ -5,8 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core.predicate_space import build_predicate_space
-from repro.data.datasets import DATASET_NAMES, DEFAULT_ROWS, generate_all_datasets, generate_dataset
+from repro.data.datasets import DATASET_NAMES, DEFAULT_ROWS, generate_dataset
 from repro.data.golden import GOLDEN_DCS, golden_dcs
+from tests.reference import generate_all_datasets
 
 #: Golden DC counts reported in Table 4 of the paper.
 EXPECTED_GOLDEN_COUNTS = {

@@ -23,9 +23,7 @@ from repro.data.types import ColumnType
 from repro.durability import (
     DedupWindow,
     DurabilityError,
-    FaultSchedule,
     RecoveryError,
-    SimulatedCrash,
     SnapshotError,
     StoreJournal,
     WriteAheadLog,
@@ -37,6 +35,7 @@ from repro.durability.snapshot import snapshot_path
 from repro.durability.wal import MAGIC
 from repro.engine.partial import PartialEvidenceSet
 from repro.incremental.store import EvidenceStore
+from tests.faults import FaultSchedule, SimulatedCrash, injected
 
 #: Hand-written DC specs over the running example's schema (valid in the
 #: seed relation's predicate space: same-column equality predicates).
@@ -159,7 +158,7 @@ class TestWriteAheadLog:
     def test_torn_write_fault_persists_only_a_prefix(self, tmp_path):
         path = tmp_path / "wal.log"
         faults = FaultSchedule(torn_writes={("wal_write", 1): 5})
-        with WriteAheadLog(path, faults=faults) as wal:
+        with injected(faults), WriteAheadLog(path) as wal:
             wal.append(b"whole")
             wal.sync()
             with pytest.raises(SimulatedCrash):
@@ -172,7 +171,7 @@ class TestWriteAheadLog:
     def test_fsync_failure_surfaces_as_oserror(self, tmp_path):
         path = tmp_path / "wal.log"
         faults = FaultSchedule(sync_failures=frozenset({("wal_sync", 1)}))
-        with WriteAheadLog(path, fsync="commit", faults=faults) as wal:
+        with injected(faults), WriteAheadLog(path, fsync="commit") as wal:
             wal.append(b"first")
             wal.sync()  # occurrence 0: fine
             wal.append(b"second")
@@ -214,8 +213,8 @@ class TestSnapshot:
         path = tmp_path / "snapshot-00000001.snap"
         write_snapshot(path, {"v": 1}, {"a": np.arange(3)})
         faults = FaultSchedule.crash_at("snapshot_rename")
-        with pytest.raises(SimulatedCrash):
-            write_snapshot(path, {"v": 2}, {"a": np.arange(9)}, faults=faults)
+        with injected(faults), pytest.raises(SimulatedCrash):
+            write_snapshot(path, {"v": 2}, {"a": np.arange(9)})
         meta, arrays = load_snapshot(path)
         assert meta["v"] == 1 and len(arrays["a"]) == 3
 
@@ -258,22 +257,28 @@ def run_journaled_workload(
     batches: list[list[dict]],
     types: dict[str, str],
     snapshot_every_bytes: int = 1 << 30,
-    faults: FaultSchedule | None = None,
+    progress: dict | None = None,
 ) -> tuple[StoreJournal, EvidenceStore, int]:
     """Create + append through the journal exactly as the server does.
 
-    Returns ``(journal, store, acked_batches)``; raises whatever the fault
-    schedule injects (the caller catches and recovers).
+    Returns ``(journal, store, acked_batches)``.  Under an injected fault
+    schedule it raises wherever the schedule says; ``progress`` then holds
+    what had happened by the crash: the ``journal`` (once created),
+    ``acked`` batches and whether the constraints were ``constraints_acked``.
     """
+    progress = {} if progress is None else progress
+    progress.update(acked=0, constraints_acked=False)
     journal = StoreJournal.create(
         directory, "people", seed, types,
-        snapshot_every_bytes=snapshot_every_bytes, faults=faults,
+        snapshot_every_bytes=snapshot_every_bytes,
     )
+    progress["journal"] = journal
     store = EvidenceStore(Relation.from_records("people", seed, column_types(types)))
     acked = 0
     for index, batch in enumerate(batches):
         if index == 2:
             journal.log_constraints(SPECS, 0.05, "declared")
+            progress["constraints_acked"] = True
         store.append(
             batch,
             pre_commit=lambda n, b=batch, k=index: journal.log_append(
@@ -281,6 +286,7 @@ def run_journaled_workload(
             ),
         )
         acked = index + 1
+        progress["acked"] = acked
         journal.maybe_snapshot(store, None)
     return journal, store, acked
 
@@ -415,82 +421,118 @@ class TestStoreJournalRecovery:
 
 
 # ----------------------------------------------------------------------
-# Property: recovery is bit-identical at every seeded crash point
+# Recovery is bit-identical at every crash point
 # ----------------------------------------------------------------------
-class TestCrashPointSweep:
-    @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=100_000))
-    def test_recovery_bit_identical_after_seeded_crash(self, seed):
-        rows, types = example_rows()
-        seed_rows = rows[:8]
-        batches = [rows[8:10], rows[10:12], rows[12:14], rows[14:15],
-                   [dict(row, Name=row["Name"] + "-x") for row in rows[5:8]]]
-        sizes = [len(seed_rows)]
-        for batch in batches:
-            sizes.append(sizes[-1] + len(batch))
-        faults = FaultSchedule.seeded(seed)
-        snapshot_every = 1 if seed % 2 else 1 << 30
-        with tempfile.TemporaryDirectory() as tmp:
-            directory = Path(tmp) / "people"
-            created = False
-            acked = 0
-            constraints_acked = False
-            journal = None
+def crash_and_recover(schedule: FaultSchedule, snapshot_every: int) -> None:
+    """Run the journaled workload under ``schedule``, then recover and
+    assert the store is bit-identical to a fresh build on the surviving
+    batches, which cover at least every acknowledged one."""
+    rows, types = example_rows()
+    seed_rows = rows[:8]
+    batches = [rows[8:10], rows[10:12], rows[12:14], rows[14:15],
+               [dict(row, Name=row["Name"] + "-x") for row in rows[5:8]]]
+    sizes = [len(seed_rows)]
+    for batch in batches:
+        sizes.append(sizes[-1] + len(batch))
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp) / "people"
+        progress: dict = {}
+        with injected(schedule):
             try:
-                journal = StoreJournal.create(
-                    directory, "people", seed_rows, types,
-                    snapshot_every_bytes=snapshot_every, faults=faults,
+                run_journaled_workload(
+                    directory, seed_rows, batches, types,
+                    snapshot_every_bytes=snapshot_every, progress=progress,
                 )
-                created = True
-                store = EvidenceStore(
-                    Relation.from_records("people", seed_rows, column_types(types))
-                )
-                for index, batch in enumerate(batches):
-                    if index == 2:
-                        journal.log_constraints(SPECS, 0.05, "declared")
-                        constraints_acked = True
-                    store.append(
-                        batch,
-                        pre_commit=lambda n, b=batch, k=index: journal.log_append(
-                            b, [[f"req-{k}", len(b)]]
-                        ),
-                    )
-                    acked = index + 1
-                    journal.maybe_snapshot(store, None)
             except (SimulatedCrash, OSError):
                 pass
             finally:
+                journal = progress.get("journal")
                 if journal is not None and not journal.closed:
                     try:
                         journal.close()
                     except (SimulatedCrash, OSError):
                         pass
+        created = "journal" in progress
+        acked = progress["acked"]
 
-            if not created and not directory.exists():
-                return  # crashed before any directory existed
+        if not created and not directory.exists():
+            return  # crashed before any directory existed
 
-            try:
-                recovered = StoreJournal.recover(directory)
-            except RecoveryError:
-                # Legal only when nothing was ever acknowledged: the
-                # creation record itself died mid-write.
-                assert not created
-                return
-            try:
-                # The recovered row count must sit on a batch boundary at
-                # or past everything acknowledged (fsync-crash simulations
-                # leave buffered-but-unacked records readable).
-                assert recovered.store.n_rows in sizes
-                survived = sizes.index(recovered.store.n_rows)
-                assert survived >= acked
-                oracle = build_oracle(
-                    "people", types, seed_rows, batches[:survived]
-                )
-                assert_bit_identical(recovered.store, oracle)
-                if constraints_acked:
-                    assert recovered.constraint_specs == SPECS
-            finally:
-                recovered.journal.close()
+        try:
+            recovered = StoreJournal.recover(directory)
+        except RecoveryError:
+            # Legal only when nothing was ever acknowledged: the
+            # creation record itself died mid-write.
+            assert not created
+            return
+        try:
+            # The recovered row count must sit on a batch boundary at
+            # or past everything acknowledged (fsync-crash simulations
+            # leave buffered-but-unacked records readable).
+            assert recovered.store.n_rows in sizes
+            survived = sizes.index(recovered.store.n_rows)
+            assert survived >= acked
+            oracle = build_oracle(
+                "people", types, seed_rows, batches[:survived]
+            )
+            assert_bit_identical(recovered.store, oracle)
+            if progress["constraints_acked"]:
+                assert recovered.constraint_specs == SPECS
+        finally:
+            recovered.journal.close()
+
+
+#: Snapshot thresholds of the two sweep modes: compact after every append,
+#: or never.
+SNAPSHOT_EVERY = {"snapshot-every-append": 1, "no-snapshots": 1 << 30}
+
+#: How often the journaled workload reaches each fault point, per mode: 7
+#: WAL records (creation, 5 appends, the constraints) each written, whole
+#: and synced, and per snapshot 5 sections, a rename and a log reset.
+FAULT_POINTS = {
+    "snapshot-every-append": {
+        "wal_write": 7, "wal_record": 7, "wal_sync": 7,
+        "snapshot_write": 25, "snapshot_rename": 5, "snapshot_reset": 5,
+    },
+    "no-snapshots": {"wal_write": 7, "wal_record": 7, "wal_sync": 7},
+}
+
+
+class TestCrashPointSweep:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=100_000))
+    def test_recovery_bit_identical_after_seeded_crash(self, seed):
+        snapshot_every = 1 if seed % 2 else 1 << 30
+        crash_and_recover(FaultSchedule.seeded(seed), snapshot_every)
+
+    @pytest.mark.parametrize("mode, total", [("snapshot-every-append", 56), ("no-snapshots", 21)])
+    def test_fault_point_census(self, mode, total):
+        """The workload reaches every fault point the durability code marks,
+        exactly as often as :data:`FAULT_POINTS` says."""
+        census = FaultSchedule()
+        crash_and_recover(census, SNAPSHOT_EVERY[mode])
+        assert census.counts == FAULT_POINTS[mode]
+        assert sum(census.counts.values()) == total
+
+    @pytest.mark.parametrize(
+        "mode, label",
+        [(mode, label) for mode, points in FAULT_POINTS.items() for label in points],
+    )
+    def test_recovery_bit_identical_at_every_fault_point(self, mode, label):
+        """One run per occurrence of ``label``, crashing there; plus a torn
+        write at the first and last record or snapshot-section write, and a
+        failed fsync at the first and last sync."""
+        count = FAULT_POINTS[mode][label]
+        schedules = [FaultSchedule.crash_at(label, occurrence) for occurrence in range(count)]
+        for occurrence in sorted({0, count - 1}):
+            point = (label, occurrence)
+            if label in ("wal_write", "snapshot_write"):
+                schedules.append(FaultSchedule(torn_writes={point: 0.5}))
+            elif label == "wal_sync":
+                schedules.append(FaultSchedule(sync_failures=frozenset({point})))
+        for schedule in schedules:
+            crash_and_recover(schedule, SNAPSHOT_EVERY[mode])
+            assert len(schedule.fired) == 1, schedule
 
 
 # ----------------------------------------------------------------------

@@ -26,9 +26,9 @@ from pathlib import Path
 import pytest
 
 from repro.data.relation import Relation, running_example
-from repro.durability import FlakyProxy
 from repro.durability.journal import plain_rows, relation_types
 from repro.serve import ServeClient, ServeError, ServeTimeout, ServerThread
+from tests.faults import FlakyProxy
 
 #: Same-column DCs over the running example, valid in its predicate space.
 SPECS = [

@@ -10,6 +10,7 @@ dead-evidence compaction, canHit subsumption by the overlap counts).
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from repro.core.evidence_builder import build_evidence_set
 from repro.core.hitting_set import MMCS
 from tests.legacy_enum import LegacyADCEnum, LegacyMMCS
 from repro.core.predicate_space import build_predicate_space
+from repro.native import dispatch
 
 
 def _evidence_for(seed: int, n_rows: int = 7, domain: int = 3):
@@ -60,6 +62,24 @@ class TestADCEnumBitIdentical:
         old = LegacyADCEnum(evidence, F1(), epsilon, selection=selection, max_dc_size=3)
         assert _discovered(new.enumerate()) == _discovered(old.enumerate())
         assert _statistics_tuple(new.statistics) == _statistics_tuple(old.statistics)
+
+    @pytest.mark.parametrize("backend", ["numpy", "resolved"])
+    def test_every_emitted_dc_is_nontrivial(self, backend):
+        """Over the grid above: the hitting set never holds two predicates
+        of one group, so no emitted DC is trivial, without a check at
+        emission, under the numpy backend and the resolved one."""
+        emitted = 0
+        with dispatch.use_backend(dispatch.get_backend() if backend == "resolved" else backend):
+            for seed, epsilon, selection in itertools.product(
+                range(5), [0.0, 0.05, 0.2], ["max", "min", "random"]
+            ):
+                adcs = ADCEnum(
+                    _evidence_for(seed), F1(), epsilon,
+                    selection=selection, max_dc_size=3,
+                ).enumerate()
+                assert not [adc for adc in adcs if adc.constraint.is_trivial()]
+                emitted += len(adcs)
+        assert emitted > 0
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_f1_unbounded_dc_size(self, seed):

@@ -7,12 +7,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.hitting_set import (
-    MMCS,
-    brute_force_minimal_hitting_sets,
-    is_hitting_set,
-    minimal_hitting_sets,
-)
+from repro.core.hitting_set import MMCS, minimal_hitting_sets
+from tests.reference import brute_force_minimal_hitting_sets, is_hitting_set
 
 
 class TestKnownInstances:

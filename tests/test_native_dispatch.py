@@ -163,6 +163,36 @@ def _raise_unavailable():
     raise RuntimeError("unavailable for testing")
 
 
+@pytest.mark.parametrize("loader", ["ctypes", "cffi"])
+def test_each_ffi_loader_passes_every_probe(loader):
+    """The compiled library binds through cffi when it imports and through
+    ctypes otherwise; both bindings must pass the flat-kernel, workspace
+    and search-driver probes, whichever one this host resolves."""
+    from repro.native import cext
+    from repro.native.build import build_library
+
+    if loader == "cffi":
+        pytest.importorskip("cffi")
+    library = build_library()
+    if library is None:
+        pytest.skip("no C compiler on this host")
+    functions = getattr(cext, f"_load_{loader}")(library)
+    assert set(functions) == set(cext._FUNCTIONS)
+    # ctypes function pointers carry their declared argument types.
+    assert all(hasattr(fn, "argtypes") == (loader == "ctypes") for fn in functions.values())
+
+    kernels = cext.CKernels(functions)
+    dispatch._probe_flat_kernels(kernels)
+
+    def factory(*args, **kwargs):
+        return cext.CextSearchWorkspace(functions, *args, **kwargs)
+
+    dispatch._probe_workspace(factory)
+    dispatch._probe_driver(
+        dispatch.Backend(name=cext.NAME, kernels=kernels, workspace_factory=factory)
+    )
+
+
 # ---------------------------------------------------------------------------
 # Hypothesis bit-identity: compiled backend vs numpy reference
 # ---------------------------------------------------------------------------

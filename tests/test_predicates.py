@@ -10,6 +10,7 @@ from repro.core.predicate_space import (
     PredicateSpaceConfig,
     build_predicate_space,
     iter_bits,
+    shared_value_fraction,
 )
 from repro.core.predicates import (
     Predicate,
@@ -18,7 +19,7 @@ from repro.core.predicates import (
     same_column_predicate,
     single_tuple_predicate,
 )
-from repro.data.relation import Relation
+from repro.data.relation import Relation, running_example
 
 
 class TestPredicate:
@@ -112,6 +113,23 @@ class TestPredicateSpaceGeneration:
         for index in range(len(space)):
             complement_index = space.complement_index(index)
             assert space[complement_index] == space[index].complement
+
+
+class TestSharedValueFraction:
+    def test_identical_columns_share_everything(self):
+        relation = Relation("r", {"a": [1, 2, 3], "b": [1, 2, 3]})
+        assert shared_value_fraction(relation, "a", "b") == 1.0
+
+    def test_disjoint_columns_share_nothing(self):
+        relation = Relation("r", {"a": [1, 2, 3], "b": [4, 5, 6]})
+        assert shared_value_fraction(relation, "a", "b") == 0.0
+
+    def test_subset_domain_counts_against_smaller_side(self):
+        relation = Relation("r", {"a": [1, 1, 2, 2], "b": [1, 2, 3, 4]})
+        assert shared_value_fraction(relation, "a", "b") == 1.0
+
+    def test_income_and_tax_do_not_qualify(self):
+        assert shared_value_fraction(running_example(), "Income", "Tax") < 0.3
 
 
 class TestPredicateSpaceIndexing:

@@ -65,11 +65,6 @@ class TestRowAccess:
 
 
 class TestDerivedRelations:
-    def test_project(self, people):
-        projected = people.project(["name", "age"])
-        assert projected.column_names == ["name", "age"]
-        assert projected.n_rows == 4
-
     def test_take_preserves_order(self, people):
         taken = people.take([2, 0])
         assert taken.value(0, "name") == "cat"
@@ -201,14 +196,6 @@ class TestAppendRows:
 
 
 class TestIO:
-    def test_csv_round_trip(self, tmp_path, people):
-        path = tmp_path / "people.csv"
-        people.to_csv(path)
-        loaded = Relation.from_csv(path)
-        assert loaded.n_rows == people.n_rows
-        assert loaded.column_names == people.column_names
-        assert loaded.column_type("age") is ColumnType.INTEGER
-
     def test_from_records(self):
         relation = Relation.from_records("r", [{"a": 1, "b": "x"}, {"a": 2, "b": "y"}])
         assert relation.n_rows == 2

@@ -8,7 +8,6 @@ from repro.core.dc import DenialConstraint
 from repro.core.operators import Operator
 from repro.core.predicates import same_column_predicate
 from repro.core.repair import (
-    approximate_f3_violation,
     build_conflict_graph,
     cardinality_repair,
     exact_f3_violation,
@@ -16,6 +15,7 @@ from repro.core.repair import (
     vertex_cover_2_approximation,
     vertex_cover_greedy,
 )
+from tests.reference import approximate_f3_violation
 
 
 @pytest.fixture(scope="module")

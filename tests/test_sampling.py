@@ -20,12 +20,11 @@ from repro.core.sampling import (
     estimate_violation_fraction,
     normal_confidence_interval,
     required_sample_rows,
-    sample_edge_fraction,
     sample_threshold,
-    simulate_random_polluter,
     z_value,
 )
 from repro.data.relation import running_example
+from tests.reference import sample_edge_fraction, simulate_random_polluter
 
 
 class TestEstimator:
