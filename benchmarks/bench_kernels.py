@@ -2,13 +2,19 @@
 
 Not a paper figure: this benchmark tracks the compiled C kernels
 (:mod:`repro.native.cext`) against the pure-numpy reference backend they
-are dispatched over.  Four measurement families:
+are dispatched over.  Five measurement families:
 
 * **micro-kernels** — ``popcount`` and the fused per-evidence
   intersection counts on synthetic planes; the tile pass on the tax
   relation's planes (a square tile of edge 256 and both one-row strip
   shapes) and ``unique_rows`` on that tile's evidence words, with
   nanoseconds per pair;
+* **tile folds** — ``fold_tiles`` over a whole build's schedule, in
+  nanoseconds per pair: the ``mine-wide`` relation (a 30% sample of 8,000
+  tax rows, 2,400 rows) without participation, as ADCMiner folds it for
+  f1', and 2,000 tax rows with participation, as an evidence store seeds.
+  The compiled fold is one native call; the numpy fold runs the per-tile
+  steps.  Outputs are asserted bit-identical;
 * **end-to-end evidence build** — the tiled builder on the tax relation
   under each backend (the tile pass dominates), outputs asserted
   bit-identical;
@@ -56,6 +62,7 @@ from repro.core.evidence_builder import build_evidence_set_tiled
 from repro.core.predicate_space import build_predicate_space
 from repro.data.datasets import generate_dataset
 from repro.engine.kernel import TileKernel
+from repro.engine.scheduler import TileScheduler, choose_tile_rows
 from repro.native import NumpyKernels, dispatch
 
 #: Rows of the benchmark relation (Figure-6-style tax workload).
@@ -83,6 +90,13 @@ ENUM_PAIRS = 5
 
 #: Edge of the square tile the per-tile kernels are timed on.
 TILE_EDGE = 256
+
+#: The tile-fold rows: ``(label, tax rows, sample fraction, participation)``.
+#: The first is the ``mine-wide`` relation's sample, the second a store seed.
+FOLD_CASES = (
+    ("mine-wide 2400", 8000, 0.3, False),
+    ("tax 2000 +participation", 2000, 1.0, True),
+)
 
 
 def _compiled_backend():
@@ -162,6 +176,56 @@ def _micro_rows(compiled, packed) -> list[dict[str, object]]:
             row["speedup"] = numpy_seconds / native_seconds if native_seconds else 0.0
             if pairs:
                 row["native_ns_per_pair"] = native_seconds * 1e9 / pairs
+        rows.append(row)
+    return rows
+
+
+def _fold_rows(compiled) -> list[dict[str, object]]:
+    """One row per :data:`FOLD_CASES` entry: a whole schedule's fold.
+
+    The compiled fold is timed best of :data:`REPEATS`; the numpy fold,
+    some 200x slower, is timed once, on the call that provides the
+    reference output.
+    """
+    rows = []
+    for label, n_rows, fraction, participation in FOLD_CASES:
+        relation = generate_dataset("tax", n_rows=n_rows, seed=0).relation
+        space = build_predicate_space(relation)
+        sample = relation.sample(fraction, seed=0)
+        kernel = TileKernel.from_relation(sample, space, participation)
+        kinds, a, b, lookup = kernel._packed
+        edge = choose_tile_rows(sample.n_rows, kernel.n_words)
+        tiles = TileScheduler(sample.n_rows, tile_rows=edge).tiles()
+        bounds = np.array([(t.i0, t.i1, t.j0, t.j1) for t in tiles], dtype=np.int64)
+        pairs = sample.n_rows * (sample.n_rows - 1)
+
+        def fold(kernels):
+            return kernels.fold_tiles(kinds, a, b, lookup, bounds, kernel.n_words, participation)
+
+        started = time.perf_counter()
+        reference = fold(NumpyKernels)
+        numpy_seconds = time.perf_counter() - started
+        row: dict[str, object] = {
+            "kernel": f"fold_tiles {label}",
+            "rows": sample.n_rows,
+            "tiles": len(tiles),
+            "pairs": pairs,
+            "participation": participation,
+            "n_evidences": len(reference[0]),
+            "numpy_seconds": numpy_seconds,
+            "numpy_ns_per_pair": numpy_seconds * 1e9 / pairs,
+        }
+        if compiled is not None:
+            native = fold(compiled.kernels)
+            assert all(
+                (x is None and y is None) or np.array_equal(x, y)
+                for x, y in zip(native, reference)
+            ), label
+            native_seconds = _best_seconds(lambda: fold(compiled.kernels))
+            row["native_seconds"] = native_seconds
+            row["native_ns_per_pair"] = native_seconds * 1e9 / pairs
+            row["speedup"] = numpy_seconds / native_seconds if native_seconds else 0.0
+            row["bit_identical"] = True
         rows.append(row)
     return rows
 
@@ -262,6 +326,7 @@ def run_kernel_comparison(n_rows: int = BENCH_ROWS) -> dict[str, object]:
         "expected_py_driver_speedup": EXPECTED_PY_DRIVER_SPEEDUP,
         "expected_build_speedup": EXPECTED_BUILD_SPEEDUP,
         "micro": _micro_rows(compiled, kernel._packed),
+        "fold": _fold_rows(compiled),
         "evidence_build": _build_row(compiled, relation, space),
         "enumeration": _enum_row(compiled, evidence, F1(), EPSILON),
         "enumeration_python_driver": _enum_row(
@@ -288,19 +353,22 @@ def main() -> int:
     print(f"Native kernel layer on tax x {args.rows} rows "
           f"(compiled backend: {compiled_name or 'none'}; kernels and build "
           f"best of {REPEATS}, enumeration median of {ENUM_PAIRS} pairs):")
-    header = (f"{'kernel':>22} {'numpy s':>10} {'native s':>10} {'speedup':>8} "
-              f"{'ns/pair':>8}")
+    header = (f"{'kernel':>38} {'numpy s':>10} {'native s':>10} {'speedup':>8} "
+              f"{'ns/pair':>8} {'numpy ns/pair':>14}")
     print(header)
     print("-" * len(header))
-    for row in results["micro"]:
+    for row in results["micro"] + results["fold"]:
         native = row.get("native_seconds")
         native_text = f"{native:.6f}" if native is not None else "-"
         speedup = row.get("speedup")
         speedup_text = f"{speedup:.2f}x" if speedup is not None else "-"
-        per_pair = row.get("native_ns_per_pair", row.get("numpy_ns_per_pair"))
+        per_pair = row.get("native_ns_per_pair")
         per_pair_text = f"{per_pair:.1f}" if per_pair is not None else "-"
-        print(f"{row['kernel']:>22} {row['numpy_seconds']:>10.6f} "
-              f"{native_text:>10} {speedup_text:>8} {per_pair_text:>8}")
+        numpy_per_pair = row.get("numpy_ns_per_pair")
+        numpy_per_pair_text = f"{numpy_per_pair:.1f}" if numpy_per_pair is not None else "-"
+        print(f"{row['kernel']:>38} {row['numpy_seconds']:>10.6f} "
+              f"{native_text:>10} {speedup_text:>8} {per_pair_text:>8} "
+              f"{numpy_per_pair_text:>14}")
     build = results["evidence_build"]
     enum = results["enumeration"]
     py_driver = results["enumeration_python_driver"]
@@ -310,7 +378,7 @@ def main() -> int:
         native_text = f"{native:.3f}" if native is not None else "-"
         speedup = row.get("speedup")
         speedup_text = f"{speedup:.2f}x" if speedup is not None else "-"
-        print(f"{label:>22} {row['numpy_seconds']:>10.3f} "
+        print(f"{label:>38} {row['numpy_seconds']:>10.3f} "
               f"{native_text:>10} {speedup_text:>8}")
     if "native_nodes_per_second" in enum:
         print(f"\nnodes/second: {enum['numpy_nodes_per_second']:,.0f} (numpy) "

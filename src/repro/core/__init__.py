@@ -77,7 +77,6 @@ from repro.core.repair import (
     cardinality_repair,
     exact_f3_violation,
     minimum_vertex_cover_exact,
-    vertex_cover_2_approximation,
     vertex_cover_greedy,
 )
 from repro.core.miner import ADCMiner, MiningResult, mine_adcs
@@ -143,7 +142,6 @@ __all__ = [
     "ConflictGraph",
     "build_conflict_graph",
     "minimum_vertex_cover_exact",
-    "vertex_cover_2_approximation",
     "vertex_cover_greedy",
     "exact_f3_violation",
     "cardinality_repair",

@@ -21,8 +21,6 @@ maintains.  For convenience they report the **violation score**
 from __future__ import annotations
 
 import abc
-import itertools
-import random
 from typing import Collection
 
 import numpy as np
@@ -34,9 +32,8 @@ class ApproximationFunction(abc.ABC):
     """A valid approximation function in the sense of Definition 4.3.
 
     Concrete subclasses must be monotonic and indifferent to redundancy; the
-    empirical checkers :func:`check_monotonicity` and
-    :func:`check_indifference_to_redundancy` validate this on concrete
-    evidence sets in the test suite.
+    test suite's empirical checkers (``tests/reference.py``) validate this on
+    concrete evidence sets.
     """
 
     #: Short identifier used in reports ("f1", "f2", "f3", ...).
@@ -298,84 +295,3 @@ def get_approximation_function(name: str) -> ApproximationFunction:
             f"unknown approximation function {name!r}; expected one of "
             f"{sorted(STANDARD_FUNCTIONS)}"
         ) from None
-
-
-# ----------------------------------------------------------------------
-# Empirical axiom checkers (Definitions 4.1 and 4.2)
-# ----------------------------------------------------------------------
-def _score_of_predicate_set(
-    function: ApproximationFunction, evidence: EvidenceSet, dc_mask: int
-) -> float:
-    """``f(D, S_phi)`` for the DC whose predicate bitmask is ``dc_mask``."""
-    hitting_mask = evidence.space.complement_mask(dc_mask)
-    return function.score(evidence, evidence.uncovered_indices(hitting_mask))
-
-
-def check_monotonicity(
-    function: ApproximationFunction,
-    evidence: EvidenceSet,
-    trials: int = 50,
-    max_predicates: int = 4,
-    seed: int = 0,
-) -> bool:
-    """Empirically verify monotonicity (Definition 4.1) on random DC chains.
-
-    Random predicate sets ``S subset S'`` are drawn and the scores compared;
-    the check fails on the first witnessed decrease.  The greedy f3 function
-    is only *approximately* monotonic, mirroring the paper's caveat that it
-    carries no theoretical guarantee; it is therefore excluded from the
-    strict test suite assertion and only sanity-checked.
-    """
-    rng = random.Random(seed)
-    indices = list(range(len(evidence.space)))
-    if not indices:
-        return True
-    for _ in range(trials):
-        size = rng.randint(1, min(max_predicates, len(indices)))
-        base = rng.sample(indices, size)
-        extra_candidates = [i for i in indices if i not in base]
-        if not extra_candidates:
-            continue
-        extra = rng.choice(extra_candidates)
-        base_mask = sum(1 << i for i in base)
-        super_mask = base_mask | (1 << extra)
-        if _score_of_predicate_set(function, evidence, base_mask) > _score_of_predicate_set(
-            function, evidence, super_mask
-        ) + 1e-12:
-            return False
-    return True
-
-
-def check_indifference_to_redundancy(
-    function: ApproximationFunction,
-    evidence: EvidenceSet,
-    trials: int = 50,
-    max_predicates: int = 4,
-    seed: int = 0,
-) -> bool:
-    """Empirically verify indifference to redundancy (Definition 4.2).
-
-    For random predicate sets, a redundant predicate (one implied by a
-    predicate already in the set, hence not changing the satisfying pairs)
-    is added and the scores compared for equality.
-    """
-    rng = random.Random(seed)
-    space = evidence.space
-    implications: list[tuple[int, int]] = []
-    for strong, weak in itertools.permutations(range(len(space)), 2):
-        if space[strong].implies(space[weak]) and strong != weak:
-            implications.append((strong, weak))
-    if not implications:
-        return True
-    indices = list(range(len(space)))
-    for _ in range(trials):
-        strong, weak = rng.choice(implications)
-        size = rng.randint(0, min(max_predicates, len(indices) - 2))
-        others = rng.sample([i for i in indices if i not in (strong, weak)], size)
-        base_mask = (1 << strong) | sum(1 << i for i in others)
-        redundant_mask = base_mask | (1 << weak)
-        base_score = _score_of_predicate_set(function, evidence, base_mask)
-        redundant_score = _score_of_predicate_set(function, evidence, redundant_mask)
-        if abs(base_score - redundant_score) > 1e-12:
-            return False
-    return True

@@ -99,8 +99,9 @@ def unique_word_rows(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     :func:`lexsort_word_rows` (not ``np.unique``'s byte order, which would
     depend on the platform's endianness).  Dispatched to the active kernel
     backend: the compiled backends replace the sort-based ``np.unique``
-    reference with a hash pass over the rows — the dominant cost of every
-    evidence builder's per-tile dedup.
+    reference with a hash pass over the rows.  (Tile folds dedup inside
+    the backend's ``fold_tiles``; this serves the dense builder and word
+    projections.)
     """
     return native_dispatch.get_backend().kernels.unique_rows(words)
 

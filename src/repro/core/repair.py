@@ -12,7 +12,6 @@ machinery needed to reason about f3 outside the miner:
 
 * building the conflict graph of a DC on a relation;
 * an exact minimum vertex cover (small inputs only, for tests);
-* the classic 2-approximation via maximal matching;
 * the greedy ``O(log n)``-approximation the paper's Figure 2 is inspired by;
 * the exact value of ``1 - f3``.
 """
@@ -21,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import networkx as nx
 import numpy as np
@@ -36,19 +35,6 @@ class ConflictGraph:
 
     n_tuples: int
     edges: frozenset[tuple[int, int]]
-
-    @classmethod
-    def from_pairs(
-        cls, n_tuples: int, pairs: Iterable[tuple[int, int]]
-    ) -> "ConflictGraph":
-        """Build a conflict graph from externally computed violating pairs.
-
-        For example the tile-replayed pairs of
-        :meth:`~repro.incremental.serve.ViolationService.violating_pairs`,
-        which reach the repair machinery without the quadratic per-pair
-        re-evaluation of :func:`build_conflict_graph`.
-        """
-        return cls(int(n_tuples), frozenset((int(u), int(v)) for u, v in pairs))
 
     @property
     def n_violations(self) -> int:
@@ -111,16 +97,6 @@ def minimum_vertex_cover_exact(graph: ConflictGraph, max_tuples: int = 24) -> se
             if all(u in chosen or v in chosen for u, v in undirected_edges):
                 return chosen
     return set(involved)
-
-
-def vertex_cover_2_approximation(graph: ConflictGraph) -> set[int]:
-    """2-approximate vertex cover via a maximal matching (Bar-Yehuda & Even)."""
-    cover: set[int] = set()
-    for u, v in sorted({tuple(sorted(edge)) for edge in graph.edges}):
-        if u not in cover and v not in cover:
-            cover.add(u)
-            cover.add(v)
-    return cover
 
 
 def vertex_cover_greedy(graph: ConflictGraph) -> set[int]:

@@ -8,16 +8,16 @@ shardable tile work units:
   ordered-pair matrix into row tiles, balances contiguous tile ranges into
   shards (:meth:`TileScheduler.shards`), and picks an adaptive tile edge
   from a memory budget (:func:`choose_tile_rows`).
-* :mod:`repro.engine.kernel` — :class:`TileKernel`, the picklable per-tile
-  evidence kernel: all comparison data is resolved once up front so worker
-  processes receive a compact numpy-only payload instead of the relation
-  and predicate space.
+* :mod:`repro.engine.kernel` — :class:`TileKernel`, the picklable evidence
+  kernel, which folds a whole tile list in one backend call: all
+  comparison data is resolved once up front so worker processes receive a
+  compact numpy-only payload instead of the relation and predicate space.
 * :mod:`repro.engine.partial` — :class:`PartialEvidenceSet`, an
-  accumulator of per-tile results whose :meth:`~PartialEvidenceSet.merge`
+  accumulator of fold results whose :meth:`~PartialEvidenceSet.merge`
   is associative and commutative, so partials can be combined in any order.
 * :mod:`repro.engine.parallel` — :func:`fold_tiles`, the serial fold of a
-  kernel over a tile sequence, and :func:`parallel_tile_rows`, the tile
-  edge for several concurrent kernels.
+  kernel over a tile sequence (one kernel call), and
+  :func:`parallel_tile_rows`, the tile edge for several concurrent kernels.
 
 Parallelism comes from :mod:`repro.cluster`, whose workers run the same
 :func:`fold_tiles` over shards of the same schedule, so cluster and

@@ -1,9 +1,14 @@
-"""The picklable per-tile evidence kernel.
+"""The picklable evidence kernel.
 
 :class:`TileKernel` is the compute core of both the serial tiled builder
-and the cluster builder: given one :class:`~repro.engine.scheduler.Tile`
-it produces that block's deduplicated evidence words, multiplicities and
-tuple-participation histogram (a :class:`TilePartial`).
+and the cluster builder: given a list of
+:class:`~repro.engine.scheduler.Tile`-s it folds every pair of every tile
+into the list's deduplicated evidence words, multiplicities and
+tuple-participation histogram (one :class:`TilePartial`).  The fold is one
+backend call: on the compiled backend, one native call evaluates each
+pair's words, deduplicates them in a table that lives for the call, counts
+participation in the same pass and sorts the result canonically, so
+nothing returns to Python between tiles.
 
 The kernel is deliberately a *numpy-only* payload: building it resolves
 every predicate group's comparison data — per-row order categories, float
@@ -24,34 +29,36 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.evidence import n_words_for, unique_word_rows
+from repro.core.evidence import n_words_for
 from repro.core.operators import (
     SATISFIED_BY_CATEGORY,
     SATISFIED_BY_CATEGORY_STRING,
     OrderCategory,
 )
 from repro.core.predicates import PredicateForm
-from repro.engine.partial import check_row_count, participation_keys
+from repro.engine.partial import check_row_count
+from repro.engine.scheduler import Tile
 from repro.native import dispatch as native_dispatch
 
 if TYPE_CHECKING:
     from repro.core.predicate_space import PredicateSpace
     from repro.data.relation import Relation
-    from repro.engine.scheduler import Tile
+    from repro.engine.scheduler import Shard
 
 _WORD_BITS = 64
 
 
 @dataclass(frozen=True)
 class TilePartial:
-    """One tile's deduplicated evidence contribution.
+    """The deduplicated evidence contribution of one fold of tiles.
 
-    ``words[k]`` occurred ``counts[k]`` times among the tile's ordered
-    pairs.  ``part_keys``/``part_counts`` encode the tuple-participation
-    histogram with *tile-local* evidence ids:
-    ``part_keys = local_id << 32 | tuple_id``, pre-aggregated within the
-    tile.  The stride does not depend on the relation's size, so keys stay
-    valid as the relation grows.
+    ``words[k]`` occurred ``counts[k]`` times among the tiles' ordered
+    pairs; the rows are distinct and in canonical lexicographic order.
+    ``part_keys``/``part_counts`` encode the tuple-participation histogram
+    with *fold-local* evidence ids (row indices of ``words``):
+    ``part_keys = local_id << 32 | tuple_id``, aggregated over the fold and
+    ascending.  The stride does not depend on the relation's size, so keys
+    stay valid as the relation grows.
     :class:`~repro.engine.partial.PartialEvidenceSet` remaps the local ids
     to its own global ids on absorption.
     """
@@ -188,7 +195,7 @@ def prepare_groups(
 
 
 class TileKernel:
-    """Evaluate the evidence words of one tile of the ordered-pair matrix.
+    """Fold the evidence words of tiles of the ordered-pair matrix.
 
     Parameters
     ----------
@@ -247,7 +254,7 @@ class TileKernel:
         Returns ``(words, left_ids, right_ids)`` where ``words[k]`` is the
         packed evidence word row of the ordered pair
         ``(left_ids[k], right_ids[k])``; diagonal pairs are excluded.  This
-        is the un-deduplicated view :meth:`run` aggregates — the violation
+        is the un-deduplicated view :meth:`run` folds — the violation
         serving layer replays it to reconstruct *which* pairs carry an
         evidence, something the deduplicated evidence set no longer knows.
         """
@@ -262,26 +269,20 @@ class TileKernel:
             right_ids = right_ids[keep]
         return flat, left_ids, right_ids
 
-    def run(self, tile: "Tile") -> TilePartial | None:
-        """Compute one tile's :class:`TilePartial` (``None`` if empty).
+    def run(self, tiles: Tile | Shard) -> TilePartial | None:
+        """Fold ``tiles`` — a :class:`Shard` of tiles, or one :class:`Tile` —
+        into one :class:`TilePartial` (``None`` if they hold no pair).
 
-        The pair ids are built only when they are needed: for the
-        participation histogram, or to drop the pairs of a tile that
-        crosses the diagonal.
+        Diagonal pairs are skipped.  The whole list goes to the backend's
+        ``fold_tiles`` in one call, so the cost of a fold follows its pairs,
+        not its tile count.
         """
-        if self.include_participation or (tile.i0 < tile.j1 and tile.j0 < tile.i1):
-            flat, left_ids, right_ids = self.tile_words(tile)
-        else:
-            flat, left_ids, right_ids = self._plane(tile), None, None
-        if not len(flat):
-            return None
-
-        unique_words, inverse, counts = unique_word_rows(flat)
-        part_keys = part_counts = None
-        if self.include_participation:
-            keys = np.concatenate([
-                participation_keys(inverse, left_ids),
-                participation_keys(inverse, right_ids),
-            ])
-            part_keys, part_counts = np.unique(keys, return_counts=True)
-        return TilePartial(unique_words, counts, part_keys, part_counts)
+        batch = (tiles,) if isinstance(tiles, Tile) else tiles.tiles
+        bounds = np.array(
+            [(tile.i0, tile.i1, tile.j0, tile.j1) for tile in batch], dtype=np.int64
+        ).reshape(-1, 4)
+        kinds, a, b, lookup = self._packed
+        folded = native_dispatch.get_backend().kernels.fold_tiles(
+            kinds, a, b, lookup, bounds, self.n_words, self.include_participation
+        )
+        return None if folded is None else TilePartial(*folded)

@@ -1,8 +1,10 @@
 """The tile fold shared by every evidence builder.
 
-:func:`fold_tiles` runs a :class:`~repro.engine.kernel.TileKernel` over a
-tile sequence and folds the per-tile results into one
-:class:`~repro.engine.partial.PartialEvidenceSet`.  The serial tiled
+:func:`fold_tiles` hands a whole tile sequence to one
+:meth:`~repro.engine.kernel.TileKernel.run` call — on the compiled backend
+one native call, however many tiles — and absorbs the fold's single
+result into a :class:`~repro.engine.partial.PartialEvidenceSet`: one
+intern of the fold's distinct evidences, not one per tile.  The serial tiled
 builder and the incremental delta builder call it in-process; cluster
 workers (:class:`~repro.cluster.contexts.TileFoldContext`) call it on their
 shard of the schedule.  Because the merge is associative/commutative and
@@ -21,7 +23,7 @@ from typing import TYPE_CHECKING
 
 from repro.engine.kernel import TileKernel
 from repro.engine.partial import PartialEvidenceSet
-from repro.engine.scheduler import choose_tile_rows
+from repro.engine.scheduler import Shard, choose_tile_rows
 from repro.obs import metrics as obs_metrics
 
 if TYPE_CHECKING:
@@ -34,22 +36,24 @@ SHARDS_PER_WORKER = 2
 
 
 def fold_tiles(kernel: TileKernel, tiles: tuple["Tile", ...]) -> PartialEvidenceSet:
-    """Fold kernel results over a tile sequence into one partial."""
+    """Fold a tile sequence into one partial, with one kernel call."""
     partial = PartialEvidenceSet(
         kernel.n_rows, kernel.n_words, kernel.include_participation
     )
+    # Lone diagonal cells hold no pair.
+    kept = tuple(tile for tile in tiles if tile.n_pairs)
+    if not kept:
+        return partial
+    batch = Shard(0, len(kept), kept)
     # Tile-throughput metrics: in cluster workers these land in the worker
     # process's own registry; serial in-process folds report here directly.
-    for tile in tiles:
-        if not tile.n_pairs:
-            continue  # a lone diagonal cell: nothing to evaluate
-        tile_start = time.perf_counter()
-        tile_partial = kernel.run(tile)
-        obs_metrics.EVIDENCE_TILE_SECONDS.observe(time.perf_counter() - tile_start)
-        obs_metrics.EVIDENCE_TILES.inc()
-        obs_metrics.EVIDENCE_PAIRS.inc(tile.n_pairs)
-        if tile_partial is not None:
-            partial.add_tile(tile_partial)
+    fold_start = time.perf_counter()
+    folded = kernel.run(batch)
+    obs_metrics.EVIDENCE_TILE_SECONDS.observe(time.perf_counter() - fold_start)
+    obs_metrics.EVIDENCE_TILES.inc(len(kept))
+    obs_metrics.EVIDENCE_PAIRS.inc(batch.n_pairs)
+    if folded is not None:
+        partial.add_tile(folded)
     return partial
 
 

@@ -1,17 +1,27 @@
 """Mergeable partial evidence sets.
 
-A :class:`PartialEvidenceSet` accumulates the output of tile kernels over
+A :class:`PartialEvidenceSet` accumulates the output of tile folds over
 any subset of tiles: a word-keyed dedup dictionary of distinct evidences,
 per-chunk multiplicity histograms, and per-chunk tuple-participation
 histograms (keyed ``evidence_id << 32 | tuple_id``, CSR-style at
-finalization).  The key stride is fixed rather than tied to the relation's
-size, so a partial of a growing relation never re-keys what it absorbed.
+finalization).  A fold hands over one result for its whole tile list
+(:meth:`PartialEvidenceSet.add_tile`), so a partial interns once per fold,
+not once per tile.  The key stride is fixed rather than tied to the
+relation's size, so a partial of a growing relation never re-keys what it
+absorbed.
+
 Two partials built from disjoint tile sets can be :meth:`merge`-d — the
 operation is associative and commutative up to evidence-id relabeling, and
 :meth:`finalize` erases the relabeling by sorting evidences into the
 canonical lexicographic word order, so *any* merge tree over the same tiles
 yields a bit-identical :class:`~repro.core.evidence.EvidenceSet`.  This is
 what lets cluster workers combine results in completion order.
+
+Every participation chunk lists each of its evidences as one run of
+ascending tuples: a fold emits its histogram sorted, and relabeling ids
+moves runs without reordering them.  Exporting the histogram in key order
+is then a counting sort of each chunk's runs by evidence id
+(:func:`aggregate_key_histogram`), not a comparison sort of its keys.
 """
 
 from __future__ import annotations
@@ -153,7 +163,8 @@ class PartialEvidenceSet:
         return participation_keys(mapping[keys >> TUPLE_ID_BITS], keys & _TUPLE_ID_MASK)
 
     def add_tile(self, tile_partial: "TilePartial") -> "PartialEvidenceSet":
-        """Absorb one tile kernel result; returns ``self`` for chaining."""
+        """Absorb one kernel result (a fold of any number of tiles);
+        returns ``self`` for chaining."""
         words = tile_partial.words
         mapping = self._intern(self._row_keys(words), words)
         self._add_chunks(self._id_chunks, mapping)
@@ -233,7 +244,9 @@ class PartialEvidenceSet:
         count_chunks = [self._totals()] if self._ids else []
         key_chunks, part_count_chunks = self._part_key_chunks, self._part_count_chunks
         if key_chunks:
-            keys, counts = aggregate_key_histogram(key_chunks, part_count_chunks)
+            keys, counts = aggregate_key_histogram(
+                key_chunks, part_count_chunks, len(self._ids)
+            )
             key_chunks, part_count_chunks = [keys], [counts]
         self._id_chunks, self._count_chunks = id_chunks, count_chunks
         self._part_key_chunks, self._part_count_chunks = key_chunks, part_count_chunks
@@ -278,7 +291,7 @@ class PartialEvidenceSet:
         words, totals = self.word_histogram()
         if self.include_participation and self._part_key_chunks:
             keys, part_counts = aggregate_key_histogram(
-                self._part_key_chunks, self._part_count_chunks
+                self._part_key_chunks, self._part_count_chunks, len(self._ids)
             )
             stride = max(self.n_rows, 1)
             part_keys = (keys >> TUPLE_ID_BITS) * stride + (keys & _TUPLE_ID_MASK)
@@ -360,11 +373,8 @@ class PartialEvidenceSet:
 
         participation = None
         if self.include_participation:
-            key_chunks = [
-                self._remap_part_keys(keys, rank) for keys in self._part_key_chunks
-            ]
             participation = participation_from_key_chunks(
-                key_chunks, self._part_count_chunks, n_evidences
+                self._part_key_chunks, self._part_count_chunks, n_evidences, rank
             )
         return EvidenceSet(
             space, counts=counts, n_rows=self.n_rows,
@@ -376,36 +386,88 @@ def participation_from_key_chunks(
     key_chunks: list[np.ndarray],
     count_chunks: list[np.ndarray],
     n_evidences: int,
+    rank: np.ndarray | None = None,
 ) -> list[TupleParticipation]:
     """Merge per-chunk ``evidence << 32 | tuple`` histograms into ``vios``.
 
-    Each chunk contributes pre-aggregated ``(key, count)`` pairs; keys may
-    repeat across chunks, so they are re-aggregated with a sort + segmented
-    sum before being split per evidence.
+    Each chunk contributes aggregated ``(key, count)`` pairs; keys may
+    repeat across chunks, so they are re-aggregated
+    (:func:`aggregate_key_histogram`, evidence ids relabeled through
+    ``rank`` when given) before being split per evidence.
     """
     if not key_chunks:
         return [
             TupleParticipation(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
             for _ in range(n_evidences)
         ]
-    unique_keys, summed = aggregate_key_histogram(key_chunks, count_chunks)
+    unique_keys, summed = aggregate_key_histogram(key_chunks, count_chunks, n_evidences, rank)
     return split_participation(unique_keys, summed, n_evidences)
+
+
+def _key_ordered(
+    keys: np.ndarray, counts: np.ndarray, n_ids: int, rank: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """One chunk relabeled through ``rank`` and put in key order.
+
+    A chunk whose evidences each form one run of ascending tuples is
+    ordered by a counting sort of its runs: run sizes per id, their prefix
+    sums, one scatter.  Any other chunk falls back to a stable sort.
+    """
+    ids = keys >> TUPLE_ID_BITS
+    if rank is not None:
+        ids = rank[ids]
+        keys = participation_keys(ids, keys & _TUPLE_ID_MASK)
+    if len(keys) < 2:
+        return keys, counts
+    starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
+    run_ids = ids[starts]
+    if np.bincount(run_ids, minlength=n_ids).max() == 1:
+        lengths = np.diff(np.r_[starts, len(keys)])
+        sizes = np.zeros(n_ids, dtype=np.int64)
+        sizes[run_ids] = lengths
+        offsets = np.cumsum(sizes) - sizes
+        targets = np.repeat(offsets[run_ids] - starts, lengths) + np.arange(len(keys))
+        ordered_keys = np.empty_like(keys)
+        ordered_keys[targets] = keys
+        ordered_counts = np.empty_like(counts)
+        ordered_counts[targets] = counts
+        if (ordered_keys[1:] > ordered_keys[:-1]).all():
+            return ordered_keys, ordered_counts
+    order = np.argsort(keys, kind="stable")
+    return keys[order], counts[order]
 
 
 def aggregate_key_histogram(
     key_chunks: list[np.ndarray],
     count_chunks: list[np.ndarray],
+    n_ids: int,
+    rank: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sum per-chunk ``(key, count)`` histograms into one sorted histogram."""
-    keys = np.concatenate(key_chunks)
-    counts = np.concatenate(count_chunks)
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    counts = counts[order]
-    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    unique_keys = keys[starts]
-    summed = np.add.reduceat(counts, starts)
-    return unique_keys, summed
+    """Sum per-chunk ``(key, count)`` histograms into one sorted histogram.
+
+    Evidence ids (``< n_ids``) are relabeled through ``rank`` first when it
+    is given.  Each chunk is put in key order on its own
+    (:func:`_key_ordered`); a single chunk is then already the histogram,
+    and several are merged by a stable sort, which only has to interleave
+    their sorted runs, and summed key by key.
+    """
+    ordered = [
+        _key_ordered(keys, np.asarray(counts, dtype=np.int64), n_ids, rank)
+        for keys, counts in zip(key_chunks, count_chunks)
+    ]
+    if len(ordered) == 1:
+        keys, counts = ordered[0]
+    else:
+        keys = np.concatenate([chunk_keys for chunk_keys, _ in ordered])
+        counts = np.concatenate([chunk_counts for _, chunk_counts in ordered])
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        counts = counts[order]
+    if len(keys) > 1 and not (keys[1:] > keys[:-1]).all():
+        starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        keys = keys[starts]
+        counts = np.add.reduceat(counts, starts)
+    return keys, counts
 
 
 def split_participation(

@@ -22,7 +22,8 @@ from typing import Iterator
 DEFAULT_MEMORY_BUDGET_BYTES = 64 * 2**20
 
 #: Smallest tile edge the adaptive selection will pick.  Below this the
-#: per-tile Python overhead (dedup dict, chunk bookkeeping) dominates.
+#: per-tile overhead (a fold's per-line passes, the numpy fold's per-tile
+#: steps) dominates.
 MIN_TILE_ROWS = 16
 
 #: Largest tile edge the adaptive selection will pick.  Beyond this the
@@ -84,11 +85,12 @@ class Tile:
 
 @dataclass(frozen=True)
 class Shard:
-    """A contiguous range ``tiles[start:stop]`` of a scheduler's tile list.
+    """A contiguous range ``tiles[start:stop]`` of a tile list.
 
     Shards are the distribution unit: ``(start, stop)`` alone identifies
     the work against a scheduler with the same ``(n_rows, tile_rows)``, so
-    a remote worker only needs those two integers plus the kernel.
+    a remote worker only needs those two integers plus the kernel.  A shard
+    is also what one :meth:`~repro.engine.kernel.TileKernel.run` call folds.
     """
 
     start: int

@@ -13,7 +13,9 @@ denial constraints it answers, against the store's *current* state,
   memory, streamed in schedule order);
 * ``check_batch(rows)`` — admission control for incoming tuples: which rows
   of a batch would push some DC's violation rate past ``epsilon``, each row
-  judged independently against the store via the delta cross blocks;
+  judged independently against the store via one fold of the delta cross
+  blocks, whose participation histogram attributes each violating pair to
+  its new row;
 * ``tuple_scores(dc)`` / ``repair_ranking(dc)`` — the per-tuple violation
   vector ``v(t)`` of the paper's Figure 2 from the stored participation
   histograms, wired into :mod:`repro.core.repair`'s ranking.
@@ -35,11 +37,15 @@ from repro.core.adc_enum import DiscoveredADC
 from repro.core.dc import DenialConstraint
 from repro.core.evidence import mask_to_words, n_words_for
 from repro.core.repair import rank_tuples_by_violations
+from repro.engine.partial import TUPLE_ID_BITS
+from repro.engine.scheduler import Shard
 from repro.incremental.delta import delta_tiles
 
 if TYPE_CHECKING:
     from repro.data.relation import Relation
     from repro.incremental.store import EvidenceStore
+
+_TUPLE_ID_MASK = (1 << TUPLE_ID_BITS) - 1
 
 
 @dataclass(frozen=True)
@@ -288,19 +294,24 @@ class ViolationService:
         n_constraints = len(self.constraints)
         delta_counts = np.zeros((n_constraints, n_new), dtype=np.int64)
 
-        kernel = self._store.replay_kernel(probe)
+        kernel = self._store.replay_kernel(probe, include_participation=True)
         edge = self._store.builder.tile_edge(probe.n_rows)
         # Cross rectangles only (no new-vs-new square): each row is judged
-        # independently of its batch-mates.
-        for tile in delta_tiles(n_before, probe.n_rows, edge, include_new_vs_new=False):
-            words, left_ids, right_ids = kernel.tile_words(tile)
-            if not len(words):
-                continue
-            # Exactly one endpoint of every cross pair is a new row.
-            new_ids = np.where(left_ids >= n_before, left_ids, right_ids) - n_before
+        # independently of its batch-mates.  Exactly one endpoint of every
+        # cross pair is a new row, so the fold's participation of the new
+        # rows counts each cross pair once, under its new row.
+        tiles = delta_tiles(n_before, probe.n_rows, edge, include_new_vs_new=False)
+        folded = kernel.run(Shard(0, len(tiles), tiles))
+        if folded is not None:
+            tuples = folded.part_keys & _TUPLE_ID_MASK
+            new = tuples >= n_before
+            evidence_ids = folded.part_keys[new] >> TUPLE_ID_BITS
+            new_ids = tuples[new] - n_before
+            pair_counts = folded.part_counts[new]
             for index, hitting in enumerate(self._hitting_words):
-                violating = ~np.bitwise_and(words, hitting).any(axis=1)
-                np.add.at(delta_counts[index], new_ids[violating], 1)
+                violating = ~np.bitwise_and(folded.words, hitting).any(axis=1)
+                keep = violating[evidence_ids]
+                np.add.at(delta_counts[index], new_ids[keep], pair_counts[keep])
 
         base_counts = self._base_violation_counts()
         hypothetical_pairs = (n_before + 1) * n_before

@@ -409,8 +409,11 @@ class EvidenceStore:
     # ------------------------------------------------------------------
     # Replay support (violation serving)
     # ------------------------------------------------------------------
-    def replay_kernel(self, probe: "Relation | None" = None) -> TileKernel:
-        """A participation-free kernel over the current rows, for tile replay.
+    def replay_kernel(
+        self, probe: "Relation | None" = None, include_participation: bool = False
+    ) -> TileKernel:
+        """A kernel over the current rows, for tile replay (participation-free
+        unless asked for).
 
         With ``probe`` (a relation from :meth:`probe_relation`) the kernel
         covers the probe's rows instead; only the rows past the store's are
@@ -418,7 +421,7 @@ class EvidenceStore:
         """
         return self._builder.kernel(
             probe if probe is not None else self._relation,
-            include_participation=False,
+            include_participation=include_participation,
             planes=self._planes,
             n_existing=self.n_rows,
         )

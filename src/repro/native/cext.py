@@ -8,6 +8,11 @@ FFI buffer objects: :class:`CextSearchWorkspace` caches each buffer's
 ``.ctypes.data`` once at allocation and every per-node call passes cached
 integers and scalars only.
 
+:meth:`CKernels.fold_tiles` folds a whole tile list in one call
+(``adc_fold_tiles``).  The kernel learns its output size only at the end,
+so it asks for the output through a ctypes callback that allocates one
+numpy buffer: no output is over-allocated, and none is owned by C.
+
 The search workspace has two compiled paths:
 
 * :meth:`CextSearchWorkspace.pair_search` runs the whole ADCEnum frame stack
@@ -44,6 +49,8 @@ void adc_crit_undo(intptr_t, int64_t, int32_t, int64_t, intptr_t);
 int32_t adc_tile_plane(intptr_t, int64_t, intptr_t, intptr_t, int64_t, intptr_t,
                        int32_t, int64_t, int64_t, int64_t, int64_t, intptr_t);
 int64_t adc_unique_rows(intptr_t, int64_t, int64_t, intptr_t, intptr_t, intptr_t);
+int32_t adc_fold_tiles(intptr_t, int64_t, intptr_t, intptr_t, int64_t, intptr_t,
+                       int32_t, intptr_t, int64_t, int32_t, intptr_t, intptr_t);
 void adc_search_expand(intptr_t, int64_t, int32_t, int64_t, intptr_t, intptr_t,
                        intptr_t, int32_t, int32_t, int64_t, intptr_t, intptr_t,
                        intptr_t, intptr_t);
@@ -72,6 +79,7 @@ _FUNCTIONS = (
     "adc_crit_undo",
     "adc_tile_plane",
     "adc_unique_rows",
+    "adc_fold_tiles",
     "adc_search_expand",
     "adc_search_skip_child",
     "adc_search_hit_prepare",
@@ -112,6 +120,8 @@ def _load_ctypes(library_path: Path):
         "adc_tile_plane": (i32, [intp, i64, intp, intp, i64, intp, i32,
                                  i64, i64, i64, i64, intp]),
         "adc_unique_rows": (i64, [intp, i64, i64, intp, intp, intp]),
+        "adc_fold_tiles": (i32, [intp, i64, intp, intp, i64, intp, i32, intp,
+                                 i64, i32, intp, intp]),
         "adc_search_expand": (None, [intp, i64, i32, i64, intp, intp, intp,
                                      i32, i32, i64, intp, intp, intp, intp]),
         "adc_search_skip_child": (i64, [intp, i64, i32, i64, intp, intp, intp,
@@ -145,9 +155,14 @@ def load_functions(library_path: Path) -> dict:
         return _load_ctypes(library_path)
 
 
-#: Most rows ``adc_unique_rows`` takes: its hash table stores uint32 row
-#: indices.  Larger planes take the numpy reference path.
+#: Most rows ``adc_unique_rows`` takes, and most pairs (diagonal cells
+#: included) ``adc_fold_tiles`` takes: both number rows with uint32 ids.
+#: Larger inputs take the numpy reference path.
 _MAX_DEDUP_ROWS = 2**32 - 2
+
+#: The output allocator ``adc_fold_tiles`` calls back into: bytes in, the
+#: address of a fresh buffer (or 0) out.
+_FOLD_ALLOC = ctypes.CFUNCTYPE(ctypes.c_ssize_t, ctypes.c_int64)
 
 #: Outputs the compiled search buffers before it returns them to Python.
 _OUTPUT_ROWS = 64
@@ -228,6 +243,59 @@ class CKernels:
         ):
             raise MemoryError("tile_plane could not allocate its scratch buffers")
         return out
+
+    def fold_tiles(
+        self,
+        kinds: np.ndarray,
+        a: np.ndarray,
+        b: np.ndarray,
+        lookup: np.ndarray,
+        bounds: np.ndarray,
+        n_words: int,
+        participation: bool,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None] | None:
+        bounds = np.ascontiguousarray(bounds, dtype=np.int64).reshape(-1, 4)
+        if len(bounds) and (bounds.min() < 0 or bounds[:, [1, 3]].max() > a.shape[1]):
+            raise ValueError("tile bounds reach outside the kernel's rows")
+        heights = np.maximum(bounds[:, 1] - bounds[:, 0], 0)
+        widths = np.maximum(bounds[:, 3] - bounds[:, 2], 0)
+        if int((heights * widths).sum()) > _MAX_DEDUP_ROWS:
+            return numpy_backend.NumpyKernels.fold_tiles(
+                kinds, a, b, lookup, bounds, n_words, participation
+            )
+        if a.strides != b.strides or (a.size and a.strides[1] != a.itemsize):
+            a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+        # The kernel sizes its output only at the end, so it asks for it
+        # through this callback: one buffer, owned by numpy from the start.
+        held: list[np.ndarray] = []
+
+        def allocate(n_bytes: int) -> int:
+            try:
+                held.append(np.empty(n_bytes // 8, dtype=np.uint64))
+            except MemoryError:
+                return 0
+            return _addr(held[-1])
+
+        allocator = _FOLD_ALLOC(allocate)
+        sizes = np.zeros(2, dtype=np.int64)
+        if self._fn["adc_fold_tiles"](
+            _addr(kinds), len(kinds), _addr(a), _addr(b), a.strides[0] // a.itemsize,
+            _addr(lookup), n_words, _addr(bounds), len(bounds), int(participation),
+            ctypes.cast(allocator, ctypes.c_void_p).value, _addr(sizes),
+        ):
+            raise MemoryError("fold_tiles could not allocate its tables")
+        n_unique, n_keys = sizes.tolist()
+        if not n_unique:
+            return None
+        out = held[0]
+        words = out[: n_unique * n_words].reshape(n_unique, n_words)
+        # Partials keep the counts as chunks: copies, so that a chunk does
+        # not pin the whole buffer (the words and keys are copied anyway).
+        counts = out[n_unique * n_words : n_unique * (n_words + 1)].view(np.int64).copy()
+        if not participation:
+            return words, counts, None, None
+        keys = out[n_unique * (n_words + 1) :].view(np.int64)
+        return words, counts, keys[:n_keys], keys[n_keys:].copy()
 
     def unique_rows(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         flat = np.ascontiguousarray(words, dtype=np.uint64)

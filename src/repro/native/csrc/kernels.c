@@ -192,10 +192,7 @@ static inline uint64_t tile_single(double c, const uint64_t *l, int64_t nw,
  *                           GREATER — so a NaN difference is GREATER
  *   kind 2 (string pair):   a[i] == b[j] ? EQUAL : LESS
  * The pair's evidence words are the OR of lookup[g, category, :] over all
- * groups; `out` is the (n_pairs, n_words) plane, n_pairs = tile area,
- * pair index p = (i - i0) * (j1 - j0) + (j - j0).  Every word of `out` is
- * written, so it need not be initialized.  Returns 0, or -1 when a space
- * too wide for the stack scratch cannot get its heap scratch.
+ * groups.
  *
  * The OR is order-free, so the pass is organised for the vector unit
  * rather than pair by pair:
@@ -203,96 +200,154 @@ static inline uint64_t tile_single(double c, const uint64_t *l, int64_t nw,
  *     the tile is at least as wide as tall, else columns, so an n x 1
  *     strip is one long line, like a 1 x n strip, not n lines of one pair;
  *   - lines are cut into blocks of up to TILE_BLOCK pairs, accumulated in
- *     one contiguous buffer per word, and only then interleaved into the
- *     pair-major output;
+ *     one contiguous buffer per word (acc[w * block + k]), which the
+ *     caller then consumes block by block;
  *   - the single-tuple groups depend on i only: they are folded into one
  *     base word per row (per block of rows when lines are columns), which
  *     seeds the accumulators;
  *   - each pair group then ORs its branch-free select over a contiguous
  *     run of its comparison values into the buffers, two words at a time.
- */
+ * A TilePass holds the pass's inputs and its two scratch buffers; one pass
+ * serves any number of tiles over the same planes. */
+typedef struct {
+    const int32_t *kinds;
+    const double *a, *b;
+    const uint64_t *lookup;
+    int64_t n_groups, row_stride, nw, block;
+    uint64_t *acc, *base, *heap;
+    /* The current tile. */
+    int64_t i0, j0, width;
+    int tall;
+    int64_t n_lines, line_len;
+} TilePass;
+
+/* Bind the planes and the scratch: the caller's stack buffer of
+ * 2 * TILE_SCRATCH words, or the heap for spaces too wide for it.
+ * Returns 0, or -1 when the heap scratch cannot be allocated. */
+static int tile_pass_init(TilePass *p, intptr_t kinds_p, int64_t n_groups,
+                          intptr_t a_p, intptr_t b_p, int64_t row_stride,
+                          intptr_t lookup_p, int64_t nw, uint64_t *stack)
+{
+    p->kinds = (const int32_t *)kinds_p;
+    p->a = (const double *)a_p;
+    p->b = (const double *)b_p;
+    p->lookup = (const uint64_t *)lookup_p;
+    p->n_groups = n_groups;
+    p->row_stride = row_stride;
+    p->nw = nw;
+    p->heap = NULL;
+    p->block = TILE_SCRATCH / nw < TILE_BLOCK ? TILE_SCRATCH / nw : TILE_BLOCK;
+    uint64_t *scratch = stack;
+    if (p->block == 0) {
+        p->block = 1;
+        scratch = p->heap = (uint64_t *)malloc(2 * (size_t)nw * sizeof(uint64_t));
+        if (!scratch)
+            return -1;
+    }
+    p->acc = scratch;
+    p->base = scratch + nw * p->block;
+    return 0;
+}
+
+static void tile_pass_tile(TilePass *p, int64_t i0, int64_t i1, int64_t j0,
+                           int64_t j1)
+{
+    const int64_t height = i1 - i0, width = j1 - j0;
+    p->i0 = i0;
+    p->j0 = j0;
+    p->width = width;
+    p->tall = height > width;
+    p->n_lines = p->tall ? width : height;
+    p->line_len = p->tall ? height : width;
+}
+
+/* Lines are columns: fold the single-tuple words of rows k0 .. k0+len-1,
+ * the same for every column, into `base` once per block. */
+static void tile_pass_base(const TilePass *p, int64_t k0, int64_t len)
+{
+    const int64_t nw = p->nw, block = p->block;
+    memset(p->base, 0, (size_t)(nw * block) * sizeof(uint64_t));
+    for (int64_t g = 0; g < p->n_groups; g++) {
+        if (p->kinds[g] != 0)
+            continue;
+        const double *ga = p->a + g * p->row_stride + p->i0 + k0;
+        const uint64_t *l = p->lookup + g * 3 * nw;
+        for (int64_t w = 0; w < nw; w++) {
+            uint64_t *bw = p->base + w * block;
+            const uint64_t l0 = l[w], l1 = l[nw + w], l2 = l[2 * nw + w];
+            const uint64_t x21 = l2 ^ l1, x10 = l1 ^ l0;
+            for (int64_t k = 0; k < len; k++)
+                bw[k] |= SELECT3(MASK(ga[k] < 2.0), MASK(ga[k] < 1.0), l2, x21, x10);
+        }
+    }
+}
+
+/* Fill acc with the words of pairs k0 .. k0+len-1 along `line` (after
+ * tile_pass_base for the block when lines are columns). */
+static void tile_pass_line(const TilePass *p, int64_t k0, int64_t len, int64_t line)
+{
+    const int64_t nw = p->nw, block = p->block;
+    const int tall = p->tall;
+    for (int64_t w = 0; w < nw; w++) {
+        uint64_t *aw = p->acc + w * block;
+        if (tall) {
+            memcpy(aw, p->base + w * block, (size_t)len * sizeof(uint64_t));
+            continue;
+        }
+        uint64_t row_base = 0;
+        for (int64_t g = 0; g < p->n_groups; g++)
+            if (p->kinds[g] == 0)
+                row_base |= tile_single(p->a[g * p->row_stride + p->i0 + line],
+                                        p->lookup + g * 3 * nw, nw, w);
+        for (int64_t k = 0; k < len; k++)
+            aw[k] = row_base;
+    }
+    for (int64_t g = 0; g < p->n_groups; g++) {
+        const int32_t kind = p->kinds[g];
+        if (kind == 0)
+            continue;
+        const double *ga = p->a + g * p->row_stride;
+        const double *gb = p->b + g * p->row_stride;
+        const double *vary = tall ? ga + p->i0 + k0 : gb + p->j0 + k0;
+        const double fixed = tall ? gb[p->j0 + line] : ga[p->i0 + line];
+        const uint64_t *l = p->lookup + g * 3 * nw;
+        for (int64_t w = 0; w < nw; w += 2)
+            tile_pair_group(p->acc + w * block,
+                            w + 1 < nw ? p->acc + (w + 1) * block : NULL,
+                            len, kind, tall, vary, fixed, l, nw, w);
+    }
+}
+
+/* The tile pass of one tile written out as the (n_pairs, n_words) plane
+ * `out`, n_pairs = tile area, pair index p = (i - i0) * (j1 - j0) +
+ * (j - j0), diagonal pairs included.  Every word of `out` is written, so
+ * it need not be initialized.  Returns 0, or -1 when a space too wide for
+ * the stack scratch cannot get its heap scratch. */
 int32_t adc_tile_plane(intptr_t kinds_p, int64_t n_groups, intptr_t a_p,
                        intptr_t b_p, int64_t row_stride, intptr_t lookup_p,
                        int32_t n_words, int64_t i0, int64_t i1, int64_t j0,
                        int64_t j1, intptr_t out_p)
 {
-    const int32_t *kinds = (const int32_t *)kinds_p;
-    const double *a = (const double *)a_p;
-    const double *b = (const double *)b_p;
-    const uint64_t *lookup = (const uint64_t *)lookup_p;
     uint64_t *out = (uint64_t *)out_p;
-    const int64_t height = i1 - i0, width = j1 - j0;
     const int64_t nw = n_words;
-    if (height <= 0 || width <= 0 || nw <= 0)
+    if (i1 <= i0 || j1 <= j0 || nw <= 0)
         return 0;
-
     uint64_t stack[2 * TILE_SCRATCH];
-    uint64_t *scratch = stack;
-    int64_t block = TILE_SCRATCH / nw < TILE_BLOCK ? TILE_SCRATCH / nw : TILE_BLOCK;
-    if (block == 0) {
-        block = 1;
-        scratch = (uint64_t *)malloc(2 * (size_t)nw * sizeof(uint64_t));
-        if (!scratch)
-            return -1;
-    }
-    uint64_t *acc = scratch;             /* acc[w * block + k] */
-    uint64_t *base = scratch + nw * block; /* same layout, rows of a block */
-
-    const int tall = height > width;
-    const int64_t n_lines = tall ? width : height;
-    const int64_t line_len = tall ? height : width;
+    TilePass p;
+    if (tile_pass_init(&p, kinds_p, n_groups, a_p, b_p, row_stride, lookup_p, nw, stack))
+        return -1;
+    tile_pass_tile(&p, i0, i1, j0, j1);
+    const int64_t width = j1 - j0, block = p.block;
     /* Pair-index distance between neighbours along a line. */
-    const int64_t step = tall ? width : 1;
-    for (int64_t k0 = 0; k0 < line_len; k0 += block) {
-        const int64_t len = line_len - k0 < block ? line_len - k0 : block;
-        if (tall) {
-            /* The block's rows are the same for every column: fold their
-             * single-tuple words once. */
-            memset(base, 0, (size_t)(nw * block) * sizeof(uint64_t));
-            for (int64_t g = 0; g < n_groups; g++) {
-                if (kinds[g] != 0)
-                    continue;
-                const double *ga = a + g * row_stride + i0 + k0;
-                const uint64_t *l = lookup + g * 3 * nw;
-                for (int64_t w = 0; w < nw; w++) {
-                    uint64_t *bw = base + w * block;
-                    const uint64_t l0 = l[w], l1 = l[nw + w], l2 = l[2 * nw + w];
-                    const uint64_t x21 = l2 ^ l1, x10 = l1 ^ l0;
-                    for (int64_t k = 0; k < len; k++)
-                        bw[k] |= SELECT3(MASK(ga[k] < 2.0), MASK(ga[k] < 1.0), l2, x21, x10);
-                }
-            }
-        }
-        for (int64_t line = 0; line < n_lines; line++) {
-            for (int64_t w = 0; w < nw; w++) {
-                uint64_t *aw = acc + w * block;
-                if (tall) {
-                    memcpy(aw, base + w * block, (size_t)len * sizeof(uint64_t));
-                    continue;
-                }
-                uint64_t row_base = 0;
-                for (int64_t g = 0; g < n_groups; g++)
-                    if (kinds[g] == 0)
-                        row_base |= tile_single(a[g * row_stride + i0 + line],
-                                                lookup + g * 3 * nw, nw, w);
-                for (int64_t k = 0; k < len; k++)
-                    aw[k] = row_base;
-            }
-            for (int64_t g = 0; g < n_groups; g++) {
-                const int32_t kind = kinds[g];
-                if (kind == 0)
-                    continue;
-                const double *ga = a + g * row_stride;
-                const double *gb = b + g * row_stride;
-                const double *vary = tall ? ga + i0 + k0 : gb + j0 + k0;
-                const double fixed = tall ? gb[j0 + line] : ga[i0 + line];
-                const uint64_t *l = lookup + g * 3 * nw;
-                for (int64_t w = 0; w < nw; w += 2)
-                    tile_pair_group(acc + w * block,
-                                    w + 1 < nw ? acc + (w + 1) * block : NULL,
-                                    len, kind, tall, vary, fixed, l, nw, w);
-            }
-            uint64_t *o = out + (tall ? k0 * width + line : line * width + k0) * nw;
+    const int64_t step = p.tall ? width : 1;
+    const uint64_t *acc = p.acc;
+    for (int64_t k0 = 0; k0 < p.line_len; k0 += block) {
+        const int64_t len = p.line_len - k0 < block ? p.line_len - k0 : block;
+        if (p.tall)
+            tile_pass_base(&p, k0, len);
+        for (int64_t line = 0; line < p.n_lines; line++) {
+            tile_pass_line(&p, k0, len, line);
+            uint64_t *o = out + (p.tall ? k0 * width + line : line * width + k0) * nw;
             if (nw == 1) {
                 for (int64_t k = 0; k < len; k++)
                     o[k * step] = acc[k];
@@ -309,8 +364,7 @@ int32_t adc_tile_plane(intptr_t kinds_p, int64_t n_groups, intptr_t a_p,
             }
         }
     }
-    if (scratch != stack)
-        free(scratch);
+    free(p.heap);
     return 0;
 }
 
@@ -426,6 +480,504 @@ int64_t adc_unique_rows(intptr_t words_p, int64_t n, int64_t w,
     if (table != stack)
         free(table);
     return n_unique;
+}
+
+/* ------------------------------------------------------------------ */
+/* Tile fold                                                           */
+/* ------------------------------------------------------------------ */
+
+/* adc_fold_tiles runs the tile pass over a whole tile list and folds every
+ * pair straight into one call-scoped dedup table: no pair-major plane is
+ * written and nothing returns to Python between tiles.  Its reference is
+ * NumpyKernels.fold_tiles (per-tile tile_plane, unique_rows and np.unique,
+ * then one dedup over the tiles' distinct rows), and its outputs are that
+ * reference's, byte for byte:
+ *
+ *   - the distinct words in the canonical lexicographic order (word 0
+ *     primary) and each one's pair multiplicity;
+ *   - with participation on, the tuple-participation histogram of the
+ *     whole call: keys rank << 32 | tuple, ascending, where rank indexes
+ *     the sorted words and a pair (i, j) of evidence e counts once for
+ *     (e, i) and once for (e, j).
+ *
+ * Participation is counted without hashing keys.  Each tile records its
+ * pairs' provisional ids in a row-major id buffer; a pass over each row
+ * and each column of that buffer counts the line's ids in per-id counters
+ * (reset through a touched list) and appends the line's (id, count)
+ * entries as one segment tagged with the line's tuple.  At the end the
+ * segments are grouped by tuple with a counting sort, each tuple's
+ * segments are summed in the same counters, and every (rank, tuple,
+ * count) lands at its rank's next free slot: tuples are visited in
+ * ascending order, so each rank's run comes out sorted. */
+
+/* Initial slots of the fold's open-addressing table, 2^FOLD_TABLE_BITS
+ * (load at most 1/4, as in adc_unique_rows), and rows of its
+ * distinct-word buffer. */
+#define FOLD_TABLE_BITS 12
+#define FOLD_TABLE_SLOTS (1 << FOLD_TABLE_BITS)
+#define FOLD_ROWS 1024
+/* Id-buffer mark of a diagonal pair, which the fold skips. */
+#define FOLD_DIAGONAL UINT32_MAX
+
+/* The caller's allocator of the fold's output: the address of a fresh
+ * buffer of `nbytes` bytes aligned for uint64, or 0. */
+typedef intptr_t (*FoldAlloc)(int64_t nbytes);
+
+typedef struct {
+    int64_t nw;
+    /* Distinct words in first-seen order (provisional ids), their
+     * multiplicities, and the table over them (slot = id + 1, 0 = empty). */
+    uint64_t *uniq;
+    int64_t *counts;
+    int64_t n_unique, cap;
+    uint32_t *table;
+    uint64_t mask;
+    int shift;                    /* 64 - log2(table slots) */
+    /* Participation: the current tile's id buffer, per-id line counters
+     * (0 = untouched) for `part_cap` ids with their touched list (one slot
+     * more), and the segments of (id << 32 | count) entries, one per tuple
+     * line. */
+    uint32_t *ids;
+    uint32_t *line_counts, *touched;
+    int64_t part_cap;
+    uint64_t *entries;
+    int64_t n_entries, entries_cap;
+    int64_t *segs;                /* (tuple, first entry) per segment */
+    int64_t n_segs, segs_cap;     /* segs_cap counts int64s */
+} Fold;
+
+static void fold_free(Fold *f)
+{
+    free(f->uniq);
+    free(f->counts);
+    free(f->table);
+    free(f->ids);
+    free(f->line_counts);
+    free(f->touched);
+    free(f->entries);
+    free(f->segs);
+}
+
+/* Grow *buffer, of *cap elements of `size` bytes, to hold `need` of them,
+ * doubling; 0, or -1 when memory runs out (the old buffer stays valid). */
+static int fold_reserve(void **buffer, int64_t *cap, int64_t need, size_t size)
+{
+    if (need <= *cap)
+        return 0;
+    int64_t grown = *cap > 0 ? 2 * *cap : 64;
+    while (grown < need)
+        grown *= 2;
+    void *moved = realloc(*buffer, (size_t)grown * size);
+    if (!moved)
+        return -1;
+    *buffer = moved;
+    *cap = grown;
+    return 0;
+}
+
+static int fold_grow_rows(Fold *f)
+{
+    const int64_t cap = 2 * f->cap;
+    uint64_t *uniq = (uint64_t *)realloc(f->uniq, (size_t)(cap * f->nw) * sizeof(uint64_t));
+    if (!uniq)
+        return -1;
+    f->uniq = uniq;
+    int64_t *counts = (int64_t *)realloc(f->counts, (size_t)cap * sizeof(int64_t));
+    if (!counts)
+        return -1;
+    f->counts = counts;
+    f->cap = cap;
+    return 0;
+}
+
+/* The fold's row hash, whose *top* bits index the table: they depend on
+ * every bit of the row (the multiply carries each bit upward, and the
+ * shift folds the high half of a word into the low half first).  Half the
+ * multiplies of row_hash, which matters at one lookup per pair. */
+static inline uint64_t fold_hash(const uint64_t *row, int64_t nw)
+{
+    uint64_t h = row[0];
+    for (int64_t k = 1; k < nw; k++)
+        h = (h * 0x9E3779B97F4A7C15ULL) ^ row[k];
+    h ^= h >> 32;
+    return h * 0xBF58476D1CE4E5B9ULL;
+}
+
+/* Re-insert every distinct row into an empty table of f->mask + 1 slots. */
+static void fold_rehash(Fold *f)
+{
+    memset(f->table, 0, (size_t)(f->mask + 1) * sizeof(uint32_t));
+    for (int64_t u = 0; u < f->n_unique; u++) {
+        uint64_t slot = fold_hash(f->uniq + u * f->nw, f->nw) >> f->shift;
+        while (f->table[slot])
+            slot = (slot + 1) & f->mask;
+        f->table[slot] = (uint32_t)(u + 1);
+    }
+}
+
+/* The provisional id of `row` (nw words): counted once more when seen,
+ * else inserted with count 1.  -1 when memory runs out. */
+static int64_t fold_insert(Fold *f, const uint64_t *row)
+{
+    const int64_t nw = f->nw;
+    int64_t k;
+    uint64_t slot = fold_hash(row, nw) >> f->shift;
+    for (;;) {
+        const int64_t u = (int64_t)f->table[slot] - 1;
+        if (u < 0)
+            break;
+        const uint64_t *candidate = f->uniq + u * nw;
+        for (k = 0; k < nw && candidate[k] == row[k]; k++)
+            ;
+        if (k == nw) {
+            f->counts[u]++;
+            return u;
+        }
+        slot = (slot + 1) & f->mask;
+    }
+    const int64_t u = f->n_unique;
+    if (u == f->cap && fold_grow_rows(f))
+        return -1;
+    memcpy(f->uniq + u * nw, row, (size_t)nw * sizeof(uint64_t));
+    f->counts[u] = 1;
+    f->table[slot] = (uint32_t)(u + 1);
+    f->n_unique = u + 1;
+    if (4 * (uint64_t)f->n_unique > f->mask + 1) {
+        const uint64_t slots = 2 * (f->mask + 1);
+        uint32_t *grown = (uint32_t *)malloc(slots * sizeof(uint32_t));
+        if (!grown)
+            return -1;
+        free(f->table);
+        f->table = grown;
+        f->mask = slots - 1;
+        f->shift--;
+        fold_rehash(f);
+    }
+    return u;
+}
+
+/* Count one line of the id buffer (`len` ids, `step` apart) for `tuple`
+ * and append its segment.  0, or -1 when memory runs out. */
+static int fold_line(Fold *f, const uint32_t *ids, int64_t step, int64_t len,
+                     int64_t tuple)
+{
+    uint32_t *line_counts = f->line_counts, *touched = f->touched;
+    int64_t n_touched = 0;
+    for (int64_t k = 0; k < len; k++) {
+        const uint32_t id = ids[k * step];
+        if (id == FOLD_DIAGONAL)
+            continue;
+        /* Branch-free push: the slot past the list is always writable. */
+        touched[n_touched] = id;
+        n_touched += line_counts[id]++ == 0;
+    }
+    if (!n_touched)
+        return 0;
+    if (fold_reserve((void **)&f->entries, &f->entries_cap, f->n_entries + n_touched,
+                     sizeof(uint64_t)))
+        return -1;
+    if (fold_reserve((void **)&f->segs, &f->segs_cap, 2 * (f->n_segs + 1), sizeof(int64_t)))
+        return -1;
+    f->segs[2 * f->n_segs] = tuple;
+    f->segs[2 * f->n_segs + 1] = f->n_entries;
+    f->n_segs++;
+    uint64_t *entry = f->entries + f->n_entries;
+    for (int64_t t = 0; t < n_touched; t++) {
+        const uint32_t id = touched[t];
+        entry[t] = (uint64_t)id << 32 | line_counts[id];
+        line_counts[id] = 0;
+    }
+    f->n_entries += n_touched;
+    return 0;
+}
+
+/* Participation of one folded tile: every row and every column of its
+ * (height, width) id buffer.  0, or -1 when memory runs out. */
+static int fold_tile_lines(Fold *f, int64_t i0, int64_t height, int64_t j0,
+                           int64_t width)
+{
+    if (f->part_cap < f->n_unique) {
+        const int64_t cap = f->cap;
+        uint32_t *line_counts = (uint32_t *)realloc(f->line_counts, (size_t)cap * sizeof(uint32_t));
+        if (!line_counts)
+            return -1;
+        f->line_counts = line_counts;
+        uint32_t *touched = (uint32_t *)realloc(f->touched, (size_t)(cap + 1) * sizeof(uint32_t));
+        if (!touched)
+            return -1;
+        f->touched = touched;
+        memset(line_counts + f->part_cap, 0, (size_t)(cap - f->part_cap) * sizeof(uint32_t));
+        f->part_cap = cap;
+    }
+    for (int64_t r = 0; r < height; r++)
+        if (fold_line(f, f->ids + r * width, 1, width, i0 + r))
+            return -1;
+    for (int64_t c = 0; c < width; c++)
+        if (fold_line(f, f->ids + c, width, height, j0 + c))
+            return -1;
+    return 0;
+}
+
+/* Whether row x sorts before row y (word 0 primary, unsigned). */
+static inline int rows_less(const uint64_t *x, const uint64_t *y, int64_t nw)
+{
+    for (int64_t k = 0; k < nw; k++)
+        if (x[k] != y[k])
+            return x[k] < y[k];
+    return 0;
+}
+
+/* Bottom-up merge sort of the row indices `order` (n of them, `scratch`
+ * the same size) into canonical row order.  Returns the sorted buffer,
+ * which is either `order` or `scratch`. */
+static int64_t *sort_rows(int64_t *order, int64_t *scratch, int64_t n,
+                          const uint64_t *rows, int64_t nw)
+{
+    int64_t *from = order, *to = scratch;
+    for (int64_t width = 1; width < n; width *= 2) {
+        for (int64_t lo = 0; lo < n; lo += 2 * width) {
+            const int64_t mid = lo + width < n ? lo + width : n;
+            const int64_t hi = lo + 2 * width < n ? lo + 2 * width : n;
+            int64_t x = lo, y = mid, out = lo;
+            while (x < mid && y < hi)
+                to[out++] = rows_less(rows + from[y] * nw, rows + from[x] * nw, nw)
+                                ? from[y++] : from[x++];
+            while (x < mid)
+                to[out++] = from[x++];
+            while (y < hi)
+                to[out++] = from[y++];
+        }
+        int64_t *swap = from;
+        from = to;
+        to = swap;
+    }
+    return from;
+}
+
+/* Sum each tuple's segments (`by_tuple`, grouped by tuple ascending over
+ * `n_tuples` bins starting at `first`) and stage every (rank << 32 |
+ * tuple, count) in tuple order into *stage (capacity *stage_cap int64s,
+ * grown as needed), counting each rank's keys in `sizes`.  `sums` (per
+ * id) must be zero and is left zero.  Returns the number of keys, or -1
+ * when memory runs out. */
+static int64_t fold_keys(const Fold *f, const int64_t *by_tuple, const int64_t *bins,
+                         int64_t n_tuples, int64_t first, const int64_t *rank,
+                         int64_t *sums, int64_t *sizes, int64_t **stage,
+                         int64_t *stage_cap)
+{
+    uint32_t *touched = f->touched;
+    int64_t n_keys = 0;
+    for (int64_t t = 0; t < n_tuples; t++) {
+        int64_t n_touched = 0;
+        for (int64_t s = bins[t]; s < bins[t + 1]; s++) {
+            const int64_t seg = by_tuple[s];
+            const int64_t stop = seg + 1 < f->n_segs ? f->segs[2 * seg + 3] : f->n_entries;
+            for (int64_t e = f->segs[2 * seg + 1]; e < stop; e++) {
+                const uint32_t id = (uint32_t)(f->entries[e] >> 32);
+                touched[n_touched] = id;
+                n_touched += sums[id] == 0;
+                sums[id] += (int64_t)(f->entries[e] & 0xFFFFFFFFu);
+            }
+        }
+        if (fold_reserve((void **)stage, stage_cap, 2 * (n_keys + n_touched), sizeof(int64_t)))
+            return -1;
+        int64_t *staged = *stage + 2 * n_keys;
+        for (int64_t k = 0; k < n_touched; k++) {
+            const uint32_t id = touched[k];
+            const int64_t r = rank[id];
+            sizes[r]++;
+            staged[2 * k] = r << 32 | (first + t);
+            staged[2 * k + 1] = sums[id];
+            sums[id] = 0;
+        }
+        n_keys += n_touched;
+    }
+    return n_keys;
+}
+
+/* Sort the fold's distinct words, aggregate its participation and write
+ * both into one buffer from `alloc`: words (E, nw) | counts (E) | keys
+ * (D) | key counts (D), all 8-byte.  sizes = (E, D).  0, or -1 when
+ * memory runs out. */
+static int fold_export(Fold *f, int participation, FoldAlloc alloc, int64_t *sizes)
+{
+    const int64_t n = f->n_unique, nw = f->nw;
+    int64_t *order = (int64_t *)malloc((size_t)(2 * n + 1) * sizeof(int64_t));
+    int64_t *rank = (int64_t *)malloc((size_t)(n + 1) * sizeof(int64_t));
+    int64_t *sums = NULL, *next = NULL, *bins = NULL, *by_tuple = NULL, *stage = NULL;
+    int64_t stage_cap = 0;
+    int status = -1;
+    if (!order || !rank)
+        goto done;
+    for (int64_t u = 0; u < n; u++)
+        order[u] = u;
+    const int64_t *sorted = sort_rows(order, order + n, n, f->uniq, nw);
+    for (int64_t r = 0; r < n; r++)
+        rank[sorted[r]] = r;
+
+    int64_t n_keys = 0, first = 0, n_tuples = 0;
+    if (participation && f->n_segs) {
+        /* Group the segments by tuple: a counting sort over the tuple range. */
+        int64_t last = first = f->segs[0];
+        for (int64_t s = 1; s < f->n_segs; s++) {
+            first = f->segs[2 * s] < first ? f->segs[2 * s] : first;
+            last = f->segs[2 * s] > last ? f->segs[2 * s] : last;
+        }
+        n_tuples = last - first + 1;
+        bins = (int64_t *)calloc((size_t)n_tuples + 1, sizeof(int64_t));
+        by_tuple = (int64_t *)malloc((size_t)f->n_segs * sizeof(int64_t));
+        sums = (int64_t *)calloc((size_t)n, sizeof(int64_t));
+        next = (int64_t *)calloc((size_t)n + 1, sizeof(int64_t));
+        if (!bins || !by_tuple || !sums || !next)
+            goto done;
+        for (int64_t s = 0; s < f->n_segs; s++)
+            bins[f->segs[2 * s] - first + 1]++;
+        for (int64_t t = 0; t < n_tuples; t++)
+            bins[t + 1] += bins[t];
+        for (int64_t s = 0; s < f->n_segs; s++)
+            by_tuple[bins[f->segs[2 * s] - first]++] = s;
+        for (int64_t t = n_tuples; t > 0; t--)
+            bins[t] = bins[t - 1];
+        bins[0] = 0;
+        n_keys = fold_keys(f, by_tuple, bins, n_tuples, first, rank, sums, next,
+                           &stage, &stage_cap);
+        if (n_keys < 0)
+            goto done;
+        int64_t offset = 0;
+        for (int64_t r = 0; r < n; r++) {
+            const int64_t size = next[r];
+            next[r] = offset;
+            offset += size;
+        }
+    }
+    uint64_t *out = (uint64_t *)alloc((n * (nw + 1) + 2 * n_keys) * (int64_t)sizeof(uint64_t));
+    if (!out)
+        goto done;
+    int64_t *counts = (int64_t *)(out + n * nw);
+    for (int64_t r = 0; r < n; r++) {
+        memcpy(out + r * nw, f->uniq + sorted[r] * nw, (size_t)nw * sizeof(uint64_t));
+        counts[r] = f->counts[sorted[r]];
+    }
+    /* The staged keys are in tuple order: placing each at its rank's next
+     * slot leaves every rank's run sorted by tuple. */
+    int64_t *keys = counts + n, *key_counts = keys + n_keys;
+    for (int64_t k = 0; k < n_keys; k++) {
+        const int64_t slot = next[stage[2 * k] >> 32]++;
+        keys[slot] = stage[2 * k];
+        key_counts[slot] = stage[2 * k + 1];
+    }
+    sizes[0] = n;
+    sizes[1] = n_keys;
+    status = 0;
+done:
+    free(order);
+    free(rank);
+    free(sums);
+    free(next);
+    free(bins);
+    free(by_tuple);
+    free(stage);
+    return status;
+}
+
+/* Fold the n_tiles tiles of `bounds` ((n_tiles, 4) int64 rows i0, i1, j0,
+ * j1) over the planes of adc_tile_plane.  Diagonal pairs are skipped;
+ * `participation` != 0 also aggregates the tuple-participation histogram.
+ * The output goes to one buffer from `alloc_p` (see fold_export), which
+ * is not called when no pair was folded; sizes_p receives (E, D).  Pair
+ * ids are uint32, so the tiles may hold at most UINT32_MAX - 1 pairs (the
+ * wrapper checks).  Returns 0, or -1 when memory runs out; every buffer
+ * of the call is freed on return either way. */
+int32_t adc_fold_tiles(intptr_t kinds_p, int64_t n_groups, intptr_t a_p,
+                       intptr_t b_p, int64_t row_stride, intptr_t lookup_p,
+                       int32_t n_words, intptr_t bounds_p, int64_t n_tiles,
+                       int32_t participation, intptr_t alloc_p, intptr_t sizes_p)
+{
+    const int64_t *bounds = (const int64_t *)bounds_p;
+    int64_t *sizes = (int64_t *)sizes_p;
+    const int64_t nw = n_words;
+    sizes[0] = sizes[1] = 0;
+    if (nw <= 0)
+        return 0;
+    uint64_t stack[2 * TILE_SCRATCH];
+    TilePass p;
+    if (tile_pass_init(&p, kinds_p, n_groups, a_p, b_p, row_stride, lookup_p, nw, stack))
+        return -1;
+    Fold f;
+    memset(&f, 0, sizeof(f));
+    f.nw = nw;
+    f.cap = FOLD_ROWS;
+    f.mask = FOLD_TABLE_SLOTS - 1;
+    f.shift = 64 - FOLD_TABLE_BITS;
+    f.uniq = (uint64_t *)malloc((size_t)(FOLD_ROWS * nw) * sizeof(uint64_t));
+    f.counts = (int64_t *)malloc(FOLD_ROWS * sizeof(int64_t));
+    f.table = (uint32_t *)calloc(FOLD_TABLE_SLOTS, sizeof(uint32_t));
+    uint64_t *row = (uint64_t *)malloc((size_t)nw * sizeof(uint64_t));
+    int32_t status = -1;
+    if (!f.uniq || !f.counts || !f.table || !row)
+        goto done;
+    if (participation) {
+        int64_t area = 0;
+        for (int64_t t = 0; t < n_tiles; t++) {
+            const int64_t *tb = bounds + 4 * t;
+            const int64_t a = (tb[1] - tb[0]) * (tb[3] - tb[2]);
+            area = tb[1] > tb[0] && tb[3] > tb[2] && a > area ? a : area;
+        }
+        f.ids = (uint32_t *)malloc((size_t)(area > 0 ? area : 1) * sizeof(uint32_t));
+        if (!f.ids)
+            goto done;
+    }
+
+    const int64_t block = p.block;
+    for (int64_t t = 0; t < n_tiles; t++) {
+        const int64_t i0 = bounds[4 * t], i1 = bounds[4 * t + 1];
+        const int64_t j0 = bounds[4 * t + 2], j1 = bounds[4 * t + 3];
+        if (i1 <= i0 || j1 <= j0)
+            continue;
+        tile_pass_tile(&p, i0, i1, j0, j1);
+        const int64_t width = j1 - j0;
+        for (int64_t k0 = 0; k0 < p.line_len; k0 += block) {
+            const int64_t len = p.line_len - k0 < block ? p.line_len - k0 : block;
+            if (p.tall)
+                tile_pass_base(&p, k0, len);
+            for (int64_t line = 0; line < p.n_lines; line++) {
+                tile_pass_line(&p, k0, len, line);
+                /* The line's diagonal pair, at offset `skip` of the block. */
+                const int64_t skip = p.tall ? j0 + line - i0 - k0 : i0 + line - j0 - k0;
+                uint32_t *ids = f.ids ? f.ids + (p.tall ? k0 * width + line : line * width + k0)
+                                      : NULL;
+                const int64_t step = p.tall ? width : 1;
+                for (int64_t k = 0; k < len; k++) {
+                    if (k == skip) {
+                        if (ids)
+                            ids[k * step] = FOLD_DIAGONAL;
+                        continue;
+                    }
+                    const uint64_t *words = p.acc + k;
+                    if (nw > 1) {
+                        for (int64_t w = 0; w < nw; w++)
+                            row[w] = p.acc[w * block + k];
+                        words = row;
+                    }
+                    const int64_t id = fold_insert(&f, words);
+                    if (id < 0)
+                        goto done;
+                    if (ids)
+                        ids[k * step] = (uint32_t)id;
+                }
+            }
+        }
+        if (participation && fold_tile_lines(&f, i0, i1 - i0, j0, width))
+            goto done;
+    }
+    status = f.n_unique
+                 ? (int32_t)fold_export(&f, participation, (FoldAlloc)alloc_p, sizes)
+                 : 0;
+done:
+    free(row);
+    free(p.heap);
+    fold_free(&f);
+    return status;
 }
 
 /* ------------------------------------------------------------------ */

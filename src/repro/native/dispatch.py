@@ -42,7 +42,7 @@ class Backend:
     """One resolved kernel provider.
 
     ``kernels`` carries the flat kernels (popcount, intersection counts,
-    criticality apply/undo, tile pass); ``workspace_factory`` builds the
+    criticality apply/undo, tile pass, tile fold); ``workspace_factory`` builds the
     explicit-stack search arena (``None`` means the shared numpy arena);
     an arena whose ``native_driver`` is set also runs whole searches.
     """
@@ -111,6 +111,23 @@ def _probe_flat_kernels(kernels) -> None:
         ours = NumpyKernels.tile_plane(kinds, a, b, lookup, i0, i1, j0, j1, n_words)
         if not np.array_equal(theirs, ours):
             raise AssertionError("tile_plane mismatch")
+
+    # The fold, with participation off and on, over a wide tile, a 1 x n
+    # and an n x 1 strip, a tile across the diagonal and a lone diagonal
+    # cell: every output array must match, dtype included.
+    bounds = np.array(
+        [(1, 5, 0, 6), (3, 4, 0, 6), (0, 6, 2, 3), (0, 4, 0, 4), (5, 6, 5, 6)],
+        dtype=np.int64,
+    )
+    for participation in (False, True):
+        theirs = kernels.fold_tiles(kinds, a, b, lookup, bounds, n_words, participation)
+        ours = NumpyKernels.fold_tiles(kinds, a, b, lookup, bounds, n_words, participation)
+        if not all(
+            (x is None and y is None)
+            or (x is not None and y is not None and x.dtype == y.dtype and np.array_equal(x, y))
+            for x, y in zip(theirs, ours)
+        ):
+            raise AssertionError("fold_tiles mismatch")
 
     # Small value range so the probe input is guaranteed to hold duplicates.
     rows = rng.integers(0, 3, size=(41, 2)).astype(np.uint64)

@@ -12,7 +12,8 @@ Two layers share this module:
 
 * **Flat kernels** (:class:`NumpyKernels`) — stateless array-in/array-out
   functions mirroring the C entry points one to one (popcount,
-  intersection counts, criticality apply/undo, the tile pass).  These are
+  intersection counts, criticality apply/undo, the tile pass and the
+  tile fold).  These are
   what the hypothesis identity tests and the dispatch probe exercise.
 * **Search workspace** (:class:`NumpySearchWorkspace`) — the arena the
   explicit-stack ``ADCEnum._search`` drives.  One workspace owns per-depth
@@ -36,6 +37,11 @@ DESCENDED = 1
 SELECT_MAX = 0
 SELECT_MIN = 1
 SELECT_RANDOM = 2
+
+#: Participation keys of ``fold_tiles`` pack ``evidence << 32 | tuple``
+#: (the layout of :mod:`repro.engine.partial`).
+_TUPLE_BITS = 32
+_TUPLE_MASK = (1 << _TUPLE_BITS) - 1
 
 _SELECTION_CODES = {"max": SELECT_MAX, "min": SELECT_MIN, "random": SELECT_RANDOM}
 
@@ -130,15 +136,80 @@ class NumpyKernels:
         return plane.reshape(-1, n_words)
 
     @staticmethod
+    def fold_tiles(
+        kinds: np.ndarray,
+        a: np.ndarray,
+        b: np.ndarray,
+        lookup: np.ndarray,
+        bounds: np.ndarray,
+        n_words: int,
+        participation: bool,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None] | None:
+        """Fold a tile list into its distinct evidences and participation.
+
+        ``bounds`` is the ``(T, 4)`` int64 array of tiles ``(i0, i1, j0,
+        j1)``; diagonal pairs are skipped.  Returns ``None`` when no pair was
+        folded, else ``(words, counts, part_keys, part_counts)``: the
+        distinct words in canonical lexicographic order with their pair
+        multiplicities, and — with ``participation``, else ``None`` — the
+        call's aggregated tuple-participation histogram, keys
+        ``rank << 32 | tuple`` ascending, where ``rank`` indexes ``words``.
+
+        Each tile takes the per-tile steps (``tile_plane``, ``unique_rows``,
+        ``np.unique`` over two keys per pair); the tiles' results are then
+        deduplicated once more and their keys re-aggregated.
+        """
+        word_chunks: list[np.ndarray] = []
+        count_chunks: list[np.ndarray] = []
+        key_chunks: list[np.ndarray] = []
+        key_count_chunks: list[np.ndarray] = []
+        n_folded = 0
+        for i0, i1, j0, j1 in np.asarray(bounds, dtype=np.int64).reshape(-1, 4).tolist():
+            if i1 <= i0 or j1 <= j0:
+                continue
+            plane = NumpyKernels.tile_plane(kinds, a, b, lookup, i0, i1, j0, j1, n_words)
+            left = np.repeat(np.arange(i0, i1, dtype=np.int64), j1 - j0)
+            right = np.tile(np.arange(j0, j1, dtype=np.int64), i1 - i0)
+            keep = left != right
+            plane, left, right = plane[keep], left[keep], right[keep]
+            if not len(plane):
+                continue
+            words, inverse, counts = NumpyKernels.unique_rows(plane)
+            word_chunks.append(words)
+            count_chunks.append(counts)
+            if participation:
+                ids = (inverse + n_folded) << _TUPLE_BITS
+                keys, key_counts = np.unique(
+                    np.concatenate([ids | left, ids | right]), return_counts=True
+                )
+                key_chunks.append(keys)
+                key_count_chunks.append(key_counts)
+            n_folded += len(words)
+        if not word_chunks:
+            return None
+        words, inverse, _ = NumpyKernels.unique_rows(np.concatenate(word_chunks))
+        counts = np.zeros(len(words), dtype=np.int64)
+        np.add.at(counts, inverse, np.concatenate(count_chunks))
+        if not participation:
+            return words, counts, None, None
+        keys = np.concatenate(key_chunks)
+        keys = (inverse[keys >> _TUPLE_BITS] << _TUPLE_BITS) | (keys & _TUPLE_MASK)
+        part_keys, key_inverse = np.unique(keys, return_inverse=True)
+        part_counts = np.zeros(len(part_keys), dtype=np.int64)
+        np.add.at(part_counts, key_inverse.ravel(), np.concatenate(key_count_chunks))
+        return words, counts, part_keys, part_counts
+
+    @staticmethod
     def unique_rows(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Distinct rows of a 2-D uint64 array: ``(rows, inverse, counts)``.
 
         Rows come back in the canonical lexicographic order (word 0
         primary), explicitly — not ``np.unique``'s byte order, which would
         depend on the platform's endianness.  This is the dedup step of
-        every evidence builder (:func:`repro.core.evidence.unique_word_rows`
-        dispatches here), dominated by the sort; the compiled backend
-        replaces it with a hash pass over the rows.
+        the numpy fold and of the dense builder
+        (:func:`repro.core.evidence.unique_word_rows` dispatches here),
+        dominated by the sort; the compiled backend replaces it with a hash
+        pass over the rows.
         """
         contiguous = np.ascontiguousarray(words, dtype=np.uint64)
         n, n_words = contiguous.shape

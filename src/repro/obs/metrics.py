@@ -228,6 +228,7 @@ EVIDENCE_PAIRS = _r.counter(
 )
 EVIDENCE_TILE_SECONDS = _r.histogram(
     "repro_evidence_tile_seconds",
-    "Per-tile kernel latency (serial in-process path).",
+    "Kernel latency of one tile fold: one kernel call over a whole tile "
+    "list (serial in-process path).",
     buckets=DEFAULT_LATENCY_BUCKETS,
 )

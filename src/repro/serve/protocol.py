@@ -271,13 +271,26 @@ OPS: dict[str, Op] = {op.name: op for op in (
 )}
 
 
+#: Values ``json`` encodes as they are; most leaves of a payload are one.
+_PLAIN_TYPES = frozenset({str, int, float, bool, type(None)})
+
+
 def jsonable(value: object) -> object:
     """Recursively convert a response value into plain JSON types.
 
     Results are computed with numpy (``int64`` counts, ``float64`` rates,
     arrays of scores); ``json`` refuses all of them, so every payload runs
-    through this before encoding.
+    through this before encoding.  Plain leaves, dicts and lists are
+    recognised by their exact type first: a batch of rows is thousands of
+    them, and the generic checks below cost several times the encoding.
     """
+    kind = type(value)
+    if kind in _PLAIN_TYPES:
+        return value
+    if kind is dict:
+        return {str(key): jsonable(item) for key, item in value.items()}
+    if kind is list:
+        return [jsonable(item) for item in value]
     if isinstance(value, (np.integer,)):
         return int(value)
     if isinstance(value, (np.floating,)):

@@ -17,7 +17,7 @@ from repro.core.approximation import F1, F2, ApproximationFunction, F3Greedy
 from repro.core.dc import DenialConstraint
 from repro.core.evidence import EvidenceSet
 from repro.core.predicate_space import PredicateSpace, iter_bits
-from repro.core.repair import build_conflict_graph, vertex_cover_2_approximation
+from repro.core.repair import ConflictGraph, build_conflict_graph
 from repro.data.datasets import DATASET_NAMES, DEFAULT_ROWS, Dataset, generate_dataset
 from repro.data.relation import Relation
 
@@ -148,6 +148,110 @@ def verify_proposition_5_3(
             if function.violation_score(evidence, uncovered) <= epsilon and pair_score > 2 * epsilon + 1e-12:
                 return False
     return True
+
+
+# ----------------------------------------------------------------------
+# Empirical axiom checkers (Definitions 4.1 and 4.2)
+# ----------------------------------------------------------------------
+def score_of_predicate_set(
+    function: ApproximationFunction, evidence: EvidenceSet, dc_mask: int
+) -> float:
+    """``f(D, S_phi)`` for the DC whose predicate bitmask is ``dc_mask``."""
+    hitting_mask = evidence.space.complement_mask(dc_mask)
+    return function.score(evidence, evidence.uncovered_indices(hitting_mask))
+
+
+def check_monotonicity(
+    function: ApproximationFunction,
+    evidence: EvidenceSet,
+    trials: int = 50,
+    max_predicates: int = 4,
+    seed: int = 0,
+) -> bool:
+    """Empirically verify monotonicity (Definition 4.1) on random DC chains.
+
+    Random predicate sets ``S subset S'`` are drawn and the scores compared;
+    the check fails on the first witnessed decrease.  The greedy f3 function
+    is only *approximately* monotonic, mirroring the paper's caveat that it
+    carries no theoretical guarantee; it is therefore excluded from the
+    strict test suite assertion and only sanity-checked.
+    """
+    rng = random.Random(seed)
+    indices = list(range(len(evidence.space)))
+    if not indices:
+        return True
+    for _ in range(trials):
+        size = rng.randint(1, min(max_predicates, len(indices)))
+        base = rng.sample(indices, size)
+        extra_candidates = [i for i in indices if i not in base]
+        if not extra_candidates:
+            continue
+        extra = rng.choice(extra_candidates)
+        base_mask = sum(1 << i for i in base)
+        super_mask = base_mask | (1 << extra)
+        if score_of_predicate_set(function, evidence, base_mask) > score_of_predicate_set(
+            function, evidence, super_mask
+        ) + 1e-12:
+            return False
+    return True
+
+
+def check_indifference_to_redundancy(
+    function: ApproximationFunction,
+    evidence: EvidenceSet,
+    trials: int = 50,
+    max_predicates: int = 4,
+    seed: int = 0,
+) -> bool:
+    """Empirically verify indifference to redundancy (Definition 4.2).
+
+    For random predicate sets, a redundant predicate (one implied by a
+    predicate already in the set, hence not changing the satisfying pairs)
+    is added and the scores compared for equality.
+    """
+    rng = random.Random(seed)
+    space = evidence.space
+    implications: list[tuple[int, int]] = []
+    for strong, weak in itertools.permutations(range(len(space)), 2):
+        if space[strong].implies(space[weak]) and strong != weak:
+            implications.append((strong, weak))
+    if not implications:
+        return True
+    indices = list(range(len(space)))
+    for _ in range(trials):
+        strong, weak = rng.choice(implications)
+        size = rng.randint(0, min(max_predicates, len(indices) - 2))
+        others = rng.sample([i for i in indices if i not in (strong, weak)], size)
+        base_mask = (1 << strong) | sum(1 << i for i in others)
+        redundant_mask = base_mask | (1 << weak)
+        base_score = score_of_predicate_set(function, evidence, base_mask)
+        redundant_score = score_of_predicate_set(function, evidence, redundant_mask)
+        if abs(base_score - redundant_score) > 1e-12:
+            return False
+    return True
+
+
+# ----------------------------------------------------------------------
+# Conflict graphs from given pairs, and the 2-approximate vertex cover
+# ----------------------------------------------------------------------
+def conflict_graph_from_pairs(n_tuples: int, pairs: Iterable[tuple[int, int]]) -> ConflictGraph:
+    """A conflict graph from externally computed violating pairs.
+
+    For example the tile-replayed pairs of
+    :meth:`~repro.incremental.serve.ViolationService.violating_pairs`,
+    compared against :func:`~repro.core.repair.build_conflict_graph`.
+    """
+    return ConflictGraph(int(n_tuples), frozenset((int(u), int(v)) for u, v in pairs))
+
+
+def vertex_cover_2_approximation(graph: ConflictGraph) -> set[int]:
+    """2-approximate vertex cover via a maximal matching (Bar-Yehuda & Even)."""
+    cover: set[int] = set()
+    for u, v in sorted({tuple(sorted(edge)) for edge in graph.edges}):
+        if u not in cover and v not in cover:
+            cover.add(u)
+            cover.add(v)
+    return cover
 
 
 # ----------------------------------------------------------------------

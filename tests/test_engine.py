@@ -30,6 +30,7 @@ from repro.engine import (
     TileKernel,
     TileScheduler,
     choose_tile_rows,
+    fold_tiles,
     parallel_tile_rows,
 )
 from repro.engine.parallel import SHARDS_PER_WORKER
@@ -181,6 +182,35 @@ class TestTileKernel:
         space = build_predicate_space(relation)
         kernel = TileKernel.from_relation(relation, space)
         assert kernel.run(Tile(2, 3, 2, 3)) is None
+
+
+class TestFoldMetrics:
+    def test_a_fold_counts_every_tile_and_pair(self):
+        """One fold is one latency sample, but the tile and pair counters
+        still count every non-empty tile and every pair of the schedule."""
+        from repro.obs import metrics as obs_metrics
+
+        relation = make_random_relation(n_rows=10, seed=2)
+        space = build_predicate_space(relation)
+        kernel = TileKernel.from_relation(relation, space)
+        # A 4 x 4 grid whose last tile is a lone diagonal cell, plus one more.
+        tiles = TileScheduler(10, tile_rows=3).tiles() + (Tile(4, 5, 4, 5),)
+
+        def readings():
+            return (
+                obs_metrics.EVIDENCE_TILES.value,
+                obs_metrics.EVIDENCE_PAIRS.value,
+                obs_metrics.EVIDENCE_TILE_SECONDS.labels().count,
+            )
+
+        before = readings()
+        fold_tiles(kernel, tiles)
+        middle = readings()
+        fold_tiles(kernel, (Tile(9, 10, 9, 10), Tile(0, 1, 0, 1)))
+        after = readings()
+        assert [m - b for m, b in zip(middle, before)] == [15, 90, 1]
+        # Only diagonal cells: nothing is folded or observed.
+        assert after == middle
 
 
 class TestParallelTileRows:

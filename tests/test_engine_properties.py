@@ -1,4 +1,4 @@
-"""Property tests of the partial-evidence merge algebra.
+"""Property tests of the partial-evidence merge algebra and the tile fold.
 
 The engine's correctness rests on one algebraic fact: folding tile results
 into :class:`PartialEvidenceSet`s and merging the partials finalizes to the
@@ -8,11 +8,22 @@ id relabeling that finalization erases).  Hypothesis drives randomized
 relations, tile groupings and merge orders through that claim, and
 cross-checks the serial tiled builder and the cluster builder (several
 shards merged from two workers) against the dense oracle.
+
+The compiled backend folds a whole tile list in one native call
+(``adc_fold_tiles``); :class:`TestCompiledFold` holds it to the numpy fold,
+byte for byte, and to its one-call and out-of-memory contracts.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from tests.conftest import make_random_relation
@@ -23,7 +34,9 @@ from repro.core.evidence_builder import (
     build_evidence_set_tiled,
 )
 from repro.core.predicate_space import build_predicate_space
-from repro.engine import PartialEvidenceSet, TileKernel, TileScheduler
+from repro.engine import PartialEvidenceSet, Tile, TileKernel, TileScheduler, fold_tiles
+from repro.engine.scheduler import Shard
+from repro.native import NUMPY_BACKEND, NumpyKernels, dispatch, get_backend, use_backend
 
 
 def _tile_partials(relation, space, tile_rows):
@@ -241,3 +254,311 @@ class TestChunkBytes:
                     partial.n_rows, partial.n_words, True, *partial.state_arrays()
                 )
             assert partial.chunk_bytes == _recounted_chunk_bytes(partial)
+
+
+# ----------------------------------------------------------------------
+# The compiled fold against the numpy fold
+# ----------------------------------------------------------------------
+def _compiled_backend_or_none():
+    backend = get_backend()
+    return None if backend is NUMPY_BACKEND else backend
+
+
+requires_compiled = pytest.mark.skipif(
+    _compiled_backend_or_none() is None,
+    reason="no compiled native backend available on this host",
+)
+
+
+def _random_planes(rng, n_groups: int, n_rows: int, n_words: int, continuous: bool = False):
+    """Kernel planes of ``n_groups`` random groups over ``n_rows`` rows.
+
+    Numeric planes carry NaN; ``continuous`` values and one-hot category
+    bits make nearly every pair a distinct evidence once there are enough
+    groups.
+    """
+    kinds = rng.integers(0, 3, size=n_groups).astype(np.int32)
+    if continuous:
+        kinds[:] = 1
+    a = np.zeros((n_groups, n_rows), dtype=np.float64)
+    b = np.zeros((n_groups, n_rows), dtype=np.float64)
+    for g in range(n_groups):
+        if kinds[g] == 0:
+            a[g] = rng.integers(0, 3, size=n_rows)
+            continue
+        if continuous:
+            a[g], b[g] = rng.normal(size=n_rows), rng.normal(size=n_rows)
+        else:
+            a[g] = rng.integers(-3, 4, size=n_rows)
+            b[g] = rng.integers(-3, 4, size=n_rows)
+        if kinds[g] == 1:
+            a[g, rng.random(n_rows) < 0.1] = np.nan
+    lookup = rng.integers(0, 2**64, size=(n_groups, 3, n_words), dtype=np.uint64)
+    if continuous:
+        # One bit per (group, category), so no OR of groups saturates.
+        lookup[:] = 0
+        for g in range(n_groups):
+            for category in range(3):
+                bit = (3 * g + category) % (64 * n_words)
+                lookup[g, category, bit // 64] = np.uint64(1) << np.uint64(bit % 64)
+    return kinds, a, b, lookup
+
+
+@st.composite
+def _tile_lists(draw, n_rows: int):
+    """Tile lists over ``n_rows`` rows: tiles, 1 x n and n x 1 strips,
+    tiles across the diagonal and lone diagonal cells, or no tile at all."""
+    tiles = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        shape = draw(st.sampled_from(["tile", "row", "column", "diagonal", "cell"]))
+        i0 = draw(st.integers(min_value=0, max_value=n_rows - 1))
+        j0 = draw(st.integers(min_value=0, max_value=n_rows - 1))
+        i1 = draw(st.integers(min_value=i0 + 1, max_value=n_rows))
+        j1 = draw(st.integers(min_value=j0 + 1, max_value=n_rows))
+        if shape == "row":
+            i1 = i0 + 1
+        elif shape == "column":
+            j1 = j0 + 1
+        elif shape == "diagonal":
+            j0, j1 = i0, i1
+        elif shape == "cell":
+            i1, j0, j1 = i0 + 1, i0, i0 + 1
+        tiles.append((i0, i1, j0, j1))
+    return np.array(tiles, dtype=np.int64).reshape(-1, 4)
+
+
+def _assert_same_fold(theirs, ours) -> None:
+    if ours is None:
+        assert theirs is None
+        return
+    for got, want in zip(theirs, ours):
+        if want is None:
+            assert got is None
+        else:
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+
+def _counting_backend(calls: list[str]):
+    """The compiled backend with every native call logged by name."""
+    from repro.native import cext
+
+    compiled = _compiled_backend_or_none()
+
+    def logged(name, function):
+        def call(*args):
+            calls.append(name)
+            return function(*args)
+        return call
+
+    functions = {name: logged(name, fn) for name, fn in compiled.kernels._fn.items()}
+    return dispatch.Backend(name="counting", kernels=cext.CKernels(functions))
+
+
+@requires_compiled
+class TestCompiledFold:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_fold_matches_the_numpy_fold(self, data):
+        """Words, counts and participation, byte for byte, over random tile
+        lists, planes with NaN, and spaces of one to three words."""
+        n_rows = data.draw(st.integers(min_value=1, max_value=70))
+        n_groups = data.draw(st.integers(min_value=0, max_value=12))
+        n_words = data.draw(st.integers(min_value=1, max_value=3))
+        participation = data.draw(st.booleans())
+        rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**31)))
+        kinds, a, b, lookup = _random_planes(
+            rng, n_groups, n_rows, n_words, continuous=data.draw(st.booleans())
+        )
+        bounds = data.draw(_tile_lists(n_rows))
+        kernels = _compiled_backend_or_none().kernels
+        _assert_same_fold(
+            kernels.fold_tiles(kinds, a, b, lookup, bounds, n_words, participation),
+            NumpyKernels.fold_tiles(kinds, a, b, lookup, bounds, n_words, participation),
+        )
+
+    @pytest.mark.parametrize("participation", [False, True])
+    def test_fold_past_the_initial_table(self, participation):
+        """More distinct evidences than the fold's first table and row
+        buffer hold (1,024 rows): both grow mid-tile."""
+        rng = np.random.default_rng(5)
+        kinds, a, b, lookup = _random_planes(rng, 16, 120, 2, continuous=True)
+        bounds = np.array([(0, 120, 0, 120), (7, 8, 0, 120)], dtype=np.int64)
+        kernels = _compiled_backend_or_none().kernels
+        theirs = kernels.fold_tiles(kinds, a, b, lookup, bounds, 2, participation)
+        ours = NumpyKernels.fold_tiles(kinds, a, b, lookup, bounds, 2, participation)
+        assert len(ours[0]) > 8 * 1024
+        _assert_same_fold(theirs, ours)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        relation=relation_strategy,
+        tile_rows=st.integers(min_value=1, max_value=5),
+        participation=st.booleans(),
+        split=st.integers(min_value=1, max_value=4),
+    )
+    def test_finalized_folds_match_across_backends(
+        self, relation, tile_rows, participation, split
+    ):
+        """Folds of tile groups, merged and finalized, under either backend
+        give the dense oracle's evidence set."""
+        space = build_predicate_space(relation)
+        tiles = TileScheduler(relation.n_rows, tile_rows=tile_rows).tiles()
+        groups = [tiles[i::split] for i in range(split)]
+        results = []
+        for backend in (_compiled_backend_or_none(), NUMPY_BACKEND):
+            with use_backend(backend):
+                kernel = TileKernel.from_relation(relation, space, participation)
+                partial = PartialEvidenceSet(relation.n_rows, kernel.n_words, participation)
+                for group in groups:
+                    partial.merge(fold_tiles(kernel, group))
+                results.append(partial.finalize(space))
+        assert_evidence_identical(results[0], results[1])
+        assert_evidence_identical(
+            results[0],
+            build_evidence_set_dense(relation, space, include_participation=participation),
+        )
+
+    def test_a_fold_of_many_tiles_is_one_native_call(self):
+        relation = make_random_relation(n_rows=30, seed=3)
+        space = build_predicate_space(relation)
+        calls: list[str] = []
+        with use_backend(_counting_backend(calls)):
+            kernel = TileKernel.from_relation(relation, space, include_participation=True)
+            tiles = TileScheduler(relation.n_rows, tile_rows=4).tiles()
+            partial = fold_tiles(kernel, tiles)
+        assert len(tiles) == 64
+        assert calls == ["adc_fold_tiles"]
+        assert partial.recorded_pairs == 30 * 29
+
+    def test_build_append_and_check_are_one_fold_each(self, monkeypatch):
+        """A full build, a store append and a ``check_batch`` probe each make
+        one native fold call, intern once per fold and run no ``np.unique``."""
+        from repro.core.dc import DenialConstraint
+        from repro.core.evidence_builder import build_evidence_set_tiled
+        from repro.incremental import EvidenceStore, ViolationService
+
+        relation = make_random_relation(n_rows=41, seed=8)
+        seed_rows = relation.take(range(40))
+        space = build_predicate_space(seed_rows)
+        calls: list[str] = []
+        interns: list[int] = []
+        intern = PartialEvidenceSet._intern
+
+        def counting_intern(partial, keys, words):
+            interns.append(len(keys))
+            return intern(partial, keys, words)
+
+        def no_unique(*args, **kwargs):
+            raise AssertionError("np.unique ran in a compiled fold")
+
+        run = TileKernel.run
+
+        def guarded_run(kernel, tiles):
+            with monkeypatch.context() as patch:
+                patch.setattr(np, "unique", no_unique)
+                return run(kernel, tiles)
+
+        with use_backend(_counting_backend(calls)):
+            store = EvidenceStore(seed_rows, space=space, tile_rows=4)
+            service = ViolationService(
+                store, [DenialConstraint([space[0]])], base_counts_provider=lambda: [0]
+            )
+            monkeypatch.setattr(PartialEvidenceSet, "_intern", counting_intern)
+            monkeypatch.setattr(TileKernel, "run", guarded_run)
+            steps = {}
+            for name, step in (
+                ("build", lambda: build_evidence_set_tiled(seed_rows, space, tile_rows=4)),
+                ("append", lambda: store.append([relation.row(40)])),
+                ("check", lambda: service.check_batch([relation.row(3)])),
+            ):
+                calls.clear()
+                interns.clear()
+                step()
+                steps[name] = (list(calls), len(interns))
+        assert steps["build"] == (["adc_fold_tiles"], 1)
+        # The append interns its fold, then merges it into the store.
+        assert steps["append"] == (["adc_fold_tiles"], 2)
+        assert steps["check"] == (["adc_fold_tiles"], 0)
+
+    def test_tiles_outside_the_rows_are_refused(self):
+        rng = np.random.default_rng(4)
+        kinds, a, b, lookup = _random_planes(rng, 2, 10, 1)
+        kernels = _compiled_backend_or_none().kernels
+        for bounds in ([(0, 11, 0, 10)], [(0, 10, 3, 11)], [(-1, 2, 0, 10)]):
+            with pytest.raises(ValueError, match="outside"):
+                kernels.fold_tiles(
+                    kinds, a, b, lookup, np.array(bounds, dtype=np.int64), 1, True
+                )
+
+    def test_a_failed_output_allocation_raises_memory_error(self, monkeypatch):
+        from repro.native import cext
+
+        class NoMemory:
+            """numpy, except that ``empty`` is out of memory."""
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def empty(*args, **kwargs):
+                raise MemoryError
+
+        rng = np.random.default_rng(2)
+        kinds, a, b, lookup = _random_planes(rng, 3, 20, 1)
+        bounds = np.array([(0, 20, 0, 20)], dtype=np.int64)
+        kernels = _compiled_backend_or_none().kernels
+        monkeypatch.setattr(cext, "np", NoMemory())
+        with pytest.raises(MemoryError, match="fold_tiles"):
+            kernels.fold_tiles(kinds, a, b, lookup, bounds, 1, True)
+        monkeypatch.undo()
+        _assert_same_fold(
+            kernels.fold_tiles(kinds, a, b, lookup, bounds, 1, True),
+            NumpyKernels.fold_tiles(kinds, a, b, lookup, bounds, 1, True),
+        )
+
+    @pytest.mark.skipif(
+        not Path("/proc/self/statm").exists(), reason="reads the address-space size from /proc"
+    )
+    def test_a_failed_table_allocation_raises_memory_error(self):
+        """The fold's own buffers, under an address-space limit: the call
+        raises, frees what it holds, and the next fold works."""
+        script = textwrap.dedent(
+            """
+            import resource
+            import numpy as np
+            from repro.native import dispatch
+            from repro.native.numpy_backend import NumpyKernels
+
+            kernels = dispatch.resolve_backend("cext").kernels
+            rng = np.random.default_rng(0)
+            n = 6000
+            kinds = np.ones(1, dtype=np.int32)
+            a, b = rng.normal(size=(1, n)), rng.normal(size=(1, n))
+            lookup = rng.integers(0, 2**64, size=(1, 3, 1), dtype=np.uint64)
+            with open("/proc/self/statm") as statm:
+                size = int(statm.read().split()[0]) * resource.getpagesize()
+            # Room for small folds, not for the 144 MB id buffer of a
+            # 6,000 x 6,000 tile.
+            resource.setrlimit(resource.RLIMIT_AS, (size + 64 * 2**20, resource.RLIM_INFINITY))
+            big = np.array([(0, n, 0, n)], dtype=np.int64)
+            for _ in range(3):
+                try:
+                    kernels.fold_tiles(kinds, a, b, lookup, big, 1, True)
+                except MemoryError:
+                    pass
+                else:
+                    raise SystemExit("no MemoryError")
+            small = np.array([(0, 50, 0, 60)], dtype=np.int64)
+            got = kernels.fold_tiles(kinds, a, b, lookup, small, 1, True)
+            want = NumpyKernels.fold_tiles(kinds, a, b, lookup, small, 1, True)
+            assert all(np.array_equal(x, y) for x, y in zip(got, want))
+            print("ok")
+            """
+        )
+        source = Path(__file__).resolve().parent.parent / "src"
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(source)},
+        )
+        assert result.stdout.strip() == "ok", result.stderr

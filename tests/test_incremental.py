@@ -21,7 +21,7 @@ from repro.core.evidence_builder import build_evidence_set_tiled
 from repro.core.predicate_space import build_predicate_space
 from repro.core.predicates import PredicateForm
 from repro.data.relation import Relation
-from repro.engine import PartialEvidenceSet, TileKernel, TileScheduler
+from repro.engine import PartialEvidenceSet, TileKernel, TileScheduler, fold_tiles
 from repro.incremental import DeltaEvidenceBuilder, EvidenceStore, delta_tiles
 
 
@@ -103,13 +103,13 @@ class TestDeltaTileCount:
             store, [DenialConstraint([space[0]])], base_counts_provider=lambda: [0]
         )
         issued = []
-        tile_words = TileKernel.tile_words
+        run = TileKernel.run
 
-        def counting_tile_words(kernel, tile):
-            issued.append(tile)
-            return tile_words(kernel, tile)
+        def counting_run(kernel, tiles):
+            issued.append(tiles.tiles)
+            return run(kernel, tiles)
 
-        monkeypatch.setattr(TileKernel, "tile_words", counting_tile_words)
+        monkeypatch.setattr(TileKernel, "run", counting_run)
         row = relation.row(n_rows)
         service.check_batch([row])
         checked = issued[:]
@@ -118,7 +118,10 @@ class TestDeltaTileCount:
         appended = issued[:]
 
         edge = store.builder.tile_edge(n_rows + 1)
-        for tiles in (checked, appended):
+        for folds in (checked, appended):
+            # One fold per operation, over two tiles.
+            assert len(folds) == 1
+            tiles = folds[0]
             assert len(tiles) == 2
             assert all(tile.n_pairs <= edge * edge for tile in tiles)
             # One strip per orientation: together they are the 2n added pairs.
@@ -317,8 +320,15 @@ class TestCompaction:
         builder = DeltaEvidenceBuilder(
             example_space, include_participation=include_participation, tile_rows=3
         )
-        partial = builder.full_partial(example_relation)
+        # One fold per tile: a partial with a chunk per tile to compact.
+        kernel = builder.kernel(example_relation)
+        partial = PartialEvidenceSet(example_relation.n_rows, kernel.n_words,
+                                     include_participation)
+        for tile in TileScheduler(example_relation.n_rows, tile_rows=3):
+            partial.merge(fold_tiles(kernel, (tile,)))
         expected = partial.finalize(example_space)
+        assert_evidence_identical(expected, builder.full_partial(example_relation)
+                                  .finalize(example_space))
         duplicate = partial.copy()
         shared = [list(chunks) for chunks in duplicate._chunk_lists()]
         partial.compact()

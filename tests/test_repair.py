@@ -12,10 +12,9 @@ from repro.core.repair import (
     cardinality_repair,
     exact_f3_violation,
     minimum_vertex_cover_exact,
-    vertex_cover_2_approximation,
     vertex_cover_greedy,
 )
-from tests.reference import approximate_f3_violation
+from tests.reference import approximate_f3_violation, vertex_cover_2_approximation
 
 
 @pytest.fixture(scope="module")

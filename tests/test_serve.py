@@ -17,9 +17,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tests.conftest import make_random_relation
+from tests.reference import conflict_graph_from_pairs
 from repro.core.dc import DenialConstraint
 from repro.core.predicate_space import build_predicate_space
-from repro.core.repair import ConflictGraph, build_conflict_graph, vertex_cover_greedy
+from repro.core.repair import build_conflict_graph, vertex_cover_greedy
 from repro.incremental import EvidenceStore, ViolationService
 from repro.serve import AppendScheduler, ViolationCounters
 
@@ -88,7 +89,7 @@ class TestPairReplay:
 
     def test_conflict_graph_matches_built_graph(self, served):
         relation, _, adcs, service = served
-        graph = ConflictGraph.from_pairs(relation.n_rows, service.violating_pairs(0))
+        graph = conflict_graph_from_pairs(relation.n_rows, service.violating_pairs(0))
         oracle = build_conflict_graph(relation, adcs[0].constraint)
         assert graph.n_tuples == oracle.n_tuples
         assert graph.edges == oracle.edges
