@@ -37,13 +37,12 @@ from repro.core.operators import (
 )
 from repro.core.predicates import PredicateForm
 from repro.engine.partial import check_row_count
-from repro.engine.scheduler import Tile
 from repro.native import dispatch as native_dispatch
 
 if TYPE_CHECKING:
     from repro.core.predicate_space import PredicateSpace
     from repro.data.relation import Relation
-    from repro.engine.scheduler import Shard
+    from repro.engine.scheduler import Shard, Tile
 
 _WORD_BITS = 64
 
@@ -269,17 +268,16 @@ class TileKernel:
             right_ids = right_ids[keep]
         return flat, left_ids, right_ids
 
-    def run(self, tiles: Tile | Shard) -> TilePartial | None:
-        """Fold ``tiles`` — a :class:`Shard` of tiles, or one :class:`Tile` —
-        into one :class:`TilePartial` (``None`` if they hold no pair).
+    def run(self, tiles: "Shard") -> TilePartial | None:
+        """Fold the :class:`Shard` ``tiles`` into one :class:`TilePartial`
+        (``None`` if its tiles hold no pair).
 
         Diagonal pairs are skipped.  The whole list goes to the backend's
         ``fold_tiles`` in one call, so the cost of a fold follows its pairs,
         not its tile count.
         """
-        batch = (tiles,) if isinstance(tiles, Tile) else tiles.tiles
         bounds = np.array(
-            [(tile.i0, tile.i1, tile.j0, tile.j1) for tile in batch], dtype=np.int64
+            [(tile.i0, tile.i1, tile.j0, tile.j1) for tile in tiles.tiles], dtype=np.int64
         ).reshape(-1, 4)
         kinds, a, b, lookup = self._packed
         folded = native_dispatch.get_backend().kernels.fold_tiles(

@@ -294,7 +294,7 @@ class ViolationService:
         n_constraints = len(self.constraints)
         delta_counts = np.zeros((n_constraints, n_new), dtype=np.int64)
 
-        kernel = self._store.replay_kernel(probe, include_participation=True)
+        kernel = self._store.replay_kernel(probe)
         edge = self._store.builder.tile_edge(probe.n_rows)
         # Cross rectangles only (no new-vs-new square): each row is judged
         # independently of its batch-mates.  Exactly one endpoint of every

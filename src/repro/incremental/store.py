@@ -409,19 +409,18 @@ class EvidenceStore:
     # ------------------------------------------------------------------
     # Replay support (violation serving)
     # ------------------------------------------------------------------
-    def replay_kernel(
-        self, probe: "Relation | None" = None, include_participation: bool = False
-    ) -> TileKernel:
-        """A kernel over the current rows, for tile replay (participation-free
-        unless asked for).
+    def replay_kernel(self, probe: "Relation | None" = None) -> TileKernel:
+        """A kernel over the current rows, for tile replay.
 
-        With ``probe`` (a relation from :meth:`probe_relation`) the kernel
+        Its folds count participation, which ``check_batch`` reads each
+        new row's violating pairs from; ``tile_words`` ignores it.  With
+        ``probe`` (a relation from :meth:`probe_relation`) the kernel
         covers the probe's rows instead; only the rows past the store's are
         prepared.
         """
         return self._builder.kernel(
             probe if probe is not None else self._relation,
-            include_participation=include_participation,
+            include_participation=True,
             planes=self._planes,
             n_existing=self.n_rows,
         )

@@ -368,125 +368,15 @@ int32_t adc_tile_plane(intptr_t kinds_p, int64_t n_groups, intptr_t a_p,
     return 0;
 }
 
-/* murmur3's 64-bit finalizer: every input bit flips each output bit with
- * probability about 1/2.  The multiply-based row hash only carries bits
- * upward, so without this a slot (its low bits) would ignore every bit of
- * a word above log2(table size) — evidences differing only in higher
- * predicate bits would share one probe chain. */
-static inline uint64_t fmix64(uint64_t h)
-{
-    h ^= h >> 33;
-    h *= 0xff51afd7ed558ccdULL;
-    h ^= h >> 33;
-    h *= 0xc4ceb9fe1a85ec53ULL;
-    h ^= h >> 33;
-    return h;
-}
+/* ------------------------------------------------------------------ */
+/* Row dedup and tile fold                                             */
+/* ------------------------------------------------------------------ */
 
-static inline uint64_t row_hash(const uint64_t *row, int64_t w)
-{
-    /* FNV-1a over the row's words, then the full-avalanche finalizer. */
-    uint64_t h = 1469598103934665603ULL;
-    for (int64_t k = 0; k < w; k++) {
-        h ^= row[k];
-        h *= 1099511628211ULL;
-    }
-    return fmix64(h);
-}
-
-/* Slots of the dedup's open-addressing table on the stack (32 KiB).  The
- * table keeps its load at most 1/4 — short probe chains — and moves to the
- * heap, doubling, only when a plane has more than DEDUP_STACK_SLOTS / 4
- * distinct rows.  Slots hold unique index + 1 (0 = empty) as uint32, so a
- * plane may have at most UINT32_MAX - 1 rows (the wrapper checks). */
-#define DEDUP_STACK_SLOTS 8192
-
-/* Re-insert the first n_unique rows of uniq into an empty table of
- * mask + 1 slots. */
-static void dedup_rehash(uint32_t *table, uint64_t mask, const uint64_t *uniq,
-                         int64_t n_unique, int64_t w)
-{
-    memset(table, 0, (size_t)(mask + 1) * sizeof(uint32_t));
-    for (int64_t v = 0; v < n_unique; v++) {
-        uint64_t s = row_hash(uniq + v * w, w) & mask;
-        while (table[s])
-            s = (s + 1) & mask;
-        table[s] = (uint32_t)(v + 1);
-    }
-}
-
-/* Hash-deduplicate the rows of a contiguous (n, w) uint64 plane.
+/* One open-addressing table (Fold, fold_insert) deduplicates word rows for
+ * both entry points here: adc_unique_rows over a caller's plane, and
+ * adc_fold_tiles over the pairs of a tile list.
  *
- * First-seen unique rows are appended to `uniq` (capacity n rows);
- * `inverse[r]` is row r's unique index and `counts[u]` its multiplicity
- * (every returned count is written here, so `counts` need not be
- * initialized).  Returns the number of unique rows, or -1 when the table
- * cannot grow onto the heap.  Uniques come out in first-seen order — the
- * Python wrapper re-sorts the (small) unique set into the canonical
- * lexicographic order and remaps inverse/counts, so the hash order never
- * leaks out. */
-int64_t adc_unique_rows(intptr_t words_p, int64_t n, int64_t w,
-                        intptr_t uniq_p, intptr_t inverse_p, intptr_t counts_p)
-{
-    const uint64_t *words = (const uint64_t *)words_p;
-    uint64_t *uniq = (uint64_t *)uniq_p;
-    int64_t *inverse = (int64_t *)inverse_p;
-    int64_t *counts = (int64_t *)counts_p;
-    uint32_t stack[DEDUP_STACK_SLOTS];
-    uint32_t *table = stack;
-    uint64_t mask = DEDUP_STACK_SLOTS - 1;
-    int64_t n_unique = 0;
-    memset(stack, 0, sizeof(stack));
-
-    for (int64_t r = 0; r < n; r++) {
-        const uint64_t *row = words + r * w;
-        uint64_t slot = row_hash(row, w) & mask;
-        int64_t u;
-        for (;;) {
-            u = (int64_t)table[slot] - 1;
-            if (u < 0)
-                break;
-            const uint64_t *candidate = uniq + u * w;
-            int64_t k = 0;
-            while (k < w && candidate[k] == row[k])
-                k++;
-            if (k == w)
-                break;
-            slot = (slot + 1) & mask;
-        }
-        if (u >= 0) {
-            counts[u]++;
-            inverse[r] = u;
-            continue;
-        }
-        u = n_unique++;
-        for (int64_t k = 0; k < w; k++)
-            uniq[u * w + k] = row[k];
-        counts[u] = 1;
-        inverse[r] = u;
-        table[slot] = (uint32_t)(u + 1);
-        if (4 * (uint64_t)n_unique > mask + 1) {
-            uint64_t slots = 2 * (mask + 1);
-            uint32_t *grown = (uint32_t *)malloc(slots * sizeof(uint32_t));
-            if (table != stack)
-                free(table);
-            if (!grown)
-                return -1;
-            table = grown;
-            mask = slots - 1;
-            dedup_rehash(table, mask, uniq, n_unique, w);
-        }
-    }
-    if (table != stack)
-        free(table);
-    return n_unique;
-}
-
-/* ------------------------------------------------------------------ */
-/* Tile fold                                                           */
-/* ------------------------------------------------------------------ */
-
-/* adc_fold_tiles runs the tile pass over a whole tile list and folds every
+ * adc_fold_tiles runs the tile pass over a whole tile list and folds every
  * pair straight into one call-scoped dedup table: no pair-major plane is
  * written and nothing returns to Python between tiles.  Its reference is
  * NumpyKernels.fold_tiles (per-tile tile_plane, unique_rows and np.unique,
@@ -510,9 +400,9 @@ int64_t adc_unique_rows(intptr_t words_p, int64_t n, int64_t w,
  * count) lands at its rank's next free slot: tuples are visited in
  * ascending order, so each rank's run comes out sorted. */
 
-/* Initial slots of the fold's open-addressing table, 2^FOLD_TABLE_BITS
- * (load at most 1/4, as in adc_unique_rows), and rows of its
- * distinct-word buffer. */
+/* Initial slots of the dedup's open-addressing table, 2^FOLD_TABLE_BITS
+ * (it keeps its load at most 1/4 — short probe chains — doubling past
+ * that), and rows of the fold's distinct-word buffer. */
 #define FOLD_TABLE_BITS 12
 #define FOLD_TABLE_SLOTS (1 << FOLD_TABLE_BITS)
 #define FOLD_ROWS 1024
@@ -590,17 +480,26 @@ static int fold_grow_rows(Fold *f)
     return 0;
 }
 
-/* The fold's row hash, whose *top* bits index the table: they depend on
+/* The dedup's row hash, whose *top* bits index the table: they depend on
  * every bit of the row (the multiply carries each bit upward, and the
- * shift folds the high half of a word into the low half first).  Half the
- * multiplies of row_hash, which matters at one lookup per pair. */
+ * shift folds the high half of a word into the low half first).  Two
+ * multiplies for a row of two words, which matters at one lookup per pair. */
 static inline uint64_t fold_hash(const uint64_t *row, int64_t nw)
 {
-    uint64_t h = row[0];
+    uint64_t h = nw > 0 ? row[0] : 0;
     for (int64_t k = 1; k < nw; k++)
         h = (h * 0x9E3779B97F4A7C15ULL) ^ row[k];
     h ^= h >> 32;
     return h * 0xBF58476D1CE4E5B9ULL;
+}
+
+/* An empty table of the initial size; 0, or -1 when memory runs out. */
+static int fold_table_init(Fold *f)
+{
+    f->mask = FOLD_TABLE_SLOTS - 1;
+    f->shift = 64 - FOLD_TABLE_BITS;
+    f->table = (uint32_t *)calloc(FOLD_TABLE_SLOTS, sizeof(uint32_t));
+    return f->table ? 0 : -1;
 }
 
 /* Re-insert every distinct row into an empty table of f->mask + 1 slots. */
@@ -616,8 +515,9 @@ static void fold_rehash(Fold *f)
 }
 
 /* The provisional id of `row` (nw words): counted once more when seen,
- * else inserted with count 1.  -1 when memory runs out. */
-static int64_t fold_insert(Fold *f, const uint64_t *row)
+ * else inserted with count 1.  -1 when memory runs out.  Inlined into
+ * both callers: left as a call, it made adc_unique_rows ~15% slower. */
+static inline __attribute__((always_inline)) int64_t fold_insert(Fold *f, const uint64_t *row)
 {
     const int64_t nw = f->nw;
     int64_t k;
@@ -654,6 +554,40 @@ static int64_t fold_insert(Fold *f, const uint64_t *row)
         fold_rehash(f);
     }
     return u;
+}
+
+/* Hash-deduplicate the rows of a contiguous (n, w) uint64 plane.
+ *
+ * First-seen unique rows are written to `uniq` (capacity n rows, so the
+ * table never grows it); `inverse[r]` is row r's unique index and
+ * `counts[u]` its multiplicity (every returned count is written here, so
+ * `counts` need not be initialized).  Returns the number of unique rows,
+ * or -1 when the table cannot grow.  Uniques come out in first-seen order
+ * — the Python wrapper re-sorts the (small) unique set into the canonical
+ * lexicographic order and remaps inverse/counts, so the hash order never
+ * leaks out.  Table slots hold uint32 ids, so a plane may have at most
+ * UINT32_MAX - 1 rows (the wrapper checks). */
+int64_t adc_unique_rows(intptr_t words_p, int64_t n, int64_t w,
+                        intptr_t uniq_p, intptr_t inverse_p, intptr_t counts_p)
+{
+    const uint64_t *words = (const uint64_t *)words_p;
+    int64_t *inverse = (int64_t *)inverse_p;
+    Fold f;
+    memset(&f, 0, sizeof(f));
+    f.nw = w;
+    f.uniq = (uint64_t *)uniq_p;
+    f.counts = (int64_t *)counts_p;
+    f.cap = n;
+    int64_t n_unique = -1;
+    if (fold_table_init(&f))
+        return -1;
+    for (int64_t r = 0; r < n; r++)
+        if ((inverse[r] = fold_insert(&f, words + r * w)) < 0)
+            goto done;
+    n_unique = f.n_unique;
+done:
+    free(f.table);
+    return n_unique;
 }
 
 /* Count one line of the id buffer (`len` ids, `step` apart) for `tuple`
@@ -907,14 +841,11 @@ int32_t adc_fold_tiles(intptr_t kinds_p, int64_t n_groups, intptr_t a_p,
     memset(&f, 0, sizeof(f));
     f.nw = nw;
     f.cap = FOLD_ROWS;
-    f.mask = FOLD_TABLE_SLOTS - 1;
-    f.shift = 64 - FOLD_TABLE_BITS;
     f.uniq = (uint64_t *)malloc((size_t)(FOLD_ROWS * nw) * sizeof(uint64_t));
     f.counts = (int64_t *)malloc(FOLD_ROWS * sizeof(int64_t));
-    f.table = (uint32_t *)calloc(FOLD_TABLE_SLOTS, sizeof(uint32_t));
     uint64_t *row = (uint64_t *)malloc((size_t)nw * sizeof(uint64_t));
     int32_t status = -1;
-    if (!f.uniq || !f.counts || !f.table || !row)
+    if (fold_table_init(&f) || !f.uniq || !f.counts || !row)
         goto done;
     if (participation) {
         int64_t area = 0;

@@ -280,16 +280,15 @@ def jsonable(value: object) -> object:
 
     Results are computed with numpy (``int64`` counts, ``float64`` rates,
     arrays of scores); ``json`` refuses all of them, so every payload runs
-    through this before encoding.  Plain leaves, dicts and lists are
-    recognised by their exact type first: a batch of rows is thousands of
-    them, and the generic checks below cost several times the encoding.
+    through this before encoding.  A batch of rows is thousands of plain
+    leaves and dicts, so those are tested first: leaves by exact type, and
+    ``dict`` ahead of the slower ``Mapping`` check.
     """
-    kind = type(value)
-    if kind in _PLAIN_TYPES:
+    if type(value) in _PLAIN_TYPES:
         return value
-    if kind is dict:
+    if isinstance(value, (dict, Mapping)):
         return {str(key): jsonable(item) for key, item in value.items()}
-    if kind is list:
+    if isinstance(value, (list, tuple)):
         return [jsonable(item) for item in value]
     if isinstance(value, (np.integer,)):
         return int(value)
@@ -299,10 +298,6 @@ def jsonable(value: object) -> object:
         return bool(value)
     if isinstance(value, np.ndarray):
         return [jsonable(item) for item in value.tolist()]
-    if isinstance(value, Mapping):
-        return {str(key): jsonable(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(item) for item in value]
     return value
 
 

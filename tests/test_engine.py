@@ -26,6 +26,7 @@ from repro.core.miner import ADCMiner
 from repro.core.predicate_space import build_predicate_space
 from repro.engine import (
     PartialEvidenceSet,
+    Shard,
     Tile,
     TileKernel,
     TileScheduler,
@@ -156,9 +157,9 @@ class TestTileKernel:
         space = build_predicate_space(relation)
         kernel = TileKernel.from_relation(relation, space, include_participation=True)
         clone = pickle.loads(pickle.dumps(kernel))
-        tile = Tile(0, 5, 3, 9)
-        original = kernel.run(tile)
-        revived = clone.run(tile)
+        shard = Shard(0, 1, (Tile(0, 5, 3, 9),))
+        original = kernel.run(shard)
+        revived = clone.run(shard)
         assert np.array_equal(original.words, revived.words)
         assert np.array_equal(original.counts, revived.counts)
         assert np.array_equal(original.part_keys, revived.part_keys)
@@ -170,7 +171,7 @@ class TestTileKernel:
         kernel = TileKernel.from_relation(relation, space)
         partial = PartialEvidenceSet(relation.n_rows, kernel.n_words)
         for tile in TileScheduler(relation.n_rows, tile_rows=5):
-            tile_partial = kernel.run(tile)
+            tile_partial = kernel.run(Shard(0, 1, (tile,)))
             if tile_partial is not None:
                 partial.add_tile(tile_partial)
         assert_evidence_identical(
@@ -181,7 +182,7 @@ class TestTileKernel:
         relation = make_random_relation(n_rows=4, seed=1)
         space = build_predicate_space(relation)
         kernel = TileKernel.from_relation(relation, space)
-        assert kernel.run(Tile(2, 3, 2, 3)) is None
+        assert kernel.run(Shard(0, 1, (Tile(2, 3, 2, 3),))) is None
 
 
 class TestFoldMetrics:

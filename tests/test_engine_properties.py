@@ -44,7 +44,7 @@ def _tile_partials(relation, space, tile_rows):
     kernel = TileKernel.from_relation(relation, space, include_participation=True)
     partials = []
     for tile in TileScheduler(relation.n_rows, tile_rows=tile_rows):
-        tile_partial = kernel.run(tile)
+        tile_partial = kernel.run(Shard(0, 1, (tile,)))
         if tile_partial is not None:
             partials.append(tile_partial)
     return kernel, partials

@@ -21,7 +21,7 @@ from repro.core.evidence_builder import build_evidence_set_tiled
 from repro.core.predicate_space import build_predicate_space
 from repro.core.predicates import PredicateForm
 from repro.data.relation import Relation
-from repro.engine import PartialEvidenceSet, TileKernel, TileScheduler, fold_tiles
+from repro.engine import PartialEvidenceSet, Shard, TileKernel, TileScheduler, fold_tiles
 from repro.incremental import DeltaEvidenceBuilder, EvidenceStore, delta_tiles
 
 
@@ -252,7 +252,7 @@ class TestPartialRebase:
         kernel = TileKernel.from_relation(relation, space, include_participation=True)
         partial = PartialEvidenceSet(6, kernel.n_words, True)
         for tile in TileScheduler(6, tile_rows=3):
-            result = kernel.run(tile)
+            result = kernel.run(Shard(0, 1, (tile,)))
             if result is not None:
                 partial.add_tile(result)
         reference = partial.copy().finalize(space)
@@ -280,7 +280,7 @@ class TestPartialRebase:
         kernel = TileKernel.from_relation(relation, space, include_participation=True)
         partial = PartialEvidenceSet(5, kernel.n_words, True)
         for tile in TileScheduler(5, tile_rows=2):
-            result = kernel.run(tile)
+            result = kernel.run(Shard(0, 1, (tile,)))
             if result is not None:
                 partial.add_tile(result)
         duplicate = partial.copy()

@@ -305,9 +305,9 @@ class TestCompiledBitIdentity:
         for theirs, ours in zip(kernels.unique_rows(rows), NumpyKernels.unique_rows(rows)):
             assert np.array_equal(theirs, ours)
 
-    def test_unique_rows_past_the_stack_table(self):
-        """More distinct rows than the kernel's stack table holds: the
-        table moves to the heap and keeps growing."""
+    def test_unique_rows_past_the_initial_table(self):
+        """More distinct rows than the kernel's initial table holds: the
+        table keeps growing."""
         rng = np.random.default_rng(3)
         distinct = rng.integers(0, 2**64, size=(5000, 2), dtype=np.uint64)
         rows = distinct[rng.integers(0, len(distinct), size=20_000)]
