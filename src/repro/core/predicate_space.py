@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.core.operators import NUMERIC_OPERATORS, STRING_OPERATORS
 from repro.core.predicates import Predicate, PredicateForm
-from repro.data.relation import Relation
+from repro.data.relation import Column, Relation
 
 #: Minimum fraction of shared values for cross-attribute predicates
 #: (the 30% rule of [11, 37], quoted in Section 4.2 of the paper).
@@ -221,9 +221,23 @@ def build_predicate_space(
             )
 
     if config.include_cross_column or config.include_single_tuple:
+        # Each column's distinct values, built once for this call only: a
+        # column takes part in up to n_columns - 1 comparisons.
+        value_sets: dict[str, set[object]] = {}
+
+        def values_of(column: Column) -> set[object]:
+            if column.name not in value_sets:
+                value_sets[column.name] = column.value_set()
+            return value_sets[column.name]
+
         for left_position, left in enumerate(columns):
             for right in columns[left_position + 1:]:
-                if not _comparable(relation, left.name, right.name, config):
+                # Cross-attribute predicates need compatible types and at
+                # least shared_value_threshold of shared values (the 30% rule).
+                if left.type.is_numeric != right.type.is_numeric:
+                    continue
+                fraction = _shared_fraction(values_of(left), values_of(right))
+                if fraction < config.shared_value_threshold:
                     continue
                 numeric = left.type.is_numeric and right.type.is_numeric
                 operators = NUMERIC_OPERATORS if numeric else STRING_OPERATORS
@@ -246,24 +260,6 @@ def build_predicate_space(
     return PredicateSpace(predicates)
 
 
-def _comparable(
-    relation: Relation,
-    left: str,
-    right: str,
-    config: PredicateSpaceConfig,
-) -> bool:
-    """Whether cross-attribute predicates should be generated for a pair.
-
-    Attributes must have compatible types (both numeric or both string) and
-    share at least ``shared_value_threshold`` of their values — the 30% rule.
-    """
-    left_type = relation.column_type(left)
-    right_type = relation.column_type(right)
-    if left_type.is_numeric != right_type.is_numeric:
-        return False
-    return shared_value_fraction(relation, left, right) >= config.shared_value_threshold
-
-
 def shared_value_fraction(relation: Relation, left: str, right: str) -> float:
     """Fraction of shared distinct values between two columns.
 
@@ -273,8 +269,10 @@ def shared_value_fraction(relation: Relation, left: str, right: str) -> float:
     fraction is computed w.r.t. the smaller active domain so that a column
     whose values are a subset of another's qualifies.
     """
-    left_values = relation.column(left).value_set()
-    right_values = relation.column(right).value_set()
+    return _shared_fraction(relation.column(left).value_set(), relation.column(right).value_set())
+
+
+def _shared_fraction(left_values: set[object], right_values: set[object]) -> float:
     if not left_values or not right_values:
         return 0.0
     common = len(left_values & right_values)

@@ -294,11 +294,24 @@ class Relation:
     # Derived relations
     # ------------------------------------------------------------------
     def take(self, indices: Sequence[int]) -> "Relation":
-        """Return a relation containing the rows at ``indices`` (in order)."""
+        """Return a relation containing the rows at ``indices`` (in order).
+
+        The typed column arrays are indexed directly: their values are
+        already coerced, so nothing goes back through value coercion.  The
+        result starts with empty factorization caches, since codes follow
+        first appearance and the selected rows appear in a new order.
+        """
         index_array = np.asarray(list(indices), dtype=np.int64)
-        data = {name: col.values[index_array] for name, col in self._columns.items()}
-        types = {name: col.type for name, col in self._columns.items()}
-        return Relation(self.name, data, types)
+        taken = object.__new__(Relation)
+        taken.name = self.name
+        taken._columns = {
+            name: Column(name, col.type, col.values[index_array])
+            for name, col in self._columns.items()
+        }
+        taken._n_rows = len(index_array)
+        taken._factorization_cache = {}
+        taken._pair_codes_cache = {}
+        return taken
 
     def head(self, n: int) -> "Relation":
         """Return the first ``n`` rows."""

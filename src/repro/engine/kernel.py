@@ -6,9 +6,12 @@ and the cluster builder: given a list of
 into the list's deduplicated evidence words, multiplicities and
 tuple-participation histogram (one :class:`TilePartial`).  The fold is one
 backend call: on the compiled backend, one native call evaluates each
-pair's words, deduplicates them in a table that lives for the call, counts
-participation in the same pass and sorts the result canonically, so
-nothing returns to Python between tiles.
+pair's per-group category codes (one key word per pair for up to 32
+groups of three distinct rows, whatever the space's word count),
+deduplicates them in a table that lives for the call, counts participation
+in the same pass, and only then decodes the distinct codes into evidence
+words and sorts them canonically, so nothing returns to Python between
+tiles.
 
 The kernel is deliberately a *numpy-only* payload: building it resolves
 every predicate group's comparison data — per-row order categories, float

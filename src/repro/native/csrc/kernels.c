@@ -390,14 +390,29 @@ int32_t adc_tile_plane(intptr_t kinds_p, int64_t n_groups, intptr_t a_p,
  *     the sorted words and a pair (i, j) of evidence e counts once for
  *     (e, i) and once for (e, j).
  *
+ * The table is keyed on category codes, not on evidence words.  A pair's
+ * words are the OR of one of three lookup rows per group, so the pair is
+ * determined by which of its group's distinct rows each group picked.  The
+ * code table (CodeTable) numbers each group's distinct rows 0 .. k-1 in a
+ * field of ceil(log2 k) bits and packs the fields into kw words, no field
+ * across a word boundary; a group whose three rows are equal gets no field
+ * and its row is ORed in at decode.  The tile pass runs unchanged over the
+ * (G, 3, kw) code lookup, so each pair costs kw words of pass, hash and
+ * compare instead of nw.  A field holds at most 2 bits and never more
+ * than its group has predicates, so kw <= nw for any predicate space (16
+ * tax groups fit in one word against two evidence words).  The export
+ * decodes each distinct code into its words; codes of groups that share
+ * bits can decode to the same words, and those merge, counts and
+ * participation added up.
+ *
  * Participation is counted without hashing keys.  Each tile records its
  * pairs' provisional ids in a row-major id buffer; a pass over each row
  * and each column of that buffer counts the line's ids in per-id counters
  * (reset through a touched list) and appends the line's (id, count)
  * entries as one segment tagged with the line's tuple.  At the end the
  * segments are grouped by tuple with a counting sort, each tuple's
- * segments are summed in the same counters, and every (rank, tuple,
- * count) lands at its rank's next free slot: tuples are visited in
+ * segments are summed per rank in the same counters, and every (rank,
+ * tuple, count) lands at its rank's next free slot: tuples are visited in
  * ascending order, so each rank's run comes out sorted. */
 
 /* Initial slots of the dedup's open-addressing table, 2^FOLD_TABLE_BITS
@@ -514,12 +529,13 @@ static void fold_rehash(Fold *f)
     }
 }
 
-/* The provisional id of `row` (nw words): counted once more when seen,
- * else inserted with count 1.  -1 when memory runs out.  Inlined into
- * both callers: left as a call, it made adc_unique_rows ~15% slower. */
-static inline __attribute__((always_inline)) int64_t fold_insert(Fold *f, const uint64_t *row)
+/* The provisional id of `row` (f->nw words, passed as `nw` so that a
+ * caller can make it a constant): counted once more when seen, else
+ * inserted with count 1.  -1 when memory runs out.  Inlined into both
+ * callers: left as a call, it made adc_unique_rows ~15% slower. */
+static inline __attribute__((always_inline)) int64_t fold_insert(Fold *f, const uint64_t *row,
+                                                                 const int64_t nw)
 {
-    const int64_t nw = f->nw;
     int64_t k;
     uint64_t slot = fold_hash(row, nw) >> f->shift;
     for (;;) {
@@ -582,7 +598,7 @@ int64_t adc_unique_rows(intptr_t words_p, int64_t n, int64_t w,
     if (fold_table_init(&f))
         return -1;
     for (int64_t r = 0; r < n; r++)
-        if ((inverse[r] = fold_insert(&f, words + r * w)) < 0)
+        if ((inverse[r] = fold_insert(&f, words + r * w, w)) < 0)
             goto done;
     n_unique = f.n_unique;
 done:
@@ -688,12 +704,114 @@ static int64_t *sort_rows(int64_t *order, int64_t *scratch, int64_t n,
     return from;
 }
 
+/* One field of the code table: where its group's code sits, and the lookup
+ * row of each code value (only values below the group's k occur). */
+typedef struct {
+    int64_t word;
+    int shift;
+    uint64_t mask;
+    const uint64_t *rows[3];
+} CodeField;
+
+/* The fold's key space (see the comment at the top of this section): the
+ * (G, 3, kw) code lookup the tile pass reads, and what decodes a code row
+ * back into its nw evidence words. */
+typedef struct {
+    int64_t nw, kw, n_fields;
+    uint64_t *codes;
+    uint64_t *constant;           /* OR of the rows of groups without a field */
+    CodeField *fields;
+} CodeTable;
+
+static void code_table_free(CodeTable *t)
+{
+    free(t->codes);
+    free(t->constant);
+    free(t->fields);
+}
+
+/* Derive the code table of a (G, 3, nw) word lookup.  0, or -1 when memory
+ * runs out (code_table_free releases a partial table either way). */
+static int code_table_init(CodeTable *t, const uint64_t *lookup, int64_t n_groups, int64_t nw)
+{
+    const size_t slots = (size_t)(n_groups > 0 ? n_groups : 1);
+    memset(t, 0, sizeof(*t));
+    t->nw = nw;
+    t->constant = (uint64_t *)calloc((size_t)nw, sizeof(uint64_t));
+    t->fields = (CodeField *)malloc(slots * sizeof(CodeField));
+    /* Per group: the code of each category, then the field width. */
+    uint8_t *values = (uint8_t *)malloc(4 * slots);
+    int status = -1;
+    if (!t->constant || !t->fields || !values)
+        goto done;
+    uint8_t *widths = values + 3 * slots;
+    int64_t bits = 0;
+    for (int64_t g = 0; g < n_groups; g++) {
+        const uint64_t *l = lookup + g * 3 * nw;
+        uint8_t k = 0;
+        for (int c = 0; c < 3; c++) {
+            uint8_t v = k;
+            for (int d = 0; d < c; d++)
+                if (!memcmp(l + c * nw, l + d * nw, (size_t)nw * sizeof(uint64_t))) {
+                    v = values[3 * g + d];
+                    break;
+                }
+            values[3 * g + c] = v;
+            k += v == k;
+        }
+        widths[g] = k == 3 ? 2 : k - 1;
+        bits += widths[g];
+        if (k == 1)
+            for (int64_t w = 0; w < nw; w++)
+                t->constant[w] |= l[w];
+    }
+    /* Two-bit fields first, at even offsets, then one-bit fields: no field
+     * crosses a word, and the fields fill exactly ceil(bits / 64) words. */
+    t->kw = bits > 64 ? (bits + 63) / 64 : 1;
+    t->codes = (uint64_t *)calloc(slots * 3 * (size_t)t->kw, sizeof(uint64_t));
+    if (!t->codes)
+        goto done;
+    int64_t offset = 0;
+    for (uint8_t width = 2; width >= 1; width--)
+        for (int64_t g = 0; g < n_groups; g++) {
+            if (widths[g] != width)
+                continue;
+            CodeField *field = t->fields + t->n_fields++;
+            field->word = offset / 64;
+            field->shift = (int)(offset % 64);
+            field->mask = ((uint64_t)1 << width) - 1;
+            for (int c = 0; c < 3; c++) {
+                const uint8_t v = values[3 * g + c];
+                field->rows[v] = lookup + (g * 3 + c) * nw;
+                t->codes[(g * 3 + c) * t->kw + field->word] = (uint64_t)v << field->shift;
+            }
+            offset += width;
+        }
+    status = 0;
+done:
+    free(values);
+    return status;
+}
+
+/* The nw evidence words of one code row. */
+static void code_decode(const CodeTable *t, const uint64_t *code, uint64_t *out)
+{
+    const int64_t nw = t->nw;
+    memcpy(out, t->constant, (size_t)nw * sizeof(uint64_t));
+    for (int64_t f = 0; f < t->n_fields; f++) {
+        const CodeField *field = t->fields + f;
+        const uint64_t *row = field->rows[(code[field->word] >> field->shift) & field->mask];
+        for (int64_t w = 0; w < nw; w++)
+            out[w] |= row[w];
+    }
+}
+
 /* Sum each tuple's segments (`by_tuple`, grouped by tuple ascending over
- * `n_tuples` bins starting at `first`) and stage every (rank << 32 |
- * tuple, count) in tuple order into *stage (capacity *stage_cap int64s,
- * grown as needed), counting each rank's keys in `sizes`.  `sums` (per
- * id) must be zero and is left zero.  Returns the number of keys, or -1
- * when memory runs out. */
+ * `n_tuples` bins starting at `first`) per rank of their ids and stage
+ * every (rank << 32 | tuple, count) in tuple order into *stage (capacity
+ * *stage_cap int64s, grown as needed), counting each rank's keys in
+ * `sizes`.  `sums` (per rank) must be zero and is left zero.  Returns the
+ * number of keys, or -1 when memory runs out. */
 static int64_t fold_keys(const Fold *f, const int64_t *by_tuple, const int64_t *bins,
                          int64_t n_tuples, int64_t first, const int64_t *rank,
                          int64_t *sums, int64_t *sizes, int64_t **stage,
@@ -707,47 +825,55 @@ static int64_t fold_keys(const Fold *f, const int64_t *by_tuple, const int64_t *
             const int64_t seg = by_tuple[s];
             const int64_t stop = seg + 1 < f->n_segs ? f->segs[2 * seg + 3] : f->n_entries;
             for (int64_t e = f->segs[2 * seg + 1]; e < stop; e++) {
-                const uint32_t id = (uint32_t)(f->entries[e] >> 32);
-                touched[n_touched] = id;
-                n_touched += sums[id] == 0;
-                sums[id] += (int64_t)(f->entries[e] & 0xFFFFFFFFu);
+                const int64_t r = rank[f->entries[e] >> 32];
+                touched[n_touched] = (uint32_t)r;
+                n_touched += sums[r] == 0;
+                sums[r] += (int64_t)(f->entries[e] & 0xFFFFFFFFu);
             }
         }
         if (fold_reserve((void **)stage, stage_cap, 2 * (n_keys + n_touched), sizeof(int64_t)))
             return -1;
         int64_t *staged = *stage + 2 * n_keys;
         for (int64_t k = 0; k < n_touched; k++) {
-            const uint32_t id = touched[k];
-            const int64_t r = rank[id];
+            const int64_t r = touched[k];
             sizes[r]++;
             staged[2 * k] = r << 32 | (first + t);
-            staged[2 * k + 1] = sums[id];
-            sums[id] = 0;
+            staged[2 * k + 1] = sums[r];
+            sums[r] = 0;
         }
         n_keys += n_touched;
     }
     return n_keys;
 }
 
-/* Sort the fold's distinct words, aggregate its participation and write
- * both into one buffer from `alloc`: words (E, nw) | counts (E) | keys
- * (D) | key counts (D), all 8-byte.  sizes = (E, D).  0, or -1 when
- * memory runs out. */
-static int fold_export(Fold *f, int participation, FoldAlloc alloc, int64_t *sizes)
+/* Decode the fold's distinct codes, sort and merge their words, aggregate
+ * the participation and write both into one buffer from `alloc`: words
+ * (E, nw) | counts (E) | keys (D) | key counts (D), all 8-byte.  sizes =
+ * (E, D).  0, or -1 when memory runs out. */
+static int fold_export(Fold *f, const CodeTable *t, int participation, FoldAlloc alloc,
+                       int64_t *sizes)
 {
-    const int64_t n = f->n_unique, nw = f->nw;
+    const int64_t n = f->n_unique, nw = t->nw;
+    uint64_t *words = (uint64_t *)malloc((size_t)(n * nw) * sizeof(uint64_t));
     int64_t *order = (int64_t *)malloc((size_t)(2 * n + 1) * sizeof(int64_t));
     int64_t *rank = (int64_t *)malloc((size_t)(n + 1) * sizeof(int64_t));
     int64_t *sums = NULL, *next = NULL, *bins = NULL, *by_tuple = NULL, *stage = NULL;
     int64_t stage_cap = 0;
     int status = -1;
-    if (!order || !rank)
+    if (!words || !order || !rank)
         goto done;
-    for (int64_t u = 0; u < n; u++)
+    for (int64_t u = 0; u < n; u++) {
+        code_decode(t, f->uniq + u * f->nw, words + u * nw);
         order[u] = u;
-    const int64_t *sorted = sort_rows(order, order + n, n, f->uniq, nw);
-    for (int64_t r = 0; r < n; r++)
-        rank[sorted[r]] = r;
+    }
+    const int64_t *sorted = sort_rows(order, order + n, n, words, nw);
+    /* Codes that decode to equal words share a rank. */
+    int64_t n_distinct = 0;
+    for (int64_t r = 0; r < n; r++) {
+        n_distinct += r == 0 || memcmp(words + sorted[r] * nw, words + sorted[r - 1] * nw,
+                                       (size_t)nw * sizeof(uint64_t));
+        rank[sorted[r]] = n_distinct - 1;
+    }
 
     int64_t n_keys = 0, first = 0, n_tuples = 0;
     if (participation && f->n_segs) {
@@ -760,8 +886,8 @@ static int fold_export(Fold *f, int participation, FoldAlloc alloc, int64_t *siz
         n_tuples = last - first + 1;
         bins = (int64_t *)calloc((size_t)n_tuples + 1, sizeof(int64_t));
         by_tuple = (int64_t *)malloc((size_t)f->n_segs * sizeof(int64_t));
-        sums = (int64_t *)calloc((size_t)n, sizeof(int64_t));
-        next = (int64_t *)calloc((size_t)n + 1, sizeof(int64_t));
+        sums = (int64_t *)calloc((size_t)n_distinct, sizeof(int64_t));
+        next = (int64_t *)calloc((size_t)n_distinct + 1, sizeof(int64_t));
         if (!bins || !by_tuple || !sums || !next)
             goto done;
         for (int64_t s = 0; s < f->n_segs; s++)
@@ -778,32 +904,36 @@ static int fold_export(Fold *f, int participation, FoldAlloc alloc, int64_t *siz
         if (n_keys < 0)
             goto done;
         int64_t offset = 0;
-        for (int64_t r = 0; r < n; r++) {
+        for (int64_t r = 0; r < n_distinct; r++) {
             const int64_t size = next[r];
             next[r] = offset;
             offset += size;
         }
     }
-    uint64_t *out = (uint64_t *)alloc((n * (nw + 1) + 2 * n_keys) * (int64_t)sizeof(uint64_t));
+    uint64_t *out = (uint64_t *)alloc((n_distinct * (nw + 1) + 2 * n_keys) *
+                                      (int64_t)sizeof(uint64_t));
     if (!out)
         goto done;
-    int64_t *counts = (int64_t *)(out + n * nw);
+    int64_t *counts = (int64_t *)(out + n_distinct * nw);
+    memset(counts, 0, (size_t)n_distinct * sizeof(int64_t));
     for (int64_t r = 0; r < n; r++) {
-        memcpy(out + r * nw, f->uniq + sorted[r] * nw, (size_t)nw * sizeof(uint64_t));
-        counts[r] = f->counts[sorted[r]];
+        const int64_t e = rank[sorted[r]];
+        memcpy(out + e * nw, words + sorted[r] * nw, (size_t)nw * sizeof(uint64_t));
+        counts[e] += f->counts[sorted[r]];
     }
     /* The staged keys are in tuple order: placing each at its rank's next
      * slot leaves every rank's run sorted by tuple. */
-    int64_t *keys = counts + n, *key_counts = keys + n_keys;
+    int64_t *keys = counts + n_distinct, *key_counts = keys + n_keys;
     for (int64_t k = 0; k < n_keys; k++) {
         const int64_t slot = next[stage[2 * k] >> 32]++;
         keys[slot] = stage[2 * k];
         key_counts[slot] = stage[2 * k + 1];
     }
-    sizes[0] = n;
+    sizes[0] = n_distinct;
     sizes[1] = n_keys;
     status = 0;
 done:
+    free(words);
     free(order);
     free(rank);
     free(sums);
@@ -829,22 +959,28 @@ int32_t adc_fold_tiles(intptr_t kinds_p, int64_t n_groups, intptr_t a_p,
 {
     const int64_t *bounds = (const int64_t *)bounds_p;
     int64_t *sizes = (int64_t *)sizes_p;
-    const int64_t nw = n_words;
     sizes[0] = sizes[1] = 0;
-    if (nw <= 0)
+    if (n_words <= 0)
         return 0;
     uint64_t stack[2 * TILE_SCRATCH];
     TilePass p;
-    if (tile_pass_init(&p, kinds_p, n_groups, a_p, b_p, row_stride, lookup_p, nw, stack))
-        return -1;
     Fold f;
+    CodeTable code;
+    memset(&p, 0, sizeof(p));
     memset(&f, 0, sizeof(f));
-    f.nw = nw;
-    f.cap = FOLD_ROWS;
-    f.uniq = (uint64_t *)malloc((size_t)(FOLD_ROWS * nw) * sizeof(uint64_t));
-    f.counts = (int64_t *)malloc(FOLD_ROWS * sizeof(int64_t));
-    uint64_t *row = (uint64_t *)malloc((size_t)nw * sizeof(uint64_t));
+    uint64_t *row = NULL;
     int32_t status = -1;
+    if (code_table_init(&code, (const uint64_t *)lookup_p, n_groups, n_words))
+        goto done;
+    const int64_t kw = code.kw;
+    if (tile_pass_init(&p, kinds_p, n_groups, a_p, b_p, row_stride, (intptr_t)code.codes,
+                       kw, stack))
+        goto done;
+    f.nw = kw;
+    f.cap = FOLD_ROWS;
+    f.uniq = (uint64_t *)malloc((size_t)(FOLD_ROWS * kw) * sizeof(uint64_t));
+    f.counts = (int64_t *)malloc(FOLD_ROWS * sizeof(int64_t));
+    row = (uint64_t *)malloc((size_t)kw * sizeof(uint64_t));
     if (fold_table_init(&f) || !f.uniq || !f.counts || !row)
         goto done;
     if (participation) {
@@ -884,13 +1020,14 @@ int32_t adc_fold_tiles(intptr_t kinds_p, int64_t n_groups, intptr_t a_p,
                             ids[k * step] = FOLD_DIAGONAL;
                         continue;
                     }
-                    const uint64_t *words = p.acc + k;
-                    if (nw > 1) {
-                        for (int64_t w = 0; w < nw; w++)
+                    int64_t id;
+                    if (kw == 1) {
+                        id = fold_insert(&f, p.acc + k, 1);
+                    } else {
+                        for (int64_t w = 0; w < kw; w++)
                             row[w] = p.acc[w * block + k];
-                        words = row;
+                        id = fold_insert(&f, row, kw);
                     }
-                    const int64_t id = fold_insert(&f, words);
                     if (id < 0)
                         goto done;
                     if (ids)
@@ -902,12 +1039,13 @@ int32_t adc_fold_tiles(intptr_t kinds_p, int64_t n_groups, intptr_t a_p,
             goto done;
     }
     status = f.n_unique
-                 ? (int32_t)fold_export(&f, participation, (FoldAlloc)alloc_p, sizes)
+                 ? (int32_t)fold_export(&f, &code, participation, (FoldAlloc)alloc_p, sizes)
                  : 0;
 done:
     free(row);
     free(p.heap);
     fold_free(&f);
+    code_table_free(&code);
     return status;
 }
 

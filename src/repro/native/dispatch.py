@@ -25,6 +25,7 @@ probe exists to catch.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import os
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator
@@ -114,14 +115,17 @@ def _probe_flat_kernels(kernels) -> None:
 
     # The fold, with participation off and on, over a wide tile, a 1 x n
     # and an n x 1 strip, a tile across the diagonal and a lone diagonal
-    # cell: every output array must match, dtype included.
+    # cell: every output array must match, dtype included.  The second
+    # lookup's rows share their two low bits, so the fold's category codes
+    # decode to the same words and must merge.
     bounds = np.array(
         [(1, 5, 0, 6), (3, 4, 0, 6), (0, 6, 2, 3), (0, 4, 0, 4), (5, 6, 5, 6)],
         dtype=np.int64,
     )
-    for participation in (False, True):
-        theirs = kernels.fold_tiles(kinds, a, b, lookup, bounds, n_words, participation)
-        ours = NumpyKernels.fold_tiles(kinds, a, b, lookup, bounds, n_words, participation)
+    merging = rng.integers(0, 4, size=(3, 3, n_words), dtype=np.uint64)
+    for fold_lookup, participation in itertools.product((lookup, merging), (False, True)):
+        theirs = kernels.fold_tiles(kinds, a, b, fold_lookup, bounds, n_words, participation)
+        ours = NumpyKernels.fold_tiles(kinds, a, b, fold_lookup, bounds, n_words, participation)
         if not all(
             (x is None and y is None)
             or (x is not None and y is not None and x.dtype == y.dtype and np.array_equal(x, y))

@@ -270,16 +270,35 @@ requires_compiled = pytest.mark.skipif(
 )
 
 
-def _random_planes(rng, n_groups: int, n_rows: int, n_words: int, continuous: bool = False):
+#: Lookup shapes of :func:`_random_planes`, one per kind of code field of
+#: the compiled fold: ``random`` words give every group three distinct rows
+#: (2-bit fields), ``repeated`` draws each group's rows from two words (0-
+#: and 1-bit fields), and ``overlapping`` draws them from one shared 6-bit
+#: window, so different groups' codes decode to the same words and merge.
+LOOKUPS = ("random", "repeated", "overlapping")
+
+
+def _random_planes(
+    rng,
+    n_groups: int,
+    n_rows: int,
+    n_words: int,
+    continuous: bool = False,
+    lookups: str = "random",
+    pair_groups: bool = True,
+):
     """Kernel planes of ``n_groups`` random groups over ``n_rows`` rows.
 
     Numeric planes carry NaN; ``continuous`` values and one-hot category
     bits make nearly every pair a distinct evidence once there are enough
-    groups.
+    groups.  ``lookups`` picks one of :data:`LOOKUPS` otherwise, and
+    without ``pair_groups`` every group is single-tuple.
     """
     kinds = rng.integers(0, 3, size=n_groups).astype(np.int32)
     if continuous:
         kinds[:] = 1
+    if not pair_groups:
+        kinds[:] = 0
     a = np.zeros((n_groups, n_rows), dtype=np.float64)
     b = np.zeros((n_groups, n_rows), dtype=np.float64)
     for g in range(n_groups):
@@ -301,6 +320,11 @@ def _random_planes(rng, n_groups: int, n_rows: int, n_words: int, continuous: bo
             for category in range(3):
                 bit = (3 * g + category) % (64 * n_words)
                 lookup[g, category, bit // 64] = np.uint64(1) << np.uint64(bit % 64)
+    elif lookups == "repeated":
+        for g in range(n_groups):
+            lookup[g] = lookup[g, rng.integers(0, 2, size=3)]
+    elif lookups == "overlapping":
+        lookup = rng.integers(0, 2**6, size=(n_groups, 3, n_words), dtype=np.uint64)
     return kinds, a, b, lookup
 
 
@@ -357,18 +381,24 @@ def _counting_backend(calls: list[str]):
 
 @requires_compiled
 class TestCompiledFold:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_fold_matches_the_numpy_fold(self, data):
         """Words, counts and participation, byte for byte, over random tile
-        lists, planes with NaN, and spaces of one to three words."""
+        lists, planes with NaN, spaces of one to three words, every
+        :data:`LOOKUPS` shape and planes without a pair group."""
         n_rows = data.draw(st.integers(min_value=1, max_value=70))
-        n_groups = data.draw(st.integers(min_value=0, max_value=12))
+        # Past 32 groups of three distinct rows, the codes of a one-word
+        # space take two words.
+        n_groups = data.draw(st.integers(min_value=0, max_value=40))
         n_words = data.draw(st.integers(min_value=1, max_value=3))
         participation = data.draw(st.booleans())
         rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**31)))
         kinds, a, b, lookup = _random_planes(
-            rng, n_groups, n_rows, n_words, continuous=data.draw(st.booleans())
+            rng, n_groups, n_rows, n_words,
+            continuous=data.draw(st.booleans()),
+            lookups=data.draw(st.sampled_from(LOOKUPS)),
+            pair_groups=data.draw(st.booleans()),
         )
         bounds = data.draw(_tile_lists(n_rows))
         kernels = _compiled_backend_or_none().kernels
@@ -389,6 +419,62 @@ class TestCompiledFold:
         ours = NumpyKernels.fold_tiles(kinds, a, b, lookup, bounds, 2, participation)
         assert len(ours[0]) > 8 * 1024
         _assert_same_fold(theirs, ours)
+
+    @pytest.mark.parametrize(
+        "n_groups, n_words, lookups, pair_groups",
+        [
+            (40, 1, "random", True),
+            (12, 2, "repeated", True),
+            (12, 1, "overlapping", True),
+            (5, 1, "random", False),
+            (0, 1, "random", True),
+        ],
+        ids=["codes-wider-than-words", "repeated-rows", "merging-codes", "no-pair-group",
+             "no-group"],
+    )
+    @pytest.mark.parametrize("participation", [False, True])
+    def test_code_keys(self, n_groups, n_words, lookups, pair_groups, participation):
+        """Each kind of code table over tiles, strips and the diagonal:
+        codes wider than the evidence words (40 groups of three distinct
+        rows need 80 bits in a one-word space), 0- and 1-bit fields, codes
+        that decode to the same words, single-tuple groups only, and no
+        group at all."""
+        rng = np.random.default_rng(n_groups + 7 * n_words)
+        kinds, a, b, lookup = _random_planes(
+            rng, n_groups, 45, n_words, lookups=lookups, pair_groups=pair_groups
+        )
+        bounds = np.array(
+            [(0, 45, 0, 45), (3, 4, 0, 45), (0, 45, 9, 10), (20, 30, 20, 30)], dtype=np.int64
+        )
+        kernels = _compiled_backend_or_none().kernels
+        _assert_same_fold(
+            kernels.fold_tiles(kinds, a, b, lookup, bounds, n_words, participation),
+            NumpyKernels.fold_tiles(kinds, a, b, lookup, bounds, n_words, participation),
+        )
+
+    def test_codes_that_decode_to_the_same_words_merge(self):
+        """Two groups whose rows share bits: six category pairs give three
+        word rows, and the fold returns each word row once, with the pairs
+        and the participation of all its codes."""
+        rng = np.random.default_rng(9)
+        n_rows = 30
+        kinds = np.array([1, 2], dtype=np.int32)
+        a = rng.integers(-1, 2, size=(2, n_rows)).astype(np.float64)
+        b = rng.integers(-1, 2, size=(2, n_rows)).astype(np.float64)
+        # Numeric group: LESS 1, EQUAL 2, GREATER 0; string group: LESS 1,
+        # EQUAL 2.  (GREATER, LESS) and (LESS, LESS) both give 1, and so on.
+        lookup = np.array([[[1], [2], [0]], [[1], [2], [3]]], dtype=np.uint64)
+        bounds = np.array([(0, n_rows, 0, n_rows)], dtype=np.int64)
+        diff = a[0][:, None] - b[0][None, :]
+        numeric = 2 - 2 * (diff < 0) - (diff == 0)
+        string = a[1][:, None] == b[1][None, :]
+        off_diagonal = ~np.eye(n_rows, dtype=bool)
+        assert len({(x, y) for x, y in zip(numeric[off_diagonal], string[off_diagonal])}) == 6
+        theirs = _compiled_backend_or_none().kernels.fold_tiles(
+            kinds, a, b, lookup, bounds, 1, True
+        )
+        _assert_same_fold(theirs, NumpyKernels.fold_tiles(kinds, a, b, lookup, bounds, 1, True))
+        assert theirs[0][:, 0].tolist() == [1, 2, 3]
 
     @settings(max_examples=25, deadline=None)
     @given(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.operators import Operator
+from repro.core.operators import NUMERIC_OPERATORS, STRING_OPERATORS, Operator
 from repro.core.predicate_space import (
     PredicateSpace,
     PredicateSpaceConfig,
@@ -130,6 +130,65 @@ class TestSharedValueFraction:
 
     def test_income_and_tax_do_not_qualify(self):
         assert shared_value_fraction(running_example(), "Income", "Tax") < 0.3
+
+
+def _space_pair_by_pair(relation: Relation) -> list[Predicate]:
+    """The predicates of the default space, with each pair's value sets
+    built afresh by ``shared_value_fraction``."""
+    config = PredicateSpaceConfig()
+    columns = relation.columns
+    predicates = [
+        same_column_predicate(column.name, op)
+        for column in columns
+        for op in (NUMERIC_OPERATORS if column.type.is_numeric else STRING_OPERATORS)
+    ]
+    for position, left in enumerate(columns):
+        for right in columns[position + 1:]:
+            if left.type.is_numeric != right.type.is_numeric:
+                continue
+            if shared_value_fraction(relation, left.name, right.name) < config.shared_value_threshold:
+                continue
+            operators = NUMERIC_OPERATORS if left.type.is_numeric else STRING_OPERATORS
+            predicates += [single_tuple_predicate(left.name, op, right.name) for op in operators]
+            predicates += [cross_column_predicate(left.name, op, right.name) for op in operators]
+    return predicates
+
+
+class TestValueSetsPerCall:
+    @pytest.fixture
+    def relation(self) -> Relation:
+        # Every NaN is its own set element, and 1 == 1.0: ``ints`` shares 1
+        # of its 4 values with ``sparse``, whose set has 6 elements, so the
+        # pair stays under 30%; ``ints`` and ``floats`` share 3 of 4.
+        return Relation(
+            "nan",
+            {
+                "ints": [1, 2, 3, 4, 2, 1],
+                "sparse": [1.0] + [float("nan")] * 5,
+                "floats": [1.0, 2.0, 3.0, 9.5, float("nan"), 2.0],
+                "left": ["x", "y", "z", "x", "y", "w"],
+                "right": ["x", "q", "r", "s", "t", "u"],
+            },
+        )
+
+    def test_space_equals_the_pair_by_pair_computation(self, relation):
+        space = build_predicate_space(relation)
+        assert list(space.predicates) == _space_pair_by_pair(relation)
+        assert single_tuple_predicate("ints", Operator.EQ, "floats") in space
+        assert single_tuple_predicate("ints", Operator.EQ, "sparse") not in space
+        assert single_tuple_predicate("floats", Operator.EQ, "sparse") not in space
+
+    def test_no_value_set_outlives_the_call(self, relation):
+        before = build_predicate_space(relation)
+        relation.append_rows([
+            {"ints": 1, "sparse": 1.0, "floats": 1.0, "left": "q", "right": "x"},
+            {"ints": 2, "sparse": 2.0, "floats": 2.0, "left": "r", "right": "y"},
+            {"ints": 3, "sparse": 3.0, "floats": 3.0, "left": "s", "right": "z"},
+        ])
+        after = build_predicate_space(relation)
+        assert single_tuple_predicate("ints", Operator.EQ, "sparse") in after
+        assert single_tuple_predicate("ints", Operator.EQ, "sparse") not in before
+        assert list(after.predicates) == _space_pair_by_pair(relation)
 
 
 class TestPredicateSpaceIndexing:

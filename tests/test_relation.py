@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.data.relation import Relation, running_example
@@ -108,6 +109,57 @@ class TestDerivedRelations:
             assert duplicate.values.tolist() == original.values.tolist()
         # The factorization cache is shared, not recomputed.
         assert copy.string_codes("name", "name")[0] is people.string_codes("name", "name")[0]
+
+    @pytest.mark.parametrize(
+        "indices", [[2, 0], [3, 3, 1, 0, 2], list(range(5)), []], ids=["some", "repeated", "all", "none"]
+    )
+    def test_take_indexes_the_typed_arrays(self, indices, monkeypatch):
+        """``take`` gives the arrays, dtypes and row count of building the
+        selected rows through the coercing constructor, NaN floats and an
+        empty selection included, without coercing a value."""
+        import repro.data.relation as relation_module
+
+        relation = Relation(
+            "mixed",
+            {
+                "name": ["ann", "bob", "", "dan", "eve"],
+                "age": [30, 25, 30, 41, 7],
+                "score": [1.5, None, 2.5, float("nan"), -0.0],
+            },
+        )
+        old_path = Relation(
+            relation.name,
+            {column.name: column.values[np.asarray(indices, dtype=np.int64)]
+             for column in relation.columns},
+            {column.name: column.type for column in relation.columns},
+        )
+
+        def no_coercion(*args, **kwargs):  # pragma: no cover - failure path
+            raise AssertionError("take must not re-coerce stored values")
+
+        monkeypatch.setattr(relation_module, "coerce_values", no_coercion)
+        taken = relation.take(indices)
+        assert taken.name == old_path.name
+        assert taken.n_rows == old_path.n_rows == len(indices)
+        assert taken.column_names == old_path.column_names
+        for got, want in zip(taken.columns, old_path.columns):
+            assert got.type is want.type
+            assert got.values.dtype == want.values.dtype
+            assert got.values.shape == want.values.shape
+            if want.type is ColumnType.FLOAT:
+                assert np.array_equal(got.values, want.values, equal_nan=True)
+                assert np.array_equal(np.signbit(got.values), np.signbit(want.values))
+            else:
+                assert got.values.tolist() == want.values.tolist()
+        # The rows are copies, and the taken relation grows like any other.
+        taken.column("age").values[:] = -1
+        assert relation.column("age").values.min() == 7
+        monkeypatch.undo()
+        if indices:
+            assert taken.append_rows([relation.row(0)]) == 1
+            assert taken.string_codes("name", "name")[0].tolist() == list(
+                relation.take(indices + [0]).string_codes("name", "name")[0]
+            )
 
     def test_with_values_replaces_column(self, people):
         new_ages = people.column("age").values.copy()
