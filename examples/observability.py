@@ -13,12 +13,7 @@ server on a loopback port:
 3. **The Prometheus endpoint** — ``--metrics-port`` (or
    ``metrics_port=`` on :class:`~repro.serve.server.ServerThread`)
    serves the standard text exposition for scraping, plus a
-   ``/healthz`` liveness probe;
-4. **Cluster federation** — behind a
-   :class:`~repro.cluster.local.LocalCluster`, traced appends come back
-   with per-task *worker child spans* stitched into the trace, and the
-   exposition federates every worker's ``repro_worker_*`` series under
-   a ``worker="<id>"`` label.
+   ``/healthz`` liveness probe.
 
 Metrics are on by default; export ``REPRO_OBS=0`` to disable every
 counter at the source.  Run with::
@@ -31,7 +26,6 @@ from __future__ import annotations
 import urllib.request
 
 from repro import running_example
-from repro.cluster import LocalCluster
 from repro.serve import ServeClient, ServerThread
 
 EPSILON = 0.05
@@ -97,41 +91,6 @@ def main() -> None:
                 print(f"  {line}")
     finally:
         thread.stop()
-
-    # 4. The same server backed by a cluster: the traced append's fold
-    # runs on in-process workers, each task comes back as a stitched
-    # child span, and the exposition federates worker registries.
-    with LocalCluster(2, transport="local") as cluster:
-        thread = ServerThread(cluster=cluster, metrics_port=0)
-        try:
-            host, port = thread.address
-            with ServeClient(host, port) as client:
-                client.create_store("tax", rows[:10])
-                result = client.append("tax", rows[10:14], trace=True)
-                trace = result["trace"]
-                print(f"cluster-traced append: "
-                      f"{len(trace['children'])} worker task spans")
-                for child in trace["children"]:
-                    compute = child["segments"]["compute"]
-                    print(f"  worker {child['worker']} task {child['task']}: "
-                          f"{child['wall_seconds'] * 1e3:.2f} ms wall "
-                          f"({compute * 1e6:.0f} us compute, "
-                          f"{child['tiles']} tiles, "
-                          f"{child['queue_network_seconds'] * 1e6:.0f} us "
-                          f"queue+network)")
-            metrics_host, metrics_port = thread.metrics_address
-            url = f"http://{metrics_host}:{metrics_port}/metrics"
-            with urllib.request.urlopen(url, timeout=10.0) as response:
-                federated = response.read().decode("utf-8")
-            workers = sorted({
-                line.split('worker="')[1].split('"')[0]
-                for line in federated.splitlines()
-                if line.startswith("repro_worker_tasks_total{")
-                and 'worker="' in line
-            })
-            print(f"federated exposition: worker series from {workers}")
-        finally:
-            thread.stop()
 
 
 if __name__ == "__main__":

@@ -51,11 +51,6 @@ from repro.incremental import (
     EvidenceStore,
     ViolationService,
 )
-from repro.cluster import (
-    ClusterCoordinator,
-    LocalCluster,
-    build_evidence_set_cluster,
-)
 
 __version__ = "1.0.0"
 
@@ -90,7 +85,4 @@ __all__ = [
     "DeltaEvidenceBuilder",
     "EvidenceStore",
     "ViolationService",
-    "ClusterCoordinator",
-    "LocalCluster",
-    "build_evidence_set_cluster",
 ]

@@ -5,16 +5,13 @@ Three builders are provided, all producing the packed
 round-trip anywhere):
 
 * :func:`build_evidence_set_tiled` — the default builder.  It runs the
-  engine's picklable :class:`~repro.engine.kernel.TileKernel` serially over
+  engine's :class:`~repro.engine.kernel.TileKernel` over
   the :class:`~repro.engine.scheduler.TileScheduler`'s row-tile schedule,
   folding every tile's distinct evidences into a
   :class:`~repro.engine.partial.PartialEvidenceSet`.  Peak memory is
   ``O(n_words * tile_rows^2)`` instead of the dense builder's
   ``O(n_words * n^2)``; the tile edge is chosen adaptively from a memory
   budget when not given (:func:`repro.engine.scheduler.choose_tile_rows`).
-  Its parallel twin, :func:`repro.cluster.build.build_evidence_set_cluster`
-  (``method="cluster"``), folds the same kernel and schedule over a
-  worker cluster and is bit-identical by construction.
 * :func:`build_evidence_set_dense` — the original dense builder
   materialising full ``n x n`` category matrices and word planes.  Retained
   behind a flag as a correctness oracle and for benchmarking.
@@ -57,7 +54,7 @@ from repro.engine.scheduler import (
 )
 
 #: All evidence construction methods accepted by :func:`build_evidence_set`.
-EVIDENCE_METHODS = ("tiled", "cluster", "dense", "pairwise")
+EVIDENCE_METHODS = ("tiled", "dense", "pairwise")
 
 
 def build_evidence_set(
@@ -67,7 +64,6 @@ def build_evidence_set(
     method: str = "tiled",
     tile_rows: int | None = None,
     memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES,
-    cluster: object | None = None,
 ) -> EvidenceSet:
     """Build ``Evi(D)``, dispatching to the requested builder.
 
@@ -82,43 +78,18 @@ def build_evidence_set(
         Whether to also build the per-evidence tuple-participation structure
         (needed by the f2/f3 approximation functions; costs one extra pass).
     method:
-        ``"tiled"`` (default, serial), ``"cluster"`` (the same tiles
-        folded over the workers of :mod:`repro.cluster`; requires
-        ``cluster=``), ``"dense"`` (the full-plane oracle) or
+        ``"tiled"`` (default), ``"dense"`` (the full-plane oracle) or
         ``"pairwise"`` (the naive AFASTDC-style oracle).
     tile_rows:
-        Tile edge length of the tiled/cluster builders; ``None``
-        (default) selects it adaptively from the memory budget.
+        Tile edge length of the tiled builder; ``None`` (default) selects
+        it adaptively from the memory budget.
     memory_budget_bytes:
         Transient-memory budget driving the adaptive tile size.
-    cluster:
-        A :class:`~repro.cluster.coordinator.ClusterCoordinator` or
-        :class:`~repro.cluster.local.LocalCluster` carrying the workers of
-        the ``"cluster"`` method; ignored by the other methods.
     """
     if method == "tiled":
         return build_evidence_set_tiled(
             relation,
             space,
-            include_participation=include_participation,
-            tile_rows=tile_rows,
-            memory_budget_bytes=memory_budget_bytes,
-        )
-    if method == "cluster":
-        if cluster is None:
-            raise ValueError(
-                "method='cluster' needs a cluster= coordinator "
-                "(e.g. repro.cluster.LocalCluster)"
-            )
-        # Imported lazily: repro.cluster pulls in the whole fabric (and, via
-        # the enumeration context, this very module), which non-cluster
-        # builds should neither pay for nor cycle through.
-        from repro.cluster.build import build_evidence_set_cluster
-
-        return build_evidence_set_cluster(
-            relation,
-            space,
-            cluster,
             include_participation=include_participation,
             tile_rows=tile_rows,
             memory_budget_bytes=memory_budget_bytes,

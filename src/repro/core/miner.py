@@ -140,20 +140,12 @@ class ADCMiner:
     selection:
         Evidence selection strategy of the enumerator (Figure 10 ablation).
     evidence_method:
-        ``"tiled"`` (blocked word-plane builder, default), ``"cluster"``
-        (the same tiles folded over :mod:`repro.cluster` workers,
-        bit-identical to ``"tiled"``; requires ``cluster=``), ``"dense"``
+        ``"tiled"`` (blocked word-plane builder, default), ``"dense"``
         (full-plane oracle), or ``"pairwise"`` (AFASTDC-style reference
         builder).
     tile_rows:
-        Tile edge length of the tiled/cluster evidence builders; ``None``
-        (default) picks it adaptively from a memory budget.
-    cluster:
-        A :class:`~repro.cluster.coordinator.ClusterCoordinator` or
-        :class:`~repro.cluster.local.LocalCluster`.  When given, evidence
-        tiles are built over the cluster (``evidence_method`` switches to
-        ``"cluster"`` unless explicitly set to an oracle method).  The
-        enumeration always runs as one serial search in this process.
+        Tile edge length of the tiled evidence builder; ``None`` (default)
+        picks it adaptively from a memory budget.
     max_dc_size:
         Optional cap on predicates per DC.
     seed:
@@ -171,21 +163,16 @@ class ADCMiner:
         selection: SelectionStrategy = "max",
         evidence_method: str = "tiled",
         tile_rows: int | None = None,
-        cluster: object | None = None,
         max_dc_size: int | None = None,
         seed: int | None = None,
     ) -> None:
         if isinstance(function, str):
             function = get_approximation_function(function)
-        if cluster is not None and evidence_method == "tiled":
-            evidence_method = "cluster"
         if evidence_method not in EVIDENCE_METHODS:
             raise ValueError(
                 f"unknown evidence method {evidence_method!r}; "
                 f"valid methods are {', '.join(EVIDENCE_METHODS)}"
             )
-        if evidence_method == "cluster" and cluster is None:
-            raise ValueError("evidence_method='cluster' needs a cluster= coordinator")
         self.function = function
         self.epsilon = float(epsilon)
         self.sample_fraction = float(sample_fraction)
@@ -195,7 +182,6 @@ class ADCMiner:
         self.selection: SelectionStrategy = selection
         self.evidence_method = evidence_method
         self.tile_rows = int(tile_rows) if tile_rows is not None else None
-        self.cluster = cluster
         self.max_dc_size = max_dc_size
         self.seed = seed
 
@@ -219,7 +205,6 @@ class ADCMiner:
             include_participation=needs_participation,
             method=self.evidence_method,
             tile_rows=self.tile_rows,
-            cluster=self.cluster,
         )
         timings.evidence = time.perf_counter() - started
 

@@ -80,10 +80,18 @@ def infer_column_type(values: Iterable[object]) -> ColumnType:
 
     The result is the least upper bound over the per-value types: a column is
     integer only if every value is an integer, float if every value is
-    numeric, and string otherwise.  An empty column defaults to ``STRING``.
+    numeric, and string otherwise.  Missing values (``None``) do not count,
+    except that they make an integer column ``FLOAT``: integer columns hold
+    no missing marker, float columns hold ``nan`` (see
+    :func:`coerce_values`).  An empty or all-missing column defaults to
+    ``STRING``.
     """
     result: ColumnType | None = None
+    missing = False
     for value in values:
+        if value is None:
+            missing = True
+            continue
         value_type = infer_value_type(value)
         if result is None:
             result = value_type
@@ -92,7 +100,11 @@ def infer_column_type(values: Iterable[object]) -> ColumnType:
                 result = ColumnType.FLOAT
             else:
                 return ColumnType.STRING
-    return result if result is not None else ColumnType.STRING
+    if result is None:
+        return ColumnType.STRING
+    if missing and result is ColumnType.INTEGER:
+        return ColumnType.FLOAT
+    return result
 
 
 def coerce_values(values: Sequence[object], column_type: ColumnType) -> list[object]:

@@ -372,7 +372,6 @@ class StoreJournal:
         *,
         fsync: str = "commit",
         snapshot_every_bytes: int = DEFAULT_SNAPSHOT_BYTES,
-        cluster: object | None = None,
     ) -> RecoveredStore:
         """Rebuild the store this directory journals.
 
@@ -444,7 +443,6 @@ class StoreJournal:
                 store = EvidenceStore.from_state(
                     relation, space, partial,
                     generation=int(meta["generation"]),
-                    cluster=cluster,
                 )
                 last_seq = int(meta["last_seq"])
                 snapshot_version = version
@@ -476,8 +474,7 @@ class StoreJournal:
                         column: ColumnType(text) for column, text in types.items()
                     } or None
                     store = EvidenceStore(
-                        Relation.from_records(name, record["rows"], column_types),
-                        cluster=cluster,
+                        Relation.from_records(name, record["rows"], column_types)
                     )
                 elif kind == "rows_appended":
                     if store is None:

@@ -19,11 +19,10 @@ with three guarantees:
   caller's commit points (:meth:`sync`), ``"never"`` flushes to the OS
   only (survives process death, not power loss — the benchmark baseline).
 
-Payloads are opaque bytes; encoding (JSON for serve-tenant journals,
-pickle for trusted coordinator state) belongs to the callers in
-:mod:`repro.durability.journal`.  Single-writer: callers serialize appends
-(the serve layer's flush loop and the coordinator's submit lock already
-do).
+Payloads are opaque bytes; their encoding (JSON for serve-tenant
+journals) belongs to the callers in :mod:`repro.durability.journal`.
+Single-writer: callers serialize appends (the serve layer's flush loop
+already does).
 """
 
 from __future__ import annotations

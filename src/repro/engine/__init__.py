@@ -1,27 +1,21 @@
-"""Parallel evidence engine.
+"""Evidence engine.
 
 The engine decomposes evidence construction (the dominant phase of the
-pipeline, per the paper's Figure 8 decomposition) into independent,
-shardable tile work units:
+pipeline, per the paper's Figure 8 decomposition) into tile work units
+that one backend call folds:
 
 * :mod:`repro.engine.scheduler` — :class:`TileScheduler` partitions the
-  ordered-pair matrix into row tiles, balances contiguous tile ranges into
-  shards (:meth:`TileScheduler.shards`), and picks an adaptive tile edge
-  from a memory budget (:func:`choose_tile_rows`).
-* :mod:`repro.engine.kernel` — :class:`TileKernel`, the picklable evidence
-  kernel, which folds a whole tile list in one backend call: all
-  comparison data is resolved once up front so worker processes receive a
-  compact numpy-only payload instead of the relation and predicate space.
+  ordered-pair matrix into row tiles and picks an adaptive tile edge from
+  a memory budget (:func:`choose_tile_rows`).
+* :mod:`repro.engine.kernel` — :class:`TileKernel`, the evidence kernel,
+  which folds a whole tile list in one backend call: all comparison data
+  is resolved once up front into a compact numpy-only payload instead of
+  the relation and predicate space.
 * :mod:`repro.engine.partial` — :class:`PartialEvidenceSet`, an
   accumulator of fold results whose :meth:`~PartialEvidenceSet.merge`
   is associative and commutative, so partials can be combined in any order.
-* :mod:`repro.engine.parallel` — :func:`fold_tiles`, the serial fold of a
-  kernel over a tile sequence (one kernel call), and
-  :func:`parallel_tile_rows`, the tile edge for several concurrent kernels.
-
-Parallelism comes from :mod:`repro.cluster`, whose workers run the same
-:func:`fold_tiles` over shards of the same schedule, so cluster and
-``tiled`` results are bit-identical.
+* :mod:`repro.engine.parallel` — :func:`fold_tiles`, the fold of a kernel
+  over a tile sequence (one kernel call).
 """
 
 from repro.engine.scheduler import (
@@ -30,7 +24,6 @@ from repro.engine.scheduler import (
     Tile,
     TileScheduler,
     choose_tile_rows,
-    shard_tiles,
 )
 from repro.engine.kernel import TileKernel, TilePartial, prepare_groups
 from repro.engine.partial import (
@@ -38,7 +31,7 @@ from repro.engine.partial import (
     participation_from_key_chunks,
     split_participation,
 )
-from repro.engine.parallel import fold_tiles, parallel_tile_rows
+from repro.engine.parallel import fold_tiles
 
 __all__ = [
     "DEFAULT_MEMORY_BUDGET_BYTES",
@@ -46,7 +39,6 @@ __all__ = [
     "Shard",
     "TileScheduler",
     "choose_tile_rows",
-    "shard_tiles",
     "TileKernel",
     "TilePartial",
     "prepare_groups",
@@ -54,5 +46,4 @@ __all__ = [
     "participation_from_key_chunks",
     "split_participation",
     "fold_tiles",
-    "parallel_tile_rows",
 ]

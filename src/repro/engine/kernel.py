@@ -1,7 +1,7 @@
-"""The picklable evidence kernel.
+"""The evidence kernel.
 
-:class:`TileKernel` is the compute core of both the serial tiled builder
-and the cluster builder: given a list of
+:class:`TileKernel` is the compute core of the tiled builder and of the
+incremental delta builder: given a list of
 :class:`~repro.engine.scheduler.Tile`-s it folds every pair of every tile
 into the list's deduplicated evidence words, multiplicities and
 tuple-participation histogram (one :class:`TilePartial`).  The fold is one
@@ -13,16 +13,14 @@ in the same pass, and only then decodes the distinct codes into evidence
 words and sorts them canonically, so nothing returns to Python between
 tiles.
 
-The kernel is deliberately a *numpy-only* payload: building it resolves
-every predicate group's comparison data — per-row order categories, float
-value vectors, string factorization codes — and the per-category word masks
-up front, so worker processes receive a few flat arrays instead of the
-:class:`Relation` and :class:`PredicateSpace` objects.  Preparation splits
-in two: the space-only :class:`GroupPlan` (rules and lookups) and the
-per-row planes it fills, which a growing relation extends row by row
-(:class:`~repro.incremental.delta.RowPlanes`).  It is pickled once per
-worker (inside the cluster's work context), after which tasks are plain
-``(start, stop)`` shard ranges.
+The kernel is a *numpy-only* payload: building it resolves every
+predicate group's comparison data — per-row order categories, float value
+vectors, string factorization codes — and the per-category word masks up
+front, so a fold reads a few flat arrays instead of the :class:`Relation`
+and :class:`PredicateSpace` objects.  Preparation splits in two: the
+space-only :class:`GroupPlan` (rules and lookups) and the per-row planes
+it fills, which a growing relation extends row by row
+(:class:`~repro.incremental.delta.RowPlanes`).
 """
 
 from __future__ import annotations

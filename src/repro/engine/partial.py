@@ -15,7 +15,7 @@ operation is associative and commutative up to evidence-id relabeling, and
 :meth:`finalize` erases the relabeling by sorting evidences into the
 canonical lexicographic word order, so *any* merge tree over the same tiles
 yields a bit-identical :class:`~repro.core.evidence.EvidenceSet`.  This is
-what lets cluster workers combine results in completion order.
+what lets a store merge each append's delta into what it holds.
 
 Every participation chunk lists each of its evidences as one run of
 ascending tuples: a fold emits its histogram sorted, and relabeling ids

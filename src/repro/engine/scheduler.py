@@ -2,9 +2,8 @@
 
 The ordered-pair matrix of an ``n``-row relation is cut into
 ``tile_rows x tile_rows`` blocks.  Every block is an independent work unit
-(a :class:`Tile`), and contiguous runs of tiles are grouped into
-:class:`Shard` ranges balanced by pair count — the unit a cluster worker
-receives.  :func:`choose_tile_rows` picks the tile
+(a :class:`Tile`), and a :class:`Shard` is the run of tiles one kernel
+call folds.  :func:`choose_tile_rows` picks the tile
 edge adaptively from a memory budget and the evidence word width, replacing
 the fixed 256-row default of the original tiled builder.
 
@@ -85,13 +84,8 @@ class Tile:
 
 @dataclass(frozen=True)
 class Shard:
-    """A contiguous range ``tiles[start:stop]`` of a tile list.
-
-    Shards are the distribution unit: ``(start, stop)`` alone identifies
-    the work against a scheduler with the same ``(n_rows, tile_rows)``, so
-    a remote worker only needs those two integers plus the kernel.  A shard
-    is also what one :meth:`~repro.engine.kernel.TileKernel.run` call folds.
-    """
+    """A contiguous range ``tiles[start:stop]`` of a tile list: what one
+    :meth:`~repro.engine.kernel.TileKernel.run` call folds."""
 
     start: int
     stop: int
@@ -165,48 +159,3 @@ class TileScheduler:
     def total_pairs(self) -> int:
         """Ordered distinct pairs (diagonal cells excluded)."""
         return self.n_rows * (self.n_rows - 1)
-
-    def shards(self, k: int) -> list[Shard]:
-        """Split the tile list into at most ``k`` contiguous balanced shards.
-
-        See :func:`shard_tiles` — returns ``min(k, len(self))`` shards that
-        exactly partition :meth:`tiles`.
-        """
-        return shard_tiles(self.tiles(), k)
-
-
-def shard_tiles(tiles: tuple[Tile, ...], k: int) -> list[Shard]:
-    """Split a tile sequence into at most ``k`` contiguous balanced shards.
-
-    Balancing is by pair count with a greedy fair-share cut: each shard
-    closes once it reaches its share of the remaining pairs, subject to
-    every remaining shard still receiving at least one tile.  Returns
-    ``min(k, len(tiles))`` shards that exactly partition ``tiles``.  Works
-    over any tile list — a scheduler's full grid or the delta tiles of the
-    incremental builder.
-    """
-    if k < 1:
-        raise ValueError("shard count must be positive")
-    tiles = tuple(tiles)
-    if not tiles:
-        return []
-    k = min(k, len(tiles))
-    remaining = sum(tile.n_pairs for tile in tiles)
-    shards: list[Shard] = []
-    start = 0
-    accumulated = 0
-    for index, tile in enumerate(tiles):
-        accumulated += tile.n_pairs
-        shards_left = k - len(shards)
-        tiles_after = len(tiles) - index - 1
-        # Close the shard at its fair share of the remaining pairs, or
-        # when every remaining shard needs one of the remaining tiles.
-        reached_share = accumulated * shards_left >= remaining
-        must_close = tiles_after == shards_left - 1
-        if shards_left > 1 and (reached_share or must_close):
-            shards.append(Shard(start, index + 1, tiles[start : index + 1]))
-            remaining -= accumulated
-            accumulated = 0
-            start = index + 1
-    shards.append(Shard(start, len(tiles), tiles[start:]))
-    return shards

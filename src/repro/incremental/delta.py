@@ -14,10 +14,10 @@ contribution of those blocks — ``O(n·m + m²)`` pairs instead of the full
 edge: a tile holds at most ``edge²`` pairs, the budget of one square tile
 of a full build, so a thin ``m x n`` strip stays one tile while
 ``m·n <= edge²`` and a one-row append costs two tiles at any ``n``.
-:class:`DeltaEvidenceBuilder` runs them through the same picklable
-:class:`~repro.engine.kernel.TileKernel` as the batch builders — serially
-(:func:`~repro.engine.parallel.fold_tiles`) or over an attached cluster —
-and returns a :class:`~repro.engine.partial.PartialEvidenceSet` ready to
+:class:`DeltaEvidenceBuilder` runs them through the same
+:class:`~repro.engine.kernel.TileKernel` as the batch builders — one
+:func:`~repro.engine.parallel.fold_tiles` call per build or delta — and
+returns a :class:`~repro.engine.partial.PartialEvidenceSet` ready to
 :meth:`~repro.engine.partial.PartialEvidenceSet.merge` into the stored one.
 A store keeps its relation's :class:`RowPlanes` — the predicate groups
 planned once and the kernel's per-row planes, append-only — so preparing
@@ -39,8 +39,13 @@ import numpy as np
 
 from repro.core.evidence import n_words_for
 from repro.engine.kernel import GroupPlan, TileKernel
-from repro.engine.parallel import fold_tiles, parallel_tile_rows
-from repro.engine.scheduler import DEFAULT_MEMORY_BUDGET_BYTES, Tile, TileScheduler
+from repro.engine.parallel import fold_tiles
+from repro.engine.scheduler import (
+    DEFAULT_MEMORY_BUDGET_BYTES,
+    Tile,
+    TileScheduler,
+    choose_tile_rows,
+)
 
 if TYPE_CHECKING:
     from repro.core.predicate_space import PredicateSpace
@@ -171,7 +176,7 @@ class DeltaEvidenceBuilder:
     """Compute evidence partials for a relation and its appended batches.
 
     The builder owns the construction knobs (predicate space, participation
-    tracking, tile sizing, cluster) so that the initial full build and
+    tracking, tile sizing) so that the initial full build and
     every subsequent delta run through identical kernels and schedules —
     the precondition for the store's bit-identity invariant.
 
@@ -186,11 +191,6 @@ class DeltaEvidenceBuilder:
     tile_rows:
         Tile edge; ``None`` picks it adaptively per build via
         :func:`~repro.engine.scheduler.choose_tile_rows`.
-    cluster:
-        Optional :class:`~repro.cluster.coordinator.ClusterCoordinator` or
-        :class:`~repro.cluster.local.LocalCluster`: the initial full build
-        *and every delta* fold their tiles over the cluster's workers
-        instead of serially in-process.
     memory_budget_bytes:
         Transient-memory budget driving the adaptive tile edge.
 
@@ -204,42 +204,19 @@ class DeltaEvidenceBuilder:
         space: "PredicateSpace",
         include_participation: bool = True,
         tile_rows: int | None = None,
-        cluster: object | None = None,
         memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES,
     ) -> None:
         self.space = space
         self.n_words = n_words_for(len(space))
         self.include_participation = bool(include_participation)
         self.tile_rows = int(tile_rows) if tile_rows is not None else None
-        self.cluster = cluster
         self.memory_budget_bytes = int(memory_budget_bytes)
 
     def tile_edge(self, n_rows: int) -> int:
-        """Tile edge for a build over ``n_rows`` rows (fixed or adaptive).
-
-        With a cluster, the memory budget is split across the workers'
-        concurrent kernels the same way the cluster builder splits it
-        (:func:`~repro.engine.parallel.parallel_tile_rows`), so together
-        they stay within ``memory_budget_bytes``.
-        """
+        """Tile edge for a build over ``n_rows`` rows (fixed or adaptive)."""
         if self.tile_rows is not None:
             return self.tile_rows
-        concurrency = 1
-        if self.cluster is not None:
-            from repro.cluster.local import resolve_coordinator
-
-            concurrency = resolve_coordinator(self.cluster).n_alive
-        return parallel_tile_rows(
-            max(n_rows, 1), self.n_words, concurrency, self.memory_budget_bytes
-        )
-
-    def _fold(self, kernel: TileKernel, tiles: tuple["Tile", ...]) -> "PartialEvidenceSet":
-        """Fold tiles over the cluster when one is attached, else serially."""
-        if self.cluster is not None:
-            from repro.cluster.build import fold_tiles_cluster
-
-            return fold_tiles_cluster(kernel, tiles, self.cluster)
-        return fold_tiles(kernel, tiles)
+        return choose_tile_rows(max(n_rows, 1), self.n_words, self.memory_budget_bytes)
 
     def kernel(
         self,
@@ -267,7 +244,7 @@ class DeltaEvidenceBuilder:
     ) -> "PartialEvidenceSet":
         """Evidence partial of the full pair matrix (the store's seed)."""
         scheduler = TileScheduler(relation.n_rows, tile_rows=self.tile_edge(relation.n_rows))
-        return self._fold(self.kernel(relation, planes=planes), scheduler.tiles())
+        return fold_tiles(self.kernel(relation, planes=planes), scheduler.tiles())
 
     def delta_partial(
         self, relation: "Relation", n_existing: int, planes: RowPlanes | None = None
@@ -286,4 +263,4 @@ class DeltaEvidenceBuilder:
         """
         tiles = delta_tiles(n_existing, relation.n_rows, self.tile_edge(relation.n_rows))
         kernel = self.kernel(relation, planes=planes, n_existing=n_existing)
-        return self._fold(kernel, tiles)
+        return fold_tiles(kernel, tiles)

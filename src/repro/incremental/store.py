@@ -68,12 +68,6 @@ class EvidenceStore:
         (required by f2/f3 remining and per-tuple violation scores).
     tile_rows:
         Tile edge of the evidence kernels; ``None`` adapts per build.
-    cluster:
-        Optional :class:`~repro.cluster.coordinator.ClusterCoordinator` or
-        :class:`~repro.cluster.local.LocalCluster`: the seed build and
-        every appended batch's delta tiles fold over the cluster's workers
-        instead of serially in-process.  The bit-identity invariant is
-        unchanged — cluster folds merge the same tile partials.
     memory_budget_bytes:
         Transient-memory budget driving the adaptive tile edge.
     """
@@ -85,7 +79,6 @@ class EvidenceStore:
         space_config: PredicateSpaceConfig | None = None,
         include_participation: bool = True,
         tile_rows: int | None = None,
-        cluster: object | None = None,
         memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES,
     ) -> None:
         self._relation = relation.copy()
@@ -96,7 +89,6 @@ class EvidenceStore:
             self.space,
             include_participation=include_participation,
             tile_rows=tile_rows,
-            cluster=cluster,
             memory_budget_bytes=memory_budget_bytes,
         )
         # The kernel planes of this store's relation; rows below n_rows are
@@ -214,8 +206,8 @@ class EvidenceStore:
 
         The append is atomic: the grown relation and its delta partial are
         staged on the side and only swapped in once both succeed, so a
-        failure anywhere (a dirty value the column type rejects, a dead
-        cluster) leaves the store exactly as it was — safe to fix the
+        failure anywhere (a dirty value the column type rejects, a failed
+        allocation) leaves the store exactly as it was — safe to fix the
         batch and retry.
 
         ``pre_commit(n_new)`` is the write-ahead hook: it runs after the
@@ -278,7 +270,6 @@ class EvidenceStore:
         partial: "PartialEvidenceSet",
         generation: int = 0,
         tile_rows: int | None = None,
-        cluster: object | None = None,
         memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES,
     ) -> "EvidenceStore":
         """Reassemble a store from externally persisted state.
@@ -303,7 +294,6 @@ class EvidenceStore:
             space,
             include_participation=partial.include_participation,
             tile_rows=tile_rows,
-            cluster=cluster,
             memory_budget_bytes=memory_budget_bytes,
         )
         store._planes = RowPlanes(store._relation, space)

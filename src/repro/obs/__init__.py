@@ -8,21 +8,16 @@ Three pillars, all dependency-free (stdlib + numpy):
   centrally in ``metrics.py``.
 * :mod:`repro.obs.spans` — lightweight trace spans propagated from
   :class:`~repro.serve.client.ServeClient` through the wire envelope's
-  ``trace`` field into scheduler flushes, store folds, journal fsyncs and
-  cluster submits — and, when a submission runs over a cluster, across the
-  wire into per-task worker child spans stitched back into one tree.
+  ``trace`` field into scheduler flushes, store folds and journal fsyncs.
 * :mod:`repro.obs.logging` — line-oriented JSON event logs replacing
   ad-hoc stderr prints, including the span-aware slow-op log.
 
 Exposure: the ``metrics`` wire op (JSON snapshot or text exposition), the
 optional ``--metrics-port`` HTTP listener (:mod:`repro.obs.httpd`,
 Prometheus text format 0.0.4 via :mod:`repro.obs.prometheus`, plus a
-``/healthz`` liveness probe), and — on a cluster-backed server — the
-federated view assembled by :mod:`repro.obs.federate` from per-worker
-registry snapshots, each series labeled ``worker="<id>"``.
+``/healthz`` liveness probe).
 """
 
-from repro.obs.federate import merge_snapshots, render_federated
 from repro.obs.logging import JsonLogger, get_logger, set_logger
 from repro.obs.prometheus import render_text
 from repro.obs.registry import (
@@ -44,9 +39,7 @@ __all__ = [
     "Span",
     "get_logger",
     "get_registry",
-    "merge_snapshots",
     "new_trace_id",
-    "render_federated",
     "render_text",
     "set_logger",
     "set_registry",

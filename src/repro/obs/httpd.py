@@ -1,19 +1,15 @@
 """Minimal asyncio HTTP endpoint serving Prometheus text exposition.
 
-Stdlib only, runs on the server's own event loop (no extra threads): each
-connection reads one request, answers ``GET /metrics`` (or ``/``) with the
-registry rendered by :func:`~repro.obs.prometheus.render_text`, and closes
+Stdlib only, runs on the server's own event loop: each connection reads
+one request, answers ``GET /metrics`` (or ``/``) with the registry
+rendered by :func:`~repro.obs.prometheus.render_text` (in the loop's
+default executor, so a render never stalls the serving loop), and closes
 (``Connection: close`` — scrapers reconnect per scrape).  ``GET /healthz``
 is a liveness probe distinct from the scrape: 200 with a small JSON body
 (uptime plus whatever the owner's ``health`` callable reports), so an
 orchestrator can restart a wedged process without parsing an exposition.
 Anything else gets a 404.  Malformed requests are dropped silently; this
 listener is meant for a trusted scrape network, same as the serving port.
-
-``collect`` lets the owner replace the plain registry render with a richer
-one — the serving layer plugs in the cluster-federated exposition
-(:func:`~repro.obs.federate.render_federated`) there.  It may block on
-worker round-trips, so it runs in the loop's default executor.
 """
 
 from __future__ import annotations
@@ -39,13 +35,11 @@ class MetricsHTTPServer:
         registry: MetricsRegistry,
         host: str,
         port: int,
-        collect: Callable[[], str] | None = None,
         health: Callable[[], dict] | None = None,
     ) -> None:
         self.registry = registry
         self.host = host
         self.port = port
-        self.collect = collect
         self.health = health
         self._started_at = time.monotonic()
         self._server: asyncio.AbstractServer | None = None
@@ -69,14 +63,9 @@ class MetricsHTTPServer:
         return self.host, self.port
 
     async def _render(self) -> bytes:
-        if self.collect is None:
-            return render_text(self.registry).encode("utf-8")
+        # A render walks every family; keep it off the serving loop.
         loop = asyncio.get_running_loop()
-        try:
-            text = await loop.run_in_executor(None, self.collect)
-        except Exception:
-            # A federation hiccup must not break the local scrape.
-            text = render_text(self.registry)
+        text = await loop.run_in_executor(None, render_text, self.registry)
         return text.encode("utf-8")
 
     def _health_body(self) -> bytes:

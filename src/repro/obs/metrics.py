@@ -128,69 +128,6 @@ RECOVERY_STORES = _r.counter(
 )
 
 # --------------------------------------------------------------------------
-# cluster: coordinator fabric
-# --------------------------------------------------------------------------
-CLUSTER_DISPATCHED = _r.counter(
-    "repro_cluster_tasks_dispatched_total",
-    "Tasks sent to workers, by worker id.",
-    ("worker",),
-)
-CLUSTER_REQUEUED = _r.counter(
-    "repro_cluster_tasks_requeued_total",
-    "Tasks requeued after a worker death.",
-)
-CLUSTER_REISSUED = _r.counter(
-    "repro_cluster_tasks_reissued_total",
-    "Straggler tasks speculatively reissued.",
-)
-CLUSTER_RESULTS = _r.counter(
-    "repro_cluster_results_total",
-    "Task results accepted, by worker id.",
-    ("worker",),
-)
-CLUSTER_SUBMIT_SECONDS = _r.histogram(
-    "repro_cluster_submit_seconds",
-    "End-to-end coordinator submit (dispatch to merged result) latency.",
-)
-CLUSTER_BYTES_SENT = _r.counter(
-    "repro_cluster_bytes_sent_total",
-    "Bytes written to worker transports.",
-)
-CLUSTER_BYTES_RECEIVED = _r.counter(
-    "repro_cluster_bytes_received_total",
-    "Bytes read from worker transports.",
-)
-
-# --------------------------------------------------------------------------
-# worker: per-process families fired inside cluster worker loops.  In a
-# subprocess worker these live in *its* registry and reach the coordinator
-# only through the metrics_pull federation (repro/obs/federate.py), which
-# relabels them with worker="<id>"; an in-process (LocalTransport) worker
-# shares this process's registry, so its series show up directly too.
-# --------------------------------------------------------------------------
-WORKER_TASKS = _r.counter(
-    "repro_worker_tasks_total",
-    "Tasks executed by this worker, by context kind and outcome.",
-    ("kind", "outcome"),
-)
-WORKER_TASK_SECONDS = _r.histogram(
-    "repro_worker_task_seconds",
-    "Per-task wall time on this worker (deserialize through result send).",
-)
-WORKER_CONTEXT_INSTALLS = _r.counter(
-    "repro_worker_context_installs_total",
-    "Work contexts installed (broadcasts acked) by this worker.",
-)
-WORKER_BYTES_SENT = _r.counter(
-    "repro_worker_bytes_sent_total",
-    "Payload bytes this worker wrote to its coordinator link.",
-)
-WORKER_BYTES_RECEIVED = _r.counter(
-    "repro_worker_bytes_received_total",
-    "Payload bytes this worker read from its coordinator link.",
-)
-
-# --------------------------------------------------------------------------
 # mining: enumeration + evidence build throughput
 # --------------------------------------------------------------------------
 MINING_RUNS = _r.counter(

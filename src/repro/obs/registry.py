@@ -6,9 +6,9 @@ Design constraints (see ISSUE 9):
   ``threading.Lock``; an ``inc``/``observe`` takes exactly one uncontended
   lock plus a float add.  The registry-level lock is only taken when a new
   family or child is created, never on the hot path.
-* **Thread-agnostic.**  The same child can be driven from asyncio callbacks,
-  executor threads, and cluster reader threads; snapshots are consistent
-  per-child (taken under the child lock).
+* **Thread-agnostic.**  The same child can be driven from asyncio callbacks
+  and executor threads; snapshots are consistent per-child (taken under
+  the child lock).
 * **Gateable.**  ``REPRO_OBS=0`` (or ``off``/``false``) disables the default
   registry: every mutator early-returns before touching a lock so the
   instrumented hot paths cost a single attribute load.  The overhead budget

@@ -12,9 +12,7 @@ thread-local stack) while the request crosses layers:
 
 ``segments`` are **disjoint** by construction, so they sum to (approximately)
 the request's wall latency — the end-to-end test holds the sum to within
-10%.  Timings that happen *inside* another segment (e.g. the cluster submit
-inside the fold) go into the separate ``detail`` map so they never
-double-count.
+10%.
 
 Propagation is a plain ``threading.local`` stack, not ``contextvars``:
 the serve layer hops from the event loop onto an executor thread via
@@ -42,19 +40,9 @@ def new_trace_id() -> str:
 
 
 class Span:
-    """One traced operation: named disjoint segments plus nested details.
+    """One traced operation: named disjoint segments."""
 
-    ``children`` holds already-jsonable span payloads from *other*
-    processes — e.g. the per-task worker spans a cluster submission
-    stitches back in — so a trace of a distributed request is one tree.
-    Child wall time overlaps the parent's segments by construction (the
-    fold segment contains the cluster submit contains the worker spans),
-    so children never enter :meth:`accounted`.
-    """
-
-    __slots__ = (
-        "trace_id", "op", "store", "started", "segments", "detail", "children"
-    )
+    __slots__ = ("trace_id", "op", "store", "started", "segments")
 
     def __init__(self, trace_id: str, op: str, store: str | None = None) -> None:
         self.trace_id = trace_id
@@ -62,28 +50,12 @@ class Span:
         self.store = store
         self.started = time.perf_counter()
         self.segments: dict[str, float] = {}
-        self.detail: dict[str, float] = {}
-        self.children: list[dict[str, object]] = []
 
     def add_segment(self, name: str, seconds: float) -> None:
         """Accumulate a top-level (disjoint) segment."""
         if seconds < 0.0:
             seconds = 0.0
         self.segments[name] = self.segments.get(name, 0.0) + seconds
-
-    def add_detail(self, name: str, seconds: float) -> None:
-        """Accumulate a nested timing (lives *inside* some segment)."""
-        if seconds < 0.0:
-            seconds = 0.0
-        self.detail[name] = self.detail.get(name, 0.0) + seconds
-
-    def add_child(self, payload: dict[str, object]) -> None:
-        """Attach a remote (already-jsonable) child span payload."""
-        self.children.append(payload)
-
-    def wire_context(self) -> dict[str, object]:
-        """The minimal picklable context a remote child span needs."""
-        return {"trace_id": self.trace_id, "op": self.op}
 
     @contextlib.contextmanager
     def segment(self, name: str) -> Iterator[None]:
@@ -105,10 +77,6 @@ class Span:
         }
         if self.store is not None:
             payload["store"] = self.store
-        if self.detail:
-            payload["detail"] = {k: round(v, 9) for k, v in self.detail.items()}
-        if self.children:
-            payload["children"] = list(self.children)
         return payload
 
 

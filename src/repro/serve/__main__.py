@@ -19,9 +19,16 @@ import asyncio
 import signal
 import sys
 
-from repro.cluster.transport import parse_address
 from repro.obs.logging import JsonLogger, get_logger, set_logger
 from repro.serve.server import ViolationServer
+
+
+def parse_address(address: str) -> tuple[str, int]:
+    """Split a ``host:port`` string (the ``--listen`` form)."""
+    host, _, port_text = address.rpartition(":")
+    if not host or not port_text.isdigit():
+        raise ValueError(f"expected host:port, got {address!r}")
+    return host, int(port_text)
 
 
 def build_parser() -> argparse.ArgumentParser:

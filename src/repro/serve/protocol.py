@@ -1,9 +1,8 @@
 """Wire protocol of the violation-serving server.
 
 One frame is an 8-byte big-endian payload length followed by a UTF-8 JSON
-object — the same framing the cluster transport uses, but with JSON instead
-of pickle: the serving port faces clients that are not this library (and
-must never accept a pickle from them).
+object — JSON, never pickle: the serving port faces clients that are not
+this library.
 
 Requests carry ``{"id": <int>, "op": <str>, ...op fields}``; responses echo
 the id with either ``{"id": n, "ok": true, ...result fields}`` or

@@ -354,10 +354,6 @@ class AppendScheduler:
             for span in traced:
                 for name, seconds in collector.segments.items():
                     span.add_segment(name, seconds)
-                for name, seconds in collector.detail.items():
-                    span.add_detail(name, seconds)
-                for child in collector.children:
-                    span.add_child(child)
         self.appended_rows += len(combined)
         base = {
             "n_rows": store.n_rows,

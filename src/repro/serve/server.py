@@ -24,8 +24,8 @@ parsed values.
 
 The heavyweight ops (``violating_pairs``, ``tuple_scores``, ``remine``)
 run on the store's *cached finalized snapshot* — ``EvidenceStore`` already
-caches ``evidence()`` and invalidates it on append — inside a worker
-executor, under a per-store async lock, so the event loop never stalls and
+caches ``evidence()`` and invalidates it on append — on an executor
+thread, under a per-store async lock, so the event loop never stalls and
 reads never race a commit.  Each connection gets a bounded request queue
 (backpressure stops the frame reader, slowing the peer instead of growing
 the server), per-request error frames, and :meth:`ViolationServer.stop`
@@ -62,7 +62,6 @@ from repro.incremental.serve import ViolationService
 from repro.incremental.store import EvidenceStore
 from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
-from repro.obs.federate import render_federated
 from repro.obs.httpd import MetricsHTTPServer
 from repro.obs.logging import get_logger
 from repro.obs.prometheus import render_text
@@ -191,11 +190,6 @@ class ViolationServer:
     flush_window:
         Append-coalescing window per store (seconds; see
         :class:`~repro.serve.scheduler.AppendScheduler`).
-    cluster:
-        Optional :class:`~repro.cluster.coordinator.ClusterCoordinator` or
-        :class:`~repro.cluster.local.LocalCluster`; tenant folds then run
-        over the cluster's workers (coordinator submissions are
-        thread-safe, so tenants share it across executor threads).
     max_frame_bytes:
         Refusal bound for a single request/response frame.
     data_dir:
@@ -226,7 +220,6 @@ class ViolationServer:
         host: str = "127.0.0.1",
         port: int = 0,
         flush_window: float = 0.0,
-        cluster: object | None = None,
         max_frame_bytes: int = protocol.MAX_FRAME_BYTES,
         data_dir: str | Path | None = None,
         fsync: str = "commit",
@@ -238,7 +231,6 @@ class ViolationServer:
         self.host = host
         self.port = int(port)
         self.flush_window = float(flush_window)
-        self.cluster = cluster
         self.max_frame_bytes = int(max_frame_bytes)
         self.data_dir = None if data_dir is None else Path(data_dir)
         self.fsync = str(fsync)
@@ -289,7 +281,6 @@ class ViolationServer:
         if self.metrics_port is not None:
             self._metrics_httpd = MetricsHTTPServer(
                 obs_get_registry(), self.host, self.metrics_port,
-                collect=self._collect_exposition,
                 health=self._health_info,
             )
             await self._metrics_httpd.start()
@@ -315,7 +306,6 @@ class ViolationServer:
                     child,
                     fsync=self.fsync,
                     snapshot_every_bytes=self.snapshot_every_bytes,
-                    cluster=self.cluster,
                 )
             except RecoveryError as error:
                 self.recovery_failures[child.name] = str(error)
@@ -389,31 +379,6 @@ class ViolationServer:
         if self._metrics_httpd is None:
             return None
         return self._metrics_httpd.address
-
-    def _coordinator(self):
-        """The cluster coordinator behind ``cluster=``, if any."""
-        if self.cluster is None:
-            return None
-        from repro.cluster.local import resolve_coordinator
-
-        try:
-            return resolve_coordinator(self.cluster)
-        except TypeError:
-            return None
-
-    def _collect_exposition(self) -> str:
-        """Prometheus text for a scrape — federated when cluster-backed.
-
-        Runs in an executor (worker pulls round-trip the cluster links);
-        ``pull_metrics`` itself never blocks behind a running fold, so a
-        scrape during heavy appends just serves the cached, age-stamped
-        worker snapshots.
-        """
-        registry = obs_get_registry()
-        coordinator = self._coordinator()
-        if coordinator is None or not registry.enabled:
-            return render_text(registry)
-        return render_federated(registry, coordinator.pull_metrics(timeout=0.5))
 
     def _health_info(self) -> dict:
         """The ``/healthz`` body: liveness plus recovery state."""
@@ -759,7 +724,7 @@ class ViolationServer:
 
         def build() -> StoreState:
             relation = Relation.from_records(name, rows, types or None)
-            evidence_store = EvidenceStore(relation, cluster=self.cluster)
+            evidence_store = EvidenceStore(relation)
             journal = None
             if self.data_dir is not None:
                 # Journal the creation only after the store accepted the
@@ -991,14 +956,6 @@ class ViolationServer:
                 "fsync": self.fsync,
                 "recovery_failures": dict(self.recovery_failures),
             }
-        coordinator = self._coordinator()
-        if coordinator is not None:
-            fields["cluster"] = {
-                "alive_workers": coordinator.n_alive,
-                "failed_workers": coordinator.failed_workers,
-                "reissued_tasks": coordinator.reissued_tasks,
-                "workers": coordinator.worker_stats(),
-            }
         return fields
 
     async def _op_metrics(self, format: str) -> dict:
@@ -1009,37 +966,17 @@ class ViolationServer:
         endpoint serves, for clients without a scraper.
         """
         registry = obs_get_registry()
-        # Cluster-backed servers answer with the federated view: worker
-        # registries pulled over the fabric (never blocking a running
-        # fold — see ClusterCoordinator.pull_metrics), each snapshot
-        # already stamped with its worker id and staleness age.
-        coordinator = self._coordinator()
-        workers: list[dict] | None = None
-        if coordinator is not None and registry.enabled:
-            loop = asyncio.get_running_loop()
-            workers = await loop.run_in_executor(
-                self._executor, lambda: coordinator.pull_metrics(timeout=0.5)
-            )
         if format == "text":
-            text = (
-                render_federated(registry, workers)
-                if workers
-                else render_text(registry)
-            )
-            fields: dict[str, object] = {
+            return {
                 "format": "text",
                 "enabled": registry.enabled,
-                "text": text,
+                "text": render_text(registry),
             }
-        else:
-            fields = {
-                "format": "json",
-                "enabled": registry.enabled,
-                "metrics": registry.snapshot(),
-            }
-        if workers is not None:
-            fields["workers"] = workers
-        return fields
+        return {
+            "format": "json",
+            "enabled": registry.enabled,
+            "metrics": registry.snapshot(),
+        }
 
 
 class ServerThread:

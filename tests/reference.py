@@ -20,6 +20,7 @@ from repro.core.predicate_space import PredicateSpace, iter_bits
 from repro.core.repair import ConflictGraph, build_conflict_graph
 from repro.data.datasets import DATASET_NAMES, DEFAULT_ROWS, Dataset, generate_dataset
 from repro.data.relation import Relation
+from repro.engine import PartialEvidenceSet, Tile, TileKernel, TileScheduler, fold_tiles
 
 
 def brute_force_minimal_adc_hitting_sets(
@@ -321,3 +322,44 @@ def generate_all_datasets(scale: float = 1.0, seed: int = 0) -> dict[str, Datase
         rows = max(20, int(DEFAULT_ROWS[name] * scale))
         datasets[name] = generate_dataset(name, n_rows=rows, seed=seed)
     return datasets
+
+
+# ----------------------------------------------------------------------
+# Evidence folded in parts
+# ----------------------------------------------------------------------
+def merge_partials_tree(partials: list[PartialEvidenceSet]) -> PartialEvidenceSet:
+    """Reduce partials with a balanced binary merge tree."""
+    if not partials:
+        raise ValueError("cannot merge zero partials")
+    layer = list(partials)
+    while len(layer) > 1:
+        merged = [
+            layer[index].merge(layer[index + 1])
+            for index in range(0, len(layer) - 1, 2)
+        ]
+        if len(layer) % 2:
+            merged.append(layer[-1])
+        layer = merged
+    return layer[0]
+
+
+def fold_in_parts(kernel: TileKernel, tiles: Sequence[Tile], parts: int) -> PartialEvidenceSet:
+    """Fold ``tiles`` as ``parts`` contiguous runs, one fold call each, and
+    merge the runs' partials with :func:`merge_partials_tree`.
+
+    Every split of a schedule must finalize bit-identically to one fold of
+    the whole schedule; this is that split, done serially.
+    """
+    tiles = tuple(tiles)
+    size = max(1, -(-len(tiles) // parts))
+    runs = [tiles[start : start + size] for start in range(0, len(tiles), size)]
+    return merge_partials_tree([fold_tiles(kernel, run) for run in runs or [()]])
+
+
+def build_evidence_set_in_parts(
+    relation: Relation, space: PredicateSpace, tile_rows: int, parts: int
+) -> EvidenceSet:
+    """The tiled build's schedule folded by :func:`fold_in_parts`."""
+    kernel = TileKernel.from_relation(relation, space, include_participation=True)
+    tiles = TileScheduler(relation.n_rows, tile_rows=tile_rows).tiles()
+    return fold_in_parts(kernel, tiles, parts).finalize(space)

@@ -1,11 +1,9 @@
 """Unit tests of the evidence engine (scheduler, kernel, partials).
 
-Covers the adaptive tile-size budget math, the tile schedule and its shard
-partitioning, picklability of the tile kernel, the folded tiles being
-bit-identical to the serial tiled builder, and the parallel fold — the same
-tiles over a worker cluster, the one parallel runtime — being bit-identical
-to the serial fold and the dense oracle.  The cluster fabric itself is
-tested in ``tests/test_cluster.py``.
+Covers the adaptive tile-size budget math, the tile schedule, picklability
+of the tile kernel, the folded tiles being bit-identical to the tiled
+builder, and the schedule folded in several parts and merged being
+bit-identical to one fold and to the dense oracle.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ import numpy as np
 import pytest
 
 from tests.conftest import make_random_relation
-from repro.cluster import LocalCluster, build_evidence_set_cluster
+from tests.reference import build_evidence_set_in_parts
 from repro.core.evidence_builder import (
     build_evidence_set,
     build_evidence_set_dense,
@@ -32,9 +30,7 @@ from repro.engine import (
     TileScheduler,
     choose_tile_rows,
     fold_tiles,
-    parallel_tile_rows,
 )
-from repro.engine.parallel import SHARDS_PER_WORKER
 from repro.incremental import EvidenceStore
 from repro.engine.scheduler import MAX_TILE_ROWS, MIN_TILE_ROWS, _KERNEL_PLANES
 
@@ -115,40 +111,15 @@ class TestTileScheduler:
         assert Tile(0, 3, 3, 6).n_pairs == 9
         assert Tile(2, 5, 4, 7).n_pairs == 8  # one overlapping diagonal cell
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 5, 16, 99])
-    def test_shards_partition_tiles_contiguously(self, k):
-        scheduler = TileScheduler(n_rows=11, tile_rows=3)
-        shards = scheduler.shards(k)
-        assert len(shards) == min(k, len(scheduler))
-        assert shards[0].start == 0
-        assert shards[-1].stop == len(scheduler)
-        position = 0
-        for shard in shards:
-            assert shard.start == position
-            assert shard.stop > shard.start
-            assert shard.tiles == scheduler.tiles()[shard.start : shard.stop]
-            position = shard.stop
-        assert sum(shard.n_pairs for shard in shards) == scheduler.total_pairs
-
-    def test_shards_are_balanced(self):
-        scheduler = TileScheduler(n_rows=64, tile_rows=4)
-        shards = scheduler.shards(4)
-        fair_share = scheduler.total_pairs / 4
-        for shard in shards:
-            assert shard.n_pairs <= 2 * fair_share
-
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             TileScheduler(n_rows=-1)
         with pytest.raises(ValueError):
             TileScheduler(n_rows=4, tile_rows=0)
-        with pytest.raises(ValueError):
-            TileScheduler(n_rows=4, tile_rows=2).shards(0)
 
     def test_empty_relation(self):
         scheduler = TileScheduler(n_rows=0, tile_rows=4)
         assert len(scheduler) == 0
-        assert scheduler.shards(3) == []
 
 
 class TestTileKernel:
@@ -214,90 +185,38 @@ class TestFoldMetrics:
         assert after == middle
 
 
-class TestParallelTileRows:
-    @pytest.mark.parametrize("n_rows", [2, 500, 10**6])
-    def test_one_worker_gets_the_serial_edge(self, n_rows):
-        for budget in (2**16, 2**22, 2**30):
-            assert parallel_tile_rows(n_rows, 3, 1, budget) == choose_tile_rows(
-                n_rows, 3, budget
-            )
+class TestFoldInParts:
+    """Folding the schedule in several parts and merging them finalizes
+    bit-identically to one fold and to the dense oracle."""
 
-    @pytest.mark.parametrize("n_workers", [2, 4])
-    def test_budget_split_and_enough_shards_per_worker(self, n_workers):
-        n_rows, n_words = 10_000, 2
-        for budget in (2**20, 2**40):
-            edge = parallel_tile_rows(n_rows, n_words, n_workers, budget)
-            # The workers' concurrent kernels stay within the shared budget...
-            assert edge <= choose_tile_rows(n_rows, n_words, budget // n_workers)
-            # ...and a large budget still leaves every worker several shards.
-            scheduler = TileScheduler(n_rows, tile_rows=edge, n_words=n_words)
-            assert len(scheduler) >= SHARDS_PER_WORKER * n_workers
-
-
-def _forbid_parallel_runtimes(monkeypatch):
-    import multiprocessing.process
-
-    import repro.cluster.build as cluster_build
-
-    def forbidden(*args, **kwargs):  # pragma: no cover - failure path
-        raise AssertionError("a serial path must not reach a parallel runtime")
-
-    monkeypatch.setattr(cluster_build, "fold_tiles_cluster", forbidden)
-    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", forbidden)
-
-
-class TestParallelBuilder:
-    """The parallel evidence path is ``cluster=``: the serial schedule's
-    tiles, sharded over the workers, finalize bit-identically to the serial
-    fold and the dense oracle for every worker count."""
-
-    @pytest.mark.parametrize("n_workers", [1, 2, 4])
-    def test_parallel_matches_tiled_and_dense(self, n_workers):
+    @pytest.mark.parametrize("parts", [1, 2, 4])
+    def test_parts_match_tiled_and_dense(self, parts):
         relation = make_random_relation(
             n_rows=23, n_string_columns=2, n_numeric_columns=2, seed=17
         )
         space = build_predicate_space(relation)
-        with LocalCluster(n_workers, transport="local") as cluster:
-            parallel = build_evidence_set_cluster(relation, space, cluster, tile_rows=5)
+        folded = build_evidence_set_in_parts(relation, space, tile_rows=5, parts=parts)
         assert_evidence_identical(
-            parallel, build_evidence_set_tiled(relation, space, tile_rows=5)
+            folded, build_evidence_set_tiled(relation, space, tile_rows=5)
         )
-        assert_evidence_identical(parallel, build_evidence_set_dense(relation, space))
+        assert_evidence_identical(folded, build_evidence_set_dense(relation, space))
 
-    def test_fewer_tiles_than_workers(self):
-        # One tile -> one shard, far fewer than the cluster's workers.
+    def test_fewer_tiles_than_parts(self):
         relation = make_random_relation(n_rows=6, seed=2)
         space = build_predicate_space(relation)
-        with LocalCluster(4, transport="local") as cluster:
-            parallel = build_evidence_set_cluster(relation, space, cluster, tile_rows=8)
+        folded = build_evidence_set_in_parts(relation, space, tile_rows=8, parts=4)
         assert_evidence_identical(
-            parallel, build_evidence_set_tiled(relation, space, tile_rows=8)
+            folded, build_evidence_set_tiled(relation, space, tile_rows=8)
         )
 
-    def test_shards_per_worker(self, monkeypatch):
-        """The fold issues ``SHARDS_PER_WORKER`` tasks per live worker."""
-        relation = make_random_relation(n_rows=40, seed=9)
-        space = build_predicate_space(relation)
-        submitted = []
-        with LocalCluster(2, transport="local") as cluster:
-            coordinator = cluster.coordinator
-            submit = coordinator.submit
+    def test_builds_never_start_a_process(self, monkeypatch):
+        """The builder, the miner and store appends fold in-process."""
+        import multiprocessing.process
 
-            def recording_submit(context, tasks, *args, **kwargs):
-                submitted.append(len(tasks))
-                return submit(context, tasks, *args, **kwargs)
+        def forbidden(*args, **kwargs):  # pragma: no cover - failure path
+            raise AssertionError("an evidence build must not start a process")
 
-            monkeypatch.setattr(coordinator, "submit", recording_submit)
-            parallel = build_evidence_set_cluster(relation, space, cluster, tile_rows=4)
-        assert submitted == [SHARDS_PER_WORKER * 2]
-        assert_evidence_identical(
-            parallel, build_evidence_set_tiled(relation, space, tile_rows=4)
-        )
-
-    def test_serial_paths_never_start_a_parallel_runtime(self, monkeypatch):
-        """Without ``cluster=``, the builder, the miner and store appends fold
-        in-process: no cluster fold, no child process."""
-        _forbid_parallel_runtimes(monkeypatch)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", forbidden)
         relation = make_random_relation(n_rows=12, seed=5)
         space = build_predicate_space(relation)
         assert_evidence_identical(
@@ -308,21 +227,3 @@ class TestParallelBuilder:
         store = EvidenceStore(relation.take(range(8)), space=space, tile_rows=3)
         store.append(relation.take(range(8, 12)))
         assert_evidence_identical(store.evidence(), build_evidence_set_dense(relation, space))
-
-    def test_dispatcher_and_miner_integration(self):
-        relation = make_random_relation(n_rows=14, seed=21)
-        space = build_predicate_space(relation)
-        tiled_run = ADCMiner(function="f1", epsilon=0.05).mine(relation)
-        with LocalCluster(2, transport="local") as cluster:
-            via_dispatcher = build_evidence_set(
-                relation, space, method="cluster", cluster=cluster, tile_rows=6
-            )
-            cluster_run = ADCMiner(function="f1", epsilon=0.05, cluster=cluster).mine(
-                relation
-            )
-        assert_evidence_identical(
-            via_dispatcher, build_evidence_set(relation, space, method="tiled", tile_rows=6)
-        )
-        assert {str(adc.constraint) for adc in cluster_run.adcs} == {
-            str(adc.constraint) for adc in tiled_run.adcs
-        }

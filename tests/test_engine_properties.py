@@ -6,8 +6,8 @@ same :class:`EvidenceSet` no matter how the tiles are grouped or in what
 order the partials are merged (associativity + commutativity up to the
 id relabeling that finalization erases).  Hypothesis drives randomized
 relations, tile groupings and merge orders through that claim, and
-cross-checks the serial tiled builder and the cluster builder (several
-shards merged from two workers) against the dense oracle.
+cross-checks the tiled builder and the schedule folded in several parts
+and merged against the dense oracle.
 
 The compiled backend folds a whole tile list in one native call
 (``adc_fold_tiles``); :class:`TestCompiledFold` holds it to the numpy fold,
@@ -27,8 +27,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tests.conftest import make_random_relation
+from tests.reference import build_evidence_set_in_parts, merge_partials_tree
 from tests.test_engine import assert_evidence_identical
-from repro.cluster import LocalCluster, build_evidence_set_cluster
 from repro.core.evidence_builder import (
     build_evidence_set_dense,
     build_evidence_set_tiled,
@@ -119,9 +119,8 @@ class TestMergeAlgebra:
 
         Random binary reduction trees are built by repeatedly merging two
         random intermediate partials (with random receiver order, so inner
-        nodes combine results of very different sizes), which covers the
-        cluster coordinator's balanced reduction and every skewed shape a
-        failure-rescheduled run could produce.
+        nodes combine results of very different sizes), which covers a
+        balanced reduction and every skewed shape.
         """
         space = build_predicate_space(relation)
         kernel, tiles = _tile_partials(relation, space, tile_rows)
@@ -145,10 +144,8 @@ class TestMergeAlgebra:
             forest.append(left.merge(right))
         assert_evidence_identical(forest[0].finalize(space), reference)
 
-        # The cluster coordinator's balanced binary reduction is one such
-        # tree; check it against the same reference explicitly.
-        from repro.cluster.build import merge_partials_tree
-
+        # A balanced binary reduction is one such tree; check it against
+        # the same reference explicitly.
         balanced = [
             _fold(kernel, group)
             for group in (list(tiles)[i::3] for i in range(3))
@@ -176,7 +173,7 @@ class TestMergeAlgebra:
         assert total == 2 * n * (n - 1)
 
 
-class TestParallelEqualsOracles:
+class TestFoldsEqualOracles:
     @settings(max_examples=20, deadline=None)
     @given(
         relation=relation_strategy,
@@ -189,24 +186,22 @@ class TestParallelEqualsOracles:
 
     @settings(max_examples=5, deadline=None)
     @given(relation=relation_strategy)
-    def test_cluster_matches_oracles(self, relation):
+    def test_parts_match_oracles(self, relation):
         space = build_predicate_space(relation)
-        with LocalCluster(2, transport="local") as cluster:
-            clustered = build_evidence_set_cluster(relation, space, cluster, tile_rows=3)
+        folded = build_evidence_set_in_parts(relation, space, tile_rows=3, parts=4)
         assert_evidence_identical(
-            clustered, build_evidence_set_tiled(relation, space, tile_rows=3)
+            folded, build_evidence_set_tiled(relation, space, tile_rows=3)
         )
-        assert_evidence_identical(clustered, build_evidence_set_dense(relation, space))
+        assert_evidence_identical(folded, build_evidence_set_dense(relation, space))
 
     @settings(max_examples=15, deadline=None)
     @given(relation=relation_strategy, mask_bits=st.integers(min_value=0, max_value=2**16))
-    def test_f2_f3_scores_agree_after_cluster_build(self, relation, mask_bits):
-        """Participation survives the cluster's multi-shard merge."""
+    def test_f2_f3_scores_agree_after_multi_part_build(self, relation, mask_bits):
+        """Participation survives a merge of several folded parts."""
         from repro.core.approximation import F2, F3Greedy
 
         space = build_predicate_space(relation)
-        with LocalCluster(2, transport="local") as cluster:
-            engine = build_evidence_set_cluster(relation, space, cluster, tile_rows=4)
+        engine = build_evidence_set_in_parts(relation, space, tile_rows=4, parts=4)
         oracle = build_evidence_set_dense(relation, space)
         indices = list(range(len(engine)))
         for function in (F2(), F3Greedy()):

@@ -105,6 +105,14 @@ class TestTiledMatchesOracles:
         with pytest.raises(ValueError):
             build_evidence_set(relation, space, method="nope")
 
+    def test_unknown_method_error_lists_valid_methods(self):
+        relation = make_random_relation(n_rows=4, seed=2)
+        space = build_predicate_space(relation)
+        for bogus in ("bogus", "cluster", "parallel"):
+            with pytest.raises(ValueError) as excinfo:
+                build_evidence_set(relation, space, method=bogus)
+            assert "valid methods are tiled, dense, pairwise" in str(excinfo.value)
+
 
 class TestPackedWordsNative:
     def test_words_round_trip_masks(self):

@@ -25,7 +25,7 @@ from repro.core.approximation import F1
 from tests.legacy_enum import LegacyADCEnum, _recursion_limit_at_least
 
 #: ``python -m`` entry points: importing them as modules is not their use.
-ENTRY_POINTS = {"repro.cluster.worker", "repro.serve.__main__"}
+ENTRY_POINTS = {"repro.serve.__main__"}
 
 
 def test_imports_and_mining_leave_process_state_alone():

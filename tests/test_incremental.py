@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tests.conftest import make_random_relation
+from tests.reference import fold_in_parts
 from tests.test_engine import assert_evidence_identical
 from repro.core.evidence_builder import build_evidence_set_tiled
 from repro.core.predicate_space import build_predicate_space
@@ -443,18 +444,28 @@ class TestEvidenceStore:
         expected = _rebuild(example_relation, space, include_participation=False)
         assert_evidence_identical(store.evidence(), expected)
 
-    def test_cluster_delta_matches_serial(self, example_relation):
-        from repro.cluster import LocalCluster
+    def test_multi_part_delta_matches_serial(self, example_relation, monkeypatch):
+        """A seed build and deltas folded in parts and merged leave the store
+        bit-identical to one fold per build."""
+        import repro.incremental.delta as delta_module
 
         space = build_predicate_space(example_relation)
         initial, batches = _split_rows(example_relation, (9,))
         serial = EvidenceStore(initial, space=space, tile_rows=2)
-        with LocalCluster(2, transport="local") as cluster:
-            clustered = EvidenceStore(initial, space=space, tile_rows=2, cluster=cluster)
-            for batch in batches:
-                serial.append(batch)
-                clustered.append(batch)
-        assert_evidence_identical(serial.evidence(), clustered.evidence())
+        for batch in batches:
+            serial.append(batch)
+        folds = []
+
+        def fold_in_four(kernel, tiles):
+            folds.append(len(tiles))
+            return fold_in_parts(kernel, tiles, 4)
+
+        monkeypatch.setattr(delta_module, "fold_tiles", fold_in_four)
+        in_parts = EvidenceStore(initial, space=space, tile_rows=2)
+        for batch in batches:
+            in_parts.append(batch)
+        assert len(folds) == 1 + len(batches) and min(folds) >= 2
+        assert_evidence_identical(serial.evidence(), in_parts.evidence())
 
     def test_empty_append_is_a_noop(self, example_relation):
         store = EvidenceStore(example_relation)
@@ -482,7 +493,7 @@ class TestEvidenceStore:
         before = store.evidence()
 
         def broken(relation, n_existing, planes=None):  # pragma: no cover - failure path
-            raise RuntimeError("worker pool died")
+            raise RuntimeError("delta build failed")
 
         monkeypatch.setattr(store.builder, "delta_partial", broken)
         with pytest.raises(RuntimeError):
@@ -627,55 +638,12 @@ class TestDeltaBuilder:
         merged = seed_partial.rebase_rows(second.n_rows).merge(delta)
         assert_evidence_identical(merged.finalize(space), _rebuild(second, space))
 
-    def test_fold_is_the_attached_cluster_else_serial(self, example_relation, monkeypatch):
-        import repro.cluster.build as cluster_build
-        import repro.incremental.delta as delta_module
-        from repro.cluster import LocalCluster
-
-        space = build_predicate_space(example_relation)
-        expected = _rebuild(example_relation, space)
-        calls = []
-
-        def counting(name, fold):
-            def wrapper(*args, **kwargs):
-                calls.append(name)
-                return fold(*args, **kwargs)
-
-            return wrapper
-
-        monkeypatch.setattr(
-            delta_module, "fold_tiles", counting("serial", delta_module.fold_tiles)
-        )
-        monkeypatch.setattr(
-            cluster_build,
-            "fold_tiles_cluster",
-            counting("cluster", cluster_build.fold_tiles_cluster),
-        )
-        serial = DeltaEvidenceBuilder(space, tile_rows=4)
-        assert_evidence_identical(
-            serial.full_partial(example_relation).finalize(space), expected
-        )
-        assert calls == ["serial"]
-        with LocalCluster(2, transport="local") as cluster:
-            clustered = DeltaEvidenceBuilder(space, tile_rows=4, cluster=cluster)
-            partial = clustered.full_partial(example_relation)
-        assert_evidence_identical(partial.finalize(space), expected)
-        assert calls == ["serial", "cluster"]
-
-    def test_cluster_tile_edge_splits_the_memory_budget(self, example_space):
-        from repro.cluster import LocalCluster
-        from repro.engine.parallel import parallel_tile_rows
+    def test_tile_edge_follows_the_memory_budget(self, example_space):
         from repro.engine.scheduler import choose_tile_rows
 
         budget = 2**22
-        serial = DeltaEvidenceBuilder(example_space, memory_budget_bytes=budget)
-        n_words = serial.n_words
-        assert serial.tile_edge(10_000) == choose_tile_rows(10_000, n_words, budget)
-        with LocalCluster(2, transport="local") as cluster:
-            clustered = DeltaEvidenceBuilder(
-                example_space, cluster=cluster, memory_budget_bytes=budget
-            )
-            edge = clustered.tile_edge(10_000)
-        assert edge == parallel_tile_rows(10_000, n_words, 2, budget)
-        # The two workers' concurrent kernels stay within the shared budget.
-        assert edge <= choose_tile_rows(10_000, n_words, budget // 2)
+        builder = DeltaEvidenceBuilder(example_space, memory_budget_bytes=budget)
+        assert builder.tile_edge(10_000) == choose_tile_rows(
+            10_000, builder.n_words, budget
+        )
+        assert DeltaEvidenceBuilder(example_space, tile_rows=7).tile_edge(10_000) == 7

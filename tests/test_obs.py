@@ -1,10 +1,10 @@
 """Unit and property tests of the observability layer (:mod:`repro.obs`).
 
 The registry's correctness contract is concurrency-independent counting:
-whatever interleaving executor threads, asyncio callbacks, and cluster
-reader threads produce, every per-tenant counter must equal the serial
-tally of its increments, and every histogram bucket must hold exactly the
-observations at or below its bound (Prometheus ``le`` semantics).  Both
+whatever interleaving executor threads and asyncio callbacks produce,
+every per-tenant counter must equal the serial tally of its increments,
+and every histogram bucket must hold exactly the observations at or below
+its bound (Prometheus ``le`` semantics).  Both
 are hypothesis properties here.  The rest covers the enabled gate, the
 Prometheus text renderer, trace spans (disjoint segments, ambient
 propagation across a thread hop), and the structured JSON logger.
@@ -228,12 +228,10 @@ class TestSpans:
         span.add_segment("fold", 0.25)
         span.add_segment("fold", 0.25)
         span.add_segment("queue", -1.0)  # clock skew clamps to zero
-        span.add_detail("cluster_submit", 0.1)
         assert span.segments == {"fold": 0.5, "queue": 0.0}
         assert span.accounted() == 0.5
         payload = span.jsonable()
         assert payload["trace_id"] == "abc"
-        assert payload["detail"] == {"cluster_submit": 0.1}
 
     def test_ambient_stack_nests(self):
         outer, inner = Span("o", op="x"), Span("i", op="y")

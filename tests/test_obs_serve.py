@@ -3,8 +3,8 @@
 Boots real servers (:class:`~repro.serve.server.ServerThread`) and checks
 the three exposure surfaces the obs layer promises: the ``metrics`` wire
 op (JSON snapshot and Prometheus text), the ``--metrics-port`` HTTP
-endpoint (well-formed exposition covering the serve/durability/cluster/
-mining series), and per-request trace spans whose disjoint segments sum
+endpoint (well-formed exposition covering the serve/durability/mining
+series), and per-request trace spans whose disjoint segments sum
 to the request's wall latency.  The process metrics registry is global
 and cumulative, so every assertion here is a before/after delta or a
 lower bound, never an absolute count.
@@ -19,7 +19,6 @@ import urllib.request
 
 import pytest
 
-from repro.cluster.local import LocalCluster
 from repro.obs import metrics as obs_metrics
 from repro.obs.registry import get_registry
 from repro.serve import ServeClient, ServerThread
@@ -195,8 +194,6 @@ class TestPrometheusEndpoint:
                 "repro_wal_records_total",
                 "repro_wal_fsync_seconds",
                 "repro_durability_recovery_stores_total",
-                "repro_cluster_tasks_dispatched_total",
-                "repro_cluster_submit_seconds",
                 "repro_mining_runs_total",
                 "repro_mining_nodes_visited",
                 "repro_evidence_tiles_total",
@@ -324,29 +321,6 @@ class TestRemineEnvelope:
                 assert stats["elapsed_seconds"] > 0.0
                 assert stats["nodes_per_second"] > 0.0
                 assert "max_stack_depth" in stats["extra"]
-
-
-class TestClusterSeries:
-    def test_cluster_counters_fire_through_server(self, tmp_path):
-        dispatched_before = sum(
-            child.value
-            for _, child in obs_metrics.CLUSTER_DISPATCHED._items()
-        )
-        with LocalCluster(2, transport="local") as cluster:
-            with ServerThread(cluster=cluster) as (host, port):
-                with ServeClient(host, port, timeout=120.0) as client:
-                    client.create_store("cl1", random_rows(300, seed=14))
-                    client.append("cl1", random_rows(200, seed=15))
-        dispatched_after = sum(
-            child.value
-            for _, child in obs_metrics.CLUSTER_DISPATCHED._items()
-        )
-        assert dispatched_after > dispatched_before
-        results = {
-            labels: child.value
-            for labels, child in obs_metrics.CLUSTER_RESULTS._items()
-        }
-        assert sum(results.values()) > 0
 
 
 class TestRecoverySeries:

@@ -91,6 +91,15 @@ class TestPredicateSpaceGeneration:
         assert same_column_predicate("name", Operator.NE) in space
         assert same_column_predicate("name", Operator.LT) not in space
 
+    def test_a_column_with_missing_values_keeps_its_order_predicates(self):
+        relation = Relation.from_records(
+            "r", [{"x": 1.0, "y": 3}, {"x": None, "y": None}, {"x": 2.5, "y": 1}]
+        )
+        space = build_predicate_space(relation)
+        for column in ("x", "y"):
+            assert same_column_predicate(column, Operator.LT) in space
+            assert same_column_predicate(column, Operator.GT) in space
+
     def test_cross_column_requires_shared_values(self, simple_relation):
         space = build_predicate_space(simple_relation)
         # low and high share 3 of 4 values -> cross predicates generated.

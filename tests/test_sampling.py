@@ -89,7 +89,7 @@ class TestBounds:
 
     def test_importing_sampling_skips_scipy_stats(self):
         """``scipy.stats`` costs about a second of start-up, paid by every
-        server and cluster worker; the sampling module needs only
+        server process; the sampling module needs only
         ``scipy.special``."""
         import repro
 

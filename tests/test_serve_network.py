@@ -617,6 +617,13 @@ class TestGracefulDrain:
 
 
 class TestMainEntryPoint:
+    def test_parse_address(self):
+        from repro.serve.__main__ import parse_address
+
+        assert parse_address("10.0.0.7:9000") == ("10.0.0.7", 9000)
+        with pytest.raises(ValueError):
+            parse_address("no-port")
+
     def test_boot_serve_sigterm_drain(self, mined):
         relation, _, _ = mined
         # The subprocess does not inherit pytest's pythonpath ini; point it

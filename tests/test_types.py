@@ -55,6 +55,27 @@ class TestInferColumnType:
     def test_empty_column_defaults_to_string(self):
         assert infer_column_type([]) is ColumnType.STRING
 
+    def test_missing_values_do_not_count_for_floats(self):
+        assert infer_column_type([1.0, None, 2.5]) is ColumnType.FLOAT
+        assert infer_column_type([None, 2.5]) is ColumnType.FLOAT
+
+    def test_missing_integers_make_a_float_column(self):
+        # coerce_values refuses missing integers; a float column holds nan.
+        assert infer_column_type([1, None, 3]) is ColumnType.FLOAT
+        assert infer_column_type(["1", None]) is ColumnType.FLOAT
+
+    def test_missing_values_in_a_string_column(self):
+        assert infer_column_type(["a", None]) is ColumnType.STRING
+
+    def test_all_missing_column_is_string(self):
+        assert infer_column_type([None, None]) is ColumnType.STRING
+
+    def test_inferred_missing_values_coerce(self):
+        for values in ([1.0, None, 2.5], [1, None, 3]):
+            coerced = coerce_values(values, infer_column_type(values))
+            assert coerced[0] == values[0] and coerced[2] == values[2]
+            assert coerced[1] != coerced[1]  # NaN
+
 
 class TestColumnType:
     def test_integer_is_numeric(self):
