@@ -357,9 +357,13 @@ def fold_in_parts(kernel: TileKernel, tiles: Sequence[Tile], parts: int) -> Part
 
 
 def build_evidence_set_in_parts(
-    relation: Relation, space: PredicateSpace, tile_rows: int, parts: int
+    relation: Relation,
+    space: PredicateSpace,
+    tile_rows: int,
+    parts: int,
+    include_participation: bool = True,
 ) -> EvidenceSet:
     """The tiled build's schedule folded by :func:`fold_in_parts`."""
-    kernel = TileKernel.from_relation(relation, space, include_participation=True)
+    kernel = TileKernel.from_relation(relation, space, include_participation)
     tiles = TileScheduler(relation.n_rows, tile_rows=tile_rows).tiles()
     return fold_in_parts(kernel, tiles, parts).finalize(space)

@@ -313,6 +313,25 @@ class TestStoreJournalRecovery:
         finally:
             recovered.journal.close()
 
+    @pytest.mark.parametrize("journaled", ["string", "float"])
+    def test_journaled_types_pin_a_column_with_missing_values(self, tmp_path, journaled):
+        """A column with missing numbers recovers as the type its journal
+        recorded: stores persisted with such a column as ``string`` stay
+        ``string``, and inference never re-runs on recovery."""
+        raw = [{"x": 1.5, "s": "a"}, {"x": None, "s": "b"}, {"x": 4.0, "s": "a"}]
+        types = {"x": journaled, "s": "string"}
+        relation = Relation.from_records("gaps", raw, column_types(types))
+        journal = StoreJournal.create(
+            tmp_path / "gaps", "gaps", plain_rows(relation), relation_types(relation)
+        )
+        journal.close()
+        recovered = StoreJournal.recover(tmp_path / "gaps")
+        try:
+            assert recovered.store.relation.column_type("x") is ColumnType(journaled)
+            assert_bit_identical(recovered.store, EvidenceStore(relation))
+        finally:
+            recovered.journal.close()
+
     def test_snapshot_plus_tail_recovery(self, tmp_path):
         rows, types = example_rows()
         batches = self.make_batches(rows)

@@ -246,6 +246,29 @@ class TestKernelPlanes:
                 assert_evidence_identical(build_evidence_set_dense(grown, space), expected)
 
 
+    def test_inferred_missing_numbers_append_like_a_rebuild(self):
+        """Integers with a missing value infer a float column; the store
+        keeps its order predicates and appends stay exact."""
+        from repro.core.evidence_builder import build_evidence_set_dense
+        from repro.core.operators import Operator
+        from repro.core.predicates import same_column_predicate
+        from repro.data.types import ColumnType
+
+        records = [
+            {"A": 3, "S": "a"}, {"A": None, "S": "b"}, {"A": 1, "S": "a"},
+            {"A": 4, "S": "c"}, {"A": 1, "S": "b"},
+        ]
+        store = EvidenceStore(Relation.from_records("gaps", records))
+        assert store.relation.column_type("A") is ColumnType.FLOAT
+        assert same_column_predicate("A", Operator.LT) in store.space
+        batch = [{"A": 5, "S": "a"}, {"A": None, "S": "c"}]
+        store.append(batch)
+        grown = Relation.from_records("gaps", records + batch)
+        assert_evidence_identical(
+            store.evidence(), build_evidence_set_dense(grown, store.space)
+        )
+
+
 class TestPartialRebase:
     def test_rebase_keeps_participation(self):
         relation = make_random_relation(n_rows=6, seed=3)
@@ -619,6 +642,22 @@ class TestDeltaBuilder:
         grown.append_rows(example_relation.take(range(11, 15)))
         delta = builder.delta_partial(grown, 11)
         merged = seed_partial.rebase_rows(grown.n_rows).merge(delta)
+        assert_evidence_identical(
+            merged.finalize(space), _rebuild(example_relation, space)
+        )
+
+    @pytest.mark.parametrize("parts", [1, 2, 3, 5])
+    def test_delta_tiles_folded_in_parts_extend_the_seed(self, example_relation, parts):
+        """The append's tiles, folded in parts and merged into a fold of the
+        seed rows' schedule, give the evidence of the grown relation."""
+        space = build_predicate_space(example_relation)
+        kernel = TileKernel.from_relation(example_relation, space)
+        seed_partial = fold_tiles(kernel, TileScheduler(9, tile_rows=3).tiles())
+        tiles = delta_tiles(9, example_relation.n_rows, tile_rows=3)
+        merged = seed_partial.merge(fold_in_parts(kernel, tiles, parts))
+        assert merged.recorded_pairs == example_relation.n_rows * (
+            example_relation.n_rows - 1
+        )
         assert_evidence_identical(
             merged.finalize(space), _rebuild(example_relation, space)
         )

@@ -69,6 +69,16 @@ class TestPipeline:
         with pytest.raises(ValueError):
             ADCMiner(evidence_method="bogus")
 
+    def test_the_removed_cluster_method_is_rejected(self):
+        from repro.core.evidence_builder import build_evidence_set
+        from repro.core.predicate_space import build_predicate_space
+
+        relation = running_example()
+        with pytest.raises(ValueError, match="valid methods are tiled, dense, pairwise"):
+            ADCMiner(evidence_method="cluster")
+        with pytest.raises(ValueError, match="valid methods are tiled, dense, pairwise"):
+            build_evidence_set(relation, build_predicate_space(relation), method="cluster")
+
     def test_nan_epsilon_rejected(self):
         # NaN fails every comparison: unless rejected, the search would
         # treat no set as passing and silently return nothing.

@@ -19,9 +19,15 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tests.conftest import make_random_relation
+from tests.test_engine import assert_evidence_identical
+from repro.core.evidence_builder import build_evidence_set_dense, build_evidence_set_tiled
+from repro.core.predicate_space import build_predicate_space
+from repro.incremental import EvidenceStore
+from repro.obs import metrics as obs_metrics
 from repro.obs.logging import JsonLogger
 from repro.obs.prometheus import render_text
-from repro.obs.registry import DEFAULT_LATENCY_BUCKETS, MetricsRegistry
+from repro.obs.registry import DEFAULT_LATENCY_BUCKETS, MetricsRegistry, get_registry
 from repro.obs.spans import Span, bound, current, use
 
 
@@ -93,6 +99,50 @@ class TestRegistry:
         assert hist_sample["sum"] == 0.25
         assert hist_sample["buckets"][-1] == ["+Inf", 1]
         assert json.dumps(snap)  # JSON-serializable end to end
+
+
+class TestKillSwitchParity:
+    """With the default registry disabled, evidence builds and store
+    appends are bit-identical and move no evidence metric."""
+
+    @pytest.fixture()
+    def obs_off(self):
+        registry = get_registry()
+        saved = registry.enabled
+        registry.enabled = False
+        try:
+            yield registry
+        finally:
+            registry.enabled = saved
+
+    @staticmethod
+    def readings():
+        return (
+            obs_metrics.EVIDENCE_TILES.value,
+            obs_metrics.EVIDENCE_PAIRS.value,
+            obs_metrics.EVIDENCE_TILE_SECONDS.labels().count,
+        )
+
+    def test_disabled_build_is_bit_identical(self, obs_off):
+        relation = make_random_relation(n_rows=14, seed=6)
+        space = build_predicate_space(relation)
+        before = self.readings()
+        built = build_evidence_set_tiled(relation, space, tile_rows=4)
+        assert self.readings() == before
+        obs_off.enabled = True
+        assert_evidence_identical(
+            built, build_evidence_set_tiled(relation, space, tile_rows=4)
+        )
+        assert self.readings() != before
+
+    def test_disabled_store_append_is_bit_identical(self, obs_off):
+        relation = make_random_relation(n_rows=14, seed=7)
+        space = build_predicate_space(relation)
+        before = self.readings()
+        store = EvidenceStore(relation.take(range(9)), space=space, tile_rows=4)
+        store.append(relation.take(range(9, 14)))
+        assert self.readings() == before
+        assert_evidence_identical(store.evidence(), build_evidence_set_dense(relation, space))
 
 
 # ----------------------------------------------------------------------

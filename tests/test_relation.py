@@ -253,6 +253,13 @@ class TestIO:
         assert relation.n_rows == 2
         assert relation.column_type("a") is ColumnType.INTEGER
 
+    def test_from_records_with_missing_integers_is_float(self):
+        relation = Relation.from_records("r", [{"a": 1}, {"a": None}, {"a": 3}])
+        assert relation.column_type("a") is ColumnType.FLOAT
+        values = relation.column("a").values
+        assert values[0] == 1.0 and values[2] == 3.0
+        assert np.isnan(values[1])
+
     def test_from_records_empty_rejected(self):
         with pytest.raises(ValueError):
             Relation.from_records("r", [])

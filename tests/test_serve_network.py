@@ -26,8 +26,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.operators import Operator
 from repro.core.predicate_space import build_predicate_space
-from repro.data.relation import running_example
+from repro.core.predicates import same_column_predicate
+from repro.data.relation import Relation, running_example
+from repro.data.types import ColumnType
 from repro.incremental import EvidenceStore, ViolationService
 from repro.serve import (
     AppendScheduler,
@@ -371,6 +374,29 @@ class TestServerEndToEnd:
         assert response["server"] == "repro-serve"
         assert response["protocol"] == protocol.PROTOCOL_VERSION
 
+    @pytest.mark.parametrize("present", [1.5, 2])
+    def test_json_null_keeps_a_numeric_column_ordered(self, client, present):
+        """A seed with ``null`` in a number column and no ``types`` gets the
+        same predicate space as the column typed ``float``."""
+        rows = [
+            {"x": present, "s": "a"},
+            {"x": None, "s": "b"},
+            {"x": present * 3, "s": "a"},
+        ]
+        name = f"nulls-{type(present).__name__}"
+        inferred = client.create_store(name, rows)
+        typed = client.create_store(f"{name}-typed", rows, {"x": "float", "s": "string"})
+        try:
+            assert inferred["n_predicates"] == typed["n_predicates"]
+            expected = build_predicate_space(
+                Relation.from_records("r", rows, {"x": ColumnType.FLOAT})
+            )
+            assert inferred["n_predicates"] == len(expected)
+            assert same_column_predicate("x", Operator.LT) in expected
+        finally:
+            client.drop_store(name)
+            client.drop_store(f"{name}-typed")
+
     def test_full_tenant_lifecycle_against_oracles(self, server, client, mined):
         relation, space, adcs = mined
         client.create_store("lifecycle", plain_rows(relation, range(12)))
@@ -623,6 +649,26 @@ class TestMainEntryPoint:
         assert parse_address("10.0.0.7:9000") == ("10.0.0.7", 9000)
         with pytest.raises(ValueError):
             parse_address("no-port")
+
+    @pytest.mark.parametrize(
+        "address, expected",
+        [
+            ("127.0.0.1:0", ("127.0.0.1", 0)),
+            ("localhost:7332", ("localhost", 7332)),
+            ("0.0.0.0:65535", ("0.0.0.0", 65535)),
+        ],
+    )
+    def test_parse_address_accepts_host_port(self, address, expected):
+        from repro.serve.__main__ import parse_address
+
+        assert parse_address(address) == expected
+
+    @pytest.mark.parametrize("address", [":9000", "host:", "host:port", "host:-1"])
+    def test_parse_address_rejects(self, address):
+        from repro.serve.__main__ import parse_address
+
+        with pytest.raises(ValueError, match="host:port"):
+            parse_address(address)
 
     def test_boot_serve_sigterm_drain(self, mined):
         relation, _, _ = mined

@@ -70,6 +70,21 @@ class TestInferColumnType:
     def test_all_missing_column_is_string(self):
         assert infer_column_type([None, None]) is ColumnType.STRING
 
+    @pytest.mark.parametrize(
+        "values, expected",
+        [
+            ([None, 1], ColumnType.FLOAT),
+            ([None, 1, 2.5], ColumnType.FLOAT),
+            ([True, None], ColumnType.FLOAT),
+            (["1.5", None], ColumnType.FLOAT),
+            ([None, "a", 1], ColumnType.STRING),
+            (["", None], ColumnType.STRING),
+        ],
+    )
+    def test_missing_values_anywhere_in_the_column(self, values, expected):
+        assert infer_column_type(values) is expected
+        assert infer_column_type(iter(values)) is expected
+
     def test_inferred_missing_values_coerce(self):
         for values in ([1.0, None, 2.5], [1, None, 3]):
             coerced = coerce_values(values, infer_column_type(values))
