@@ -18,7 +18,7 @@ import enum
 from dataclasses import dataclass
 from typing import Mapping
 
-from repro.core.operators import Operator
+from repro.core.operators import SATISFIED_BY_CATEGORY, Operator, OrderCategory
 
 
 class PredicateForm(enum.Enum):
@@ -109,13 +109,22 @@ class Predicate:
         """Evaluate the predicate on an ordered pair of rows.
 
         ``left_row`` plays the role of ``t`` and ``right_row`` of ``t'``;
-        single-tuple predicates only look at ``left_row``.
+        single-tuple predicates only look at ``left_row``.  A comparison
+        with a missing value (NaN) falls in the order category the evidence
+        engine gives it: ``GREATER`` across two tuples, whichever side holds
+        the NaN (the engine's difference is NaN, neither ``< 0`` nor
+        ``== 0``), and ``LESS`` within one tuple.
         """
         left_value = left_row[self.left_column]
         if self.form.spans_two_tuples:
             right_value = right_row[self.right_column]
         else:
             right_value = left_row[self.right_column]
+        if left_value != left_value or right_value != right_value:
+            category = (
+                OrderCategory.GREATER if self.form.spans_two_tuples else OrderCategory.LESS
+            )
+            return self.operator in SATISFIED_BY_CATEGORY[category]
         return self.operator.evaluate(left_value, right_value)
 
     # ------------------------------------------------------------------

@@ -14,19 +14,25 @@ machinery needed to reason about f3 outside the miner:
 * an exact minimum vertex cover (small inputs only, for tests);
 * the greedy ``O(log n)``-approximation the paper's Figure 2 is inspired by;
 * the exact value of ``1 - f3``.
+
+networkx is imported only for the explicit graph view,
+:meth:`ConflictGraph.undirected` (which :func:`vertex_cover_greedy` uses),
+so importing this module does not load it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import networkx as nx
 import numpy as np
 
 from repro.core.dc import DenialConstraint
 from repro.data.relation import Relation
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -52,6 +58,8 @@ class ConflictGraph:
 
     def undirected(self) -> nx.Graph:
         """Undirected view (vertex covers do not care about edge direction)."""
+        import networkx as nx
+
         graph = nx.Graph()
         graph.add_nodes_from(range(self.n_tuples))
         graph.add_edges_from({tuple(sorted(edge)) for edge in self.edges})

@@ -12,14 +12,16 @@ the pair-based function f1:
   guarantees, with probability at least ``1 - alpha``, that the DC is an ADC
   of the full database w.r.t. the desired threshold ``epsilon``
   (Inequality 2).
+
+scipy supplies the normal quantile and is imported on the first
+:func:`z_value` call, so importing this module (and the package) does not
+load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy.special import ndtri
 
 from repro.core.approximation import F1Adjusted
 from repro.data.relation import Relation
@@ -102,6 +104,8 @@ def normal_confidence_interval(
 
 def z_value(confidence: float) -> float:
     """The ``z_{1-2alpha}`` quantile of the standard normal distribution."""
+    from scipy.special import ndtri
+
     return float(ndtri(0.5 + confidence / 2.0))
 
 

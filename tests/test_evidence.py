@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from tests.conftest import make_random_relation
+from repro.core.dc import DenialConstraint
 from repro.core.evidence import evidence_from_pair_masks
 from repro.core.evidence_builder import build_evidence_set, build_evidence_set_pairwise
 from repro.core.predicate_space import build_predicate_space
+from repro.data.relation import Relation
 
 
 class TestRunningExampleEvidence:
@@ -66,6 +70,47 @@ class TestBuildersAgree:
         evidence = build_evidence_set(relation, space)
         assert len(evidence) == 0
         assert evidence.total_pairs == 0
+
+
+
+class TestMissingValues:
+    """A missing number (NaN) orders the same in every builder: across two
+    tuples any comparison with it is GREATER, within one tuple LESS."""
+
+    RELATIONS = {
+        "same-column": {"a": [1.0, None, 2.5, None, 2.5], "b": list("xyxxz")},
+        "cross-column": {"a": [1.0, None, 2.0, 3.0, 2.0], "c": [1.0, 2.0, None, 3.0, 1.0]},
+    }
+
+    @pytest.mark.parametrize("name", sorted(RELATIONS))
+    def test_builders_agree(self, name):
+        relation = Relation(name, self.RELATIONS[name])
+        space = build_predicate_space(relation)
+        built = {
+            method: build_evidence_set(relation, space, method=method)
+            for method in ("tiled", "dense", "pairwise")
+        }
+        expected = sorted(zip(built["tiled"].masks, built["tiled"].counts.tolist()))
+        for evidence in built.values():
+            assert sorted(zip(evidence.masks, evidence.counts.tolist())) == expected
+        if name == "same-column":
+            assert len(built["pairwise"]) == 5
+
+    @pytest.mark.parametrize("name", sorted(RELATIONS))
+    def test_violating_pairs_match_the_evidence(self, name):
+        relation = Relation(name, self.RELATIONS[name])
+        space = build_predicate_space(relation)
+        evidence = build_evidence_set(relation, space)
+        for size in (1, 2):
+            for indices in itertools.combinations(range(len(space)), size):
+                bits = sum(1 << index for index in indices)
+                constraint = DenialConstraint(space[index] for index in indices)
+                expected = sum(
+                    count
+                    for mask, count in zip(evidence.masks, evidence.counts.tolist())
+                    if mask & bits == bits
+                )
+                assert len(constraint.violating_pairs(relation)) == expected
 
 
 class TestEvidenceOperations:

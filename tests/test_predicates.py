@@ -54,6 +54,20 @@ class TestPredicate:
         assert predicate.evaluate({"A": 1, "B": 5}, {"A": 100, "B": 0})
         assert not predicate.evaluate({"A": 5, "B": 1}, {"A": 0, "B": 100})
 
+    def test_missing_value_evaluation_follows_the_engine(self):
+        """NaN is GREATER across two tuples, on either side or both, and
+        LESS within one tuple, as in the evidence engine's categories."""
+        nan = float("nan")
+        across = {Operator.GT, Operator.GE, Operator.NE}
+        within = {Operator.LT, Operator.LE, Operator.NE}
+        for op in Operator:
+            predicate = same_column_predicate("A", op)
+            for left, right in ((nan, 1.0), (1.0, nan), (nan, nan)):
+                assert predicate.evaluate({"A": left}, {"A": right}) == (op in across)
+            predicate = single_tuple_predicate("A", op, "B")
+            for row in ({"A": nan, "B": 1.0}, {"A": 1.0, "B": nan}, {"A": nan, "B": nan}):
+                assert predicate.evaluate(row, {"A": 0.0, "B": 0.0}) == (op in within)
+
     def test_implies(self):
         assert same_column_predicate("A", Operator.LT).implies(
             same_column_predicate("A", Operator.LE)

@@ -2,11 +2,7 @@
 
 from __future__ import annotations
 
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,24 +82,6 @@ class TestBounds:
         for confidence in confidences:
             expected = float(stats.norm.ppf(0.5 + confidence / 2.0))
             assert z_value(float(confidence)) == expected
-
-    def test_importing_sampling_skips_scipy_stats(self):
-        """``scipy.stats`` costs about a second of start-up, paid by every
-        server process; the sampling module needs only
-        ``scipy.special``."""
-        import repro
-
-        src = str(Path(repro.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=src)
-        code = (
-            "import sys, repro.core.sampling, repro.core.miner; "
-            "print('scipy.stats' in sys.modules)"
-        )
-        output = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-            check=True, timeout=60,
-        ).stdout
-        assert output.strip() == "False"
 
 
 class TestSampleThreshold:
