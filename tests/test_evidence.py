@@ -72,7 +72,6 @@ class TestBuildersAgree:
         assert evidence.total_pairs == 0
 
 
-
 class TestMissingValues:
     """A missing number (NaN) orders the same in every builder: across two
     tuples any comparison with it is GREATER, within one tuple LESS."""

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +24,7 @@ from repro.core.sampling import (
     sample_threshold,
     z_value,
 )
+from repro.core.miner import ADCMiner
 from repro.data.relation import running_example
 from tests.reference import sample_edge_fraction, simulate_random_polluter
 
@@ -82,6 +88,51 @@ class TestBounds:
         for confidence in confidences:
             expected = float(stats.norm.ppf(0.5 + confidence / 2.0))
             assert z_value(float(confidence)) == expected
+
+    def test_importing_sampling_skips_scipy_stats(self):
+        """scipy supplies only the z of the f1' threshold and networkx only
+        the explicit conflict-graph view; each costs a tenth of a second or
+        more at import, paid by every server start and miner process.  In a
+        fresh interpreter, the server, the miner and an f1 mine load neither;
+        a later f1' mine loads ``scipy.special`` (never ``scipy.stats``) and
+        gives the same ADCs and z, to the bit, as this process."""
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        code = """
+import json, sys
+import repro.serve.server, repro.core.miner, repro.core.sampling
+from repro.data.relation import running_example
+assert repro.core.miner.ADCMiner("f1", 0.1).mine(running_example()).adcs
+loaded = sorted(m for m in ("scipy", "networkx") if m in sys.modules)
+result = repro.core.miner.ADCMiner(
+    "f1", 0.1, 0.7, adjust_for_sample=True, seed=7
+).mine(running_example())
+print(json.dumps({
+    "loaded": loaded,
+    "adcs": [[adc.hitting_set_mask, adc.violation_score.hex()] for adc in result.adcs],
+    "z": repro.core.sampling.adjusted_function(
+        result.sample_plan.sample_pairs, 0.05
+    ).confidence_z.hex(),
+    "scipy": ["scipy.special" in sys.modules, "scipy.stats" in sys.modules],
+}))
+"""
+        fresh = json.loads(subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            check=True, timeout=60,
+        ).stdout)
+        assert fresh["loaded"] == []
+        assert fresh["scipy"] == [True, False]
+        result = ADCMiner("f1", 0.1, 0.7, adjust_for_sample=True, seed=7).mine(
+            running_example()
+        )
+        assert result.function_name == "f1'" and result.adcs
+        assert fresh["adcs"] == [
+            [adc.hitting_set_mask, adc.violation_score.hex()] for adc in result.adcs
+        ]
+        z = adjusted_function(result.sample_plan.sample_pairs, 0.05).confidence_z
+        assert fresh["z"] == z.hex()
 
 
 class TestSampleThreshold:
