@@ -30,7 +30,6 @@ from repro.core.bitset import (
 from repro.core.dc import DenialConstraint, format_dc_set, minimize_dcs
 from repro.core.evidence import (
     EvidenceSet,
-    TupleParticipation,
     evidence_from_pair_masks,
     lexsort_word_rows,
     mask_to_words,
@@ -104,7 +103,6 @@ __all__ = [
     "minimize_dcs",
     "format_dc_set",
     "EvidenceSet",
-    "TupleParticipation",
     "evidence_from_pair_masks",
     "lexsort_word_rows",
     "mask_to_words",

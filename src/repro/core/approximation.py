@@ -177,8 +177,8 @@ class F2(ApproximationFunction):
     ) -> float:
         if evidence.n_rows == 0:
             return 0.0
-        involved = evidence.tuples_involved(uncovered_indices)
-        return len(involved) / evidence.n_rows
+        per_tuple = evidence.violation_counts_per_tuple(uncovered_indices)
+        return int(np.count_nonzero(per_tuple)) / evidence.n_rows
 
 
 class F3Greedy(ApproximationFunction):
@@ -210,17 +210,10 @@ class F3Greedy(ApproximationFunction):
         if total_violations == 0:
             return 0.0
         per_tuple = evidence.violation_counts_per_tuple(uncovered)
-        order = np.argsort(-per_tuple, kind="stable")
-        covered = 0
-        selected = 0
-        for tuple_id in order:
-            if covered >= total_violations:
-                break
-            weight = int(per_tuple[tuple_id])
-            if weight == 0:
-                break
-            covered += weight
-            selected += 1
+        # Every violating pair adds 1 to both of its tuples, so the running
+        # cover of the worst tuples first reaches the total before it ends.
+        covered = np.cumsum(np.sort(per_tuple)[::-1])
+        selected = int(np.searchsorted(covered, total_violations)) + 1
         return selected / evidence.n_rows
 
 

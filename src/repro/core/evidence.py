@@ -14,20 +14,22 @@ evidence builder produces and the one :class:`~repro.core.adc_enum.ADCEnum`
 operates on directly, so no representation changes hands anywhere in the
 pipeline.  The set-cover queries the enumerators and approximation
 functions issue (:meth:`EvidenceSet.uncovered_indices`,
-:meth:`EvidenceSet.uncovered_pair_count`,
-:meth:`EvidenceSet.restrict_to_predicates`) are all vectorised word-plane
+:meth:`EvidenceSet.uncovered_pair_count`) are vectorised word-plane
 operations.  A compatibility view of Python-int ``masks`` is derived
 lazily for callers that still want arbitrary-precision bitmasks.
 
 The class also stores the ``vios`` structure of Figure 2: for every distinct
 evidence, the tuples participating in pairs with that evidence and how many
-such pairs each tuple participates in.  This is what the tuple-based
-approximation functions (f2 and the greedy replacement of f3) consume.
+such pairs each tuple participates in.  It is one CSR layout of three int64
+arrays sorted by ``(evidence, tuple)``: evidence ``e`` owns the slice
+``offsets[e]:offsets[e + 1]`` of ``tuple_ids`` (ascending) and of
+``pair_counts``.  This is what the tuple-based approximation functions (f2
+and the greedy replacement of f3) consume, through
+:meth:`EvidenceSet.violation_counts_per_tuple`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -39,15 +41,6 @@ from repro.native import dispatch as native_dispatch
 
 _WORD_BITS = 64
 _WORD_MASK = 0xFFFFFFFFFFFFFFFF
-
-
-def n_words_for(n_predicates: int) -> int:
-    """Number of uint64 words needed to hold ``n_predicates`` bits.
-
-    Alias of :func:`repro.core.bitset.n_words_for_bits`, kept under the
-    historical name for the evidence-pipeline callers.
-    """
-    return n_words_for_bits(n_predicates)
 
 
 def mask_to_words(mask: int, n_words: int) -> np.ndarray:
@@ -82,9 +75,9 @@ def lexsort_word_rows(words: np.ndarray) -> np.ndarray:
     """Permutation sorting word rows lexicographically (word 0 primary).
 
     This is the canonical evidence order: every builder emits its distinct
-    evidences in this order, which makes results reproducible and lets the
-    parallel engine merge partial evidence sets in any order while still
-    finalizing to a bit-identical :class:`EvidenceSet`.
+    evidences in this order, which makes results reproducible and lets a
+    store absorb append deltas into its partial evidence set in any order
+    while still finalizing to a bit-identical :class:`EvidenceSet`.
     """
     if len(words) == 0:
         return np.zeros(0, dtype=np.int64)
@@ -100,8 +93,7 @@ def unique_word_rows(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     depend on the platform's endianness).  Dispatched to the active kernel
     backend: the compiled backends replace the sort-based ``np.unique``
     reference with a hash pass over the rows.  (Tile folds dedup inside
-    the backend's ``fold_tiles``; this serves the dense builder and word
-    projections.)
+    the backend's ``fold_tiles``; this serves the dense builder.)
     """
     return native_dispatch.get_backend().kernels.unique_rows(words)
 
@@ -110,13 +102,11 @@ class LazyMaskView(Sequence[int]):
     """Chunk-lazy Python-int view of a packed uint64 word plane.
 
     Converting a word row to an arbitrary-precision int costs Python-level
-    work per row, and the old eager ``EvidenceSet.masks`` list materialised
-    *every* row on first touch — an accidental hot-path landmine when the
-    enumerator read one mask per search node.  The hot paths now consume
-    ``EvidenceSet.words`` directly; this view serves the remaining cold
-    callers (display helpers, tests, the legacy reference enumerators) by
-    converting rows on demand in fixed-size chunks and caching each chunk,
-    so indexed access never pays for the rows it does not visit.
+    work per row.  The hot paths consume ``EvidenceSet.words`` directly;
+    this view serves the cold callers (display helpers, tests, the legacy
+    reference enumerators) by converting rows on demand in fixed-size
+    chunks and caching each chunk, so indexed access never pays for the
+    rows it does not visit.
 
     The view supports the full read-only sequence protocol plus value
     equality against lists/tuples, which is what the existing callers (and
@@ -177,22 +167,6 @@ class LazyMaskView(Sequence[int]):
         return f"LazyMaskView({len(self)} masks)"
 
 
-@dataclass(frozen=True)
-class TupleParticipation:
-    """Tuples participating in pairs carrying one evidence.
-
-    ``tuple_ids[k]`` participates in ``pair_counts[k]`` ordered pairs whose
-    evidence is the owning entry — the row of the ``vios`` table of Figure 2.
-    """
-
-    tuple_ids: np.ndarray
-    pair_counts: np.ndarray
-
-    def __post_init__(self) -> None:
-        if len(self.tuple_ids) != len(self.pair_counts):
-            raise ValueError("tuple_ids and pair_counts must have equal length")
-
-
 class EvidenceSet:
     """The bag ``Evi(D)`` of predicate-satisfaction evidences.
 
@@ -208,8 +182,9 @@ class EvidenceSet:
     n_rows:
         Number of tuples of the underlying relation.
     participation:
-        Optional per-evidence tuple participation (the ``vios`` structure);
-        required by the f2/f3 approximation functions.
+        Optional tuple participation (the ``vios`` structure) as the CSR
+        triple ``(offsets, tuple_ids, pair_counts)``; required by the
+        f2/f3 approximation functions.
     words:
         Packed ``(n_evidences, n_words)`` uint64 evidence words — the native
         representation produced by the tiled and dense builders.
@@ -221,12 +196,12 @@ class EvidenceSet:
         masks: Sequence[int] | None = None,
         counts: Sequence[int] = (),
         n_rows: int = 0,
-        participation: Sequence[TupleParticipation] | None = None,
+        participation: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
         *,
         words: np.ndarray | None = None,
     ) -> None:
         self.space = space
-        self.n_words = n_words_for(len(space))
+        self.n_words = n_words_for_bits(len(space))
         if words is None:
             if masks is None:
                 raise ValueError("either masks or words must be provided")
@@ -243,10 +218,21 @@ class EvidenceSet:
         self.counts: np.ndarray = np.asarray(counts, dtype=np.int64)
         if len(self.words) != len(self.counts):
             raise ValueError("masks/words and counts must have equal length")
-        if participation is not None and len(participation) != len(self.words):
-            raise ValueError("participation must align with masks")
         self.n_rows = int(n_rows)
-        self._participation = list(participation) if participation is not None else None
+        self.offsets: np.ndarray | None = None
+        self.tuple_ids: np.ndarray | None = None
+        self.pair_counts: np.ndarray | None = None
+        if participation is not None:
+            offsets, tuple_ids, pair_counts = (
+                np.asarray(array, dtype=np.int64) for array in participation
+            )
+            if len(offsets) != len(self.words) + 1 or offsets[0] != 0:
+                raise ValueError("offsets must hold n_evidences + 1 entries from 0")
+            if (np.diff(offsets) < 0).any() or offsets[-1] != len(tuple_ids):
+                raise ValueError("offsets must ascend to len(tuple_ids)")
+            if len(tuple_ids) != len(pair_counts):
+                raise ValueError("tuple_ids and pair_counts must have equal length")
+            self.offsets, self.tuple_ids, self.pair_counts = offsets, tuple_ids, pair_counts
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -285,16 +271,7 @@ class EvidenceSet:
     @property
     def has_participation(self) -> bool:
         """Whether the ``vios`` structure is available."""
-        return self._participation is not None
-
-    def participation(self, evidence_index: int) -> TupleParticipation:
-        """Tuple participation of one distinct evidence."""
-        if self._participation is None:
-            raise RuntimeError(
-                "evidence set was built without tuple participation; "
-                "rebuild with include_participation=True to use f2/f3"
-            )
-        return self._participation[evidence_index]
+        return self.offsets is not None
 
     def predicates_of(self, evidence_index: int) -> tuple[Predicate, ...]:
         """Predicates satisfied by the pairs of one distinct evidence."""
@@ -364,68 +341,44 @@ class EvidenceSet:
         """
         return int(self.counts[self._unhit(hitting_mask)].sum())
 
-    def pair_count_of(self, evidence_indices: Iterable[int]) -> int:
-        """Total number of pairs over a collection of evidence indices."""
-        indices = np.asarray(
+    @staticmethod
+    def _index_array(evidence_indices: Iterable[int]) -> np.ndarray:
+        return np.asarray(
             evidence_indices if isinstance(evidence_indices, np.ndarray) else list(evidence_indices),
             dtype=np.int64,
         )
-        return int(self.counts[indices].sum())
 
-    def tuples_involved(self, evidence_indices: Iterable[int]) -> set[int]:
-        """Distinct tuples participating in pairs of the given evidences."""
-        involved: set[int] = set()
-        for index in evidence_indices:
-            involved.update(self.participation(index).tuple_ids.tolist())
-        return involved
+    def pair_count_of(self, evidence_indices: Iterable[int]) -> int:
+        """Total number of pairs over a collection of evidence indices."""
+        return int(self.counts[self._index_array(evidence_indices)].sum())
 
     def violation_counts_per_tuple(self, evidence_indices: Iterable[int]) -> np.ndarray:
         """Per-tuple number of violating pairs over the given evidences.
 
-        This is the ``v(t)`` vector computed by ``SortTuples`` in Figure 2.
+        This is the ``v(t)`` vector computed by ``SortTuples`` in Figure 2:
+        one gather of the evidences' CSR ranges and one ``bincount``.  A
+        tuple takes part in at most ``2 (n - 1)`` pairs, so the float64
+        weights sum exactly.
         """
-        totals = np.zeros(self.n_rows, dtype=np.int64)
-        for index in evidence_indices:
-            part = self.participation(index)
-            totals[part.tuple_ids] += part.pair_counts
-        return totals
+        if self.offsets is None:
+            raise RuntimeError(
+                "evidence set was built without tuple participation; "
+                "rebuild with include_participation=True to use f2/f3"
+            )
+        indices = self._index_array(evidence_indices)
+        starts = self.offsets[indices]
+        lengths = self.offsets[indices + 1] - starts
+        # Gather slot k of range i reads position starts[i] + (k - first slot of i).
+        positions = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+        positions += np.arange(len(positions))
+        totals = np.bincount(
+            self.tuple_ids[positions], weights=self.pair_counts[positions], minlength=self.n_rows
+        )
+        return totals.astype(np.int64)
 
     # ------------------------------------------------------------------
     # Utilities
     # ------------------------------------------------------------------
-    def restrict_to_predicates(self, predicate_mask: int) -> "EvidenceSet":
-        """Project every evidence onto a subset of the predicate space.
-
-        Evidences that become identical after the projection are merged:
-        their multiplicities are added and, when the ``vios`` structure is
-        available, their tuple participations are merged as well (per-tuple
-        pair counts added), so f2/f3 keep working on the projected set.
-        """
-        projection = mask_to_words(predicate_mask, self.n_words)
-        projected = self.words & projection
-        unique_words, inverse, _ = unique_word_rows(projected)
-        counts = np.zeros(len(unique_words), dtype=np.int64)
-        np.add.at(counts, inverse, self.counts)
-
-        participation: list[TupleParticipation] | None = None
-        if self._participation is not None:
-            participation = []
-            order = np.argsort(inverse, kind="stable")
-            boundaries = np.searchsorted(inverse[order], np.arange(len(unique_words) + 1))
-            for merged in range(len(unique_words)):
-                sources = order[boundaries[merged]:boundaries[merged + 1]]
-                ids = np.concatenate([self._participation[s].tuple_ids for s in sources])
-                per_pair = np.concatenate([self._participation[s].pair_counts for s in sources])
-                merged_ids, merged_inverse = np.unique(ids, return_inverse=True)
-                merged_counts = np.zeros(len(merged_ids), dtype=np.int64)
-                np.add.at(merged_counts, merged_inverse, per_pair)
-                participation.append(TupleParticipation(merged_ids, merged_counts))
-
-        return EvidenceSet(
-            self.space, counts=counts, n_rows=self.n_rows,
-            participation=participation, words=unique_words,
-        )
-
     def describe(self, limit: int = 10) -> str:
         """Human readable summary of the evidence multiset."""
         lines = [
@@ -456,19 +409,13 @@ def evidence_from_pair_masks(
     primary), matching the word-plane builders bit for bit.
     """
     pair_masks = list(pair_masks)
-    counts: dict[int, int] = {}
-    tuple_counts: dict[int, dict[int, int]] = {}
     pairs = list(pair_tuples) if pair_tuples is not None else None
     if pairs is not None and len(pairs) != len(pair_masks):
         raise ValueError("pair_tuples must align with pair_masks")
-    for position, mask in enumerate(pair_masks):
+    counts: dict[int, int] = {}
+    for mask in pair_masks:
         counts[mask] = counts.get(mask, 0) + 1
-        if pairs is not None:
-            i, j = pairs[position]
-            per_tuple = tuple_counts.setdefault(mask, {})
-            per_tuple[i] = per_tuple.get(i, 0) + 1
-            per_tuple[j] = per_tuple.get(j, 0) + 1
-    n_words = n_words_for(len(space))
+    n_words = n_words_for_bits(len(space))
     masks = sorted(
         counts,
         key=lambda mask: tuple(
@@ -477,10 +424,13 @@ def evidence_from_pair_masks(
     )
     participation = None
     if pairs is not None:
-        participation = []
-        for mask in masks:
-            per_tuple = tuple_counts[mask]
-            ids = np.asarray(sorted(per_tuple), dtype=np.int64)
-            per_pair = np.asarray([per_tuple[t] for t in ids.tolist()], dtype=np.int64)
-            participation.append(TupleParticipation(ids, per_pair))
+        # Imported here because the engine's partials import this module.
+        from repro.engine.partial import participation_from_pairs
+
+        rank = {mask: index for index, mask in enumerate(masks)}
+        evidence_ids = np.fromiter(map(rank.__getitem__, pair_masks), dtype=np.int64)
+        ends = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        participation = participation_from_pairs(
+            evidence_ids, ends[:, 0], ends[:, 1], len(masks)
+        )
     return EvidenceSet(space, masks, [counts[m] for m in masks], n_rows, participation)

@@ -30,10 +30,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.bitset import n_words_for_bits
 from repro.core.evidence import (
     EvidenceSet,
     evidence_from_pair_masks,
-    n_words_for,
     unique_word_rows,
 )
 from repro.core.operators import OrderCategory
@@ -46,7 +46,7 @@ from repro.engine.kernel import (
     prepare_groups,
 )
 from repro.engine.parallel import fold_tiles
-from repro.engine.partial import participation_keys, split_participation
+from repro.engine.partial import participation_csr, participation_from_pairs
 from repro.engine.scheduler import (
     DEFAULT_MEMORY_BUDGET_BYTES,
     TileScheduler,
@@ -128,8 +128,8 @@ def build_evidence_set_tiled(
     """
     n = relation.n_rows
     if n < 2:
-        return EvidenceSet(space, [], [], n, [] if include_participation else None)
-    n_words = n_words_for(len(space))
+        return _no_evidence(space, n, include_participation)
+    n_words = n_words_for_bits(len(space))
     if tile_rows is None:
         tile_rows = choose_tile_rows(n, n_words, memory_budget_bytes)
     scheduler = TileScheduler(n, tile_rows=tile_rows, n_words=n_words)
@@ -151,9 +151,9 @@ def build_evidence_set_dense(
     """
     n = relation.n_rows
     if n < 2:
-        return EvidenceSet(space, [], [], n, [] if include_participation else None)
+        return _no_evidence(space, n, include_participation)
 
-    n_words = n_words_for(len(space))
+    n_words = n_words_for_bits(len(space))
     plane = np.zeros((n, n, n_words), dtype=np.uint64)
     for kind, left, right, masks in zip(*prepare_groups(relation, space)):
         plane |= masks[_dense_categories(kind, left, right)]
@@ -165,10 +165,19 @@ def build_evidence_set_dense(
     participation = None
     if include_participation:
         row_index, col_index = np.nonzero(off_diagonal)
-        participation = _build_participation(inverse, row_index, col_index, len(unique_words))
+        participation = participation_from_pairs(
+            inverse, row_index, col_index, len(unique_words)
+        )
     return EvidenceSet(
         space, counts=counts, n_rows=n, participation=participation, words=unique_words
     )
+
+
+def _no_evidence(space: PredicateSpace, n: int, include_participation: bool) -> EvidenceSet:
+    """The evidence set of a relation with fewer than two rows."""
+    empty = np.zeros(0, dtype=np.int64)
+    participation = participation_csr(empty, empty, 0) if include_participation else None
+    return EvidenceSet(space, [], [], n, participation)
 
 
 def _dense_categories(kind: int, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -222,18 +231,3 @@ def build_evidence_set_pairwise(
         n,
         pair_tuples if include_participation else None,
     )
-
-
-def _build_participation(
-    inverse: np.ndarray,
-    row_index: np.ndarray,
-    col_index: np.ndarray,
-    n_evidences: int,
-):
-    """Aggregate the ``vios`` structure from the per-pair evidence ids."""
-    keys = np.concatenate([
-        participation_keys(inverse, row_index),
-        participation_keys(inverse, col_index),
-    ])
-    unique_keys, key_counts = np.unique(keys, return_counts=True)
-    return split_participation(unique_keys, key_counts, n_evidences)

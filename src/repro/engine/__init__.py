@@ -28,8 +28,8 @@ from repro.engine.scheduler import (
 from repro.engine.kernel import TileKernel, TilePartial, prepare_groups
 from repro.engine.partial import (
     PartialEvidenceSet,
-    participation_from_key_chunks,
-    split_participation,
+    participation_csr,
+    participation_from_pairs,
 )
 from repro.engine.parallel import fold_tiles
 
@@ -43,7 +43,7 @@ __all__ = [
     "TilePartial",
     "prepare_groups",
     "PartialEvidenceSet",
-    "participation_from_key_chunks",
-    "split_participation",
+    "participation_csr",
+    "participation_from_pairs",
     "fold_tiles",
 ]

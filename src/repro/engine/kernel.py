@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.evidence import n_words_for
+from repro.core.bitset import n_words_for_bits
 from repro.core.operators import (
     SATISFIED_BY_CATEGORY,
     SATISFIED_BY_CATEGORY_STRING,
@@ -115,7 +115,7 @@ class GroupPlan:
             columns.append((left_column, right_column))
             numerics.append(numeric)
             lookups.append(lookup)
-        n_words = n_words_for(len(space))
+        n_words = n_words_for_bits(len(space))
         return cls(
             np.asarray(kinds, dtype=np.int32),
             tuple(columns),
@@ -165,7 +165,7 @@ def category_masks(space: "PredicateSpace", indices: tuple[int, ...], numeric: b
     ``[category, word]`` is the OR of the bits of the group's predicates
     satisfied in that category, restricted to that 64-bit word.
     """
-    n_words = n_words_for(len(space))
+    n_words = n_words_for_bits(len(space))
     table = SATISFIED_BY_CATEGORY if numeric else SATISFIED_BY_CATEGORY_STRING
     masks = np.zeros((3, n_words), dtype=np.uint64)
     for category in OrderCategory:
@@ -222,7 +222,7 @@ class TileKernel:
     ) -> None:
         self.n_rows = check_row_count(n_rows)
         self.n_predicates = int(n_predicates)
-        self.n_words = n_words_for(n_predicates)
+        self.n_words = n_words_for_bits(n_predicates)
         self.include_participation = bool(include_participation)
         self._packed = packed
 

@@ -3,12 +3,11 @@
 A :class:`PartialEvidenceSet` accumulates the output of tile folds over
 any subset of tiles: a word-keyed dedup dictionary of distinct evidences,
 per-chunk multiplicity histograms, and per-chunk tuple-participation
-histograms (keyed ``evidence_id << 32 | tuple_id``, CSR-style at
-finalization).  A fold hands over one result for its whole tile list
-(:meth:`PartialEvidenceSet.add_tile`), so a partial interns once per fold,
-not once per tile.  The key stride is fixed rather than tied to the
-relation's size, so a partial of a growing relation never re-keys what it
-absorbed.
+histograms keyed ``evidence_id << 32 | tuple_id``.  A fold hands over one
+result for its whole tile list (:meth:`PartialEvidenceSet.add_tile`), so a
+partial interns once per fold, not once per tile.  The key stride is
+fixed rather than tied to the relation's size, so a partial of a growing
+relation never re-keys what it absorbed.
 
 Two partials built from disjoint tile sets can be :meth:`merge`-d — the
 operation is associative and commutative up to evidence-id relabeling, and
@@ -22,6 +21,12 @@ ascending tuples: a fold emits its histogram sorted, and relabeling ids
 moves runs without reordering them.  Exporting the histogram in key order
 is then a counting sort of each chunk's runs by evidence id
 (:func:`aggregate_key_histogram`), not a comparison sort of its keys.
+:meth:`PartialEvidenceSet.finalize` cuts that sorted histogram into the
+evidence set's CSR participation — ``offsets`` (one per evidence, plus
+one), ``tuple_ids`` and ``pair_counts`` — with one ``searchsorted``
+(:func:`participation_csr`); the dense and pairwise builders reach the
+same arrays from their per-pair evidence ids
+(:func:`participation_from_pairs`).
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.evidence import EvidenceSet, TupleParticipation, lexsort_word_rows
+from repro.core.evidence import EvidenceSet, lexsort_word_rows
 
 if TYPE_CHECKING:
     from repro.core.predicate_space import PredicateSpace
@@ -373,35 +378,14 @@ class PartialEvidenceSet:
 
         participation = None
         if self.include_participation:
-            participation = participation_from_key_chunks(
+            keys, key_counts = aggregate_key_histogram(
                 self._part_key_chunks, self._part_count_chunks, n_evidences, rank
             )
+            participation = participation_csr(keys, key_counts, n_evidences)
         return EvidenceSet(
             space, counts=counts, n_rows=self.n_rows,
             participation=participation, words=words,
         )
-
-
-def participation_from_key_chunks(
-    key_chunks: list[np.ndarray],
-    count_chunks: list[np.ndarray],
-    n_evidences: int,
-    rank: np.ndarray | None = None,
-) -> list[TupleParticipation]:
-    """Merge per-chunk ``evidence << 32 | tuple`` histograms into ``vios``.
-
-    Each chunk contributes aggregated ``(key, count)`` pairs; keys may
-    repeat across chunks, so they are re-aggregated
-    (:func:`aggregate_key_histogram`, evidence ids relabeled through
-    ``rank`` when given) before being split per evidence.
-    """
-    if not key_chunks:
-        return [
-            TupleParticipation(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
-            for _ in range(n_evidences)
-        ]
-    unique_keys, summed = aggregate_key_histogram(key_chunks, count_chunks, n_evidences, rank)
-    return split_participation(unique_keys, summed, n_evidences)
 
 
 def _key_ordered(
@@ -449,12 +433,15 @@ def aggregate_key_histogram(
     is given.  Each chunk is put in key order on its own
     (:func:`_key_ordered`); a single chunk is then already the histogram,
     and several are merged by a stable sort, which only has to interleave
-    their sorted runs, and summed key by key.
+    their sorted runs, and summed key by key.  No chunks give an empty
+    histogram.
     """
     ordered = [
         _key_ordered(keys, np.asarray(counts, dtype=np.int64), n_ids, rank)
         for keys, counts in zip(key_chunks, count_chunks)
     ]
+    if not ordered:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     if len(ordered) == 1:
         keys, counts = ordered[0]
     else:
@@ -470,25 +457,35 @@ def aggregate_key_histogram(
     return keys, counts
 
 
-def split_participation(
-    unique_keys: np.ndarray,
-    key_counts: np.ndarray,
-    n_evidences: int,
-) -> list[TupleParticipation]:
-    """Split sorted ``evidence << 32 | tuple`` keys into per-evidence rows.
+def participation_csr(
+    keys: np.ndarray, key_counts: np.ndarray, n_evidences: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cut a sorted ``evidence << 32 | tuple`` histogram into CSR participation.
 
-    The key order is ``(evidence, tuple)`` order, so each evidence's slice
-    lists its tuples ascending.
+    Returns ``(offsets, tuple_ids, pair_counts)``: key order is
+    ``(evidence, tuple)`` order, so evidence ``e``'s tuples are the
+    ascending slice ``offsets[e]:offsets[e + 1]``, found by one
+    ``searchsorted`` of the keys' evidence ids.
     """
-    participation: list[TupleParticipation] = []
-    owners = unique_keys >> TUPLE_ID_BITS
-    tuples = unique_keys & _TUPLE_ID_MASK
-    boundaries = np.searchsorted(owners, np.arange(n_evidences + 1))
-    for evidence in range(n_evidences):
-        start, stop = boundaries[evidence], boundaries[evidence + 1]
-        participation.append(
-            TupleParticipation(
-                tuples[start:stop].copy(), key_counts[start:stop].astype(np.int64, copy=True)
-            )
-        )
-    return participation
+    keys = np.asarray(keys, dtype=np.int64)
+    offsets = np.searchsorted(keys >> TUPLE_ID_BITS, np.arange(n_evidences + 1, dtype=np.int64))
+    return (
+        offsets.astype(np.int64, copy=False),
+        keys & _TUPLE_ID_MASK,
+        np.array(key_counts, dtype=np.int64),
+    )
+
+
+def participation_from_pairs(
+    evidence_ids: np.ndarray, left: np.ndarray, right: np.ndarray, n_evidences: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR participation of the ordered pairs ``(left[k], right[k])``.
+
+    ``evidence_ids[k]`` is the evidence of pair ``k``; both of its tuples
+    take part in it once.
+    """
+    keys = np.concatenate([
+        participation_keys(evidence_ids, left),
+        participation_keys(evidence_ids, right),
+    ])
+    return participation_csr(*np.unique(keys, return_counts=True), n_evidences)

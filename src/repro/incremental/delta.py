@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.evidence import n_words_for
+from repro.core.bitset import n_words_for_bits
 from repro.engine.kernel import GroupPlan, TileKernel
 from repro.engine.parallel import fold_tiles
 from repro.engine.scheduler import (
@@ -207,7 +207,7 @@ class DeltaEvidenceBuilder:
         memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES,
     ) -> None:
         self.space = space
-        self.n_words = n_words_for(len(space))
+        self.n_words = n_words_for_bits(len(space))
         self.include_participation = bool(include_participation)
         self.tile_rows = int(tile_rows) if tile_rows is not None else None
         self.memory_budget_bytes = int(memory_budget_bytes)

@@ -35,7 +35,8 @@ import numpy as np
 
 from repro.core.adc_enum import DiscoveredADC
 from repro.core.dc import DenialConstraint
-from repro.core.evidence import mask_to_words, n_words_for
+from repro.core.bitset import n_words_for_bits
+from repro.core.evidence import mask_to_words
 from repro.core.repair import rank_tuples_by_violations
 from repro.engine.partial import TUPLE_ID_BITS
 from repro.engine.scheduler import Shard
@@ -126,7 +127,7 @@ class ViolationService:
         # Per-DC base violation counts, keyed on the store generation that
         # produced them (appends bump the generation, invalidating this).
         self._base_counts_cache: tuple[int, np.ndarray] | None = None
-        n_words = n_words_for(len(store.space))
+        n_words = n_words_for_bits(len(store.space))
         for entry in constraints:
             if isinstance(entry, DiscoveredADC):
                 constraint = entry.constraint

@@ -74,10 +74,9 @@ def assert_bit_identical(recovered: EvidenceStore, oracle: EvidenceStore) -> Non
     a, b = recovered.evidence(), oracle.evidence()
     assert a.words.tobytes() == b.words.tobytes()
     assert np.array_equal(a.counts, b.counts)
-    for index in range(len(a.counts)):
-        pa, pb = a.participation(index), b.participation(index)
-        assert np.array_equal(pa.tuple_ids, pb.tuple_ids)
-        assert np.array_equal(pa.pair_counts, pb.pair_counts)
+    assert np.array_equal(a.offsets, b.offsets)
+    assert np.array_equal(a.tuple_ids, b.tuple_ids)
+    assert np.array_equal(a.pair_counts, b.pair_counts)
 
 
 # ----------------------------------------------------------------------
@@ -242,10 +241,9 @@ class TestPartialStateRoundTrip:
         b = restored.finalize(store.space)
         assert a.words.tobytes() == b.words.tobytes()
         assert np.array_equal(a.counts, b.counts)
-        for index in range(len(a.counts)):
-            pa, pb = a.participation(index), b.participation(index)
-            assert np.array_equal(pa.tuple_ids, pb.tuple_ids)
-            assert np.array_equal(pa.pair_counts, pb.pair_counts)
+        assert np.array_equal(a.offsets, b.offsets)
+        assert np.array_equal(a.tuple_ids, b.tuple_ids)
+        assert np.array_equal(a.pair_counts, b.pair_counts)
 
 
 # ----------------------------------------------------------------------
@@ -391,16 +389,12 @@ class TestStoreJournalRecovery:
 
         evidence = live.evidence()
         n = live.n_rows
-        keys, counts = [], []
-        for index in range(len(evidence)):
-            participation = evidence.participation(index)
-            keys.append(index * n + participation.tuple_ids)
-            counts.append(participation.pair_counts)
+        owners = np.repeat(np.arange(len(evidence)), np.diff(evidence.offsets))
         by_hand = {
             "words": evidence.words,
             "totals": evidence.counts,
-            "part_keys": np.concatenate(keys).astype(np.int64),
-            "part_counts": np.concatenate(counts).astype(np.int64),
+            "part_keys": (owners * n + evidence.tuple_ids).astype(np.int64),
+            "part_counts": evidence.pair_counts.astype(np.int64),
         }
 
         def triples(arrays):

@@ -36,10 +36,9 @@ from repro.engine import (
     TileScheduler,
     choose_tile_rows,
     fold_tiles,
-    participation_from_key_chunks,
-    split_participation,
+    participation_csr,
 )
-from repro.engine.partial import MAX_ROWS
+from repro.engine.partial import MAX_ROWS, aggregate_key_histogram
 from repro.incremental import EvidenceStore
 from repro.engine.scheduler import MAX_TILE_ROWS, MIN_TILE_ROWS, _KERNEL_PLANES
 
@@ -59,11 +58,9 @@ def assert_evidence_identical(left, right) -> None:
     assert left.n_rows == right.n_rows
     assert left.has_participation == right.has_participation
     if left.has_participation:
-        for index in range(len(left)):
-            a = left.participation(index)
-            b = right.participation(index)
-            assert np.array_equal(a.tuple_ids, b.tuple_ids)
-            assert np.array_equal(a.pair_counts, b.pair_counts)
+        assert np.array_equal(left.offsets, right.offsets)
+        assert np.array_equal(left.tuple_ids, right.tuple_ids)
+        assert np.array_equal(left.pair_counts, right.pair_counts)
 
 
 class TestChooseTileRows:
@@ -467,16 +464,19 @@ class TestPartialEvidenceSet:
         assert PartialEvidenceSet(MAX_ROWS - 1, 1).n_rows == MAX_ROWS - 1
 
     def test_no_key_chunks_give_empty_participation(self):
-        runs = participation_from_key_chunks([], [], 3)
-        assert len(runs) == 3
-        assert all(len(run.tuple_ids) == len(run.pair_counts) == 0 for run in runs)
+        offsets, tuple_ids, pair_counts = participation_csr(
+            *aggregate_key_histogram([], [], 3), 3
+        )
+        assert offsets.tolist() == [0, 0, 0, 0]
+        assert len(tuple_ids) == len(pair_counts) == 0
 
-    def test_split_participation_cuts_keys_per_evidence(self):
+    def test_participation_csr_cuts_keys_per_evidence(self):
         keys = np.array([(0 << 32) | 1, (0 << 32) | 4, (2 << 32) | 0], dtype=np.int64)
         counts = np.array([3, 1, 2], dtype=np.int64)
-        runs = split_participation(keys, counts, 3)
-        assert [run.tuple_ids.tolist() for run in runs] == [[1, 4], [], [0]]
-        assert [run.pair_counts.tolist() for run in runs] == [[3, 1], [], [2]]
+        offsets, tuple_ids, pair_counts = participation_csr(keys, counts, 3)
+        assert offsets.tolist() == [0, 2, 2, 3]
+        assert tuple_ids.tolist() == [1, 4, 0]
+        assert pair_counts.tolist() == [3, 1, 2]
 
 
 class TestTileWords:

@@ -20,6 +20,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -29,11 +30,13 @@ from hypothesis import given, settings, strategies as st
 from tests.conftest import make_random_relation
 from tests.reference import build_evidence_set_in_parts, merge_partials_tree
 from tests.test_engine import assert_evidence_identical
+from repro.core.dc import DenialConstraint
 from repro.core.evidence_builder import (
     build_evidence_set_dense,
     build_evidence_set_tiled,
 )
 from repro.core.predicate_space import build_predicate_space
+from repro.data.relation import Relation
 from repro.engine import PartialEvidenceSet, Tile, TileKernel, TileScheduler, fold_tiles
 from repro.engine.scheduler import Shard
 from repro.native import NUMPY_BACKEND, NumpyKernels, dispatch, get_backend, use_backend
@@ -65,6 +68,20 @@ relation_strategy = st.builds(
     domain_size=st.integers(min_value=2, max_value=4),
     seed=st.integers(min_value=0, max_value=10**6),
 )
+
+
+@st.composite
+def relation_with_missing_strategy(draw) -> Relation:
+    """A :data:`relation_strategy` relation with some numeric cells missing."""
+    relation = draw(relation_strategy)
+    columns = {}
+    for name in relation.column_names:
+        values = np.asarray(relation.column(name).values).tolist()
+        if name.startswith("N"):
+            missing = draw(st.lists(st.booleans(), min_size=len(values), max_size=len(values)))
+            values = [None if blank else value for value, blank in zip(values, missing)]
+        columns[name] = values
+    return Relation(relation.name, columns)
 
 
 class TestMergeAlgebra:
@@ -167,10 +184,7 @@ class TestMergeAlgebra:
         evidence = merged.finalize(space)
         assert evidence.recorded_pairs == n * (n - 1)
         # Participation mass: every ordered pair contributes two tuple slots.
-        total = sum(
-            int(evidence.participation(i).pair_counts.sum()) for i in range(len(evidence))
-        )
-        assert total == 2 * n * (n - 1)
+        assert int(evidence.pair_counts.sum()) == 2 * n * (n - 1)
 
 
 class TestFoldsEqualOracles:
@@ -203,13 +217,58 @@ class TestFoldsEqualOracles:
         space = build_predicate_space(relation)
         engine = build_evidence_set_in_parts(relation, space, tile_rows=4, parts=4)
         oracle = build_evidence_set_dense(relation, space)
-        indices = list(range(len(engine)))
-        for function in (F2(), F3Greedy()):
-            assert function.violation_score(engine, indices) == \
-                function.violation_score(oracle, indices)
-        projected_engine = engine.restrict_to_predicates(mask_bits)
-        projected_oracle = oracle.restrict_to_predicates(mask_bits)
-        assert_evidence_identical(projected_engine, projected_oracle)
+        for indices in (list(range(len(engine))), engine.uncovered_indices(mask_bits)):
+            for function in (F2(), F3Greedy()):
+                assert function.violation_score(engine, indices) == \
+                    function.violation_score(oracle, indices)
+
+
+class TestTupleScoresMatchDefinitions:
+    """f2 and f3 on every build equal the paper's definitions, computed by
+    brute force from the DC's violating pairs."""
+
+    BUILDS = {
+        "tiled": lambda relation, space: build_evidence_set_tiled(relation, space, tile_rows=3),
+        "parts": lambda relation, space: build_evidence_set_in_parts(
+            relation, space, tile_rows=2, parts=3
+        ),
+        "dense": build_evidence_set_dense,
+    }
+
+    @staticmethod
+    def expected_scores(relation, constraint) -> tuple[float, float]:
+        pairs = constraint.violating_pairs(relation)
+        per_tuple = Counter(tuple_id for pair in pairs for tuple_id in pair)
+        covered = selected = 0
+        for count in sorted(per_tuple.values(), reverse=True):
+            if covered >= len(pairs):
+                break
+            covered += count
+            selected += 1
+        n = relation.n_rows
+        return len(per_tuple) / n, selected / n
+
+    @settings(max_examples=30, deadline=None)
+    @given(relation=relation_with_missing_strategy(), data=st.data())
+    def test_f2_f3_equal_brute_force(self, relation, data):
+        from repro.core.approximation import F2, F3Greedy
+
+        space = build_predicate_space(relation)
+        chosen = data.draw(
+            st.sets(st.sampled_from(range(len(space))), min_size=1, max_size=3)
+        )
+        bits = sum(1 << index for index in chosen)
+        constraint = DenialConstraint(space[index] for index in chosen)
+        expected = self.expected_scores(relation, constraint)
+        for name, build in self.BUILDS.items():
+            evidence = build(relation, space)
+            # A pair violates the DC iff its evidence holds every predicate.
+            violating = [i for i, mask in enumerate(evidence.masks) if mask & bits == bits]
+            scores = tuple(
+                function.violation_score(evidence, violating) for function in (F2(), F3Greedy())
+            )
+            assert scores == expected, name
+            assert all(type(score) is float for score in scores), name
 
 
 def _recounted_chunk_bytes(partial) -> int:

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 
 from tests.conftest import make_random_relation
 from repro.core.dc import DenialConstraint
-from repro.core.evidence import evidence_from_pair_masks
+from repro.core.evidence import EvidenceSet, evidence_from_pair_masks
 from repro.core.evidence_builder import build_evidence_set, build_evidence_set_pairwise
 from repro.core.predicate_space import build_predicate_space
 from repro.data.relation import Relation
@@ -29,9 +30,11 @@ class TestRunningExampleEvidence:
         assert all(mask != 0 for mask in example_evidence.masks)
 
     def test_participation_counts_sum_to_two_per_pair(self, example_evidence):
-        for index in range(len(example_evidence)):
-            part = example_evidence.participation(index)
-            assert part.pair_counts.sum() == 2 * example_evidence.counts[index]
+        owners = np.repeat(np.arange(len(example_evidence)), np.diff(example_evidence.offsets))
+        per_evidence = np.bincount(
+            owners, weights=example_evidence.pair_counts, minlength=len(example_evidence)
+        )
+        assert per_evidence.tolist() == (2 * example_evidence.counts).tolist()
 
     def test_uncovered_pair_count_matches_indices(self, example_evidence, example_space):
         hitting = 1 << 0
@@ -56,13 +59,10 @@ class TestBuildersAgree:
         space = build_predicate_space(relation)
         fast = build_evidence_set(relation, space, include_participation=True)
         slow = build_evidence_set_pairwise(relation, space, include_participation=True)
-        fast_by_mask = {mask: fast.participation(i) for i, mask in enumerate(fast.masks)}
-        slow_by_mask = {mask: slow.participation(i) for i, mask in enumerate(slow.masks)}
-        for mask, fast_part in fast_by_mask.items():
-            slow_part = slow_by_mask[mask]
-            assert dict(zip(fast_part.tuple_ids.tolist(), fast_part.pair_counts.tolist())) == dict(
-                zip(slow_part.tuple_ids.tolist(), slow_part.pair_counts.tolist())
-            )
+        assert fast.masks == list(slow.masks)
+        np.testing.assert_array_equal(fast.offsets, slow.offsets)
+        np.testing.assert_array_equal(fast.tuple_ids, slow.tuple_ids)
+        np.testing.assert_array_equal(fast.pair_counts, slow.pair_counts)
 
     def test_single_row_relation_yields_empty_evidence(self):
         relation = make_random_relation(n_rows=1)
@@ -113,15 +113,37 @@ class TestMissingValues:
 
 
 class TestEvidenceOperations:
-    def test_restrict_to_predicates_merges_counts(self, example_evidence):
-        restricted = example_evidence.restrict_to_predicates(0b111)
-        assert restricted.recorded_pairs == example_evidence.recorded_pairs
-        assert len(restricted) <= len(example_evidence)
-
     def test_participation_requires_flag(self, example_relation, example_space):
         evidence = build_evidence_set(example_relation, example_space, include_participation=False)
+        assert not evidence.has_participation
         with pytest.raises(RuntimeError):
-            evidence.participation(0)
+            evidence.violation_counts_per_tuple([0])
+
+    @pytest.mark.parametrize(
+        "offsets, tuple_ids, pair_counts",
+        [
+            pytest.param([0, 2], [0, 1], [1, 1], id="offsets-too-short"),
+            pytest.param([0, 1, 2, 2], [0, 1], [1, 1], id="offsets-too-long"),
+            pytest.param([1, 1, 2], [0, 1], [1, 1], id="offsets-not-from-zero"),
+            pytest.param([0, 2, 1], [0], [1], id="offsets-decreasing"),
+            pytest.param([0, 1, 1], [0, 1], [1, 1], id="offsets-short-of-tuple-ids"),
+            pytest.param([0, 1, 3], [0, 1], [1, 1], id="offsets-past-tuple-ids"),
+            pytest.param([0, 1, 2], [0, 1], [1], id="pair-counts-shorter"),
+            pytest.param([0, 1, 2], [0, 1], [1, 1, 1], id="pair-counts-longer"),
+        ],
+    )
+    def test_malformed_participation_is_rejected(
+        self, example_space, offsets, tuple_ids, pair_counts
+    ):
+        arrays = tuple(np.asarray(a, dtype=np.int64) for a in (offsets, tuple_ids, pair_counts))
+        with pytest.raises(ValueError):
+            EvidenceSet(example_space, [0b1, 0b10], [1, 1], 2, arrays)
+
+    def test_well_formed_participation_is_kept(self, example_space):
+        arrays = tuple(np.asarray(a, dtype=np.int64) for a in ([0, 2, 2], [0, 1], [1, 1]))
+        evidence = EvidenceSet(example_space, [0b1, 0b10], [1, 0], 2, arrays)
+        assert evidence.violation_counts_per_tuple([0]).tolist() == [1, 1]
+        assert evidence.violation_counts_per_tuple([1]).tolist() == [0, 0]
 
     def test_evidence_from_pair_masks_counts(self, example_space):
         evidence = evidence_from_pair_masks(

@@ -26,16 +26,14 @@ def _mask_count_map(evidence) -> dict[int, int]:
     return dict(zip(evidence.masks, evidence.counts.tolist()))
 
 
-def _participation_map(evidence) -> dict[int, dict[int, int]]:
-    return {
-        mask: dict(
-            zip(
-                evidence.participation(i).tuple_ids.tolist(),
-                evidence.participation(i).pair_counts.tolist(),
-            )
-        )
-        for i, mask in enumerate(evidence.masks)
-    }
+def _participation(evidence) -> tuple[list[int], ...]:
+    """The evidence masks with the three CSR participation arrays, whole."""
+    return (
+        list(evidence.masks),
+        evidence.offsets.tolist(),
+        evidence.tuple_ids.tolist(),
+        evidence.pair_counts.tolist(),
+    )
 
 
 class TestTiledMatchesOracles:
@@ -53,8 +51,8 @@ class TestTiledMatchesOracles:
         oracle = build_evidence_set_pairwise(relation, space, include_participation=True)
         assert _mask_count_map(tiled) == _mask_count_map(oracle)
         assert _mask_count_map(dense) == _mask_count_map(oracle)
-        assert _participation_map(tiled) == _participation_map(oracle)
-        assert _participation_map(dense) == _participation_map(oracle)
+        assert _participation(tiled) == _participation(oracle)
+        assert _participation(dense) == _participation(oracle)
 
     @pytest.mark.parametrize("n_rows", [2, 3, 5, 7, 11])
     def test_odd_sizes_not_multiple_of_tile(self, n_rows):
@@ -66,7 +64,7 @@ class TestTiledMatchesOracles:
         )
         oracle = build_evidence_set_pairwise(relation, space, include_participation=True)
         assert _mask_count_map(tiled) == _mask_count_map(oracle)
-        assert _participation_map(tiled) == _participation_map(oracle)
+        assert _participation(tiled) == _participation(oracle)
 
     def test_tile_larger_than_relation(self):
         relation = make_random_relation(n_rows=6, seed=9)
@@ -76,7 +74,7 @@ class TestTiledMatchesOracles:
         )
         oracle = build_evidence_set_pairwise(relation, space, include_participation=True)
         assert _mask_count_map(tiled) == _mask_count_map(oracle)
-        assert _participation_map(tiled) == _participation_map(oracle)
+        assert _participation(tiled) == _participation(oracle)
 
     def test_string_only_and_numeric_only_schemas(self):
         for kwargs in (
@@ -143,45 +141,6 @@ class TestPackedWordsNative:
             assert evidence.uncovered_pair_count(hitting) == sum(
                 int(evidence.counts[i]) for i in expected
             )
-
-
-class TestProjectionKeepsParticipation:
-    def test_restrict_merges_participation(self):
-        relation = make_random_relation(n_rows=8, seed=1)
-        space = build_predicate_space(relation)
-        evidence = build_evidence_set_tiled(relation, space, include_participation=True)
-        predicate_mask = 0b111111
-        projected = evidence.restrict_to_predicates(predicate_mask)
-        assert projected.has_participation
-        assert projected.recorded_pairs == evidence.recorded_pairs
-        # Aggregate the expected merged participation by projected mask.
-        expected: dict[int, dict[int, int]] = {}
-        for i, mask in enumerate(evidence.masks):
-            key = mask & predicate_mask
-            bucket = expected.setdefault(key, {})
-            part = evidence.participation(i)
-            for tuple_id, count in zip(part.tuple_ids.tolist(), part.pair_counts.tolist()):
-                bucket[tuple_id] = bucket.get(tuple_id, 0) + count
-        assert _participation_map(projected) == expected
-
-    def test_f2_f3_run_on_projected_evidence(self):
-        from repro.core.approximation import F2, F3Greedy
-
-        relation = make_random_relation(n_rows=8, seed=4)
-        space = build_predicate_space(relation)
-        evidence = build_evidence_set_tiled(relation, space, include_participation=True)
-        projected = evidence.restrict_to_predicates(0b1111)
-        all_indices = list(range(len(projected)))
-        for function in (F2(), F3Greedy()):
-            score = function.violation_score(projected, all_indices)
-            assert 0.0 <= score <= 1.0
-
-    def test_projection_without_participation_stays_without(self):
-        relation = make_random_relation(n_rows=6, seed=8)
-        space = build_predicate_space(relation)
-        evidence = build_evidence_set_tiled(relation, space, include_participation=False)
-        projected = evidence.restrict_to_predicates(0b11)
-        assert not projected.has_participation
 
 
 class TestRelationStringCodeCache:
