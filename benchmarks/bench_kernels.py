@@ -4,11 +4,10 @@ Not a paper figure: this benchmark tracks the compiled C kernels
 (:mod:`repro.native.cext`) against the pure-numpy reference backend they
 are dispatched over.  Five measurement families:
 
-* **micro-kernels** — ``popcount`` and the fused per-evidence
-  intersection counts on synthetic planes; the tile pass on the tax
-  relation's planes (a square tile of edge 256 and both one-row strip
-  shapes) and ``unique_rows`` on that tile's evidence words, with
-  nanoseconds per pair;
+* **micro-kernels** — the fused per-evidence intersection counts on
+  synthetic planes; the tile pass on the tax relation's planes (a square
+  tile of edge 256 and both one-row strip shapes) and ``unique_rows`` on
+  that tile's evidence words, with nanoseconds per pair;
 * **tile folds** — ``fold_tiles`` over a whole build's schedule, in
   nanoseconds per pair: the ``mine-wide`` relation (a 30% sample of 8,000
   tax rows, 2,400 rows) without participation, as ADCMiner folds it for
@@ -126,17 +125,16 @@ def _best_seconds(fn, repeats: int = REPEATS, inner: int = 1) -> float:
 def _micro_rows(compiled, packed) -> list[dict[str, object]]:
     """One row per micro-kernel: compiled vs numpy.
 
-    ``popcount`` and ``intersection_counts`` run on synthetic planes; the
-    tile pass runs on the tax relation's own planes — a square tile of
-    edge :data:`TILE_EDGE` and the two strip shapes a one-row append or
-    ``check_batch`` row is cut into (1 x n and n x 1) — and ``unique_rows``
-    deduplicates the square tile's real evidence words.  The per-tile
+    ``intersection_counts`` runs on synthetic planes; the tile pass runs on
+    the tax relation's own planes — a square tile of edge :data:`TILE_EDGE`
+    and the two strip shapes a one-row append or ``check_batch`` row is cut
+    into (1 x n and n x 1) — and ``unique_rows`` deduplicates the square
+    tile's real evidence words.  The per-tile
     kernels also report nanoseconds per pair.
     """
     rng = np.random.default_rng(7)
     numpy_kernels = NumpyKernels()
 
-    words = rng.integers(0, 2**64, size=1 << 20, dtype=np.uint64)
     planes = rng.integers(0, 2**64, size=(8, 50_000), dtype=np.uint64)
     mask = rng.integers(0, 2**64, size=8, dtype=np.uint64)
     kinds, a, b, lookup = packed
@@ -150,7 +148,6 @@ def _micro_rows(compiled, packed) -> list[dict[str, object]]:
 
     tile_words = numpy_kernels.tile_plane(kinds, a, b, lookup, 0, edge, 0, edge, n_words)
     cases = [
-        ("popcount", lambda k: k.popcount(words), None),
         ("intersection_counts", lambda k: k.intersection_counts(planes, mask), None),
         (f"tile_plane {edge}x{edge}", tile(0, edge, 0, edge), edge * edge),
         (f"tile_plane 1x{n_rows}", tile(row, row + 1, 0, n_rows), n_rows),

@@ -1,7 +1,7 @@
 """Native-speed kernel layer.
 
 Compiled implementations of the enumeration and evidence-build hot paths —
-popcount/intersection kernels, the criticality planes, the per-tile
+the intersection-count kernel, the criticality planes, the per-tile
 predicate pass, the one-call fold of a tile list, and the explicit-stack
 search arena — behind a
 feature-detected dispatch (:mod:`repro.native.dispatch`).  The pure-numpy

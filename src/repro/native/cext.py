@@ -1,12 +1,12 @@
-"""C-extension backend: the compiled kernels behind integer-address FFI.
+"""C-extension backend: the compiled kernels behind integer-address ctypes calls.
 
-The shared object built by :mod:`repro.native.build` is loaded through cffi
-when available (a direct ``dlopen`` costs ~0.5µs per call when every
-argument is a plain integer) and through ctypes otherwise.  All kernel
-entry points take ``intptr_t`` addresses, so the hot path never constructs
-FFI buffer objects: :class:`CextSearchWorkspace` caches each buffer's
-``.ctypes.data`` once at allocation and every per-node call passes cached
-integers and scalars only.
+The shared object built by :mod:`repro.native.build` is bound through
+ctypes from one signature table, :data:`_SIGNATURES`.  All kernel entry
+points take ``intptr_t`` addresses, declared ``c_void_p``: ctypes passes a
+Python int to such a parameter without building a buffer object, so the
+hot path never constructs FFI objects.  :class:`CextSearchWorkspace`
+caches each buffer's ``.ctypes.data`` once at allocation and every
+per-node call passes cached integers and scalars only.
 
 :meth:`CKernels.fold_tiles` folds a whole tile list in one call
 (``adc_fold_tiles``).  The kernel learns its output size only at the end,
@@ -41,118 +41,56 @@ from repro.native.numpy_backend import DESCENDED, NumpySearchWorkspace
 
 NAME = "cext"
 
-_CDEF = """
-void adc_popcount(intptr_t, int64_t, intptr_t);
-void adc_intersection_counts(intptr_t, int64_t, int32_t, int64_t, intptr_t, intptr_t);
-int32_t adc_crit_apply(intptr_t, int64_t, int32_t, int64_t, intptr_t, intptr_t, intptr_t);
-void adc_crit_undo(intptr_t, int64_t, int32_t, int64_t, intptr_t);
-int32_t adc_tile_plane(intptr_t, int64_t, intptr_t, intptr_t, int64_t, intptr_t,
-                       int32_t, int64_t, int64_t, int64_t, int64_t, intptr_t);
-int64_t adc_unique_rows(intptr_t, int64_t, int64_t, intptr_t, intptr_t, intptr_t);
-int32_t adc_fold_tiles(intptr_t, int64_t, intptr_t, intptr_t, int64_t, intptr_t,
-                       int32_t, intptr_t, int64_t, int32_t, intptr_t, intptr_t);
-void adc_search_expand(intptr_t, int64_t, int32_t, int64_t, intptr_t, intptr_t,
-                       intptr_t, int32_t, int32_t, int64_t, intptr_t, intptr_t,
-                       intptr_t, intptr_t);
-int64_t adc_search_skip_child(intptr_t, int64_t, int32_t, int64_t, intptr_t,
-                              intptr_t, intptr_t, int32_t, intptr_t, int64_t,
-                              intptr_t, intptr_t, intptr_t);
-int64_t adc_search_hit_prepare(intptr_t, int32_t, intptr_t, int64_t, intptr_t,
-                               int32_t, intptr_t, intptr_t, intptr_t, intptr_t);
-int32_t adc_search_try_hit(intptr_t, int64_t, int32_t, int64_t, intptr_t,
-                           intptr_t, intptr_t, int32_t, intptr_t, intptr_t,
-                           intptr_t, intptr_t, int32_t, int64_t, intptr_t,
-                           int64_t, int64_t, intptr_t, intptr_t, int64_t,
-                           intptr_t, int64_t, intptr_t, intptr_t,
-                           intptr_t, intptr_t, intptr_t, intptr_t);
-intptr_t adc_enum_new(intptr_t, intptr_t, intptr_t, intptr_t, intptr_t, int64_t,
-                      int32_t, int32_t, int64_t);
-int32_t adc_enum_run(intptr_t, int32_t, int64_t, int32_t, int64_t, int64_t,
-                     intptr_t, int64_t, int64_t, intptr_t);
-void adc_enum_free(intptr_t);
-"""
+_ADDR, _I64, _I32 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_int32
 
-_FUNCTIONS = (
-    "adc_popcount",
-    "adc_intersection_counts",
-    "adc_crit_apply",
-    "adc_crit_undo",
-    "adc_tile_plane",
-    "adc_unique_rows",
-    "adc_fold_tiles",
-    "adc_search_expand",
-    "adc_search_skip_child",
-    "adc_search_hit_prepare",
-    "adc_search_try_hit",
-    "adc_enum_new",
-    "adc_enum_run",
-    "adc_enum_free",
-)
-
-
-# The dlopen handles must outlive the extracted function objects: cffi's
-# library object dlcloses on garbage collection, unmapping the code pages
-# the cached function pointers still reference (a crash that only shows up
-# whenever cycle collection happens to run).  Loaded handles are therefore
-# pinned for the process lifetime.
-_KEEPALIVE: list = []
-
-
-def _load_cffi(library_path: Path):
-    import cffi
-
-    ffi = cffi.FFI()
-    ffi.cdef(_CDEF)
-    lib = ffi.dlopen(str(library_path))
-    _KEEPALIVE.append((ffi, lib))
-    return {name: getattr(lib, name) for name in _FUNCTIONS}
-
-
-def _load_ctypes(library_path: Path):
-    lib = ctypes.CDLL(str(library_path))
-    _KEEPALIVE.append(lib)
-    intp, i64, i32 = ctypes.c_ssize_t, ctypes.c_int64, ctypes.c_int32
-    signatures = {
-        "adc_popcount": (None, [intp, i64, intp]),
-        "adc_intersection_counts": (None, [intp, i64, i32, i64, intp, intp]),
-        "adc_crit_apply": (i32, [intp, i64, i32, i64, intp, intp, intp]),
-        "adc_crit_undo": (None, [intp, i64, i32, i64, intp]),
-        "adc_tile_plane": (i32, [intp, i64, intp, intp, i64, intp, i32,
-                                 i64, i64, i64, i64, intp]),
-        "adc_unique_rows": (i64, [intp, i64, i64, intp, intp, intp]),
-        "adc_fold_tiles": (i32, [intp, i64, intp, intp, i64, intp, i32, intp,
-                                 i64, i32, intp, intp]),
-        "adc_search_expand": (None, [intp, i64, i32, i64, intp, intp, intp,
-                                     i32, i32, i64, intp, intp, intp, intp]),
-        "adc_search_skip_child": (i64, [intp, i64, i32, i64, intp, intp, intp,
-                                        i32, intp, i64, intp, intp, intp]),
-        "adc_search_hit_prepare": (i64, [intp, i32, intp, i64, intp, i32,
-                                         intp, intp, intp, intp]),
-        "adc_search_try_hit": (i32, [intp, i64, i32, i64, intp, intp, intp,
-                                     i32, intp, intp, intp, intp, i32, i64,
-                                     intp, i64, i64, intp, intp, i64,
-                                     intp, i64, intp, intp, intp, intp, intp,
-                                     intp]),
-        "adc_enum_new": (intp, [intp, intp, intp, intp, intp, i64, i32, i32, i64]),
-        "adc_enum_run": (i32, [intp, i32, i64, i32, i64, i64, intp, i64, i64,
-                               intp]),
-        "adc_enum_free": (None, [intp]),
-    }
-    functions = {}
-    for name, (restype, argtypes) in signatures.items():
-        fn = getattr(lib, name)
-        fn.restype = restype
-        fn.argtypes = argtypes
-        functions[name] = fn
-    return functions
+#: ``(restype, argtypes)`` of every exported ``adc_*`` function of
+#: ``csrc/kernels.c``.  An ``intptr_t`` address parameter is a ``c_void_p``:
+#: the same width and register class on the LP64 hosts the library builds
+#: on, and a cheaper conversion from a Python int than ``c_ssize_t``.
+#: ``adc_enum_new`` returns its state as an integer, so that the NULL check
+#: and the finalizer see 0 rather than ``None``.
+_SIGNATURES = {
+    "adc_intersection_counts": (None, [_ADDR, _I64, _I32, _I64, _ADDR, _ADDR]),
+    "adc_crit_apply": (_I32, [_ADDR, _I64, _I32, _I64, _ADDR, _ADDR, _ADDR]),
+    "adc_crit_undo": (None, [_ADDR, _I64, _I32, _I64, _ADDR]),
+    "adc_tile_plane": (_I32, [_ADDR, _I64, _ADDR, _ADDR, _I64, _ADDR, _I32,
+                              _I64, _I64, _I64, _I64, _ADDR]),
+    "adc_unique_rows": (_I64, [_ADDR, _I64, _I64, _ADDR, _ADDR, _ADDR]),
+    "adc_fold_tiles": (_I32, [_ADDR, _I64, _ADDR, _ADDR, _I64, _ADDR, _I32,
+                              _ADDR, _I64, _I32, _ADDR, _ADDR]),
+    "adc_search_expand": (None, [_ADDR, _I64, _I32, _I64, _ADDR, _ADDR, _ADDR,
+                                 _I32, _I32, _I64, _ADDR, _ADDR, _ADDR, _ADDR]),
+    "adc_search_skip_child": (_I64, [_ADDR, _I64, _I32, _I64, _ADDR, _ADDR,
+                                     _ADDR, _I32, _ADDR, _I64, _ADDR, _ADDR,
+                                     _ADDR]),
+    "adc_search_hit_prepare": (_I64, [_ADDR, _I32, _ADDR, _I64, _ADDR, _I32,
+                                      _ADDR, _ADDR, _ADDR, _ADDR]),
+    "adc_search_try_hit": (_I32, [_ADDR, _I64, _I32, _I64, _ADDR, _ADDR, _ADDR,
+                                  _I32, _ADDR, _ADDR, _ADDR, _ADDR, _I32, _I64,
+                                  _ADDR, _I64, _I64, _ADDR, _ADDR, _I64,
+                                  _ADDR, _I64, _ADDR, _ADDR, _ADDR, _ADDR,
+                                  _ADDR, _ADDR]),
+    "adc_enum_new": (ctypes.c_ssize_t, [_ADDR, _ADDR, _ADDR, _ADDR, _ADDR,
+                                        _I64, _I32, _I32, _I64]),
+    "adc_enum_run": (_I32, [_ADDR, _I32, _I64, _I32, _I64, _I64, _ADDR, _I64,
+                            _I64, _ADDR]),
+    "adc_enum_free": (None, [_ADDR]),
+}
 
 
 def load_functions(library_path: Path) -> dict:
-    """Bind the kernel entry points, preferring cffi for call overhead."""
-    try:
-        return _load_cffi(library_path)
-    except ImportError:
-        return _load_ctypes(library_path)
+    """Bind the kernel entry points of the library at ``library_path``.
+
+    Each function pointer holds a reference to its ``CDLL``, and ctypes
+    never unloads a library, so the returned dict is all a caller keeps.
+    """
+    lib = ctypes.CDLL(str(library_path))
+    functions = {}
+    for name, (restype, argtypes) in _SIGNATURES.items():
+        fn = getattr(lib, name)
+        fn.restype, fn.argtypes = restype, argtypes
+        functions[name] = fn
+    return functions
 
 
 #: Most rows ``adc_unique_rows`` takes, and most pairs (diagonal cells
@@ -185,12 +123,6 @@ class CKernels:
 
     def __init__(self, functions: dict) -> None:
         self._fn = functions
-
-    def popcount(self, words: np.ndarray) -> np.ndarray:
-        flat = np.ascontiguousarray(words, dtype=np.uint64)
-        out = np.empty(flat.shape, dtype=np.uint8)
-        self._fn["adc_popcount"](_addr(flat), flat.size, _addr(out))
-        return out
 
     def intersection_counts(self, ev_planes: np.ndarray, mask_words: np.ndarray) -> np.ndarray:
         ev = np.ascontiguousarray(ev_planes, dtype=np.uint64)
@@ -281,7 +213,7 @@ class CKernels:
         if self._fn["adc_fold_tiles"](
             _addr(kinds), len(kinds), _addr(a), _addr(b), a.strides[0] // a.itemsize,
             _addr(lookup), n_words, _addr(bounds), len(bounds), int(participation),
-            ctypes.cast(allocator, ctypes.c_void_p).value, _addr(sizes),
+            allocator, _addr(sizes),
         ):
             raise MemoryError("fold_tiles could not allocate its tables")
         n_unique, n_keys = sizes.tolist()

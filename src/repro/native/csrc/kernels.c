@@ -30,16 +30,6 @@
 /* Flat kernels                                                        */
 /* ------------------------------------------------------------------ */
 
-/* Per-element popcount of a contiguous uint64 buffer (uint8 out, matching
- * numpy.bitwise_count). */
-void adc_popcount(intptr_t words_p, int64_t n, intptr_t out_p)
-{
-    const uint64_t *words = (const uint64_t *)words_p;
-    uint8_t *out = (uint8_t *)out_p;
-    for (int64_t i = 0; i < n; i++)
-        out[i] = (uint8_t)POPCOUNT(words[i]);
-}
-
 /* Fused |evidence ∩ mask| over a transposed (n_words, E) plane: one pass
  * per word row, accumulating uint32 counts. */
 void adc_intersection_counts(intptr_t ev_p, int64_t stride, int32_t n_words,

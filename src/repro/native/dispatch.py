@@ -42,10 +42,11 @@ _ENV_VAR = "REPRO_NATIVE"
 class Backend:
     """One resolved kernel provider.
 
-    ``kernels`` carries the flat kernels (popcount, intersection counts,
-    criticality apply/undo, tile pass, tile fold); ``workspace_factory`` builds the
-    explicit-stack search arena (``None`` means the shared numpy arena);
-    an arena whose ``native_driver`` is set also runs whole searches.
+    ``kernels`` carries the flat kernels (intersection counts, criticality
+    apply/undo, tile pass, tile fold, row dedup); ``workspace_factory``
+    builds the explicit-stack search arena (``None`` means the shared numpy
+    arena); an arena whose ``native_driver`` is set also runs whole
+    searches.
     """
 
     name: str
@@ -67,10 +68,6 @@ NUMPY_BACKEND = Backend(name=numpy_backend.NAME, kernels=NumpyKernels())
 def _probe_flat_kernels(kernels) -> None:
     rng = np.random.default_rng(7)
     reference = NumpyKernels()
-
-    words = rng.integers(0, 2**64, size=37, dtype=np.uint64)
-    if not np.array_equal(kernels.popcount(words), reference.popcount(words)):
-        raise AssertionError("popcount mismatch")
 
     ev = rng.integers(0, 2**64, size=(3, 29), dtype=np.uint64)
     mask = rng.integers(0, 2**64, size=3, dtype=np.uint64)

@@ -11,10 +11,10 @@ fused word loops over transposed planes, no Python-int bitmask churn.
 Two layers share this module:
 
 * **Flat kernels** (:class:`NumpyKernels`) — stateless array-in/array-out
-  functions mirroring the C entry points one to one (popcount,
-  intersection counts, criticality apply/undo, the tile pass and the
-  tile fold).  These are
-  what the hypothesis identity tests and the dispatch probe exercise.
+  functions mirroring the C entry points one to one (intersection
+  counts, criticality apply/undo, the tile pass and the tile fold).
+  These are what the hypothesis identity tests and the dispatch probe
+  exercise.
 * **Search workspace** (:class:`NumpySearchWorkspace`) — the arena the
   explicit-stack ``ADCEnum._search`` drives.  One workspace owns per-depth
   slots of reusable buffers (evidence plane, overlap counters, candidate
@@ -58,11 +58,6 @@ class NumpyKernels:
     """Stateless reference kernels (see the C source for the contracts)."""
 
     name = NAME
-
-    @staticmethod
-    def popcount(words: np.ndarray) -> np.ndarray:
-        """Per-element popcount of a uint64 array (uint8 result)."""
-        return np.bitwise_count(words)
 
     @staticmethod
     def intersection_counts(ev_planes: np.ndarray, mask_words: np.ndarray) -> np.ndarray:

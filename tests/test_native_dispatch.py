@@ -13,7 +13,11 @@ Two families of guarantees:
 
 from __future__ import annotations
 
+import ctypes
+import gc
 import os
+import re
+import shutil
 
 import numpy as np
 import pytest
@@ -88,10 +92,10 @@ class TestResolution:
 
         class LyingKernels(NumpyKernels):
             @staticmethod
-            def popcount(words):
-                return NumpyKernels.popcount(words) + 1
+            def intersection_counts(ev_planes, mask_words):
+                return NumpyKernels.intersection_counts(ev_planes, mask_words) + 1
 
-        with pytest.raises(AssertionError, match="popcount"):
+        with pytest.raises(AssertionError, match="intersection_counts"):
             dispatch._probe_flat_kernels(LyingKernels())
 
     def test_probe_rejects_nan_as_less(self):
@@ -163,23 +167,25 @@ def _raise_unavailable():
     raise RuntimeError("unavailable for testing")
 
 
-@pytest.mark.parametrize("loader", ["ctypes", "cffi"])
-def test_each_ffi_loader_passes_every_probe(loader):
-    """The compiled library binds through cffi when it imports and through
-    ctypes otherwise; both bindings must pass the flat-kernel, workspace
-    and search-driver probes, whichever one this host resolves."""
-    from repro.native import cext
+def _built_library():
     from repro.native.build import build_library
 
-    if loader == "cffi":
-        pytest.importorskip("cffi")
     library = build_library()
     if library is None:
         pytest.skip("no C compiler on this host")
-    functions = getattr(cext, f"_load_{loader}")(library)
-    assert set(functions) == set(cext._FUNCTIONS)
-    # ctypes function pointers carry their declared argument types.
-    assert all(hasattr(fn, "argtypes") == (loader == "ctypes") for fn in functions.values())
+    return library
+
+
+def test_ffi_binding_passes_every_probe():
+    """The compiled library binds through ctypes from one signature table;
+    the binding must pass the flat-kernel, workspace and search-driver
+    probes."""
+    from repro.native import cext
+
+    functions = cext.load_functions(_built_library())
+    assert set(functions) == set(cext._SIGNATURES)
+    for name, fn in functions.items():
+        assert (fn.restype, fn.argtypes) == cext._SIGNATURES[name], name
 
     kernels = cext.CKernels(functions)
     dispatch._probe_flat_kernels(kernels)
@@ -193,26 +199,58 @@ def test_each_ffi_loader_passes_every_probe(loader):
     )
 
 
+#: ctypes type of each C parameter and return type of ``kernels.c``.  An
+#: address is a ``c_void_p`` argument but an integer result.
+_C_ARGTYPES = {
+    "intptr_t": ctypes.c_void_p, "int64_t": ctypes.c_int64, "int32_t": ctypes.c_int32,
+}
+_C_RESTYPES = {
+    "void": None, "intptr_t": ctypes.c_ssize_t, "int64_t": ctypes.c_int64,
+    "int32_t": ctypes.c_int32,
+}
+
+
+def test_signature_table_matches_the_c_prototypes():
+    """Every exported ``adc_*`` definition of ``kernels.c`` is in the
+    signature table with its return type and each parameter's type, and
+    the table has no other entry."""
+    from repro.native import cext
+    from repro.native.build import SOURCE_PATH
+
+    source = SOURCE_PATH.read_text()
+    definitions = re.findall(
+        r"^(?!static\b)(\w+)\s+(adc_\w+)\s*\(([^)]*)\)\s*\{", source, re.MULTILINE
+    )
+    # Whatever starts a line with a non-static adc_ name is one of them.
+    exported = re.findall(r"^(?!static\b)\w[^;(]*\b(adc_\w+)\s*\(", source, re.MULTILINE)
+    names = [name for _, name, _ in definitions]
+    assert sorted(names) == sorted(set(exported))
+    assert set(names) == set(cext._SIGNATURES)
+    for restype, name, parameters in definitions:
+        types = [parameter.split()[0] for parameter in parameters.split(",")]
+        want = (_C_RESTYPES[restype], [_C_ARGTYPES[t] for t in types])
+        assert cext._SIGNATURES[name] == want, name
+
+
+def test_bound_functions_keep_the_library_loaded(tmp_path):
+    """The function dict is all a caller keeps of the binding: after a
+    cycle collection its kernels still run.  The library is a fresh copy,
+    so no other handle keeps it mapped."""
+    from repro.native import cext
+
+    copy = tmp_path / "kernels-lifetime.so"
+    shutil.copyfile(_built_library(), copy)
+    functions = cext.load_functions(copy)
+    gc.collect()
+    dispatch._probe_flat_kernels(cext.CKernels(functions))
+
+
 # ---------------------------------------------------------------------------
 # Hypothesis bit-identity: compiled backend vs numpy reference
 # ---------------------------------------------------------------------------
-words_arrays = st.integers(min_value=0, max_value=2**64 - 1)
-
-
 @requires_compiled
 class TestCompiledBitIdentity:
     """Every ported flat kernel, fuzzed against the numpy reference."""
-
-    @settings(max_examples=50, deadline=None)
-    @given(data=st.data())
-    def test_popcount(self, data):
-        n = data.draw(st.integers(min_value=1, max_value=200))
-        words = np.array(
-            data.draw(st.lists(words_arrays, min_size=n, max_size=n)),
-            dtype=np.uint64,
-        )
-        kernels = _compiled_backend_or_none().kernels
-        assert np.array_equal(kernels.popcount(words), NumpyKernels.popcount(words))
 
     @settings(max_examples=50, deadline=None)
     @given(data=st.data())

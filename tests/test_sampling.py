@@ -93,7 +93,8 @@ class TestBounds:
         """scipy supplies only the z of the f1' threshold and networkx only
         the explicit conflict-graph view; each costs a tenth of a second or
         more at import, paid by every server start and miner process.  In a
-        fresh interpreter, the server, the miner and an f1 mine load neither;
+        fresh interpreter, the server, the miner and an f1 mine (which
+        resolves the kernel backend) load neither, nor cffi or pycparser;
         a later f1' mine loads ``scipy.special`` (never ``scipy.stats``) and
         gives the same ADCs and z, to the bit, as this process."""
         import repro
@@ -105,7 +106,9 @@ import json, sys
 import repro.serve.server, repro.core.miner, repro.core.sampling
 from repro.data.relation import running_example
 assert repro.core.miner.ADCMiner("f1", 0.1).mine(running_example()).adcs
-loaded = sorted(m for m in ("scipy", "networkx") if m in sys.modules)
+loaded = sorted(
+    m for m in ("scipy", "networkx", "cffi", "pycparser") if m in sys.modules
+)
 result = repro.core.miner.ADCMiner(
     "f1", 0.1, 0.7, adjust_for_sample=True, seed=7
 ).mine(running_example())
