@@ -2,7 +2,7 @@
 
 Not a paper figure: this benchmark tracks the compiled C kernels
 (:mod:`repro.native.cext`) against the pure-numpy reference backend they
-are dispatched over.  Five measurement families:
+are dispatched over.  Six measurement families:
 
 * **micro-kernels** — the fused per-evidence intersection counts on
   synthetic planes; the tile pass on the tax relation's planes (a square
@@ -29,7 +29,13 @@ are dispatched over.  Five measurement families:
   ``epsilon = 0.5``, where f1' has no integer pass bound: both backends
   run the Python driver, the compiled one over its arena's per-node
   operations, so this row guards the path f2, f3 and f1' from ``epsilon
-  = 0.5`` on take.
+  = 0.5`` on take;
+* **backend resolution** — the first ``get_backend()`` of a fresh
+  interpreter (imports excluded), median over :data:`RESOLUTION_RUNS`
+  processes each with a cold probe verdict (the process probes the
+  library and caches the verdict) and a warm one (the process finds the
+  verdict and skips the probe).  Every server start, recovery and miner
+  process pays this once.
 
 The acceptance bars of the native layer are enforced with
 ``--require-speedup``: enumeration nodes/second >= 3x and Python-driver
@@ -49,9 +55,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
+import shutil
 import statistics
+import subprocess
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -62,7 +73,9 @@ from repro.core.predicate_space import build_predicate_space
 from repro.data.datasets import generate_dataset
 from repro.engine.kernel import TileKernel
 from repro.engine.scheduler import TileScheduler, choose_tile_rows
+import repro
 from repro.native import NumpyKernels, dispatch
+from repro.native.build import build_library
 
 #: Rows of the benchmark relation (Figure-6-style tax workload).
 BENCH_ROWS = 400
@@ -89,6 +102,19 @@ ENUM_PAIRS = 5
 
 #: Edge of the square tile the per-tile kernels are timed on.
 TILE_EDGE = 256
+
+#: Fresh interpreters per side (cold and warm verdict) of the
+#: backend-resolution row.
+RESOLUTION_RUNS = 6
+
+#: Run in a fresh interpreter: the seconds of its first ``get_backend()``.
+_FIRST_GET_BACKEND = """
+import time
+from repro.native.dispatch import get_backend
+started = time.perf_counter()
+backend = get_backend()
+print(time.perf_counter() - started, backend.name)
+"""
 
 #: The tile-fold rows: ``(label, tax rows, sample fraction, participation)``.
 #: The first is the ``mine-wide`` relation's sample, the second a store seed.
@@ -306,6 +332,43 @@ def _enum_row(compiled, evidence, function, epsilon) -> dict[str, object]:
     return row
 
 
+def _resolution_row() -> dict[str, object]:
+    """The first ``get_backend()`` of a fresh interpreter, cold and warm.
+
+    The processes share a private kernel cache holding a copy of the built
+    library, so none of them compiles.  Before each cold process the cache's
+    verdicts are deleted; the warm process after it finds the verdict the
+    cold one left.  Both run with ``REPRO_NATIVE=1``, so a library that
+    fails the probe fails the row rather than timing the numpy fallback.
+    """
+    times: dict[str, list[float]] = {"cold": [], "warm": []}
+    with tempfile.TemporaryDirectory() as cache:
+        library = build_library()
+        shutil.copyfile(library, Path(cache) / library.name)
+        env = {
+            **os.environ, "REPRO_NATIVE": "1", "REPRO_NATIVE_CACHE": cache,
+            "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1]),
+        }
+        for _ in range(RESOLUTION_RUNS):
+            for verdict in Path(cache).glob("probed-*"):
+                verdict.unlink()
+            for side in ("cold", "warm"):
+                result = subprocess.run(
+                    [sys.executable, "-c", _FIRST_GET_BACKEND], env=env,
+                    capture_output=True, text=True, check=True, timeout=300,
+                )
+                seconds, name = result.stdout.split()
+                assert name == "cext", name
+                times[side].append(float(seconds))
+    return {
+        "runs": RESOLUTION_RUNS,
+        "cold_seconds": statistics.median(times["cold"]),
+        "warm_seconds": statistics.median(times["warm"]),
+        "cold_runs": times["cold"],
+        "warm_runs": times["warm"],
+    }
+
+
 def run_kernel_comparison(n_rows: int = BENCH_ROWS) -> dict[str, object]:
     compiled = _compiled_backend()
     relation = generate_dataset("tax", n_rows=n_rows, seed=7).relation
@@ -329,6 +392,7 @@ def run_kernel_comparison(n_rows: int = BENCH_ROWS) -> dict[str, object]:
         "enumeration_python_driver": _enum_row(
             compiled, evidence, F1Adjusted(PY_DRIVER_CONFIDENCE_Z), PY_DRIVER_EPSILON
         ),
+        "backend_resolution": _resolution_row() if compiled is not None else None,
     }
 
 
@@ -380,6 +444,12 @@ def main() -> int:
     if "native_nodes_per_second" in enum:
         print(f"\nnodes/second: {enum['numpy_nodes_per_second']:,.0f} (numpy) "
               f"-> {enum['native_nodes_per_second']:,.0f} ({compiled_name})")
+    resolution = results["backend_resolution"]
+    if resolution is not None:
+        print(f"backend resolution (first get_backend(), median of "
+              f"{resolution['runs']} fresh processes): "
+              f"{resolution['cold_seconds'] * 1e3:.1f} ms with a cold verdict, "
+              f"{resolution['warm_seconds'] * 1e3:.1f} ms with a warm one")
 
     # Write the artifact before evaluating the gates: when a gate fails,
     # the per-kernel timings are exactly the data needed to diagnose it.

@@ -10,7 +10,10 @@ compiled backend is only used after reproducing it bit for bit on a probe.
 
 There is one compiled backend, the C extension (:mod:`repro.native.cext`,
 built from ``csrc/kernels.c``); the numpy reference is both its oracle and
-its fallback.  ``REPRO_NATIVE`` selects between them:
+its fallback.  The probe runs once per built library: its verdict is
+cached beside the library, keyed on the library's bytes, the probed Python
+source, the numpy and Python versions and the CPU, and deleting the cache
+directory forces a new probe.  ``REPRO_NATIVE`` selects between them:
 
 ====================  =====================================================
 ``REPRO_NATIVE``      backend

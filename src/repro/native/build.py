@@ -7,20 +7,33 @@ wheel.  The shared object is cached under ``~/.cache/repro-native/`` (or
 command, so a source edit or flag change triggers exactly one rebuild and
 every later import is a single ``dlopen``.
 
+Beside each library the cache keeps the dispatch probe's verdict on it: an
+empty file named by :func:`verdict_path`, a hash of the library's bytes, the
+Python the probe runs through, the numpy and Python versions, and the
+machine and CPU.  The probe therefore runs once per built library on one
+host and installation, not once per process; deleting the cache directory
+forces a new build and a new probe.
+
 Compilation failures never raise out of :func:`build_library`: the dispatch
 layer treats ``None`` as "this backend is unavailable" and falls back to the
 pure-numpy kernels (or raises, if ``REPRO_NATIVE`` explicitly demanded the
-compiled backend).
+compiled backend).  A cache directory that cannot be created does raise
+(:class:`OSError`), and the dispatch layer treats that the same way.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import platform
 import shutil
 import subprocess
+import sys
 import tempfile
 from pathlib import Path
+from typing import Iterable
+
+import numpy as np
 
 SOURCE_PATH = Path(__file__).resolve().parent / "csrc" / "kernels.c"
 
@@ -77,7 +90,13 @@ def _compile(compiler: str, flags: list[str], source: str) -> Path | None:
 
 
 def build_library() -> Path | None:
-    """Compile (or fetch from cache) the kernel library; ``None`` on failure."""
+    """Compile (or fetch from cache) the kernel library.
+
+    ``None`` when there is no compiler or compilation fails.  When the
+    cache directory cannot be created (``$REPRO_NATIVE_CACHE`` under a
+    regular file, say) the :class:`OSError` of ``mkdir`` propagates, naming
+    the path.
+    """
     try:
         source = SOURCE_PATH.read_text()
     except OSError:
@@ -90,3 +109,56 @@ def build_library() -> Path | None:
             if library is not None:
                 return library
     return None
+
+
+#: ``/proc/cpuinfo`` fields naming the CPU model and its instruction set
+#: (x86 and ARM spellings): the library is built with ``-march=native``.
+_CPU_FIELDS = ("vendor_id", "model name", "flags", "CPU implementer", "CPU part", "Features")
+
+
+def _cpu_identity() -> bytes:
+    """The host CPU's model and flags, one line each; empty where
+    ``/proc/cpuinfo`` is unreadable."""
+    try:
+        with open("/proc/cpuinfo") as handle:
+            lines = {
+                line.strip() for line in handle
+                if line.split(":", 1)[0].strip() in _CPU_FIELDS
+            }
+    except OSError:
+        return b""
+    return "\n".join(sorted(lines)).encode()
+
+
+def verdict_path(library: Path, sources: Iterable[Path]) -> Path | None:
+    """Where the dispatch probe's verdict on ``library`` is cached.
+
+    The name is a sha256 over the library's bytes (not its name: a library
+    swapped in under the same name gets its own probe), each of ``sources``
+    (the Python the probe runs through), the numpy and Python versions, the
+    machine and the CPU model and flags.  ``None`` when a library or source
+    file cannot be read: then no verdict is kept and every process probes.
+    """
+    digest = hashlib.sha256()
+    try:
+        for path in (library, *sources):
+            digest.update(hashlib.sha256(path.read_bytes()).digest())
+    except OSError:
+        return None
+    for part in (np.__version__, sys.version, platform.machine()):
+        digest.update(part.encode() + b"\0")
+    digest.update(_cpu_identity())
+    return cache_dir() / f"probed-{digest.hexdigest()[:32]}"
+
+
+def publish_verdict(path: Path) -> None:
+    """Record that the library keyed by ``path`` passed the probe.
+
+    The marker is empty, so creating it is the whole publication: no
+    process can see a partial one.  A marker that cannot be written is not
+    an error; the next process probes again.
+    """
+    try:
+        os.close(os.open(path, os.O_CREAT | os.O_WRONLY, 0o644))
+    except OSError:
+        pass

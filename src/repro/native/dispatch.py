@@ -1,6 +1,7 @@
 """Feature-detected kernel dispatch.
 
-Resolution happens once, lazily, at first use, honouring ``REPRO_NATIVE``:
+Resolution happens once per process, lazily, at first use, honouring
+``REPRO_NATIVE``:
 
 ====================  =====================================================
 ``REPRO_NATIVE``      behaviour
@@ -20,6 +21,16 @@ that throws or mismatches is rejected — under auto resolution that
 silently falls back to numpy; under an explicit request it raises, because
 a silently-different compiled kernel is precisely the failure mode the
 probe exists to catch.
+
+The probe runs once per built library, not once per process: a library
+that passes gets an empty verdict file beside it in the kernel cache
+(:func:`repro.native.build.verdict_path`), and later processes that find
+the verdict skip the probe.  The verdict's key covers the library's bytes,
+the source of every module the probe runs through (this package and the
+``repro.core`` modules in :data:`_PROBED_CORE_MODULES`), the numpy and
+Python versions, and the machine and CPU; a change to any of them probes
+again, and deleting the cache directory forces a new build and probe.  A
+rejected library leaves no verdict.
 """
 
 from __future__ import annotations
@@ -28,6 +39,7 @@ import contextlib
 import itertools
 import os
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Callable, Iterator
 
 import numpy as np
@@ -65,6 +77,18 @@ NUMPY_BACKEND = Backend(name=numpy_backend.NAME, kernels=NumpyKernels())
 # ---------------------------------------------------------------------------
 # Probe: compiled kernels must reproduce the numpy reference bit for bit
 # ---------------------------------------------------------------------------
+#: The modules of ``repro.core`` the probes run through besides this
+#: package.  A cached verdict is keyed on their source and on every module
+#: of ``repro.native``, so an edit to any of them forces a new probe.
+_PROBED_CORE_MODULES = ("adc_enum.py", "approximation.py", "evidence.py", "bitset.py")
+
+
+def _probed_sources() -> list[Path]:
+    native = Path(__file__).resolve().parent
+    core = native.parent / "core"
+    return sorted(native.glob("*.py")) + [core / name for name in _PROBED_CORE_MODULES]
+
+
 def _probe_flat_kernels(kernels) -> None:
     rng = np.random.default_rng(7)
     reference = NumpyKernels()
@@ -290,21 +314,25 @@ def _probe_driver(candidate: Backend) -> None:
 # ---------------------------------------------------------------------------
 def _build_cext_backend() -> Backend:
     from repro.native import cext
-    from repro.native.build import build_library
+    from repro.native.build import build_library, publish_verdict, verdict_path
 
     library = build_library()
     if library is None:
         raise RuntimeError("no C compiler available (or compilation failed)")
     functions = cext.load_functions(library)
     kernels = cext.CKernels(functions)
-    _probe_flat_kernels(kernels)
 
     def factory(*args, **kwargs):
         return cext.CextSearchWorkspace(functions, *args, **kwargs)
 
-    _probe_workspace(factory)
     backend = Backend(name=cext.NAME, kernels=kernels, workspace_factory=factory)
-    _probe_driver(backend)
+    verdict = verdict_path(library, _probed_sources())
+    if verdict is None or not verdict.is_file():
+        _probe_flat_kernels(kernels)
+        _probe_workspace(factory)
+        _probe_driver(backend)
+        if verdict is not None:
+            publish_verdict(verdict)
     return backend
 
 

@@ -5,6 +5,9 @@ Two families of guarantees:
 * ``REPRO_NATIVE`` resolution — ``0`` forces numpy, ``1`` requires the
   compiled C backend (clean :class:`RuntimeError` when it does not build),
   auto never raises.
+* The probe verdict — a library that passes the probe is not probed again
+  by a later process, unless any input of the verdict's key changed; a
+  rejected library leaves no verdict.
 * Bit identity — every ported kernel produces byte-for-byte the numpy
   reference's output under whichever compiled backend resolved, on
   hypothesis-generated inputs (the dispatch probe checks one deterministic
@@ -18,6 +21,9 @@ import gc
 import os
 import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -197,6 +203,163 @@ def test_ffi_binding_passes_every_probe():
     dispatch._probe_driver(
         dispatch.Backend(name=cext.NAME, kernels=kernels, workspace_factory=factory)
     )
+
+
+# ---------------------------------------------------------------------------
+# The probe verdict: once per built library, not once per process
+# ---------------------------------------------------------------------------
+_PROBES = ("_probe_flat_kernels", "_probe_workspace", "_probe_driver")
+
+#: A fresh interpreter's first ``get_backend()``; with ``refuse`` every
+#: probe raises, so only a cached verdict can resolve the compiled backend.
+_RESOLVE_IN_A_FRESH_PROCESS = """
+import sys
+from repro.native import dispatch
+
+def refuse(*args):
+    raise AssertionError("the probe ran")
+
+if sys.argv[1:] == ["refuse"]:
+    for name in %r:
+        setattr(dispatch, name, refuse)
+print(dispatch.get_backend().name)
+""" % (_PROBES,)
+
+
+@pytest.fixture
+def private_cache(tmp_path, monkeypatch):
+    """A kernel cache holding a copy of the built library and no verdict."""
+    library = _built_library()
+    cache = tmp_path / "kernel-cache"
+    cache.mkdir()
+    shutil.copyfile(library, cache / library.name)
+    monkeypatch.setenv("REPRO_NATIVE_CACHE", str(cache))
+    return cache
+
+
+@pytest.fixture
+def probe_calls(monkeypatch):
+    """Names of the probes run, in order; each still runs."""
+    calls = []
+    for name in _PROBES:
+        def record(*args, name=name, probe=getattr(dispatch, name)):
+            calls.append(name)
+            return probe(*args)
+
+        monkeypatch.setattr(dispatch, name, record)
+    return calls
+
+
+def _verdicts(cache):
+    return sorted(cache.glob("probed-*"))
+
+
+@requires_compiled
+class TestProbeVerdict:
+    def test_a_later_process_skips_the_probe(self, private_cache):
+        """The first process probes and leaves a verdict; a second fresh
+        interpreter, in which every probe raises, still resolves cext."""
+        import repro
+
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+        env.pop("REPRO_NATIVE", None)
+
+        def resolve(*args):
+            return subprocess.run(
+                [sys.executable, "-c", _RESOLVE_IN_A_FRESH_PROCESS, *args],
+                capture_output=True, text=True, env=env, timeout=120,
+            ).stdout.strip()
+
+        assert resolve("refuse") == "numpy"
+        assert not _verdicts(private_cache)
+        assert resolve() == "cext"
+        assert len(_verdicts(private_cache)) == 1
+        assert resolve("refuse") == "cext"
+
+    @pytest.mark.parametrize("change", ["library bytes", "probed source", "numpy version"])
+    def test_a_verdict_on_other_inputs_does_not_count(
+        self, private_cache, probe_calls, tmp_path, monkeypatch, change
+    ):
+        """Each key input, changed after a verdict was published, runs every
+        probe again: the library's bytes under the same name (a sanitizer
+        build swapped in), the source the probe runs through, numpy."""
+        extra = tmp_path / "probed.py"
+        extra.write_text("VALUE = 1\n")
+        sources = dispatch._probed_sources() + [extra]
+        monkeypatch.setattr(dispatch, "_probed_sources", lambda: sources)
+        dispatch._build_cext_backend()
+        dispatch._build_cext_backend()
+        assert probe_calls == list(_PROBES)
+        assert len(_verdicts(private_cache)) == 1
+
+        if change == "library bytes":
+            library = next(private_cache.glob("kernels-*.so"))
+            swapped = tmp_path / "swapped.so"
+            swapped.write_bytes(library.read_bytes() + b"\0")
+            os.replace(swapped, library)
+        elif change == "probed source":
+            extra.write_text("VALUE = 2\n")
+        else:
+            monkeypatch.setattr(np, "__version__", np.__version__ + "+other")
+        assert dispatch._build_cext_backend().name == "cext"
+        assert probe_calls == list(_PROBES) * 2
+        assert len(_verdicts(private_cache)) == 2
+
+    def test_the_probed_sources_are_the_probes_python(self):
+        names = {(path.parent.name, path.name) for path in dispatch._probed_sources()}
+        assert {("native", "dispatch.py"), ("native", "cext.py"),
+                ("native", "numpy_backend.py"), ("core", "adc_enum.py")} <= names
+        assert all(path.is_file() for path in dispatch._probed_sources())
+
+    def test_a_lying_kernel_leaves_no_verdict(self, private_cache, monkeypatch):
+        from repro.native import cext
+
+        class LyingKernels(cext.CKernels):
+            def intersection_counts(self, ev_planes, mask_words):
+                return super().intersection_counts(ev_planes, mask_words) + 1
+
+        monkeypatch.setattr(cext, "CKernels", LyingKernels)
+        monkeypatch.delenv("REPRO_NATIVE", raising=False)
+        assert dispatch._resolve() is NUMPY_BACKEND
+        monkeypatch.setenv("REPRO_NATIVE", "1")
+        with pytest.raises(RuntimeError, match="intersection_counts mismatch"):
+            dispatch._resolve()
+        assert not _verdicts(private_cache)
+
+    def test_a_blocked_verdict_path_still_resolves(self, private_cache, probe_calls, monkeypatch):
+        """A directory where the verdict would go: the marker cannot be
+        written and does not count, so every process probes, and resolution
+        neither fails nor raises."""
+        from repro.native import build
+
+        library = next(private_cache.glob("kernels-*.so"))
+        verdict = build.verdict_path(library, dispatch._probed_sources())
+        verdict.mkdir()
+        monkeypatch.setenv("REPRO_NATIVE", "1")
+        assert dispatch._resolve().name == "cext"
+        assert dispatch._resolve().name == "cext"
+        assert probe_calls == list(_PROBES) * 2
+        assert verdict.is_dir()
+
+
+def test_a_cache_directory_that_cannot_be_created(tmp_path, monkeypatch):
+    """``build_library`` raises the ``mkdir`` error for a cache under a
+    regular file; auto resolution falls back to numpy and
+    ``REPRO_NATIVE=1`` raises naming the path."""
+    from repro.native.build import build_library
+
+    _built_library()
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    cache = blocker / "kernel-cache"
+    monkeypatch.setenv("REPRO_NATIVE_CACHE", str(cache))
+    with pytest.raises(NotADirectoryError):
+        build_library()
+    monkeypatch.delenv("REPRO_NATIVE", raising=False)
+    assert dispatch._resolve() is NUMPY_BACKEND
+    monkeypatch.setenv("REPRO_NATIVE", "1")
+    with pytest.raises(RuntimeError, match=f"REPRO_NATIVE=1.*{re.escape(str(cache))}"):
+        dispatch._resolve()
 
 
 #: ctypes type of each C parameter and return type of ``kernels.c``.  An
