@@ -72,7 +72,7 @@ from repro.core.evidence_builder import build_evidence_set_tiled
 from repro.core.predicate_space import build_predicate_space
 from repro.data.datasets import generate_dataset
 from repro.engine.kernel import TileKernel
-from repro.engine.scheduler import TileScheduler, choose_tile_rows
+from repro.engine.scheduler import block_tiles, choose_tile_rows
 import repro
 from repro.native import NumpyKernels, dispatch
 from repro.native.build import build_library
@@ -218,7 +218,7 @@ def _fold_rows(compiled) -> list[dict[str, object]]:
         kernel = TileKernel.from_relation(sample, space, participation)
         kinds, a, b, lookup = kernel._packed
         edge = choose_tile_rows(sample.n_rows, kernel.n_words)
-        tiles = TileScheduler(sample.n_rows, tile_rows=edge).tiles()
+        tiles = block_tiles((0, sample.n_rows), (0, sample.n_rows), edge)
         bounds = np.array([(t.i0, t.i1, t.j0, t.j1) for t in tiles], dtype=np.int64)
         pairs = sample.n_rows * (sample.n_rows - 1)
 

@@ -38,7 +38,7 @@ from repro.core import (
     Predicate,
     PredicateSpace,
     TileKernel,
-    TileScheduler,
+    block_tiles,
     build_evidence_set,
     build_evidence_set_tiled,
     build_predicate_space,
@@ -68,7 +68,7 @@ __all__ = [
     "EvidenceSet",
     "build_evidence_set",
     "build_evidence_set_tiled",
-    "TileScheduler",
+    "block_tiles",
     "TileKernel",
     "PartialEvidenceSet",
     "choose_tile_rows",

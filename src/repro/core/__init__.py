@@ -46,7 +46,7 @@ from repro.core.evidence_builder import (
 from repro.engine import (
     PartialEvidenceSet,
     TileKernel,
-    TileScheduler,
+    block_tiles,
     choose_tile_rows,
 )
 from repro.core.approximation import (
@@ -115,7 +115,7 @@ __all__ = [
     "build_evidence_set_tiled",
     "PartialEvidenceSet",
     "TileKernel",
-    "TileScheduler",
+    "block_tiles",
     "choose_tile_rows",
     "ApproximationFunction",
     "F1",

@@ -4,14 +4,17 @@ Three builders are provided, all producing the packed
 ``(n_evidences, n_words)`` uint64 representation natively (no Python-int
 round-trip anywhere):
 
-* :func:`build_evidence_set_tiled` — the default builder.  It runs the
-  engine's :class:`~repro.engine.kernel.TileKernel` over
-  the :class:`~repro.engine.scheduler.TileScheduler`'s row-tile schedule,
-  folding every tile's distinct evidences into a
-  :class:`~repro.engine.partial.PartialEvidenceSet`.  Peak memory is
-  ``O(n_words * tile_rows^2)`` instead of the dense builder's
-  ``O(n_words * n^2)``; the tile edge is chosen adaptively from a memory
-  budget when not given (:func:`repro.engine.scheduler.choose_tile_rows`).
+* :func:`build_evidence_set_tiled` — the default builder.  It folds the
+  square tile grid of the pair matrix
+  (:func:`~repro.engine.scheduler.block_tiles`) through the engine's
+  :class:`~repro.engine.kernel.TileKernel` in one backend call, into a
+  :class:`~repro.engine.partial.PartialEvidenceSet`.  Beyond its distinct
+  evidences, the compiled fold holds one uint32 evidence id per pair of
+  its largest tile (when it counts participation) plus fixed per-block
+  scratch; the numpy reference fold holds ``O(n_words * tile_rows^2)``
+  word planes per tile.  Neither allocates the dense builder's
+  ``O(n_words * n^2)``.  The tile edge follows the word width when not
+  given (:func:`repro.engine.scheduler.choose_tile_rows`).
 * :func:`build_evidence_set_dense` — the original dense builder
   materialising full ``n x n`` category matrices and word planes.  Retained
   behind a flag as a correctness oracle and for benchmarking.
@@ -43,15 +46,11 @@ from repro.engine.kernel import (
     NUMERIC_PAIR,
     SINGLE_TUPLE,
     TileKernel,
+    fold_tiles,
     prepare_groups,
 )
-from repro.engine.parallel import fold_tiles
 from repro.engine.partial import participation_csr, participation_from_pairs
-from repro.engine.scheduler import (
-    DEFAULT_MEMORY_BUDGET_BYTES,
-    TileScheduler,
-    choose_tile_rows,
-)
+from repro.engine.scheduler import block_tiles, choose_tile_rows
 
 #: All evidence construction methods accepted by :func:`build_evidence_set`.
 EVIDENCE_METHODS = ("tiled", "dense", "pairwise")
@@ -63,7 +62,6 @@ def build_evidence_set(
     include_participation: bool = True,
     method: str = "tiled",
     tile_rows: int | None = None,
-    memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES,
 ) -> EvidenceSet:
     """Build ``Evi(D)``, dispatching to the requested builder.
 
@@ -82,9 +80,7 @@ def build_evidence_set(
         ``"pairwise"`` (the naive AFASTDC-style oracle).
     tile_rows:
         Tile edge length of the tiled builder; ``None`` (default) selects
-        it adaptively from the memory budget.
-    memory_budget_bytes:
-        Transient-memory budget driving the adaptive tile size.
+        it from the evidence word width.
     """
     if method == "tiled":
         return build_evidence_set_tiled(
@@ -92,7 +88,6 @@ def build_evidence_set(
             space,
             include_participation=include_participation,
             tile_rows=tile_rows,
-            memory_budget_bytes=memory_budget_bytes,
         )
     if method == "dense":
         return build_evidence_set_dense(
@@ -113,28 +108,24 @@ def build_evidence_set_tiled(
     space: PredicateSpace,
     include_participation: bool = True,
     tile_rows: int | None = None,
-    memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES,
 ) -> EvidenceSet:
-    """Build ``Evi(D)`` by streaming over row-tile pairs (the default).
+    """Build ``Evi(D)`` by folding row-tile pairs (the default).
 
-    The ordered-pair matrix is processed in ``tile_rows x tile_rows``
-    blocks (:class:`~repro.engine.scheduler.TileScheduler`); every block is
-    evaluated by the engine's :class:`~repro.engine.kernel.TileKernel` with
-    the same broadcasting as the dense builder restricted to the block's
-    rows/columns, then folded into a running
+    The ordered-pair matrix is cut into ``tile_rows x tile_rows`` blocks
+    (:func:`~repro.engine.scheduler.block_tiles`), which the engine's
+    :class:`~repro.engine.kernel.TileKernel` folds in one call into a
     :class:`~repro.engine.partial.PartialEvidenceSet`, so no ``n x n``
     array is ever allocated.  When ``tile_rows`` is ``None`` the edge is
-    chosen adaptively so one kernel fits ``memory_budget_bytes``.
+    chosen from the word width (:func:`~repro.engine.scheduler.choose_tile_rows`).
     """
     n = relation.n_rows
     if n < 2:
         return _no_evidence(space, n, include_participation)
-    n_words = n_words_for_bits(len(space))
     if tile_rows is None:
-        tile_rows = choose_tile_rows(n, n_words, memory_budget_bytes)
-    scheduler = TileScheduler(n, tile_rows=tile_rows, n_words=n_words)
+        tile_rows = choose_tile_rows(n, n_words_for_bits(len(space)))
+    tiles = block_tiles((0, n), (0, n), tile_rows)
     kernel = TileKernel.from_relation(relation, space, include_participation)
-    return fold_tiles(kernel, scheduler.tiles()).finalize(space)
+    return fold_tiles(kernel, tiles).finalize(space)
 
 
 def build_evidence_set_dense(

@@ -143,9 +143,6 @@ class ADCMiner:
         ``"tiled"`` (blocked word-plane builder, default), ``"dense"``
         (full-plane oracle), or ``"pairwise"`` (AFASTDC-style reference
         builder).
-    tile_rows:
-        Tile edge length of the tiled evidence builder; ``None`` (default)
-        picks it adaptively from a memory budget.
     max_dc_size:
         Optional cap on predicates per DC.
     seed:
@@ -162,7 +159,6 @@ class ADCMiner:
         space_config: PredicateSpaceConfig | None = None,
         selection: SelectionStrategy = "max",
         evidence_method: str = "tiled",
-        tile_rows: int | None = None,
         max_dc_size: int | None = None,
         seed: int | None = None,
     ) -> None:
@@ -181,7 +177,6 @@ class ADCMiner:
         self.space_config = space_config or PredicateSpaceConfig()
         self.selection: SelectionStrategy = selection
         self.evidence_method = evidence_method
-        self.tile_rows = int(tile_rows) if tile_rows is not None else None
         self.max_dc_size = max_dc_size
         self.seed = seed
 
@@ -204,7 +199,6 @@ class ADCMiner:
             space,
             include_participation=needs_participation,
             method=self.evidence_method,
-            tile_rows=self.tile_rows,
         )
         timings.evidence = time.perf_counter() - started
 

@@ -1,4 +1,4 @@
-"""The evidence kernel.
+"""The evidence kernel and the tile fold every evidence builder runs.
 
 :class:`TileKernel` is the compute core of the tiled builder and of the
 incremental delta builder: given a list of
@@ -21,10 +21,19 @@ and :class:`PredicateSpace` objects.  Preparation splits in two: the
 space-only :class:`GroupPlan` (rules and lookups) and the per-row planes
 it fills, which a growing relation extends row by row
 (:class:`~repro.incremental.delta.RowPlanes`).
+
+:func:`fold_tiles` hands a tile sequence to one :meth:`TileKernel.run`
+call and absorbs its result into a
+:class:`~repro.engine.partial.PartialEvidenceSet`: one intern of the
+fold's distinct evidences, not one per tile.  Because the merge is
+associative and commutative and finalization orders evidences
+canonically, every split of a schedule finalizes bit-identically to one
+fold of the whole schedule.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -37,13 +46,15 @@ from repro.core.operators import (
     OrderCategory,
 )
 from repro.core.predicates import PredicateForm
-from repro.engine.partial import check_row_count
+from repro.engine.partial import PartialEvidenceSet, check_row_count
+from repro.engine.scheduler import Shard
 from repro.native import dispatch as native_dispatch
+from repro.obs import metrics as obs_metrics
 
 if TYPE_CHECKING:
     from repro.core.predicate_space import PredicateSpace
     from repro.data.relation import Relation
-    from repro.engine.scheduler import Shard, Tile
+    from repro.engine.scheduler import Tile
 
 _WORD_BITS = 64
 
@@ -285,3 +296,22 @@ class TileKernel:
             kinds, a, b, lookup, bounds, self.n_words, self.include_participation
         )
         return None if folded is None else TilePartial(*folded)
+
+
+def fold_tiles(kernel: TileKernel, tiles: tuple["Tile", ...]) -> PartialEvidenceSet:
+    """Fold a tile sequence into one partial, with one kernel call."""
+    partial = PartialEvidenceSet(
+        kernel.n_rows, kernel.n_words, kernel.include_participation
+    )
+    # Lone diagonal cells hold no pair.
+    batch = Shard(tuple(tile for tile in tiles if tile.n_pairs))
+    if not batch.tiles:
+        return partial
+    fold_start = time.perf_counter()
+    folded = kernel.run(batch)
+    obs_metrics.EVIDENCE_TILE_SECONDS.observe(time.perf_counter() - fold_start)
+    obs_metrics.EVIDENCE_TILES.inc(len(batch))
+    obs_metrics.EVIDENCE_PAIRS.inc(batch.n_pairs)
+    if folded is not None:
+        partial.add_tile(folded)
+    return partial

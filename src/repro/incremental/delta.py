@@ -10,13 +10,14 @@ new ordered pairs to the pair matrix:
 Every pair among the first ``n`` rows is untouched, so the evidence
 contribution of those blocks — ``O(n·m + m²)`` pairs instead of the full
 ``O((n+m)²)`` — is all an incremental rebuild has to compute.
-:func:`delta_tiles` cuts the blocks into tiles bounded by *pairs*, not by
-edge: a tile holds at most ``edge²`` pairs, the budget of one square tile
-of a full build, so a thin ``m x n`` strip stays one tile while
-``m·n <= edge²`` and a one-row append costs two tiles at any ``n``.
+:func:`delta_tiles` cuts the blocks with the engine's one cutter,
+:func:`~repro.engine.scheduler.block_tiles`, into tiles bounded by
+*pairs*, not by edge: a tile holds at most ``edge²`` pairs, the budget of
+one square tile of a full build, so a thin ``m x n`` strip stays one tile
+while ``m·n <= edge²`` and a one-row append costs two tiles at any ``n``.
 :class:`DeltaEvidenceBuilder` runs them through the same
 :class:`~repro.engine.kernel.TileKernel` as the batch builders — one
-:func:`~repro.engine.parallel.fold_tiles` call per build or delta — and
+:func:`~repro.engine.kernel.fold_tiles` call per build or delta — and
 returns a :class:`~repro.engine.partial.PartialEvidenceSet` ready to
 :meth:`~repro.engine.partial.PartialEvidenceSet.merge` into the stored one.
 A store keeps its relation's :class:`RowPlanes` — the predicate groups
@@ -38,19 +39,14 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.bitset import n_words_for_bits
-from repro.engine.kernel import GroupPlan, TileKernel
-from repro.engine.parallel import fold_tiles
-from repro.engine.scheduler import (
-    DEFAULT_MEMORY_BUDGET_BYTES,
-    Tile,
-    TileScheduler,
-    choose_tile_rows,
-)
+from repro.engine.kernel import GroupPlan, TileKernel, fold_tiles
+from repro.engine.scheduler import block_tiles, choose_tile_rows
 
 if TYPE_CHECKING:
     from repro.core.predicate_space import PredicateSpace
     from repro.data.relation import Relation
     from repro.engine.partial import PartialEvidenceSet
+    from repro.engine.scheduler import Tile
 
 
 def delta_tiles(
@@ -63,7 +59,8 @@ def delta_tiles(
 
     Enumerates the new-vs-old and old-vs-new rectangles and the new-vs-new
     square of a relation grown from ``n_existing`` to ``n_total`` rows.
-    Each tile spans at most ``tile_rows²`` cells (see :func:`_block_tiles`).
+    Each tile spans at most ``tile_rows²`` cells (see
+    :func:`~repro.engine.scheduler.block_tiles`).
     The returned tiles partition the added ordered pairs: no pair between
     two existing rows appears, and every pair touching a new row appears
     exactly once.  A one-row append yields two strips plus the pair-less
@@ -78,8 +75,6 @@ def delta_tiles(
         raise ValueError(
             f"invalid append bounds: {n_existing} existing of {n_total} total rows"
         )
-    if tile_rows < 1:
-        raise ValueError("tile_rows must be positive")
     blocks = [
         # new-vs-old, old-vs-new, new-vs-new (row range x column range).
         ((n_existing, n_total), (0, n_existing)),
@@ -87,36 +82,7 @@ def delta_tiles(
     ]
     if include_new_vs_new:
         blocks.append(((n_existing, n_total), (n_existing, n_total)))
-    return tuple(tile for rows, cols in blocks for tile in _block_tiles(rows, cols, tile_rows))
-
-
-def _block_tiles(
-    rows: tuple[int, int], cols: tuple[int, int], edge: int
-) -> list["Tile"]:
-    """Cut one ``rows x cols`` block into tiles of at most ``edge²`` cells.
-
-    A side no longer than ``edge`` stays whole and the other side is cut
-    into runs of ``edge² // side``, so an ``m x n`` strip costs
-    ``ceil(m·n / edge²)``-ish tiles instead of ``ceil(n / edge)``; a block
-    longer than ``edge`` on both sides falls back to the square grid of a
-    full build.
-    """
-    (r0, r1), (c0, c1) = rows, cols
-    height, width = r1 - r0, c1 - c0
-    if height == 0 or width == 0:
-        return []
-    budget = edge * edge
-    if height <= edge:
-        row_step, col_step = height, budget // height
-    elif width <= edge:
-        row_step, col_step = budget // width, width
-    else:
-        row_step = col_step = edge
-    return [
-        Tile(i0, min(i0 + row_step, r1), j0, min(j0 + col_step, c1))
-        for i0 in range(r0, r1, row_step)
-        for j0 in range(c0, c1, col_step)
-    ]
+    return tuple(tile for rows, cols in blocks for tile in block_tiles(rows, cols, tile_rows))
 
 
 class RowPlanes:
@@ -189,10 +155,8 @@ class DeltaEvidenceBuilder:
         Whether tile kernels aggregate the tuple-participation histogram
         (needed by f2/f3 and the per-tuple violation scores).
     tile_rows:
-        Tile edge; ``None`` picks it adaptively per build via
-        :func:`~repro.engine.scheduler.choose_tile_rows`.
-    memory_budget_bytes:
-        Transient-memory budget driving the adaptive tile edge.
+        Tile edge, at least 1; ``None`` picks it per build from the word
+        width via :func:`~repro.engine.scheduler.choose_tile_rows`.
 
     The builder keeps no per-relation state: a kernel prepares every row
     unless the caller passes the :class:`RowPlanes` of its relation (see
@@ -204,19 +168,23 @@ class DeltaEvidenceBuilder:
         space: "PredicateSpace",
         include_participation: bool = True,
         tile_rows: int | None = None,
-        memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES,
     ) -> None:
+        if tile_rows is not None and tile_rows < 1:
+            raise ValueError("tile_rows must be positive")
         self.space = space
         self.n_words = n_words_for_bits(len(space))
         self.include_participation = bool(include_participation)
         self.tile_rows = int(tile_rows) if tile_rows is not None else None
-        self.memory_budget_bytes = int(memory_budget_bytes)
 
     def tile_edge(self, n_rows: int) -> int:
-        """Tile edge for a build over ``n_rows`` rows (fixed or adaptive)."""
+        """Tile edge for a build over ``n_rows`` rows (fixed or by word width)."""
         if self.tile_rows is not None:
             return self.tile_rows
-        return choose_tile_rows(max(n_rows, 1), self.n_words, self.memory_budget_bytes)
+        return choose_tile_rows(max(n_rows, 1), self.n_words)
+
+    def full_tiles(self, n_rows: int) -> tuple["Tile", ...]:
+        """The square tile grid of a full build over ``n_rows`` rows."""
+        return block_tiles((0, n_rows), (0, n_rows), self.tile_edge(n_rows))
 
     def kernel(
         self,
@@ -243,8 +211,9 @@ class DeltaEvidenceBuilder:
         self, relation: "Relation", planes: RowPlanes | None = None
     ) -> "PartialEvidenceSet":
         """Evidence partial of the full pair matrix (the store's seed)."""
-        scheduler = TileScheduler(relation.n_rows, tile_rows=self.tile_edge(relation.n_rows))
-        return fold_tiles(self.kernel(relation, planes=planes), scheduler.tiles())
+        return fold_tiles(
+            self.kernel(relation, planes=planes), self.full_tiles(relation.n_rows)
+        )
 
     def delta_partial(
         self, relation: "Relation", n_existing: int, planes: RowPlanes | None = None

@@ -206,7 +206,7 @@ class ViolationService:
         """
         _, hitting = self._resolve(dc)
         kernel = self._store.replay_kernel()
-        for tile in self._store.replay_scheduler():
+        for tile in self._store.builder.full_tiles(self._store.n_rows):
             words, left_ids, right_ids = kernel.tile_words(tile)
             if not len(words):
                 continue
@@ -302,7 +302,7 @@ class ViolationService:
         # cross pair is a new row, so the fold's participation of the new
         # rows counts each cross pair once, under its new row.
         tiles = delta_tiles(n_before, probe.n_rows, edge, include_new_vs_new=False)
-        folded = kernel.run(Shard(0, len(tiles), tiles))
+        folded = kernel.run(Shard(tiles))
         if folded is not None:
             tuples = folded.part_keys & _TUPLE_ID_MASK
             new = tuples >= n_before

@@ -31,7 +31,6 @@ from repro.core.predicate_space import (
     build_predicate_space,
 )
 from repro.engine.kernel import TileKernel
-from repro.engine.scheduler import DEFAULT_MEMORY_BUDGET_BYTES, TileScheduler
 from repro.incremental.delta import DeltaEvidenceBuilder, RowPlanes
 from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
@@ -67,9 +66,8 @@ class EvidenceStore:
         Whether the ``vios`` tuple-participation structure is maintained
         (required by f2/f3 remining and per-tuple violation scores).
     tile_rows:
-        Tile edge of the evidence kernels; ``None`` adapts per build.
-    memory_budget_bytes:
-        Transient-memory budget driving the adaptive tile edge.
+        Tile edge of the evidence kernels, at least 1; ``None`` picks it
+        per build from the word width.
     """
 
     def __init__(
@@ -79,7 +77,6 @@ class EvidenceStore:
         space_config: PredicateSpaceConfig | None = None,
         include_participation: bool = True,
         tile_rows: int | None = None,
-        memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES,
     ) -> None:
         self._relation = relation.copy()
         self.space = space if space is not None else build_predicate_space(
@@ -89,7 +86,6 @@ class EvidenceStore:
             self.space,
             include_participation=include_participation,
             tile_rows=tile_rows,
-            memory_budget_bytes=memory_budget_bytes,
         )
         # The kernel planes of this store's relation; rows below n_rows are
         # the committed ones, which every kernel call vouches for.
@@ -269,8 +265,6 @@ class EvidenceStore:
         space: "PredicateSpace",
         partial: "PartialEvidenceSet",
         generation: int = 0,
-        tile_rows: int | None = None,
-        memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES,
     ) -> "EvidenceStore":
         """Reassemble a store from externally persisted state.
 
@@ -291,10 +285,7 @@ class EvidenceStore:
         store._relation = relation.copy()
         store.space = space
         store._builder = DeltaEvidenceBuilder(
-            space,
-            include_participation=partial.include_participation,
-            tile_rows=tile_rows,
-            memory_budget_bytes=memory_budget_bytes,
+            space, include_participation=partial.include_participation
         )
         store._planes = RowPlanes(store._relation, space)
         store._adopt_partial(partial)
@@ -413,12 +404,6 @@ class EvidenceStore:
             include_participation=True,
             planes=self._planes,
             n_existing=self.n_rows,
-        )
-
-    def replay_scheduler(self) -> TileScheduler:
-        """The full-grid schedule matching :meth:`replay_kernel`."""
-        return TileScheduler(
-            self.n_rows, tile_rows=self._builder.tile_edge(self.n_rows)
         )
 
     def probe_relation(

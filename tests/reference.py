@@ -20,7 +20,7 @@ from repro.core.predicate_space import PredicateSpace, iter_bits
 from repro.core.repair import ConflictGraph, build_conflict_graph
 from repro.data.datasets import DATASET_NAMES, DEFAULT_ROWS, Dataset, generate_dataset
 from repro.data.relation import Relation
-from repro.engine import PartialEvidenceSet, Tile, TileKernel, TileScheduler, fold_tiles
+from repro.engine import PartialEvidenceSet, Tile, TileKernel, block_tiles, fold_tiles
 
 
 def brute_force_minimal_adc_hitting_sets(
@@ -356,6 +356,12 @@ def fold_in_parts(kernel: TileKernel, tiles: Sequence[Tile], parts: int) -> Part
     return merge_partials_tree([fold_tiles(kernel, run) for run in runs or [()]])
 
 
+def grid_tiles(n_rows: int, edge: int) -> tuple[Tile, ...]:
+    """A full build's tiles: the ``n_rows x n_rows`` pair matrix cut by
+    the engine's cutter into its row-major square grid."""
+    return block_tiles((0, n_rows), (0, n_rows), edge)
+
+
 def build_evidence_set_in_parts(
     relation: Relation,
     space: PredicateSpace,
@@ -365,5 +371,5 @@ def build_evidence_set_in_parts(
 ) -> EvidenceSet:
     """The tiled build's schedule folded by :func:`fold_in_parts`."""
     kernel = TileKernel.from_relation(relation, space, include_participation)
-    tiles = TileScheduler(relation.n_rows, tile_rows=tile_rows).tiles()
+    tiles = grid_tiles(relation.n_rows, tile_rows)
     return fold_in_parts(kernel, tiles, parts).finalize(space)

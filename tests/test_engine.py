@@ -1,6 +1,6 @@
-"""Unit tests of the evidence engine (scheduler, kernel, partials).
+"""Unit tests of the evidence engine (tile cutter, kernel, partials).
 
-Covers the adaptive tile-size budget math, the tile schedule, picklability
+Covers the tile-edge budget math, the pinned tile schedule, picklability
 of the tile kernel, the folded tiles being bit-identical to the tiled
 builder, and the schedule folded in several parts and merged being
 bit-identical to one fold and to the dense oracle.
@@ -17,6 +17,7 @@ from tests.conftest import make_random_relation
 from tests.reference import (
     build_evidence_set_in_parts,
     fold_in_parts,
+    grid_tiles,
     merge_partials_tree,
 )
 from repro.core.evidence_builder import (
@@ -33,14 +34,19 @@ from repro.engine import (
     Shard,
     Tile,
     TileKernel,
-    TileScheduler,
+    block_tiles,
     choose_tile_rows,
     fold_tiles,
     participation_csr,
 )
 from repro.engine.partial import MAX_ROWS, aggregate_key_histogram
 from repro.incremental import EvidenceStore
-from repro.engine.scheduler import MAX_TILE_ROWS, MIN_TILE_ROWS, _KERNEL_PLANES
+from repro.engine.scheduler import (
+    _KERNEL_PLANES,
+    _MEMORY_BUDGET_BYTES,
+    MAX_TILE_ROWS,
+    MIN_TILE_ROWS,
+)
 
 
 def signature(adcs):
@@ -63,82 +69,127 @@ def assert_evidence_identical(left, right) -> None:
         assert np.array_equal(left.pair_counts, right.pair_counts)
 
 
-class TestChooseTileRows:
-    def test_budgeted_tile_fits_the_budget(self):
-        # In the unclamped region the kernel's transient bytes stay within
-        # budget: 3 planes of 8 * n_words bytes per pair.
-        for n_words in (1, 2, 8):
-            budget = _KERNEL_PLANES * 8 * n_words * 100 * 100
-            tile = choose_tile_rows(10**6, n_words, budget)
-            assert tile == 100
-            assert _KERNEL_PLANES * 8 * n_words * tile * tile <= budget
+#: The (relation size, tile edge) grid the square-grid pin runs over.
+PIN_ROWS = (*range(40), 255, 256, 257, 511, 512, 513, 600, 2000, 2400)
+PIN_EDGES = (1, 2, 3, 4, 5, 7, 16, 256, 512)
+#: Grids of more tiles than this are left out to keep the pin fast: each
+#: builds the grid twice as Python objects.  Every grid skipped (edges 1 to
+#: 7 at 257 rows and up) is cut by the square-grid branch that the kept
+#: grids of the same edges take.
+PIN_MAX_TILES = 2**16
 
-    def test_monotone_in_budget(self):
-        tiles = [
-            choose_tile_rows(10**6, 4, budget)
-            for budget in (2**18, 2**21, 2**24, 2**27)
-        ]
-        assert tiles == sorted(tiles)
+
+class TestChooseTileRows:
+    @pytest.mark.parametrize(
+        "n_rows,n_words,edge",
+        [
+            (10**6, 1, MAX_TILE_ROWS),
+            (10**6, 42, MAX_TILE_ROWS),
+            # The widest spaces under the 64 MiB budget: 43 words is the
+            # first width whose edge drops below the cap, 20,000 is clamped
+            # at the floor.
+            (10**6, 43, 255),
+            (10**6, 44, 252),
+            (10**6, 100, 167),
+            (10**6, 1000, 52),
+            (10**6, 20_000, MIN_TILE_ROWS),
+            (300, 2, MAX_TILE_ROWS),
+            (100, 1, 100),
+            (100, 100, 100),
+            (17, 20_000, MIN_TILE_ROWS),
+            (5, 20_000, 5),
+            (1, 1, 1),
+        ],
+    )
+    def test_pinned_edges(self, n_rows, n_words, edge):
+        assert choose_tile_rows(n_rows, n_words) == edge
+
+    def test_budgeted_tile_fits_the_budget(self):
+        # In the unclamped region the edge is the largest whose numpy fold
+        # stays within budget: 3 planes of 8 * n_words bytes per pair.
+        for n_words in (43, 100, 1000, 2500):
+            tile = choose_tile_rows(10**6, n_words)
+            assert MIN_TILE_ROWS < tile < MAX_TILE_ROWS
+            bytes_per_pair = _KERNEL_PLANES * 8 * n_words
+            assert bytes_per_pair * tile * tile <= _MEMORY_BUDGET_BYTES
+            assert bytes_per_pair * (tile + 1) ** 2 > _MEMORY_BUDGET_BYTES
 
     def test_wider_spaces_get_smaller_tiles(self):
-        budget = 2**22
-        assert choose_tile_rows(10**6, 16, budget) < choose_tile_rows(10**6, 1, budget)
+        edges = [choose_tile_rows(10**6, n_words) for n_words in (1, 43, 100, 1000, 20_000)]
+        assert edges == sorted(edges, reverse=True)
+        assert choose_tile_rows(10**6, 100) < choose_tile_rows(10**6, 1)
 
     def test_floor_and_cap(self):
-        assert choose_tile_rows(10**6, 1, 1) == MIN_TILE_ROWS
-        assert choose_tile_rows(10**6, 1, 2**60) == MAX_TILE_ROWS
+        assert choose_tile_rows(10**6, 20_000) == MIN_TILE_ROWS
+        assert choose_tile_rows(10**6, 1) == MAX_TILE_ROWS
 
     def test_clamped_by_relation_size(self):
-        assert choose_tile_rows(5, 1, 2**30) == 5
-        assert choose_tile_rows(1, 1, 1) == 1
+        assert choose_tile_rows(5, 1) == 5
+        assert choose_tile_rows(1, 1) == 1
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             choose_tile_rows(0, 1)
         with pytest.raises(ValueError):
             choose_tile_rows(10, 0)
-        with pytest.raises(ValueError):
-            choose_tile_rows(10, 1, 0)
 
 
-class TestTileScheduler:
+class TestBlockTiles:
+    @pytest.mark.parametrize("edge", PIN_EDGES)
+    def test_whole_matrix_is_the_row_major_square_grid(self, edge):
+        """Pins the schedule every full build, store seed and pair replay
+        folds: the explicit row-major grid of ``edge x edge`` tiles."""
+        for n in PIN_ROWS:
+            if (-(-n // edge)) ** 2 > PIN_MAX_TILES:
+                continue
+            expected = tuple(
+                Tile(i0, min(i0 + edge, n), j0, min(j0 + edge, n))
+                for i0 in range(0, n, edge)
+                for j0 in range(0, n, edge)
+            )
+            assert block_tiles((0, n), (0, n), edge) == expected, (n, edge)
+
     def test_tiles_cover_the_pair_matrix_exactly_once(self):
-        scheduler = TileScheduler(n_rows=10, tile_rows=3)
+        tiles = block_tiles((0, 10), (0, 10), 3)
         covered = np.zeros((10, 10), dtype=int)
-        for tile in scheduler:
+        for tile in tiles:
             covered[tile.i0 : tile.i1, tile.j0 : tile.j1] += 1
         assert (covered == 1).all()
-        assert scheduler.total_pairs == 10 * 9
-        assert sum(tile.n_pairs for tile in scheduler) == 10 * 9
+        assert sum(tile.n_pairs for tile in tiles) == 10 * 9
 
-    def test_grid_and_len(self):
-        scheduler = TileScheduler(n_rows=10, tile_rows=3)
-        assert scheduler.grid == 4
-        assert len(scheduler) == 16
+    def test_grid_length(self):
+        assert len(block_tiles((0, 10), (0, 10), 3)) == 16
 
-    def test_adaptive_default_tile_rows(self):
-        scheduler = TileScheduler(n_rows=10**6, n_words=2, memory_budget_bytes=2**22)
-        assert scheduler.tile_rows == choose_tile_rows(10**6, 2, 2**22)
+    def test_default_build_edge_follows_the_word_width(self):
+        """A default tiled build folds the grid of ``choose_tile_rows``."""
+        from repro.obs import metrics as obs_metrics
+
+        relation = make_random_relation(n_rows=300, seed=3)
+        space = build_predicate_space(relation)
+        n_words = TileKernel.from_relation(relation, space).n_words
+        edge = choose_tile_rows(relation.n_rows, n_words)
+        assert edge == MAX_TILE_ROWS
+        before = obs_metrics.EVIDENCE_TILES.value
+        build_evidence_set_tiled(relation, space)
+        assert obs_metrics.EVIDENCE_TILES.value - before == len(grid_tiles(300, edge)) == 4
 
     def test_diagonal_tiles_exclude_diagonal_pairs(self):
         assert Tile(0, 3, 0, 3).n_pairs == 6
         assert Tile(0, 3, 3, 6).n_pairs == 9
         assert Tile(2, 5, 4, 7).n_pairs == 8  # one overlapping diagonal cell
 
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            TileScheduler(n_rows=-1)
-        with pytest.raises(ValueError):
-            TileScheduler(n_rows=4, tile_rows=0)
+    @pytest.mark.parametrize("edge", [0, -1])
+    def test_invalid_edge(self, edge):
+        with pytest.raises(ValueError, match="tile_rows"):
+            block_tiles((0, 4), (0, 4), edge)
+        with pytest.raises(ValueError, match="tile_rows"):
+            block_tiles((0, 0), (0, 0), edge)
 
     def test_empty_relation(self):
-        scheduler = TileScheduler(n_rows=0, tile_rows=4)
-        assert len(scheduler) == 0
+        assert block_tiles((0, 0), (0, 0), 4) == ()
 
     def test_an_edge_past_the_relation_is_one_tile(self):
-        scheduler = TileScheduler(n_rows=5, tile_rows=8)
-        assert scheduler.tiles() == (Tile(0, 5, 0, 5),)
-        assert scheduler.grid == 1
+        assert block_tiles((0, 5), (0, 5), 8) == (Tile(0, 5, 0, 5),)
 
 
 class TestTileKernel:
@@ -147,7 +198,7 @@ class TestTileKernel:
         space = build_predicate_space(relation)
         kernel = TileKernel.from_relation(relation, space, include_participation=True)
         clone = pickle.loads(pickle.dumps(kernel))
-        shard = Shard(0, 1, (Tile(0, 5, 3, 9),))
+        shard = Shard((Tile(0, 5, 3, 9),))
         original = kernel.run(shard)
         revived = clone.run(shard)
         assert np.array_equal(original.words, revived.words)
@@ -160,8 +211,8 @@ class TestTileKernel:
         space = build_predicate_space(relation)
         kernel = TileKernel.from_relation(relation, space)
         partial = PartialEvidenceSet(relation.n_rows, kernel.n_words)
-        for tile in TileScheduler(relation.n_rows, tile_rows=5):
-            tile_partial = kernel.run(Shard(0, 1, (tile,)))
+        for tile in grid_tiles(relation.n_rows, 5):
+            tile_partial = kernel.run(Shard((tile,)))
             if tile_partial is not None:
                 partial.add_tile(tile_partial)
         assert_evidence_identical(
@@ -173,7 +224,7 @@ class TestTileKernel:
         relation = make_random_relation(n_rows=14, seed=10)
         space = build_predicate_space(relation)
         kernel = TileKernel.from_relation(relation, space)
-        tiles = list(TileScheduler(relation.n_rows, tile_rows=3).tiles())
+        tiles = list(grid_tiles(relation.n_rows, 3))
         if order == "reversed":
             tiles.reverse()
         else:
@@ -187,7 +238,7 @@ class TestTileKernel:
         relation = make_random_relation(n_rows=4, seed=1)
         space = build_predicate_space(relation)
         kernel = TileKernel.from_relation(relation, space)
-        assert kernel.run(Shard(0, 1, (Tile(2, 3, 2, 3),))) is None
+        assert kernel.run(Shard((Tile(2, 3, 2, 3),))) is None
 
 
 class TestFoldMetrics:
@@ -200,7 +251,7 @@ class TestFoldMetrics:
         space = build_predicate_space(relation)
         kernel = TileKernel.from_relation(relation, space)
         # A 4 x 4 grid whose last tile is a lone diagonal cell, plus one more.
-        tiles = TileScheduler(10, tile_rows=3).tiles() + (Tile(4, 5, 4, 5),)
+        tiles = grid_tiles(10, 3) + (Tile(4, 5, 4, 5),)
 
         def readings():
             return (
@@ -284,15 +335,14 @@ class TestFoldInParts:
         assert_evidence_identical(folded, build_evidence_set_dense(relation, space))
 
     @pytest.mark.parametrize("parts", [2, 3])
-    def test_budgeted_tile_edge_matches_the_default_build(self, parts):
-        """A small memory budget cuts the schedule into many minimum-edge
-        tiles; folded in parts, they give the default build's evidence."""
+    def test_minimum_tile_edge_matches_the_default_build(self, parts):
+        """The minimum edge cuts the schedule into many tiles; folded in
+        parts, they give the default build's evidence."""
         relation = make_random_relation(n_rows=40, seed=11)
         space = build_predicate_space(relation)
-        kernel = TileKernel.from_relation(relation, space)
-        edge = choose_tile_rows(relation.n_rows, kernel.n_words, memory_budget_bytes=1)
-        assert edge == MIN_TILE_ROWS
-        folded = build_evidence_set_in_parts(relation, space, tile_rows=edge, parts=parts)
+        folded = build_evidence_set_in_parts(
+            relation, space, tile_rows=MIN_TILE_ROWS, parts=parts
+        )
         assert_evidence_identical(folded, build_evidence_set(relation, space))
 
     def test_multi_word_evidence(self):
@@ -325,7 +375,7 @@ class TestFoldInParts:
         relation = make_random_relation(n_rows=12, seed=3)
         space = build_predicate_space(relation)
         kernel = TileKernel.from_relation(relation, space)
-        tiles = TileScheduler(relation.n_rows, tile_rows=3).tiles()
+        tiles = grid_tiles(relation.n_rows, 3)
         size = -(-len(tiles) // parts)
         runs = [tiles[start : start + size] for start in range(0, len(tiles), size)]
         left = fold_tiles(kernel, runs[0])
@@ -364,7 +414,7 @@ class TestFoldInParts:
         relation = make_random_relation(n_rows=17, seed=12)
         space = build_predicate_space(relation)
         kernel = TileKernel.from_relation(relation, space)
-        tiles = TileScheduler(relation.n_rows, tile_rows=4).tiles()
+        tiles = grid_tiles(relation.n_rows, 4)
         half = len(tiles) // 2
         partials = []
         for backend, run in zip(backends, (tiles[:half], tiles[half:])):
@@ -406,7 +456,7 @@ class TestPartialEvidenceSet:
     def test_merging_an_empty_partial_changes_nothing(self, empty_side):
         relation = make_random_relation(n_rows=9, seed=6)
         space = build_predicate_space(relation)
-        tiles = TileScheduler(relation.n_rows, tile_rows=4).tiles()
+        tiles = grid_tiles(relation.n_rows, 4)
         full = self.folded(relation, space, tiles)
         empty = self.folded(relation, space, ())
         merged = empty.merge(full) if empty_side == "left" else full.copy().merge(empty)
@@ -426,7 +476,7 @@ class TestPartialEvidenceSet:
         relation = make_random_relation(n_rows=6, seed=2)
         space = build_predicate_space(relation)
         kernel = TileKernel.from_relation(relation, space, include_participation=False)
-        tile_partial = kernel.run(Shard(0, 1, (Tile(0, 6, 0, 6),)))
+        tile_partial = kernel.run(Shard((Tile(0, 6, 0, 6),)))
         partial = PartialEvidenceSet(6, kernel.n_words, include_participation=True)
         with pytest.raises(ValueError, match="participation"):
             partial.add_tile(tile_partial)
@@ -434,7 +484,7 @@ class TestPartialEvidenceSet:
     def test_word_histogram_matches_the_finalized_counts(self):
         relation = make_random_relation(n_rows=11, seed=4)
         space = build_predicate_space(relation)
-        tiles = TileScheduler(relation.n_rows, tile_rows=3).tiles()
+        tiles = grid_tiles(relation.n_rows, 3)
         partial = fold_in_parts(TileKernel.from_relation(relation, space), tiles, 3)
         words, totals = partial.word_histogram()
         evidence = partial.finalize(space)
@@ -449,7 +499,7 @@ class TestPartialEvidenceSet:
     def test_copy_is_independent_of_later_merges(self):
         relation = make_random_relation(n_rows=10, seed=7)
         space = build_predicate_space(relation)
-        tiles = TileScheduler(relation.n_rows, tile_rows=4).tiles()
+        tiles = grid_tiles(relation.n_rows, 4)
         half = len(tiles) // 2
         original = self.folded(relation, space, tiles[:half])
         before = original.finalize(space)
@@ -488,7 +538,7 @@ class TestTileWords:
         relation = make_random_relation(n_rows=11, seed=9)
         space = build_predicate_space(relation)
         kernel = TileKernel.from_relation(relation, space)
-        tiles = TileScheduler(relation.n_rows, tile_rows=tile_rows).tiles()
+        tiles = grid_tiles(relation.n_rows, tile_rows)
         replayed = [kernel.tile_words(tile) for tile in tiles]
         words = np.concatenate([tile[0] for tile in replayed])
         pairs = {
@@ -505,6 +555,6 @@ class TestTileWords:
         assert np.array_equal(counts, evidence.counts)
 
     def test_shard_counts_its_tiles_and_pairs(self):
-        shard = Shard(2, 5, (Tile(0, 3, 0, 3), Tile(0, 3, 3, 5), Tile(3, 5, 0, 3)))
+        shard = Shard((Tile(0, 3, 0, 3), Tile(0, 3, 3, 5), Tile(3, 5, 0, 3)))
         assert len(shard) == 3
         assert shard.n_pairs == 6 + 6 + 6

@@ -28,7 +28,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tests.conftest import make_random_relation
-from tests.reference import build_evidence_set_in_parts, merge_partials_tree
+from tests.reference import build_evidence_set_in_parts, grid_tiles, merge_partials_tree
 from tests.test_engine import assert_evidence_identical
 from repro.core.dc import DenialConstraint
 from repro.core.evidence_builder import (
@@ -37,8 +37,7 @@ from repro.core.evidence_builder import (
 )
 from repro.core.predicate_space import build_predicate_space
 from repro.data.relation import Relation
-from repro.engine import PartialEvidenceSet, Tile, TileKernel, TileScheduler, fold_tiles
-from repro.engine.scheduler import Shard
+from repro.engine import PartialEvidenceSet, Shard, Tile, TileKernel, fold_tiles
 from repro.native import NUMPY_BACKEND, NumpyKernels, dispatch, get_backend, use_backend
 
 
@@ -46,8 +45,8 @@ def _tile_partials(relation, space, tile_rows):
     """Kernel results of every non-empty tile of the schedule."""
     kernel = TileKernel.from_relation(relation, space, include_participation=True)
     partials = []
-    for tile in TileScheduler(relation.n_rows, tile_rows=tile_rows):
-        tile_partial = kernel.run(Shard(0, 1, (tile,)))
+    for tile in grid_tiles(relation.n_rows, tile_rows):
+        tile_partial = kernel.run(Shard((tile,)))
         if tile_partial is not None:
             partials.append(tile_partial)
     return kernel, partials
@@ -543,7 +542,7 @@ class TestCompiledFold:
         """Folds of tile groups, merged and finalized, under either backend
         give the dense oracle's evidence set."""
         space = build_predicate_space(relation)
-        tiles = TileScheduler(relation.n_rows, tile_rows=tile_rows).tiles()
+        tiles = grid_tiles(relation.n_rows, tile_rows)
         groups = [tiles[i::split] for i in range(split)]
         results = []
         for backend in (_compiled_backend_or_none(), NUMPY_BACKEND):
@@ -565,7 +564,7 @@ class TestCompiledFold:
         calls: list[str] = []
         with use_backend(_counting_backend(calls)):
             kernel = TileKernel.from_relation(relation, space, include_participation=True)
-            tiles = TileScheduler(relation.n_rows, tile_rows=4).tiles()
+            tiles = grid_tiles(relation.n_rows, 4)
             partial = fold_tiles(kernel, tiles)
         assert len(tiles) == 64
         assert calls == ["adc_fold_tiles"]

@@ -16,13 +16,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tests.conftest import make_random_relation
-from tests.reference import fold_in_parts
+from tests.reference import fold_in_parts, grid_tiles
 from tests.test_engine import assert_evidence_identical
 from repro.core.evidence_builder import build_evidence_set_tiled
 from repro.core.predicate_space import build_predicate_space
 from repro.core.predicates import PredicateForm
 from repro.data.relation import Relation
-from repro.engine import PartialEvidenceSet, Shard, TileKernel, TileScheduler, fold_tiles
+from repro.engine import PartialEvidenceSet, Shard, TileKernel, fold_tiles
 from repro.incremental import DeltaEvidenceBuilder, EvidenceStore, delta_tiles
 
 
@@ -275,8 +275,8 @@ class TestPartialRebase:
         space = build_predicate_space(relation)
         kernel = TileKernel.from_relation(relation, space, include_participation=True)
         partial = PartialEvidenceSet(6, kernel.n_words, True)
-        for tile in TileScheduler(6, tile_rows=3):
-            result = kernel.run(Shard(0, 1, (tile,)))
+        for tile in grid_tiles(6, 3):
+            result = kernel.run(Shard((tile,)))
             if result is not None:
                 partial.add_tile(result)
         reference = partial.copy().finalize(space)
@@ -302,8 +302,8 @@ class TestPartialRebase:
         space = build_predicate_space(relation)
         kernel = TileKernel.from_relation(relation, space, include_participation=True)
         partial = PartialEvidenceSet(5, kernel.n_words, True)
-        for tile in TileScheduler(5, tile_rows=2):
-            result = kernel.run(Shard(0, 1, (tile,)))
+        for tile in grid_tiles(5, 2):
+            result = kernel.run(Shard((tile,)))
             if result is not None:
                 partial.add_tile(result)
         duplicate = partial.copy()
@@ -347,7 +347,7 @@ class TestCompaction:
         kernel = builder.kernel(example_relation)
         partial = PartialEvidenceSet(example_relation.n_rows, kernel.n_words,
                                      include_participation)
-        for tile in TileScheduler(example_relation.n_rows, tile_rows=3):
+        for tile in grid_tiles(example_relation.n_rows, 3):
             partial.merge(fold_tiles(kernel, (tile,)))
         expected = partial.finalize(example_space)
         assert_evidence_identical(expected, builder.full_partial(example_relation)
@@ -651,7 +651,7 @@ class TestDeltaBuilder:
         seed rows' schedule, give the evidence of the grown relation."""
         space = build_predicate_space(example_relation)
         kernel = TileKernel.from_relation(example_relation, space)
-        seed_partial = fold_tiles(kernel, TileScheduler(9, tile_rows=3).tiles())
+        seed_partial = fold_tiles(kernel, grid_tiles(9, 3))
         tiles = delta_tiles(9, example_relation.n_rows, tile_rows=3)
         merged = seed_partial.merge(fold_in_parts(kernel, tiles, parts))
         assert merged.recorded_pairs == example_relation.n_rows * (
@@ -676,12 +676,20 @@ class TestDeltaBuilder:
         merged = seed_partial.rebase_rows(second.n_rows).merge(delta)
         assert_evidence_identical(merged.finalize(space), _rebuild(second, space))
 
-    def test_tile_edge_follows_the_memory_budget(self, example_space):
+    def test_tile_edge_follows_the_word_width(self, example_space):
         from repro.engine.scheduler import choose_tile_rows
 
-        budget = 2**22
-        builder = DeltaEvidenceBuilder(example_space, memory_budget_bytes=budget)
-        assert builder.tile_edge(10_000) == choose_tile_rows(
-            10_000, builder.n_words, budget
-        )
+        builder = DeltaEvidenceBuilder(example_space)
+        assert builder.tile_edge(10_000) == choose_tile_rows(10_000, builder.n_words)
+        assert builder.tile_edge(5) == 5
         assert DeltaEvidenceBuilder(example_space, tile_rows=7).tile_edge(10_000) == 7
+
+    @pytest.mark.parametrize("tile_rows", [0, -3])
+    def test_a_non_positive_tile_edge_is_rejected_at_construction(
+        self, example_relation, example_space, tile_rows
+    ):
+        """The edge is checked where it is set, not at the first append."""
+        with pytest.raises(ValueError, match="tile_rows"):
+            DeltaEvidenceBuilder(example_space, tile_rows=tile_rows)
+        with pytest.raises(ValueError, match="tile_rows"):
+            EvidenceStore(example_relation, space=example_space, tile_rows=tile_rows)
