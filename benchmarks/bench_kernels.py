@@ -4,10 +4,9 @@ Not a paper figure: this benchmark tracks the compiled C kernels
 (:mod:`repro.native.cext`) against the pure-numpy reference backend they
 are dispatched over.  Six measurement families:
 
-* **micro-kernels** — the fused per-evidence intersection counts on
-  synthetic planes; the tile pass on the tax relation's planes (a square
-  tile of edge 256 and both one-row strip shapes) and ``unique_rows`` on
-  that tile's evidence words, with nanoseconds per pair;
+* **micro-kernels** — the tile pass on the tax relation's planes (a
+  square tile of edge 256 and both one-row strip shapes) and
+  ``unique_rows`` on that tile's evidence words, with nanoseconds per pair;
 * **tile folds** — ``fold_tiles`` over a whole build's schedule, in
   nanoseconds per pair: the ``mine-wide`` relation (a 30% sample of 8,000
   tax rows, 2,400 rows) without participation, as ADCMiner folds it for
@@ -149,20 +148,15 @@ def _best_seconds(fn, repeats: int = REPEATS, inner: int = 1) -> float:
 
 
 def _micro_rows(compiled, packed) -> list[dict[str, object]]:
-    """One row per micro-kernel: compiled vs numpy.
+    """One row per micro-kernel: compiled vs numpy, with nanoseconds per pair.
 
-    ``intersection_counts`` runs on synthetic planes; the tile pass runs on
-    the tax relation's own planes — a square tile of edge :data:`TILE_EDGE`
-    and the two strip shapes a one-row append or ``check_batch`` row is cut
-    into (1 x n and n x 1) — and ``unique_rows`` deduplicates the square
-    tile's real evidence words.  The per-tile
-    kernels also report nanoseconds per pair.
+    The tile pass runs on the tax relation's own planes — a square tile of
+    edge :data:`TILE_EDGE` and the two strip shapes a one-row append or
+    ``check_batch`` row is cut into (1 x n and n x 1) — and ``unique_rows``
+    deduplicates the square tile's real evidence words.
     """
-    rng = np.random.default_rng(7)
     numpy_kernels = NumpyKernels()
 
-    planes = rng.integers(0, 2**64, size=(8, 50_000), dtype=np.uint64)
-    mask = rng.integers(0, 2**64, size=8, dtype=np.uint64)
     kinds, a, b, lookup = packed
     n_words = lookup.shape[2]
     n_rows = a.shape[1]
@@ -174,7 +168,6 @@ def _micro_rows(compiled, packed) -> list[dict[str, object]]:
 
     tile_words = numpy_kernels.tile_plane(kinds, a, b, lookup, 0, edge, 0, edge, n_words)
     cases = [
-        ("intersection_counts", lambda k: k.intersection_counts(planes, mask), None),
         (f"tile_plane {edge}x{edge}", tile(0, edge, 0, edge), edge * edge),
         (f"tile_plane 1x{n_rows}", tile(row, row + 1, 0, n_rows), n_rows),
         (f"tile_plane {n_rows}x1", tile(0, n_rows, row, row + 1), n_rows),
@@ -184,10 +177,12 @@ def _micro_rows(compiled, packed) -> list[dict[str, object]]:
     for name, call, pairs in cases:
         reference = call(numpy_kernels)
         numpy_seconds = _best_seconds(lambda: call(numpy_kernels), inner=5)
-        row: dict[str, object] = {"kernel": name, "numpy_seconds": numpy_seconds}
-        if pairs:
-            row["pairs"] = pairs
-            row["numpy_ns_per_pair"] = numpy_seconds * 1e9 / pairs
+        row: dict[str, object] = {
+            "kernel": name,
+            "numpy_seconds": numpy_seconds,
+            "pairs": pairs,
+            "numpy_ns_per_pair": numpy_seconds * 1e9 / pairs,
+        }
         if compiled is not None:
             native = call(compiled.kernels)
             if isinstance(reference, tuple):
@@ -197,8 +192,7 @@ def _micro_rows(compiled, packed) -> list[dict[str, object]]:
             native_seconds = _best_seconds(lambda: call(compiled.kernels), inner=5)
             row["native_seconds"] = native_seconds
             row["speedup"] = numpy_seconds / native_seconds if native_seconds else 0.0
-            if pairs:
-                row["native_ns_per_pair"] = native_seconds * 1e9 / pairs
+            row["native_ns_per_pair"] = native_seconds * 1e9 / pairs
         rows.append(row)
     return rows
 

@@ -4,8 +4,8 @@ The package implements the ADCMiner framework of Livshits, Heidari, Ilyas
 and Kimelfeld: mining minimal approximate denial constraints (ADCs) from
 relational data under a general family of approximation functions, together
 with the substrates the paper depends on (typed relations, predicate spaces,
-evidence sets, minimal hitting-set enumeration, sampling theory, baselines,
-synthetic datasets and evaluation metrics).
+evidence sets, minimal approximate hitting-set enumeration (ADCEnum),
+sampling theory, baselines, synthetic datasets and evaluation metrics).
 
 Typical usage::
 

@@ -1,12 +1,13 @@
-"""Packed uint64 bitset primitives of the word-native enumeration core.
+"""Packed uint64 bitset primitives of the evidence pipeline and the enumerators.
 
-The evidence pipeline already stores evidences as packed ``(n, n_words)``
-uint64 word planes (:mod:`repro.core.evidence`).  This module provides the
-matching *set* primitives the enumerators need so that candidate sets,
-hitting sets, uncovered sets and per-element criticality can all live in
-preallocated uint64 planes mutated in place — the DCFinder-style bit-level
-engineering (Pena et al.) that keeps the per-node budget of the search
-recursion free of Python-int bitmask churn.
+The evidence pipeline stores evidences as packed ``(n, n_words)`` uint64
+word planes (:mod:`repro.core.evidence`).  This module sizes those planes
+and converts between them and boolean matrices: :func:`pack_bool_rows`
+builds the predicate-to-evidence containment planes of ADCEnum and FASTDC,
+:func:`unpack_bits` reads packed rows back, and :func:`full_bits` is a
+search's all-set root row.  The per-node set work of ADCEnum (candidates,
+uncovered evidences, criticality) runs in the kernel backends of
+:mod:`repro.native`, not here.
 
 Bit layout matches the evidence words everywhere: bit ``b`` of a bitset
 lives at word ``b // 64``, bit ``b % 64`` (word 0 least significant).
@@ -17,15 +18,9 @@ dependency floor, so there is exactly one popcount path.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
 _WORD_BITS = 64
-
-#: BIT_TABLE[b] is the uint64 with only bit ``b`` set (b in 0..63); indexing
-#: this table is cheaper than constructing ``np.uint64(1 << b)`` per lookup.
-BIT_TABLE = np.uint64(1) << np.arange(64, dtype=np.uint64)
 
 
 def n_words_for_bits(n_bits: int) -> int:
@@ -73,28 +68,6 @@ def unpack_bits(words: np.ndarray, n_bits: int) -> np.ndarray:
     return bits[..., :n_bits].astype(bool)
 
 
-def bits_to_indices(row: np.ndarray, n_bits: int) -> np.ndarray:
-    """Ascending positions of the set bits of one packed row."""
-    return unpack_bits(row, n_bits).nonzero()[0]
-
-
-def indices_to_bits(indices: Iterable[int] | np.ndarray, n_bits: int) -> np.ndarray:
-    """Packed row with exactly the given bit positions set."""
-    row = np.zeros(n_words_for_bits(n_bits), dtype=np.uint64)
-    positions = np.asarray(
-        indices if isinstance(indices, np.ndarray) else list(indices), dtype=np.int64
-    )
-    if positions.size:
-        if positions.min() < 0 or positions.max() >= max(int(n_bits), 1):
-            raise ValueError("bit positions out of range")
-        np.bitwise_or.at(
-            row,
-            positions >> 6,
-            np.uint64(1) << (positions & 63).astype(np.uint64),
-        )
-    return row
-
-
 def full_bits(n_bits: int) -> np.ndarray:
     """Packed row with the first ``n_bits`` bits set (tail bits clear)."""
     row = np.zeros(n_words_for_bits(n_bits), dtype=np.uint64)
@@ -103,108 +76,3 @@ def full_bits(n_bits: int) -> np.ndarray:
     if remainder:
         row[full_words] = np.uint64((1 << remainder) - 1)
     return row
-
-
-def set_bit(row: np.ndarray, position: int) -> None:
-    """Set one bit of a packed row in place."""
-    row[position >> 6] |= BIT_TABLE[position & 63]
-
-
-def word_bits_list(row: np.ndarray) -> list[int]:
-    """Ascending set-bit positions of one packed row, as a Python list.
-
-    Equivalent to ``bits_to_indices(row, ...).tolist()`` but runs as a plain
-    bit-twiddling loop; for the short rows the enumerators iterate per search
-    node this beats the vectorised unpack by a wide margin.
-    """
-    positions: list[int] = []
-    base = 0
-    for word in row.tolist():
-        while word:
-            low = word & -word
-            positions.append(base + low.bit_length() - 1)
-            word ^= low
-        base += _WORD_BITS
-    return positions
-
-
-class CriticalityPlanes:
-    """Packed per-element criticality bitsets with exact apply/undo.
-
-    The MMCS-family enumerators keep, for every element of the current
-    hitting set ``S``, the set of subsets (evidences) that element is
-    *critical* for — the subsets no other element of ``S`` covers.  The
-    classic formulation is a ``dict[int, set[int]]`` updated one member at a
-    time; here the same state is a preallocated ``(capacity, n_words)``
-    uint64 plane whose row ``d`` is the packed criticality set of the
-    ``d``-th element of ``S``, so one apply/undo touches all member rows with
-    two vectorised word operations.
-
-    ``apply`` pushes a new element (its freshly-critical set plus its
-    coverage bitset), strips the covered bits from every member row, and
-    reports whether every *previous* member kept at least one critical bit —
-    the viability test of UpdateCritUncov.  The returned token restores the
-    planes bit-exactly when handed back to ``undo``, which is what makes the
-    depth-first backtracking of the enumerators cheap.
-    """
-
-    def __init__(self, n_bits: int, capacity: int) -> None:
-        self.n_bits = int(n_bits)
-        self.n_words = n_words_for_bits(n_bits)
-        self.capacity = max(int(capacity), 1)
-        self._rows = np.zeros((self.capacity, self.n_words), dtype=np.uint64)
-        self.depth = 0
-
-    def row(self, depth: int) -> np.ndarray:
-        """The packed criticality bitset of the element at ``depth``."""
-        return self._rows[depth]
-
-    def active_rows(self) -> np.ndarray:
-        """View of the rows of all currently pushed elements."""
-        return self._rows[: self.depth]
-
-    def apply(self, new_row: np.ndarray, covers: np.ndarray) -> tuple[bool, np.ndarray | None]:
-        """Push an element; return ``(viable, undo_token)``.
-
-        ``new_row`` is the packed set the new element is critical for and
-        ``covers`` the packed set of subsets the element covers.  ``viable``
-        is True when every previously pushed element retains at least one
-        critical bit after losing the bits in ``covers``.  The token is
-        ``None`` when there was nothing to strip (depth 0).
-        """
-        depth = self.depth
-        if depth == 0:
-            self._rows[0] = new_row
-            self.depth = 1
-            return True, None
-        if depth == 1:
-            member = self._rows[0]
-            removed = member & covers
-            # removed ⊆ member, so xor strips exactly the covered bits
-            # without materialising ~covers.
-            member ^= removed
-            viable = bool(member.any())
-            self._rows[1] = new_row
-            self.depth = 2
-            return viable, removed
-        members = self._rows[:depth]
-        removed = members & covers
-        members ^= removed
-        viable = bool(members.any(axis=1).all())
-        self._rows[depth] = new_row
-        self.depth = depth + 1
-        return viable, removed
-
-    def undo(self, removed: np.ndarray | None) -> None:
-        """Pop the most recent element, restoring every member row exactly.
-
-        Rows at or beyond the new depth are left as garbage; every reader
-        (``row``, ``active_rows``, ``snapshot``) only looks below ``depth``.
-        """
-        self.depth -= 1
-        if removed is not None:
-            self._rows[: self.depth] |= removed
-
-    def snapshot(self) -> np.ndarray:
-        """Copy of the active rows (used by tests to check round-trips)."""
-        return self._rows[: self.depth].copy()

@@ -1,12 +1,12 @@
 """Native-speed kernel layer.
 
 Compiled implementations of the enumeration and evidence-build hot paths —
-the intersection-count kernel, the criticality planes, the per-tile
-predicate pass, the one-call fold of a tile list, and the explicit-stack
-search arena — behind a
-feature-detected dispatch (:mod:`repro.native.dispatch`).  The pure-numpy
-reference (:mod:`repro.native.numpy_backend`) defines the semantics; a
-compiled backend is only used after reproducing it bit for bit on a probe.
+the per-tile predicate pass, the one-call fold of a tile list, the row
+dedup, and the explicit-stack search arena with its compiled driver —
+behind a feature-detected dispatch (:mod:`repro.native.dispatch`).  The
+pure-numpy reference (:mod:`repro.native.numpy_backend`) defines the
+semantics; a compiled backend is only used after reproducing it bit for
+bit on a probe.
 
 There is one compiled backend, the C extension (:mod:`repro.native.cext`,
 built from ``csrc/kernels.c``); the numpy reference is both its oracle and

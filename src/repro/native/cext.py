@@ -50,8 +50,6 @@ _ADDR, _I64, _I32 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_int32
 #: ``adc_enum_new`` returns its state as an integer, so that the NULL check
 #: and the finalizer see 0 rather than ``None``.
 _SIGNATURES = {
-    "adc_intersection_counts": (None, [_ADDR, _I64, _I32, _I64, _ADDR, _ADDR]),
-    "adc_crit_apply": (_I32, [_ADDR, _I64, _I32, _I64, _ADDR, _ADDR, _ADDR]),
     "adc_crit_undo": (None, [_ADDR, _I64, _I32, _I64, _ADDR]),
     "adc_tile_plane": (_I32, [_ADDR, _I64, _ADDR, _ADDR, _I64, _ADDR, _I32,
                               _I64, _I64, _I64, _I64, _ADDR]),
@@ -123,33 +121,6 @@ class CKernels:
 
     def __init__(self, functions: dict) -> None:
         self._fn = functions
-
-    def intersection_counts(self, ev_planes: np.ndarray, mask_words: np.ndarray) -> np.ndarray:
-        ev = np.ascontiguousarray(ev_planes, dtype=np.uint64)
-        mask = np.ascontiguousarray(mask_words, dtype=np.uint64)
-        n_words, n_cols = ev.shape
-        out = np.empty(n_cols, dtype=np.uint32)
-        self._fn["adc_intersection_counts"](
-            _addr(ev), n_cols, n_words, n_cols, _addr(mask), _addr(out)
-        )
-        return out
-
-    def crit_apply(
-        self, rows: np.ndarray, depth: int, new_row: np.ndarray, covers: np.ndarray
-    ) -> tuple[bool, np.ndarray]:
-        n_words = rows.shape[1]
-        new_row = np.ascontiguousarray(new_row, dtype=np.uint64)
-        covers = np.ascontiguousarray(covers, dtype=np.uint64)
-        removed = np.zeros((depth, n_words), dtype=np.uint64)
-        viable = self._fn["adc_crit_apply"](
-            _addr(rows), n_words, n_words, depth, _addr(new_row), _addr(covers),
-            _addr(removed),
-        )
-        return bool(viable), removed
-
-    def crit_undo(self, rows: np.ndarray, depth: int, removed: np.ndarray) -> None:
-        n_words = rows.shape[1]
-        self._fn["adc_crit_undo"](_addr(rows), n_words, n_words, depth, _addr(removed))
 
     def tile_plane(
         self,

@@ -27,13 +27,14 @@
 #define POPCOUNT(x) ((uint64_t)__builtin_popcountll(x))
 
 /* ------------------------------------------------------------------ */
-/* Flat kernels                                                        */
+/* Overlap counts and criticality                                      */
 /* ------------------------------------------------------------------ */
 
 /* Fused |evidence ∩ mask| over a transposed (n_words, E) plane: one pass
  * per word row, accumulating uint32 counts. */
-void adc_intersection_counts(intptr_t ev_p, int64_t stride, int32_t n_words,
-                             int64_t n_cols, intptr_t mask_p, intptr_t out_p)
+static void adc_intersection_counts(intptr_t ev_p, int64_t stride,
+                                    int32_t n_words, int64_t n_cols,
+                                    intptr_t mask_p, intptr_t out_p)
 {
     const uint64_t *ev = (const uint64_t *)ev_p;
     const uint64_t *mask = (const uint64_t *)mask_p;
@@ -49,12 +50,14 @@ void adc_intersection_counts(intptr_t ev_p, int64_t stride, int32_t n_words,
     }
 }
 
-/* CriticalityPlanes.apply as one fused pass: strip `covers` from every
- * member row (recording the removed bits), test viability, install the new
- * row at `depth`.  Returns 1 when every previous member keeps a bit. */
-int32_t adc_crit_apply(intptr_t rows_p, int64_t stride, int32_t n_words,
-                       int64_t depth, intptr_t new_row_p, intptr_t covers_p,
-                       intptr_t removed_p)
+/* The criticality push of the workspace's try_hit as one fused pass:
+ * strip `covers` from every member row (recording the removed bits), test
+ * viability, install the new row at `depth`.  Returns 1 when every previous
+ * member keeps a bit. */
+static int32_t adc_crit_apply(intptr_t rows_p, int64_t stride,
+                              int32_t n_words, int64_t depth,
+                              intptr_t new_row_p, intptr_t covers_p,
+                              intptr_t removed_p)
 {
     uint64_t *rows = (uint64_t *)rows_p;
     const uint64_t *new_row = (const uint64_t *)new_row_p;
@@ -78,7 +81,7 @@ int32_t adc_crit_apply(intptr_t rows_p, int64_t stride, int32_t n_words,
     return viable;
 }
 
-/* CriticalityPlanes.undo: restore the removed bits of every member row. */
+/* The workspace's crit_pop: restore the removed bits of every member row. */
 void adc_crit_undo(intptr_t rows_p, int64_t stride, int32_t n_words,
                    int64_t depth, intptr_t removed_p)
 {

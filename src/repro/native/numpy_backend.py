@@ -11,10 +11,10 @@ fused word loops over transposed planes, no Python-int bitmask churn.
 Two layers share this module:
 
 * **Flat kernels** (:class:`NumpyKernels`) — stateless array-in/array-out
-  functions mirroring the C entry points one to one (intersection
-  counts, criticality apply/undo, the tile pass and the tile fold).
-  These are what the hypothesis identity tests and the dispatch probe
-  exercise.
+  functions: the tile pass, the tile fold and the row dedup mirror C entry
+  points one to one, and are what the hypothesis identity tests and the
+  dispatch probe exercise; ``intersection_counts`` is the workspace's
+  overlap count.
 * **Search workspace** (:class:`NumpySearchWorkspace`) — the arena the
   explicit-stack ``ADCEnum._search`` drives.  One workspace owns per-depth
   slots of reusable buffers (evidence plane, overlap counters, candidate
@@ -72,25 +72,6 @@ class NumpyKernels:
         for word in range(1, n_words):
             counts += np.bitwise_count(ev_planes[word] & mask_words[word])
         return counts
-
-    @staticmethod
-    def crit_apply(
-        rows: np.ndarray, depth: int, new_row: np.ndarray, covers: np.ndarray
-    ) -> tuple[bool, np.ndarray]:
-        """Criticality push: strip ``covers`` from ``rows[:depth]``, install
-        ``new_row`` at ``depth``; returns ``(viable, removed)`` where
-        ``removed`` restores the stripped bits via :meth:`crit_undo`."""
-        members = rows[:depth]
-        removed = members & covers
-        members ^= removed
-        viable = bool(members.any(axis=1).all()) if depth else True
-        rows[depth] = new_row
-        return viable, removed
-
-    @staticmethod
-    def crit_undo(rows: np.ndarray, depth: int, removed: np.ndarray) -> None:
-        """Criticality pop: restore the bits ``crit_apply`` stripped."""
-        rows[:depth] |= removed
 
     @staticmethod
     def tile_plane(
@@ -375,9 +356,6 @@ class NumpySearchWorkspace:
 
     def red_view(self, depth: int, n: int) -> np.ndarray:
         return self._slots[depth].red[:n]
-
-    def pairs_view(self, depth: int, n: int) -> np.ndarray:
-        return self._slots[depth].pairs[:n]
 
     def uncov_view(self, depth: int, n: int) -> np.ndarray:
         return self._slots[depth].uncov[:n]

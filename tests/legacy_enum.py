@@ -1,28 +1,18 @@
-"""Pre-refactor reference enumerators (frozen for cross-checks and benchmarks).
+"""Pre-refactor reference enumerator (frozen for cross-checks and benchmarks).
 
-``LegacyADCEnum`` and ``LegacyMMCS`` are faithful snapshots of the
-enumeration core *before* it was rebuilt on packed uint64 word planes
-(:mod:`repro.core.adc_enum` / :mod:`repro.core.hitting_set`).  They are kept
-for two purposes only:
+``LegacyADCEnum`` is a faithful snapshot of the enumeration core *before*
+it was rebuilt on packed uint64 word planes (:mod:`repro.core.adc_enum`).
+It is kept for two purposes only:
 
-* the cross-check tests assert that the word-native enumerators emit
+* the cross-check tests assert that the word-native enumerator emits
   **bit-identical** output lists (same masks, same order, same scores);
 * ``benchmarks/bench_enum_core.py`` measures the word-native speedup against
   this exact pre-refactor baseline.
 
-Do not use these classes in the pipeline; they deliberately retain the
+Do not use this class in the pipeline; it deliberately retains the
 Python-int mask churn (per-node ``mask_to_words`` splits, ``evidence.masks``
 lookups, ``dict[int, set[int]]`` criticality bookkeeping with ``np.fromiter``
 round-trips) that the word-native core eliminates.
-
-One deviation from the historical code is pinned down on purpose:
-``LegacyMMCS._choose_subset`` iterates the uncovered set in **sorted index
-order** rather than Python-set order, so its tie-breaking (lowest index among
-the subsets with the fewest candidate elements) is well defined.  The
-word-native :class:`~repro.core.hitting_set.MMCS` implements the same rule,
-which is what lets the cross-check assert exact output order instead of mere
-set equality; the enumerated *set* of minimal hitting sets is unaffected by
-the choice rule.
 """
 
 from __future__ import annotations
@@ -38,7 +28,6 @@ from repro.core.adc_enum import DiscoveredADC, EnumerationStatistics, SelectionS
 from repro.core.approximation import ApproximationFunction, F1
 from repro.core.dc import DenialConstraint
 from repro.core.evidence import EvidenceSet
-from repro.core.hitting_set import MMCSStatistics
 from repro.core.predicate_space import iter_bits
 
 _WORD_BITS = 64
@@ -297,88 +286,3 @@ class LegacyADCEnum:
         score = self.function.violation_score(self.evidence, uncov)
         self.statistics.outputs += 1
         yield DiscoveredADC(constraint, s_mask, score)
-
-
-class LegacyMMCS:
-    """The pre-refactor MMCS (Python sets and int masks), tie-break pinned."""
-
-    def __init__(self, subsets: Sequence[int], n_elements: int) -> None:
-        self.subsets = list(subsets)
-        self.n_elements = int(n_elements)
-        self.statistics = MMCSStatistics()
-
-    def enumerate(self) -> list[int]:
-        return list(self.iter_minimal_hitting_sets())
-
-    def iter_minimal_hitting_sets(self) -> Iterator[int]:
-        self.statistics = MMCSStatistics()
-        if any(subset == 0 for subset in self.subsets):
-            return
-        uncov = set(range(len(self.subsets)))
-        cand = (1 << self.n_elements) - 1
-        crit: dict[int, set[int]] = {}
-        with _recursion_limit_at_least(10_000):
-            yield from self._search(0, crit, uncov, cand)
-
-    def _search(
-        self,
-        current: int,
-        crit: dict[int, set[int]],
-        uncov: set[int],
-        cand: int,
-    ) -> Iterator[int]:
-        self.statistics.recursive_calls += 1
-        if not uncov:
-            self.statistics.outputs += 1
-            yield current
-            return
-        chosen = self._choose_subset(uncov, cand)
-        subset_mask = self.subsets[chosen]
-        to_try = subset_mask & cand
-        cand &= ~subset_mask
-        for element in iter_bits(to_try):
-            newly_covered, removed_from_crit = self._update_crit_uncov(element, current, crit, uncov)
-            if all(crit[member] for member in iter_bits(current)):
-                yield from self._search(current | (1 << element), crit, uncov, cand)
-                cand |= 1 << element
-            else:
-                self.statistics.pruned_by_criticality += 1
-            self._undo_crit_uncov(element, crit, uncov, newly_covered, removed_from_crit)
-
-    def _choose_subset(self, uncov: set[int], cand: int) -> int:
-        # Sorted iteration pins the tie-break to the lowest index (see the
-        # module docstring); the historical code iterated in set order.
-        return min(sorted(uncov), key=lambda index: bin(self.subsets[index] & cand).count("1"))
-
-    def _update_crit_uncov(
-        self,
-        element: int,
-        current: int,
-        crit: dict[int, set[int]],
-        uncov: set[int],
-    ) -> tuple[list[int], dict[int, list[int]]]:
-        element_bit = 1 << element
-        newly_covered = [index for index in uncov if self.subsets[index] & element_bit]
-        for index in newly_covered:
-            uncov.discard(index)
-        crit[element] = set(newly_covered)
-        removed_from_crit: dict[int, list[int]] = {}
-        for member in iter_bits(current):
-            removed = [index for index in crit[member] if self.subsets[index] & element_bit]
-            if removed:
-                removed_from_crit[member] = removed
-                crit[member].difference_update(removed)
-        return newly_covered, removed_from_crit
-
-    def _undo_crit_uncov(
-        self,
-        element: int,
-        crit: dict[int, set[int]],
-        uncov: set[int],
-        newly_covered: list[int],
-        removed_from_crit: dict[int, list[int]],
-    ) -> None:
-        uncov.update(newly_covered)
-        crit.pop(element, None)
-        for member, removed in removed_from_crit.items():
-            crit[member].update(removed)

@@ -4,20 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.core.bitset import (
-    BIT_TABLE,
-    CriticalityPlanes,
-    bits_to_indices,
     full_bits,
-    indices_to_bits,
     n_words_for_bits,
     pack_bool_rows,
     popcount,
-    set_bit,
     unpack_bits,
-    word_bits_list,
 )
 
 
@@ -29,10 +22,6 @@ class TestPrimitives:
         assert n_words_for_bits(65) == 2
         assert n_words_for_bits(128) == 2
         assert n_words_for_bits(129) == 3
-
-    def test_bit_table(self):
-        assert BIT_TABLE.dtype == np.uint64
-        assert [int(v) for v in BIT_TABLE] == [1 << b for b in range(64)]
 
     @pytest.mark.parametrize("n_bits", [0, 1, 7, 63, 64, 65, 130])
     def test_pack_unpack_roundtrip(self, n_bits):
@@ -56,104 +45,16 @@ class TestPrimitives:
         assert int(packed[0, 1]) == 1 << 0
         assert int(packed[0, 2]) == 1 << 1
 
-    @pytest.mark.parametrize("n_bits", [1, 64, 65, 129])
-    def test_indices_bits_roundtrip(self, n_bits):
-        rng = np.random.default_rng(n_bits)
-        indices = np.unique(rng.integers(0, n_bits, size=min(10, n_bits)))
-        row = indices_to_bits(indices, n_bits)
-        assert np.array_equal(bits_to_indices(row, n_bits), indices)
-        assert word_bits_list(row) == indices.tolist()
-
-    def test_indices_to_bits_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            indices_to_bits([64], 64)
-        with pytest.raises(ValueError):
-            indices_to_bits([-1], 64)
-
     @pytest.mark.parametrize("n_bits", [0, 1, 63, 64, 65, 128, 200])
     def test_full_bits(self, n_bits):
         row = full_bits(n_bits)
-        assert np.array_equal(bits_to_indices(row, max(n_bits, 1)),
-                              np.arange(n_bits))
-        # No tail bits beyond n_bits may be set.
-        assert np.array_equal(unpack_bits(row, row.size * 64)[n_bits:],
-                              np.zeros(row.size * 64 - n_bits, dtype=bool))
-
-    def test_set_bit(self):
-        row = np.zeros(2, dtype=np.uint64)
-        set_bit(row, 3)
-        set_bit(row, 64)
-        assert int(row[0]) == 8 and int(row[1]) == 1
+        assert row.shape == (n_words_for_bits(n_bits),)
+        # The first n_bits bits are set and no tail bit beyond them.
+        assert np.array_equal(unpack_bits(row, row.size * 64),
+                              np.arange(row.size * 64) < n_bits)
 
     def test_popcount_matches_python(self):
         rng = np.random.default_rng(0)
         words = rng.integers(0, 2 ** 63, size=(4, 3)).astype(np.uint64)
         expected = np.vectorize(lambda w: bin(int(w)).count("1"))(words)
         assert np.array_equal(popcount(words).astype(np.int64), expected)
-
-    def test_word_bits_list_empty(self):
-        assert word_bits_list(np.zeros(2, dtype=np.uint64)) == []
-
-
-class TestCriticalityPlanes:
-    def test_apply_reports_viability(self):
-        planes = CriticalityPlanes(n_bits=8, capacity=4)
-        viable, token0 = planes.apply(indices_to_bits([0, 1], 8), indices_to_bits([0, 1], 8))
-        assert viable  # first element: nothing to invalidate
-        # Second element covers everything the first was critical for.
-        viable, token1 = planes.apply(indices_to_bits([2], 8), indices_to_bits([0, 1, 2], 8))
-        assert not viable
-        planes.undo(token1)
-        assert bits_to_indices(planes.row(0), 8).tolist() == [0, 1]
-        planes.undo(token0)
-        assert planes.depth == 0
-
-    def test_partial_overlap_stays_viable(self):
-        planes = CriticalityPlanes(n_bits=8, capacity=4)
-        planes.apply(indices_to_bits([0, 1], 8), indices_to_bits([0, 1], 8))
-        viable, _ = planes.apply(indices_to_bits([2], 8), indices_to_bits([1, 2], 8))
-        assert viable
-        assert bits_to_indices(planes.row(0), 8).tolist() == [0]
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.data())
-    def test_apply_undo_roundtrip_matches_set_model(self, data):
-        """Packed criticality bookkeeping is exactly the dict-of-sets model.
-
-        A random interleaving of pushes and pops is mirrored against a naive
-        ``list[set[int]]`` model; after every operation the planes must hold
-        the same sets, and a final unwind must restore the empty state —
-        the round-trip property the enumerators rely on when backtracking.
-        """
-        n_bits = data.draw(st.integers(min_value=1, max_value=100))
-        planes = CriticalityPlanes(n_bits=n_bits, capacity=12)
-        model: list[set[int]] = []
-        undo_stack: list[tuple[object, list[set[int]]]] = []
-        subset = st.sets(st.integers(min_value=0, max_value=n_bits - 1), max_size=n_bits)
-        for _ in range(data.draw(st.integers(min_value=1, max_value=10))):
-            if model and data.draw(st.booleans()):
-                token, model = undo_stack.pop()
-                planes.undo(token)
-            elif len(model) < 10:
-                covers = data.draw(subset)
-                new = data.draw(subset)
-                viable, token = planes.apply(
-                    indices_to_bits(sorted(new), n_bits),
-                    indices_to_bits(sorted(covers), n_bits),
-                )
-                undo_stack.append((token, model))
-                expected_members = [member - covers for member in model]
-                assert viable == all(expected_members)
-                model = expected_members + [new]
-            # Invariant: planes rows == model sets, bit for bit.
-            assert planes.depth == len(model)
-            for depth, expected in enumerate(model):
-                assert set(bits_to_indices(planes.row(depth), n_bits).tolist()) == expected
-        while undo_stack:
-            token, model = undo_stack.pop()
-            planes.undo(token)
-            assert planes.depth == len(model)
-            for depth, expected in enumerate(model):
-                assert set(bits_to_indices(planes.row(depth), n_bits).tolist()) == expected
-        assert planes.depth == 0
-        assert planes.snapshot().shape == (0, planes.n_words)

@@ -2,13 +2,13 @@
 
 The pre-refactor enumerator papered over deep skip chains by raising
 ``sys.setrecursionlimit(50_000)`` as a module side effect.  The explicit
-stack (:meth:`ADCEnum._run_search`, :class:`MMCS`) removed both the
-mutation and the depth ceiling; this module pins that down by
+stack (:meth:`ADCEnum._run_search`) removed both the mutation and the
+depth ceiling; this module pins that down by
 
 * mining an adversarial evidence set whose skip chain descends ``n``
   frames for ``n`` beyond the default interpreter recursion limit,
 * forbidding ``sys.setrecursionlimit`` while the enumeration runs, and
-* asserting the word-native modules contain no call to it at all (only
+* asserting :mod:`repro.core.adc_enum` contains no call to it at all (only
   :mod:`tests.legacy_enum`, the frozen reference implementation,
   still carries one).
 """
@@ -18,7 +18,7 @@ from __future__ import annotations
 import inspect
 import sys
 
-from repro.core import adc_enum, hitting_set
+from repro.core import adc_enum
 from repro.core.adc_enum import ADCEnum
 from repro.core.approximation import F1
 from repro.core.evidence import EvidenceSet
@@ -73,7 +73,6 @@ class TestNoRecursionLimitMutation:
     def test_word_native_modules_never_touch_the_limit(self):
         # Prose may mention the removed mutation; an actual call may not.
         assert "setrecursionlimit(" not in inspect.getsource(adc_enum)
-        assert "setrecursionlimit(" not in inspect.getsource(hitting_set)
 
     def test_enumeration_never_calls_setrecursionlimit(self, monkeypatch):
         def forbid(limit):

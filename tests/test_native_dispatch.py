@@ -98,10 +98,11 @@ class TestResolution:
 
         class LyingKernels(NumpyKernels):
             @staticmethod
-            def intersection_counts(ev_planes, mask_words):
-                return NumpyKernels.intersection_counts(ev_planes, mask_words) + 1
+            def unique_rows(words):
+                rows, inverse, counts = NumpyKernels.unique_rows(words)
+                return rows, inverse, counts + 1
 
-        with pytest.raises(AssertionError, match="intersection_counts"):
+        with pytest.raises(AssertionError, match="unique_rows"):
             dispatch._probe_flat_kernels(LyingKernels())
 
     def test_probe_rejects_nan_as_less(self):
@@ -315,14 +316,15 @@ class TestProbeVerdict:
         from repro.native import cext
 
         class LyingKernels(cext.CKernels):
-            def intersection_counts(self, ev_planes, mask_words):
-                return super().intersection_counts(ev_planes, mask_words) + 1
+            def unique_rows(self, words):
+                rows, inverse, counts = super().unique_rows(words)
+                return rows, inverse, counts + 1
 
         monkeypatch.setattr(cext, "CKernels", LyingKernels)
         monkeypatch.delenv("REPRO_NATIVE", raising=False)
         assert dispatch._resolve() is NUMPY_BACKEND
         monkeypatch.setenv("REPRO_NATIVE", "1")
-        with pytest.raises(RuntimeError, match="intersection_counts mismatch"):
+        with pytest.raises(RuntimeError, match="unique_rows mismatch"):
             dispatch._resolve()
         assert not _verdicts(private_cache)
 
@@ -414,40 +416,6 @@ def test_bound_functions_keep_the_library_loaded(tmp_path):
 @requires_compiled
 class TestCompiledBitIdentity:
     """Every ported flat kernel, fuzzed against the numpy reference."""
-
-    @settings(max_examples=50, deadline=None)
-    @given(data=st.data())
-    def test_intersection_counts(self, data):
-        n_words = data.draw(st.integers(min_value=1, max_value=4))
-        n_cols = data.draw(st.integers(min_value=1, max_value=40))
-        seed = data.draw(st.integers(min_value=0, max_value=2**31))
-        rng = np.random.default_rng(seed)
-        ev = rng.integers(0, 2**64, size=(n_words, n_cols), dtype=np.uint64)
-        mask = rng.integers(0, 2**64, size=n_words, dtype=np.uint64)
-        kernels = _compiled_backend_or_none().kernels
-        theirs = np.asarray(kernels.intersection_counts(ev, mask), dtype=np.int64)
-        ours = np.asarray(NumpyKernels.intersection_counts(ev, mask), dtype=np.int64)
-        assert np.array_equal(theirs, ours)
-
-    @settings(max_examples=50, deadline=None)
-    @given(data=st.data())
-    def test_crit_apply_undo(self, data):
-        n_words = data.draw(st.integers(min_value=1, max_value=3))
-        depth = data.draw(st.integers(min_value=0, max_value=6))
-        seed = data.draw(st.integers(min_value=0, max_value=2**31))
-        rng = np.random.default_rng(seed)
-        rows_a = rng.integers(1, 2**64, size=(depth + 1, n_words), dtype=np.uint64)
-        rows_b = rows_a.copy()
-        new_row = rng.integers(0, 2**64, size=n_words, dtype=np.uint64)
-        covers = rng.integers(0, 2**64, size=n_words, dtype=np.uint64)
-        kernels = _compiled_backend_or_none().kernels
-        viable_a, removed_a = kernels.crit_apply(rows_a, depth, new_row, covers)
-        viable_b, removed_b = NumpyKernels.crit_apply(rows_b, depth, new_row, covers)
-        assert viable_a == viable_b
-        assert np.array_equal(rows_a, rows_b)
-        kernels.crit_undo(rows_a, depth, removed_a)
-        NumpyKernels.crit_undo(rows_b, depth, removed_b)
-        assert np.array_equal(rows_a, rows_b)
 
     @settings(max_examples=50, deadline=None)
     @given(data=st.data())
