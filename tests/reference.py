@@ -13,14 +13,20 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from repro.core.approximation import F1, F2, ApproximationFunction, F3Greedy
+from repro.core.bitset import unpack_bits
 from repro.core.dc import DenialConstraint
 from repro.core.evidence import EvidenceSet
+from repro.core.operators import Operator
 from repro.core.predicate_space import PredicateSpace, iter_bits
+from repro.core.predicates import Predicate, PredicateForm
 from repro.core.repair import ConflictGraph, build_conflict_graph
 from repro.data.datasets import DATASET_NAMES, DEFAULT_ROWS, Dataset, generate_dataset
 from repro.data.relation import Relation
 from repro.engine import PartialEvidenceSet, Tile, TileKernel, block_tiles, fold_tiles
+from repro.native.numpy_backend import DESCENDED, PRUNED
 
 
 def brute_force_minimal_adc_hitting_sets(
@@ -93,6 +99,168 @@ def brute_force_violation_count(relation, constraint: DenialConstraint) -> int:
         if all(p.evaluate(rows[i], rows[j]) for p in constraint.predicates):
             count += 1
     return count
+
+
+# ----------------------------------------------------------------------
+# Minimal hitting sets (the exact, epsilon = 0 case of ADCEnum)
+# ----------------------------------------------------------------------
+def brute_force_minimal_hitting_sets(subsets: Sequence[int], n_elements: int) -> list[int]:
+    """Exponential reference for the minimal hitting sets of a set family."""
+    subsets = list(subsets)
+    if any(subset == 0 for subset in subsets):
+        return []
+    hitting: list[int] = []
+    for candidate in range(1 << n_elements):
+        if all(candidate & subset for subset in subsets):
+            hitting.append(candidate)
+    minimal = []
+    for candidate in hitting:
+        if not any(other != candidate and other & candidate == other for other in hitting):
+            minimal.append(candidate)
+    return minimal
+
+
+def is_hitting_set(candidate: int, subsets: Iterable[int]) -> bool:
+    """Whether ``candidate`` intersects every subset."""
+    return all(candidate & subset for subset in subsets)
+
+
+def family_evidence(subsets: Sequence[int], n_elements: int) -> EvidenceSet:
+    """An evidence set whose exact minimal hitting sets are the family's.
+
+    Element ``j`` is the predicate ``t.c_j == t'.c_j`` at bit ``2j``; its
+    complement ``t.c_j != t'.c_j`` at bit ``2j + 1`` is in no evidence, so
+    it never enters a hitting set.  Each predicate is its own column's
+    group, so ADCEnum at ``epsilon = 0`` enumerates exactly the minimal
+    hitting sets of ``subsets`` (read them back with
+    :func:`family_hitting_set`).  Pair counts follow the deep-chain
+    construction: one pair per evidence, the last absorbing the remainder
+    of ``n_rows * (n_rows - 1)``.
+    """
+    predicates = []
+    for j in range(n_elements):
+        column = f"c{j}"
+        predicates.append(
+            Predicate(column, Operator.EQ, column, PredicateForm.TWO_TUPLE_SAME_COLUMN)
+        )
+        predicates.append(
+            Predicate(column, Operator.NE, column, PredicateForm.TWO_TUPLE_SAME_COLUMN)
+        )
+    masks = [sum(1 << (2 * j) for j in iter_bits(int(subset))) for subset in subsets]
+    n = len(masks)
+    if n == 0:
+        return EvidenceSet(PredicateSpace(predicates), masks=[], counts=[], n_rows=0)
+    n_rows = 2
+    while n_rows * (n_rows - 1) < n:
+        n_rows += 1
+    counts = [1] * (n - 1) + [n_rows * (n_rows - 1) - (n - 1)]
+    return EvidenceSet(PredicateSpace(predicates), masks=masks, counts=counts, n_rows=n_rows)
+
+
+def family_hitting_set(hitting_set_mask: int) -> int:
+    """The element set of a hitting set mask over :func:`family_evidence`."""
+    return sum(1 << (bit // 2) for bit in iter_bits(hitting_set_mask))
+
+
+# ----------------------------------------------------------------------
+# Criticality bookkeeping of a search workspace (UpdateCritUncov)
+# ----------------------------------------------------------------------
+def _crit_sets(workspace) -> list[set[int]]:
+    rows = workspace.crit_active_rows()
+    n_evidences = workspace.n_evidences
+    return [set(np.flatnonzero(unpack_bits(row, n_evidences)).tolist()) for row in rows]
+
+
+def criticality_walk(
+    workspace,
+    evidence: EvidenceSet,
+    rng: random.Random,
+    steps: int,
+    selection: int = 0,
+) -> list[tuple]:
+    """Drive a search workspace along a random path, checking criticality.
+
+    ``workspace`` is a fresh search workspace over ``evidence`` (from
+    ``ADCEnum._get_workspace``).  Each node is expanded once, as the search
+    does; each step then, at random, returns to the parent (``crit_pop``
+    after a hit), takes the skip branch (before the hit loop starts), or
+    tries the node's next hit-loop element (``try_hit``); finally the whole
+    path unwinds.  After every operation the packed criticality rows must
+    equal a ``list[set[int]]`` model over root evidence indices: pushing
+    element ``e`` with uncovered set ``U`` strips ``covers(e)`` from every
+    member's set, is viable when each member keeps an evidence, and only
+    then appends ``covers(e) & U``.
+
+    Returns the trace of ``(operation, status, element, child evidence
+    count, criticality rows)`` so two backends can be held to the same
+    walk bit for bit.
+    """
+    covers = [
+        {e for e, mask in enumerate(evidence.masks) if mask >> p & 1}
+        for p in range(len(evidence.space))
+    ]
+    trace: list[tuple] = []
+    model: list[set[int]] = []
+    uncovered = set(range(len(evidence)))
+
+    def record(operation, status=-1, element=-1, child=-1) -> None:
+        assert _crit_sets(workspace) == model
+        trace.append((operation, status, element, child, workspace.crit_active_rows().tolist()))
+
+    def enter(n: int, hit: bool, parent_model, parent_uncovered) -> dict:
+        # The frame keeps its parent's model, restored when it is popped.
+        depth = len(frames)
+        chosen, _, _, n_to_try = workspace.expand(depth, n, selection, 0)
+        return {
+            "n": n, "hit": hit, "model": parent_model, "uncovered": parent_uncovered,
+            "open": chosen >= 0 and n_to_try > 0, "n_to_try": n_to_try,
+            "k": None, "position": 0,
+        }
+
+    frames: list[dict] = []
+    frames.append(enter(workspace.init_root(), False, model, uncovered))
+    for _ in range(steps):
+        frame = frames[-1]
+        depth = len(frames) - 1
+        action = rng.randrange(4)
+        if frame["open"] and frame["k"] is None and action == 1:
+            child = workspace.skip_child(depth, frame["n"], rng.random() < 0.5)
+            frames.append(enter(child, False, model, uncovered))
+            record("skip", child=child)
+            continue
+        if frame["open"] and action >= 2:
+            if frame["k"] is None:
+                frame["k"] = workspace.hit_prepare(depth, frame["n"], frame["n_to_try"])
+            if frame["position"] < frame["k"]:
+                position = frame["position"]
+                frame["position"] += 1
+                status, element, child, _ = workspace.try_hit(depth, frame["n"], position)
+                reduced = [member - covers[element] for member in model]
+                viable = all(reduced)
+                assert status == (DESCENDED if viable else PRUNED)
+                if viable:
+                    frames.append(enter(child, True, model, uncovered))
+                    model = reduced + [covers[element] & uncovered]
+                    uncovered = uncovered - covers[element]
+                record("hit", status, element, child)
+                continue
+        if depth == 0:
+            if not frame["open"] or frame["k"] is not None and frame["position"] >= frame["k"]:
+                break
+            continue
+        frames.pop()
+        model, uncovered = frame["model"], frame["uncovered"]
+        if frame["hit"]:
+            workspace.crit_pop()
+        record("pop")
+    while len(frames) > 1:
+        frame = frames.pop()
+        model, uncovered = frame["model"], frame["uncovered"]
+        if frame["hit"]:
+            workspace.crit_pop()
+        record("pop")
+    assert workspace.crit_depth == 0
+    return trace
 
 
 # ----------------------------------------------------------------------

@@ -5,12 +5,14 @@ implementation kept in :mod:`tests.legacy_enum`: same masks, same order,
 same scores, same search-tree statistics.  These cross-checks are what
 licenses every representation change inside the recursion (packed
 criticality planes, incremental overlap counts, dead-evidence compaction,
-canHit subsumption by the overlap counts).
+canHit subsumption by the overlap counts).  The exact case also runs on
+arbitrary set families, the job of the MMCS enumerator ADCEnum extends.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +22,7 @@ from repro.core.adc_enum import ADCEnum
 from repro.core.approximation import F1, F1Adjusted, F2, F3Greedy
 from repro.core.evidence_builder import build_evidence_set
 from tests.legacy_enum import LegacyADCEnum
+from tests.reference import family_evidence
 from repro.core.predicate_space import build_predicate_space
 from repro.native import dispatch
 
@@ -136,3 +139,50 @@ class TestADCEnumBitIdentical:
         evidence = _evidence_for(0)
         enumerator = ADCEnum(evidence, F1(), 0.05, max_dc_size=3)
         assert _discovered(enumerator.enumerate()) == _discovered(enumerator.enumerate())
+
+
+class TestMMCSBitIdentical:
+    """The exact case on arbitrary set families.
+
+    At ``epsilon = 0`` with the minimal-intersection rule, ADCEnum does the
+    job of the MMCS enumerator of Murakami and Uno.  Set families reach
+    shapes no evidence builder produces (empty subsets, duplicates, an
+    empty family); the word-native and the pre-refactor enumerator must
+    still agree on them exactly.
+    """
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_same_masks_same_order(self, seed):
+        rng = random.Random(seed)
+        n_elements = rng.randint(1, 9)
+        subsets = [
+            rng.randint(0, (1 << n_elements) - 1) for _ in range(rng.randint(0, 10))
+        ]
+        evidence = family_evidence(subsets, n_elements)
+        new = ADCEnum(evidence, F1(), 0.0, selection="min")
+        old = LegacyADCEnum(evidence, F1(), 0.0, selection="min")
+        assert _discovered(new.enumerate()) == _discovered(old.enumerate())
+        assert _statistics_tuple(new.statistics) == _statistics_tuple(old.statistics)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        subsets=st.lists(st.integers(min_value=0, max_value=255), max_size=8),
+    )
+    def test_property_same_output_list(self, subsets):
+        evidence = family_evidence(subsets, 8)
+        new = ADCEnum(evidence, F1(), 0.0, selection="min").enumerate()
+        old = LegacyADCEnum(evidence, F1(), 0.0, selection="min").enumerate()
+        assert _discovered(new) == _discovered(old)
+
+    def test_interleaved_iterators_are_independent(self):
+        """Search state is per-call, so two suspended iterators over the
+        same ADCEnum instance must not corrupt each other."""
+        evidence = family_evidence([0b011, 0b110, 0b101], 3)
+        enumerator = ADCEnum(evidence, F1(), 0.0, selection="min")
+        expected = _discovered(enumerator.enumerate())
+        assert len(expected) == 3
+        first = enumerator.iter_adcs()
+        head = next(first)
+        second = enumerator.iter_adcs()
+        assert _discovered(second) == expected
+        assert _discovered([head, *first]) == expected

@@ -1,4 +1,12 @@
-"""Tests for the MMCS minimal hitting set enumerator."""
+"""ADCEnum in the exact case: minimal hitting sets of a set family.
+
+At ``epsilon = 0`` the approximate base case asks for no uncovered pair,
+so ADCEnum enumerates what the MMCS enumerator of Murakami and Uno
+enumerates: the minimal hitting sets of the evidence family.  These tests
+feed it arbitrary set families (:func:`tests.reference.family_evidence`),
+including shapes no evidence builder produces, and check the output
+against a brute-force oracle.
+"""
 
 from __future__ import annotations
 
@@ -7,8 +15,26 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.hitting_set import MMCS, minimal_hitting_sets
-from tests.reference import brute_force_minimal_hitting_sets, is_hitting_set
+from repro.core.adc_enum import ADCEnum
+from repro.core.approximation import F1
+from tests.reference import (
+    brute_force_minimal_hitting_sets,
+    family_evidence,
+    family_hitting_set,
+    is_hitting_set,
+)
+
+
+def _enumerator(subsets, n_elements) -> ADCEnum:
+    return ADCEnum(family_evidence(subsets, n_elements), F1(), 0.0)
+
+
+def minimal_hitting_sets(subsets, n_elements) -> list[int]:
+    """The element sets ADCEnum reports at ``epsilon = 0``, in order."""
+    return [
+        family_hitting_set(adc.hitting_set_mask)
+        for adc in _enumerator(subsets, n_elements).enumerate()
+    ]
 
 
 class TestKnownInstances:
@@ -19,14 +45,22 @@ class TestKnownInstances:
         results = set(minimal_hitting_sets([0b011, 0b100], 3))
         assert results == {0b101, 0b110}
 
-    def test_empty_family_has_empty_hitting_set(self):
-        assert minimal_hitting_sets([], 3) == [0]
+    def test_empty_family_reports_no_dc(self):
+        # The empty family's one minimal hitting set is the empty set; its
+        # DC has no predicate, and ADCEnum never reports the empty DC.
+        assert brute_force_minimal_hitting_sets([], 3) == [0]
+        assert minimal_hitting_sets([], 3) == []
 
     def test_unhittable_empty_subset(self):
         assert minimal_hitting_sets([0b0, 0b1], 2) == []
 
     def test_duplicated_subsets(self):
         assert set(minimal_hitting_sets([0b11, 0b11], 2)) == {0b01, 0b10}
+
+    def test_nested_subsets(self):
+        # {0} forces element 0, which also hits its superset {0, 1}; only
+        # {1, 2} is left to hit, by 1 or by 2.
+        assert set(minimal_hitting_sets([0b011, 0b001, 0b110], 3)) == {0b011, 0b101}
 
 
 class TestAgainstBruteForce:
@@ -60,7 +94,7 @@ class TestAgainstBruteForce:
 
 class TestStatistics:
     def test_statistics_populated(self):
-        enumerator = MMCS([0b011, 0b110], 3)
+        enumerator = _enumerator([0b011, 0b110], 3)
         results = enumerator.enumerate()
         assert enumerator.statistics.outputs == len(results)
         assert enumerator.statistics.recursive_calls >= len(results)

@@ -419,6 +419,68 @@ class TestCompiledBitIdentity:
 
     @settings(max_examples=50, deadline=None)
     @given(data=st.data())
+    def test_intersection_counts(self, data):
+        """The C driver's root overlap counts (``adc_intersection_counts``,
+        over up to four words of predicates) steer evidence selection and
+        the WillCover prune: its outputs and search-tree counters must
+        match the Python driver over the numpy arena."""
+        from repro.core.adc_enum import ADCEnum
+        from repro.core.approximation import F1
+        from tests.reference import family_evidence
+
+        n_elements = data.draw(st.integers(min_value=1, max_value=120))
+        element = st.integers(min_value=0, max_value=n_elements - 1)
+        subsets = [
+            sum(1 << j for j in members)
+            for members in data.draw(st.lists(st.lists(element, max_size=6), max_size=12))
+        ]
+        epsilon = data.draw(st.sampled_from([0.0, 0.3]))
+        selection = data.draw(st.sampled_from(["max", "min"]))
+        evidence = family_evidence(subsets, n_elements)
+
+        def run(backend):
+            with dispatch.use_backend(backend):
+                enum = ADCEnum(evidence, F1(), epsilon, selection=selection, max_dc_size=3)
+                adcs = [(adc.hitting_set_mask, adc.violation_score) for adc in enum.enumerate()]
+                statistics = enum.statistics
+                return adcs, (
+                    statistics.recursive_calls, statistics.hit_branches,
+                    statistics.skip_branches, statistics.pruned_by_willcover,
+                    statistics.pruned_by_criticality, statistics.minimality_checks,
+                )
+
+        assert run(_compiled_backend_or_none()) == run("numpy")
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        subsets=st.lists(st.integers(min_value=0, max_value=(1 << 40) - 1), max_size=70),
+        n_elements=st.integers(min_value=1, max_value=40),
+        selection=st.sampled_from([0, 1, 2]),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_crit_apply_undo(self, subsets, n_elements, selection, seed):
+        """The compiled criticality push (``adc_crit_apply`` inside
+        ``try_hit``) and pop (``adc_crit_undo``) walk the same random path
+        as the numpy workspace, bit for bit, each checked against the set
+        model of :func:`tests.reference.criticality_walk`."""
+        import random
+
+        from repro.core.adc_enum import ADCEnum
+        from repro.core.approximation import F1
+        from tests.reference import criticality_walk, family_evidence
+
+        subsets = [subset & ((1 << n_elements) - 1) for subset in subsets]
+        evidence = family_evidence(subsets, n_elements)
+
+        def walk(backend):
+            with dispatch.use_backend(backend):
+                workspace = ADCEnum(evidence, F1(), 0.0)._get_workspace()
+            return criticality_walk(workspace, evidence, random.Random(seed), 40, selection)
+
+        assert walk(_compiled_backend_or_none()) == walk("numpy")
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
     def test_tile_plane(self, data):
         """Tiles, 1-tall and 1-wide strips of up to 600 rows (crossing the
         kernel's 256-pair blocks), NaN in numeric planes (a NaN difference
