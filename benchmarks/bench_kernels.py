@@ -1,8 +1,9 @@
 """Native kernel layer — the compiled C backend vs the numpy reference.
 
 Not a paper figure: this benchmark tracks the compiled C kernels
-(:mod:`repro.native.cext`) against the pure-numpy reference backend they
-are dispatched over.  Six measurement families:
+(:mod:`repro.native.cext`), the library's one backend, against their
+pure-numpy reference, a test oracle kept in ``tests/numpy_backend.py``.
+Six measurement families:
 
 * **micro-kernels** — the tile pass on the tax relation's planes (a
   square tile of edge 256 and both one-row strip shapes) and
@@ -31,17 +32,17 @@ are dispatched over.  Six measurement families:
   = 0.5`` on take;
 * **backend resolution** — the first ``get_backend()`` of a fresh
   interpreter (imports excluded), median over :data:`RESOLUTION_RUNS`
-  processes each with a cold probe verdict (the process probes the
-  library and caches the verdict) and a warm one (the process finds the
-  verdict and skips the probe).  Every server start, recovery and miner
-  process pays this once.
+  processes each with a cold verdict (the process runs the golden
+  self-check on the library and caches the verdict) and a warm one (the
+  process finds the verdict and skips the check).  Every server start,
+  recovery and miner process pays this once.
 
 The acceptance bars of the native layer are enforced with
 ``--require-speedup``: enumeration nodes/second >= 3x and Python-driver
 enumeration >= 2x (median paired ratios), evidence build >= 2x (best of
 :data:`REPEATS`) over the numpy backend.  The Python-driver bar is lower
-because that search still scores f1' in Python at every node.  Without a C compiler on the host the script reports numpy-only
-numbers (and fails only under the gate).
+because that search still scores f1' in Python at every node.  The
+library requires a C compiler, and so does this script.
 
 Run standalone::
 
@@ -73,8 +74,13 @@ from repro.data.datasets import generate_dataset
 from repro.engine.kernel import TileKernel
 from repro.engine.scheduler import block_tiles, choose_tile_rows
 import repro
-from repro.native import NumpyKernels, dispatch
+from repro.native import dispatch
 from repro.native.build import build_library
+
+# The numpy reference is a test oracle, kept under tests/.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
+from tests.numpy_backend import NUMPY_BACKEND, NumpyKernels
 
 #: Rows of the benchmark relation (Figure-6-style tax workload).
 BENCH_ROWS = 400
@@ -123,19 +129,6 @@ FOLD_CASES = (
 )
 
 
-def _compiled_backend():
-    """The C backend of this host, or ``None`` when it does not build.
-
-    Resolved explicitly (not through the environment) so the benchmark can
-    compare both backends regardless of what ``REPRO_NATIVE`` selects for
-    the process default.
-    """
-    try:
-        return dispatch.resolve_backend("cext")
-    except RuntimeError:
-        return None
-
-
 def _best_seconds(fn, repeats: int = REPEATS, inner: int = 1) -> float:
     """Best per-call wall time of ``fn`` over ``repeats`` x ``inner`` runs."""
     best = float("inf")
@@ -177,23 +170,21 @@ def _micro_rows(compiled, packed) -> list[dict[str, object]]:
     for name, call, pairs in cases:
         reference = call(numpy_kernels)
         numpy_seconds = _best_seconds(lambda: call(numpy_kernels), inner=5)
-        row: dict[str, object] = {
+        native = call(compiled.kernels)
+        if isinstance(reference, tuple):
+            assert all(np.array_equal(x, y) for x, y in zip(native, reference)), name
+        else:
+            assert np.array_equal(np.asarray(native), np.asarray(reference)), name
+        native_seconds = _best_seconds(lambda: call(compiled.kernels), inner=5)
+        rows.append({
             "kernel": name,
             "numpy_seconds": numpy_seconds,
             "pairs": pairs,
             "numpy_ns_per_pair": numpy_seconds * 1e9 / pairs,
-        }
-        if compiled is not None:
-            native = call(compiled.kernels)
-            if isinstance(reference, tuple):
-                assert all(np.array_equal(x, y) for x, y in zip(native, reference)), name
-            else:
-                assert np.array_equal(np.asarray(native), np.asarray(reference)), name
-            native_seconds = _best_seconds(lambda: call(compiled.kernels), inner=5)
-            row["native_seconds"] = native_seconds
-            row["speedup"] = numpy_seconds / native_seconds if native_seconds else 0.0
-            row["native_ns_per_pair"] = native_seconds * 1e9 / pairs
-        rows.append(row)
+            "native_seconds": native_seconds,
+            "speedup": numpy_seconds / native_seconds if native_seconds else 0.0,
+            "native_ns_per_pair": native_seconds * 1e9 / pairs,
+        })
     return rows
 
 
@@ -222,7 +213,13 @@ def _fold_rows(compiled) -> list[dict[str, object]]:
         started = time.perf_counter()
         reference = fold(NumpyKernels)
         numpy_seconds = time.perf_counter() - started
-        row: dict[str, object] = {
+        native = fold(compiled.kernels)
+        assert all(
+            (x is None and y is None) or np.array_equal(x, y)
+            for x, y in zip(native, reference)
+        ), label
+        native_seconds = _best_seconds(lambda: fold(compiled.kernels))
+        rows.append({
             "kernel": f"fold_tiles {label}",
             "rows": sample.n_rows,
             "tiles": len(tiles),
@@ -231,19 +228,11 @@ def _fold_rows(compiled) -> list[dict[str, object]]:
             "n_evidences": len(reference[0]),
             "numpy_seconds": numpy_seconds,
             "numpy_ns_per_pair": numpy_seconds * 1e9 / pairs,
-        }
-        if compiled is not None:
-            native = fold(compiled.kernels)
-            assert all(
-                (x is None and y is None) or np.array_equal(x, y)
-                for x, y in zip(native, reference)
-            ), label
-            native_seconds = _best_seconds(lambda: fold(compiled.kernels))
-            row["native_seconds"] = native_seconds
-            row["native_ns_per_pair"] = native_seconds * 1e9 / pairs
-            row["speedup"] = numpy_seconds / native_seconds if native_seconds else 0.0
-            row["bit_identical"] = True
-        rows.append(row)
+            "native_seconds": native_seconds,
+            "native_ns_per_pair": native_seconds * 1e9 / pairs,
+            "speedup": numpy_seconds / native_seconds if native_seconds else 0.0,
+            "bit_identical": True,
+        })
     return rows
 
 
@@ -254,21 +243,19 @@ def _build_row(compiled, relation, space) -> dict[str, object]:
         with dispatch.use_backend(backend):
             return build_evidence_set_tiled(relation, space)
 
-    reference = build("numpy")
-    numpy_seconds = _best_seconds(lambda: build("numpy"))
-    row: dict[str, object] = {
+    reference = build(NUMPY_BACKEND)
+    numpy_seconds = _best_seconds(lambda: build(NUMPY_BACKEND))
+    native = build(compiled)
+    assert np.array_equal(native.words, reference.words)
+    assert np.array_equal(native.counts, reference.counts)
+    native_seconds = _best_seconds(lambda: build(compiled))
+    return {
         "n_evidences": len(reference),
         "numpy_seconds": numpy_seconds,
+        "native_seconds": native_seconds,
+        "speedup": numpy_seconds / native_seconds if native_seconds else 0.0,
+        "bit_identical": True,
     }
-    if compiled is not None:
-        native = build(compiled)
-        assert np.array_equal(native.words, reference.words)
-        assert np.array_equal(native.counts, reference.counts)
-        native_seconds = _best_seconds(lambda: build(compiled))
-        row["native_seconds"] = native_seconds
-        row["speedup"] = numpy_seconds / native_seconds if native_seconds else 0.0
-        row["bit_identical"] = True
-    return row
 
 
 def _enum_row(compiled, evidence, function, epsilon) -> dict[str, object]:
@@ -296,17 +283,16 @@ def _enum_row(compiled, evidence, function, epsilon) -> dict[str, object]:
 
     numpy_times, native_times, ratios = [], [], []
     for _ in range(ENUM_PAIRS):
-        numpy_seconds, numpy_stats, numpy_adcs = run("numpy")
+        numpy_seconds, numpy_stats, numpy_adcs = run(NUMPY_BACKEND)
         numpy_times.append(numpy_seconds)
-        if compiled is None:
-            continue
         native_seconds, native_stats, native_adcs = run(compiled)
         assert identity(native_stats, native_adcs) == identity(numpy_stats, numpy_adcs)
         native_times.append(native_seconds)
         ratios.append(numpy_seconds / native_seconds)
     nodes = numpy_stats.recursive_calls
     numpy_seconds = statistics.median(numpy_times)
-    row: dict[str, object] = {
+    native_seconds = statistics.median(native_times)
+    return {
         "function": function.name,
         "epsilon": epsilon,
         "max_dc_size": MAX_DC_SIZE,
@@ -315,15 +301,12 @@ def _enum_row(compiled, evidence, function, epsilon) -> dict[str, object]:
         "pairs": ENUM_PAIRS,
         "numpy_seconds": numpy_seconds,
         "numpy_nodes_per_second": nodes / numpy_seconds,
+        "native_seconds": native_seconds,
+        "native_nodes_per_second": nodes / native_seconds,
+        "paired_speedups": ratios,
+        "speedup": statistics.median(ratios),
+        "bit_identical": True,
     }
-    if compiled is not None:
-        native_seconds = statistics.median(native_times)
-        row["native_seconds"] = native_seconds
-        row["native_nodes_per_second"] = nodes / native_seconds
-        row["paired_speedups"] = ratios
-        row["speedup"] = statistics.median(ratios)
-        row["bit_identical"] = True
-    return row
 
 
 def _resolution_row() -> dict[str, object]:
@@ -332,15 +315,15 @@ def _resolution_row() -> dict[str, object]:
     The processes share a private kernel cache holding a copy of the built
     library, so none of them compiles.  Before each cold process the cache's
     verdicts are deleted; the warm process after it finds the verdict the
-    cold one left.  Both run with ``REPRO_NATIVE=1``, so a library that
-    fails the probe fails the row rather than timing the numpy fallback.
+    cold one left.  A library that fails its self-check raises, failing the
+    row.
     """
     times: dict[str, list[float]] = {"cold": [], "warm": []}
     with tempfile.TemporaryDirectory() as cache:
         library = build_library()
         shutil.copyfile(library, Path(cache) / library.name)
         env = {
-            **os.environ, "REPRO_NATIVE": "1", "REPRO_NATIVE_CACHE": cache,
+            **os.environ, "REPRO_NATIVE_CACHE": cache,
             "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1]),
         }
         for _ in range(RESOLUTION_RUNS):
@@ -364,7 +347,7 @@ def _resolution_row() -> dict[str, object]:
 
 
 def run_kernel_comparison(n_rows: int = BENCH_ROWS) -> dict[str, object]:
-    compiled = _compiled_backend()
+    compiled = dispatch.get_backend()
     relation = generate_dataset("tax", n_rows=n_rows, seed=7).relation
     space = build_predicate_space(relation)
     # Warm the factorization caches and the packed tile kernel once so
@@ -375,7 +358,7 @@ def run_kernel_comparison(n_rows: int = BENCH_ROWS) -> dict[str, object]:
     return {
         "benchmark": "kernels",
         "n_rows": n_rows,
-        "compiled_backend": compiled.name if compiled is not None else None,
+        "compiled_backend": compiled.name,
         "expected_enum_speedup": EXPECTED_ENUM_SPEEDUP,
         "expected_py_driver_speedup": EXPECTED_PY_DRIVER_SPEEDUP,
         "expected_build_speedup": EXPECTED_BUILD_SPEEDUP,
@@ -386,7 +369,7 @@ def run_kernel_comparison(n_rows: int = BENCH_ROWS) -> dict[str, object]:
         "enumeration_python_driver": _enum_row(
             compiled, evidence, F1Adjusted(PY_DRIVER_CONFIDENCE_Z), PY_DRIVER_EPSILON
         ),
-        "backend_resolution": _resolution_row() if compiled is not None else None,
+        "backend_resolution": _resolution_row(),
     }
 
 
@@ -406,44 +389,30 @@ def main() -> int:
     compiled_name = results["compiled_backend"]
 
     print(f"Native kernel layer on tax x {args.rows} rows "
-          f"(compiled backend: {compiled_name or 'none'}; kernels and build "
+          f"(compiled backend: {compiled_name}; kernels and build "
           f"best of {REPEATS}, enumeration median of {ENUM_PAIRS} pairs):")
     header = (f"{'kernel':>38} {'numpy s':>10} {'native s':>10} {'speedup':>8} "
               f"{'ns/pair':>8} {'numpy ns/pair':>14}")
     print(header)
     print("-" * len(header))
     for row in results["micro"] + results["fold"]:
-        native = row.get("native_seconds")
-        native_text = f"{native:.6f}" if native is not None else "-"
-        speedup = row.get("speedup")
-        speedup_text = f"{speedup:.2f}x" if speedup is not None else "-"
-        per_pair = row.get("native_ns_per_pair")
-        per_pair_text = f"{per_pair:.1f}" if per_pair is not None else "-"
-        numpy_per_pair = row.get("numpy_ns_per_pair")
-        numpy_per_pair_text = f"{numpy_per_pair:.1f}" if numpy_per_pair is not None else "-"
         print(f"{row['kernel']:>38} {row['numpy_seconds']:>10.6f} "
-              f"{native_text:>10} {speedup_text:>8} {per_pair_text:>8} "
-              f"{numpy_per_pair_text:>14}")
+              f"{row['native_seconds']:>10.6f} {row['speedup']:>7.2f}x "
+              f"{row['native_ns_per_pair']:>8.1f} {row['numpy_ns_per_pair']:>14.1f}")
     build = results["evidence_build"]
     enum = results["enumeration"]
     py_driver = results["enumeration_python_driver"]
     for label, row in (("evidence build", build), ("enumeration", enum),
                        ("Python-driver enum", py_driver)):
-        native = row.get("native_seconds")
-        native_text = f"{native:.3f}" if native is not None else "-"
-        speedup = row.get("speedup")
-        speedup_text = f"{speedup:.2f}x" if speedup is not None else "-"
         print(f"{label:>38} {row['numpy_seconds']:>10.3f} "
-              f"{native_text:>10} {speedup_text:>8}")
-    if "native_nodes_per_second" in enum:
-        print(f"\nnodes/second: {enum['numpy_nodes_per_second']:,.0f} (numpy) "
-              f"-> {enum['native_nodes_per_second']:,.0f} ({compiled_name})")
+              f"{row['native_seconds']:>10.3f} {row['speedup']:>7.2f}x")
+    print(f"\nnodes/second: {enum['numpy_nodes_per_second']:,.0f} (numpy) "
+          f"-> {enum['native_nodes_per_second']:,.0f} ({compiled_name})")
     resolution = results["backend_resolution"]
-    if resolution is not None:
-        print(f"backend resolution (first get_backend(), median of "
-              f"{resolution['runs']} fresh processes): "
-              f"{resolution['cold_seconds'] * 1e3:.1f} ms with a cold verdict, "
-              f"{resolution['warm_seconds'] * 1e3:.1f} ms with a warm one")
+    print(f"backend resolution (first get_backend(), median of "
+          f"{resolution['runs']} fresh processes): "
+          f"{resolution['cold_seconds'] * 1e3:.1f} ms with a cold verdict, "
+          f"{resolution['warm_seconds'] * 1e3:.1f} ms with a warm one")
 
     # Write the artifact before evaluating the gates: when a gate fails,
     # the per-kernel timings are exactly the data needed to diagnose it.
@@ -453,24 +422,19 @@ def main() -> int:
         print(f"wrote {args.json}")
 
     failures = []
-    if compiled_name is None:
-        failures.append("no compiled backend available on this host")
-    else:
-        if enum["speedup"] < EXPECTED_ENUM_SPEEDUP:
-            failures.append(
-                f"enumeration speedup {enum['speedup']:.2f}x < "
-                f"{EXPECTED_ENUM_SPEEDUP}x"
-            )
-        if py_driver["speedup"] < EXPECTED_PY_DRIVER_SPEEDUP:
-            failures.append(
-                f"Python-driver enumeration speedup {py_driver['speedup']:.2f}x "
-                f"< {EXPECTED_PY_DRIVER_SPEEDUP}x"
-            )
-        if build["speedup"] < EXPECTED_BUILD_SPEEDUP:
-            failures.append(
-                f"evidence build speedup {build['speedup']:.2f}x < "
-                f"{EXPECTED_BUILD_SPEEDUP}x"
-            )
+    if enum["speedup"] < EXPECTED_ENUM_SPEEDUP:
+        failures.append(
+            f"enumeration speedup {enum['speedup']:.2f}x < {EXPECTED_ENUM_SPEEDUP}x"
+        )
+    if py_driver["speedup"] < EXPECTED_PY_DRIVER_SPEEDUP:
+        failures.append(
+            f"Python-driver enumeration speedup {py_driver['speedup']:.2f}x "
+            f"< {EXPECTED_PY_DRIVER_SPEEDUP}x"
+        )
+    if build["speedup"] < EXPECTED_BUILD_SPEEDUP:
+        failures.append(
+            f"evidence build speedup {build['speedup']:.2f}x < {EXPECTED_BUILD_SPEEDUP}x"
+        )
     for message in failures:
         stream = sys.stderr if args.require_speedup else sys.stdout
         prefix = "ERROR" if args.require_speedup else "WARNING"

@@ -24,9 +24,10 @@ The search is **word-native and stack-explicit**: no Python-int bitmask is
 touched inside the hot loop, and no Python recursion happens at all.  All
 per-node state — the transposed evidence plane, candidate planes, overlap
 counters, criticality bookkeeping — lives in a per-depth arena
-(:class:`repro.native.NumpySearchWorkspace` and its compiled twin) owned by
-the dispatched kernel backend (:mod:`repro.native.dispatch`), so a search
-node is a handful of fused kernel calls writing into preallocated buffers.
+(:class:`repro.native.arena.SearchArena`, extended by the compiled
+workspace) owned by the kernel backend (:mod:`repro.native.dispatch`), so
+a search node is a handful of fused kernel calls writing into
+preallocated buffers.
 The frame stack removes the old ``sys.setrecursionlimit`` mutation and the
 recursion-depth ceiling on deep skip chains: depth is bounded only by the
 number of predicates.  Chosen evidences are read directly from the packed
@@ -37,13 +38,14 @@ consulted.
 
 * the **C driver** (:meth:`ADCEnum._run_native`) runs the whole search in
   one native call (resumed only to hand over outputs and to call the
-  progress hook).  It runs when the compiled backend is active and the
-  function is pair-determined with an integer pass bound
+  progress hook).  It runs when the function is pair-determined with an
+  integer pass bound
   (:meth:`~repro.core.approximation.ApproximationFunction.pair_bound`): f1
   always, and f1' below ``epsilon = 0.5``;
 * the **Python driver** (:meth:`ADCEnum._run_search`) runs everything else
-  — f2, f3, f1' from ``epsilon = 0.5`` on, and every search under the numpy
-  backend — and is the oracle the C driver is tested and probed against.
+  — f2, f3, f1' from ``epsilon = 0.5`` on, and every search over the numpy
+  reference workspace of ``tests/`` — and is the oracle the C driver is
+  tested against.
 
 The C driver decides every pass test by comparing the maintained pair count
 with that integer bound, so none of its decisions depends on how a compiler
@@ -52,7 +54,8 @@ fraction in floats, so the tests that hold the two drivers to the same
 output also check the bound against the score it stands for.
 ``benchmarks/bench_enum_core.py`` tracks the node rate against the
 pre-refactor core kept as a test oracle under ``tests/``, and
-``benchmarks/bench_kernels.py`` the compiled-vs-numpy backend ratio.
+``benchmarks/bench_kernels.py`` the compiled kernels against their numpy
+reference.
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ from repro.core.dc import DenialConstraint
 from repro.core.evidence import EvidenceSet, masks_to_words
 from repro.core.predicate_space import iter_bits
 from repro.native import dispatch as native_dispatch
-from repro.native.numpy_backend import DESCENDED, selection_code
+from repro.native.arena import DESCENDED, selection_code
 
 SelectionStrategy = Literal["max", "min", "random"]
 
@@ -251,7 +254,7 @@ class ADCEnum:
     def _get_workspace(self):
         backend = native_dispatch.get_backend()
         if self._workspace is None or self._workspace_backend is not backend:
-            self._workspace = backend.make_search_workspace(
+            self._workspace = backend.workspace_factory(
                 ev_planes=self._ev_planes,
                 counts=self._counts,
                 contains_ev_words=self._contains_ev_words,
@@ -397,9 +400,10 @@ class ADCEnum:
         child frame per hit and resuming through ``returning``).
 
         This driver runs f2, f3, f1' from ``epsilon = 0.5`` on, and every
-        search under the numpy backend; the compiled backend runs the other
-        pair-determined searches in :meth:`_run_native`, which walks this
-        same stack in C and is tested against this driver.
+        search over a workspace without a native driver (the numpy
+        reference of the tests); the other pair-determined searches run in
+        :meth:`_run_native`, which walks this same stack in C and is tested
+        against this driver.
         """
         statistics = self.statistics
         total = self._total_pairs
@@ -572,8 +576,7 @@ class ADCEnum:
     def _run_native(self, workspace) -> None:
         """The C driver: :meth:`_run_search`'s frame stack in one native call.
 
-        Runs for pair-determined functions with an integer pass bound on
-        the compiled backend.  The compiled search walks the same stack with
+        Runs for pair-determined functions with an integer pass bound.  The compiled search walks the same stack with
         the same kernels and counters; it hands back its outputs (hitting
         set and uncovered pair count) in batches and pauses for the
         progress hook, so the emission, the deduplication and the hook run

@@ -90,10 +90,11 @@ def unique_word_rows(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
 
     Rows are returned in the canonical lexicographic order of
     :func:`lexsort_word_rows` (not ``np.unique``'s byte order, which would
-    depend on the platform's endianness).  Dispatched to the active kernel
-    backend: the compiled backends replace the sort-based ``np.unique``
-    reference with a hash pass over the rows.  (Tile folds dedup inside
-    the backend's ``fold_tiles``; this serves the dense builder.)
+    depend on the platform's endianness).  Dispatched to the kernel
+    backend, whose compiled dedup is a hash pass over the rows; it takes
+    at most :data:`repro.native.cext.MAX_DEDUP_ROWS` rows.  (Tile folds
+    dedup inside the backend's ``fold_tiles``; this serves the dense and
+    pairwise builders.)
     """
     return native_dispatch.get_backend().kernels.unique_rows(words)
 

@@ -11,10 +11,9 @@ round-trip anywhere):
   :class:`~repro.engine.partial.PartialEvidenceSet`.  Beyond its distinct
   evidences, the compiled fold holds one uint32 evidence id per pair of
   its largest tile (when it counts participation) plus fixed per-block
-  scratch; the numpy reference fold holds ``O(n_words * tile_rows^2)``
-  word planes per tile.  Neither allocates the dense builder's
-  ``O(n_words * n^2)``.  The tile edge follows the word width when not
-  given (:func:`repro.engine.scheduler.choose_tile_rows`).
+  scratch, never the dense builder's ``O(n_words * n^2)``.  The tile edge
+  follows the word width when not given
+  (:func:`repro.engine.scheduler.choose_tile_rows`).
 * :func:`build_evidence_set_dense` — the original dense builder
   materialising full ``n x n`` category matrices and word planes.  Retained
   behind a flag as a correctness oracle and for benchmarking.

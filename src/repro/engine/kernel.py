@@ -28,7 +28,9 @@ call and absorbs its result into a
 fold's distinct evidences, not one per tile.  Because the merge is
 associative and commutative and finalization orders evidences
 canonically, every split of a schedule finalizes bit-identically to one
-fold of the whole schedule.
+fold of the whole schedule.  That is what lets :func:`fold_tiles` cut a
+sequence past the kernel's uint32 row ids
+(:data:`repro.native.cext.MAX_DEDUP_ROWS` cells) into runs below it.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from repro.core.operators import (
 from repro.core.predicates import PredicateForm
 from repro.engine.partial import PartialEvidenceSet, check_row_count
 from repro.engine.scheduler import Shard
-from repro.native import dispatch as native_dispatch
+from repro.native import cext, dispatch as native_dispatch
 from repro.obs import metrics as obs_metrics
 
 if TYPE_CHECKING:
@@ -286,7 +288,10 @@ class TileKernel:
 
         Diagonal pairs are skipped.  The whole list goes to the backend's
         ``fold_tiles`` in one call, so the cost of a fold follows its pairs,
-        not its tile count.
+        not its tile count.  The compiled fold raises :class:`ValueError`
+        for a list of more than :data:`~repro.native.cext.MAX_DEDUP_ROWS`
+        cells (diagonal included); :func:`fold_tiles` cuts its runs below
+        that.
         """
         bounds = np.array(
             [(tile.i0, tile.i1, tile.j0, tile.j1) for tile in tiles.tiles], dtype=np.int64
@@ -299,7 +304,9 @@ class TileKernel:
 
 
 def fold_tiles(kernel: TileKernel, tiles: tuple["Tile", ...]) -> PartialEvidenceSet:
-    """Fold a tile sequence into one partial, with one kernel call."""
+    """Fold a tile sequence into one partial, with one kernel call per run
+    of at most :data:`~repro.native.cext.MAX_DEDUP_ROWS` cells (one call
+    for any schedule below 2^32 pairs)."""
     partial = PartialEvidenceSet(
         kernel.n_rows, kernel.n_words, kernel.include_participation
     )
@@ -308,10 +315,26 @@ def fold_tiles(kernel: TileKernel, tiles: tuple["Tile", ...]) -> PartialEvidence
     if not batch.tiles:
         return partial
     fold_start = time.perf_counter()
-    folded = kernel.run(batch)
+    for run in _runs(batch.tiles, cext.MAX_DEDUP_ROWS):
+        folded = kernel.run(Shard(run))
+        if folded is not None:
+            partial.add_tile(folded)
     obs_metrics.EVIDENCE_TILE_SECONDS.observe(time.perf_counter() - fold_start)
     obs_metrics.EVIDENCE_TILES.inc(len(batch))
     obs_metrics.EVIDENCE_PAIRS.inc(batch.n_pairs)
-    if folded is not None:
-        partial.add_tile(folded)
     return partial
+
+
+def _runs(tiles: tuple["Tile", ...], limit: int) -> list[tuple["Tile", ...]]:
+    """Cut ``tiles`` in order into runs of at most ``limit`` cells each
+    (a tile larger than ``limit`` is a run of its own)."""
+    runs: list[tuple["Tile", ...]] = []
+    start, cells = 0, 0
+    for index, tile in enumerate(tiles):
+        area = (tile.i1 - tile.i0) * (tile.j1 - tile.j0)
+        if cells + area > limit and index > start:
+            runs.append(tiles[start:index])
+            start, cells = index, 0
+        cells += area
+    runs.append(tiles[start:])
+    return runs

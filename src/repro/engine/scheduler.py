@@ -18,8 +18,7 @@ from dataclasses import dataclass
 _MEMORY_BUDGET_BYTES = 64 * 2**20
 
 #: Smallest tile edge the adaptive selection will pick.  Below this the
-#: per-tile overhead (a fold's per-line passes, the numpy fold's per-tile
-#: steps) dominates.
+#: per-tile overhead (a fold's per-line passes) dominates.
 MIN_TILE_ROWS = 16
 
 #: Largest tile edge the adaptive selection will pick.  Beyond this the
@@ -27,19 +26,21 @@ MIN_TILE_ROWS = 16
 #: when the memory budget would allow a bigger tile.
 MAX_TILE_ROWS = 256
 
-#: Transient bytes per ordered pair of the numpy reference fold: its uint64
-#: word plane, the flattened dedup copy and the row-dedup's sort scratch are
-#: each ``8 * n_words`` bytes per pair.  The compiled fold holds far less:
-#: one uint32 evidence id per pair of its largest tile (when it counts
-#: participation) plus fixed per-block scratch.
+#: Word planes per ordered pair the edge is sized for: a fold that
+#: materializes a tile's evidence words holds the uint64 plane, a dedup
+#: copy and the sort scratch, each ``8 * n_words`` bytes per pair.  The
+#: compiled fold holds far less (one uint32 evidence id per pair of its
+#: largest tile, plus fixed per-block scratch), so for it the budget is a
+#: loose bound; the edge is kept as it is so that every tile schedule, and
+#: the delta tiles cut to the same ``edge²`` pair budget, stays unchanged.
 _KERNEL_PLANES = 3
 
 
 def choose_tile_rows(n_rows: int, n_words: int) -> int:
-    """Pick a tile edge so one numpy tile fold fits the memory budget.
+    """Pick a tile edge so a tile's word planes fit the memory budget.
 
-    A tile of edge ``t`` makes the numpy fold allocate about
-    ``3 * 8 * n_words * t^2`` transient bytes, so the budgeted edge is
+    A tile of edge ``t`` holds ``3 * 8 * n_words * t^2`` bytes of word
+    planes (:data:`_KERNEL_PLANES`), so the budgeted edge is
     ``sqrt(budget / (24 * n_words))`` for the 64 MiB budget, clamped to
     ``[MIN_TILE_ROWS, MAX_TILE_ROWS]`` and to the relation size (a tile
     larger than the relation degenerates to the dense builder).

@@ -7,18 +7,18 @@ wheel.  The shared object is cached under ``~/.cache/repro-native/`` (or
 command, so a source edit or flag change triggers exactly one rebuild and
 every later import is a single ``dlopen``.
 
-Beside each library the cache keeps the dispatch probe's verdict on it: an
-empty file named by :func:`verdict_path`, a hash of the library's bytes, the
-Python the probe runs through, the numpy and Python versions, and the
-machine and CPU.  The probe therefore runs once per built library on one
+Beside each library the cache keeps the self-check's verdict on it: an
+empty file named by :func:`verdict_path`, a hash of the library's bytes,
+the Python the check runs through, the numpy and Python versions, and the
+machine and CPU.  The check therefore runs once per built library on one
 host and installation, not once per process; deleting the cache directory
-forces a new build and a new probe.
+forces a new build and a new check.
 
-Compilation failures never raise out of :func:`build_library`: the dispatch
-layer treats ``None`` as "this backend is unavailable" and falls back to the
-pure-numpy kernels (or raises, if ``REPRO_NATIVE`` explicitly demanded the
-compiled backend).  A cache directory that cannot be created does raise
-(:class:`OSError`), and the dispatch layer treats that the same way.
+Compilation failures never raise out of :func:`build_library`: it returns
+``None``, and the dispatch layer raises a :class:`RuntimeError` saying
+that no compiler could build the library.  A cache directory that cannot
+be created does raise (:class:`OSError`), and the dispatch layer wraps
+that in the same :class:`RuntimeError`, naming the path.
 """
 
 from __future__ import annotations
@@ -131,13 +131,13 @@ def _cpu_identity() -> bytes:
 
 
 def verdict_path(library: Path, sources: Iterable[Path]) -> Path | None:
-    """Where the dispatch probe's verdict on ``library`` is cached.
+    """Where the self-check's verdict on ``library`` is cached.
 
     The name is a sha256 over the library's bytes (not its name: a library
-    swapped in under the same name gets its own probe), each of ``sources``
-    (the Python the probe runs through), the numpy and Python versions, the
+    swapped in under the same name gets its own check), each of ``sources``
+    (the Python the check runs through), the numpy and Python versions, the
     machine and the CPU model and flags.  ``None`` when a library or source
-    file cannot be read: then no verdict is kept and every process probes.
+    file cannot be read: then no verdict is kept and every process checks.
     """
     digest = hashlib.sha256()
     try:
@@ -152,11 +152,11 @@ def verdict_path(library: Path, sources: Iterable[Path]) -> Path | None:
 
 
 def publish_verdict(path: Path) -> None:
-    """Record that the library keyed by ``path`` passed the probe.
+    """Record that the library keyed by ``path`` passed the self-check.
 
     The marker is empty, so creating it is the whole publication: no
     process can see a partial one.  A marker that cannot be written is not
-    an error; the next process probes again.
+    an error; the next process checks again.
     """
     try:
         os.close(os.open(path, os.O_CREAT | os.O_WRONLY, 0o644))

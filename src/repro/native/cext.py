@@ -1,4 +1,4 @@
-"""C-extension backend: the compiled kernels behind integer-address ctypes calls.
+"""The compiled kernels behind integer-address ctypes calls.
 
 The shared object built by :mod:`repro.native.build` is bound through
 ctypes from one signature table, :data:`_SIGNATURES`.  All kernel entry
@@ -11,7 +11,10 @@ per-node call passes cached integers and scalars only.
 :meth:`CKernels.fold_tiles` folds a whole tile list in one call
 (``adc_fold_tiles``).  The kernel learns its output size only at the end,
 so it asks for the output through a ctypes callback that allocates one
-numpy buffer: no output is over-allocated, and none is owned by C.
+numpy buffer: no output is over-allocated, and none is owned by C.  The
+fold and the row dedup number rows with uint32 ids, so each refuses an
+input past :data:`MAX_DEDUP_ROWS` rows; :func:`repro.engine.kernel.
+fold_tiles` cuts longer tile lists into runs below the limit.
 
 The search workspace has two compiled paths:
 
@@ -20,11 +23,14 @@ The search workspace has two compiled paths:
   pass bound.  The C search state (frames, per-depth slots, criticality
   planes) lives in the workspace between calls and is freed with it.
 * For the Python driver (f2, f3, f1' from ``epsilon = 0.5`` on), the
-  workspace subclasses the numpy reference
-  (:class:`repro.native.numpy_backend.NumpySearchWorkspace`) for slot
-  management, views and the cold root setup, overriding just the four
-  per-node operations with single C calls — the same kernels the C driver
-  composes.
+  workspace extends the arena (:class:`repro.native.arena.SearchArena`:
+  slot management, views and the cold root setup) with the four per-node
+  operations and the criticality pop, each a single C call — the same
+  kernels the C driver composes.
+
+The numpy reference these kernels are tested against lives with the
+tests (``tests/numpy_backend.py``); the library checks a new build against
+golden digests instead (:mod:`repro.native.selfcheck`).
 """
 
 from __future__ import annotations
@@ -36,8 +42,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.native import numpy_backend
-from repro.native.numpy_backend import DESCENDED, NumpySearchWorkspace
+from repro.native.arena import DESCENDED, SearchArena
 
 NAME = "cext"
 
@@ -93,8 +98,7 @@ def load_functions(library_path: Path) -> dict:
 
 #: Most rows ``adc_unique_rows`` takes, and most pairs (diagonal cells
 #: included) ``adc_fold_tiles`` takes: both number rows with uint32 ids.
-#: Larger inputs take the numpy reference path.
-_MAX_DEDUP_ROWS = 2**32 - 2
+MAX_DEDUP_ROWS = 2**32 - 2
 
 #: The output allocator ``adc_fold_tiles`` calls back into: bytes in, the
 #: address of a fresh buffer (or 0) out.
@@ -116,8 +120,6 @@ def _addr(array: np.ndarray) -> int:
 # ---------------------------------------------------------------------------
 class CKernels:
     """Numpy-signature wrappers over the compiled flat kernels."""
-
-    name = NAME
 
     def __init__(self, functions: dict) -> None:
         self._fn = functions
@@ -162,9 +164,9 @@ class CKernels:
             raise ValueError("tile bounds reach outside the kernel's rows")
         heights = np.maximum(bounds[:, 1] - bounds[:, 0], 0)
         widths = np.maximum(bounds[:, 3] - bounds[:, 2], 0)
-        if int((heights * widths).sum()) > _MAX_DEDUP_ROWS:
-            return numpy_backend.NumpyKernels.fold_tiles(
-                kinds, a, b, lookup, bounds, n_words, participation
+        if int((heights * widths).sum()) > MAX_DEDUP_ROWS:
+            raise ValueError(
+                f"fold_tiles takes at most MAX_DEDUP_ROWS = {MAX_DEDUP_ROWS} pairs per call"
             )
         if a.strides != b.strides or (a.size and a.strides[1] != a.itemsize):
             a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
@@ -205,8 +207,10 @@ class CKernels:
         n, n_words = flat.shape
         if n == 0:
             return flat, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        if n > _MAX_DEDUP_ROWS:
-            return numpy_backend.NumpyKernels.unique_rows(flat)
+        if n > MAX_DEDUP_ROWS:
+            raise ValueError(
+                f"unique_rows takes at most MAX_DEDUP_ROWS = {MAX_DEDUP_ROWS} rows"
+            )
         uniq = np.empty((n, n_words), dtype=np.uint64)
         inverse = np.empty(n, dtype=np.int64)
         counts = np.empty(n, dtype=np.int64)
@@ -231,7 +235,7 @@ class CKernels:
 # ---------------------------------------------------------------------------
 # Search workspace
 # ---------------------------------------------------------------------------
-class CextSearchWorkspace(NumpySearchWorkspace):
+class CextSearchWorkspace(SearchArena):
     """Arena workspace with a compiled search driver and per-node kernels.
 
     :meth:`pair_search` runs the whole search in C for pair-determined

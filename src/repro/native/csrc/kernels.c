@@ -1,9 +1,10 @@
 /* Compiled kernels of the ADC hot paths.
  *
- * Every function here mirrors, bit for bit, a pure-numpy reference in
- * repro.native.numpy_backend — the dispatch layer verifies the two against
- * each other on random inputs before trusting this library, and the repo's
- * enumeration/engine invariant suites assert end-to-end output identity.
+ * Every function here mirrors, bit for bit, a pure-numpy reference kept
+ * with the tests (tests/numpy_backend.py): the bit-identity suites hold
+ * the two to the same outputs, and before the library is trusted the
+ * dispatch layer checks digests of its outputs on fixed inputs against
+ * golden values from that reference (repro.native.selfcheck).
  *
  * Conventions shared by all kernels:
  *   - Evidence planes are transposed word planes: shape (n_words, E),

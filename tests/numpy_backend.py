@@ -1,54 +1,39 @@
-"""Pure-numpy reference implementation of the native kernel contract.
+"""The numpy reference of the native kernel layer: the oracle of the C kernels.
 
-This backend is the semantic ground truth of :mod:`repro.native`: the
-compiled C backend must be bit-identical to the functions here, and the
-dispatch layer enforces that with a probe run before trusting the compiled
-library.  It is also the operative backend under
-``REPRO_NATIVE=0`` and on hosts with no C compiler, so it is written with
-the same per-node numpy discipline the pre-native enumeration core used —
-fused word loops over transposed planes, no Python-int bitmask churn.
+The library has one kernel backend, the compiled C library of
+:mod:`repro.native.cext`.  This module is its pure-numpy twin, kept as a
+test oracle: the bit-identity suites run the compiled kernels against it,
+and it regenerates the golden digests of :mod:`repro.native.selfcheck`.
+It is written with the per-node numpy discipline of the pre-native
+enumeration core: fused word loops over transposed planes, no Python-int
+bitmask churn.
 
-Two layers share this module:
+Two layers:
 
-* **Flat kernels** (:class:`NumpyKernels`) — stateless array-in/array-out
-  functions: the tile pass, the tile fold and the row dedup mirror C entry
-  points one to one, and are what the hypothesis identity tests and the
-  dispatch probe exercise; ``intersection_counts`` is the workspace's
-  overlap count.
-* **Search workspace** (:class:`NumpySearchWorkspace`) — the arena the
-  explicit-stack ``ADCEnum._search`` drives.  One workspace owns per-depth
-  slots of reusable buffers (evidence plane, overlap counters, candidate
-  planes, criticality rows) so a search node allocates nothing; the
-  compiled workspaces implement the same interface with the buffers handed
-  to C.
+* **Flat kernels** (:class:`NumpyKernels`): stateless array-in/array-out
+  functions that mirror the C entry points one to one (the tile pass,
+  the tile fold and the row dedup), plus ``intersection_counts``, the
+  workspace's overlap count.
+* **Search workspace** (:class:`NumpySearchWorkspace`): the library's
+  search arena (:class:`repro.native.arena.SearchArena`) with the five
+  per-node operations in numpy, so the Python driver of ``ADCEnum`` runs
+  over it.
+
+:data:`NUMPY_BACKEND` bundles both for :func:`repro.native.dispatch.
+use_backend`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-NAME = "numpy"
-
-#: ``try_hit`` outcomes (shared by every backend).
-PRUNED = 0
-DESCENDED = 1
-
-#: Selection-rule codes of ``expand`` (shared by every backend).
-SELECT_MAX = 0
-SELECT_MIN = 1
-SELECT_RANDOM = 2
+from repro.native.arena import DESCENDED, PRUNED, SELECT_MAX, SELECT_RANDOM, SearchArena
+from repro.native.dispatch import Backend
 
 #: Participation keys of ``fold_tiles`` pack ``evidence << 32 | tuple``
 #: (the layout of :mod:`repro.engine.partial`).
 _TUPLE_BITS = 32
 _TUPLE_MASK = (1 << _TUPLE_BITS) - 1
-
-_SELECTION_CODES = {"max": SELECT_MAX, "min": SELECT_MIN, "random": SELECT_RANDOM}
-
-
-def selection_code(selection: str) -> int:
-    """Map an ADCEnum selection-strategy name to its kernel code."""
-    return _SELECTION_CODES[selection]
 
 
 # ---------------------------------------------------------------------------
@@ -56,8 +41,6 @@ def selection_code(selection: str) -> int:
 # ---------------------------------------------------------------------------
 class NumpyKernels:
     """Stateless reference kernels (see the C source for the contracts)."""
-
-    name = NAME
 
     @staticmethod
     def intersection_counts(ev_planes: np.ndarray, mask_words: np.ndarray) -> np.ndarray:
@@ -182,10 +165,10 @@ class NumpyKernels:
         Rows come back in the canonical lexicographic order (word 0
         primary), explicitly — not ``np.unique``'s byte order, which would
         depend on the platform's endianness.  This is the dedup step of
-        the numpy fold and of the dense builder
-        (:func:`repro.core.evidence.unique_word_rows` dispatches here),
-        dominated by the sort; the compiled backend replaces it with a hash
-        pass over the rows.
+        the numpy fold and, under this backend, of the dense builder
+        (:func:`repro.core.evidence.unique_word_rows`), dominated by the
+        sort; the compiled kernel replaces it with a hash pass over the
+        rows.
         """
         contiguous = np.ascontiguousarray(words, dtype=np.uint64)
         n, n_words = contiguous.shape
@@ -206,174 +189,10 @@ class NumpyKernels:
 # ---------------------------------------------------------------------------
 # Search workspace
 # ---------------------------------------------------------------------------
-class _Slot:
-    """Reusable buffers of one search depth, grown on demand.
+class NumpySearchWorkspace(SearchArena):
+    """The search arena with its per-node operations in numpy (see
+    :class:`~repro.native.arena.SearchArena` for the contracts)."""
 
-    ``ev`` is the depth's transposed evidence plane stored in a
-    ``(n_words, capacity)`` arena; the live view is ``ev[:, :E]`` with the
-    arena width as row stride, which is exactly the layout the C kernels
-    consume (stride in elements, rows contiguous).
-    """
-
-    __slots__ = (
-        "capacity", "ev", "cin", "red", "pairs", "uncov",
-        "cand_in", "to_try", "cand_loop", "uncov_bits",
-        "block_capacity", "elements", "covers_block", "crit_block", "child_bits_block",
-        "addr",  # compiled backends cache buffer addresses here (None = stale)
-    )
-
-    def __init__(self, n_words: int, n_ev_words: int, capacity: int, track_uncov: bool) -> None:
-        self.capacity = capacity
-        self.ev = np.zeros((n_words, capacity), dtype=np.uint64)
-        self.cin = np.zeros(capacity, dtype=np.uint32)
-        self.red = np.zeros(capacity, dtype=np.uint32)
-        self.pairs = np.zeros(capacity, dtype=np.int64)
-        self.uncov = np.zeros(capacity, dtype=np.int64) if track_uncov else None
-        self.cand_in = np.zeros(n_words, dtype=np.uint64)
-        self.to_try = np.zeros(n_words, dtype=np.uint64)
-        self.cand_loop = np.zeros(n_words, dtype=np.uint64)
-        self.uncov_bits = np.zeros(n_ev_words, dtype=np.uint64)
-        self.block_capacity = 0
-        self.elements = None
-        self.covers_block = None
-        self.crit_block = None
-        self.child_bits_block = None
-        self.addr = None
-
-    def grow(self, n_words: int, capacity: int) -> None:
-        self.capacity = capacity
-        self.ev = np.zeros((n_words, capacity), dtype=np.uint64)
-        self.cin = np.zeros(capacity, dtype=np.uint32)
-        self.red = np.zeros(capacity, dtype=np.uint32)
-        self.pairs = np.zeros(capacity, dtype=np.int64)
-        if self.uncov is not None:
-            self.uncov = np.zeros(capacity, dtype=np.int64)
-        self.addr = None
-
-    def grow_blocks(self, n_ev_words: int, capacity: int) -> None:
-        self.block_capacity = capacity
-        self.elements = np.zeros(capacity, dtype=np.int32)
-        self.covers_block = np.zeros((capacity, n_ev_words), dtype=np.uint64)
-        self.crit_block = np.zeros((capacity, n_ev_words), dtype=np.uint64)
-        self.child_bits_block = np.zeros((capacity, n_ev_words), dtype=np.uint64)
-        self.addr = None
-
-
-class NumpySearchWorkspace:
-    """Arena-backed search state driven by the explicit-stack ``_search``.
-
-    The workspace owns one :class:`_Slot` per search depth plus the shared
-    criticality plane; the driver threads only scalars (depth, evidence
-    count, pair totals) through its stack frames.  Slot ``d + 1`` is always
-    written by an operation on slot ``d`` (``skip_child`` / ``try_hit``), so
-    aliasing between a node and any node below it is impossible by
-    construction.
-
-    Contracts (identical across backends; statuses/codes are the module
-    constants):
-
-    * ``expand(d, E, selection, call_index)`` → ``(chosen, n_selectable,
-      lost_pairs, n_to_try)``: picks the evidence, fills the slot's
-      ``to_try``/``cand_loop`` planes and reduced overlap counts.
-    * ``skip_child(d, E, compact)`` → child evidence count; writes slot
-      ``d + 1`` (candidate plane = parent's ``cand_loop``).
-    * ``hit_prepare(d, E, k)``: extracts the ``k`` hit-loop elements with
-      their coverage/criticality/child-uncovered rows.
-    * ``try_hit(d, E, position)`` → ``(status, element, E_child,
-      child_pairs)``: one hit-loop step — criticality push, then for a
-      viable element the candidate re-add and the full child build in slot
-      ``d + 1``.  ``DESCENDED`` leaves the criticality planes applied; the
-      driver calls ``crit_pop`` when the subtree returns.
-    """
-
-    #: Whether the workspace runs the whole pair-determined search itself
-    #: (``pair_search``); the numpy arena only serves the Python driver.
-    native_driver = False
-
-    def __init__(
-        self,
-        ev_planes: np.ndarray,
-        counts: np.ndarray,
-        contains_ev_words: np.ndarray,
-        group_words_inv: np.ndarray,
-        full_cand_words: np.ndarray,
-        n_evidences: int,
-        n_predicates: int,
-        track_uncov: bool,
-    ) -> None:
-        self._ev_root = np.ascontiguousarray(ev_planes, dtype=np.uint64)
-        self._counts_root = np.ascontiguousarray(counts, dtype=np.int64)
-        self._contains = np.ascontiguousarray(contains_ev_words, dtype=np.uint64)
-        self._group_inv = np.ascontiguousarray(group_words_inv, dtype=np.uint64)
-        self._full_cand = np.ascontiguousarray(full_cand_words, dtype=np.uint64)
-        self.n_evidences = int(n_evidences)
-        self.n_predicates = int(n_predicates)
-        self.n_words = self._ev_root.shape[0] if self._ev_root.ndim == 2 else 1
-        self.n_ev_words = self._contains.shape[1]
-        self._track_uncov = bool(track_uncov)
-        self._slots: list[_Slot | None] = []
-        # Criticality planes over evidence bits, one row per hitting-set
-        # member; removed-token stacks are allocated per depth on first use.
-        self._crit_rows = np.zeros((n_predicates + 1, self.n_ev_words), dtype=np.uint64)
-        self._crit_depth = 0
-        self._crit_removed: list[np.ndarray | None] = [None] * (n_predicates + 1)
-
-    # -- slot management ----------------------------------------------------
-    def _slot(self, depth: int, min_capacity: int) -> _Slot:
-        while len(self._slots) <= depth:
-            self._slots.append(None)
-        slot = self._slots[depth]
-        if slot is None:
-            slot = _Slot(
-                self.n_words, self.n_ev_words, max(min_capacity, 1), self._track_uncov
-            )
-            self._slots[depth] = slot
-        elif slot.capacity < min_capacity:
-            slot.grow(self.n_words, min_capacity)
-        return slot
-
-    def init_root(self) -> int:
-        """Load the root node into slot 0; returns its evidence count."""
-        n = self.n_evidences
-        slot = self._slot(0, n)
-        slot.ev[:, :n] = self._ev_root
-        slot.pairs[:n] = self._counts_root
-        slot.cin[:n] = NumpyKernels.intersection_counts(self._ev_root, self._full_cand)
-        slot.cand_in[:] = self._full_cand
-        slot.uncov_bits[:] = 0
-        full_words, remainder = divmod(n, 64)
-        slot.uncov_bits[:full_words] = np.uint64(0xFFFFFFFFFFFFFFFF)
-        if remainder:
-            slot.uncov_bits[full_words] = np.uint64((1 << remainder) - 1)
-        if slot.uncov is not None:
-            slot.uncov[:n] = np.arange(n, dtype=np.int64)
-        self._crit_depth = 0
-        return n
-
-    # -- views (read-only use by the driver's cold paths) -------------------
-    def cin_view(self, depth: int, n: int) -> np.ndarray:
-        return self._slots[depth].cin[:n]
-
-    def red_view(self, depth: int, n: int) -> np.ndarray:
-        return self._slots[depth].red[:n]
-
-    def uncov_view(self, depth: int, n: int) -> np.ndarray:
-        return self._slots[depth].uncov[:n]
-
-    def uncov_bits_view(self, depth: int) -> np.ndarray:
-        return self._slots[depth].uncov_bits
-
-    def elements_list(self, depth: int, k: int) -> list[int]:
-        return self._slots[depth].elements[:k].tolist()
-
-    def crit_active_rows(self) -> np.ndarray:
-        return self._crit_rows[: self._crit_depth]
-
-    @property
-    def crit_depth(self) -> int:
-        return self._crit_depth
-
-    # -- node kernels -------------------------------------------------------
     def expand(
         self, depth: int, n: int, selection: int, call_index: int
     ) -> tuple[int, int, int, int]:
@@ -497,3 +316,8 @@ class NumpySearchWorkspace:
             buffer = np.zeros((crit_depth, self.n_ev_words), dtype=np.uint64)
             self._crit_removed[crit_depth] = buffer
         return buffer
+
+
+NUMPY_BACKEND = Backend(
+    name="numpy", kernels=NumpyKernels(), workspace_factory=NumpySearchWorkspace
+)

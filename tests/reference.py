@@ -26,7 +26,7 @@ from repro.core.repair import ConflictGraph, build_conflict_graph
 from repro.data.datasets import DATASET_NAMES, DEFAULT_ROWS, Dataset, generate_dataset
 from repro.data.relation import Relation
 from repro.engine import PartialEvidenceSet, Tile, TileKernel, block_tiles, fold_tiles
-from repro.native.numpy_backend import DESCENDED, PRUNED
+from repro.native.arena import DESCENDED, PRUNED
 
 
 def brute_force_minimal_adc_hitting_sets(

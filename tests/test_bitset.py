@@ -27,7 +27,8 @@ from repro.core.bitset import (
 from repro.core.evidence import masks_to_words, words_to_mask
 from repro.core.predicate_space import iter_bits
 from repro.native import dispatch
-from repro.native.numpy_backend import DESCENDED, PRUNED, SELECT_MAX
+from repro.native.arena import DESCENDED, PRUNED, SELECT_MAX
+from tests.numpy_backend import NUMPY_BACKEND
 from tests.reference import criticality_walk, family_evidence
 
 
@@ -103,7 +104,7 @@ class TestPrimitives:
 def _root_workspace(subsets, n_elements):
     """A numpy search workspace over a set family, its root loaded."""
     evidence = family_evidence(subsets, n_elements)
-    with dispatch.use_backend("numpy"):
+    with dispatch.use_backend(NUMPY_BACKEND):
         workspace = ADCEnum(evidence, F1(), 0.0)._get_workspace()
     n = workspace.init_root()
     assert workspace.expand(0, n, SELECT_MAX, 0)[0] == 0  # evidence 0 first
@@ -183,6 +184,6 @@ class TestCriticalityPlanes:
         """
         subsets = [subset & ((1 << n_elements) - 1) for subset in subsets]
         evidence = family_evidence(subsets, n_elements)
-        with dispatch.use_backend("numpy"):
+        with dispatch.use_backend(NUMPY_BACKEND):
             workspace = ADCEnum(evidence, F1(), 0.0)._get_workspace()
         criticality_walk(workspace, evidence, random.Random(seed), steps=40)

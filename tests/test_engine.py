@@ -404,11 +404,9 @@ class TestFoldInParts:
         """A partial of one kernel backend merges with one of the other and
         finalizes bit-identically to one fold."""
         from repro.native import dispatch
+        from tests.numpy_backend import NUMPY_BACKEND
 
-        try:
-            backends = [dispatch.resolve_backend(name) for name in ("numpy", "cext")]
-        except RuntimeError as error:  # pragma: no cover - host without a compiler
-            pytest.skip(str(error))
+        backends = [NUMPY_BACKEND, dispatch.get_backend()]
         if first == "cext":
             backends.reverse()
         relation = make_random_relation(n_rows=17, seed=12)

@@ -38,7 +38,8 @@ from repro.core.evidence_builder import (
 from repro.core.predicate_space import build_predicate_space
 from repro.data.relation import Relation
 from repro.engine import PartialEvidenceSet, Shard, Tile, TileKernel, fold_tiles
-from repro.native import NUMPY_BACKEND, NumpyKernels, dispatch, get_backend, use_backend
+from repro.native import dispatch, get_backend, use_backend
+from tests.numpy_backend import NUMPY_BACKEND, NumpyKernels
 
 
 def _tile_partials(relation, space, tile_rows):
@@ -312,17 +313,6 @@ class TestChunkBytes:
 # ----------------------------------------------------------------------
 # The compiled fold against the numpy fold
 # ----------------------------------------------------------------------
-def _compiled_backend_or_none():
-    backend = get_backend()
-    return None if backend is NUMPY_BACKEND else backend
-
-
-requires_compiled = pytest.mark.skipif(
-    _compiled_backend_or_none() is None,
-    reason="no compiled native backend available on this host",
-)
-
-
 #: Lookup shapes of :func:`_random_planes`, one per kind of code field of
 #: the compiled fold: ``random`` words give every group three distinct rows
 #: (2-bit fields), ``repeated`` draws each group's rows from two words (0-
@@ -420,7 +410,7 @@ def _counting_backend(calls: list[str]):
     """The compiled backend with every native call logged by name."""
     from repro.native import cext
 
-    compiled = _compiled_backend_or_none()
+    compiled = get_backend()
 
     def logged(name, function):
         def call(*args):
@@ -429,10 +419,12 @@ def _counting_backend(calls: list[str]):
         return call
 
     functions = {name: logged(name, fn) for name, fn in compiled.kernels._fn.items()}
-    return dispatch.Backend(name="counting", kernels=cext.CKernels(functions))
+    return dispatch.Backend(
+        name="counting", kernels=cext.CKernels(functions),
+        workspace_factory=compiled.workspace_factory,
+    )
 
 
-@requires_compiled
 class TestCompiledFold:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
@@ -454,7 +446,7 @@ class TestCompiledFold:
             pair_groups=data.draw(st.booleans()),
         )
         bounds = data.draw(_tile_lists(n_rows))
-        kernels = _compiled_backend_or_none().kernels
+        kernels = get_backend().kernels
         _assert_same_fold(
             kernels.fold_tiles(kinds, a, b, lookup, bounds, n_words, participation),
             NumpyKernels.fold_tiles(kinds, a, b, lookup, bounds, n_words, participation),
@@ -467,7 +459,7 @@ class TestCompiledFold:
         rng = np.random.default_rng(5)
         kinds, a, b, lookup = _random_planes(rng, 16, 120, 2, continuous=True)
         bounds = np.array([(0, 120, 0, 120), (7, 8, 0, 120)], dtype=np.int64)
-        kernels = _compiled_backend_or_none().kernels
+        kernels = get_backend().kernels
         theirs = kernels.fold_tiles(kinds, a, b, lookup, bounds, 2, participation)
         ours = NumpyKernels.fold_tiles(kinds, a, b, lookup, bounds, 2, participation)
         assert len(ours[0]) > 8 * 1024
@@ -499,7 +491,7 @@ class TestCompiledFold:
         bounds = np.array(
             [(0, 45, 0, 45), (3, 4, 0, 45), (0, 45, 9, 10), (20, 30, 20, 30)], dtype=np.int64
         )
-        kernels = _compiled_backend_or_none().kernels
+        kernels = get_backend().kernels
         _assert_same_fold(
             kernels.fold_tiles(kinds, a, b, lookup, bounds, n_words, participation),
             NumpyKernels.fold_tiles(kinds, a, b, lookup, bounds, n_words, participation),
@@ -523,7 +515,7 @@ class TestCompiledFold:
         string = a[1][:, None] == b[1][None, :]
         off_diagonal = ~np.eye(n_rows, dtype=bool)
         assert len({(x, y) for x, y in zip(numeric[off_diagonal], string[off_diagonal])}) == 6
-        theirs = _compiled_backend_or_none().kernels.fold_tiles(
+        theirs = get_backend().kernels.fold_tiles(
             kinds, a, b, lookup, bounds, 1, True
         )
         _assert_same_fold(theirs, NumpyKernels.fold_tiles(kinds, a, b, lookup, bounds, 1, True))
@@ -545,7 +537,7 @@ class TestCompiledFold:
         tiles = grid_tiles(relation.n_rows, tile_rows)
         groups = [tiles[i::split] for i in range(split)]
         results = []
-        for backend in (_compiled_backend_or_none(), NUMPY_BACKEND):
+        for backend in (get_backend(), NUMPY_BACKEND):
             with use_backend(backend):
                 kernel = TileKernel.from_relation(relation, space, participation)
                 partial = PartialEvidenceSet(relation.n_rows, kernel.n_words, participation)
@@ -557,6 +549,51 @@ class TestCompiledFold:
             results[0],
             build_evidence_set_dense(relation, space, include_participation=participation),
         )
+
+    @pytest.mark.parametrize("participation", [False, True])
+    @pytest.mark.parametrize("limit", [16, 40, 100])
+    def test_a_fold_split_at_the_row_limit_is_bit_identical(
+        self, monkeypatch, limit, participation
+    ):
+        """With the kernel's uint32 row limit patched down to ``limit``
+        cells, ``fold_tiles`` cuts the schedule into runs of at most that
+        many cells, one kernel call each, and finalizes bit-identically to
+        the one-call fold; a single call past the limit is refused."""
+        from repro.native import cext
+
+        relation = make_random_relation(n_rows=23, seed=limit)
+        space = build_predicate_space(relation)
+        kernel = TileKernel.from_relation(relation, space, participation)
+        tiles = grid_tiles(relation.n_rows, 4)
+        whole = fold_tiles(kernel, tiles)
+        shards = []
+        run = TileKernel.run
+
+        def recording_run(tile_kernel, shard):
+            shards.append(shard)
+            return run(tile_kernel, shard)
+
+        monkeypatch.setattr(cext, "MAX_DEDUP_ROWS", limit)
+        monkeypatch.setattr(TileKernel, "run", recording_run)
+        split = fold_tiles(kernel, tiles)
+        cells = [sum((t.i1 - t.i0) * (t.j1 - t.j0) for t in shard.tiles) for shard in shards]
+        assert len(shards) > 1 and max(cells) <= limit
+        assert [t for shard in shards for t in shard.tiles] == list(tiles)
+        assert split.recorded_pairs == whole.recorded_pairs == 23 * 22
+        assert_evidence_identical(split.finalize(space), whole.finalize(space))
+        with pytest.raises(ValueError, match=f"MAX_DEDUP_ROWS = {limit} pairs"):
+            run(kernel, Shard(tiles))
+
+    def test_a_tile_past_the_row_limit_is_refused(self, monkeypatch):
+        """A single tile larger than the limit is a run of its own, which
+        the kernel refuses rather than overflowing its row ids."""
+        from repro.native import cext
+
+        relation = make_random_relation(n_rows=9, seed=1)
+        kernel = TileKernel.from_relation(relation, build_predicate_space(relation))
+        monkeypatch.setattr(cext, "MAX_DEDUP_ROWS", 10)
+        with pytest.raises(ValueError, match="MAX_DEDUP_ROWS = 10 pairs"):
+            fold_tiles(kernel, grid_tiles(relation.n_rows, 4))
 
     def test_a_fold_of_many_tiles_is_one_native_call(self):
         relation = make_random_relation(n_rows=30, seed=3)
@@ -623,7 +660,7 @@ class TestCompiledFold:
     def test_tiles_outside_the_rows_are_refused(self):
         rng = np.random.default_rng(4)
         kinds, a, b, lookup = _random_planes(rng, 2, 10, 1)
-        kernels = _compiled_backend_or_none().kernels
+        kernels = get_backend().kernels
         for bounds in ([(0, 11, 0, 10)], [(0, 10, 3, 11)], [(-1, 2, 0, 10)]):
             with pytest.raises(ValueError, match="outside"):
                 kernels.fold_tiles(
@@ -646,7 +683,7 @@ class TestCompiledFold:
         rng = np.random.default_rng(2)
         kinds, a, b, lookup = _random_planes(rng, 3, 20, 1)
         bounds = np.array([(0, 20, 0, 20)], dtype=np.int64)
-        kernels = _compiled_backend_or_none().kernels
+        kernels = get_backend().kernels
         monkeypatch.setattr(cext, "np", NoMemory())
         with pytest.raises(MemoryError, match="fold_tiles"):
             kernels.fold_tiles(kinds, a, b, lookup, bounds, 1, True)
@@ -667,9 +704,9 @@ class TestCompiledFold:
             import resource
             import numpy as np
             from repro.native import dispatch
-            from repro.native.numpy_backend import NumpyKernels
+            from tests.numpy_backend import NumpyKernels
 
-            kernels = dispatch.resolve_backend("cext").kernels
+            kernels = dispatch.get_backend().kernels
             rng = np.random.default_rng(0)
             n = 6000
             kinds = np.ones(1, dtype=np.int32)
@@ -695,9 +732,9 @@ class TestCompiledFold:
             print("ok")
             """
         )
-        source = Path(__file__).resolve().parent.parent / "src"
+        root = Path(__file__).resolve().parent.parent
         result = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": str(source)},
+            env={**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root)])},
         )
         assert result.stdout.strip() == "ok", result.stderr

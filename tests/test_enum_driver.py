@@ -2,9 +2,9 @@
 
 For pair-determined functions with an integer pass bound, the compiled
 backend runs the whole search as one native frame stack
-(:meth:`ADCEnum._run_native`); everything else, and every search under the
-numpy backend, runs the Python driver (:meth:`ADCEnum._run_search`), which
-is the oracle here.  The two must agree on everything a search reports:
+(:meth:`ADCEnum._run_native`); everything else, and every search over the
+numpy reference workspace (``tests/numpy_backend.py``), runs the Python
+driver (:meth:`ADCEnum._run_search`), which is the oracle here.  The two must agree on everything a search reports:
 the ADC list in emission order with masks and scores, every
 :class:`EnumerationStatistics` counter, the deepest stack, and the node
 counts and counters at which the progress hook is called.
@@ -29,14 +29,10 @@ from repro.core.adc_enum import ADCEnum
 from repro.core.approximation import F1, F1Adjusted, F2
 from repro.core.evidence_builder import build_evidence_set
 from repro.core.predicate_space import build_predicate_space
-from repro.native import NUMPY_BACKEND, cext, dispatch, get_backend
+from repro.native import cext, dispatch, get_backend
 from tests.conftest import make_random_relation
+from tests.numpy_backend import NUMPY_BACKEND
 from tests.test_deep_chain import _chain_epsilon, _chain_evidence
-
-requires_compiled = pytest.mark.skipif(
-    get_backend() is NUMPY_BACKEND,
-    reason="no compiled native backend available on this host",
-)
 
 EPSILONS = [0.0, 0.01, 0.2, 0.49, 1.0]
 FUNCTIONS = [F1(), F1Adjusted(0.0), F1Adjusted(1.645), F1Adjusted(2.576)]
@@ -82,7 +78,7 @@ def _counters(statistics):
 
 def _assert_same_search(evidence, function, epsilon, interval=None, **options):
     native = _search(get_backend(), evidence, function, epsilon, interval, **options)
-    oracle = _search("numpy", evidence, function, epsilon, interval, **options)
+    oracle = _search(NUMPY_BACKEND, evidence, function, epsilon, interval, **options)
     assert native[:3] == oracle[:3]
     assert oracle[3] == ["python"]
     bound = function.pair_bound(evidence.total_pairs, epsilon) if evidence.total_pairs else 0
@@ -91,7 +87,6 @@ def _assert_same_search(evidence, function, epsilon, interval=None, **options):
     return native
 
 
-@requires_compiled
 class TestDriverIdentity:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -139,7 +134,6 @@ class TestDriverIdentity:
         _assert_same_search(_evidence(1), F1Adjusted(1.645), 0.7, max_dc_size=2)
 
 
-@requires_compiled
 class TestProgressHook:
     @pytest.mark.parametrize("interval", [1, 7, 8192])
     @pytest.mark.parametrize("function", [F1(), F1Adjusted(1.645)], ids=["f1", "f1'"])
@@ -161,7 +155,6 @@ class TestProgressHook:
         assert len(reports) == 12
 
 
-@requires_compiled
 class TestResume:
     """An output buffer of one row: the compiled search returns to Python
     after every output and resumes from its saved stack."""
@@ -191,7 +184,6 @@ class TestResume:
             assert enumerator.statistics.recursive_calls == calls
 
 
-@requires_compiled
 class TestSearchState:
     def _enumerator(self):
         return ADCEnum(_evidence(0), F1(), 0.05, max_dc_size=2)

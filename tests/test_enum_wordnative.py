@@ -25,6 +25,7 @@ from tests.legacy_enum import LegacyADCEnum
 from tests.reference import family_evidence
 from repro.core.predicate_space import build_predicate_space
 from repro.native import dispatch
+from tests.numpy_backend import NUMPY_BACKEND
 
 
 def _evidence_for(seed: int, n_rows: int = 7, domain: int = 3):
@@ -70,7 +71,7 @@ class TestADCEnumBitIdentical:
         of one group, so no emitted DC is trivial, without a check at
         emission, under the numpy backend and the resolved one."""
         emitted = 0
-        with dispatch.use_backend(dispatch.get_backend() if backend == "resolved" else backend):
+        with dispatch.use_backend(dispatch.get_backend() if backend == "resolved" else NUMPY_BACKEND):
             for seed, epsilon, selection in itertools.product(
                 range(5), [0.0, 0.05, 0.2], ["max", "min", "random"]
             ):

@@ -214,11 +214,9 @@ class TestKernelPlanes:
         and in the dense oracle."""
         from repro.core.evidence_builder import build_evidence_set_dense
         from repro.native import dispatch
+        from tests.numpy_backend import NUMPY_BACKEND
 
-        try:
-            resolved = dispatch.resolve_backend(backend)
-        except RuntimeError as error:  # pragma: no cover - host without a compiler
-            pytest.skip(str(error))
+        resolved = NUMPY_BACKEND if backend == "numpy" else dispatch.get_backend()
         seed_rows = Relation(
             "gaps",
             {

@@ -1,17 +1,18 @@
-"""Dispatch semantics and bit-identity of the native kernel layer.
+"""Resolution, the golden self-check and bit-identity of the native kernels.
 
-Two families of guarantees:
+Three families of guarantees:
 
-* ``REPRO_NATIVE`` resolution — ``0`` forces numpy, ``1`` requires the
-  compiled C backend (clean :class:`RuntimeError` when it does not build),
-  auto never raises.
-* The probe verdict — a library that passes the probe is not probed again
-  by a later process, unless any input of the verdict's key changed; a
-  rejected library leaves no verdict.
-* Bit identity — every ported kernel produces byte-for-byte the numpy
-  reference's output under whichever compiled backend resolved, on
-  hypothesis-generated inputs (the dispatch probe checks one deterministic
-  input; these tests fuzz the same contract).
+* Resolution: the compiled C library is the one backend; a host whose
+  build fails gets a :class:`RuntimeError` naming the cause, and no
+  fallback.
+* The self-check rejects each mutant kernel below by name, and runs once
+  per built library, not once per process, unless any input of the
+  verdict's key changed; a rejected library leaves no verdict.  Its golden
+  digests are checked in ``tests/test_selfcheck.py``.
+* Bit identity: every ported kernel produces byte-for-byte the numpy
+  reference's output (``tests/numpy_backend.py``) on hypothesis-generated
+  inputs (the self-check checks fixed inputs; these tests fuzz the same
+  contract).
 """
 
 from __future__ import annotations
@@ -29,72 +30,47 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.native import NUMPY_BACKEND, NumpyKernels, get_backend
-from repro.native import dispatch
+from repro.native import dispatch, get_backend, selfcheck
+from tests.numpy_backend import NUMPY_BACKEND, NumpyKernels, NumpySearchWorkspace
 
 
-def _compiled_backend_or_none():
-    try:
-        backend = get_backend()
-    except Exception:  # pragma: no cover - auto resolution never raises
-        return None
-    return backend if backend is not NUMPY_BACKEND else None
+def _reference_with(kernels) -> dispatch.Backend:
+    """The numpy reference backend with other flat kernels."""
+    return dispatch.Backend(
+        name="mutant", kernels=kernels, workspace_factory=NumpySearchWorkspace
+    )
 
 
-requires_compiled = pytest.mark.skipif(
-    _compiled_backend_or_none() is None,
-    reason="no compiled native backend available on this host",
-)
+def _compiled_backend(functions, arena=None) -> dispatch.Backend:
+    """A backend over bound ``functions``, its workspace class ``arena``."""
+    from repro.native import cext
+
+    arena = arena or cext.CextSearchWorkspace
+    return dispatch.Backend(
+        name=cext.NAME, kernels=cext.CKernels(functions),
+        workspace_factory=lambda *args, **kwargs: arena(functions, *args, **kwargs),
+    )
 
 
 class TestResolution:
-    def test_env_0_forces_numpy(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NATIVE", "0")
-        assert dispatch._resolve() is NUMPY_BACKEND
+    def test_the_backend_is_the_compiled_one(self):
+        assert get_backend().name == "cext"
 
-    def test_env_numpy_forces_numpy(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NATIVE", "numpy")
-        assert dispatch._resolve() is NUMPY_BACKEND
+    def test_a_host_without_a_library_raises(self, monkeypatch):
+        """A build that returns no library (no compiler, or compilation
+        failed): the first ``get_backend()`` raises, naming the cause."""
+        from repro.native import build
 
-    def test_auto_never_raises(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NATIVE", raising=False)
-        backend = dispatch._resolve()
-        assert backend.name in ("cext", "numpy")
-
-    def test_env_1_requires_compiled(self, monkeypatch):
-        """``REPRO_NATIVE=1`` raises (with the builder's reason) when the
-        compiled backend is unavailable; never silently falls back."""
-        monkeypatch.setenv("REPRO_NATIVE", "1")
-        monkeypatch.setattr(dispatch, "_build_cext_backend", _raise_unavailable)
-        with pytest.raises(RuntimeError, match="REPRO_NATIVE=1.*unavailable for testing"):
-            dispatch._resolve()
-
-    def test_auto_falls_back_to_numpy(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NATIVE", raising=False)
-        monkeypatch.setattr(dispatch, "_build_cext_backend", _raise_unavailable)
-        assert dispatch._resolve() is NUMPY_BACKEND
-
-    def test_unknown_value_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NATIVE", "turbo")
-        with pytest.raises(RuntimeError, match="turbo"):
-            dispatch._resolve()
-
-    @pytest.mark.parametrize("value", ["numba", "cext"])
-    def test_backend_names_are_not_env_values(self, monkeypatch, value):
-        """``REPRO_NATIVE`` takes unset/``auto``, ``0``/``numpy`` and ``1``;
-        a backend name (``numba`` is gone, ``cext`` is spelled ``1``) is an
-        error rather than a silent fall-back to numpy."""
-        monkeypatch.setenv("REPRO_NATIVE", value)
-        with pytest.raises(RuntimeError, match=f"unknown REPRO_NATIVE value '{value}'"):
-            dispatch._resolve()
-
-    def test_resolve_backend_unknown_name(self):
-        with pytest.raises(RuntimeError, match="unknown"):
-            dispatch.resolve_backend("turbo")
+        monkeypatch.setattr(build, "build_library", lambda: None)
+        monkeypatch.setattr(dispatch, "_active", None)
+        with pytest.raises(RuntimeError, match="unavailable: no C compiler"):
+            get_backend()
+        with pytest.raises(RuntimeError, match="no C compiler"):
+            get_backend()
 
     def test_probe_rejects_lying_backend(self):
-        """A compiled backend whose kernels mismatch the reference must be
-        rejected by the probe, not trusted."""
+        """Kernels whose output mismatches the golden digests are rejected
+        by the self-check, not trusted."""
 
         class LyingKernels(NumpyKernels):
             @staticmethod
@@ -102,8 +78,8 @@ class TestResolution:
                 rows, inverse, counts = NumpyKernels.unique_rows(words)
                 return rows, inverse, counts + 1
 
-        with pytest.raises(AssertionError, match="unique_rows"):
-            dispatch._probe_flat_kernels(LyingKernels())
+        with pytest.raises(RuntimeError, match="unique_rows mismatch"):
+            selfcheck.check(_reference_with(LyingKernels()))
 
     def test_probe_rejects_nan_as_less(self):
         """A tile pass that puts a NaN difference in LESS, not GREATER."""
@@ -114,8 +90,8 @@ class TestResolution:
                 a = np.where(np.isnan(a), -np.inf, a)
                 return NumpyKernels.tile_plane(kinds, a, b, lookup, i0, i1, j0, j1, n_words)
 
-        with pytest.raises(AssertionError, match="tile_plane"):
-            dispatch._probe_flat_kernels(NanKernels())
+        with pytest.raises(RuntimeError, match="tile_plane mismatch"):
+            selfcheck.check(_reference_with(NanKernels()))
 
     def test_probe_rejects_broken_tall_strips(self):
         """A tile pass that gets only the n x 1 orientation wrong."""
@@ -126,52 +102,29 @@ class TestResolution:
                 plane = NumpyKernels.tile_plane(kinds, a, b, lookup, i0, i1, j0, j1, n_words)
                 return plane[::-1].copy() if i1 - i0 > j1 - j0 else plane
 
-        with pytest.raises(AssertionError, match="tile_plane"):
-            dispatch._probe_flat_kernels(TallKernels())
+        with pytest.raises(RuntimeError, match="tile_plane mismatch"):
+            selfcheck.check(_reference_with(TallKernels()))
 
-    @pytest.mark.skipif(
-        _compiled_backend_or_none() is None,
-        reason="no compiled native backend available on this host",
-    )
     def test_probe_rejects_a_wrong_search_driver(self):
         """A compiled search driver whose pass bound is off by one pair."""
         from repro.native import cext
-        from repro.native.build import build_library
 
-        functions = cext.load_functions(build_library())
-        kernels = cext.CKernels(functions)
+        functions = cext.load_functions(_built_library())
 
         class OffByOne(cext.CextSearchWorkspace):
             def pair_search(self, bound, *args):
                 return super().pair_search(bound - 1 if bound > 0 else bound, *args)
 
-        def backend(arena):
-            return dispatch.Backend(
-                name=cext.NAME, kernels=kernels,
-                workspace_factory=lambda *a, **k: arena(functions, *a, **k),
-            )
-
-        dispatch._probe_driver(backend(cext.CextSearchWorkspace))
-        with pytest.raises(AssertionError, match="search driver"):
-            dispatch._probe_driver(backend(OffByOne))
+        selfcheck.check(_compiled_backend(functions))
+        with pytest.raises(RuntimeError, match="search driver mismatch"):
+            selfcheck.check(_compiled_backend(functions, OffByOne))
 
     def test_use_backend_restores_previous(self):
         before = get_backend()
-        with dispatch.use_backend("numpy") as backend:
+        with dispatch.use_backend(NUMPY_BACKEND) as backend:
             assert backend is NUMPY_BACKEND
             assert get_backend() is NUMPY_BACKEND
         assert get_backend() is before
-
-    def test_env_0_in_subprocess_suite(self):
-        """The environment variable actually reaches the resolver (the CI
-        matrix leg relies on this exact spelling)."""
-        assert os.environ.get("REPRO_NATIVE") != "0" or (
-            get_backend() is NUMPY_BACKEND
-        )
-
-
-def _raise_unavailable():
-    raise RuntimeError("unavailable for testing")
 
 
 def _built_library():
@@ -185,46 +138,32 @@ def _built_library():
 
 def test_ffi_binding_passes_every_probe():
     """The compiled library binds through ctypes from one signature table;
-    the binding must pass the flat-kernel, workspace and search-driver
-    probes."""
+    the binding must pass every check of the self-check."""
     from repro.native import cext
 
     functions = cext.load_functions(_built_library())
     assert set(functions) == set(cext._SIGNATURES)
     for name, fn in functions.items():
         assert (fn.restype, fn.argtypes) == cext._SIGNATURES[name], name
-
-    kernels = cext.CKernels(functions)
-    dispatch._probe_flat_kernels(kernels)
-
-    def factory(*args, **kwargs):
-        return cext.CextSearchWorkspace(functions, *args, **kwargs)
-
-    dispatch._probe_workspace(factory)
-    dispatch._probe_driver(
-        dispatch.Backend(name=cext.NAME, kernels=kernels, workspace_factory=factory)
-    )
+    selfcheck.check(_compiled_backend(functions))
 
 
 # ---------------------------------------------------------------------------
-# The probe verdict: once per built library, not once per process
+# The verdict: once per built library, not once per process
 # ---------------------------------------------------------------------------
-_PROBES = ("_probe_flat_kernels", "_probe_workspace", "_probe_driver")
-
-#: A fresh interpreter's first ``get_backend()``; with ``refuse`` every
-#: probe raises, so only a cached verdict can resolve the compiled backend.
+#: A fresh interpreter's first ``get_backend()``; with ``refuse`` the
+#: self-check raises, so only a cached verdict can resolve the backend.
 _RESOLVE_IN_A_FRESH_PROCESS = """
 import sys
-from repro.native import dispatch
+from repro.native import dispatch, selfcheck
 
 def refuse(*args):
-    raise AssertionError("the probe ran")
+    raise AssertionError("the self-check ran")
 
 if sys.argv[1:] == ["refuse"]:
-    for name in %r:
-        setattr(dispatch, name, refuse)
+    selfcheck.check = refuse
 print(dispatch.get_backend().name)
-""" % (_PROBES,)
+"""
 
 
 @pytest.fixture
@@ -239,15 +178,16 @@ def private_cache(tmp_path, monkeypatch):
 
 
 @pytest.fixture
-def probe_calls(monkeypatch):
-    """Names of the probes run, in order; each still runs."""
+def check_calls(monkeypatch):
+    """One entry per self-check run; each still runs."""
     calls = []
-    for name in _PROBES:
-        def record(*args, name=name, probe=getattr(dispatch, name)):
-            calls.append(name)
-            return probe(*args)
+    check = selfcheck.check
 
-        monkeypatch.setattr(dispatch, name, record)
+    def record(backend):
+        calls.append("check")
+        return check(backend)
+
+    monkeypatch.setattr(selfcheck, "check", record)
     return calls
 
 
@@ -255,42 +195,44 @@ def _verdicts(cache):
     return sorted(cache.glob("probed-*"))
 
 
-@requires_compiled
 class TestProbeVerdict:
     def test_a_later_process_skips_the_probe(self, private_cache):
-        """The first process probes and leaves a verdict; a second fresh
-        interpreter, in which every probe raises, still resolves cext."""
+        """The first process checks and leaves a verdict; a second fresh
+        interpreter, in which the self-check raises, still resolves."""
         import repro
 
         env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
-        env.pop("REPRO_NATIVE", None)
 
         def resolve(*args):
             return subprocess.run(
                 [sys.executable, "-c", _RESOLVE_IN_A_FRESH_PROCESS, *args],
                 capture_output=True, text=True, env=env, timeout=120,
-            ).stdout.strip()
+            )
 
-        assert resolve("refuse") == "numpy"
+        refused = resolve("refuse")
+        assert refused.returncode != 0
+        assert "RuntimeError: the compiled kernel backend is unavailable: " \
+            "the self-check ran" in refused.stderr
         assert not _verdicts(private_cache)
-        assert resolve() == "cext"
+        assert resolve().stdout.strip() == "cext"
         assert len(_verdicts(private_cache)) == 1
-        assert resolve("refuse") == "cext"
+        assert resolve("refuse").stdout.strip() == "cext"
 
     @pytest.mark.parametrize("change", ["library bytes", "probed source", "numpy version"])
     def test_a_verdict_on_other_inputs_does_not_count(
-        self, private_cache, probe_calls, tmp_path, monkeypatch, change
+        self, private_cache, check_calls, tmp_path, monkeypatch, change
     ):
-        """Each key input, changed after a verdict was published, runs every
-        probe again: the library's bytes under the same name (a sanitizer
-        build swapped in), the source the probe runs through, numpy."""
+        """Each key input, changed after a verdict was published, runs the
+        self-check again: the library's bytes under the same name (a
+        sanitizer build swapped in), the source the check runs through,
+        numpy."""
         extra = tmp_path / "probed.py"
         extra.write_text("VALUE = 1\n")
         sources = dispatch._probed_sources() + [extra]
         monkeypatch.setattr(dispatch, "_probed_sources", lambda: sources)
         dispatch._build_cext_backend()
         dispatch._build_cext_backend()
-        assert probe_calls == list(_PROBES)
+        assert check_calls == ["check"]
         assert len(_verdicts(private_cache)) == 1
 
         if change == "library bytes":
@@ -303,13 +245,17 @@ class TestProbeVerdict:
         else:
             monkeypatch.setattr(np, "__version__", np.__version__ + "+other")
         assert dispatch._build_cext_backend().name == "cext"
-        assert probe_calls == list(_PROBES) * 2
+        assert check_calls == ["check"] * 2
         assert len(_verdicts(private_cache)) == 2
 
     def test_the_probed_sources_are_the_probes_python(self):
+        """The verdict is keyed on the self-check's own module, the arena,
+        binding and dispatch it runs through, and the core modules of its
+        searches."""
         names = {(path.parent.name, path.name) for path in dispatch._probed_sources()}
-        assert {("native", "dispatch.py"), ("native", "cext.py"),
-                ("native", "numpy_backend.py"), ("core", "adc_enum.py")} <= names
+        assert {("native", "selfcheck.py"), ("native", "arena.py"),
+                ("native", "dispatch.py"), ("native", "cext.py"),
+                ("core", "adc_enum.py"), ("core", "evidence.py")} <= names
         assert all(path.is_file() for path in dispatch._probed_sources())
 
     def test_a_lying_kernel_leaves_no_verdict(self, private_cache, monkeypatch):
@@ -321,33 +267,28 @@ class TestProbeVerdict:
                 return rows, inverse, counts + 1
 
         monkeypatch.setattr(cext, "CKernels", LyingKernels)
-        monkeypatch.delenv("REPRO_NATIVE", raising=False)
-        assert dispatch._resolve() is NUMPY_BACKEND
-        monkeypatch.setenv("REPRO_NATIVE", "1")
         with pytest.raises(RuntimeError, match="unique_rows mismatch"):
             dispatch._resolve()
         assert not _verdicts(private_cache)
 
-    def test_a_blocked_verdict_path_still_resolves(self, private_cache, probe_calls, monkeypatch):
+    def test_a_blocked_verdict_path_still_resolves(self, private_cache, check_calls):
         """A directory where the verdict would go: the marker cannot be
-        written and does not count, so every process probes, and resolution
+        written and does not count, so every process checks, and resolution
         neither fails nor raises."""
         from repro.native import build
 
         library = next(private_cache.glob("kernels-*.so"))
         verdict = build.verdict_path(library, dispatch._probed_sources())
         verdict.mkdir()
-        monkeypatch.setenv("REPRO_NATIVE", "1")
         assert dispatch._resolve().name == "cext"
         assert dispatch._resolve().name == "cext"
-        assert probe_calls == list(_PROBES) * 2
+        assert check_calls == ["check"] * 2
         assert verdict.is_dir()
 
 
 def test_a_cache_directory_that_cannot_be_created(tmp_path, monkeypatch):
     """``build_library`` raises the ``mkdir`` error for a cache under a
-    regular file; auto resolution falls back to numpy and
-    ``REPRO_NATIVE=1`` raises naming the path."""
+    regular file, and resolution raises naming the path."""
     from repro.native.build import build_library
 
     _built_library()
@@ -357,10 +298,7 @@ def test_a_cache_directory_that_cannot_be_created(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_NATIVE_CACHE", str(cache))
     with pytest.raises(NotADirectoryError):
         build_library()
-    monkeypatch.delenv("REPRO_NATIVE", raising=False)
-    assert dispatch._resolve() is NUMPY_BACKEND
-    monkeypatch.setenv("REPRO_NATIVE", "1")
-    with pytest.raises(RuntimeError, match=f"REPRO_NATIVE=1.*{re.escape(str(cache))}"):
+    with pytest.raises(RuntimeError, match=f"unavailable.*{re.escape(str(cache))}"):
         dispatch._resolve()
 
 
@@ -407,13 +345,12 @@ def test_bound_functions_keep_the_library_loaded(tmp_path):
     shutil.copyfile(_built_library(), copy)
     functions = cext.load_functions(copy)
     gc.collect()
-    dispatch._probe_flat_kernels(cext.CKernels(functions))
+    selfcheck.check(_compiled_backend(functions))
 
 
 # ---------------------------------------------------------------------------
 # Hypothesis bit-identity: compiled backend vs numpy reference
 # ---------------------------------------------------------------------------
-@requires_compiled
 class TestCompiledBitIdentity:
     """Every ported flat kernel, fuzzed against the numpy reference."""
 
@@ -449,7 +386,7 @@ class TestCompiledBitIdentity:
                     statistics.pruned_by_criticality, statistics.minimality_checks,
                 )
 
-        assert run(_compiled_backend_or_none()) == run("numpy")
+        assert run(get_backend()) == run(NUMPY_BACKEND)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -477,7 +414,7 @@ class TestCompiledBitIdentity:
                 workspace = ADCEnum(evidence, F1(), 0.0)._get_workspace()
             return criticality_walk(workspace, evidence, random.Random(seed), 40, selection)
 
-        assert walk(_compiled_backend_or_none()) == walk("numpy")
+        assert walk(get_backend()) == walk(NUMPY_BACKEND)
 
     @settings(max_examples=50, deadline=None)
     @given(data=st.data())
@@ -513,7 +450,7 @@ class TestCompiledBitIdentity:
             i1 = i0 + 1
         elif shape == "column":
             j1 = j0 + 1
-        kernels = _compiled_backend_or_none().kernels
+        kernels = get_backend().kernels
         theirs = kernels.tile_plane(kinds, a, b, lookup, i0, i1, j0, j1, n_words)
         ours = NumpyKernels.tile_plane(kinds, a, b, lookup, i0, i1, j0, j1, n_words)
         assert np.array_equal(theirs, ours)
@@ -532,7 +469,7 @@ class TestCompiledBitIdentity:
         rng = np.random.default_rng(seed)
         rows = rng.integers(0, domain, size=(n, n_words)).astype(np.uint64)
         rows <<= np.uint64(shift)
-        kernels = _compiled_backend_or_none().kernels
+        kernels = get_backend().kernels
         for theirs, ours in zip(kernels.unique_rows(rows), NumpyKernels.unique_rows(rows)):
             assert np.array_equal(theirs, ours)
 
@@ -542,20 +479,23 @@ class TestCompiledBitIdentity:
         rng = np.random.default_rng(3)
         distinct = rng.integers(0, 2**64, size=(5000, 2), dtype=np.uint64)
         rows = distinct[rng.integers(0, len(distinct), size=20_000)]
-        kernels = _compiled_backend_or_none().kernels
+        kernels = get_backend().kernels
         for theirs, ours in zip(kernels.unique_rows(rows), NumpyKernels.unique_rows(rows)):
             assert np.array_equal(theirs, ours)
             assert theirs.dtype == ours.dtype
 
     def test_unique_rows_past_the_kernel_row_limit(self, monkeypatch):
-        """A plane longer than the kernel's uint32 table slots can index
-        takes the numpy reference path."""
+        """A plane longer than the kernel's uint32 table slots can index is
+        refused, naming the limit; one at the limit is deduplicated."""
         from repro.native import cext
 
-        monkeypatch.setattr(cext, "_MAX_DEDUP_ROWS", 10)
+        monkeypatch.setattr(cext, "MAX_DEDUP_ROWS", 10)
         rows = np.random.default_rng(4).integers(0, 3, size=(50, 2)).astype(np.uint64)
-        kernels = _compiled_backend_or_none().kernels
-        for theirs, ours in zip(kernels.unique_rows(rows), NumpyKernels.unique_rows(rows)):
+        kernels = get_backend().kernels
+        with pytest.raises(ValueError, match="MAX_DEDUP_ROWS = 10"):
+            kernels.unique_rows(rows)
+        at_limit = rows[:10]
+        for theirs, ours in zip(kernels.unique_rows(at_limit), NumpyKernels.unique_rows(at_limit)):
             assert np.array_equal(theirs, ours)
 
     @pytest.mark.parametrize(
@@ -588,4 +528,4 @@ class TestCompiledBitIdentity:
                     for adc in enum.enumerate()
                 ]
 
-        assert run(_compiled_backend_or_none()) == run("numpy")
+        assert run(get_backend()) == run(NUMPY_BACKEND)
