@@ -20,16 +20,16 @@ Six measurement families:
 * **end-to-end enumeration** — ``ADCEnum`` nodes/second on the
   Figure-6-style tax workload (f1, ``epsilon = 0.01``,
   ``max_dc_size = 3``) under each backend, outputs and counters asserted
-  identical.  f1 is pair-determined, so the compiled backend runs the
-  whole search in its C driver and the numpy backend runs the Python
-  driver.  The two backends' runs alternate, and the reported speedup is
-  the median of the per-pair ratios: a slow phase of a shared host then
-  costs one pair, not the whole comparison;
-* **Python-driver enumeration** — the same row for f1' (``z = 1.645``) at
-  ``epsilon = 0.5``, where f1' has no integer pass bound: both backends
-  run the Python driver, the compiled one over its arena's per-node
-  operations, so this row guards the path f2, f3 and f1' from ``epsilon
-  = 0.5`` on take;
+  identical.  f1 has an integer pass bound, which the compiled driver
+  tests in C; the numpy oracle's search scores every test in Python.  The
+  two backends' runs alternate, and the reported speedup is the median of
+  the per-pair ratios: a slow phase of a shared host then costs one pair,
+  not the whole comparison;
+* **callback enumeration** — the same row for f1' (``z = 1.645``) at
+  ``epsilon = 0.5``, where f1' has no integer pass bound: the compiled
+  driver calls back into Python for each pass test, so this row guards
+  the path f2, f3, f1' from ``epsilon = 0.5`` on and user-defined
+  functions take;
 * **backend resolution** — the first ``get_backend()`` of a fresh
   interpreter (imports excluded), median over :data:`RESOLUTION_RUNS`
   processes each with a cold verdict (the process runs the golden
@@ -38,10 +38,10 @@ Six measurement families:
   recovery and miner process pays this once.
 
 The acceptance bars of the native layer are enforced with
-``--require-speedup``: enumeration nodes/second >= 3x and Python-driver
+``--require-speedup``: enumeration nodes/second >= 3x and callback
 enumeration >= 2x (median paired ratios), evidence build >= 2x (best of
-:data:`REPEATS`) over the numpy backend.  The Python-driver bar is lower
-because that search still scores f1' in Python at every node.  The
+:data:`REPEATS`) over the numpy backend.  The callback bar is lower
+because that search still scores f1' in Python at every pass test.  The
 library requires a C compiler, and so does this script.
 
 Run standalone::
@@ -89,14 +89,14 @@ BENCH_ROWS = 400
 EPSILON = 0.01
 MAX_DC_SIZE = 3
 
-#: The Python-driver row: f1' at the smallest threshold without an
-#: integer pass bound.
-PY_DRIVER_CONFIDENCE_Z = 1.645
-PY_DRIVER_EPSILON = 0.5
+#: The callback row: f1' at the smallest threshold without an integer
+#: pass bound.
+CALLBACK_CONFIDENCE_Z = 1.645
+CALLBACK_EPSILON = 0.5
 
 #: Acceptance bars of the native layer over the numpy backend.
 EXPECTED_ENUM_SPEEDUP = 3.0
-EXPECTED_PY_DRIVER_SPEEDUP = 2.0
+EXPECTED_CALLBACK_SPEEDUP = 2.0
 EXPECTED_BUILD_SPEEDUP = 2.0
 
 #: Timing repetitions of the micro-kernels and the build (best-of).
@@ -360,14 +360,14 @@ def run_kernel_comparison(n_rows: int = BENCH_ROWS) -> dict[str, object]:
         "n_rows": n_rows,
         "compiled_backend": compiled.name,
         "expected_enum_speedup": EXPECTED_ENUM_SPEEDUP,
-        "expected_py_driver_speedup": EXPECTED_PY_DRIVER_SPEEDUP,
+        "expected_callback_speedup": EXPECTED_CALLBACK_SPEEDUP,
         "expected_build_speedup": EXPECTED_BUILD_SPEEDUP,
         "micro": _micro_rows(compiled, kernel._packed),
         "fold": _fold_rows(compiled),
         "evidence_build": _build_row(compiled, relation, space),
         "enumeration": _enum_row(compiled, evidence, F1(), EPSILON),
-        "enumeration_python_driver": _enum_row(
-            compiled, evidence, F1Adjusted(PY_DRIVER_CONFIDENCE_Z), PY_DRIVER_EPSILON
+        "enumeration_callback": _enum_row(
+            compiled, evidence, F1Adjusted(CALLBACK_CONFIDENCE_Z), CALLBACK_EPSILON
         ),
         "backend_resolution": _resolution_row(),
     }
@@ -380,8 +380,8 @@ def main() -> int:
                         help="also write results to this JSON file")
     parser.add_argument("--require-speedup", action="store_true",
                         help=f"fail unless enumeration reaches "
-                             f"{EXPECTED_ENUM_SPEEDUP}x, Python-driver "
-                             f"enumeration {EXPECTED_PY_DRIVER_SPEEDUP}x and "
+                             f"{EXPECTED_ENUM_SPEEDUP}x, callback "
+                             f"enumeration {EXPECTED_CALLBACK_SPEEDUP}x and "
                              f"the evidence build {EXPECTED_BUILD_SPEEDUP}x")
     args = parser.parse_args()
 
@@ -401,9 +401,9 @@ def main() -> int:
               f"{row['native_ns_per_pair']:>8.1f} {row['numpy_ns_per_pair']:>14.1f}")
     build = results["evidence_build"]
     enum = results["enumeration"]
-    py_driver = results["enumeration_python_driver"]
+    callback = results["enumeration_callback"]
     for label, row in (("evidence build", build), ("enumeration", enum),
-                       ("Python-driver enum", py_driver)):
+                       ("callback enumeration", callback)):
         print(f"{label:>38} {row['numpy_seconds']:>10.3f} "
               f"{row['native_seconds']:>10.3f} {row['speedup']:>7.2f}x")
     print(f"\nnodes/second: {enum['numpy_nodes_per_second']:,.0f} (numpy) "
@@ -426,10 +426,10 @@ def main() -> int:
         failures.append(
             f"enumeration speedup {enum['speedup']:.2f}x < {EXPECTED_ENUM_SPEEDUP}x"
         )
-    if py_driver["speedup"] < EXPECTED_PY_DRIVER_SPEEDUP:
+    if callback["speedup"] < EXPECTED_CALLBACK_SPEEDUP:
         failures.append(
-            f"Python-driver enumeration speedup {py_driver['speedup']:.2f}x "
-            f"< {EXPECTED_PY_DRIVER_SPEEDUP}x"
+            f"callback enumeration speedup {callback['speedup']:.2f}x "
+            f"< {EXPECTED_CALLBACK_SPEEDUP}x"
         )
     if build["speedup"] < EXPECTED_BUILD_SPEEDUP:
         failures.append(

@@ -4,9 +4,7 @@ The shared object built by :mod:`repro.native.build` is bound through
 ctypes from one signature table, :data:`_SIGNATURES`.  All kernel entry
 points take ``intptr_t`` addresses, declared ``c_void_p``: ctypes passes a
 Python int to such a parameter without building a buffer object, so the
-hot path never constructs FFI objects.  :class:`CextSearchWorkspace`
-caches each buffer's ``.ctypes.data`` once at allocation and every
-per-node call passes cached integers and scalars only.
+hot path never constructs FFI objects.
 
 :meth:`CKernels.fold_tiles` folds a whole tile list in one call
 (``adc_fold_tiles``).  The kernel learns its output size only at the end,
@@ -16,17 +14,13 @@ fold and the row dedup number rows with uint32 ids, so each refuses an
 input past :data:`MAX_DEDUP_ROWS` rows; :func:`repro.engine.kernel.
 fold_tiles` cuts longer tile lists into runs below the limit.
 
-The search workspace has two compiled paths:
-
-* :meth:`CextSearchWorkspace.pair_search` runs the whole ADCEnum frame stack
-  in C (``adc_enum_run``) for pair-determined functions with an integer
-  pass bound.  The C search state (frames, per-depth slots, criticality
-  planes) lives in the workspace between calls and is freed with it.
-* For the Python driver (f2, f3, f1' from ``epsilon = 0.5`` on), the
-  workspace extends the arena (:class:`repro.native.arena.SearchArena`:
-  slot management, views and the cold root setup) with the four per-node
-  operations and the criticality pop, each a single C call — the same
-  kernels the C driver composes.
+:meth:`CextSearchWorkspace.search` runs the whole ADCEnum frame stack in C
+(``adc_enum_run``), for every approximation function.  The pass test is
+an integer bound on the uncovered pairs when the function has one, else a
+ctypes callback into the enumerator's scorer; the per-node steps are
+internal to the library.  The C search state (frames, per-depth slots,
+criticality planes) lives in the workspace between calls and is freed
+with it.
 
 The numpy reference these kernels are tested against lives with the
 tests (``tests/numpy_backend.py``); the library checks a new build against
@@ -38,11 +32,9 @@ from __future__ import annotations
 import ctypes
 import weakref
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
-
-from repro.native.arena import DESCENDED, SearchArena
 
 NAME = "cext"
 
@@ -55,28 +47,15 @@ _ADDR, _I64, _I32 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_int32
 #: ``adc_enum_new`` returns its state as an integer, so that the NULL check
 #: and the finalizer see 0 rather than ``None``.
 _SIGNATURES = {
-    "adc_crit_undo": (None, [_ADDR, _I64, _I32, _I64, _ADDR]),
     "adc_tile_plane": (_I32, [_ADDR, _I64, _ADDR, _ADDR, _I64, _ADDR, _I32,
                               _I64, _I64, _I64, _I64, _ADDR]),
     "adc_unique_rows": (_I64, [_ADDR, _I64, _I64, _ADDR, _ADDR, _ADDR]),
     "adc_fold_tiles": (_I32, [_ADDR, _I64, _ADDR, _ADDR, _I64, _ADDR, _I32,
                               _ADDR, _I64, _I32, _ADDR, _ADDR]),
-    "adc_search_expand": (None, [_ADDR, _I64, _I32, _I64, _ADDR, _ADDR, _ADDR,
-                                 _I32, _I32, _I64, _ADDR, _ADDR, _ADDR, _ADDR]),
-    "adc_search_skip_child": (_I64, [_ADDR, _I64, _I32, _I64, _ADDR, _ADDR,
-                                     _ADDR, _I32, _ADDR, _I64, _ADDR, _ADDR,
-                                     _ADDR]),
-    "adc_search_hit_prepare": (_I64, [_ADDR, _I32, _ADDR, _I64, _ADDR, _I32,
-                                      _ADDR, _ADDR, _ADDR, _ADDR]),
-    "adc_search_try_hit": (_I32, [_ADDR, _I64, _I32, _I64, _ADDR, _ADDR, _ADDR,
-                                  _I32, _ADDR, _ADDR, _ADDR, _ADDR, _I32, _I64,
-                                  _ADDR, _I64, _I64, _ADDR, _ADDR, _I64,
-                                  _ADDR, _I64, _ADDR, _ADDR, _ADDR, _ADDR,
-                                  _ADDR, _ADDR]),
     "adc_enum_new": (ctypes.c_ssize_t, [_ADDR, _ADDR, _ADDR, _ADDR, _ADDR,
-                                        _I64, _I32, _I32, _I64]),
-    "adc_enum_run": (_I32, [_ADDR, _I32, _I64, _I32, _I64, _I64, _ADDR, _I64,
-                            _I64, _ADDR]),
+                                        _I64, _I32, _I32, _I64, _I32]),
+    "adc_enum_run": (_I32, [_ADDR, _I32, _I64, _ADDR, _ADDR, _I32, _I64, _I64,
+                            _ADDR, _I64, _I64, _ADDR]),
     "adc_enum_free": (None, [_ADDR]),
 }
 
@@ -107,8 +86,13 @@ _FOLD_ALLOC = ctypes.CFUNCTYPE(ctypes.c_ssize_t, ctypes.c_int64)
 #: Outputs the compiled search buffers before it returns them to Python.
 _OUTPUT_ROWS = 64
 
+#: The pass test ``adc_enum_run`` calls back into when the function has
+#: no integer pass bound: the number of candidate ids it wrote and the
+#: uncovered pairs in; 1 (passes), 0 (fails) or -1 (the test raised) out.
+_PASSES = ctypes.CFUNCTYPE(ctypes.c_int32, ctypes.c_int64, ctypes.c_int64)
+
 #: ``adc_enum_run`` statuses.
-_ENUM_DONE, _ENUM_PAUSED = 0, 1
+_ENUM_DONE, _ENUM_PAUSED, _ENUM_ABORTED = 0, 1, -2
 
 
 def _addr(array: np.ndarray) -> int:
@@ -235,138 +219,61 @@ class CKernels:
 # ---------------------------------------------------------------------------
 # Search workspace
 # ---------------------------------------------------------------------------
-class CextSearchWorkspace(SearchArena):
-    """Arena workspace with a compiled search driver and per-node kernels.
+class CextSearchWorkspace:
+    """The compiled ADCEnum search over one evidence set's planes.
 
-    :meth:`pair_search` runs the whole search in C for pair-determined
-    functions.  The Python driver (every other function) calls the four
-    per-node operations, each a single C call here.
-
-    Address tuple layout per slot (cached on the slot, invalidated by the
-    grow methods): ``(ev, cin, red, pairs, uncov, cand_in, to_try,
-    cand_loop, uncov_bits, elements, covers, crit, child_bits)``.
+    ``track_uncov`` threads the uncovered evidence ids through the search,
+    for pass tests that need more than the uncovered pair count.
     """
 
-    native_driver = True
-
-    def __init__(self, functions: dict, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+    def __init__(
+        self,
+        functions: dict,
+        ev_planes: np.ndarray,
+        counts: np.ndarray,
+        contains_ev_words: np.ndarray,
+        group_words_inv: np.ndarray,
+        full_cand_words: np.ndarray,
+        n_evidences: int,
+        n_predicates: int,
+        track_uncov: bool,
+    ) -> None:
+        self._ev_root = np.ascontiguousarray(ev_planes, dtype=np.uint64)
+        self._counts_root = np.ascontiguousarray(counts, dtype=np.int64)
+        self._contains = np.ascontiguousarray(contains_ev_words, dtype=np.uint64)
+        self._group_inv = np.ascontiguousarray(group_words_inv, dtype=np.uint64)
+        self._full_cand = np.ascontiguousarray(full_cand_words, dtype=np.uint64)
+        self.n_evidences = int(n_evidences)
+        self.n_predicates = int(n_predicates)
+        self.n_words = self._ev_root.shape[0] if self._ev_root.ndim == 2 else 1
+        self.n_ev_words = self._contains.shape[1]
+        self._track_uncov = bool(track_uncov)
+        # The candidate ids the compiled search writes before each callback;
+        # the callback reads them through a read-only view.
+        self._ids = np.zeros(max(self.n_evidences, 1), dtype=np.int64)
+        self._ids_view = self._ids.view()
+        self._ids_view.flags.writeable = False
         self._enum_new = functions["adc_enum_new"]
         self._enum_run = functions["adc_enum_run"]
         self._enum_free = functions["adc_enum_free"]
         self._search = 0
-        self._expand_c = functions["adc_search_expand"]
-        self._skip_c = functions["adc_search_skip_child"]
-        self._prepare_c = functions["adc_search_hit_prepare"]
-        self._try_hit_c = functions["adc_search_try_hit"]
-        self._crit_undo_c = functions["adc_crit_undo"]
-        self._contains_p = _addr(self._contains)
-        self._group_inv_p = _addr(self._group_inv)
-        self._crit_rows_p = _addr(self._crit_rows)
-        self._out = np.zeros(4, dtype=np.int64)
-        self._out_p = _addr(self._out)
-        self._removed_p: list[int] = [0] * (self.n_predicates + 1)
 
-    def _addresses(self, slot) -> tuple:
-        addresses = slot.addr
-        if addresses is None:
-            addresses = slot.addr = (
-                _addr(slot.ev), _addr(slot.cin), _addr(slot.red), _addr(slot.pairs),
-                _addr(slot.uncov) if slot.uncov is not None else 0,
-                _addr(slot.cand_in), _addr(slot.to_try), _addr(slot.cand_loop),
-                _addr(slot.uncov_bits),
-                _addr(slot.elements) if slot.elements is not None else 0,
-                _addr(slot.covers_block) if slot.covers_block is not None else 0,
-                _addr(slot.crit_block) if slot.crit_block is not None else 0,
-                _addr(slot.child_bits_block) if slot.child_bits_block is not None else 0,
-            )
-        return addresses
-
-    def expand(
-        self, depth: int, n: int, selection: int, call_index: int
-    ) -> tuple[int, int, int, int]:
-        slot = self._slots[depth]
-        a = self._addresses(slot)
-        self._expand_c(
-            a[0], slot.capacity, self.n_words, n, a[1], a[3], a[5],
-            self.n_words, selection, call_index, a[6], a[7], a[2], self._out_p,
-        )
-        out = self._out.tolist()
-        return out[0], out[1], out[2], out[3]
-
-    def skip_child(self, depth: int, n: int, compact: bool) -> int:
-        slot = self._slots[depth]
-        child = self._slot(depth + 1, n)
-        a = self._addresses(slot)
-        c = self._addresses(child)
-        m = self._skip_c(
-            a[0], slot.capacity, self.n_words, n, a[2], a[3], a[4],
-            1 if compact else 0, c[0], child.capacity, c[1], c[3], c[4],
-        )
-        child.cand_in[:] = slot.cand_loop
-        child.uncov_bits[:] = slot.uncov_bits
-        return m
-
-    def hit_prepare(self, depth: int, n: int, k: int) -> int:
-        slot = self._slots[depth]
-        if slot.block_capacity < k:
-            slot.grow_blocks(self.n_ev_words, max(k, 1))
-        a = self._addresses(slot)
-        return self._prepare_c(
-            a[6], self.n_words, self._contains_p, self.n_ev_words, a[8],
-            self.n_ev_words, a[9], a[10], a[11], a[12],
-        )
-
-    def try_hit(
-        self, depth: int, n: int, position: int
-    ) -> tuple[int, int, int, int]:
-        slot = self._slots[depth]
-        a = self._addresses(slot)
-        crit_depth = self._crit_depth
-        removed_p = self._removed_p[crit_depth]
-        if not removed_p:
-            removed_p = self._cext_removed(crit_depth)
-        child = self._slot(depth + 1, n)
-        c = self._addresses(child)
-        status = self._try_hit_c(
-            a[0], slot.capacity, self.n_words, n, a[3], a[4], a[7],
-            self.n_words, a[9], a[10], a[11], a[12], self.n_ev_words,
-            position, self._crit_rows_p, self.n_ev_words, crit_depth,
-            removed_p, self._group_inv_p, self.n_words,
-            c[0], child.capacity, c[1], c[3], c[4],
-            c[5], c[8], self._out_p,
-        )
-        if status == DESCENDED:
-            self._crit_depth = crit_depth + 1
-        out = self._out.tolist()
-        return status, out[0], out[1], out[2]
-
-    def crit_pop(self) -> None:
-        self._crit_depth -= 1
-        depth = self._crit_depth
-        self._crit_undo_c(
-            self._crit_rows_p, self.n_ev_words, self.n_ev_words, depth,
-            self._removed_p[depth],
-        )
-
-    def _cext_removed(self, crit_depth: int) -> int:
-        buffer = np.zeros((max(crit_depth, 1), self.n_ev_words), dtype=np.uint64)
-        self._crit_removed[crit_depth] = buffer
-        address = _addr(buffer)
-        self._removed_p[crit_depth] = address
-        return address
-
-    def pair_search(
+    def search(
         self,
-        bound: int,
+        bound: int | None,
+        passes: Callable[[np.ndarray, int], bool],
         selection: int,
         max_dc_size: int | None,
         progress_interval: int,
     ) -> Iterator[tuple[list[tuple[list[int], int]], list[int], int, bool]]:
-        """Run the search in C with the pass test "uncovered pairs <= bound".
+        """Run the search in C.
 
-        The compiled driver returns to Python when the search ends, when
-        ``progress_interval`` nodes have passed (0: never) and when
+        The pass test is "uncovered pairs <= bound", or, when ``bound`` is
+        None, ``passes(ids, pairs)``: the candidate's uncovered evidence
+        ids (empty without ``track_uncov``) and uncovered pair count.  An
+        exception raised by ``passes`` stops the search and is re-raised
+        here.  The compiled driver returns to Python when the search ends,
+        when ``progress_interval`` nodes have passed (0: never) and when
         :data:`_OUTPUT_ROWS` outputs are buffered.  Each return yields
         ``(outputs, counters, max_depth, paused)``: the new outputs as
         ``(hitting-set elements, uncovered pairs)``, the six
@@ -379,13 +286,29 @@ class CextSearchWorkspace(SearchArena):
             self._search = self._enum_new(
                 _addr(self._ev_root), _addr(self._counts_root), _addr(self._contains),
                 _addr(self._group_inv), _addr(self._full_cand), self.n_evidences,
-                self.n_words, self.n_ev_words, self.n_predicates,
+                self.n_words, self.n_ev_words, self.n_predicates, int(self._track_uncov),
             )
             if not self._search:
                 raise MemoryError("the compiled search could not allocate its state")
             # The C state borrows the root arrays this workspace owns, so it
             # is freed with the workspace, never before.
             weakref.finalize(self, self._enum_free, self._search)
+        raised: list[BaseException] = []
+        callback = None
+        if bound is None:
+            ids = self._ids_view
+
+            def call(n_ids: int, pairs: int) -> int:
+                # Nothing may escape into ctypes, which would print and
+                # drop it: the error is kept and the search aborted.
+                try:
+                    return 1 if passes(ids[:n_ids], pairs) else 0
+                except BaseException as error:
+                    raised.append(error)
+                    return -1
+
+            # Referenced by this frame for as long as the search runs.
+            callback = _PASSES(call)
         # A hitting set never outgrows the predicate count, so the cap is
         # clamped to it (an equivalent test that fits an int64).
         limit = self.n_predicates if max_dc_size is None else max_dc_size
@@ -396,10 +319,12 @@ class CextSearchWorkspace(SearchArena):
         restart = 1
         while True:
             status = self._enum_run(
-                self._search, restart, bound, selection, limit, progress_interval,
-                _addr(out), rows, 2 + limit, _addr(counters),
+                self._search, restart, bound or 0, callback, _addr(self._ids), selection,
+                limit, progress_interval, _addr(out), rows, 2 + limit, _addr(counters),
             )
             restart = 0
+            if status == _ENUM_ABORTED:
+                raise raised.pop()
             if status < 0:
                 raise MemoryError("the compiled search could not allocate a slot")
             values = counters.tolist()

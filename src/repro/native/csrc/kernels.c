@@ -14,11 +14,12 @@
  *   - All pointers arrive as intptr_t so the Python side can pass cached
  *     integer addresses without per-call FFI casts.
  *
- * The search_* family implements the per-node work of the ADCEnum explicit
- * stack (see repro.core.adc_enum): each call fuses what used to be a dozen
+ * The search_* family implements the per-node steps of the ADCEnum explicit
+ * stack (see repro.core.adc_enum): each fuses what used to be a dozen
  * small numpy dispatches into one pass over the node's arrays.  The enum_*
- * entry points at the end run the whole stack over those kernels; their
- * reference is the Python driver over the numpy arena.
+ * entry points at the end run the whole stack over those steps; their
+ * reference is the search of the numpy workspace in the tests, which
+ * composes the same steps in numpy.
  */
 
 #include <stdint.h>
@@ -51,7 +52,7 @@ static void adc_intersection_counts(intptr_t ev_p, int64_t stride,
     }
 }
 
-/* The criticality push of the workspace's try_hit as one fused pass:
+/* The criticality push of a hit-loop step as one fused pass:
  * strip `covers` from every member row (recording the removed bits), test
  * viability, install the new row at `depth`.  Returns 1 when every previous
  * member keeps a bit. */
@@ -82,9 +83,9 @@ static int32_t adc_crit_apply(intptr_t rows_p, int64_t stride,
     return viable;
 }
 
-/* The workspace's crit_pop: restore the removed bits of every member row. */
-void adc_crit_undo(intptr_t rows_p, int64_t stride, int32_t n_words,
-                   int64_t depth, intptr_t removed_p)
+/* The criticality pop: restore the removed bits of every member row. */
+static void adc_crit_undo(intptr_t rows_p, int64_t stride, int32_t n_words,
+                          int64_t depth, intptr_t removed_p)
 {
     uint64_t *rows = (uint64_t *)rows_p;
     const uint64_t *removed = (const uint64_t *)removed_p;
@@ -1063,12 +1064,12 @@ done:
  * zero-count evidences never selectable), 2 = pseudo-random
  * (selectable[call_index % n_selectable]).
  */
-void adc_search_expand(intptr_t ev_p, int64_t stride, int32_t n_words,
-                       int64_t n_cols, intptr_t cin_p, intptr_t pairs_p,
-                       intptr_t cand_p, int32_t n_cand_words,
-                       int32_t selection, int64_t call_index,
-                       intptr_t to_try_p, intptr_t cand_loop_p,
-                       intptr_t red_p, intptr_t out_scalars_p)
+static void adc_search_expand(intptr_t ev_p, int64_t stride, int32_t n_words,
+                              int64_t n_cols, intptr_t cin_p, intptr_t pairs_p,
+                              intptr_t cand_p, int32_t n_cand_words,
+                              int32_t selection, int64_t call_index,
+                              intptr_t to_try_p, intptr_t cand_loop_p,
+                              intptr_t red_p, intptr_t out_scalars_p)
 {
     const uint64_t *ev = (const uint64_t *)ev_p;
     const uint32_t *cin = (const uint32_t *)cin_p;
@@ -1139,14 +1140,14 @@ void adc_search_expand(intptr_t ev_p, int64_t stride, int32_t n_words,
 
 /* Skip-branch child state.  With compact != 0 only evidences whose reduced
  * overlap is still positive survive (dead-evidence compaction); otherwise
- * the child is a verbatim copy.  uncov pointers may be 0 (pair-determined
- * mode threads no index array).  Returns the child's evidence count. */
-int64_t adc_search_skip_child(intptr_t ev_p, int64_t stride, int32_t n_words,
-                              int64_t n_cols, intptr_t red_p, intptr_t pairs_p,
-                              intptr_t uncov_p, int32_t compact,
-                              intptr_t child_ev_p, int64_t child_stride,
-                              intptr_t child_cin_p, intptr_t child_pairs_p,
-                              intptr_t child_uncov_p)
+ * the child is a verbatim copy.  uncov pointers may be 0 (a search
+ * without track_uncov threads no ids).  Returns the child's evidence count. */
+static int64_t adc_search_skip_child(intptr_t ev_p, int64_t stride, int32_t n_words,
+                                     int64_t n_cols, intptr_t red_p, intptr_t pairs_p,
+                                     intptr_t uncov_p, int32_t compact,
+                                     intptr_t child_ev_p, int64_t child_stride,
+                                     intptr_t child_cin_p, intptr_t child_pairs_p,
+                                     intptr_t child_uncov_p)
 {
     const uint64_t *ev = (const uint64_t *)ev_p;
     const uint32_t *red = (const uint32_t *)red_p;
@@ -1188,11 +1189,11 @@ int64_t adc_search_skip_child(intptr_t ev_p, int64_t stride, int32_t n_words,
  * freshly-critical bits (covers ∩ uncov_bits) and the child's uncovered
  * bitset (uncov_bits \ covers).  Blocks are (k, n_ev_words) row-major.
  * Returns k, the number of elements. */
-int64_t adc_search_hit_prepare(intptr_t to_try_p, int32_t n_cand_words,
-                               intptr_t contains_p, int64_t contains_stride,
-                               intptr_t uncov_bits_p, int32_t n_ev_words,
-                               intptr_t elements_p, intptr_t covers_block_p,
-                               intptr_t crit_block_p, intptr_t child_bits_p)
+static int64_t adc_search_hit_prepare(intptr_t to_try_p, int32_t n_cand_words,
+                                      intptr_t contains_p, int64_t contains_stride,
+                                      intptr_t uncov_bits_p, int32_t n_ev_words,
+                                      intptr_t elements_p, intptr_t covers_block_p,
+                                      intptr_t crit_block_p, intptr_t child_bits_p)
 {
     const uint64_t *to_try = (const uint64_t *)to_try_p;
     const uint64_t *contains = (const uint64_t *)contains_p;
@@ -1241,7 +1242,7 @@ int64_t adc_search_hit_prepare(intptr_t to_try_p, int32_t n_cand_words,
  *
  * out_scalars = {element, E_child, child_pair_sum}.
  */
-int32_t adc_search_try_hit(
+static int32_t adc_search_try_hit(
     intptr_t ev_p, int64_t stride, int32_t n_words, int64_t n_cols,
     intptr_t pairs_p, intptr_t uncov_p, intptr_t cand_loop_p,
     int32_t n_cand_words, intptr_t elements_p, intptr_t covers_block_p,
@@ -1327,30 +1328,46 @@ int32_t adc_search_try_hit(
 }
 
 /* ------------------------------------------------------------------ */
-/* ADCEnum driver for pair-determined functions                        */
+/* ADCEnum driver                                                      */
 /* ------------------------------------------------------------------ */
 
-/* The whole explicit-stack search of ADCEnum._run_search (Figures 4 and
- * 5), run in C for functions whose pass test is "uncovered pairs <= K"
- * (f1, and f1' below epsilon 0.5; see ApproximationFunction.pair_bound).
- * The driver composes the per-node kernels above exactly as the Python
- * driver calls them, so the traversal order, the counters and the outputs
- * are the Python driver's.  Differences are confined to mechanism:
+/* The whole explicit-stack search of ADCEnum (Figures 4 and 5) over the
+ * per-node kernels above.  Its reference is the numpy workspace's search
+ * in the tests, which composes the same steps node for node, so the
+ * traversal order, the counters and the outputs are the same.
  *
- *   - the pass tests (base case, WillCover, IsMinimal) compare integer pair
- *     counts with K, so no floating-point score is evaluated here;
- *   - IsMinimal is a weighted popcount of each criticality row against the
- *     evidence multiplicities;
- *   - the search is resumable: adc_enum_run returns when the search ends,
- *     when a progress report is due, or when the output buffer is full,
- *     and the next call continues where it stopped.  Frames, slots and
- *     criticality planes live in an EnumSearch owned by the caller's
- *     workspace (adc_enum_new / adc_enum_free).
+ * The pass test (base case, WillCover, each IsMinimal member) takes the
+ * candidate's uncovered pair count.  With an integer bound K (f1, and f1'
+ * below epsilon 0.5; see ApproximationFunction.pair_bound) it is "pairs
+ * <= K", so no floating-point score is evaluated here.  Otherwise it is
+ * the caller's callback, which may need the candidate's uncovered evidence
+ * ids too: a search created with track_uncov threads per-slot uncov ids
+ * and, before each call, writes the candidate's ids to the caller's ids
+ * buffer (capacity n_evidences) — the node's uncov ids at the base case,
+ * the ids whose reduced overlap is zero at WillCover, and for IsMinimal
+ * the node's ids followed by the member's critical ids in ascending order.
+ * Without track_uncov the driver passes no ids and drops dead evidences
+ * (no candidate overlap left) from the skip branch's child: only their
+ * pairs, kept in the frame's dead count, can still decide a test.
+ *
+ * IsMinimal weighs each member's criticality row against the evidence
+ * multiplicities.  The search is resumable: adc_enum_run returns when the
+ * search ends, when a progress report is due, when the output buffer is
+ * full or when the callback aborts, and the next call continues where it
+ * stopped (or restarts).  Frames, slots and criticality planes live in an
+ * EnumSearch owned by the caller's workspace (adc_enum_new /
+ * adc_enum_free).
  *
  * Slot buffers have capacity n_evidences and are allocated per depth on
  * first use; nothing is allocated per node. */
 
-enum { ENUM_DONE = 0, ENUM_PAUSED = 1, ENUM_FULL = 2, ENUM_NOMEM = -1 };
+enum {
+    ENUM_DONE = 0, ENUM_PAUSED = 1, ENUM_FULL = 2, ENUM_NOMEM = -1, ENUM_ABORT = -2
+};
+
+/* The pass-test callback: (number of ids written, uncovered pairs) in;
+ * 1 passes, 0 fails, a negative value aborts the search. */
+typedef int32_t (*EnumPasses)(int64_t n_ids, int64_t pairs);
 
 /* Frame phases: ENTER counts the node (and may pause for a progress
  * report), BODY runs the base case, the expansion and the skip branch,
@@ -1375,6 +1392,7 @@ typedef struct {
     uint64_t *uncov_bits;                /* n_ev_words */
     uint64_t *covers, *crit, *child_bits; /* (max_k, n_ev_words) each */
     int64_t *pairs;                      /* n_ev */
+    int64_t *uncov;                      /* n_ev with track_uncov, else NULL */
     uint32_t *cin, *red;                 /* n_ev each */
     int32_t *elements;                   /* max_k */
 } EnumSlot;
@@ -1387,12 +1405,15 @@ typedef struct {
     const uint64_t *group_inv;    /* (n_predicates, n_words) */
     const uint64_t *full_cand;    /* n_words */
     int64_t n_ev, n_predicates;
-    int32_t n_words, n_ev_words;
+    int32_t n_words, n_ev_words, track_uncov;
     /* Most predicates of one evidence: bounds every hit loop's length. */
     int64_t max_k;
-    /* Parameters of the current search. */
+    /* Parameters of the current search; passes is NULL for the bound test,
+     * and it and ids are re-read on every call. */
     int64_t bound, max_dc_size, interval, next_progress;
     int32_t selection;
+    EnumPasses passes;
+    int64_t *ids;                 /* the caller's n_ev ids */
     /* Arena: n_predicates + 2 frames and slots (a depth consumes at least
      * one candidate), criticality rows and their per-depth undo tokens. */
     EnumFrame *frames;
@@ -1412,7 +1433,8 @@ static EnumSlot *enum_slot(EnumSearch *s, int64_t depth)
     const size_t cap = s->n_ev > 0 ? (size_t)s->n_ev : 1;
     const size_t k = s->max_k > 0 ? (size_t)s->max_k : 1;
     const size_t nw = (size_t)s->n_words, new = (size_t)s->n_ev_words;
-    const size_t words = nw * cap + 3 * nw + new + 3 * k * new + cap;
+    const size_t uncov = s->track_uncov ? cap : 0;
+    const size_t words = nw * cap + 3 * nw + new + 3 * k * new + cap + uncov;
     const size_t bytes = sizeof(EnumSlot) + words * sizeof(uint64_t)
                          + (2 * cap + k) * sizeof(uint32_t);
     char *memory = (char *)malloc(bytes);
@@ -1429,6 +1451,7 @@ static EnumSlot *enum_slot(EnumSearch *s, int64_t depth)
     slot->crit = w;            w += k * new;
     slot->child_bits = w;      w += k * new;
     slot->pairs = (int64_t *)w; w += cap;
+    slot->uncov = uncov ? (int64_t *)w : NULL; w += uncov;
     slot->cin = (uint32_t *)w;
     slot->red = slot->cin + cap;
     slot->elements = (int32_t *)(slot->red + cap);
@@ -1467,10 +1490,12 @@ void adc_enum_free(intptr_t search_p)
 }
 
 /* A search over the given evidence planes (the layouts of the Python
- * workspace's root arrays); 0 when memory runs out. */
+ * workspace's root arrays); track_uncov != 0 threads the uncovered ids
+ * the callback needs.  0 when memory runs out. */
 intptr_t adc_enum_new(intptr_t ev_p, intptr_t counts_p, intptr_t contains_p,
                       intptr_t group_inv_p, intptr_t full_cand_p, int64_t n_ev,
-                      int32_t n_words, int32_t n_ev_words, int64_t n_predicates)
+                      int32_t n_words, int32_t n_ev_words, int64_t n_predicates,
+                      int32_t track_uncov)
 {
     EnumSearch *s = (EnumSearch *)calloc(1, sizeof(EnumSearch));
     if (!s)
@@ -1484,6 +1509,7 @@ intptr_t adc_enum_new(intptr_t ev_p, intptr_t counts_p, intptr_t contains_p,
     s->n_words = n_words;
     s->n_ev_words = n_ev_words;
     s->n_predicates = n_predicates;
+    s->track_uncov = track_uncov != 0;
     for (int64_t e = 0; e < n_ev; e++) {
         int64_t k = 0;
         for (int32_t w = 0; w < n_words; w++)
@@ -1516,6 +1542,9 @@ static int32_t enum_restart(EnumSearch *s)
         memcpy(root->ev + (int64_t)w * n, s->ev_root + (int64_t)w * n,
                (size_t)n * sizeof(uint64_t));
     memcpy(root->pairs, s->counts, (size_t)n * sizeof(int64_t));
+    if (root->uncov)
+        for (int64_t e = 0; e < n; e++)
+            root->uncov[e] = e;
     adc_intersection_counts((intptr_t)root->ev, n, s->n_words, n,
                             (intptr_t)s->full_cand, (intptr_t)root->cin);
     memcpy(root->cand_in, s->full_cand, (size_t)s->n_words * sizeof(uint64_t));
@@ -1539,25 +1568,82 @@ static int32_t enum_restart(EnumSearch *s)
     return ENUM_DONE;
 }
 
+/* The callback's verdict on the n_ids ids in s->ids: 1 passes, 0 fails,
+ * ENUM_ABORT when the callback aborts. */
+static int32_t enum_call(const EnumSearch *s, int64_t n_ids, int64_t pairs)
+{
+    int32_t verdict = s->passes(n_ids, pairs);
+    return verdict < 0 ? ENUM_ABORT : verdict != 0;
+}
+
+/* The base-case pass test of a node whose slot holds its n evidences. */
+static int32_t enum_passes(EnumSearch *s, const EnumSlot *slot, int64_t n,
+                           int64_t uncovered)
+{
+    if (!s->passes)
+        return uncovered <= s->bound;
+    if (!slot->uncov)
+        return enum_call(s, 0, uncovered);
+    memcpy(s->ids, slot->uncov, (size_t)n * sizeof(int64_t));
+    return enum_call(s, n, uncovered);
+}
+
+/* WillCover: would the node still pass with every evidence of zero reduced
+ * overlap (doomed by the skip branch) uncovered, and `pairs` in all? */
+static int32_t enum_will_cover(EnumSearch *s, const EnumSlot *slot, int64_t n,
+                               int64_t pairs)
+{
+    if (!s->passes)
+        return pairs <= s->bound;
+    int64_t n_ids = 0;
+    if (slot->uncov)
+        for (int64_t e = 0; e < n; e++)
+            if (!slot->red[e])
+                s->ids[n_ids++] = slot->uncov[e];
+    return enum_call(s, n_ids, pairs);
+}
+
 /* IsMinimal (Figure 5): S is minimal unless dropping some member passes,
  * and dropping member d un-covers exactly the evidences of its
- * criticality row, so it passes when uncovered + (pairs of that row) <= K. */
-static int enum_is_minimal(EnumSearch *s, int64_t uncovered)
+ * criticality row.  Returns 1 (minimal), 0, or ENUM_ABORT. */
+static int32_t enum_is_minimal(EnumSearch *s, const EnumSlot *slot, int64_t n,
+                               int64_t uncovered)
 {
     s->counters[C_MINIMALITY]++;
     const int64_t slack = s->bound - uncovered;
     for (int64_t d = 0; d < s->n_members; d++) {
         const uint64_t *row = s->crit_rows + d * (int64_t)s->n_ev_words;
         int64_t extra = 0;
-        for (int32_t v = 0; v < s->n_ev_words && extra <= slack; v++) {
+        if (!s->passes) {
+            for (int32_t v = 0; v < s->n_ev_words && extra <= slack; v++) {
+                uint64_t word = row[v];
+                while (word) {
+                    extra += s->counts[(int64_t)v * 64 + __builtin_ctzll(word)];
+                    word &= word - 1;
+                }
+            }
+            if (extra <= slack)
+                return 0;
+            continue;
+        }
+        int64_t n_ids = 0;
+        if (slot->uncov) {
+            memcpy(s->ids, slot->uncov, (size_t)n * sizeof(int64_t));
+            n_ids = n;
+        }
+        for (int32_t v = 0; v < s->n_ev_words; v++) {
             uint64_t word = row[v];
             while (word) {
-                extra += s->counts[(int64_t)v * 64 + __builtin_ctzll(word)];
+                int64_t e = (int64_t)v * 64 + __builtin_ctzll(word);
+                extra += s->counts[e];
+                if (slot->uncov)
+                    s->ids[n_ids++] = e;
                 word &= word - 1;
             }
         }
-        if (extra <= slack)
-            return 0;
+        int32_t verdict = enum_call(s, n_ids, uncovered + extra);
+        if (verdict)
+            return verdict < 0 ? verdict : 0;
     }
     return 1;
 }
@@ -1574,26 +1660,35 @@ static void enum_enter(EnumSearch *s, int64_t n, int64_t uncovered, int64_t dead
         s->counters[C_MAX_DEPTH] = s->depth;
 }
 
-/* Run (restart != 0) or resume the search.  Each output is one row of
- * `out` (out_rows x out_width int64): uncovered pairs, |S|, then the
- * members of S; out_width must be at least 2 + min(max_dc_size,
- * n_predicates).  counters (C_COUNT int64) receives the search counters
- * and the number of output rows written by this call.  Returns ENUM_DONE,
- * ENUM_PAUSED (progress_interval nodes passed since the last report; 0
- * disables), ENUM_FULL (out has out_rows rows) or ENUM_NOMEM. */
+/* Run (restart != 0) or resume the search.  The pass test is "uncovered
+ * pairs <= bound" when passes_p is 0, else the callback at passes_p, which
+ * reads the ids written to ids_p.  Each output is one row of `out`
+ * (out_rows x out_width int64): uncovered pairs, |S|, then the members of
+ * S; out_width must be at least 2 + min(max_dc_size, n_predicates).
+ * counters (C_COUNT int64) receives the search counters and the number of
+ * output rows written by this call.  Returns ENUM_DONE, ENUM_PAUSED
+ * (progress_interval nodes passed since the last report; 0 disables),
+ * ENUM_FULL (out has out_rows rows), ENUM_NOMEM or ENUM_ABORT (the
+ * callback aborted; the search must restart). */
 int32_t adc_enum_run(intptr_t search_p, int32_t restart, int64_t bound,
-                     int32_t selection, int64_t max_dc_size,
-                     int64_t progress_interval, intptr_t out_p,
-                     int64_t out_rows, int64_t out_width, intptr_t counters_p)
+                     intptr_t passes_p, intptr_t ids_p, int32_t selection,
+                     int64_t max_dc_size, int64_t progress_interval,
+                     intptr_t out_p, int64_t out_rows, int64_t out_width,
+                     intptr_t counters_p)
 {
     EnumSearch *s = (EnumSearch *)search_p;
     int64_t *out = (int64_t *)out_p;
     int64_t *c = s->counters;
     const int64_t nw = s->n_words, new = s->n_ev_words, cap = s->n_ev;
+    /* Without ids a skip child may drop its dead evidences. */
+    const int32_t compact = !s->track_uncov;
     int64_t scalars[4];
     int64_t n_out = 0;
     int32_t status = ENUM_DONE;
+    int32_t verdict;
 
+    s->passes = (EnumPasses)passes_p;
+    s->ids = (int64_t *)ids_p;
     if (restart) {
         s->bound = bound;
         s->selection = selection;
@@ -1628,14 +1723,16 @@ int32_t adc_enum_run(intptr_t search_p, int32_t restart, int64_t bound,
             while (f->position < f->k) {
                 if (adc_search_try_hit(
                         (intptr_t)slot->ev, cap, (int32_t)nw, f->n,
-                        (intptr_t)slot->pairs, 0, (intptr_t)slot->cand_loop,
+                        (intptr_t)slot->pairs, (intptr_t)slot->uncov,
+                        (intptr_t)slot->cand_loop,
                         (int32_t)nw, (intptr_t)slot->elements,
                         (intptr_t)slot->covers, (intptr_t)slot->crit,
                         (intptr_t)slot->child_bits, (int32_t)new, f->position,
                         (intptr_t)s->crit_rows, new, s->n_members,
                         (intptr_t)removed, (intptr_t)s->group_inv, nw,
                         (intptr_t)child->ev, cap, (intptr_t)child->cin,
-                        (intptr_t)child->pairs, 0, (intptr_t)child->cand_in,
+                        (intptr_t)child->pairs, (intptr_t)child->uncov,
+                        (intptr_t)child->cand_in,
                         (intptr_t)child->uncov_bits, (intptr_t)scalars)) {
                     c[C_HITS]++;
                     s->members[s->n_members++] = (int32_t)scalars[0];
@@ -1665,8 +1762,10 @@ int32_t adc_enum_run(intptr_t search_p, int32_t restart, int64_t bound,
         if (f->phase == PHASE_BODY) {
             /* Base case: report S when it passes and is minimal; no
              * strict superset of a passing S is a minimal ADC. */
-            if (f->uncovered <= s->bound) {
-                if (enum_is_minimal(s, f->uncovered)) {
+            verdict = enum_passes(s, slot, f->n, f->uncovered);
+            if (verdict > 0) {
+                verdict = enum_is_minimal(s, slot, f->n, f->uncovered);
+                if (verdict > 0) {
                     int64_t *row = out + n_out * out_width;
                     row[0] = f->uncovered;
                     row[1] = s->n_members;
@@ -1674,12 +1773,18 @@ int32_t adc_enum_run(intptr_t search_p, int32_t restart, int64_t bound,
                         row[2 + i] = s->members[i];
                     n_out++;
                 }
-                s->depth--;
-                if (n_out == out_rows) {
-                    status = ENUM_FULL;
-                    goto done;
+                if (verdict >= 0) {
+                    s->depth--;
+                    if (n_out == out_rows) {
+                        status = ENUM_FULL;
+                        goto done;
+                    }
+                    continue;
                 }
-                continue;
+            }
+            if (verdict < 0) {
+                status = verdict;
+                goto done;
             }
             adc_search_expand((intptr_t)slot->ev, cap, (int32_t)nw, f->n,
                               (intptr_t)slot->cin, (intptr_t)slot->pairs,
@@ -1694,9 +1799,15 @@ int32_t adc_enum_run(intptr_t search_p, int32_t restart, int64_t bound,
             f->n_to_try = scalars[3];
             f->phase = PHASE_HIT_SETUP;
             /* Skip branch, guarded by WillCover: the evidences the skip
-             * dooms join the dead pairs, and the child drops them. */
+             * dooms join the dead pairs, and a compacting child drops
+             * them. */
             const int64_t will_cover = f->dead + scalars[2];
-            if (will_cover > s->bound) {
+            verdict = enum_will_cover(s, slot, f->n, will_cover);
+            if (verdict < 0) {
+                status = verdict;
+                goto done;
+            }
+            if (!verdict) {
                 c[C_WILLCOVER]++;
                 continue;
             }
@@ -1708,11 +1819,12 @@ int32_t adc_enum_run(intptr_t search_p, int32_t restart, int64_t bound,
             }
             int64_t m = adc_search_skip_child(
                 (intptr_t)slot->ev, cap, (int32_t)nw, f->n, (intptr_t)slot->red,
-                (intptr_t)slot->pairs, 0, 1, (intptr_t)child->ev, cap,
-                (intptr_t)child->cin, (intptr_t)child->pairs, 0);
+                (intptr_t)slot->pairs, (intptr_t)slot->uncov, compact,
+                (intptr_t)child->ev, cap, (intptr_t)child->cin,
+                (intptr_t)child->pairs, (intptr_t)child->uncov);
             memcpy(child->cand_in, slot->cand_loop, (size_t)nw * sizeof(uint64_t));
             memcpy(child->uncov_bits, slot->uncov_bits, (size_t)new * sizeof(uint64_t));
-            enum_enter(s, m, f->uncovered, will_cover);
+            enum_enter(s, m, f->uncovered, compact ? will_cover : f->dead);
             continue;
         }
 

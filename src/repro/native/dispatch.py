@@ -26,21 +26,19 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator
 
-from repro.native.arena import SearchArena
-
 
 @dataclass(frozen=True)
 class Backend:
     """One kernel provider.
 
     ``kernels`` carries the flat kernels (tile pass, tile fold, row dedup);
-    ``workspace_factory`` builds the explicit-stack search arena, which
-    runs whole searches too when its ``native_driver`` is set.
+    ``workspace_factory`` builds a search workspace over one evidence set,
+    whose ``search`` runs a whole ADCEnum search.
     """
 
     name: str
     kernels: object
-    workspace_factory: Callable[..., SearchArena]
+    workspace_factory: Callable[..., object]
 
 
 #: The modules of ``repro.core`` the self-check runs through besides this

@@ -3,8 +3,8 @@
 A library that compiles can still compute something else: a miscompiled
 ``-march=native`` build, a stale source, a broken binding.  Before the
 dispatch layer trusts a new library, each check in :data:`CHECKS` runs
-fixed inputs through it (the flat kernels, the search workspace, whole
-``ADCEnum`` searches) and hashes the outputs; each digest must equal its
+fixed inputs through it (the flat kernels and whole ``ADCEnum`` searches)
+and hashes the outputs; each digest must equal its
 committed :data:`GOLDEN` value, which a test regenerates through the numpy
 reference of ``tests/numpy_backend.py``.  A mismatch raises
 :class:`RuntimeError` naming the check.
@@ -22,16 +22,13 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from repro.native.arena import DESCENDED
-
 #: SHA-256 of each check's serialized outputs, as the numpy reference
 #: computes them.
 GOLDEN = {
     "tile_plane": "0e5ab9ee651cd699668ed660a4f1866f2464248750525df1bac69654670e7e9a",
     "fold_tiles": "4d4a1b70ef4ca5e0eb166194222509e8c4c5ef4106b537bedbaddab002891201",
     "unique_rows": "cce13e9f4ce2d46009e9877b0caef5928ef53f0e3e66da98f76178d322f74955",
-    "workspace": "41c3cb716ddbe25ae016612286f11d3635e2f29f4ccb51990061952723f479fd",
-    "search driver": "58b460c96f2683d9a6a543f225d7fe76704ca3dfd3087b55dc02ae3d59ef5e48",
+    "search driver": "2460f68eaab8ba64181696f0b626df49c1f546629f39679087e83e1e76a68b0f",
 }
 
 
@@ -105,64 +102,6 @@ def _unique_rows_outputs(backend) -> list[object]:
     return list(backend.kernels.unique_rows(rows))
 
 
-def _workspace_outputs(backend) -> list[object]:
-    """Every per-node operation: expand under each selection rule,
-    skip-child both ways, and hit loops three levels deep (so some hits
-    are pruned by criticality), with and without the uncovered vectors."""
-    n_predicates, n_evidences = 9, 7
-    ev = np.arange(n_evidences, dtype=np.uint64) * np.uint64(0x9E37) + np.uint64(0x5A)
-    ev = ev % np.uint64(511) + np.uint64(1)
-    bits = np.arange(n_predicates, dtype=np.uint64)
-    # Bit e of predicate p's row: evidence e holds p.
-    holds = (ev[None, :] >> bits[:, None]) & np.uint64(1)
-    contains = (holds << np.arange(n_evidences, dtype=np.uint64)).sum(axis=1, dtype=np.uint64)
-    group_inv = ~(np.uint64(1) << bits)
-    build = dict(
-        ev_planes=ev.reshape(1, -1),
-        counts=np.arange(n_evidences, dtype=np.int64) % 4 + 1,
-        contains_ev_words=contains.reshape(-1, 1),
-        group_words_inv=group_inv.reshape(-1, 1),
-        full_cand_words=np.array([(1 << n_predicates) - 1], dtype=np.uint64),
-        n_evidences=n_evidences,
-        n_predicates=n_predicates,
-    )
-    outputs: list[object] = []
-
-    def hit_loop(workspace, depth: int, n: int, k: int, levels: int) -> None:
-        outputs.append(workspace.hit_prepare(depth, n, k))
-        outputs.append(workspace.elements_list(depth, k))
-        for position in range(k):
-            status, _, m, _ = step = workspace.try_hit(depth, n, position)
-            outputs.append(step)
-            if status != DESCENDED:
-                continue
-            outputs.extend([
-                workspace.cin_view(depth + 1, m).copy(),
-                workspace.uncov_bits_view(depth + 1).copy(),
-                workspace.crit_active_rows().copy(),
-            ])
-            if levels and m:
-                chosen, _, _, k_child = workspace.expand(depth + 1, m, 0, position)
-                outputs.append((chosen, k_child))
-                if chosen >= 0:
-                    hit_loop(workspace, depth + 1, m, k_child, levels - 1)
-            workspace.crit_pop()
-
-    for track_uncov in (False, True):
-        workspace = backend.workspace_factory(track_uncov=track_uncov, **build)
-        n = workspace.init_root()
-        outputs += [n, workspace.cin_view(0, n).copy()]
-        for selection in (0, 1, 2):
-            step = workspace.expand(0, n, selection, 3)
-            outputs += [step, workspace.red_view(0, n).copy()]
-        for compact in (True, False):
-            m = workspace.skip_child(0, n, compact)
-            outputs += [m, workspace.cin_view(1, m).copy()]
-        hit_loop(workspace, 0, n, step[3], 2)
-        outputs.append(workspace.crit_active_rows().copy())
-    return outputs
-
-
 def _statistics(statistics) -> list[object]:
     """Every counter of an :class:`EnumerationStatistics` but the wall time."""
     fields = dataclasses.asdict(statistics)
@@ -176,12 +115,33 @@ def _statistics(statistics) -> list[object]:
     ]
 
 
+def _participation(counts: list[int], n_rows: int) -> tuple[np.ndarray, ...]:
+    """CSR tuple participation of evidences whose ``counts`` ordered pairs
+    are the relation's pairs ``(i, j)``, ``i != j``, dealt out in order."""
+    pairs = [(i, j) for i in range(n_rows) for j in range(n_rows) if i != j]
+    offsets, tuple_ids, pair_counts = [0], [], []
+    start = 0
+    for count in counts:
+        per_tuple = [0] * n_rows
+        for i, j in pairs[start : start + count]:
+            per_tuple[i] += 1
+            per_tuple[j] += 1
+        start += count
+        for tuple_id, pair_count in enumerate(per_tuple):
+            if pair_count:
+                tuple_ids.append(tuple_id)
+                pair_counts.append(pair_count)
+        offsets.append(len(tuple_ids))
+    return tuple(np.array(values, dtype=np.int64) for values in (offsets, tuple_ids, pair_counts))
+
+
 def _driver_outputs(backend) -> list[object]:
-    """Whole searches (the compiled driver runs them all): f1 at epsilon 1,
-    0 and 1/3 under every selection rule, with and without a DC size cap
-    and with a progress report every other node, and f1' below 0.5."""
+    """Whole searches: f1 at epsilon 1, 0 and 1/3 under every selection
+    rule, with and without a DC size cap and with a progress report every
+    other node, and f1' below 0.5 (the integer pass bound); f2, f3 and f1'
+    from 0.5 on (the pass-test callback, with and without uncovered ids)."""
     from repro.core.adc_enum import ADCEnum
-    from repro.core.approximation import F1, F1Adjusted
+    from repro.core.approximation import F1, F1Adjusted, F2, F3Greedy
     from repro.core.evidence import EvidenceSet
     from repro.core.operators import Operator
     from repro.core.predicate_space import PredicateSpace
@@ -202,7 +162,10 @@ def _driver_outputs(backend) -> list[object]:
         for k in range(12)
     ]
     counts = [1 + k % 6 for k in range(12)]
-    evidence = EvidenceSet(space, masks=masks, counts=counts, n_rows=n_rows)
+    evidence = EvidenceSet(
+        space, masks=masks, counts=counts, n_rows=n_rows,
+        participation=_participation(counts, n_rows),
+    )
 
     outputs: list[object] = []
     with use_backend(backend):
@@ -214,6 +177,9 @@ def _driver_outputs(backend) -> list[object]:
             (F1(), 1 / 3, "min", 2, 0),
             (F1(), 1 / 3, "random", None, 0),
             (F1Adjusted(1.645), 0.2, "max", 3, 0),
+            (F1Adjusted(1.645), 0.7, "max", 3, 0),
+            (F2(), 0.8, "max", 2, 0),
+            (F3Greedy(), 0.45, "random", None, 0),
         ):
             reports: list[object] = []
             enumerator = ADCEnum(
@@ -237,7 +203,6 @@ CHECKS: tuple[tuple[str, Callable[..., list[object]]], ...] = (
     ("tile_plane", _tile_plane_outputs),
     ("fold_tiles", _fold_tiles_outputs),
     ("unique_rows", _unique_rows_outputs),
-    ("workspace", _workspace_outputs),
     ("search driver", _driver_outputs),
 )
 

@@ -26,7 +26,7 @@ from repro.core.repair import ConflictGraph, build_conflict_graph
 from repro.data.datasets import DATASET_NAMES, DEFAULT_ROWS, Dataset, generate_dataset
 from repro.data.relation import Relation
 from repro.engine import PartialEvidenceSet, Tile, TileKernel, block_tiles, fold_tiles
-from repro.native.arena import DESCENDED, PRUNED
+from tests.numpy_backend import DESCENDED, PRUNED
 
 
 def brute_force_minimal_adc_hitting_sets(
@@ -261,6 +261,32 @@ def criticality_walk(
         record("pop")
     assert workspace.crit_depth == 0
     return trace
+
+
+# ----------------------------------------------------------------------
+# A user-defined approximation function ("semantics as input")
+# ----------------------------------------------------------------------
+class WorstTupleShare(ApproximationFunction):
+    """The largest share of one tuple's ordered pairs that violate the DC.
+
+    ``1 - f = max_t v(t) / (2 (n - 1))``, where ``v(t)`` counts the
+    violating pairs tuple ``t`` takes part in.  More uncovered evidences
+    never lower a ``v(t)`` (monotone), and a redundant predicate uncovers
+    the same evidences (indifferent to redundancy), so the function is
+    valid; but equal violating-pair counts can score differently, so it is
+    not pair-determined, and ``ADCEnum`` asks it through the pass-test
+    callback with the uncovered evidence ids.  None of the library's
+    functions is defined this way.
+    """
+
+    name = "worst-tuple"
+    requires_participation = True
+
+    def violation_score(self, evidence: EvidenceSet, uncovered_indices) -> float:
+        if evidence.n_rows < 2:
+            return 0.0
+        per_tuple = evidence.violation_counts_per_tuple(uncovered_indices)
+        return int(per_tuple.max()) / (2 * (evidence.n_rows - 1))
 
 
 # ----------------------------------------------------------------------

@@ -20,6 +20,7 @@ from repro.core.predicates import same_column_predicate
 from tests.reference import (
     check_indifference_to_redundancy,
     check_monotonicity,
+    WorstTupleShare,
     pair_violation_fraction,
     verify_proposition_5_3,
 )
@@ -135,11 +136,11 @@ class TestBasicProperties:
 class TestAxioms:
     """Monotonicity and indifference to redundancy (Definitions 4.1, 4.2)."""
 
-    @pytest.mark.parametrize("function", [F1(), F2()])
+    @pytest.mark.parametrize("function", [F1(), F2(), WorstTupleShare()])
     def test_monotonicity_on_running_example(self, example_evidence, function):
         assert check_monotonicity(function, example_evidence, trials=60, seed=1)
 
-    @pytest.mark.parametrize("function", [F1(), F2(), F3Greedy()])
+    @pytest.mark.parametrize("function", [F1(), F2(), F3Greedy(), WorstTupleShare()])
     def test_indifference_to_redundancy(self, example_evidence, function):
         assert check_indifference_to_redundancy(function, example_evidence, trials=60, seed=1)
 
@@ -148,7 +149,7 @@ class TestAxioms:
         relation = make_random_relation(n_rows=8, seed=seed)
         space = build_predicate_space(relation)
         evidence = build_evidence_set(relation, space, include_participation=True)
-        for function in (F1(), F2()):
+        for function in (F1(), F2(), WorstTupleShare()):
             assert check_monotonicity(function, evidence, trials=40, seed=seed)
 
     def test_proposition_5_3(self, example_evidence, example_space):

@@ -27,8 +27,7 @@ from repro.core.bitset import (
 from repro.core.evidence import masks_to_words, words_to_mask
 from repro.core.predicate_space import iter_bits
 from repro.native import dispatch
-from repro.native.arena import DESCENDED, PRUNED, SELECT_MAX
-from tests.numpy_backend import NUMPY_BACKEND
+from tests.numpy_backend import DESCENDED, NUMPY_BACKEND, PRUNED, SELECT_MAX
 from tests.reference import criticality_walk, family_evidence
 
 

@@ -2,8 +2,8 @@
 
 The pre-refactor enumerator papered over deep skip chains by raising
 ``sys.setrecursionlimit(50_000)`` as a module side effect.  The explicit
-stack (:meth:`ADCEnum._run_search`) removed both the mutation and the
-depth ceiling; this module pins that down by
+stack of the search driver removed both the mutation and the depth
+ceiling; this module pins that down by
 
 * mining an adversarial evidence set whose skip chain descends ``n``
   frames for ``n`` beyond the default interpreter recursion limit,

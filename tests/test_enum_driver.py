@@ -1,57 +1,74 @@
-"""The compiled ADCEnum driver against the Python driver.
+"""The compiled ADCEnum driver against the numpy oracle's.
 
-For pair-determined functions with an integer pass bound, the compiled
-backend runs the whole search as one native frame stack
-(:meth:`ADCEnum._run_native`); everything else, and every search over the
-numpy reference workspace (``tests/numpy_backend.py``), runs the Python
-driver (:meth:`ADCEnum._run_search`), which is the oracle here.  The two must agree on everything a search reports:
-the ADC list in emission order with masks and scores, every
-:class:`EnumerationStatistics` counter, the deepest stack, and the node
-counts and counters at which the progress hook is called.
+The compiled backend runs every search as one native frame stack
+(``adc_enum_run``); its node-for-node oracle is the numpy workspace's
+search (``tests/numpy_backend.py``).  The two must agree on everything a
+search reports: the ADC list in emission order with masks and scores,
+every :class:`EnumerationStatistics` counter, the deepest stack, and the
+node counts and counters at which the progress hook is called.
 
-The C driver decides its pass tests by the integer bound of
-:meth:`ApproximationFunction.pair_bound`; the Python driver scores the pair
-fraction in floats, so every identity test here also checks the bound.
-The bound is also checked exhaustively against the score it replaces, and
-the emission score taken from the maintained uncovered pair count against
-the uncovered evidences' count.
+The compiled driver decides its pass tests by the integer bound of
+:meth:`ApproximationFunction.pair_bound` when there is one (f1, and f1'
+below epsilon 0.5) and otherwise calls back into ``ADCEnum._passes``
+(f2, f3, f1' from 0.5 on, and a user-defined function); the oracle scores
+every test through ``_passes``, so every identity test here also checks
+the bound, and on the callback path the two must make the same calls with
+the same uncovered ids.  The bound is also checked exhaustively against
+the score it replaces, and the emission score taken from the maintained
+uncovered pair count against the uncovered evidences' count.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import gc
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.adc_enum import ADCEnum
-from repro.core.approximation import F1, F1Adjusted, F2
+from repro.core.approximation import F1, F1Adjusted, F2, F3Greedy
 from repro.core.evidence_builder import build_evidence_set
 from repro.core.predicate_space import build_predicate_space
 from repro.native import cext, dispatch, get_backend
 from tests.conftest import make_random_relation
 from tests.numpy_backend import NUMPY_BACKEND
+from tests.reference import WorstTupleShare
 from tests.test_deep_chain import _chain_epsilon, _chain_evidence
 
 EPSILONS = [0.0, 0.01, 0.2, 0.49, 1.0]
 FUNCTIONS = [F1(), F1Adjusted(0.0), F1Adjusted(1.645), F1Adjusted(2.576)]
 FUNCTION_IDS = ["f1", "f1'z0", "f1'z1.645", "f1'z2.576"]
 
+#: Functions that are not pair-determined: the compiled driver calls back
+#: for each of their pass tests, with the uncovered evidence ids.
+SCORED_FUNCTIONS = [F2(), F3Greedy(), WorstTupleShare()]
+SCORED_IDS = ["f2", "f3", "worst-tuple"]
+
+#: With f1', the functions without an integer pass bound at these
+#: thresholds.
+CALLBACK_EPSILONS = [0.5, 0.7, 1.0]
+CALLBACK_FUNCTIONS = SCORED_FUNCTIONS + [F1Adjusted(1.645)]
+CALLBACK_IDS = SCORED_IDS + ["f1'z1.645"]
+
 
 def _evidence(seed: int, n_rows: int = 6, domain: int = 3):
     relation = make_random_relation(n_rows=n_rows, seed=seed, domain_size=domain)
-    return build_evidence_set(relation, build_predicate_space(relation))
+    return build_evidence_set(
+        relation, build_predicate_space(relation), include_participation=True
+    )
 
 
 def _search(backend, evidence, function, epsilon, interval=None, **options):
-    """One search under ``backend``: (ADCs, statistics, hook records, driver)."""
+    """One search under ``backend``: (ADCs, statistics, hook records, the
+    pass-test callback's calls as ``(ids, pairs)``)."""
     reports = []
 
     def record(statistics):
         reports.append(_counters(statistics))
 
-    drivers = []
+    calls = []
     with dispatch.use_backend(backend):
         enumerator = ADCEnum(
             evidence, function, epsilon,
@@ -59,14 +76,18 @@ def _search(backend, evidence, function, epsilon, interval=None, **options):
             progress_interval=interval or 8192,
             **options,
         )
-        run_native, run_python = enumerator._run_native, enumerator._run_search
-        enumerator._run_native = lambda ws: (drivers.append("native"), run_native(ws))
-        enumerator._run_search = lambda ws: (drivers.append("python"), run_python(ws))
+        passes = enumerator._passes
+
+        def spy(ids, pairs):
+            calls.append((ids.tolist(), pairs))
+            return passes(ids, pairs)
+
+        enumerator._passes = spy
         adcs = [
             (adc.hitting_set_mask, adc.violation_score, adc.constraint.predicates)
             for adc in enumerator.enumerate()
         ]
-    return adcs, _counters(enumerator.statistics), reports, drivers
+    return adcs, _counters(enumerator.statistics), reports, calls
 
 
 def _counters(statistics):
@@ -80,9 +101,9 @@ def _assert_same_search(evidence, function, epsilon, interval=None, **options):
     native = _search(get_backend(), evidence, function, epsilon, interval, **options)
     oracle = _search(NUMPY_BACKEND, evidence, function, epsilon, interval, **options)
     assert native[:3] == oracle[:3]
-    assert oracle[3] == ["python"]
+    assert oracle[3]
     bound = function.pair_bound(evidence.total_pairs, epsilon) if evidence.total_pairs else 0
-    assert native[3] == ["native" if bound is not None else "python"]
+    assert native[3] == (oracle[3] if bound is None else [])
     assert "max_stack_depth" in native[1]["extra"]
     return native
 
@@ -94,8 +115,8 @@ class TestDriverIdentity:
         n_rows=st.integers(min_value=2, max_value=6),
         selection=st.sampled_from(["max", "min", "random"]),
         max_dc_size=st.sampled_from([None, 1, 2, 3]),
-        epsilon=st.sampled_from(EPSILONS),
-        function=st.sampled_from(FUNCTIONS),
+        epsilon=st.sampled_from(EPSILONS + CALLBACK_EPSILONS),
+        function=st.sampled_from(FUNCTIONS + SCORED_FUNCTIONS),
     )
     def test_random_relations(self, seed, n_rows, selection, max_dc_size, epsilon, function):
         evidence = _evidence(seed, n_rows)
@@ -113,11 +134,22 @@ class TestDriverIdentity:
         assert adcs or epsilon == 1.0
 
     @pytest.mark.parametrize("max_dc_size", [None, 1, 2, 3])
+    @pytest.mark.parametrize("selection", ["max", "min", "random"])
+    @pytest.mark.parametrize("epsilon", CALLBACK_EPSILONS)
+    @pytest.mark.parametrize("function", CALLBACK_FUNCTIONS, ids=CALLBACK_IDS)
+    def test_callback_grid(self, function, epsilon, selection, max_dc_size):
+        _assert_same_search(
+            _evidence(7), function, epsilon, selection=selection, max_dc_size=max_dc_size
+        )
+
+    @pytest.mark.parametrize("max_dc_size", [None, 1, 2, 3])
     def test_dc_size_caps(self, max_dc_size):
         _assert_same_search(_evidence(3, n_rows=7), F1(), 0.05, max_dc_size=max_dc_size)
 
     @pytest.mark.parametrize("n_rows", [0, 1])
-    @pytest.mark.parametrize("function", FUNCTIONS, ids=FUNCTION_IDS)
+    @pytest.mark.parametrize(
+        "function", FUNCTIONS + SCORED_FUNCTIONS, ids=FUNCTION_IDS + SCORED_IDS
+    )
     def test_no_pairs(self, n_rows, function):
         evidence = _evidence(0, n_rows=n_rows)
         assert evidence.total_pairs == 0
@@ -129,18 +161,25 @@ class TestDriverIdentity:
         _, statistics, _, _ = _assert_same_search(evidence, F1(), _chain_epsilon(evidence))
         assert statistics["extra"]["max_stack_depth"] == 1200
 
-    def test_unscored_bound_runs_the_python_driver(self):
-        """f1' at epsilon >= 0.5 has no integer bound: it keeps scoring."""
-        _assert_same_search(_evidence(1), F1Adjusted(1.645), 0.7, max_dc_size=2)
+    def test_an_unbounded_function_takes_the_callback(self):
+        """f1' at epsilon >= 0.5 has no integer bound: the compiled driver
+        asks the callback, with no ids (the function is pair-determined),
+        for each of its tests."""
+        calls = _assert_same_search(_evidence(1), F1Adjusted(1.645), 0.7, max_dc_size=2)[3]
+        assert calls and all(ids == [] for ids, _ in calls)
 
 
 class TestProgressHook:
     @pytest.mark.parametrize("interval", [1, 7, 8192])
-    @pytest.mark.parametrize("function", [F1(), F1Adjusted(1.645)], ids=["f1", "f1'"])
-    def test_same_calls_same_counters(self, interval, function):
+    @pytest.mark.parametrize(
+        "function, epsilon",
+        [(F1(), 0.05), (F1Adjusted(1.645), 0.05), (F2(), 0.5), (WorstTupleShare(), 0.5)],
+        ids=["f1", "f1'", "f2", "worst-tuple"],
+    )
+    def test_same_calls_same_counters(self, interval, function, epsilon):
         evidence = _evidence(5, n_rows=7)
         _, statistics, reports, _ = _assert_same_search(
-            evidence, function, 0.05, interval=interval, max_dc_size=3
+            evidence, function, epsilon, interval=interval, max_dc_size=3
         )
         nodes = statistics["recursive_calls"]
         assert [r["recursive_calls"] for r in reports] == list(
@@ -171,8 +210,11 @@ class TestResume:
         )[0]
         assert len(adcs) > 1
 
-    def test_resume_interleaves_with_progress(self):
-        _assert_same_search(_evidence(4, n_rows=7), F1Adjusted(2.576), 0.2,
+    @pytest.mark.parametrize(
+        "function, epsilon", [(F1Adjusted(2.576), 0.2), (F2(), 0.5)], ids=["f1'", "f2"]
+    )
+    def test_resume_interleaves_with_progress(self, function, epsilon):
+        _assert_same_search(_evidence(4, n_rows=7), function, epsilon,
                             interval=3, max_dc_size=3)
 
     def test_a_second_run_restarts_the_search(self):
@@ -209,6 +251,46 @@ class TestSearchState:
             setattr(enumerator._get_workspace(), entry, lambda *args: failure)
             with pytest.raises(MemoryError):
                 enumerator.enumerate()
+
+
+class TestCallbackErrors:
+    """An exception raised by the approximation function inside the
+    compiled search stops it and propagates from ``enumerate()``; nothing
+    reaches ctypes, which would print and drop it."""
+
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    @pytest.mark.parametrize("k", [1, 2, 5, 40])
+    def test_the_kth_score_raises(self, error, k, capfd, monkeypatch):
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+
+        class Failing(WorstTupleShare):
+            scores = 0
+
+            def violation_score(self, evidence, uncovered_indices):
+                self.scores += 1
+                if self.scores == k:
+                    raise error(f"score {k}")
+                return super().violation_score(evidence, uncovered_indices)
+
+        evidence = _evidence(7)
+        function = Failing()
+        enumerator = ADCEnum(evidence, function, 0.5, max_dc_size=3)
+        with dispatch.use_backend(get_backend()):
+            with pytest.raises(error, match=f"score {k}"):
+                enumerator.enumerate()
+            assert function.scores == k
+            assert not unraisable
+            assert "Exception ignored" not in capfd.readouterr().err
+            # The same instance then enumerates correctly (the count has
+            # passed k, so no score raises again).
+            again = [(a.hitting_set_mask, a.violation_score) for a in enumerator.enumerate()]
+            again_counters = _counters(enumerator.statistics)
+        with dispatch.use_backend(NUMPY_BACKEND):
+            oracle = ADCEnum(evidence, WorstTupleShare(), 0.5, max_dc_size=3)
+            assert again == [(a.hitting_set_mask, a.violation_score) for a in oracle.enumerate()]
+            assert again_counters == _counters(oracle.statistics)
+        assert again
 
 
 def _passes(function, total, epsilon, x):
@@ -269,9 +351,9 @@ class TestEmissionScore:
         emitted = []
         emit = ADCEnum._emit
 
-        def spy(self, s_elements, uncovered_pairs, uncov):
+        def spy(self, s_elements, uncovered_pairs):
             emitted.append((sum(1 << e for e in s_elements), uncovered_pairs))
-            emit(self, s_elements, uncovered_pairs, uncov)
+            emit(self, s_elements, uncovered_pairs)
 
         monkeypatch.setattr(ADCEnum, "_emit", spy)
         adcs = ADCEnum(evidence, F1(), epsilon, selection=selection,

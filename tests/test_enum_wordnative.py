@@ -22,7 +22,7 @@ from repro.core.adc_enum import ADCEnum
 from repro.core.approximation import F1, F1Adjusted, F2, F3Greedy
 from repro.core.evidence_builder import build_evidence_set
 from tests.legacy_enum import LegacyADCEnum
-from tests.reference import family_evidence
+from tests.reference import WorstTupleShare, family_evidence
 from repro.core.predicate_space import build_predicate_space
 from repro.native import dispatch
 from tests.numpy_backend import NUMPY_BACKEND
@@ -99,6 +99,21 @@ class TestADCEnumBitIdentical:
         new = ADCEnum(evidence, function, 0.3, max_dc_size=2)
         old = LegacyADCEnum(evidence, function, 0.3, max_dc_size=2)
         assert _discovered(new.enumerate()) == _discovered(old.enumerate())
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("epsilon", [0.1, 0.3, 0.5])
+    @pytest.mark.parametrize("selection", ["max", "min", "random"])
+    def test_a_user_defined_function(self, seed, epsilon, selection):
+        """ADCEnum takes the semantics as input: a function the library does
+        not define (``WorstTupleShare``, not pair-determined), mined on the
+        compiled backend, matches the legacy enumerator in masks, order,
+        scores and search-tree counters."""
+        evidence = _evidence_for(seed)
+        function = WorstTupleShare()
+        new = ADCEnum(evidence, function, epsilon, selection=selection, max_dc_size=3)
+        old = LegacyADCEnum(evidence, function, epsilon, selection=selection, max_dc_size=3)
+        assert _discovered(new.enumerate()) == _discovered(old.enumerate())
+        assert _statistics_tuple(new.statistics) == _statistics_tuple(old.statistics)
 
     def test_adjusted_f1_pair_determined_path(self):
         """f1' is pair-determined but with nontrivial score arithmetic."""

@@ -41,14 +41,14 @@ def _reference_with(kernels) -> dispatch.Backend:
     )
 
 
-def _compiled_backend(functions, arena=None) -> dispatch.Backend:
-    """A backend over bound ``functions``, its workspace class ``arena``."""
+def _compiled_backend(functions, workspace=None) -> dispatch.Backend:
+    """A backend over bound ``functions``, its workspace class ``workspace``."""
     from repro.native import cext
 
-    arena = arena or cext.CextSearchWorkspace
+    workspace = workspace or cext.CextSearchWorkspace
     return dispatch.Backend(
         name=cext.NAME, kernels=cext.CKernels(functions),
-        workspace_factory=lambda *args, **kwargs: arena(functions, *args, **kwargs),
+        workspace_factory=lambda *args, **kwargs: workspace(functions, *args, **kwargs),
     )
 
 
@@ -105,15 +105,21 @@ class TestResolution:
         with pytest.raises(RuntimeError, match="tile_plane mismatch"):
             selfcheck.check(_reference_with(TallKernels()))
 
-    def test_probe_rejects_a_wrong_search_driver(self):
-        """A compiled search driver whose pass bound is off by one pair."""
+    @pytest.mark.parametrize("path", ["bound", "callback"])
+    def test_probe_rejects_a_wrong_search_driver(self, path):
+        """A compiled search whose pass test is off by one pair: on the
+        integer bound, or on the pairs the callback is given."""
         from repro.native import cext
 
         functions = cext.load_functions(_built_library())
 
         class OffByOne(cext.CextSearchWorkspace):
-            def pair_search(self, bound, *args):
-                return super().pair_search(bound - 1 if bound > 0 else bound, *args)
+            def search(self, bound, passes, *args):
+                if path == "bound" and bound:
+                    bound -= 1
+                elif path == "callback" and bound is None:
+                    passes = lambda ids, pairs, passes=passes: passes(ids, pairs + 1)
+                return super().search(bound, passes, *args)
 
         selfcheck.check(_compiled_backend(functions))
         with pytest.raises(RuntimeError, match="search driver mismatch"):
@@ -249,11 +255,11 @@ class TestProbeVerdict:
         assert len(_verdicts(private_cache)) == 2
 
     def test_the_probed_sources_are_the_probes_python(self):
-        """The verdict is keyed on the self-check's own module, the arena,
-        binding and dispatch it runs through, and the core modules of its
+        """The verdict is keyed on the self-check's own module, the binding
+        and dispatch it runs through, and the core modules of its
         searches."""
         names = {(path.parent.name, path.name) for path in dispatch._probed_sources()}
-        assert {("native", "selfcheck.py"), ("native", "arena.py"),
+        assert {("native", "selfcheck.py"),
                 ("native", "dispatch.py"), ("native", "cext.py"),
                 ("core", "adc_enum.py"), ("core", "evidence.py")} <= names
         assert all(path.is_file() for path in dispatch._probed_sources())
@@ -360,7 +366,7 @@ class TestCompiledBitIdentity:
         """The C driver's root overlap counts (``adc_intersection_counts``,
         over up to four words of predicates) steer evidence selection and
         the WillCover prune: its outputs and search-tree counters must
-        match the Python driver over the numpy arena."""
+        match the numpy workspace's search."""
         from repro.core.adc_enum import ADCEnum
         from repro.core.approximation import F1
         from tests.reference import family_evidence
@@ -387,34 +393,6 @@ class TestCompiledBitIdentity:
                 )
 
         assert run(get_backend()) == run(NUMPY_BACKEND)
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        subsets=st.lists(st.integers(min_value=0, max_value=(1 << 40) - 1), max_size=70),
-        n_elements=st.integers(min_value=1, max_value=40),
-        selection=st.sampled_from([0, 1, 2]),
-        seed=st.integers(min_value=0, max_value=2**31),
-    )
-    def test_crit_apply_undo(self, subsets, n_elements, selection, seed):
-        """The compiled criticality push (``adc_crit_apply`` inside
-        ``try_hit``) and pop (``adc_crit_undo``) walk the same random path
-        as the numpy workspace, bit for bit, each checked against the set
-        model of :func:`tests.reference.criticality_walk`."""
-        import random
-
-        from repro.core.adc_enum import ADCEnum
-        from repro.core.approximation import F1
-        from tests.reference import criticality_walk, family_evidence
-
-        subsets = [subset & ((1 << n_elements) - 1) for subset in subsets]
-        evidence = family_evidence(subsets, n_elements)
-
-        def walk(backend):
-            with dispatch.use_backend(backend):
-                workspace = ADCEnum(evidence, F1(), 0.0)._get_workspace()
-            return criticality_walk(workspace, evidence, random.Random(seed), 40, selection)
-
-        assert walk(get_backend()) == walk(NUMPY_BACKEND)
 
     @settings(max_examples=50, deadline=None)
     @given(data=st.data())
@@ -505,10 +483,10 @@ class TestCompiledBitIdentity:
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_search_workspace_lockstep(self, function, epsilon, seed):
-        """The compiled search arena mirrors the numpy arena through a full
-        randomized enumeration.  f1 runs the compiled backend's C driver;
-        f2 and f1' at epsilon 0.6 (no integer pass bound) run the Python
-        driver over the compiled arena's per-node operations."""
+        """The compiled search mirrors the numpy workspace's through a full
+        randomized enumeration.  f1 takes the compiled driver's integer
+        pass bound; f2 and f1' at epsilon 0.6 (no integer pass bound) take
+        its pass-test callback, f2 with the uncovered ids threaded."""
         from tests.conftest import make_random_relation
         from repro.core.adc_enum import ADCEnum
         from repro.core.approximation import F1, F1Adjusted, F2

@@ -28,7 +28,7 @@ class TestSelfCheck:
     def test_each_check_names_its_kernel(self):
         """A mismatch names the check that failed, whichever it is."""
         assert [name for name, _ in selfcheck.CHECKS] == list(selfcheck.GOLDEN) == [
-            "tile_plane", "fold_tiles", "unique_rows", "workspace", "search driver",
+            "tile_plane", "fold_tiles", "unique_rows", "search driver",
         ]
 
     def test_the_digest_serializes_dtype_shape_and_byte_order(self):
